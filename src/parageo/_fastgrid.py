@@ -1,32 +1,50 @@
-"""Integer-scaled kernels for the deterministic grid experiments.
+"""The exact integer engine of every p_+ grid search.
 
-Grid points have integer coordinates and every rational-field catalog
-basis has integer matrix entries, so the per-pair work (exponentials,
-conjugation, the direction solve, jet derivatives at 0, and the
-polynomial curve-equality check) can run on plain-int matrices with a
-tracked positive denominator.  Scaling by a positive integer never
-changes whether an entry vanishes, so all block-pattern tests are
-unaffected: these kernels are exact and agree with the generic Fraction
-path entry for entry (the test suite checks them against each other).
+Every grid search (``jets``, ``family`` and their worker fan-out) runs its
+pairs here, for every catalog algebra and every rational base direction.
+The per-pair work (exponentials, conjugation, the direction solve, jet
+derivatives at 0, and the polynomial curve-equality check) runs on
+plain-int matrices with a tracked positive denominator:
+
+* grid points have integer coordinates and every catalog basis has
+  integral matrix entries;
+* a base direction X is carried as the integer matrix ``x_den * X``, where
+  the direction denominator ``x_den`` is the lcm of the denominators of
+  X's entries;
+* over the Gaussian field (su21) each entry a + bi is realified as the 2x2
+  integer block [[a, -b], [b, a]].  Realification is an injective ring
+  homomorphism, so exponentials, conjugation and the P block pattern carry
+  over exactly; the forbidden positions and position grades are the 2x2
+  blow-ups of the algebra's own.
+
+Scaling by a positive integer never changes whether an entry vanishes, so
+every block-pattern test is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, lcm
+
+from .scalars import FIELD_GAUSSIAN, scalar_re_im
 
 
-def _to_int_rows(mat):
+def _realify(mat, gaussian):
+    """(den, rows): the least positive den making den * mat integral, and
+    the integer rows of den * mat (Gaussian entries as 2x2 real blocks)."""
+    parts = [[scalar_re_im(e) for e in row] for row in mat.rows]
+    den = lcm(*(p.denominator for row in parts for re_im in row for p in re_im))
+    if not gaussian:
+        return den, tuple(tuple(int(re * den) for re, _ in row) for row in parts)
     rows = []
-    for row in mat.rows:
-        out = []
-        for e in row:
-            f = Fraction(e)
-            if f.denominator != 1:
-                return None
-            out.append(f.numerator)
-        rows.append(tuple(out))
-    return tuple(rows)
+    for row in parts:
+        top, bottom = [], []
+        for re, im in row:
+            a, b = int(re * den), int(im * den)
+            top += (a, -b)
+            bottom += (b, a)
+        rows += (tuple(top), tuple(bottom))
+    return den, tuple(rows)
 
 
 def _imul(a, b):
@@ -47,9 +65,6 @@ def _isub(a, b):
 def _iscale(a, c):
     return tuple(tuple(c * x for x in row) for row in a)
 
-def _izero(d):
-    return tuple((0,) * d for _ in range(d))
-
 
 def _iident(d, one=1):
     return tuple(tuple(one if i == j else 0 for j in range(d)) for i in range(d))
@@ -65,43 +80,51 @@ def _commute_right(d_rows, x_rows):
 
 
 class GridKernel:
-    """Fast exact engine for one algebra and one integer base direction."""
+    """Exact integer engine for one algebra and one rational base direction."""
 
     def __init__(self, alg, x):
         self.alg = alg
-        self.d = alg.matrix_dim
-        self.forbidden = alg.forbidden_positions
-        self.x_rows = _to_int_rows(x.matrix)
-        self.basis_rows = [_to_int_rows(b) for b in alg.basis]
-        self.pplus_idx = [i for g in range(1, alg.k + 1) for i in alg.grade_slices[g]]
-        self.usable = (
-            self.x_rows is not None
-            and all(b is not None for b in self.basis_rows)
-            and self._build_extract()
+        gaussian = alg.field == FIELD_GAUSSIAN
+        blow = 2 if gaussian else 1
+        # series length: every nilpotent element N of g has N^q = 0
+        self.q = alg.matrix_dim
+        self.d = d = blow * alg.matrix_dim
+        grade = alg.position_grade
+        self.position_grade = tuple(
+            tuple(grade[i // blow][j // blow] for j in range(d)) for i in range(d)
         )
-        if self.usable:
-            self.exp_x_coeffs = self._exp_poly_coeffs(self.x_rows, 1, 1)
+        self.forbidden = tuple(
+            (i, j) for i in range(d) for j in range(d) if self.position_grade[i][j] < 0
+        )
+        self.x_den, self.x_rows = _realify(x.matrix, gaussian)
+        self.basis_rows = []
+        for idx, b in enumerate(alg.basis):
+            den, rows = _realify(b, gaussian)
+            if den != 1:
+                raise ValueError("%s: basis matrix %d is not integral" % (alg.name, idx))
+            self.basis_rows.append(rows)
+        self.pplus_idx = [i for g in range(1, alg.k + 1) for i in alg.grade_slices[g]]
+        self._build_extract(blow)
+        self.exp_x_coeffs = self._exp_poly_coeffs(self.x_rows, 1, self.x_den)
 
-    def _build_extract(self):
-        # integer-scaled copy of the algebra's pivot-row coordinate extractor
+    def _build_extract(self, blow):
+        # integer-scaled copy of the algebra's pivot-row coordinate extractor;
+        # a pivot row of the re/im-split vectorization maps to the entry of
+        # the realified matrix that holds that part
         alg = self.alg
-        scale = 1
-        for row in alg._extractor.rows:
-            for e in row:
-                d = Fraction(e).denominator
-                scale = scale * d // gcd(scale, d)
-        terms = []
-        for row in alg._extractor.rows:
-            terms.append(
-                [
-                    (int(e * scale), pr)
-                    for e, pr in zip(row, alg._pivot_rows)
-                    if e
-                ]
-            )
+        scale = lcm(*(Fraction(e).denominator for row in alg._extractor.rows for e in row))
+        flat = []
+        for pr in alg._pivot_rows:
+            if blow == 1:
+                flat.append(pr)
+            else:
+                ij, part = divmod(pr, 2)
+                i, j = divmod(ij, self.q)
+                flat.append((2 * i + part) * self.d + 2 * j)
         self.extract_scale = scale
-        self.extract_terms = terms
-        return True
+        self.extract_terms = [
+            [(int(e * scale), r) for e, r in zip(row, flat) if e] for row in alg._extractor.rows
+        ]
 
     def combo_rows(self, vals):
         """Integer matrix of the p_+ element with the given grid coordinates."""
@@ -121,13 +144,12 @@ class GridKernel:
     # -- scaled integer primitives ------------------------------------------
 
     def exp_pair(self, z_rows):
-        """(num(exp Z), num(exp -Z), den) with den = (d-1)!."""
-        d = self.d
-        den = factorial(d - 1)
-        pos_acc = _iident(d, den)
-        neg_acc = _iident(d, den)
+        """(num(exp Z), num(exp -Z), den) with den = (q-1)!."""
+        den = factorial(self.q - 1)
+        pos_acc = _iident(self.d, den)
+        neg_acc = _iident(self.d, den)
         power = None
-        for p in range(1, d):
+        for p in range(1, self.q):
             power = z_rows if power is None else _imul(power, z_rows)
             if _is_zero(power):
                 break
@@ -139,7 +161,7 @@ class GridKernel:
 
     def _negproj(self, rows):
         d = self.d
-        grade = self.alg.position_grade
+        grade = self.position_grade
         return tuple(
             tuple(rows[i][j] if grade[i][j] < 0 else 0 for j in range(d)) for i in range(d)
         )
@@ -156,11 +178,11 @@ class GridKernel:
     def solve_direction(self, e_num, einv_num, e_den):
         """Y with proj_n(Ad Y) = X; returns (num, den)."""
         s2 = e_den * e_den
-        y_num, y_den = self.x_rows, 1
+        y_num, y_den = self.x_rows, self.x_den
         for _ in range(self.alg.k + 1):
             img = self._negproj(_imul(_imul(e_num, y_num), einv_num))
             img_den = y_den * s2
-            resid = _isub(_iscale(self.x_rows, img_den), img)
+            resid = _isub(_iscale(self.x_rows, img_den // self.x_den), img)
             if _is_zero(resid):
                 return y_num, y_den
             y_num = _iadd(_iscale(y_num, s2), resid)
@@ -172,7 +194,7 @@ class GridKernel:
         return _imul(_imul(e_num, y_num), einv_num), y_den * e_den * e_den
 
     def pair_jet_order(self, a2_num, a2_den, r_max):
-        d0 = _isub(_iscale(self.x_rows, a2_den), a2_num)
+        d0 = _isub(_iscale(self.x_rows, a2_den // self.x_den), a2_num)
         order = 0
         d_rows = d0
         while order < r_max and self._in_p(d_rows):
@@ -187,16 +209,16 @@ class GridKernel:
         """Coefficient matrices of exp(t A/den_scale) * common positive scale.
 
         coeff of t^p is A^p num_scale^p / (p! den_scale^p); scaled by
-        (d-1)! * den_scale^(d-1) everything is integral.
+        (q-1)! * den_scale^(q-1) everything is integral.
         """
-        d = self.d
-        coeffs = [_iident(d, factorial(d - 1) * den_scale ** (d - 1))]
-        power = _iident(d)
-        for p in range(1, d):
+        q = self.q
+        coeffs = [_iident(self.d, factorial(q - 1) * den_scale ** (q - 1))]
+        power = _iident(self.d)
+        for p in range(1, q):
             power = _imul(power, a_rows)
             if _is_zero(power):
                 break
-            c = (factorial(d - 1) // factorial(p)) * (num_scale**p) * den_scale ** (d - 1 - p)
+            c = (factorial(q - 1) // factorial(p)) * (num_scale**p) * den_scale ** (q - 1 - p)
             coeffs.append(_iscale(power, c))
         return coeffs
 
@@ -216,8 +238,5 @@ class GridKernel:
 
 
 def grid_kernel(alg, x):
-    """A GridKernel when the algebra/direction admit the integer path."""
-    if alg.field != "rational":
-        return None
-    k = GridKernel(alg, x)
-    return k if k.usable else None
+    """The GridKernel of an algebra and a base direction in it."""
+    return GridKernel(alg, x)

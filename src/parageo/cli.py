@@ -67,54 +67,57 @@ class ExperimentConfig:
         return cls(output=None, **d)
 
 
+def _parse_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParageoError("expected an integer, got %r" % text) from None
+
+
 def parse_type(alg, text):
     """Type names: full_n, grade(-j), null_cone, rank(r), or a stratum name."""
     text = text.strip()
     if text in ("full", "full_n", "n"):
         return type_full(alg)
     if text.startswith("grade(") and text.endswith(")"):
-        return type_grade(alg, int(text[6:-1]))
+        return type_grade(alg, _parse_int(text[6:-1]))
     if text in ("null", "null_cone"):
         return type_null_cone(alg)
     if text.startswith("rank(") and text.endswith(")"):
-        return type_rank_stratum(alg, int(text[5:-1]))
+        return type_rank_stratum(alg, _parse_int(text[5:-1]))
     return type_stratum(alg, text)
 
 
-def parse_direction(alg, text):
-    """Comma-separated exact coordinates over the n basis (grades ascending)."""
-    vals = [Fraction(v.strip()) for v in text.split(",")]
-    n_idx = [i for i in range(alg.dim) if alg.basis_grades[i] < 0]
-    if len(vals) != len(n_idx):
+def _parse_coords(alg, text, idx, what):
+    """The element with the comma-separated exact coordinates of ``text``
+    at basis indices ``idx`` and zeros elsewhere."""
+    try:
+        vals = [Fraction(v.strip()) for v in text.split(",")]
+    except (ValueError, ZeroDivisionError):
         raise ParageoError(
-            "direction needs %d coordinates over the n basis, got %d" % (len(n_idx), len(vals))
-        )
-    coords = [Fraction(0)] * alg.dim
-    for i, v in zip(n_idx, vals):
-        coords[i] = v
-    return AlgElem(alg, tuple(coords))
-
-
-def parse_grade_coords(alg, grade, text):
-    vals = [Fraction(v.strip()) for v in text.split(",")]
-    sl = alg.grade_slices[grade]
-    if len(vals) != len(sl):
-        raise ParageoError("grade %d needs %d coordinates, got %d" % (grade, len(sl), len(vals)))
-    coords = [Fraction(0)] * alg.dim
-    for i, v in zip(sl, vals):
-        coords[i] = v
-    return AlgElem(alg, tuple(coords))
-
-
-def parse_pplus_coords(alg, text):
-    vals = [Fraction(v.strip()) for v in text.split(",")]
-    idx = [i for g in range(1, alg.k + 1) for i in alg.grade_slices[g]]
+            "%s: expected exact rationals such as -1/2, got %r" % (what, text)
+        ) from None
     if len(vals) != len(idx):
-        raise ParageoError("p_+ needs %d coordinates, got %d" % (len(idx), len(vals)))
+        raise ParageoError("%s needs %d coordinates, got %d" % (what, len(idx), len(vals)))
     coords = [Fraction(0)] * alg.dim
     for i, v in zip(idx, vals):
         coords[i] = v
     return AlgElem(alg, tuple(coords))
+
+
+def parse_direction(alg, text):
+    """Comma-separated exact coordinates over the n basis (grades ascending)."""
+    n_idx = [i for i in range(alg.dim) if alg.basis_grades[i] < 0]
+    return _parse_coords(alg, text, n_idx, "direction over the n basis")
+
+
+def parse_grade_coords(alg, grade, text):
+    return _parse_coords(alg, text, alg.grade_slices[grade], "grade %d" % grade)
+
+
+def parse_pplus_coords(alg, text):
+    idx = [i for g in range(1, alg.k + 1) for i in alg.grade_slices[g]]
+    return _parse_coords(alg, text, idx, "p_+")
 
 
 def envelope(config, algebra_desc, results, failures):

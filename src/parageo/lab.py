@@ -14,7 +14,8 @@ only to skip pairs whose curves already differ at jet level, which is
 sound without any theorem: distinct jets force distinct curves.  Every
 witness that lands in a report is re-verified through the public
 curve-engine operations, including the independent normal-coordinate
-oracle.
+oracle.  Every grid pair runs on the exact integer engine of
+``_fastgrid``, for every catalog algebra and every rational direction.
 """
 
 from __future__ import annotations
@@ -389,19 +390,18 @@ class JetOrderReport:
         }
 
 
-def _pair_jet_order(alg, a1, a2, r_max):
-    """Consecutive orders r with (delta_u)^(i)(0) in p for i < r, capped."""
-    d = a1 - a2
-    order = 0
-    while order < r_max and alg.matrix_in_p_pattern(d):
-        order += 1
-        d = d * a1 - a1 * d  # ad(-a1)
-    return order
-
-
-def _fast_curves_equal(alg, a1, a2):
-    u = exp_mat(a2.scale(-P_T)) * exp_mat(a1.scale(P_T))
-    return alg.matrix_in_p_pattern(u)
+def _pair_step(ts, kern, vals, r_max):
+    """(Z coords, Y coords, jet order, equal) of one p_+ grid point."""
+    alg = ts.algebra
+    zc = tuple(pplus_elem(alg, vals).coords)
+    e, einv, s = kern.exp_pair(kern.combo_rows(vals))
+    y_num, y_den = kern.solve_direction(e, einv, s)
+    yc = kern.elem_coords(y_num, y_den)
+    if not ts.contains(AlgElem(alg, yc)):
+        return zc, yc, None, False
+    a2num, a2den = kern.conj(e, einv, s, y_num, y_den)
+    jord = kern.pair_jet_order(a2num, a2den, r_max)
+    return zc, yc, jord, jord == r_max and kern.curves_equal(a2num, a2den)
 
 
 def _iter_pair_stats(ts, x, grid, r_max):
@@ -410,38 +410,12 @@ def _iter_pair_stats(ts, x, grid, r_max):
     ``jet order`` is None when the solved Y is not a member of the type;
     ``equal`` is the exact polynomial curve identity, computed only when
     the jets agree through r_max (pairs with lower jet order are unequal
-    by definition: distinct jets force distinct curves).  Runs on the
-    integer kernel when the algebra and direction allow it.
+    by definition: distinct jets force distinct curves).  Every pair runs
+    on the integer grid engine of ``_fastgrid``.
     """
-    alg = ts.algebra
-    kern = grid_kernel(alg, x)
-    if kern is not None:
-        for vals in iter_pplus_coords(alg, grid):
-            zc = tuple(pplus_elem(alg, vals).coords)
-            z_rows = kern.combo_rows(vals)
-            e, einv, s = kern.exp_pair(z_rows)
-            y_num, y_den = kern.solve_direction(e, einv, s)
-            y = AlgElem(alg, kern.elem_coords(y_num, y_den))
-            if not ts.contains(y):
-                yield zc, tuple(y.coords), None, False
-                continue
-            a2num, a2den = kern.conj(e, einv, s, y_num, y_den)
-            jord = kern.pair_jet_order(a2num, a2den, r_max)
-            equal = kern.curves_equal(a2num, a2den) if jord == r_max else False
-            yield zc, tuple(y.coords), jord, equal
-        return
-    a1 = x.matrix
-    for vals in iter_pplus_coords(alg, grid):
-        z = pplus_elem(alg, vals)
-        g = group_exp(z)
-        y = solve_direction(g, x)
-        if not ts.contains(y):
-            yield tuple(z.coords), tuple(y.coords), None, False
-            continue
-        a2 = g.mat * y.matrix * g.inv_mat
-        jord = _pair_jet_order(alg, a1, a2, r_max)
-        equal = _fast_curves_equal(alg, a1, a2) if jord == r_max else False
-        yield tuple(z.coords), tuple(y.coords), jord, equal
+    kern = grid_kernel(ts.algebra, x)
+    for vals in iter_pplus_coords(ts.algebra, grid):
+        yield _pair_step(ts, kern, vals, r_max)
 
 
 def _pair_stats_chunk(args):
@@ -451,35 +425,8 @@ def _pair_stats_chunk(args):
 
     alg = make_algebra(algebra_name)
     ts = type_from_token(alg, token)
-    x = AlgElem(alg, x_coords)
-    kern = grid_kernel(alg, x)
-    out = []
-    for vals in chunk:
-        if kern is not None:
-            zc = tuple(pplus_elem(alg, vals).coords)
-            z_rows = kern.combo_rows(vals)
-            e, einv, s = kern.exp_pair(z_rows)
-            y_num, y_den = kern.solve_direction(e, einv, s)
-            y = AlgElem(alg, kern.elem_coords(y_num, y_den))
-            if not ts.contains(y):
-                out.append((zc, tuple(y.coords), None, False))
-                continue
-            a2num, a2den = kern.conj(e, einv, s, y_num, y_den)
-            jord = kern.pair_jet_order(a2num, a2den, r_max)
-            equal = kern.curves_equal(a2num, a2den) if jord == r_max else False
-            out.append((zc, tuple(y.coords), jord, equal))
-        else:
-            z = pplus_elem(alg, vals)
-            g = group_exp(z)
-            y = solve_direction(g, x)
-            if not ts.contains(y):
-                out.append((tuple(z.coords), tuple(y.coords), None, False))
-                continue
-            a2 = g.mat * y.matrix * g.inv_mat
-            jord = _pair_jet_order(alg, x.matrix, a2, r_max)
-            equal = _fast_curves_equal(alg, x.matrix, a2) if jord == r_max else False
-            out.append((tuple(z.coords), tuple(y.coords), jord, equal))
-    return out
+    kern = grid_kernel(alg, AlgElem(alg, x_coords))
+    return [_pair_step(ts, kern, vals, r_max) for vals in chunk]
 
 
 def _pair_stats(ts, x, grid, r_max, workers=1):

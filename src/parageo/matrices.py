@@ -112,9 +112,6 @@ class Mat:
     def is_zero(self):
         return all(not a for r in self.rows for a in r)
 
-    def commutator(self, other):
-        return self * other - other * self
-
     def derivative(self):
         """Entrywise formal derivative; scalar entries are constants."""
         return self.map(

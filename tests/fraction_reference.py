@@ -1,0 +1,47 @@
+"""Minimal Fraction reference for the grid pair step.
+
+The same per-pair statistics as ``parageo.lab._iter_pair_stats``, computed
+on the Fraction (and Gaussian-rational) ``Mat`` stack instead of the integer
+engine of ``parageo._fastgrid``: ``group_exp`` + ``solve_direction`` give Y,
+the jet order comes from the constant-matrix derivatives of delta_u at 0,
+and curve equality is the polynomial identity "exp(-t A2) exp(t A1) stays
+in the P block pattern".
+"""
+
+from parageo.algebra import exp_mat, group_exp
+from parageo.lab import iter_pplus_coords, pplus_elem, solve_direction
+from parageo.poly import P_T
+
+
+def pair_jet_order(alg, a1, a2, r_max):
+    """Consecutive orders r with (delta_u)^(i)(0) in p for i < r, capped."""
+    d = a1 - a2
+    order = 0
+    while order < r_max and alg.matrix_in_p_pattern(d):
+        order += 1
+        d = d * a1 - a1 * d  # ad(-a1)
+    return order
+
+
+def fast_curves_equal(alg, a1, a2):
+    u = exp_mat(a2.scale(-P_T)) * exp_mat(a1.scale(P_T))
+    return alg.matrix_in_p_pattern(u)
+
+
+def reference_pair_stats(ts, x, grid, r_max):
+    """List of (Z coords, Y coords, jet order, equal) over the p_+ grid."""
+    alg = ts.algebra
+    a1 = x.matrix
+    out = []
+    for vals in iter_pplus_coords(alg, grid):
+        z = pplus_elem(alg, vals)
+        g = group_exp(z)
+        y = solve_direction(g, x)
+        if not ts.contains(y):
+            out.append((tuple(z.coords), tuple(y.coords), None, False))
+            continue
+        a2 = g.mat * y.matrix * g.inv_mat
+        jord = pair_jet_order(alg, a1, a2, r_max)
+        equal = fast_curves_equal(alg, a1, a2) if jord == r_max else False
+        out.append((tuple(z.coords), tuple(y.coords), jord, equal))
+    return out

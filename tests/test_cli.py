@@ -151,3 +151,39 @@ def test_workers_env_results_match(monkeypatch, capsysbinary):
     r1, r2 = json.loads(out1), json.loads(out2)
     assert r1["results"] == r2["results"]
     assert r1["summary"] == r2["summary"]
+
+
+def test_bad_direction_exits_2(capsys):
+    for direction in ("a,b,c", "1/0,1,1"):
+        argv = ["jets", "--algebra", "lagr3", "--grid", "0", "--direction", direction]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_bad_grade_coords_exit_2(capsys):
+    assert main(["reparam", "--algebra", "lagr3", "--x1", "q"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bad_pplus_coords_exit_2(capsys):
+    assert main(["reparam", "--algebra", "lagr3", "--z", "x"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bad_type_parameter_exits_2():
+    assert main(["jets", "--algebra", "lagr3", "--type", "grade(x)", "--grid", "0"]) == 2
+
+
+from hypothesis import given, settings, strategies as st
+
+_COORD = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=5).map(str),
+    st.text(alphabet="0123456789/-+. ab", max_size=5),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coords=st.lists(_COORD, min_size=1, max_size=4))
+def test_direction_fuzz_exit_codes(coords):
+    argv = ["jets", "--algebra", "lagr3", "--grid", "0", "--direction=" + ",".join(coords)]
+    assert main(argv) in (0, 1, 2)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from parageo._fastgrid import GridKernel, grid_kernel
 from parageo.algebra import Ad, AlgElem, group_exp, truncated_Ad
 from parageo.catalog import g0_samples, make_algebra
 from parageo.curves import CurveSpec, curves_equal, jet_equal, normal_coord_jet
@@ -30,6 +31,8 @@ from parageo.lab import (
     _iter_pair_stats,
     _pair_stats,
 )
+
+from fraction_reference import reference_pair_stats
 
 
 # -- type specs -----------------------------------------------------------------
@@ -180,27 +183,53 @@ def _pplus_dim(alg):
     return sum(len(alg.grade_slices[g]) for g in range(1, alg.k + 1))
 
 
-def test_kernel_agrees_with_generic(monkeypatch, lagr3, xxdot):
-    import parageo.lab as lab
-
+def test_engine_agrees_with_reference(lagr3, xxdot):
     conf = make_algebra("conf(1,2)")
+    su = make_algebra("su21")
     cases = [
         (type_full(lagr3), lagr3.elem_from_grade_coords({-1: (1, 1), -2: (1,)})),
         (type_grade(xxdot, -2), xxdot.elem_from_grade_coords({-2: (1, 0)})),
         (type_full(conf), conf.elem_from_grade_coords({-1: (1, 1, 0)})),
+        (type_full(lagr3), lagr3.elem_from_grade_coords({-1: (Fraction(1, 2), -3), -2: (1,)})),
+        (type_full(su), su.elem_from_grade_coords({-1: (1, Fraction(-1, 3)), -2: (2,)})),
     ]
     for ts, x in cases:
-        fast = list(_iter_pair_stats(ts, x, 1, ts.algebra.k + 2))
-        monkeypatch.setattr(lab, "grid_kernel", lambda a, b: None)
-        slow = list(lab._iter_pair_stats(ts, x, 1, ts.algebra.k + 2))
-        monkeypatch.undo()
-        assert fast == slow
+        r_max = ts.algebra.k + 2
+        assert list(_iter_pair_stats(ts, x, 1, r_max)) == reference_pair_stats(ts, x, 1, r_max)
 
 
-def test_su21_runs_generic_path():
+_SMALL_IDS = ["proj(1)", "proj(2)", "conf(1,1)", "lagr3", "su21"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    cid=st.sampled_from(_SMALL_IDS),
+    grade=st.integers(0, 2),
+    coords=st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=3, max_size=3
+    ),
+)
+def test_engine_agrees_with_reference_fractional_hypothesis(cid, grade, coords):
+    # grade 0 draws over all of n, grade j over g_-j
+    alg = make_algebra(cid)
+    grade = min(grade, alg.k)
+    grades = range(1, alg.k + 1) if grade == 0 else [grade]
+    ts = type_full(alg) if grade == 0 else type_grade(alg, -grade)
+    vals = iter(coords)
+    x = alg.elem_from_grade_coords(
+        {-j: [next(vals) for _ in alg.grade_slices[-j]] for j in grades}
+    )
+    if not x:
+        return
+    r_max = alg.k + 2
+    assert list(_iter_pair_stats(ts, x, 1, r_max)) == reference_pair_stats(ts, x, 1, r_max)
+
+
+def test_su21_runs_on_kernel():
     su = make_algebra("su21")
     ts = type_grade(su, -2)
     x = su.grade_basis(-2)[0]
+    assert isinstance(grid_kernel(su, x), GridKernel)
     rep = min_jet_order_search(ts, x, grid=1, r_max=4)
     assert rep.passed()
     assert rep.verdicts[2] == "confirmed"
