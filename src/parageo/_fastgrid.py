@@ -19,6 +19,15 @@ plain-int matrices with a tracked positive denominator:
 
 Scaling by a positive integer never changes whether an entry vanishes, so
 every block-pattern test is exact.
+
+One pair costs one ``exp_pair`` (both series, stopped at the first zero
+power) and at most k + 1 conjugations inside ``solve_direction``; the
+conjugate A2 = Ad(exp Z) Y of the converged iteration is returned with Y
+and reused by the jet test and the curve identity.  The jet test makes no
+matrix product: the forbidden entries of ad(-X)^r d0 are integer linear
+forms in the entries of d0, built once per order r and cached.  Products
+skip the zero entries of both factors, since grid matrices are mostly
+zeros.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .scalars import FIELD_GAUSSIAN, scalar_re_im
+
+_F0 = Fraction(0)
 
 
 def _realify(mat, gaussian):
@@ -48,35 +59,39 @@ def _realify(mat, gaussian):
 
 
 def _imul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def _iadd(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    """Integer matrix product, skipping the zero entries of both factors."""
+    n = len(b[0])
+    b_sparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * n
+        for x, b_row in zip(row, b_sparse):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def _isub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _iscale(a, c):
-    return tuple(tuple(c * x for x in row) for row in a)
+    return [[c * x for x in row] for row in a]
 
 
 def _iident(d, one=1):
-    return tuple(tuple(one if i == j else 0 for j in range(d)) for i in range(d))
+    return [[one if i == j else 0 for j in range(d)] for i in range(d)]
+
+
+def _iunit(d, i, j):
+    """The d x d unit matrix E_ij."""
+    return [[1 if (a, b) == (i, j) else 0 for b in range(d)] for a in range(d)]
 
 
 def _is_zero(a):
-    return all(not x for row in a for x in row)
-
-
-def _commute_right(d_rows, x_rows):
-    # ad(-X) step: D X - X D
-    return _isub(_imul(d_rows, x_rows), _imul(x_rows, d_rows))
+    return not any(map(any, a))
 
 
 class GridKernel:
@@ -90,22 +105,27 @@ class GridKernel:
         self.q = alg.matrix_dim
         self.d = d = blow * alg.matrix_dim
         grade = alg.position_grade
-        self.position_grade = tuple(
-            tuple(grade[i // blow][j // blow] for j in range(d)) for i in range(d)
-        )
         self.forbidden = tuple(
-            (i, j) for i in range(d) for j in range(d) if self.position_grade[i][j] < 0
+            (i, j) for i in range(d) for j in range(d) if grade[i // blow][j // blow] < 0
         )
         self.x_den, self.x_rows = _realify(x.matrix, gaussian)
-        self.basis_rows = []
+        basis_rows = []
         for idx, b in enumerate(alg.basis):
             den, rows = _realify(b, gaussian)
             if den != 1:
                 raise ValueError("%s: basis matrix %d is not integral" % (alg.name, idx))
-            self.basis_rows.append(rows)
-        self.pplus_idx = [i for g in range(1, alg.k + 1) for i in alg.grade_slices[g]]
+            basis_rows.append(rows)
+        # nonzero entries (i, j, value) of each p_+ basis matrix
+        self.pplus_entries = [
+            [(i, j, v) for i, row in enumerate(basis_rows[idx]) for j, v in enumerate(row) if v]
+            for g in range(1, alg.k + 1)
+            for idx in alg.grade_slices[g]
+        ]
         self._build_extract(blow)
         self.exp_x_coeffs = self._exp_poly_coeffs(self.x_rows, 1, self.x_den)
+        # jet forms of ad(-X)^r, built on demand; see _jet_forms
+        self._forms = []
+        self._duals = [_iunit(d, j, i) for i, j in self.forbidden]
 
     def _build_extract(self, blow):
         # integer-scaled copy of the algebra's pivot-row coordinate extractor;
@@ -130,16 +150,11 @@ class GridKernel:
         """Integer matrix of the p_+ element with the given grid coordinates."""
         d = self.d
         acc = [[0] * d for _ in range(d)]
-        for v, idx in zip(vals, self.pplus_idx):
-            if not v:
-                continue
-            b = self.basis_rows[idx]
-            for i in range(d):
-                row = b[i]
-                for j in range(d):
-                    if row[j]:
-                        acc[i][j] += v * row[j]
-        return tuple(tuple(r) for r in acc)
+        for v, entries in zip(vals, self.pplus_entries):
+            if v:
+                for i, j, b in entries:
+                    acc[i][j] += v * b
+        return acc
 
     # -- scaled integer primitives ------------------------------------------
 
@@ -148,45 +163,57 @@ class GridKernel:
         den = factorial(self.q - 1)
         pos_acc = _iident(self.d, den)
         neg_acc = _iident(self.d, den)
-        power = None
+        power = z_rows
         for p in range(1, self.q):
-            power = z_rows if power is None else _imul(power, z_rows)
+            if p > 1:
+                power = _imul(power, z_rows)
             if _is_zero(power):
                 break
             c = den // factorial(p)
-            term = _iscale(power, c)
-            pos_acc = _iadd(pos_acc, term)
-            neg_acc = _iadd(neg_acc, term) if p % 2 == 0 else _isub(neg_acc, term)
+            c_neg = -c if p % 2 else c
+            for pos_row, neg_row, row in zip(pos_acc, neg_acc, power):
+                for j, v in enumerate(row):
+                    if v:
+                        pos_row[j] += c * v
+                        neg_row[j] += c_neg * v
         return pos_acc, neg_acc, den
-
-    def _negproj(self, rows):
-        d = self.d
-        grade = self.position_grade
-        return tuple(
-            tuple(rows[i][j] if grade[i][j] < 0 else 0 for j in range(d)) for i in range(d)
-        )
 
     def elem_coords(self, rows, den):
         """Fraction coordinates of an integer-scaled algebra element."""
         flat = [v for row in rows for v in row]
         denom = den * self.extract_scale
-        return tuple(
-            Fraction(sum(c * flat[r] for c, r in terms), denom)
-            for terms in self.extract_terms
-        )
+        out = []
+        for terms in self.extract_terms:
+            num = sum(c * flat[r] for c, r in terms)
+            out.append(Fraction(num, denom) if num else _F0)
+        return tuple(out)
 
     def solve_direction(self, e_num, einv_num, e_den):
-        """Y with proj_n(Ad Y) = X; returns (num, den)."""
+        """Y with proj_n(Ad(exp Z) Y) = X, and its conjugate A2 = Ad(exp Z) Y.
+
+        Returns (y_num, y_den, a2_num, a2_den): Y = y_num / y_den, and A2 =
+        a2_num / a2_den is the unprojected conjugate that the converged
+        iteration has formed with ``conj``.  The residual X - proj_n(A2)
+        lives on the forbidden positions only, because X lies in n.
+        """
         s2 = e_den * e_den
-        y_num, y_den = self.x_rows, self.x_den
+        x_rows, x_den = self.x_rows, self.x_den
+        y_num, y_den = x_rows, x_den
         for _ in range(self.alg.k + 1):
-            img = self._negproj(_imul(_imul(e_num, y_num), einv_num))
-            img_den = y_den * s2
-            resid = _isub(_iscale(self.x_rows, img_den // self.x_den), img)
-            if _is_zero(resid):
-                return y_num, y_den
-            y_num = _iadd(_iscale(y_num, s2), resid)
-            y_den = img_den
+            a2_num, a2_den = self.conj(e_num, einv_num, e_den, y_num, y_den)
+            x_scale = a2_den // x_den
+            resid = [
+                (i, j, v)
+                for i, j in self.forbidden
+                for v in (x_scale * x_rows[i][j] - a2_num[i][j],)
+                if v
+            ]
+            if not resid:
+                return y_num, y_den, a2_num, a2_den
+            y_num = _iscale(y_num, s2)
+            for i, j, v in resid:
+                y_num[i][j] += v
+            y_den = a2_den
         raise ArithmeticError("direction constraint failed to converge")
 
     def conj(self, e_num, einv_num, e_den, y_num, y_den):
@@ -194,16 +221,40 @@ class GridKernel:
         return _imul(_imul(e_num, y_num), einv_num), y_den * e_den * e_den
 
     def pair_jet_order(self, a2_num, a2_den, r_max):
-        d0 = _isub(_iscale(self.x_rows, a2_den // self.x_den), a2_num)
-        order = 0
-        d_rows = d0
-        while order < r_max and self._in_p(d_rows):
-            order += 1
-            d_rows = _commute_right(d_rows, self.x_rows)
-        return order
+        """Consecutive orders r < r_max with ad(-X)^r d0 in p, d0 = X - A2."""
+        x_scale = a2_den // self.x_den
+        d0 = [
+            x_scale * x - a
+            for x_row, a_row in zip(self.x_rows, a2_num)
+            for x, a in zip(x_row, a_row)
+        ]
+        for order in range(r_max):
+            for form in self._jet_forms(order):
+                if sum(c * d0[f] for f, c in form):
+                    return order
+        return r_max
 
-    def _in_p(self, rows):
-        return all(not rows[i][j] for i, j in self.forbidden)
+    def _jet_forms(self, r):
+        """The nonzero integer linear forms, on the flat d0, of the forbidden
+        entries of ad(-X)^r d0.
+
+        Entry (i, j) of D is tr(E_ji D), and tr(F (D X - X D)) =
+        tr((X F - F X) D), so the form of entry (i, j) at order r is read
+        off the dual matrix F_r = ad(X)^r E_ji, built once per order.
+        """
+        forms = self._forms
+        d = self.d
+        x_rows = self.x_rows
+        while len(forms) <= r:
+            duals = self._duals
+            order_forms = []
+            for f in duals:
+                form = tuple((a * d + b, f[b][a]) for a in range(d) for b in range(d) if f[b][a])
+                if form:
+                    order_forms.append(form)
+            forms.append(order_forms)
+            self._duals = [_isub(_imul(x_rows, f), _imul(f, x_rows)) for f in duals]
+        return forms[r]
 
     def _exp_poly_coeffs(self, a_rows, num_scale, den_scale):
         """Coefficient matrices of exp(t A/den_scale) * common positive scale.
@@ -213,9 +264,10 @@ class GridKernel:
         """
         q = self.q
         coeffs = [_iident(self.d, factorial(q - 1) * den_scale ** (q - 1))]
-        power = _iident(self.d)
+        power = a_rows
         for p in range(1, q):
-            power = _imul(power, a_rows)
+            if p > 1:
+                power = _imul(power, a_rows)
             if _is_zero(power):
                 break
             c = (factorial(q - 1) // factorial(p)) * (num_scale**p) * den_scale ** (q - 1 - p)
@@ -223,17 +275,21 @@ class GridKernel:
         return coeffs
 
     def curves_equal(self, a2_num, a2_den):
-        """Exact polynomial identity: exp(-t A2) exp(t A1) in the P pattern."""
+        """Exact polynomial identity: exp(-t A2) exp(t A1) in the P pattern.
+
+        Only the forbidden entries of each t^r coefficient are formed.
+        """
         left = self._exp_poly_coeffs(a2_num, -1, a2_den)
         right = self.exp_x_coeffs
-        deg = len(left) + len(right) - 2
-        for r in range(deg + 1):
-            acc = None
-            for p in range(max(0, r - len(right) + 1), min(r, len(left) - 1) + 1):
-                term = _imul(left[p], right[r - p])
-                acc = term if acc is None else _iadd(acc, term)
-            if acc is not None and not self._in_p(acc):
-                return False
+        d = self.d
+        for r in range(len(left) + len(right) - 1):
+            pairs = [
+                (left[p], right[r - p])
+                for p in range(max(0, r - len(right) + 1), min(r, len(left) - 1) + 1)
+            ]
+            for i, j in self.forbidden:
+                if sum(lm[i][m] * rm[m][j] for lm, rm in pairs for m in range(d)):
+                    return False
         return True
 
 

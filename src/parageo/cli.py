@@ -88,11 +88,30 @@ def parse_type(alg, text):
     return type_stratum(alg, text)
 
 
+# Largest accepted decimal exponent, as large as CPython's default limit on
+# the digits of an int string: Fraction expands an exponent to the full
+# integer, so 1e999999999 would take unbounded time and memory.
+_MAX_EXPONENT = 4300
+
+
+def _parse_rational(text):
+    """Fraction(text), refusing a decimal exponent beyond _MAX_EXPONENT."""
+    _, e, exponent = text.lower().partition("e")
+    if e:
+        try:
+            exponent = int(exponent)
+        except ValueError:
+            exponent = 0  # not an exponent: Fraction rejects the literal
+        if abs(exponent) > _MAX_EXPONENT:
+            raise ValueError("exponent beyond %d" % _MAX_EXPONENT)
+    return Fraction(text)
+
+
 def _parse_coords(alg, text, idx, what):
     """The element with the comma-separated exact coordinates of ``text``
     at basis indices ``idx`` and zeros elsewhere."""
     try:
-        vals = [Fraction(v.strip()) for v in text.split(",")]
+        vals = [_parse_rational(v.strip()) for v in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise ParageoError(
             "%s: expected exact rationals such as -1/2, got %r" % (what, text)

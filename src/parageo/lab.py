@@ -395,11 +395,10 @@ def _pair_step(ts, kern, vals, r_max):
     alg = ts.algebra
     zc = tuple(pplus_elem(alg, vals).coords)
     e, einv, s = kern.exp_pair(kern.combo_rows(vals))
-    y_num, y_den = kern.solve_direction(e, einv, s)
+    y_num, y_den, a2num, a2den = kern.solve_direction(e, einv, s)
     yc = kern.elem_coords(y_num, y_den)
     if not ts.contains(AlgElem(alg, yc)):
         return zc, yc, None, False
-    a2num, a2den = kern.conj(e, einv, s, y_num, y_den)
     jord = kern.pair_jet_order(a2num, a2den, r_max)
     return zc, yc, jord, jord == r_max and kern.curves_equal(a2num, a2den)
 
@@ -798,12 +797,14 @@ def family_dimension(ts, x, grid=2, jet_class_cap=512):
 def family_members(ts, x, grid=2):
     """The admissible (Z, Y) pairs of the family in direction X."""
     alg = ts.algebra
+    kern = grid_kernel(alg, x)
     out = []
     for vals in iter_pplus_coords(alg, grid):
-        z = pplus_elem(alg, vals)
-        y = solve_direction(group_exp(z), x)
+        e, einv, s = kern.exp_pair(kern.combo_rows(vals))
+        y_num, y_den, _, _ = kern.solve_direction(e, einv, s)
+        y = AlgElem(alg, kern.elem_coords(y_num, y_den))
         if ts.contains(y):
-            out.append((z, y))
+            out.append((pplus_elem(alg, vals), y))
     return out
 
 

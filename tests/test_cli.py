@@ -1,8 +1,11 @@
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
-from parageo.cli import ExperimentConfig, emit, main, run
+from parageo.catalog import make_algebra
+from parageo.cli import ExperimentConfig, emit, main, parse_direction, run
 
 
 def run_json(config):
@@ -170,6 +173,19 @@ def test_bad_pplus_coords_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_huge_exponent_exits_2_fast(capsys):
+    t0 = time.perf_counter()
+    assert main(["jets", "--algebra", "lagr3", "--direction", "1e999999999,1,1"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "error:" in capsys.readouterr().err
+
+
+def test_exponent_literals_keep_their_value():
+    alg = make_algebra("lagr3")
+    x = parse_direction(alg, "1e2,-5E-1,2e4300")
+    assert x.grade_coords(-2) + x.grade_coords(-1) == (100, Fraction(-1, 2), 2 * 10**4300)
+
+
 def test_bad_type_parameter_exits_2():
     assert main(["jets", "--algebra", "lagr3", "--type", "grade(x)", "--grid", "0"]) == 2
 
@@ -178,7 +194,7 @@ from hypothesis import given, settings, strategies as st
 
 _COORD = st.one_of(
     st.fractions(min_value=-4, max_value=4, max_denominator=5).map(str),
-    st.text(alphabet="0123456789/-+. ab", max_size=5),
+    st.text(alphabet="0123456789/-+. abeE", max_size=5),
 )
 
 

@@ -1,9 +1,10 @@
 """Byte-identity of jets reports across changes to the grid engine.
 
 Each digest is the SHA-256 of ``emit(run(config))`` as first computed on
-the Fraction pair path.  The configs are the su21 searches (Gaussian
-field), the searches with fractional base directions, and one search fanned
-out to two worker processes.  Any change to these bytes is a behaviour
+the Fraction pair path or on the integer engine before its sparse pair
+step.  The configs are the su21 searches (Gaussian field), the searches
+with fractional base directions, one search fanned out to two worker
+processes, and integer-direction searches on four rational algebras.  Any change to these bytes is a behaviour
 change of the jet-determination checker.
 """
 
@@ -41,6 +42,26 @@ GOLDEN = [
     (
         dict(algebra="lagr3", type_spec="full_n", grid=2, direction="1/2,1,1", workers=2),
         "eb177e76437f827ea6747a8b77646c51ce384bf54819438dfd06fb7b37e8d85d",
+    ),
+    (
+        dict(algebra="xxdot", type_spec="grade(-1)", grid=2),
+        "e3f987eeae401f04040090ed5378672f9a7b3aa049f87d2e8e1b13ad72afa6fe",
+    ),
+    (
+        dict(algebra="xxdot", type_spec="grade(-2)", grid=2),
+        "11d94df01a0388cded5412f3c10d39468c4cde69bbbaca6b513225bc2b4ee8aa",
+    ),
+    (
+        dict(algebra="lagr3", type_spec="full_n", grid=2),
+        "2694ad16acf476a982d0d52fb7500832d5e0652cc80607d445c7112bc3ce2bf6",
+    ),
+    (
+        dict(algebra="conf(1,2)", type_spec="full_n", grid=2),
+        "0bfc0e024b5841e64500ceb349d144f64ef83fda3179fd9a751d3fce039b3005",
+    ),
+    (
+        dict(algebra="proj(4)", type_spec="full_n", grid=1),
+        "31d80b74f3e6c838939f9e3710860d9ce8a3f449769721d6afd116bc966513d8",
     ),
 ]
 

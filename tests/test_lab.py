@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from parageo._fastgrid import GridKernel, grid_kernel
-from parageo.algebra import Ad, AlgElem, group_exp, truncated_Ad
+from parageo._fastgrid import GridKernel, _realify, grid_kernel
+from parageo.algebra import Ad, AlgElem, GradedAlgebra, group_exp, truncated_Ad
 from parageo.catalog import g0_samples, make_algebra
 from parageo.curves import CurveSpec, curves_equal, jet_equal, normal_coord_jet
 from parageo.errors import EmptyGrid, NotAMember, NotOneGraded
@@ -31,8 +31,11 @@ from parageo.lab import (
     _iter_pair_stats,
     _pair_stats,
 )
+from parageo.matrices import Mat
+from parageo.scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, GaussianRational
 
-from fraction_reference import reference_pair_stats
+from conftest import ALL_IDS
+from fraction_reference import pair_jet_order as reference_jet_order, reference_pair_stats
 
 
 # -- type specs -----------------------------------------------------------------
@@ -223,6 +226,79 @@ def test_engine_agrees_with_reference_fractional_hypothesis(cid, grade, coords):
         return
     r_max = alg.k + 2
     assert list(_iter_pair_stats(ts, x, 1, r_max)) == reference_pair_stats(ts, x, 1, r_max)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cid=st.sampled_from(ALL_IDS), data=st.data())
+def test_jet_forms_agree_with_commutator_loop(cid, data):
+    # d0 is a random integer matrix, zero below a random position grade so
+    # that higher jet orders occur; A2 = X - d0 / x_den on both sides
+    alg = make_algebra(cid)
+    gaussian = alg.field == FIELD_GAUSSIAN
+    n_idx = [i for i in range(alg.dim) if alg.basis_grades[i] < 0]
+    xc = data.draw(st.lists(st.integers(-2, 2), min_size=len(n_idx), max_size=len(n_idx)))
+    coords = [Fraction(0)] * alg.dim
+    for i, v in zip(n_idx, xc):
+        coords[i] = Fraction(v, data.draw(st.integers(1, 3)))
+    if not any(coords):
+        coords[n_idx[-1]] = Fraction(1)
+    x = AlgElem(alg, coords)
+    q = alg.matrix_dim
+    cut = data.draw(st.integers(-q + 1, q))
+    part = st.integers(-2, 2)
+    entry = st.builds(GaussianRational, part, part) if gaussian else part.map(Fraction)
+    d0 = Mat(
+        [
+            [data.draw(entry) if alg.position_grade[i][j] >= cut else Fraction(0) for j in range(q)]
+            for i in range(q)
+        ]
+    )
+    r_max = data.draw(st.integers(0, 6))
+    kern = GridKernel(alg, x)
+    _, d0_rows = _realify(d0, gaussian)
+    a2_num = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(kern.x_rows, d0_rows)]
+    a2 = x.matrix - d0.scale(Fraction(1, kern.x_den))
+    assert kern.pair_jet_order(a2_num, kern.x_den, r_max) == reference_jet_order(
+        alg, x.matrix, a2, r_max
+    )
+
+
+def _full_flag_sl4():
+    """sl(4, R) with blocks (1,1,1,1): the |3|-graded full flag, built from
+    unit matrices E_ij (of grade j - i).  Not a catalog algebra."""
+    d = 4
+
+    def unit(i, j):
+        rows = [[Fraction(0)] * d for _ in range(d)]
+        rows[i][j] = Fraction(1)
+        return Mat(rows)
+
+    by_grade = {g: [] for g in range(-3, 4)}
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                by_grade[j - i].append(unit(i, j))
+    by_grade[0] = [unit(a, a) - unit(a + 1, a + 1) for a in range(d - 1)]
+    return GradedAlgebra("sl(1,1,1,1)", "sl", {}, FIELD_RATIONAL, 3, (1, 1, 1, 1), by_grade)
+
+
+def test_engine_agrees_with_reference_depth_3():
+    # grade(-1) at r_max 3 has pairs of jet order 3 with unequal curves (the
+    # bound ceil((k+1)/1) = 4 is attained); the full_n direction has a g_-3
+    # part, so the solve needs k = 3 conjugations, and jet forms up to order 5
+    alg = _full_flag_sl4()
+    assert alg.k == 3
+    cases = [
+        (type_grade(alg, -1), alg.elem_from_grade_coords({-1: (1, 1, 1)}), 3),
+        (type_full(alg), alg.elem_from_grade_coords({-1: (1, 0, 1), -3: (1,)}), 6),
+    ]
+    outcomes = []
+    for ts, x, r_max in cases:
+        stats = list(_iter_pair_stats(ts, x, 1, r_max))
+        assert stats == reference_pair_stats(ts, x, 1, r_max)
+        outcomes.append({(jord, equal) for _, _, jord, equal in stats})
+    assert {(3, False), (3, True)} <= outcomes[0]
+    assert (6, True) in outcomes[1]
 
 
 def test_su21_runs_on_kernel():
