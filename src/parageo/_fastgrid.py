@@ -21,7 +21,7 @@ Scaling by a positive integer never changes whether an entry vanishes, so
 every block-pattern test is exact.
 
 One pair costs one ``exp_pair`` (both series, stopped at the first zero
-power) and at most k + 1 conjugations inside ``solve_direction``; the
+power) and at most k conjugations inside ``solve_direction``; the
 conjugate A2 = Ad(exp Z) Y of the converged iteration is returned with Y
 and reused by the jet test and the curve identity.  The jet test makes no
 matrix product: the forbidden entries of ad(-X)^r d0 are integer linear
@@ -132,18 +132,18 @@ class GridKernel:
         # a pivot row of the re/im-split vectorization maps to the entry of
         # the realified matrix that holds that part
         alg = self.alg
-        scale = lcm(*(Fraction(e).denominator for row in alg._extractor.rows for e in row))
-        flat = []
-        for pr in alg._pivot_rows:
+        scale = lcm(*(e.denominator for terms in alg._extract_terms for _, e in terms))
+
+        def flat(pr):
             if blow == 1:
-                flat.append(pr)
-            else:
-                ij, part = divmod(pr, 2)
-                i, j = divmod(ij, self.q)
-                flat.append((2 * i + part) * self.d + 2 * j)
+                return pr
+            ij, part = divmod(pr, 2)
+            i, j = divmod(ij, self.q)
+            return (2 * i + part) * self.d + 2 * j
+
         self.extract_scale = scale
         self.extract_terms = [
-            [(int(e * scale), r) for e, r in zip(row, flat) if e] for row in alg._extractor.rows
+            [(int(e * scale), flat(pr)) for pr, e in terms] for terms in alg._extract_terms
         ]
 
     def combo_rows(self, vals):
@@ -194,12 +194,14 @@ class GridKernel:
         Returns (y_num, y_den, a2_num, a2_den): Y = y_num / y_den, and A2 =
         a2_num / a2_den is the unprojected conjugate that the converged
         iteration has formed with ``conj``.  The residual X - proj_n(A2)
-        lives on the forbidden positions only, because X lies in n.
+        lives on the forbidden positions only, because X lies in n.  Each
+        conjugation raises the lowest grade of the residual by at least one,
+        so it vanishes after at most k conjugations.
         """
         s2 = e_den * e_den
         x_rows, x_den = self.x_rows, self.x_den
         y_num, y_den = x_rows, x_den
-        for _ in range(self.alg.k + 1):
+        for _ in range(self.alg.k):
             a2_num, a2_den = self.conj(e_num, einv_num, e_den, y_num, y_den)
             x_scale = a2_den // x_den
             resid = [

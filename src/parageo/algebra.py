@@ -96,36 +96,54 @@ class GradedAlgebra:
                     )
 
     def _build_extractor(self):
-        # pick a row subset R of the vectorized-basis matrix B with B[R]
-        # invertible; coords of v in span(B) are then inv(B[R]) @ v[R]
-        nvec = len(self._basis_vecs[0])
-        cols = self._basis_vecs
-        chosen = []
-        acc = []
-        for r in range(nvec):
-            row = tuple(col[r] for col in cols)
-            if len(rref(acc + [row])[1]) > len(chosen):
-                acc.append(row)
-                chosen.append(r)
-            if len(chosen) == self.dim:
-                break
-        if len(chosen) != self.dim:
+        # the rows R of the vectorized-basis matrix B (one column per basis
+        # vector) taken greedily while they stay independent are the pivot
+        # columns of rref(B^T); coords of v in span(B) are inv(B[R]) @ v[R],
+        # and inv(B[R]) is the right half of rref([B[R] | I])
+        n = self.dim
+        chosen = rref(self._basis_vecs)[1]
+        if len(chosen) != n:
             raise ValueError("%s: basis matrices are linearly dependent" % self.name)
+        augmented = [
+            [vec[r] for vec in self._basis_vecs] + [_ONE if c == i else _ZERO for c in range(n)]
+            for i, r in enumerate(chosen)
+        ]
+        reduced = rref(augmented)[0]
         self._pivot_rows = tuple(chosen)
-        self._extractor = Mat(acc).inverse()
+        self._extractor = Mat(row[n:] for row in reduced)
+        # nonzero (pivot row, entry) of each extractor row, and nonzero
+        # (position, entry) of each vectorized basis matrix: catalog bases
+        # are almost all unit matrices, so express loops over few terms
+        self._extract_terms = tuple(
+            tuple((pr, e) for pr, e in zip(chosen, row) if e) for row in self._extractor.rows
+        )
+        self._basis_terms = tuple(
+            tuple((r, v) for r, v in enumerate(vec) if v) for vec in self._basis_vecs
+        )
 
     def _build_bracket_table(self):
-        table = []
-        for i, bi in enumerate(self.basis):
-            row = []
-            for bj in self.basis:
-                m = bi * bj - bj * bi
-                coords = self.express(m)
+        # [b_i, b_j] from the nonzero entries of the two basis matrices, for
+        # i <= j only: the (j, i) entry is the exact negative, since the
+        # coordinates are linear in the matrix
+        d = self.matrix_dim
+        by_row = [[[(b, v) for b, v in enumerate(row) if v] for row in m.rows] for m in self.basis]
+        entries = [[(a, b, v) for a, row in enumerate(rs) for b, v in row] for rs in by_row]
+        n = self.dim
+        table = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows = [[_ZERO] * d for _ in range(d)]
+                for left, right, sign in ((i, j, 1), (j, i, -1)):
+                    for a, b, v in entries[left]:
+                        for c, w in by_row[right][b]:
+                            rows[a][c] = rows[a][c] + sign * v * w
+                coords = self.express(Mat(rows))
                 if coords is None:
                     raise ValueError("%s: bracket of basis pair leaves the span" % self.name)
-                row.append(coords)
-            table.append(tuple(row))
-        self.bracket_table = tuple(table)
+                table[i][j] = coords
+                if j != i:
+                    table[j][i] = tuple(-c for c in coords)
+        self.bracket_table = tuple(tuple(row) for row in table)
 
     # -- vectorization and coordinates --------------------------------------
 
@@ -161,37 +179,39 @@ class GradedAlgebra:
         """Coordinates of a constant matrix over the basis, or None."""
         vec = self.vectorize(mat)
         coords = tuple(
-            sum((erow[r] * vec[pr] for r, pr in enumerate(self._pivot_rows) if vec[pr]), _ZERO)
-        for erow in self._extractor.rows)
+            sum((e * vec[pr] for pr, e in terms if vec[pr]), _ZERO)
+            for terms in self._extract_terms
+        )
         if check:
-            for r in range(len(vec)):
-                acc = _ZERO
-                for j, c in enumerate(coords):
-                    if c:
-                        acc += c * self._basis_vecs[j][r]
-                if acc != vec[r]:
-                    return None
+            # sum_j c_j B_j must equal vec at every position
+            acc = [_ZERO] * len(vec)
+            for c, terms in zip(coords, self._basis_terms):
+                if c:
+                    for r, v in terms:
+                        acc[r] += c * v
+            if acc != list(vec):
+                return None
         return coords
 
     def express_poly(self, mat, check=True):
         """Poly coordinates of a polynomial matrix curve in g, or None."""
         vec = self.vectorize_poly(mat)
         coords = []
-        for erow in self._extractor.rows:
+        for terms in self._extract_terms:
             acc = Poly()
-            for r, pr in enumerate(self._pivot_rows):
-                if erow[r] and vec[pr]:
-                    acc = acc + erow[r] * vec[pr]
+            for pr, e in terms:
+                if vec[pr]:
+                    acc = acc + e * vec[pr]
             coords.append(acc)
         coords = tuple(coords)
         if check:
-            for r in range(len(vec)):
-                acc = Poly()
-                for j, c in enumerate(coords):
-                    if c and self._basis_vecs[j][r]:
-                        acc = acc + self._basis_vecs[j][r] * c
-                if acc != vec[r]:
-                    return None
+            acc = [Poly()] * len(vec)
+            for c, terms in zip(coords, self._basis_terms):
+                if c:
+                    for r, v in terms:
+                        acc[r] = acc[r] + v * c
+            if acc != list(vec):
+                return None
         return coords
 
     # -- element constructors ------------------------------------------------

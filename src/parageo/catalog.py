@@ -206,38 +206,64 @@ CATALOG = {
 
 _ID_RE = re.compile(r"^\s*([a-z0-9]+)\s*(?:\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\))?\s*$")
 
+# Largest matrix dimension the catalog builds.  Build and check costs grow
+# steeply with it (the Jacobi check alone is cubic in dim g ~ d^2), so an
+# id past this fails fast with BadParams instead of running for hours.
+MAX_MATRIX_DIM = 12
+
 
 def parse_catalog_id(text):
-    """Parse 'conf(1,2)' into ('conf', (1, 2)); raises UnknownCatalogName."""
+    """Parse 'conf(1,2)' into ('conf', (1, 2)).
+
+    Raises UnknownCatalogName, or BadParams for a parameter literal too
+    long to pass the MAX_MATRIX_DIM guard of the build.
+    """
     m = _ID_RE.match(text)
     if not m:
         raise UnknownCatalogName("cannot parse catalog id %r" % text)
     family = m.group(1)
     if family not in CATALOG:
         raise UnknownCatalogName("unknown catalog family %r" % family)
-    params = tuple(int(x) for x in m.group(2).split(",")) if m.group(2) else ()
-    return family, params
+    literals = [x.strip().lstrip("0") for x in m.group(2).split(",")] if m.group(2) else []
+    # every family's matrix dimension is at least each of its parameters,
+    # so a literal with more digits than MAX_MATRIX_DIM fails the guard
+    # anyway; reject it before int() spends time on it (or hits the
+    # int-string digit limit)
+    if any(len(x) > len(str(MAX_MATRIX_DIM)) for x in literals):
+        raise BadParams(
+            "%s: parameter too large; the catalog builds matrix dimension at most %d"
+            % (family, MAX_MATRIX_DIM)
+        )
+    return family, tuple(int(x or "0") for x in literals)
+
+
+# family -> (builder, parameter count, matrix dimension from the parameters)
+_FAMILIES = {
+    "proj": (_build_proj, 1, lambda m: m + 1),
+    "grass": (_build_grass, 2, lambda n, m: n + m),
+    "conf": (_build_conf, 2, lambda p, q: p + q + 2),
+    "lagr3": (_build_lagr3, 0, lambda: 3),
+    "su21": (_build_su21, 0, lambda: 3),
+    "xxdot": (_build_xxdot, 0, lambda: 4),
+}
+
+_PARAM_COUNTS = ("no parameters", "one parameter", "two parameters")
 
 
 @lru_cache(maxsize=None)
 def _make(family, params):
-    if family == "proj":
-        if len(params) != 1:
-            raise BadParams("proj takes one parameter, got %r" % (params,))
-        return _build_proj(params[0])
-    if family == "grass":
-        if len(params) != 2:
-            raise BadParams("grass takes two parameters, got %r" % (params,))
-        return _build_grass(*params)
-    if family == "conf":
-        if len(params) != 2:
-            raise BadParams("conf takes two parameters, got %r" % (params,))
-        return _build_conf(*params)
-    if family in ("lagr3", "su21", "xxdot"):
-        if params:
-            raise BadParams("%s takes no parameters, got %r" % (family, params))
-        return {"lagr3": _build_lagr3, "su21": _build_su21, "xxdot": _build_xxdot}[family]()
-    raise UnknownCatalogName("unknown catalog family %r" % family)
+    if family not in _FAMILIES:
+        raise UnknownCatalogName("unknown catalog family %r" % family)
+    build, count, matrix_dim = _FAMILIES[family]
+    if len(params) != count:
+        raise BadParams("%s takes %s, got %r" % (family, _PARAM_COUNTS[count], params))
+    dim = matrix_dim(*params)
+    if dim > MAX_MATRIX_DIM:
+        raise BadParams(
+            "%s(%s) has matrix dimension %d; the catalog builds at most %d"
+            % (family, ",".join(map(str, params)), dim, MAX_MATRIX_DIM)
+        )
+    return build(*params)
 
 
 def make_algebra(name, *params):

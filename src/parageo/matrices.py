@@ -3,12 +3,12 @@
 ``Mat`` is entry-agnostic: entries may be Fraction, GaussianRational, Poly or
 RatFun, and all operations go through the entries' own exact arithmetic.
 Determinants use Laplace expansion memoized over column masks, which is
-exact over any commutative ring.  The memo holds up to 2^n minors per
-determinant: cheap for the group and polynomial matrices of the curve
-checks (at most 6x6), but ``inverse`` (n^2 such determinants for the
-adjugate) also inverts the dim x dim coordinate extractor of every algebra
-build, 35 x 35 for proj(5), where it stays affordable only because the
-catalog bases are mostly zeros (about a quarter of that build's time).
+exact over any commutative ring; the memo holds up to 2^n minors per
+determinant, and ``inverse`` takes n^2 of them for the adjugate.  Both
+serve the group and polynomial matrices of the curve checks, whose size is
+the matrix dimension of the algebra (at most 12 in the catalog).  The
+dim x dim coordinate extractor of an algebra build (35 x 35 for proj(5))
+never goes through them: ``GradedAlgebra`` reads it off one ``rref``.
 Row reduction (rref / kernel / solve) is for field entries only.
 """
 

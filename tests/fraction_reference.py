@@ -1,4 +1,4 @@
-"""Minimal Fraction reference for the grid pair step.
+"""Minimal Fraction references for the grid pair step and the algebra build.
 
 The same per-pair statistics as ``parageo.lab._iter_pair_stats``, computed
 on the Fraction (and Gaussian-rational) ``Mat`` stack instead of the integer
@@ -6,10 +6,18 @@ engine of ``parageo._fastgrid``: ``group_exp`` + ``solve_direction`` give Y,
 the jet order comes from the constant-matrix derivatives of delta_u at 0,
 and curve equality is the polynomial identity "exp(-t A2) exp(t A1) stays
 in the P block pattern".
+
+The same pivot rows, coordinate extractor and bracket table as
+``GradedAlgebra``'s sparse build, computed densely: one rank test per
+candidate row, the Laplace adjugate inverse, and dense commutators
+expressed through dense extractor products with a dense span check.
 """
+
+from fractions import Fraction
 
 from parageo.algebra import exp_mat, group_exp
 from parageo.lab import iter_pplus_coords, pplus_elem, solve_direction
+from parageo.matrices import Mat, rank
 from parageo.poly import P_T
 
 
@@ -45,3 +53,39 @@ def reference_pair_stats(ts, x, grid, r_max):
         equal = fast_curves_equal(alg, a1, a2) if jord == r_max else False
         out.append((tuple(z.coords), tuple(y.coords), jord, equal))
     return out
+
+
+def reference_build(alg):
+    """(pivot rows, extractor rows, bracket table) of the dense build."""
+    vecs = [alg.vectorize(m) for m in alg.basis]
+    chosen, acc = [], []
+    for r in range(len(vecs[0])):
+        row = tuple(v[r] for v in vecs)
+        if rank(acc + [row]) > len(chosen):
+            acc.append(row)
+            chosen.append(r)
+        if len(chosen) == alg.dim:
+            break
+    assert len(chosen) == alg.dim, "basis matrices are linearly dependent"
+    extractor = Mat(acc).inverse()
+
+    def express(mat):
+        vec = alg.vectorize(mat)
+        coords = tuple(
+            sum((e * vec[pr] for e, pr in zip(erow, chosen)), Fraction(0))
+            for erow in extractor.rows
+        )
+        for r, target in enumerate(vec):
+            if sum((c * v[r] for c, v in zip(coords, vecs)), Fraction(0)) != target:
+                return None
+        return coords
+
+    table = []
+    for bi in alg.basis:
+        row = []
+        for bj in alg.basis:
+            coords = express(bi * bj - bj * bi)
+            assert coords is not None, "bracket of basis pair leaves the span"
+            row.append(coords)
+        table.append(tuple(row))
+    return tuple(chosen), extractor.rows, tuple(table)

@@ -2,9 +2,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parageo.algebra import (
     Ad,
+    AlgElem,
     bracket,
     exp_nilpotent,
     group_exp,
@@ -23,7 +25,11 @@ from parageo.errors import (
     UnknownCatalogName,
 )
 from parageo.matrices import Mat
-from parageo.poly import P_T
+from parageo.poly import P_T, Poly
+from parageo.scalars import FIELD_GAUSSIAN, GaussianRational
+
+from conftest import ALL_IDS, full_flag_sl4
+from fraction_reference import reference_build
 
 EXPECTED_GRADE_DIMS = {
     "proj(1)": {-1: 1, 0: 1, 1: 1},
@@ -306,3 +312,70 @@ def test_values_are_immutable(proj1):
     ):
         with pytest.raises(AttributeError):
             setattr(obj, attr, None)
+
+
+# -- the sparse build against the dense reference ----------------------------
+
+
+@pytest.mark.parametrize("cid", ALL_IDS + ["sl(1,1,1,1)"])
+def test_build_agrees_with_dense_reference(cid):
+    # repr compares the entry types as well as the values
+    alg = full_flag_sl4() if cid == "sl(1,1,1,1)" else make_algebra(cid)
+    built = (alg._pivot_rows, alg._extractor.rows, alg.bracket_table)
+    assert repr(built) == repr(reference_build(alg))
+
+
+_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def _off_span_positions(alg):
+    """Vectorized positions whose unit vector lies outside the span: those
+    no basis matrix reaches, and the diagonal ones (every basis matrix is
+    traceless, so a lone diagonal entry is not in g)."""
+    assert all(m.trace() == 0 for m in alg.basis)
+    vecs = [alg.vectorize(m) for m in alg.basis]
+    blow = 2 if alg.field == FIELD_GAUSSIAN else 1
+    d = alg.matrix_dim
+    diagonal = {blow * (i * d + i) + part for i in range(d) for part in range(blow)}
+    unreached = {r for r in range(len(vecs[0])) if not any(v[r] for v in vecs)}
+    return sorted(diagonal | unreached)
+
+
+def _perturb(alg, mat, r, eps):
+    """mat plus eps at vectorized position r (its real or imaginary part
+    over the Gaussian field)."""
+    if alg.field == FIELD_GAUSSIAN:
+        r, part = divmod(r, 2)
+        eps = eps * GaussianRational(1 - part, part)
+    i, j = divmod(r, alg.matrix_dim)
+    rows = [list(row) for row in mat.rows]
+    rows[i][j] = rows[i][j] + eps
+    return Mat(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cid=st.sampled_from(ALL_IDS), data=st.data())
+def test_express_round_trip_and_off_span(cid, data):
+    alg = make_algebra(cid)
+    coords = tuple(data.draw(st.lists(_RATIONALS, min_size=alg.dim, max_size=alg.dim)))
+    mat = AlgElem(alg, coords).matrix
+    assert alg.express(mat) == coords
+    r = data.draw(st.sampled_from(_off_span_positions(alg)))
+    eps = data.draw(_RATIONALS.filter(bool))
+    assert alg.express(_perturb(alg, mat, r, eps)) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(cid=st.sampled_from(ALL_IDS), data=st.data())
+def test_express_poly_round_trip_and_off_span(cid, data):
+    # curves of degree <= 2 in g
+    alg = make_algebra(cid)
+    quadratic = st.lists(_RATIONALS, min_size=3, max_size=3).map(Poly)
+    coords = tuple(data.draw(st.lists(quadratic, min_size=alg.dim, max_size=alg.dim)))
+    mat = Mat.zero(alg.matrix_dim)
+    for c, b in zip(coords, alg.basis):
+        mat = mat + b.scale(c)
+    assert alg.express_poly(mat) == coords
+    r = data.draw(st.sampled_from(_off_span_positions(alg)))
+    eps = data.draw(quadratic.filter(bool))
+    assert alg.express_poly(_perturb(alg, mat, r, eps)) is None

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from parageo.catalog import make_algebra
+from parageo import catalog
+from parageo.catalog import MAX_MATRIX_DIM, make_algebra
 from parageo.cli import ExperimentConfig, emit, main, parse_direction, run
 
 
@@ -184,6 +185,34 @@ def test_exponent_literals_keep_their_value():
     alg = make_algebra("lagr3")
     x = parse_direction(alg, "1e2,-5E-1,2e4300")
     assert x.grade_coords(-2) + x.grade_coords(-1) == (100, Fraction(-1, 2), 2 * 10**4300)
+
+
+@pytest.mark.parametrize(
+    "cid",
+    [
+        "proj(100000)",  # dim 100001: would build for hours
+        "proj(%s)" % ("9" * 5000),  # past the int-string digit limit
+        "proj(12)",  # the first id of each family past dim 12
+        "grass(6,7)",
+        "conf(5,6)",
+    ],
+    ids=["proj-1e5", "proj-5000-digits", "proj12", "grass6-7", "conf5-6"],
+)
+def test_oversized_catalog_id_exits_2_fast(cid, capsys):
+    t0 = time.perf_counter()
+    assert main(["verify", "--algebra", cid]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "at most %d" % MAX_MATRIX_DIM in capsys.readouterr().err
+
+
+def test_size_guard_admits_dimension_12(monkeypatch):
+    # the guard runs before the builder; a stub in place of the algebra
+    # construction shows which ids get past it, without building them
+    built = []
+    monkeypatch.setattr(catalog, "GradedAlgebra", lambda name, *args, **kw: built.append(name))
+    for cid in ("proj(11)", "grass(6,6)", "conf(5,5)", "proj(0011)"):
+        catalog._make.__wrapped__(*catalog.parse_catalog_id(cid))
+    assert built == ["proj(11)", "grass(6,6)", "conf(5,5)", "proj(11)"]
 
 
 def test_bad_type_parameter_exits_2():

@@ -1,17 +1,24 @@
-"""Byte-identity of jets reports across changes to the grid engine.
+"""Byte-identity of jets reports and algebra builds across engine changes.
 
-Each digest is the SHA-256 of ``emit(run(config))`` as first computed on
-the Fraction pair path or on the integer engine before its sparse pair
+Each jets digest is the SHA-256 of ``emit(run(config))`` as first computed
+on the Fraction pair path or on the integer engine before its sparse pair
 step.  The configs are the su21 searches (Gaussian field), the searches
 with fractional base directions, one search fanned out to two worker
-processes, and integer-direction searches on four rational algebras.  Any change to these bytes is a behaviour
-change of the jet-determination checker.
+processes, and integer-direction searches on four rational algebras.  Any
+change to these bytes is a behaviour change of the jet-determination
+checker.
+
+Each build digest is the SHA-256 of the repr of an algebra's pivot rows,
+coordinate extractor and bracket table as first computed by the dense
+build (greedy rank tests, adjugate inverse, dense commutators).  The repr
+pins the entry types as well as the values.
 """
 
 import hashlib
 
 import pytest
 
+from parageo.catalog import make_algebra
 from parageo.cli import ExperimentConfig, emit, run
 
 GOLDEN = [
@@ -73,3 +80,26 @@ def test_jets_report_digest(params, digest):
     report, code = run(ExperimentConfig(command="jets", orders=4, **params))
     assert code == 0
     assert hashlib.sha256(emit(report, "json")).hexdigest() == digest
+
+
+BUILD_GOLDEN = [
+    ("proj(1)", "e8305b6f7d184b57c8a0c98597da403334c8aa9b78341b45823a9001146ee0db"),
+    ("proj(2)", "d9c6d816bedbe584ba1559d7e8bc5a4c36774e4d848aefbee963b652e20f646e"),
+    ("grass(1,2)", "d9c6d816bedbe584ba1559d7e8bc5a4c36774e4d848aefbee963b652e20f646e"),
+    ("grass(2,2)", "de65c8bb78ffb9661c296a59ff09cbb47b6187bcfa66956f9a7ae43a7b38dfc0"),
+    ("conf(1,1)", "643067fc7513364504dfe023ae78fda575ff313a9bc258fe4c985a9d11a6aea5"),
+    ("conf(1,2)", "24d8aacc81da8b425301953fe911a419630255dde6b970f3914ff9a6be5b3c37"),
+    ("lagr3", "985047b1d3b7d8823e6f665b952585ebbfb135959ec02e24bf9b5f27f35edd73"),
+    ("su21", "9b95b24df4110adb3ed705dd89c842081503199d97a17d1b92e8fe03bfde4177"),
+    ("xxdot", "df0dc378dc4bed76193c755c35a598a84c58ec3902ea1f737966ffb75407d8aa"),
+    ("proj(4)", "77a73cca85d5f8cfaf5a909bd6f732a74dc76429a9d8807d4124d0282aaf6301"),
+    ("proj(5)", "4915d73803313085a3b376e6583c5289874dff3a37cc2fb944c64f47e807191a"),
+    ("grass(3,3)", "00a635e20b8bc9765aec9a42d27fb222c1524715d349f7feb28f222e3a359936"),
+]
+
+
+@pytest.mark.parametrize("cid,digest", BUILD_GOLDEN, ids=[c for c, _ in BUILD_GOLDEN])
+def test_build_digest(cid, digest):
+    alg = make_algebra(cid)
+    built = repr((alg._pivot_rows, alg._extractor.rows, alg.bracket_table))
+    assert hashlib.sha256(built.encode()).hexdigest() == digest

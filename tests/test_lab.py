@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from parageo._fastgrid import GridKernel, _realify, grid_kernel
-from parageo.algebra import Ad, AlgElem, GradedAlgebra, group_exp, truncated_Ad
+from parageo.algebra import Ad, AlgElem, group_exp, truncated_Ad
 from parageo.catalog import g0_samples, make_algebra
 from parageo.curves import CurveSpec, curves_equal, jet_equal, normal_coord_jet
 from parageo.errors import EmptyGrid, NotAMember, NotOneGraded
@@ -32,9 +32,9 @@ from parageo.lab import (
     _pair_stats,
 )
 from parageo.matrices import Mat
-from parageo.scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, GaussianRational
+from parageo.scalars import FIELD_GAUSSIAN, GaussianRational
 
-from conftest import ALL_IDS
+from conftest import ALL_IDS, full_flag_sl4
 from fraction_reference import pair_jet_order as reference_jet_order, reference_pair_stats
 
 
@@ -263,30 +263,11 @@ def test_jet_forms_agree_with_commutator_loop(cid, data):
     )
 
 
-def _full_flag_sl4():
-    """sl(4, R) with blocks (1,1,1,1): the |3|-graded full flag, built from
-    unit matrices E_ij (of grade j - i).  Not a catalog algebra."""
-    d = 4
-
-    def unit(i, j):
-        rows = [[Fraction(0)] * d for _ in range(d)]
-        rows[i][j] = Fraction(1)
-        return Mat(rows)
-
-    by_grade = {g: [] for g in range(-3, 4)}
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                by_grade[j - i].append(unit(i, j))
-    by_grade[0] = [unit(a, a) - unit(a + 1, a + 1) for a in range(d - 1)]
-    return GradedAlgebra("sl(1,1,1,1)", "sl", {}, FIELD_RATIONAL, 3, (1, 1, 1, 1), by_grade)
-
-
 def test_engine_agrees_with_reference_depth_3():
     # grade(-1) at r_max 3 has pairs of jet order 3 with unequal curves (the
     # bound ceil((k+1)/1) = 4 is attained); the full_n direction has a g_-3
     # part, so the solve needs k = 3 conjugations, and jet forms up to order 5
-    alg = _full_flag_sl4()
+    alg = full_flag_sl4()
     assert alg.k == 3
     cases = [
         (type_grade(alg, -1), alg.elem_from_grade_coords({-1: (1, 1, 1)}), 3),
@@ -299,6 +280,34 @@ def test_engine_agrees_with_reference_depth_3():
         outcomes.append({(jord, equal) for _, _, jord, equal in stats})
     assert {(3, False), (3, True)} <= outcomes[0]
     assert (6, True) in outcomes[1]
+
+
+def test_solve_takes_at_most_k_conjugations(monkeypatch, xxdot):
+    # the residual rises at least one grade per conjugation; with a g_-k
+    # part in X every grade is crossed, so some solve takes exactly k
+    conj, solve = GridKernel.conj, GridKernel.solve_direction
+    counts = []
+
+    def counting_solve(self, *args):
+        counts.append(0)
+        return solve(self, *args)
+
+    def counting_conj(self, *args):
+        counts[-1] += 1
+        return conj(self, *args)
+
+    monkeypatch.setattr(GridKernel, "solve_direction", counting_solve)
+    monkeypatch.setattr(GridKernel, "conj", counting_conj)
+    sl4 = full_flag_sl4()
+    cases = [
+        (type_full(sl4), sl4.elem_from_grade_coords({-1: (1, 0, 1), -3: (1,)}), 1),
+        (type_full(xxdot), xxdot.elem_from_grade_coords({-1: (1, 1, 0), -2: (0, 1)}), 2),
+    ]
+    for ts, x, grid in cases:
+        counts.clear()
+        stats = list(_iter_pair_stats(ts, x, grid, ts.algebra.k + 2))
+        assert len(counts) == len(stats)
+        assert max(counts) == ts.algebra.k
 
 
 def test_su21_runs_on_kernel():
