@@ -327,8 +327,11 @@ class GradedAlgebra:
         n = self.dim
         for i in range(n):
             gi_ = self.basis_grades[i]
-            if abs(gi_) >= 1 and self.basis[i].nilpotency_index() is None:
-                bad.append("basis[%d] of grade %d is not nilpotent" % (i, gi_))
+            if abs(gi_) >= 1:
+                try:
+                    exp_mat(self.basis[i])
+                except NotNilpotent:
+                    bad.append("basis[%d] of grade %d is not nilpotent" % (i, gi_))
             for j in range(n):
                 gj = self.basis_grades[j]
                 target = gi_ + gj
@@ -539,52 +542,49 @@ def ad(x):
     return lambda y: bracket(x, y)
 
 
-def exp_mat(m, max_power=None):
-    """Exact exponential of a nilpotent matrix (entries may be Poly/RatFun)."""
-    q = m.nilpotency_index(max_power)
-    if q is None:
+def _nilpotent_powers(m):
+    """m, m^2, ... up to the last nonzero power, each formed once.
+
+    Raises NotNilpotent (after the last yield) when m^d != 0, d = dim m.
+    """
+    power = m
+    for _ in range(1, m.dim):
+        if power.is_zero():
+            return
+        yield power
+        power = power * m
+    if not power.is_zero():
         raise NotNilpotent("matrix is not nilpotent")
+
+
+def exp_mat(m, scale=1):
+    """Exact exponential exp(scale * m) of a nilpotent matrix m.
+
+    The finite series I + sum_p scale^p m^p / p!: each power of m is formed
+    once, and the series stops at the first zero power.  ``scale`` may be a
+    scalar, a Poly (giving the curve exp(phi(t) m) from the constant powers
+    of m) or a RatFun, and m's entries may be Poly or RatFun themselves.
+    Raises NotNilpotent when m^d != 0, d = dim m.
+    """
     acc = Mat.identity(m.dim)
-    power = None
-    for p in range(1, q):
-        power = m if power is None else power * m
-        acc = acc + power.scale(Fraction(1, factorial(p)))
+    scale_pow = None
+    for p, power in enumerate(_nilpotent_powers(m), 1):
+        scale_pow = scale if scale_pow is None else scale_pow * scale
+        acc = acc + power.scale(scale_pow * Fraction(1, factorial(p)))
     return acc
 
 
 def log_unipotent(m):
     """Finite matrix logarithm of I + N with N nilpotent."""
-    n = m - Mat.identity(m.dim)
-    q = n.nilpotency_index()
-    if q is None:
-        raise NotNilpotent("matrix is not unipotent")
     acc = Mat.zero(m.dim)
-    power = None
-    for p in range(1, q):
-        power = n if power is None else power * n
-        sign = Fraction(1, p) if p % 2 == 1 else Fraction(-1, p)
-        acc = acc + power.scale(sign)
+    for p, power in enumerate(_nilpotent_powers(m - Mat.identity(m.dim)), 1):
+        acc = acc + power.scale(Fraction(1, p) if p % 2 == 1 else Fraction(-1, p))
     return acc
 
 
 def exp_nilpotent(x, scale=1):
-    """Exponential series of scale*x for nilpotent x; exact and finite.
-
-    ``scale`` may be a scalar, a Poly (giving the curve exp(phi(t) x)) or a
-    RatFun.  Raises NotNilpotent when the matrix of x is not nilpotent.
-    """
-    m = x.matrix
-    q = m.nilpotency_index()
-    if q is None:
-        raise NotNilpotent("element of %s is not nilpotent" % x.algebra.name)
-    acc = Mat.identity(m.dim)
-    power = None
-    scale_pow = None
-    for p in range(1, q):
-        power = m if power is None else power * m
-        scale_pow = scale if scale_pow is None else scale_pow * scale
-        acc = acc + power.scale(scale_pow * Fraction(1, factorial(p)))
-    return acc
+    """exp(scale * x) for nilpotent x: ``exp_mat`` of the matrix of x."""
+    return exp_mat(x.matrix, scale)
 
 
 def group_exp(x):

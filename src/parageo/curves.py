@@ -27,10 +27,10 @@ from math import factorial
 
 from .algebra import (
     AlgElem,
-    GroupElem,
     _same_algebra,
     exp_mat,
     exp_nilpotent,
+    group_exp,
     log_unipotent,
     normal_form_P,
     truncated_Ad,
@@ -41,8 +41,8 @@ from .errors import (
     NotInParabolic,
     OracleDisagreement,
 )
-from .matrices import Mat, mat_inverse_unimodular
-from .poly import P_T, Poly, poly_series_inverse
+from .matrices import Mat
+from .poly import P_T, Poly
 
 _F1 = Fraction(1)
 
@@ -75,7 +75,7 @@ class CurveSpec:
         """Curve c^{exp(Z), X} for Z in p_+ (the reduced form of 2.5a)."""
         if not Z.in_p_plus():
             raise NotInParabolic("Z must lie in p_+")
-        return cls(algebra, GroupElem(algebra, exp_nilpotent(Z, _F1)), X)
+        return cls(algebra, group_exp(Z), X)
 
     @classmethod
     def base(cls, algebra, X):
@@ -94,7 +94,7 @@ class CurveSpec:
 
     def rep_matrix(self, scale=P_T):
         """The canonical representative exp(t Ad_b X); same projection."""
-        return exp_mat(self.ad_matrix.scale(scale))
+        return exp_mat(self.ad_matrix, scale)
 
     def direction(self):
         """Tangent direction at o as an element of n (= g/p)."""
@@ -136,8 +136,8 @@ def comparison(c1, c2):
     _same_algebra(c1.X, c2.X)
     alg = c1.algebra
     a1, a2 = c1.ad_matrix, c2.ad_matrix
-    u = exp_mat(a2.scale(-P_T)) * exp_mat(a1.scale(P_T))
-    u_inv = exp_mat(a1.scale(-P_T)) * exp_mat(a2.scale(P_T))
+    u = exp_mat(a2, -P_T) * exp_mat(a1, P_T)
+    u_inv = exp_mat(a1, -P_T) * exp_mat(a2, P_T)
     delta = u_inv * u.derivative()
     coords = alg.express_poly(delta)
     if coords is None:
@@ -149,7 +149,7 @@ def curves_equal(c1, c2):
     """True iff the two curves coincide in G/P: u(t) stays in the P pattern."""
     _same_algebra(c1.X, c2.X)
     alg = c1.algebra
-    u = exp_mat(c2.ad_matrix.scale(-P_T)) * exp_mat(c1.ad_matrix.scale(P_T))
+    u = exp_mat(c2.ad_matrix, -P_T) * exp_mat(c1.ad_matrix, P_T)
     return alg.matrix_in_p_pattern(u)
 
 
@@ -259,10 +259,7 @@ def _block_lu_series(alg, m, order):
     for jb in range(nb - 1):
         rj = range(starts[jb], starts[jb] + sizes[jb])
         piv = Mat(tuple(tuple(work[i][j] for j in rj) for i in rj))
-        det = piv.det()
-        det = det if isinstance(det, Poly) else Poly.const(det)
-        inv_det = poly_series_inverse(det, order)
-        piv_inv = piv.adjugate().map(lambda e: (e * inv_det).truncate(order))
+        piv_inv = _unipotent_series_inverse(piv, order)
         for ib in range(jb + 1, nb):
             ri = range(starts[ib], starts[ib] + sizes[ib])
             blk = Mat(tuple(tuple(work[i][j] for j in rj) for i in ri))
@@ -277,6 +274,24 @@ def _block_lu_series(alg, m, order):
                         acc = acc - f.rows[a][bcol] * work[jj][j]
                     work[i][j] = acc.truncate(order)
     return Mat(lower), Mat(work)
+
+
+def _unipotent_series_inverse(piv, order):
+    """piv^{-1} mod t^(order+1) for piv = I at t = 0: sum_k (I - piv)^k.
+
+    (I - piv)^k = O(t^k), so the terms k <= order are all that survive.
+    """
+    ident = Mat.identity(piv.dim)
+    if piv.eval(0) != ident:
+        raise OracleDisagreement("pivot block of the representative is not I at t = 0")
+    step = ident - piv
+    term = inv = ident
+    for _ in range(order):
+        term = (term * step).truncate(order)
+        if term.is_zero():
+            break
+        inv = inv + term
+    return inv
 
 
 def _as_poly_entry(e):
@@ -353,10 +368,14 @@ def verify_lemma_2_4(cc, i_max):
     return True
 
 
-def verify_eq_2_4_1(u, coeff_elems):
-    """d/dt (Ad_{u^{-1}} Y) = Ad_{u^{-1}} Y' - [delta_u, Ad_{u^{-1}} Y]."""
+def verify_eq_2_4_1(u, u_inv, coeff_elems):
+    """d/dt (Ad_{u^{-1}} Y) = Ad_{u^{-1}} Y' - [delta_u, Ad_{u^{-1}} Y].
+
+    ``u_inv`` is the known inverse of u; False unless u_inv * u = I.
+    """
+    if u_inv * u != Mat.identity(u.dim):
+        return False
     ymat = curve_matrix_from_coeffs(coeff_elems, require_n=False)
-    u_inv = mat_inverse_unimodular(u)
     ad_y = u_inv * ymat * u
     delta = u_inv * u.derivative()
     lhs = ad_y.derivative()
@@ -398,8 +417,8 @@ def reparam_comparison(cc, phi):
     if not phi[1]:
         raise BadReparam("phi'(0) must be nonzero")
     a1, a2 = cc.c1.ad_matrix, cc.c2.ad_matrix
-    u = exp_mat(a2.scale(-P_T)) * exp_mat(a1.scale(phi))
-    u_inv = exp_mat(a1.scale(-phi)) * exp_mat(a2.scale(P_T))
+    u = exp_mat(a2, -P_T) * exp_mat(a1, phi)
+    u_inv = exp_mat(a1, -phi) * exp_mat(a2, P_T)
     return u, u_inv, a1
 
 

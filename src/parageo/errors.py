@@ -5,10 +5,6 @@ class ParageoError(Exception):
     """Base class for all library errors."""
 
 
-class DeterminantNotOne(ParageoError):
-    """Unimodular matrix inverse requested for a matrix with det != 1."""
-
-
 class UnknownCatalogName(ParageoError):
     """Catalog identifier does not name a known algebra family."""
 

@@ -32,11 +32,12 @@ from .errors import (
     NotInNilpotentPart,
     NotOneGraded,
     OracleDisagreement,
+    ParageoError,
 )
 from ._fastgrid import grid_kernel
 from .matrices import rank, rref, solve_linear
 from .poly import P_T, Poly
-from .reparam import reparam_solve, verify_reparam
+from .reparam import _proportionality, reparam_solve, verify_reparam
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -460,11 +461,13 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None, reverify
     the confirmation at r, never a claim beyond the grid.
     """
     alg = ts.algebra
+    r_max = r_max if r_max is not None else alg.k + 3
+    if r_max < 1:
+        raise ParageoError("highest jet order must be at least 1, got %d" % r_max)
     if not ts.contains(x):
         raise NotAMember("base direction is not a member of %s" % ts.label)
     if not x:
         raise NotAMember("base direction must be nonzero")
-    r_max = r_max if r_max is not None else alg.k + 3
     claimed = claimed_bound if claimed_bound is not None else paper_jet_bound(ts)
     records = []
     n_grid = 0
@@ -821,29 +824,16 @@ def mobius_candidate_between(c1, c2, order=None):
     j2 = normal_coord_jet(c2, order)
     y1p, y1pp = j1.derivative_at_zero(1), j1.derivative_at_zero(2)
     y2p, y2pp = j2.derivative_at_zero(1), j2.derivative_at_zero(2)
-    a = _prop(y1p, y2p)
+    a = _proportionality(y1p, y2p)
     if a is None or a == 0:
         return None
     rest = y2pp - y1pp * (a * a)
     if rest.is_zero():
         return (a, _F0)
-    b = _prop(y1p, rest)
+    b = _proportionality(y1p, rest)
     if b is None:
         return None
     return (a, b)
-
-
-def _prop(ref, x):
-    ratio = None
-    for cr, cx in zip(ref.coords, x.coords):
-        if cr:
-            ratio = cx / cr
-            break
-        if cx:
-            return None
-    if ratio is None:
-        return None
-    return ratio if ref * ratio == x else None
 
 
 # -- orbit hulls -----------------------------------------------------------------

@@ -3,20 +3,17 @@
 ``Mat`` is entry-agnostic: entries may be Fraction, GaussianRational, Poly or
 RatFun, and all operations go through the entries' own exact arithmetic.
 Determinants use Laplace expansion memoized over column masks, which is
-exact over any commutative ring; the memo holds up to 2^n minors per
-determinant, and ``inverse`` takes n^2 of them for the adjugate.  Both
-serve the group and polynomial matrices of the curve checks, whose size is
-the matrix dimension of the algebra (at most 12 in the catalog).  The
-dim x dim coordinate extractor of an algebra build (35 x 35 for proj(5))
-never goes through them: ``GradedAlgebra`` reads it off one ``rref``.
-Row reduction (rref / kernel / solve) is for field entries only.
+exact over any commutative ring; the memo holds up to 2^n minors.  Row
+reduction (rref / kernel / solve) is for field entries only, and so is
+``inverse``: the right half of rref([M | I]), the route the algebra build
+takes for its coordinate extractor.  The curve code never inverts a
+polynomial matrix: every inverse it needs is known in closed form, as
+exp(-Z) or exp(-tA).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .errors import DeterminantNotOne
 
 
 class Mat:
@@ -161,45 +158,14 @@ class Mat:
 
         return minor(0, full) + Fraction(0) * rows[0][0]
 
-    def adjugate(self):
-        """Classical adjugate: self * adj = det * identity, exactly."""
-        n = self.dim
-        cof = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                sub = Mat(
-                    tuple(
-                        tuple(self.rows[r][c] for c in range(n) if c != j)
-                        for r in range(n)
-                        if r != i
-                    )
-                )
-                sign = 1 if (i + j) % 2 == 0 else -1
-                row.append(sign * sub.det())
-            cof.append(row)
-        return Mat(cof).transpose()
-
     def inverse(self):
-        """Exact inverse over a field (entries must support division)."""
-        d = self.det()
-        if not d:
+        """Exact inverse over a field: the right half of rref([M | I])."""
+        n = self.dim
+        ident = Mat.identity(n).rows
+        reduced, pivots = rref([row + e for row, e in zip(self.rows, ident)])
+        if pivots != list(range(n)):
             raise ZeroDivisionError("singular matrix")
-        return self.adjugate().map(lambda e: e / d)
-
-    def nilpotency_index(self, max_power=None):
-        """Smallest q >= 1 with self**q = 0, or None if not nilpotent.
-
-        A nilpotent d x d matrix always satisfies M**d = 0, so powers are
-        only tried up to the dimension (cheap and exact).
-        """
-        limit = max_power if max_power is not None else self.dim
-        p = self
-        for q in range(1, limit + 1):
-            if p.is_zero():
-                return q
-            p = p * self
-        return None
+        return Mat(row[n:] for row in reduced)
 
     def __str__(self):
         return "[%s]" % "; ".join(", ".join(str(a) for a in r) for r in self.rows)
@@ -217,17 +183,6 @@ def _dot(row, col):
 
 def _eval_entry(e, x):
     return e.eval(x) if hasattr(e, "eval") else e
-
-
-def mat_inverse_unimodular(m):
-    """Adjugate inverse for det(m) = 1; exact over Poly/RatFun entries too.
-
-    Raises DeterminantNotOne when the determinant is not the constant 1.
-    """
-    d = m.det()
-    if d != 1:
-        raise DeterminantNotOne("determinant is %s, not 1" % (d,))
-    return m.adjugate()
 
 
 def rref(rows):

@@ -138,7 +138,7 @@ def lemma_suite(alg, per_family=12, i_max=4):
         n_checks += 1
         if i % 2 == 0:
             path = [zero, n_samples[(i + 5) % len(n_samples)]]
-            if not verify_eq_2_4_1(cc.u, path):
+            if not verify_eq_2_4_1(cc.u, cc.u_inv, path):
                 violations.append("Ad-derivative sample %d failed on %s" % (i, alg.name))
             eq_checks += 1
     counts["delta_derivatives"] = n_checks

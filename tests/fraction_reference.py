@@ -9,8 +9,10 @@ in the P block pattern".
 
 The same pivot rows, coordinate extractor and bracket table as
 ``GradedAlgebra``'s sparse build, computed densely: one rank test per
-candidate row, the Laplace adjugate inverse, and dense commutators
-expressed through dense extractor products with a dense span check.
+candidate row, an inverse from Laplace cofactors (``cofactor_inverse``,
+which shares no ``rref`` with the build or with ``Mat.inverse``), and dense
+commutators expressed through dense extractor products with a dense span
+check.
 """
 
 from fractions import Fraction
@@ -55,6 +57,21 @@ def reference_pair_stats(ts, x, grid, r_max):
     return out
 
 
+def cofactor_inverse(m):
+    """m^{-1} = adj(m) / det(m), every cofactor a Laplace ``Mat.det`` minor."""
+    n = m.dim
+    d = m.det()
+    if not d:
+        raise ZeroDivisionError("singular matrix")
+
+    def cofactor(i, j):
+        rows = (row for r, row in enumerate(m.rows) if r != i)
+        sub = Mat(tuple(row[c] for c in range(n) if c != j) for row in rows)
+        return (1 if (i + j) % 2 == 0 else -1) * sub.det()
+
+    return Mat(tuple(tuple(cofactor(j, i) / d for j in range(n)) for i in range(n)))
+
+
 def reference_build(alg):
     """(pivot rows, extractor rows, bracket table) of the dense build."""
     vecs = [alg.vectorize(m) for m in alg.basis]
@@ -67,7 +84,7 @@ def reference_build(alg):
         if len(chosen) == alg.dim:
             break
     assert len(chosen) == alg.dim, "basis matrices are linearly dependent"
-    extractor = Mat(acc).inverse()
+    extractor = cofactor_inverse(Mat(acc))
 
     def express(mat):
         vec = alg.vectorize(mat)

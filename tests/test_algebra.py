@@ -8,6 +8,7 @@ from parageo.algebra import (
     Ad,
     AlgElem,
     bracket,
+    exp_mat,
     exp_nilpotent,
     group_exp,
     log_unipotent,
@@ -379,3 +380,23 @@ def test_express_poly_round_trip_and_off_span(cid, data):
     r = data.draw(st.sampled_from(_off_span_positions(alg)))
     eps = data.draw(quadratic.filter(bool))
     assert alg.express_poly(_perturb(alg, mat, r, eps)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cid=st.sampled_from(ALL_IDS),
+    side=st.sampled_from((-1, 1)),
+    scale=st.sampled_from((P_T, -P_T, Poly((1, 0, 1)))),
+    data=st.data(),
+)
+def test_exp_mat_scale_is_exp_of_scaled_matrix(cid, side, scale, data):
+    # exp_mat(a, s) takes powers of the constant matrix a; exp_mat(a.scale(s))
+    # takes powers of a Poly-entry matrix; both are exp(s a), for a in n or p_+
+    alg = make_algebra(cid)
+    idxs = [i for g in range(1, alg.k + 1) for i in alg.grade_slices[side * g]]
+    coords = [Fraction(0)] * alg.dim
+    vals = data.draw(st.lists(_RATIONALS, min_size=len(idxs), max_size=len(idxs)))
+    for i, c in zip(idxs, vals):
+        coords[i] = c
+    a = AlgElem(alg, tuple(coords)).matrix
+    assert exp_mat(a, scale) == exp_mat(a.scale(scale))

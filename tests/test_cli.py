@@ -174,6 +174,14 @@ def test_bad_pplus_coords_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("orders", ["0", "-1"])
+def test_jets_orders_below_1_exit_2(orders, capsys):
+    assert main(["jets", "--algebra", "lagr3", "--grid", "1", "--orders", orders]) == 2
+    out = capsys.readouterr()
+    assert "highest jet order must be at least 1" in out.err
+    assert out.out == ""
+
+
 def test_huge_exponent_exits_2_fast(capsys):
     t0 = time.perf_counter()
     assert main(["jets", "--algebra", "lagr3", "--direction", "1e999999999,1,1"]) == 2

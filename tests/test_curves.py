@@ -7,6 +7,7 @@ from parageo.catalog import g0_samples, make_algebra
 from parageo.curves import (
     CurveSpec,
     _partitions,
+    _unipotent_series_inverse,
     comparison,
     curve_matrix_from_coeffs,
     curves_equal,
@@ -21,7 +22,7 @@ from parageo.curves import (
     verify_lemma_2_4,
     verify_lemma_3_2,
 )
-from parageo.errors import BadReparam, NotInNilpotentPart, NotInParabolic
+from parageo.errors import BadReparam, NotInNilpotentPart, NotInParabolic, OracleDisagreement
 from parageo.matrices import Mat
 from parageo.poly import P_T, Poly
 
@@ -260,13 +261,27 @@ def test_eq_2_4_1(any_algebra):
     x = alg.grade_basis(-1)[0]
     z = alg.grade_basis(1)[-1]
     cc = comparison(CurveSpec.base(alg, x), CurveSpec.from_Z(alg, z, x))
-    assert verify_eq_2_4_1(cc.u, [alg.zero_elem(), alg.grade_basis(-1)[-1]])
+    assert verify_eq_2_4_1(cc.u, cc.u_inv, [alg.zero_elem(), alg.grade_basis(-1)[-1]])
     # u = identity reduces to Y' = Y'
     ident = Mat.identity(alg.matrix_dim)
-    assert verify_eq_2_4_1(ident, [alg.zero_elem(), x])
-    # u = exp(tZ) with constant Y
+    assert verify_eq_2_4_1(ident, ident, [alg.zero_elem(), x])
+    # u = exp(tZ) with constant Y, and its known inverse exp(-tZ)
     u = exp_nilpotent(z, P_T)
-    assert verify_eq_2_4_1(u, [alg.grade_basis(-1)[0]])
+    assert verify_eq_2_4_1(u, exp_nilpotent(z, -P_T), [alg.grade_basis(-1)[0]])
+    # a claimed inverse that is not one is rejected
+    assert not verify_eq_2_4_1(u, u, [alg.grade_basis(-1)[0]])
+
+
+def test_unipotent_series_inverse():
+    # piv = I + t B with B(0) not nilpotent, so every term k <= order counts
+    one = Poly((1,))
+    piv = Mat([[one + P_T, P_T * P_T], [-P_T, one]])
+    for order in (1, 2, 5):
+        inv = _unipotent_series_inverse(piv, order)
+        assert (piv * inv).truncate(order) == Mat.identity(2)
+        assert (inv * piv).truncate(order) == Mat.identity(2)
+    with pytest.raises(OracleDisagreement):
+        _unipotent_series_inverse(Mat([[one + one, P_T], [Poly(), one]]), 3)
 
 
 def test_lemma_3_2(any_algebra):

@@ -10,16 +10,27 @@ checker.
 
 Each build digest is the SHA-256 of the repr of an algebra's pivot rows,
 coordinate extractor and bracket table as first computed by the dense
-build (greedy rank tests, adjugate inverse, dense commutators).  The repr
-pins the entry types as well as the values.
+build (greedy rank tests, Laplace cofactor inverse, dense commutators).
+The repr pins the entry types as well as the values.
+
+Each curve-layer digest is the SHA-256 of the repr of one fixed sample of
+the curve calculus: a normal-coordinate jet, the coordinates of a
+comparison curve's delta_u, exponentials exp(tX) and exp(-tZ), and the
+logarithms of two unipotent matrices, as first computed with three
+separate exponential loops and the Laplace adjugate inverse.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
+from conftest import full_flag_sl4
+from parageo.algebra import exp_mat, exp_nilpotent, log_unipotent
 from parageo.catalog import make_algebra
 from parageo.cli import ExperimentConfig, emit, run
+from parageo.curves import CurveSpec, comparison, normal_coord_jet
+from parageo.poly import P_T
 
 GOLDEN = [
     (
@@ -103,3 +114,45 @@ def test_build_digest(cid, digest):
     alg = make_algebra(cid)
     built = repr((alg._pivot_rows, alg._extractor.rows, alg.bracket_table))
     assert hashlib.sha256(built.encode()).hexdigest() == digest
+
+
+CURVE_GOLDEN = [
+    ("proj(1)", "77f33cee9b30c334abac5479b06aa2bfcceb5d2c295556e14852555ee866f568"),
+    ("proj(2)", "1189e09194867d4f6b8dadfc32666aaf8e117a9c0780f0f10a75543807228637"),
+    ("grass(1,2)", "1189e09194867d4f6b8dadfc32666aaf8e117a9c0780f0f10a75543807228637"),
+    ("grass(2,2)", "e6a2623fe2df56d4ce1344547ffb8759588b67b692bb1cb57f846e391253c338"),
+    ("conf(1,1)", "65f96ca141716705c703c3985898965a95a9ec6e8919f62711c437e5f4b01106"),
+    ("conf(1,2)", "8059649da76e81215eedde5fd66e2ca9837c060af5bcab5400f482fdf1136882"),
+    ("lagr3", "1f9fdbe3d294bbc5ab8364f9323fd25538bd60bffbf696f89ce07f0d544b82fc"),
+    ("su21", "b6372d82dc6cc6891d8698accb8f104c83cfcf6da3cbf8eea966533b463b24c0"),
+    ("xxdot", "028c87ea6522ca781bab352d691870ee7dacea95668f2924e7a4e9692d3ee41c"),
+    ("full_flag_sl4", "196ff5ff92856e5189eec1ad24a4888b9bbca708466df0636f8973ee4e922d04"),
+]
+
+
+def curve_layer_sample(alg):
+    """repr of a jet, a comparison delta_u, exponentials and logarithms,
+    all built from X = sum (i+1) n_i over the n basis and
+    Z = sum (-1)^i/(i+1) p_i over the p_+ basis."""
+    n_basis = [b for g in range(-alg.k, 0) for b in alg.grade_basis(g)]
+    p_basis = [b for g in range(1, alg.k + 1) for b in alg.grade_basis(g)]
+    x = alg.zero_elem()
+    for i, b in enumerate(n_basis):
+        x = x + b * Fraction(i + 1)
+    z = alg.zero_elem()
+    for i, b in enumerate(p_basis):
+        z = z + b * Fraction((-1) ** i, i + 1)
+    c = CurveSpec.from_Z(alg, z, x)
+    order = alg.k + 2
+    jet = normal_coord_jet(c, order).coeffs_prefix(order)
+    delta = comparison(CurveSpec.base(alg, x), c).delta_coords
+    exps = tuple(exp_nilpotent(b, P_T) for b in n_basis + [x]) + (exp_nilpotent(z, -P_T),)
+    logs = (log_unipotent(exp_mat(x.matrix)), log_unipotent(exp_mat(z.matrix)))
+    return repr((jet, delta, exps, logs))
+
+
+@pytest.mark.parametrize("cid,digest", CURVE_GOLDEN, ids=[c for c, _ in CURVE_GOLDEN])
+def test_curve_layer_digest(cid, digest):
+    alg = full_flag_sl4() if cid == "full_flag_sl4" else make_algebra(cid)
+    sample = curve_layer_sample(alg)
+    assert hashlib.sha256(sample.encode()).hexdigest() == digest

@@ -4,15 +4,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parageo.errors import DeterminantNotOne
-from parageo.matrices import Mat, kernel_basis, mat_inverse_unimodular, rank, rref, solve_linear
+from fraction_reference import cofactor_inverse
+from parageo.algebra import exp_mat, exp_nilpotent
+from parageo.matrices import Mat, kernel_basis, rank, rref, solve_linear
 from parageo.poly import P_T, Poly
+from parageo.scalars import GaussianRational
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+gaussians = st.builds(GaussianRational, fractions, fractions)
 
 
-def frac_mat(n):
-    return st.lists(st.lists(fractions, min_size=n, max_size=n), min_size=n, max_size=n).map(Mat)
+def frac_mat(n, entries=fractions):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n).map(Mat)
 
 
 def leibniz_det(m):
@@ -38,37 +41,37 @@ def test_det_against_permanent_oracle(m):
 
 
 @settings(max_examples=40)
-@given(frac_mat(3))
-def test_adjugate_identity(m):
-    d = m.det()
-    prod = m * m.adjugate()
-    expect = Mat.identity(3).scale(d)
-    assert prod == expect
-
-
-def test_unimodular_inverse_examples():
-    # identity -> identity
-    assert mat_inverse_unimodular(Mat.identity(3)) == Mat.identity(3)
-    # I + t E21 -> I - t E21 (nilpotency)
-    m = Mat([[Poly((1,)), Poly()], [P_T, Poly((1,))]])
-    inv = mat_inverse_unimodular(m)
-    assert inv == Mat([[Poly((1,)), Poly()], [-P_T, Poly((1,))]])
-    assert m * inv == Mat([[Poly((1,)), Poly()], [Poly(), Poly((1,))]])
-    with pytest.raises(DeterminantNotOne):
-        mat_inverse_unimodular(Mat([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]]))
+@given(st.one_of(frac_mat(3), frac_mat(3, gaussians)))
+def test_inverse_identity(m):
+    # a third row equal to the sum of the first two makes any matrix singular
+    r0, r1, _ = m.rows
+    with pytest.raises(ZeroDivisionError):
+        Mat((r0, r1, tuple(a + b for a, b in zip(r0, r1)))).inverse()
+    if not m.det():
+        with pytest.raises(ZeroDivisionError):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert m * inv == Mat.identity(3) and inv * m == Mat.identity(3)
+    assert inv == cofactor_inverse(m)
 
 
 def test_exp_inverse_is_exp_minus(any_algebra):
-    # any catalog exp(tX) has det 1 and adjugate inverse exp(-tX)
-    from parageo.algebra import exp_nilpotent
-
+    # I + t E21 = exp(t E21) has inverse I - t E21
+    e21 = Mat([[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]])
+    one, zero = Poly((1,)), Poly()
+    assert exp_mat(e21, P_T) == Mat([[one, zero], [P_T, one]])
+    assert exp_mat(e21, -P_T) == Mat([[one, zero], [-P_T, one]])
+    assert exp_mat(e21, P_T) * exp_mat(e21, -P_T) == Mat([[one, zero], [zero, one]])
+    # any catalog exp(tX) has det 1 and inverse exp(-tX)
     alg = any_algebra
+    ident = Mat.identity(alg.matrix_dim)
     for grade in range(-alg.k, 0):
         for x in alg.grade_basis(grade)[:2]:
             m = exp_nilpotent(x, P_T)
             det = m.det()
             assert det == 1 or det == Poly.const(Fraction(1))
-            assert mat_inverse_unimodular(m) == exp_nilpotent(x, -P_T)
+            assert m * exp_nilpotent(x, -P_T) == ident
 
 
 def test_kernel_examples():
