@@ -1,6 +1,6 @@
 """parageo: exact experiments with distinguished curves on models G/P.
 
-The package constructs |k|-graded matrix Lie algebras over exact fields,
+The package constructs |k|-graded matrix Lie algebras with rational entries,
 represents the curves b exp(tX) P as polynomial matrices over Q, and
 machine-checks jet-determination, standard-fiber, and reparametrization
 statements as exact identities.

@@ -10,12 +10,9 @@ plain-int matrices with a tracked positive denominator:
   integral matrix entries;
 * a base direction X is carried as the integer matrix ``x_den * X``, where
   the direction denominator ``x_den`` is the lcm of the denominators of
-  X's entries;
-* over the Gaussian field (su21) each entry a + bi is realified as the 2x2
-  integer block [[a, -b], [b, a]].  Realification is an injective ring
-  homomorphism, so exponentials, conjugation and the P block pattern carry
-  over exactly; the forbidden positions and position grades are the 2x2
-  blow-ups of the algebra's own.
+  X's entries.  Every catalog algebra has rational entries (su21 is
+  realified at build time), so the forbidden positions are the algebra's
+  own.
 
 Scaling by a positive integer never changes whether an entry vanishes, so
 every block-pattern test is exact.
@@ -35,27 +32,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from .scalars import FIELD_GAUSSIAN, scalar_re_im
-
 _F0 = Fraction(0)
 
 
-def _realify(mat, gaussian):
+def _integral(mat):
     """(den, rows): the least positive den making den * mat integral, and
-    the integer rows of den * mat (Gaussian entries as 2x2 real blocks)."""
-    parts = [[scalar_re_im(e) for e in row] for row in mat.rows]
-    den = lcm(*(p.denominator for row in parts for re_im in row for p in re_im))
-    if not gaussian:
-        return den, tuple(tuple(int(re * den) for re, _ in row) for row in parts)
-    rows = []
-    for row in parts:
-        top, bottom = [], []
-        for re, im in row:
-            a, b = int(re * den), int(im * den)
-            top += (a, -b)
-            bottom += (b, a)
-        rows += (tuple(top), tuple(bottom))
-    return den, tuple(rows)
+    the integer rows of den * mat."""
+    rows = [[Fraction(e) for e in row] for row in mat.rows]
+    den = lcm(*(e.denominator for row in rows for e in row))
+    return den, tuple(tuple(int(e * den) for e in row) for row in rows)
 
 
 def _imul(a, b):
@@ -99,19 +84,13 @@ class GridKernel:
 
     def __init__(self, alg, x):
         self.alg = alg
-        gaussian = alg.field == FIELD_GAUSSIAN
-        blow = 2 if gaussian else 1
-        # series length: every nilpotent element N of g has N^q = 0
-        self.q = alg.matrix_dim
-        self.d = d = blow * alg.matrix_dim
-        grade = alg.position_grade
-        self.forbidden = tuple(
-            (i, j) for i in range(d) for j in range(d) if grade[i // blow][j // blow] < 0
-        )
-        self.x_den, self.x_rows = _realify(x.matrix, gaussian)
+        # also the series length: every nilpotent element N of g has N^d = 0
+        self.d = d = alg.matrix_dim
+        self.forbidden = alg.forbidden_positions
+        self.x_den, self.x_rows = _integral(x.matrix)
         basis_rows = []
         for idx, b in enumerate(alg.basis):
-            den, rows = _realify(b, gaussian)
+            den, rows = _integral(b)
             if den != 1:
                 raise ValueError("%s: basis matrix %d is not integral" % (alg.name, idx))
             basis_rows.append(rows)
@@ -121,29 +100,20 @@ class GridKernel:
             for g in range(1, alg.k + 1)
             for idx in alg.grade_slices[g]
         ]
-        self._build_extract(blow)
+        self._build_extract()
         self.exp_x_coeffs = self._exp_poly_coeffs(self.x_rows, 1, self.x_den)
         # jet forms of ad(-X)^r, built on demand; see _jet_forms
         self._forms = []
         self._duals = [_iunit(d, j, i) for i, j in self.forbidden]
 
-    def _build_extract(self, blow):
-        # integer-scaled copy of the algebra's pivot-row coordinate extractor;
-        # a pivot row of the re/im-split vectorization maps to the entry of
-        # the realified matrix that holds that part
+    def _build_extract(self):
+        # integer-scaled copy of the algebra's pivot-row coordinate
+        # extractor; a pivot row is a row-major position of the matrix
         alg = self.alg
         scale = lcm(*(e.denominator for terms in alg._extract_terms for _, e in terms))
-
-        def flat(pr):
-            if blow == 1:
-                return pr
-            ij, part = divmod(pr, 2)
-            i, j = divmod(ij, self.q)
-            return (2 * i + part) * self.d + 2 * j
-
         self.extract_scale = scale
         self.extract_terms = [
-            [(int(e * scale), flat(pr)) for pr, e in terms] for terms in alg._extract_terms
+            [(int(e * scale), pr) for pr, e in terms] for terms in alg._extract_terms
         ]
 
     def combo_rows(self, vals):
@@ -159,12 +129,12 @@ class GridKernel:
     # -- scaled integer primitives ------------------------------------------
 
     def exp_pair(self, z_rows):
-        """(num(exp Z), num(exp -Z), den) with den = (q-1)!."""
-        den = factorial(self.q - 1)
+        """(num(exp Z), num(exp -Z), den) with den = (d-1)!."""
+        den = factorial(self.d - 1)
         pos_acc = _iident(self.d, den)
         neg_acc = _iident(self.d, den)
         power = z_rows
-        for p in range(1, self.q):
+        for p in range(1, self.d):
             if p > 1:
                 power = _imul(power, z_rows)
             if _is_zero(power):
@@ -264,7 +234,7 @@ class GridKernel:
         coeff of t^p is A^p num_scale^p / (p! den_scale^p); scaled by
         (q-1)! * den_scale^(q-1) everything is integral.
         """
-        q = self.q
+        q = self.d
         coeffs = [_iident(self.d, factorial(q - 1) * den_scale ** (q - 1))]
         power = a_rows
         for p in range(1, q):

@@ -8,9 +8,9 @@ occupies only positions of grade i, which makes membership tests (in p, in
 n, in a single grade) exact coordinate-vanishing tests and makes the
 P / G0 block patterns simple position tests on group matrices.
 
-Coordinates of algebra elements are always plain rationals, also for the
-Gaussian-entry realization: the algebra is a real form and the basis is a
-basis over Q.
+Matrix entries and coordinates are rationals.  A complex realization is
+realified by the catalog before it gets here (su(2,1) as 2x2 real blocks),
+so the coordinates of a matrix are read off its entries directly.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from .errors import (
     NotNilpotent,
 )
 from .matrices import Mat, rref
-from .poly import Poly, poly_re_im
-from .scalars import FIELD_GAUSSIAN, scalar_re_im
+from .poly import Poly
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -35,11 +34,10 @@ _ONE = Fraction(1)
 class GradedAlgebra:
     """A |k|-graded matrix Lie algebra from the catalog."""
 
-    def __init__(self, name, family, params, field, k, block_sizes, basis_by_grade, meta=None):
+    def __init__(self, name, family, params, k, block_sizes, basis_by_grade, meta=None):
         self.name = name
         self.family = family
         self.params = dict(params)
-        self.field = field
         self.k = k
         self.block_sizes = tuple(block_sizes)
         self.meta = dict(meta or {})
@@ -83,6 +81,9 @@ class GradedAlgebra:
         self._basis_vecs = tuple(self.vectorize(m) for m in self.basis)
         self._build_extractor()
         self._build_bracket_table()
+        ident = Mat.identity(d)
+        self._identity = GroupElem(self, ident)
+        object.__setattr__(self._identity, "_inv", ident)
 
     # -- construction helpers ------------------------------------------------
 
@@ -148,32 +149,14 @@ class GradedAlgebra:
     # -- vectorization and coordinates --------------------------------------
 
     def vectorize(self, mat):
-        """Flatten a constant matrix into rational coordinates (re/im split
-        for the Gaussian field)."""
-        out = []
-        for row in mat.rows:
-            for e in row:
-                if self.field == FIELD_GAUSSIAN:
-                    re, im = scalar_re_im(e)
-                    out.append(re)
-                    out.append(im)
-                else:
-                    out.append(Fraction(e))
-        return tuple(out)
+        """Flatten a constant matrix into its rational entries, row-major."""
+        return tuple(Fraction(e) for row in mat.rows for e in row)
 
     def vectorize_poly(self, mat):
         """Same as vectorize but for Poly entries; components are Q-polys."""
-        out = []
-        for row in mat.rows:
-            for e in row:
-                p = e if isinstance(e, Poly) else Poly.const(e)
-                if self.field == FIELD_GAUSSIAN:
-                    pre, pim = poly_re_im(p)
-                    out.append(pre)
-                    out.append(pim)
-                else:
-                    out.append(p)
-        return tuple(out)
+        return tuple(
+            e if isinstance(e, Poly) else Poly.const(e) for row in mat.rows for e in row
+        )
 
     def express(self, mat, check=True):
         """Coordinates of a constant matrix over the basis, or None."""
@@ -251,7 +234,8 @@ class GradedAlgebra:
         return AlgElem(self, tuple(coords))
 
     def group_identity(self):
-        return GroupElem(self, Mat.identity(self.matrix_dim))
+        """The identity of G, its inverse known."""
+        return self._identity
 
     # -- bracket through the structure table ---------------------------------
 
@@ -357,14 +341,17 @@ class GradedAlgebra:
         return bad
 
     def describe(self):
+        # a realified algebra reports the field and size of the complex
+        # realization it was built from (its meta "labels")
         return {
             "name": self.name,
             "family": self.family,
             "params": dict(self.params),
-            "field": self.field,
+            "field": "rational",
             "matrix_dim": self.matrix_dim,
             "depth": self.k,
             "grade_dims": {str(g): len(self.grade_slices[g]) for g in range(-self.k, self.k + 1)},
+            **self.meta.get("labels", {}),
         }
 
     def __repr__(self):
@@ -439,13 +426,6 @@ class AlgElem:
             not self.coords[i]
             for i in range(self.algebra.dim)
             if self.algebra.basis_grades[i] != grade
-        )
-
-    def in_p(self):
-        return all(
-            not self.coords[i]
-            for i in range(self.algebra.dim)
-            if self.algebra.basis_grades[i] < 0
         )
 
     def in_n(self):
@@ -623,13 +603,18 @@ def normal_form_P(b):
     alg = b.algebra
     if not b.in_P():
         raise NotInParabolic("group element is not block upper triangular")
+    ident = alg.group_identity()
     b0_mat = alg.block_diagonal_part(b.mat)
-    if not b0_mat.det():
-        raise NotInParabolic("block diagonal part is singular")
-    v = b0_mat.inverse() * b.mat
+    if b0_mat == ident.mat:
+        b0 = ident
+    else:
+        if not b0_mat.det():
+            raise NotInParabolic("block diagonal part is singular")
+        b0 = GroupElem(alg, b0_mat)
+    v = b0.inv_mat * b.mat
     zs = []
     for grade in range(1, alg.k + 1):
-        part = alg.grade_position_part(v - Mat.identity(alg.matrix_dim), grade)
+        part = alg.grade_position_part(v - ident.mat, grade)
         coords = alg.express(part)
         if coords is None:
             raise NotInParabolic("unipotent part leaves exp(p_+)")
@@ -638,9 +623,9 @@ def normal_form_P(b):
             raise NotInParabolic("unipotent part leaves exp(p_+)")
         zs.append(z)
         v = exp_nilpotent(z, Fraction(-1)) * v
-    if v != Mat.identity(alg.matrix_dim):
+    if v != ident.mat:
         raise NotInParabolic("residual unipotent part after extracting all grades")
-    return GroupElem(alg, b0_mat), tuple(zs)
+    return b0, tuple(zs)
 
 
 def reconstruct_from_normal_form(b0, zs):

@@ -6,7 +6,7 @@ Families:
 * ``grass(n,m)`` sl(n+m, R), stabilizer of R^n, blocks (n, m); |1|-graded.
 * ``conf(p,q)`` o(p+1, q+1) in the 3-block form (1, p+q, 1); |1|-graded.
 * ``lagr3``     sl(3, R) with the Borel subalgebra; |2|-graded contact.
-* ``su21``      su(2,1), Gaussian-rational entries, blocks (1,1,1); |2|-graded.
+* ``su21``      su(2,1), realified, blocks (2,2,2); |2|-graded.
 * ``xxdot``     sl(4, R) with blocks (1,1,2); |2|-graded.
 
 Block conventions follow the displayed matrix forms used when these
@@ -15,6 +15,13 @@ left (an m x n matrix), conf realizes vectors X as first-column entries
 paired with -X^t J in the last row, and xxdot splits n into blocks
 x1 (scalar), X1, X2 (2-vectors).  Per-grade coordinate orderings are
 documented on each builder; the lab's classifiers rely on them.
+
+su(2,1) is written as complex 3x3 matrices and realified at build time:
+each entry a + bi becomes the real 2x2 block [[a, -b], [b, a]].
+Realification is an injective ring homomorphism, so brackets, grades and
+the P block pattern carry over exactly, and every catalog algebra has
+rational entries.  Its reports keep the field and matrix dimension of the
+complex realization, from its meta "labels".
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from functools import lru_cache
 from .algebra import GradedAlgebra, GroupElem
 from .errors import BadParams, UnknownCatalogName
 from .matrices import Mat
-from .scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, GaussianRational
+from .scalars import GaussianRational
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -38,17 +45,15 @@ def _unit(d, i, j, val=_F1):
     return Mat(rows)
 
 
-def _gunit(d, i, j, val):
-    rows = [[GaussianRational(0)] * d for _ in range(d)]
-    rows[i][j] = val
+def _realified(d, entries):
+    """The 2d x 2d real matrix of the d x d complex matrix whose nonzero
+    entries are {(row, col): (re, im)}: a + bi becomes [[a, -b], [b, a]]."""
+    rows = [[_F0] * (2 * d) for _ in range(2 * d)]
+    for (r, c), (a, b) in entries.items():
+        a, b = Fraction(a), Fraction(b)
+        rows[2 * r][2 * c], rows[2 * r][2 * c + 1] = a, -b
+        rows[2 * r + 1][2 * c], rows[2 * r + 1][2 * c + 1] = b, a
     return Mat(rows)
-
-
-def _sum_mats(mats):
-    acc = mats[0]
-    for m in mats[1:]:
-        acc = acc + m
-    return acc
 
 
 # -- builders -----------------------------------------------------------------
@@ -67,7 +72,6 @@ def _build_grass(n, m, name=None):
         name or "grass(%d,%d)" % (n, m),
         "grass" if name is None else "proj",
         {"n": n, "m": m},
-        FIELD_RATIONAL,
         1,
         (n, m),
         {-1: neg, 0: g0, 1: pos},
@@ -106,7 +110,6 @@ def _build_conf(p, q):
         "conf(%d,%d)" % (p, q),
         "conf",
         {"p": p, "q": q},
-        FIELD_RATIONAL,
         1,
         (1, nn, 1),
         {-1: neg, 0: g0, 1: pos},
@@ -121,7 +124,6 @@ def _build_lagr3():
         "lagr3",
         "lagr3",
         {},
-        FIELD_RATIONAL,
         2,
         (1, 1, 1),
         {
@@ -135,36 +137,35 @@ def _build_lagr3():
 
 
 def _build_su21():
-    # real basis of su(2,1) for the Hermitian form J~ = antidiag(1,1,1);
-    # all structure constants are rational over this basis
+    # real basis of su(2,1) for the Hermitian form J~ = antidiag(1,1,1),
+    # written as complex 3x3 matrices and realified; all structure
+    # constants are rational over this basis
     d = 3
-    i1 = GaussianRational(0, 1)
-    one = GaussianRational(1)
+    one, i1 = (1, 0), (0, 1)
 
-    def gm(entries):
-        rows = [[GaussianRational(0)] * d for _ in range(d)]
-        for (r, c), v in entries.items():
-            rows[r][c] = v
-        return Mat(rows)
+    def cm(entries):
+        return _realified(d, entries)
 
-    v = gm({(2, 0): i1})
-    u1 = gm({(1, 0): one, (2, 1): -one})
-    u2 = gm({(1, 0): i1, (2, 1): i1})
-    h1 = gm({(0, 0): one, (2, 2): -one})
-    h2 = gm({(0, 0): i1, (1, 1): GaussianRational(0, -2), (2, 2): i1})
-    z1 = gm({(0, 1): one, (1, 2): -one})
-    z2 = gm({(0, 1): i1, (1, 2): i1})
-    w = gm({(0, 2): i1})
-    form = gm({(0, 2): one, (1, 1): one, (2, 0): one})
+    v = cm({(2, 0): i1})
+    u1 = cm({(1, 0): one, (2, 1): (-1, 0)})
+    u2 = cm({(1, 0): i1, (2, 1): i1})
+    h1 = cm({(0, 0): one, (2, 2): (-1, 0)})
+    h2 = cm({(0, 0): i1, (1, 1): (0, -2), (2, 2): i1})
+    z1 = cm({(0, 1): one, (1, 2): (-1, 0)})
+    z2 = cm({(0, 1): i1, (1, 2): i1})
+    w = cm({(0, 2): i1})
     return GradedAlgebra(
         "su21",
         "su21",
         {},
-        FIELD_GAUSSIAN,
         2,
-        (1, 1, 1),
+        (2, 2, 2),
         {-2: [v], -1: [u1, u2], 0: [h1, h2], 1: [z1, z2], 2: [w]},
-        meta={"form": form},
+        meta={
+            "form": cm({(0, 2): one, (1, 1): one, (2, 0): one}),
+            "complex_structure": cm({(a, a): i1 for a in range(d)}),
+            "labels": {"field": "gaussian", "matrix_dim": d},
+        },
     )
 
 
@@ -176,7 +177,6 @@ def _build_xxdot():
         "xxdot",
         "xxdot",
         {},
-        FIELD_RATIONAL,
         2,
         (1, 1, 2),
         {
@@ -243,7 +243,7 @@ _FAMILIES = {
     "grass": (_build_grass, 2, lambda n, m: n + m),
     "conf": (_build_conf, 2, lambda p, q: p + q + 2),
     "lagr3": (_build_lagr3, 0, lambda: 3),
-    "su21": (_build_su21, 0, lambda: 3),
+    "su21": (_build_su21, 0, lambda: 6),
     "xxdot": (_build_xxdot, 0, lambda: 4),
 }
 
@@ -288,9 +288,18 @@ def validate_group_matrix(alg, mat):
         form = alg.meta["form"]
         return mat.transpose() * form * mat == form
     if alg.family == "su21":
-        form = alg.meta["form"]
-        star = mat.transpose().map(lambda e: e.conjugate() if hasattr(e, "conjugate") else e)
-        return star * form * mat == form and mat.det() == 1
+        # a complex matrix (commutes with J0), preserving the Hermitian form
+        # (realified: M^T F M = F), of complex determinant 1
+        form, j0 = alg.meta["form"], alg.meta["complex_structure"]
+        if mat * j0 != j0 * mat or mat.transpose() * form * mat != form:
+            return False
+        rows = mat.rows
+        d = len(rows) // 2
+        complex_mat = Mat(
+            [GaussianRational(rows[2 * r][2 * c], rows[2 * r + 1][2 * c]) for c in range(d)]
+            for r in range(d)
+        )
+        return complex_mat.det() == 1
     raise UnknownCatalogName(alg.family)
 
 
@@ -342,36 +351,16 @@ def g0_samples(alg):
         rows[2][3] = _F1
         out.append(group_elem(alg, rows))
     elif alg.family == "su21":
-        one = GaussianRational(1)
-        out.append(
-            group_elem(alg, _gdiag([GaussianRational(2), one, GaussianRational(Fraction(1, 2))]))
-        )
-        out.append(
-            group_elem(
-                alg,
-                _gdiag(
-                    [
-                        GaussianRational(1, 1),
-                        GaussianRational(0, -1),
-                        GaussianRational(Fraction(1, 2), Fraction(1, 2)),
-                    ]
-                ),
-            )
-        )
+        # diag(2, 1, 1/2) and diag(1 + i, -i, (1 + i)/2), realified
+        half = Fraction(1, 2)
+        for vals in (((2, 0), (1, 0), (half, 0)), ((1, 1), (0, -1), (half, half))):
+            out.append(group_elem(alg, _realified(3, {(a, a): v for a, v in enumerate(vals)})))
     return out
 
 
 def _diag(vals):
     d = len(vals)
     rows = [[_F0] * d for _ in range(d)]
-    for i, v in enumerate(vals):
-        rows[i][i] = v
-    return rows
-
-
-def _gdiag(vals):
-    d = len(vals)
-    rows = [[GaussianRational(0)] * d for _ in range(d)]
     for i, v in enumerate(vals):
         rows[i][i] = v
     return rows

@@ -1,9 +1,11 @@
 """Exact square matrices over any of the library's rings.
 
-``Mat`` is entry-agnostic: entries may be Fraction, GaussianRational, Poly or
-RatFun, and all operations go through the entries' own exact arithmetic.
-Determinants use Laplace expansion memoized over column masks, which is
-exact over any commutative ring; the memo holds up to 2^n minors.  Row
+``Mat`` is entry-agnostic: entries may be Fraction, Poly, RatFun or any
+other exact commutative ring element (the catalog takes one complex
+determinant), and all operations go through the entries' own exact
+arithmetic.  Determinants use Laplace expansion memoized over column
+masks, which is exact over any commutative ring; the memo holds up to 2^n
+minors.  Row
 reduction (rref / kernel / solve) is for field entries only, and so is
 ``inverse``: the right half of rref([M | I]), the route the algebra build
 takes for its coordinate extractor.  The curve code never inverts a

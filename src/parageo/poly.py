@@ -1,9 +1,9 @@
-"""Dense univariate polynomials and rational functions over an exact field.
+"""Dense univariate polynomials and rational functions over the rationals.
 
-Coefficients may be Fraction or GaussianRational (or plain int, which the
-arithmetic coerces on contact); the code never inspects which.  The zero
-polynomial has degree ``NEG_INF``, a distinguished minus-infinity marker,
-so degree arithmetic like deg(p*q) = deg p + deg q stays literally true.
+Coefficients are Fraction (or plain int, which the arithmetic coerces on
+contact).  The zero polynomial has degree ``NEG_INF``, a distinguished
+minus-infinity marker, so degree arithmetic like deg(p*q) = deg p + deg q
+stays literally true.
 """
 
 from __future__ import annotations
@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import GaussianRational, scalar_re_im
-
 NEG_INF = -math.inf
 
-_SCALARS = (int, Fraction, GaussianRational)
+_SCALARS = (int, Fraction)
 
 
 def _strip(coeffs):
@@ -238,16 +236,6 @@ def poly_series_inverse(p, order):
     return Poly(inv)
 
 
-def poly_re_im(p):
-    """Split a polynomial with Gaussian coefficients into two rational ones."""
-    res, ims = [], []
-    for c in p.coeffs:
-        r, i = scalar_re_im(c)
-        res.append(r)
-        ims.append(i)
-    return Poly(res), Poly(ims)
-
-
 class RatFun:
     """Rational function num/den, canonical: gcd(num,den)=1 and den monic."""
 
@@ -274,10 +262,6 @@ class RatFun:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p, P_ONE)
 
     def is_zero(self):
         return self.num.is_zero()

@@ -1,18 +1,17 @@
-"""Exact scalar fields: rationals and Gaussian rationals.
+"""Gaussian rationals Q(i), for complex determinants.
 
-Plain rationals are ``fractions.Fraction``; the Gaussian field Q(i) is a thin
-pair-of-Fractions class that interoperates with int/Fraction through the
-usual coercion dunders, so polynomial and matrix code never needs to know
-which field it is working over.  Integers backing both are arbitrary
-precision; there is no floating point anywhere in this module.
+Every algebra, polynomial and grid computation runs over the rationals
+(``fractions.Fraction``); su(2,1) is realified at build time.  The one
+complex computation left is the determinant of the complex matrix read
+back off a realified group matrix, over this thin pair-of-Fractions class.
+It interoperates with int/Fraction through the usual coercion dunders, so
+``Mat.det`` runs on it unchanged.  There is no floating point anywhere in
+this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-FIELD_RATIONAL = "rational"
-FIELD_GAUSSIAN = "gaussian"
 
 _REAL = (int, Fraction)
 
@@ -120,31 +119,6 @@ def _coerce(x):
     if isinstance(x, _REAL):
         return GaussianRational(x)
     return NotImplemented
-
-
-def gi(re=0, im=0):
-    """Shorthand constructor for a Gaussian rational."""
-    return GaussianRational(re, im)
-
-
-def as_scalar(field, value):
-    """Coerce ``value`` into the scalar field named by ``field``."""
-    if field == FIELD_RATIONAL:
-        if isinstance(value, GaussianRational):
-            if value.im != 0:
-                raise ValueError("complex value in a rational-field algebra")
-            return value.re
-        return Fraction(value)
-    if field == FIELD_GAUSSIAN:
-        return _coerce(value) if not isinstance(value, GaussianRational) else value
-    raise ValueError("unknown scalar field %r" % (field,))
-
-
-def scalar_re_im(x):
-    """Split a scalar into exact (real, imaginary) Fraction parts."""
-    if isinstance(x, GaussianRational):
-        return x.re, x.im
-    return Fraction(x), Fraction(0)
 
 
 def scalar_str(x):

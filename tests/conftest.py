@@ -5,7 +5,6 @@ import pytest
 from parageo.algebra import GradedAlgebra
 from parageo.catalog import make_algebra
 from parageo.matrices import Mat
-from parageo.scalars import FIELD_RATIONAL
 
 ALL_IDS = [
     "proj(1)",
@@ -56,4 +55,4 @@ def full_flag_sl4():
             if i != j:
                 by_grade[j - i].append(unit(i, j))
     by_grade[0] = [unit(a, a) - unit(a + 1, a + 1) for a in range(d - 1)]
-    return GradedAlgebra("sl(1,1,1,1)", "sl", {}, FIELD_RATIONAL, 3, (1, 1, 1, 1), by_grade)
+    return GradedAlgebra("sl(1,1,1,1)", "sl", {}, 3, (1, 1, 1, 1), by_grade)

@@ -1,8 +1,8 @@
 """Minimal Fraction references for the grid pair step and the algebra build.
 
 The same per-pair statistics as ``parageo.lab._iter_pair_stats``, computed
-on the Fraction (and Gaussian-rational) ``Mat`` stack instead of the integer
-engine of ``parageo._fastgrid``: ``group_exp`` + ``solve_direction`` give Y,
+on the Fraction ``Mat`` stack instead of the integer engine of
+``parageo._fastgrid``: ``group_exp`` + ``solve_direction`` give Y,
 the jet order comes from the constant-matrix derivatives of delta_u at 0,
 and curve equality is the polynomial identity "exp(-t A2) exp(t A1) stays
 in the P block pattern".

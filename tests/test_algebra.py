@@ -27,7 +27,6 @@ from parageo.errors import (
 )
 from parageo.matrices import Mat
 from parageo.poly import P_T, Poly
-from parageo.scalars import FIELD_GAUSSIAN, GaussianRational
 
 from conftest import ALL_IDS, full_flag_sl4
 from fraction_reference import reference_build
@@ -300,6 +299,102 @@ def test_su21_structure():
     assert bracket(u1, u1).is_zero() and bracket(u2, u2).is_zero()
 
 
+# -- su21 against its complex basis ------------------------------------------
+
+# The su(2,1) basis as complex 3x3 matrices {(row, col): (re, im)}, grades
+# ascending as in the catalog: v | u1, u2 | h1, h2 | z1, z2 | w.
+_SU21_COMPLEX = [
+    {(2, 0): (0, 1)},
+    {(1, 0): (1, 0), (2, 1): (-1, 0)},
+    {(1, 0): (0, 1), (2, 1): (0, 1)},
+    {(0, 0): (1, 0), (2, 2): (-1, 0)},
+    {(0, 0): (0, 1), (1, 1): (0, -2), (2, 2): (0, 1)},
+    {(0, 1): (1, 0), (1, 2): (-1, 0)},
+    {(0, 1): (0, 1), (1, 2): (0, 1)},
+    {(0, 2): (0, 1)},
+]
+
+
+def _cmul(a, b):
+    """Product of complex 3x3 matrices given as {(row, col): (re, im)}."""
+    out = {}
+    for (i, m), (ar, ai) in a.items():
+        for (m2, j), (br, bi) in b.items():
+            if m == m2:
+                re, im = out.get((i, j), (0, 0))
+                out[i, j] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+    return out
+
+
+def _ccomb(terms):
+    """sum c * m over the (rational c, complex matrix m) pairs, zeros dropped."""
+    out = {}
+    for c, m in terms:
+        for k, (re, im) in m.items():
+            ore, oim = out.get(k, (0, 0))
+            out[k] = (ore + c * re, oim + c * im)
+    return {k: v for k, v in out.items() if any(v)}
+
+
+def _su21_coords(m):
+    """Coordinates of a complex matrix over _SU21_COMPLEX, or None.
+
+    Each basis matrix owns one (position, part) that no other basis matrix
+    touches, with value 1 there: v Im(2,0), u1 Re(1,0), u2 Im(1,0),
+    h1 Re(0,0), h2 Im(0,0), z1 Re(0,1), z2 Im(0,1), w Im(0,2).
+    """
+    owned = [
+        ((2, 0), 1),
+        ((1, 0), 0),
+        ((1, 0), 1),
+        ((0, 0), 0),
+        ((0, 0), 1),
+        ((0, 1), 0),
+        ((0, 1), 1),
+        ((0, 2), 1),
+    ]
+    coords = tuple(Fraction(m.get(pos, (0, 0))[part]) for pos, part in owned)
+    if _ccomb(zip(coords, _SU21_COMPLEX)) != _ccomb([(1, m)]):
+        return None
+    return coords
+
+
+def test_su21_bracket_table_matches_complex_basis():
+    alg = make_algebra("su21")
+    assert alg.block_sizes == (2, 2, 2)
+    table = tuple(
+        tuple(_su21_coords(_ccomb([(1, _cmul(a, b)), (-1, _cmul(b, a))])) for b in _SU21_COMPLEX)
+        for a in _SU21_COMPLEX
+    )
+    assert alg.bracket_table == table
+    # E_10 is not in su(2,1): the span check rejects it
+    assert _su21_coords({(1, 0): (1, 0)}) is None
+
+
+def _realify_test(entries):
+    rows = [[Fraction(0)] * 6 for _ in range(6)]
+    for (r, c), (a, b) in entries.items():
+        rows[2 * r][2 * c], rows[2 * r][2 * c + 1] = Fraction(a), Fraction(-b)
+        rows[2 * r + 1][2 * c], rows[2 * r + 1][2 * c + 1] = Fraction(b), Fraction(a)
+    return Mat(rows)
+
+
+def test_su21_group_membership():
+    alg = make_algebra("su21")
+    one, i1 = (1, 0), (0, 1)
+    # diag(i, -1, i): preserves the form, complex determinant 1
+    assert validate_group_matrix(alg, _realify_test({(0, 0): i1, (1, 1): (-1, 0), (2, 2): i1}))
+    # diag(1, i, 1): preserves the form, complex determinant i
+    assert not validate_group_matrix(alg, _realify_test({(0, 0): one, (1, 1): i1, (2, 2): one}))
+    # complex conjugation: preserves the realified form, not complex-linear
+    conj = Mat([[Fraction((-1) ** i) if i == j else Fraction(0) for j in range(6)] for i in range(6)])
+    assert conj.transpose() * alg.meta["form"] * conj == alg.meta["form"]
+    assert not validate_group_matrix(alg, conj)
+    # diag(2, 1/2, 1): complex-linear, determinant 1, does not preserve the form
+    half = (Fraction(1, 2), 0)
+    assert not validate_group_matrix(alg, _realify_test({(0, 0): (2, 0), (1, 1): half, (2, 2): one}))
+
+
 def test_values_are_immutable(proj1):
     from parageo.poly import Poly, RatFun
 
@@ -335,19 +430,14 @@ def _off_span_positions(alg):
     traceless, so a lone diagonal entry is not in g)."""
     assert all(m.trace() == 0 for m in alg.basis)
     vecs = [alg.vectorize(m) for m in alg.basis]
-    blow = 2 if alg.field == FIELD_GAUSSIAN else 1
     d = alg.matrix_dim
-    diagonal = {blow * (i * d + i) + part for i in range(d) for part in range(blow)}
+    diagonal = {i * d + i for i in range(d)}
     unreached = {r for r in range(len(vecs[0])) if not any(v[r] for v in vecs)}
     return sorted(diagonal | unreached)
 
 
 def _perturb(alg, mat, r, eps):
-    """mat plus eps at vectorized position r (its real or imaginary part
-    over the Gaussian field)."""
-    if alg.field == FIELD_GAUSSIAN:
-        r, part = divmod(r, 2)
-        eps = eps * GaussianRational(1 - part, part)
+    """mat plus eps at vectorized position r."""
     i, j = divmod(r, alg.matrix_dim)
     rows = [list(row) for row in mat.rows]
     rows[i][j] = rows[i][j] + eps

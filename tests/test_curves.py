@@ -89,6 +89,23 @@ def test_invariance_of_curves_under_normal_form(any_algebra):
         assert curves_equal(left, right)
 
 
+def test_base_and_from_Z_specs_invert_nothing(monkeypatch, any_algebra):
+    # b0 = I for both: the identity's inverse is known, and exp(Z)'s is exp(-Z)
+    def no_inverse(self):
+        raise AssertionError("Mat.inverse called")
+
+    monkeypatch.setattr(Mat, "inverse", no_inverse)
+    alg = any_algebra
+    x = alg.grade_basis(-1)[0]
+    for c in (CurveSpec.base(alg, x), CurveSpec.from_Z(alg, alg.grade_basis(1)[0], x)):
+        assert c.b0 is alg.group_identity()
+        assert c.ad_matrix == c.b.mat * x.matrix * c.b.inv_mat
+    # a b0 other than I still goes through the inverse
+    b0 = g0_samples(alg)[1]
+    with pytest.raises(AssertionError, match="Mat.inverse"):
+        CurveSpec(alg, b0, x)
+
+
 def test_jet_equal_examples():
     alg, x, z, c1, c2 = proj1_pair()
     assert jet_equal(c1, c1, 5)

@@ -2,16 +2,24 @@
 
 Each jets digest is the SHA-256 of ``emit(run(config))`` as first computed
 on the Fraction pair path or on the integer engine before its sparse pair
-step.  The configs are the su21 searches (Gaussian field), the searches
-with fractional base directions, one search fanned out to two worker
-processes, and integer-direction searches on four rational algebras.  Any
-change to these bytes is a behaviour change of the jet-determination
-checker.
+step.  The configs are the su21 searches (first run over the Gaussian
+rationals, now on the realified algebra), the searches with fractional
+base directions, one search fanned out to two worker processes, and
+integer-direction searches on four other algebras.  Any change to these
+bytes is a behaviour change of the jet-determination checker.
 
 Each build digest is the SHA-256 of the repr of an algebra's pivot rows,
 coordinate extractor and bracket table as first computed by the dense
 build (greedy rank tests, Laplace cofactor inverse, dense commutators).
-The repr pins the entry types as well as the values.
+The repr pins the entry types as well as the values.  su21's build and
+curve-layer digests were re-pinned when su21 was realified into 6x6
+rational matrices: they hold matrix reprs, which realification changes.
+
+Each report digest pins a report that carries the catalog descriptions
+and su21's describe() labels.  The su21 coordinate digests (bracket
+table, curve-sample jet and delta_u coordinates) hold basis coordinates
+only, so they do not depend on the matrices that realize the basis; they
+were pinned before the realification and pass unchanged.
 
 Each curve-layer digest is the SHA-256 of the repr of one fixed sample of
 the curve calculus: a normal-coordinate jet, the coordinates of a
@@ -101,7 +109,7 @@ BUILD_GOLDEN = [
     ("conf(1,1)", "643067fc7513364504dfe023ae78fda575ff313a9bc258fe4c985a9d11a6aea5"),
     ("conf(1,2)", "24d8aacc81da8b425301953fe911a419630255dde6b970f3914ff9a6be5b3c37"),
     ("lagr3", "985047b1d3b7d8823e6f665b952585ebbfb135959ec02e24bf9b5f27f35edd73"),
-    ("su21", "9b95b24df4110adb3ed705dd89c842081503199d97a17d1b92e8fe03bfde4177"),
+    ("su21", "8bd2fd0597d97f1c128327c163f085da65c57478646b4ee5cc22e02159e32635"),
     ("xxdot", "df0dc378dc4bed76193c755c35a598a84c58ec3902ea1f737966ffb75407d8aa"),
     ("proj(4)", "77a73cca85d5f8cfaf5a909bd6f732a74dc76429a9d8807d4124d0282aaf6301"),
     ("proj(5)", "4915d73803313085a3b376e6583c5289874dff3a37cc2fb944c64f47e807191a"),
@@ -124,16 +132,16 @@ CURVE_GOLDEN = [
     ("conf(1,1)", "65f96ca141716705c703c3985898965a95a9ec6e8919f62711c437e5f4b01106"),
     ("conf(1,2)", "8059649da76e81215eedde5fd66e2ca9837c060af5bcab5400f482fdf1136882"),
     ("lagr3", "1f9fdbe3d294bbc5ab8364f9323fd25538bd60bffbf696f89ce07f0d544b82fc"),
-    ("su21", "b6372d82dc6cc6891d8698accb8f104c83cfcf6da3cbf8eea966533b463b24c0"),
+    ("su21", "d2a3c03ab3f918ca646a585677a9a5bc9472bfec1d43b032f3d825d63612dc0e"),
     ("xxdot", "028c87ea6522ca781bab352d691870ee7dacea95668f2924e7a4e9692d3ee41c"),
     ("full_flag_sl4", "196ff5ff92856e5189eec1ad24a4888b9bbca708466df0636f8973ee4e922d04"),
 ]
 
 
-def curve_layer_sample(alg):
-    """repr of a jet, a comparison delta_u, exponentials and logarithms,
-    all built from X = sum (i+1) n_i over the n basis and
-    Z = sum (-1)^i/(i+1) p_i over the p_+ basis."""
+def curve_layer_parts(alg):
+    """A jet, a comparison delta_u, exponentials and logarithms, all built
+    from X = sum (i+1) n_i over the n basis and Z = sum (-1)^i/(i+1) p_i
+    over the p_+ basis."""
     n_basis = [b for g in range(-alg.k, 0) for b in alg.grade_basis(g)]
     p_basis = [b for g in range(1, alg.k + 1) for b in alg.grade_basis(g)]
     x = alg.zero_elem()
@@ -148,7 +156,11 @@ def curve_layer_sample(alg):
     delta = comparison(CurveSpec.base(alg, x), c).delta_coords
     exps = tuple(exp_nilpotent(b, P_T) for b in n_basis + [x]) + (exp_nilpotent(z, -P_T),)
     logs = (log_unipotent(exp_mat(x.matrix)), log_unipotent(exp_mat(z.matrix)))
-    return repr((jet, delta, exps, logs))
+    return jet, delta, exps, logs
+
+
+def curve_layer_sample(alg):
+    return repr(curve_layer_parts(alg))
 
 
 @pytest.mark.parametrize("cid,digest", CURVE_GOLDEN, ids=[c for c, _ in CURVE_GOLDEN])
@@ -156,3 +168,50 @@ def test_curve_layer_digest(cid, digest):
     alg = full_flag_sl4() if cid == "full_flag_sl4" else make_algebra(cid)
     sample = curve_layer_sample(alg)
     assert hashlib.sha256(sample.encode()).hexdigest() == digest
+
+
+def _digest(obj):
+    text = obj if isinstance(obj, bytes) else repr(obj).encode()
+    return hashlib.sha256(text).hexdigest()
+
+
+# Reports that carry the catalog labels and su21's describe() fields.
+REPORT_GOLDEN = [
+    (
+        dict(command="catalog"),
+        "5e26e88ec7068e73638a98ed5f7919a05ce94d08d40dba661afe0b6e694bae68",
+    ),
+    (
+        dict(command="verify", algebra="su21", suite="structure"),
+        "c7b54346911c941b8200d106d7c48e6a59929ffc9ec8b5a6ba9270c48e00a408",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "params,digest", REPORT_GOLDEN, ids=[" ".join(p.values()) for p, _ in REPORT_GOLDEN]
+)
+def test_report_digest(params, digest):
+    report, code = run(ExperimentConfig(**params))
+    assert code == 0
+    assert _digest(emit(report, "json")) == digest
+
+
+# su21 values that hold basis coordinates only, so they do not depend on
+# the matrices that realize the basis.
+SU21_COORD_GOLDEN = {
+    "bracket_table": "368b7e4ee4488897710e86c8fdf73d9cb237a9ebb63510372c80905f0fc1bda0",
+    "jet": "ae2f95347fd4d352e0cd220c6115e0f83d34991db4c41e414f0aa82461b35e9c",
+    "delta_coords": "854a7f6c1b3f41a221e5126ce362dde2390300912b26b79bf25ae03d975a75da",
+}
+
+
+@pytest.mark.parametrize("part", sorted(SU21_COORD_GOLDEN))
+def test_su21_coordinate_digest(part):
+    alg = make_algebra("su21")
+    if part == "bracket_table":
+        value = alg.bracket_table
+    else:
+        jet, delta, _, _ = curve_layer_parts(alg)
+        value = jet if part == "jet" else delta
+    assert _digest(value) == SU21_COORD_GOLDEN[part]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from parageo._fastgrid import GridKernel, _realify, grid_kernel
+from parageo._fastgrid import GridKernel, _integral, grid_kernel
 from parageo.algebra import Ad, AlgElem, group_exp, truncated_Ad
 from parageo.catalog import g0_samples, make_algebra
 from parageo.curves import CurveSpec, curves_equal, jet_equal, normal_coord_jet
@@ -32,7 +32,6 @@ from parageo.lab import (
     _pair_stats,
 )
 from parageo.matrices import Mat
-from parageo.scalars import FIELD_GAUSSIAN, GaussianRational
 
 from conftest import ALL_IDS, full_flag_sl4
 from fraction_reference import pair_jet_order as reference_jet_order, reference_pair_stats
@@ -234,7 +233,6 @@ def test_jet_forms_agree_with_commutator_loop(cid, data):
     # d0 is a random integer matrix, zero below a random position grade so
     # that higher jet orders occur; A2 = X - d0 / x_den on both sides
     alg = make_algebra(cid)
-    gaussian = alg.field == FIELD_GAUSSIAN
     n_idx = [i for i in range(alg.dim) if alg.basis_grades[i] < 0]
     xc = data.draw(st.lists(st.integers(-2, 2), min_size=len(n_idx), max_size=len(n_idx)))
     coords = [Fraction(0)] * alg.dim
@@ -245,8 +243,7 @@ def test_jet_forms_agree_with_commutator_loop(cid, data):
     x = AlgElem(alg, coords)
     q = alg.matrix_dim
     cut = data.draw(st.integers(-q + 1, q))
-    part = st.integers(-2, 2)
-    entry = st.builds(GaussianRational, part, part) if gaussian else part.map(Fraction)
+    entry = st.integers(-2, 2).map(Fraction)
     d0 = Mat(
         [
             [data.draw(entry) if alg.position_grade[i][j] >= cut else Fraction(0) for j in range(q)]
@@ -255,7 +252,7 @@ def test_jet_forms_agree_with_commutator_loop(cid, data):
     )
     r_max = data.draw(st.integers(0, 6))
     kern = GridKernel(alg, x)
-    _, d0_rows = _realify(d0, gaussian)
+    _, d0_rows = _integral(d0)
     a2_num = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(kern.x_rows, d0_rows)]
     a2 = x.matrix - d0.scale(Fraction(1, kern.x_den))
     assert kern.pair_jet_order(a2_num, kern.x_den, r_max) == reference_jet_order(
