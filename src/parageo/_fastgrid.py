@@ -84,8 +84,13 @@ class GridKernel:
 
     def __init__(self, alg, x):
         self.alg = alg
-        # also the series length: every nilpotent element N of g has N^d = 0
         self.d = d = alg.matrix_dim
+        # the exponential series length is the block count n: every matrix
+        # exponentiated here is strictly block triangular (Z in p_+, X in
+        # n) or conjugate to one (A2 = Ad(exp Z) Y with Y in n), so its
+        # n-th power is zero.  n = k+1, except for the conformal 3-block
+        # form (1, p+q, 1), where k = 1 and n = 3
+        self.terms = len(alg.block_sizes)
         self.forbidden = alg.forbidden_positions
         self.x_den, self.x_rows = _integral(x.matrix)
         basis_rows = []
@@ -129,12 +134,12 @@ class GridKernel:
     # -- scaled integer primitives ------------------------------------------
 
     def exp_pair(self, z_rows):
-        """(num(exp Z), num(exp -Z), den) with den = (d-1)!."""
-        den = factorial(self.d - 1)
+        """(num(exp Z), num(exp -Z), den) with den = (n-1)!, n = terms."""
+        den = factorial(self.terms - 1)
         pos_acc = _iident(self.d, den)
         neg_acc = _iident(self.d, den)
         power = z_rows
-        for p in range(1, self.d):
+        for p in range(1, self.terms):
             if p > 1:
                 power = _imul(power, z_rows)
             if _is_zero(power):
@@ -234,7 +239,7 @@ class GridKernel:
         coeff of t^p is A^p num_scale^p / (p! den_scale^p); scaled by
         (q-1)! * den_scale^(q-1) everything is integral.
         """
-        q = self.d
+        q = self.terms
         coeffs = [_iident(self.d, factorial(q - 1) * den_scale ** (q - 1))]
         power = a_rows
         for p in range(1, q):

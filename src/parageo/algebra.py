@@ -542,9 +542,9 @@ def exp_mat(m, scale=1):
 
     The finite series I + sum_p scale^p m^p / p!: each power of m is formed
     once, and the series stops at the first zero power.  ``scale`` may be a
-    scalar, a Poly (giving the curve exp(phi(t) m) from the constant powers
-    of m) or a RatFun, and m's entries may be Poly or RatFun themselves.
-    Raises NotNilpotent when m^d != 0, d = dim m.
+    scalar or a Poly (giving the curve exp(phi(t) m) from the constant
+    powers of m), and m's entries may be Poly themselves.  Raises
+    NotNilpotent when m^d != 0, d = dim m.
     """
     acc = Mat.identity(m.dim)
     scale_pow = None

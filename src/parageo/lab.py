@@ -35,9 +35,9 @@ from .errors import (
     ParageoError,
 )
 from ._fastgrid import grid_kernel
-from .matrices import rank, rref, solve_linear
+from .matrices import rank, rref
 from .poly import P_T, Poly
-from .reparam import _proportionality, reparam_solve, verify_reparam
+from .reparam import _double_bracket_solution, _proportionality, reparam_solve, verify_reparam
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -673,10 +673,7 @@ def standard_fiber(ts, grid=2):
 
 def fiber_second_in_span(alg, x, second):
     """Is ``second`` of the form [X,[X,Z]] for some Z in g_1 (exact solve)?"""
-    basis = alg.grade_basis(1)
-    cols = [bracket(x, bracket(x, bj)).coords for bj in basis]
-    rows = [[cols[j][r] for j in range(len(basis))] for r in range(alg.dim)]
-    return solve_linear(rows, list(second.coords)) is not None
+    return _double_bracket_solution(alg, x, 1, second) is not None
 
 
 def pplus_action_on_2jets(w, jet):
@@ -966,8 +963,9 @@ def chain_family_reparam_check(alg, x, grid=2):
     """All same-direction lowest-grade curves are projectively related.
 
     For each admissible Z the pairwise reparametrization against the base
-    chain c^{e,X} is solved from the bracket seeds and verified as an
-    exact rational-function identity.  Returns (n_checked, failures).
+    chain c^{e,X} is solved from the bracket seeds and verified by
+    ``verify_reparam`` as an exact polynomial identity.  Returns
+    (n_checked, failures).
     """
     ts = type_grade(alg, -alg.k)
     if not ts.contains(x):

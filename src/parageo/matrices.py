@@ -1,11 +1,12 @@
 """Exact square matrices over any of the library's rings.
 
-``Mat`` is entry-agnostic: entries may be Fraction, Poly, RatFun or any
-other exact commutative ring element (the catalog takes one complex
+``Mat`` is entry-agnostic: entries may be Fraction, Poly or any other
+exact commutative ring element (the catalog takes one complex
 determinant), and all operations go through the entries' own exact
-arithmetic.  Determinants use Laplace expansion memoized over column
-masks, which is exact over any commutative ring; the memo holds up to 2^n
-minors.  Row
+arithmetic.  A Fraction 0 stands for the zero of any entry ring, and
+``scale`` keeps a zero entry as it is.  Determinants use Laplace expansion
+memoized over column masks, which is exact over any commutative ring; the
+memo holds up to 2^n minors.  Row
 reduction (rref / kernel / solve) is for field entries only, and so is
 ``inverse``: the right half of rref([M | I]), the route the algebra build
 takes for its coordinate extractor.  The curve code never inverts a
@@ -102,7 +103,7 @@ class Mat:
         return self.scale(other)
 
     def scale(self, c):
-        return Mat(tuple(tuple(c * a for a in r) for r in self.rows))
+        return Mat(tuple(tuple(c * a if a else a for a in r) for r in self.rows))
 
     def map(self, f):
         return Mat(tuple(tuple(f(a) for a in r) for r in self.rows))

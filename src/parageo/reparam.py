@@ -10,22 +10,26 @@ recursion phi^(i+1)(0) = (i+1)!/2^i * b^i / a^(i-1).
 
 Whether two distinguished curves agree up to such a reparametrization is
 decided by exact linear algebra on iterated brackets, and every positive
-answer is verifiable as an identity of rational-function matrices.
+answer is verifiable as an exact matrix identity.  Writing phi = N/D with
+N = At+B and D = Ct+D, the factor D^q (q the last nonzero power of the
+direction) clears every denominator of exp(phi X), so the identity is one
+of polynomial matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
-from .algebra import bracket, exp_nilpotent, group_exp, normal_form_P
+from .algebra import _nilpotent_powers, bracket, exp_nilpotent, group_exp, normal_form_P
 from .errors import (
     NotApplicableGrading,
     PoleAtOrigin,
     ZeroVelocity,
 )
-from .matrices import solve_linear
-from .poly import P_ONE, P_T, Poly, RatFun
+from .matrices import Mat, solve_linear
+from .poly import P_ONE, P_T, Poly
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -79,9 +83,6 @@ class MobiusMap:
     def is_affine(self):
         return self.c == 0
 
-    def as_ratfun(self):
-        return RatFun(Poly((self.b, self.a)), Poly((self.d, self.c)))
-
     def compose(self, other):
         """self after other: (self.compose(other))(t) = self(other(t))."""
         return MobiusMap(
@@ -90,10 +91,6 @@ class MobiusMap:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def of_ratfun(self, r):
-        """Apply the map to a rational function argument."""
-        return RatFun(self.a * r.num + self.b * r.den, self.c * r.num + self.d * r.den)
 
     def inverse(self):
         return MobiusMap(self.d, -self.b, -self.c, self.a)
@@ -114,11 +111,6 @@ class MobiusMap:
         if not den:
             raise ZeroDivisionError("evaluation at the pole")
         return (self.a * x + self.b) / den
-
-    def taylor(self, order):
-        if not self.d:
-            raise PoleAtOrigin("map has a pole at t = 0")
-        return self.as_ratfun().taylor(order)
 
     def __eq__(self, other):
         if not isinstance(other, MobiusMap):
@@ -196,42 +188,55 @@ def reparam_solve(algebra, x1, z, x2):
     return ReparamVerdict(True, MobiusMap.from_seeds(0, a, b), None)
 
 
+def _num_den(m):
+    """The numerator At+B and the denominator Ct+D of a MobiusMap."""
+    return Poly((m.b, m.a)), Poly((m.d, m.c))
+
+
 def verify_reparam(c1, c2, m):
     """Exact check that c2(t) and c1(phi(t)) project to the same curve.
 
-    Builds u(t) = c2(t)^{-1} c1(phi(t)) over rational functions and tests
-    that every entry outside the block pattern of P vanishes identically.
+    u(t) = c2(t)^{-1} c1(phi(t)) lies in P iff D^q u(t) does, as D != 0.
+    With X1^p (p <= q) the nonzero powers of c1's direction, D^q exp(phi X1)
+    is the polynomial matrix sum_p N^p D^(q-p) X1^p / p!, and every entry
+    of D^q u outside the block pattern of P must vanish identically.
     """
-    alg = c1.algebra
-    phi = m.as_ratfun()
-    if not phi.den.eval(_F0):
+    if not m.d:
         raise PoleAtOrigin("reparametrization has a pole at t = 0")
+    num, den = _num_den(m)
+    powers = list(_nilpotent_powers(c1.X.matrix))
+    q = len(powers)
+    cleared = Mat.identity(c1.algebra.matrix_dim).scale(den**q)
+    num_pow = P_ONE
+    for p, power in enumerate(powers, 1):
+        num_pow = num_pow * num
+        cleared = cleared + power.scale(num_pow * den ** (q - p) * Fraction(1, factorial(p)))
     left = exp_nilpotent(c2.X, -P_T) * c2.b.inv_mat
-    right = c1.b.mat * exp_nilpotent(c1.X, phi)
-    u = left.map(_as_ratfun_entry) * right.map(_as_ratfun_entry)
-    return alg.matrix_in_p_pattern(u)
-
-
-def _as_ratfun_entry(e):
-    if isinstance(e, RatFun):
-        return e
-    if isinstance(e, Poly):
-        return RatFun(e, P_ONE)
-    return RatFun(Poly((e,)), P_ONE)
+    return c1.algebra.matrix_in_p_pattern(left * (c1.b.mat * cleared))
 
 
 def schwarzian_check(phi):
-    """phi''' phi' = 3/2 (phi'')^2 as an identity of rational functions."""
-    if isinstance(phi, MobiusMap):
-        r = phi.as_ratfun()
-    elif isinstance(phi, Poly):
-        r = RatFun(phi, P_ONE)
-    else:
-        r = phi
-    d1 = r.derivative()
-    d2 = d1.derivative()
-    d3 = d2.derivative()
-    return d3 * d1 == d2 * d2 * Fraction(3, 2)
+    """phi''' phi' = 3/2 (phi'')^2 for a MobiusMap, or a Poly (D = 1).
+
+    By the quotient rule phi' = P1/D^2, phi'' = P2/D^3 and phi''' = P3/D^4,
+    with P1 = N'D - ND', P2 = P1'D - 2 P1 D' and P3 = P2'D - 3 P2 D', so
+    the identity is the polynomial one P3 P1 = 3/2 P2^2.
+    """
+    num, den = _num_den(phi) if isinstance(phi, MobiusMap) else (phi, P_ONE)
+    den1 = den.derivative()
+    p1 = num.derivative() * den - num * den1
+    p2 = p1.derivative() * den - 2 * p1 * den1
+    p3 = p2.derivative() * den - 3 * p2 * den1
+    return p3 * p1 == p2 * p2 * Fraction(3, 2)
+
+
+def _double_bracket_solution(algebra, x, grade, target):
+    """Coordinates over grade_basis(grade) of a Z with [X,[X,Z]] = target,
+    or None when there is none."""
+    basis = algebra.grade_basis(grade)
+    cols = [bracket(x, bracket(x, bj)).coords for bj in basis]
+    rows = [[cols[j][r] for j in range(len(basis))] for r in range(algebra.dim)]
+    return solve_linear(rows, list(target.coords))
 
 
 def projective_structure_exists(algebra, x, grade_for_z):
@@ -244,14 +249,11 @@ def projective_structure_exists(algebra, x, grade_for_z):
         return None
     if not x.in_grade(-grade_for_z):
         raise NotApplicableGrading("X must lie in g_-%d" % grade_for_z)
-    basis = algebra.grade_basis(grade_for_z)
-    cols = [bracket(x, bracket(x, bj)).coords for bj in basis]
-    rows = [[cols[j][r] for j in range(len(basis))] for r in range(algebra.dim)]
-    sol = solve_linear(rows, list(x.coords))
+    sol = _double_bracket_solution(algebra, x, grade_for_z, x)
     if sol is None:
         return None
     out = algebra.zero_elem()
-    for coeff, bj in zip(sol, basis):
+    for coeff, bj in zip(sol, algebra.grade_basis(grade_for_z)):
         out = out + bj * coeff
     return out
 
@@ -260,8 +262,8 @@ def taylor_seed_expand(a, b, order):
     """Taylor coefficients (degrees 1..order) of a t (1 - (b/2a) t)^{-1}.
 
     The i-th coefficient is a (b/2a)^(i-1), the geometric-series form of
-    the derivative recursion; the closed-form expansion is recomputed from
-    the rational function and must agree exactly.
+    the derivative recursion; times the closed form's denominator
+    1 - (b/2a) t the series must be exactly a t modulo t^(order+1).
     """
     a = Fraction(a)
     b = Fraction(b)
@@ -273,9 +275,7 @@ def taylor_seed_expand(a, b, order):
     for _ in range(order):
         coeffs.append(a * power)
         power *= ratio
-    closed = RatFun(Poly((_F0, a)), Poly((_F1, -ratio)))
-    series = closed.taylor(order)
-    expected = Poly((_F0,) + tuple(coeffs))
-    if series != expected.truncate(order):
+    series = Poly((_F0,) + tuple(coeffs))
+    if (series * Poly((_F1, -ratio))).truncate(order) != Poly((_F0, a)).truncate(order):
         raise AssertionError("seed expansion disagrees with the closed form")
     return coeffs

@@ -7,7 +7,7 @@ from parageo.algebra import bracket
 from parageo.catalog import make_algebra
 from parageo.curves import CurveSpec, curves_equal
 from parageo.errors import NotApplicableGrading, PoleAtOrigin, ZeroVelocity
-from parageo.poly import Poly, RatFun
+from parageo.poly import Poly
 from parageo.reparam import (
     MobiusMap,
     projective_structure_exists,
@@ -20,7 +20,7 @@ from parageo.reparam import (
 
 def test_mobius_basics():
     m = MobiusMap.from_seeds(0, 1, -2)
-    assert m.as_ratfun() == RatFun(Poly((0, 1)), Poly((1, 1)))
+    assert m == MobiusMap(1, 0, 1, 1)
     assert m.seeds() == (Fraction(0), Fraction(1), Fraction(-2))
     assert not m.is_affine()
     aff = MobiusMap.affine(Fraction(3), Fraction(2))
@@ -42,21 +42,26 @@ def test_mobius_seed_roundtrip():
 
 
 def test_closed_form_matches_seeds():
-    # with phi(0)=0: phi(t) = a t (1 - (b/2a) t)^{-1} as identical RatFuns
+    # with phi(0)=0: phi(t) = a t (1 - (b/2a) t)^{-1} as identical maps
     for a, b in ((Fraction(1), Fraction(-2)), (Fraction(2), Fraction(3)), (Fraction(-1), Fraction(1))):
         m = MobiusMap.from_seeds(0, a, b)
-        closed = RatFun(Poly((0, a)), Poly((1, -b / (2 * a))))
-        assert m.as_ratfun() == closed
+        assert m == MobiusMap(a, 0, -b / (2 * a), 1)
 
 
 def test_composition_matches_matrix_product():
     m1 = MobiusMap(1, 2, 3, 5)
     m2 = MobiusMap(2, -1, 1, 1)
     comp = m1.compose(m2)
-    assert m1.of_ratfun(m2.as_ratfun()) == comp.as_ratfun()
+    checked = 0
+    for s in (Fraction(v, 3) for v in range(-9, 10)):
+        # skip the poles of m2 (s = -1) and of m1 after m2 (m2(s) = -5/3)
+        if s == -1 or m2.eval(s) == Fraction(-5, 3):
+            continue
+        assert comp.eval(s) == m1.eval(m2.eval(s))
+        checked += 1
+    assert checked >= 15
     # inverse composes to the identity map (projectively)
-    ident = m1.compose(m1.inverse())
-    assert ident.as_ratfun() == RatFun(Poly((0, 1)), Poly((1,)))
+    assert m1.compose(m1.inverse()) == MobiusMap(1, 0, 0, 1)
 
 
 def test_reparam_solve_proj1_worked_example():
@@ -65,7 +70,7 @@ def test_reparam_solve_proj1_worked_example():
     z = alg.grade_basis(1)[0]
     verdict = reparam_solve(alg, x, z, x)
     assert verdict.exists
-    assert verdict.map.as_ratfun() == RatFun(Poly((0, 1)), Poly((1, 1)))
+    assert verdict.map == MobiusMap(1, 0, 1, 1)
     c1 = CurveSpec.base(alg, x)
     c2 = CurveSpec.from_Z(alg, z, x)
     assert verify_reparam(c1, c2, verdict.map)
@@ -217,3 +222,90 @@ def test_solve_then_verify_battery():
                 c2 = CurveSpec.from_Z(conf, z, x * a)
                 assert verify_reparam(c1, c2, verdict.map)
     assert count >= 25
+
+
+# -- an oracle for verify_reparam by evaluation at sample points -------------
+#
+# u(t) = exp(-t X2) exp(-Z) exp(phi(t) X1) is evaluated at rational points
+# with plain Fraction matrices, sharing no code with the polynomial route.
+# D^q u is a polynomial matrix of degree at most 2(d-1), d the matrix size,
+# and u(t0) = D(t0)^-q (D^q u)(t0) away from the pole, so the forbidden
+# entries of D^q u vanish identically iff they vanish at 2d-1 sample points.
+
+
+def _fmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _fexp(m, s):
+    """exp(s m) for a nilpotent Fraction matrix m: the series up to m^(d-1)."""
+    d = len(m)
+    acc = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    term = acc
+    for p in range(1, d):
+        term = [[s * e / p for e in row] for row in _fmul(term, m)]
+        acc = [[x + y for x, y in zip(ra, rt)] for ra, rt in zip(acc, term)]
+    return acc
+
+
+def _oracle_in_p(alg, x1, z, x2, m):
+    d = alg.matrix_dim
+    block = [b for b, size in enumerate(alg.block_sizes) for _ in range(size)]
+    forbidden = [(i, j) for i in range(d) for j in range(d) if block[i] > block[j]]
+    mx1, mx2, mz = ([[Fraction(e) for e in row] for row in v.matrix.rows] for v in (x1, x2, z))
+    exp_neg_z = _fexp(mz, Fraction(-1))
+    points = (Fraction(v, 2) for v in range(-4 * d, 4 * d))
+    samples = [t0 for t0 in points if m.c * t0 + m.d][: 2 * d - 1]
+    assert len(samples) == 2 * d - 1
+    for t0 in samples:
+        u = _fmul(_fmul(_fexp(mx2, -t0), exp_neg_z), _fexp(mx1, m.eval(t0)))
+        if any(u[i][j] for i, j in forbidden):
+            return False
+    return True
+
+
+def _combos(basis, vectors):
+    out = []
+    for vec in vectors:
+        elem = basis[0] * Fraction(0)
+        for v, bj in zip(vec, basis):
+            elem = elem + bj * Fraction(v)
+        out.append(elem)
+    return out
+
+
+@pytest.mark.parametrize("name", ["proj(1)", "conf(1,1)", "conf(1,2)", "lagr3", "su21"])
+def test_verify_reparam_matches_sampling_oracle(name):
+    alg = make_algebra(name)
+    k = alg.k
+    low = alg.grade_basis(-k)
+    top = alg.grade_basis(k)
+    pplus = [b for g in range(1, k + 1) for b in alg.grade_basis(g)]
+    xs = [low[0]] + ([low[0] - low[-1]] if len(low) > 1 else [])
+    zs = [alg.zero_elem(), top[0], top[-1] * Fraction(-3, 2), top[0] + top[-1]]
+    zs += _combos(pplus, [[1] * len(pplus), [(-1) ** i * (i + 1) for i in range(len(pplus))]])
+    solved = agreed_true = agreed_false = 0
+    for x in xs:
+        for z in zs:
+            for a in (Fraction(1), Fraction(-2)):
+                c1 = CurveSpec.base(alg, x)
+                c2 = CurveSpec.from_Z(alg, z, x * a)
+                verdict = reparam_solve(alg, x, z, x * a)
+                b = verdict.map.seeds()[2] if verdict.exists else Fraction(1)
+                maps = [
+                    MobiusMap.from_seeds(0, a, b + 1),
+                    MobiusMap.from_seeds(0, a, b / 3 - 1),
+                    MobiusMap.from_seeds(Fraction(1, 2), a, b),
+                ]
+                if verdict.exists:
+                    solved += 1
+                    maps.append(verdict.map)
+                    assert verify_reparam(c1, c2, verdict.map)
+                for m in maps:
+                    expected = _oracle_in_p(alg, x, z, x * a, m)
+                    assert verify_reparam(c1, c2, m) == expected, (name, x, z, a, m)
+                    if expected:
+                        agreed_true += 1
+                    else:
+                        agreed_false += 1
+    assert solved >= 4 and agreed_true >= solved and agreed_false >= 3 * solved
