@@ -302,7 +302,7 @@ class GradedAlgebra:
 
     # -- structural invariants ------------------------------------------------
 
-    def structure_violations(self, jacobi=True):
+    def structure_violations(self):
         """Exhaustive grading / Jacobi / nilpotency checks over the basis.
 
         Returns a list of human-readable violation strings (empty = pass).
@@ -325,19 +325,18 @@ class GradedAlgebra:
                             "[g_%d, g_%d] leaks into grade %d (basis %d,%d)"
                             % (gi_, gj, self.basis_grades[m], i, j)
                         )
-        if jacobi:
-            for i in range(n):
-                ei = self.basis_elem(i).coords
-                for j in range(n):
-                    ej = self.basis_elem(j).coords
-                    bij = self.bracket_coords(ei, ej)
-                    for m in range(n):
-                        em = self.basis_elem(m).coords
-                        lhs = self.bracket_coords(bij, em)
-                        t1 = self.bracket_coords(self.bracket_coords(ei, em), ej)
-                        t2 = self.bracket_coords(ei, self.bracket_coords(ej, em))
-                        if any(a - b - c for a, b, c in zip(lhs, t1, t2)):
-                            bad.append("Jacobi fails on basis triple (%d,%d,%d)" % (i, j, m))
+        for i in range(n):
+            ei = self.basis_elem(i).coords
+            for j in range(n):
+                ej = self.basis_elem(j).coords
+                bij = self.bracket_coords(ei, ej)
+                for m in range(n):
+                    em = self.basis_elem(m).coords
+                    lhs = self.bracket_coords(bij, em)
+                    t1 = self.bracket_coords(self.bracket_coords(ei, em), ej)
+                    t2 = self.bracket_coords(ei, self.bracket_coords(ej, em))
+                    if any(a - b - c for a, b, c in zip(lhs, t1, t2)):
+                        bad.append("Jacobi fails on basis triple (%d,%d,%d)" % (i, j, m))
         return bad
 
     def describe(self):
@@ -517,11 +516,6 @@ def bracket(x, y):
     return AlgElem(x.algebra, x.algebra.bracket_coords(x.coords, y.coords))
 
 
-def ad(x):
-    """The operator ad_x as a closure on AlgElems."""
-    return lambda y: bracket(x, y)
-
-
 def _nilpotent_powers(m):
     """m, m^2, ... up to the last nonzero power, each formed once.
 
@@ -626,10 +620,3 @@ def normal_form_P(b):
     if v != ident.mat:
         raise NotInParabolic("residual unipotent part after extracting all grades")
     return b0, tuple(zs)
-
-
-def reconstruct_from_normal_form(b0, zs):
-    mat = b0.mat
-    for z in zs:
-        mat = mat * exp_nilpotent(z, _ONE)
-    return GroupElem(b0.algebra, mat)

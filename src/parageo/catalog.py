@@ -9,12 +9,18 @@ Families:
 * ``su21``      su(2,1), realified, blocks (2,2,2); |2|-graded.
 * ``xxdot``     sl(4, R) with blocks (1,1,2); |2|-graded.
 
-Block conventions follow the displayed matrix forms used when these
-geometries are worked out by hand: grass/proj put the X block in the lower
-left (an m x n matrix), conf realizes vectors X as first-column entries
-paired with -X^t J in the last row, and xxdot splits n into blocks
-x1 (scalar), X1, X2 (2-vectors).  Per-grade coordinate orderings are
-documented on each builder; the lab's classifiers rely on them.
+proj, grass, lagr3 and xxdot are sl(d, R) with a block-flag parabolic and
+share one builder, ``_build_sl``, which reads the basis off the block sizes
+alone: d = sum(blocks), k = len(blocks) - 1, and position (i, j) has grade
+block(j) - block(i).  Each grade g != 0 gets the unit matrices E_ij at its
+positions in row-major order; g_0 gets E_aa - E_(a+1)(a+1) first, then the
+E_ij inside the diagonal blocks in row-major order.  So grass/proj put the
+X block in the lower left (an m x n matrix), and xxdot splits n into x1
+(scalar), X1, X2 (2-vectors).  The per-grade coordinate orderings, which
+the lab's classifiers rely on, are noted next to each family's entry.
+
+conf and su21 keep hand-written bases.  conf realizes vectors X as
+first-column entries paired with -X^t J in the last row.
 
 su(2,1) is written as complex 3x3 matrices and realified at build time:
 each entry a + bi becomes the real 2x2 block [[a, -b], [b, a]].
@@ -59,30 +65,32 @@ def _realified(d, entries):
 # -- builders -----------------------------------------------------------------
 
 
-def _build_grass(n, m, name=None):
+def _build_sl(name, family, params, blocks, meta=None):
+    """sl(sum(blocks), R) graded by the block flag ``blocks``, with the
+    basis rule of the module docstring."""
+    d = sum(blocks)
+    k = len(blocks) - 1
+    block = [b for b, size in enumerate(blocks) for _ in range(size)]
+    by_grade = {g: [] for g in range(-k, k + 1)}
+    by_grade[0] = [_unit(d, a, a) - _unit(d, a + 1, a + 1) for a in range(d - 1)]
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                by_grade[block[j] - block[i]].append(_unit(d, i, j))
+    return GradedAlgebra(name, family, params, k, blocks, by_grade, meta=meta)
+
+
+def _build_grass(n, m):
     if n < 1 or m < 1:
         raise BadParams("grass(n,m) needs n,m >= 1; got (%d,%d)" % (n, m))
-    d = n + m
-    neg = [_unit(d, n + i, j) for i in range(m) for j in range(n)]
-    g0 = [_unit(d, a, a) - _unit(d, a + 1, a + 1) for a in range(d - 1)]
-    g0 += [_unit(d, a, b) for a in range(n) for b in range(n) if a != b]
-    g0 += [_unit(d, n + a, n + b) for a in range(m) for b in range(m) if a != b]
-    pos = [_unit(d, j, n + i) for j in range(n) for i in range(m)]
-    return GradedAlgebra(
-        name or "grass(%d,%d)" % (n, m),
-        "grass" if name is None else "proj",
-        {"n": n, "m": m},
-        1,
-        (n, m),
-        {-1: neg, 0: g0, 1: pos},
-        meta={"x_shape": (m, n), "z_shape": (n, m)},
-    )
+    name = "grass(%d,%d)" % (n, m)
+    return _build_sl(name, "grass", {"n": n, "m": m}, (n, m), {"x_shape": (m, n)})
 
 
 def _build_proj(m):
     if m < 1:
         raise BadParams("proj(m) needs m >= 1; got %d" % m)
-    return _build_grass(1, m, name="proj(%d)" % m)
+    return _build_sl("proj(%d)" % m, "proj", {"n": 1, "m": m}, (1, m), {"x_shape": (m, 1)})
 
 
 def _build_conf(p, q):
@@ -117,25 +125,6 @@ def _build_conf(p, q):
     )
 
 
-def _build_lagr3():
-    # n-coordinates: g_-2 = (z at E31), g_-1 = (x at E21, y at E32)
-    d = 3
-    return GradedAlgebra(
-        "lagr3",
-        "lagr3",
-        {},
-        2,
-        (1, 1, 1),
-        {
-            -2: [_unit(d, 2, 0)],
-            -1: [_unit(d, 1, 0), _unit(d, 2, 1)],
-            0: [_unit(d, 0, 0) - _unit(d, 1, 1), _unit(d, 1, 1) - _unit(d, 2, 2)],
-            1: [_unit(d, 0, 1), _unit(d, 1, 2)],
-            2: [_unit(d, 0, 2)],
-        },
-    )
-
-
 def _build_su21():
     # real basis of su(2,1) for the Hermitian form J~ = antidiag(1,1,1),
     # written as complex 3x3 matrices and realified; all structure
@@ -165,32 +154,6 @@ def _build_su21():
             "form": cm({(0, 2): one, (1, 1): one, (2, 0): one}),
             "complex_structure": cm({(a, a): i1 for a in range(d)}),
             "labels": {"field": "gaussian", "matrix_dim": d},
-        },
-    )
-
-
-def _build_xxdot():
-    # blocks (1,1,2); n-coordinates: g_-2 = X2 (2-vector at rows 2,3 of
-    # column 0), g_-1 = (x1 at E10, X1 at rows 2,3 of column 1)
-    d = 4
-    return GradedAlgebra(
-        "xxdot",
-        "xxdot",
-        {},
-        2,
-        (1, 1, 2),
-        {
-            -2: [_unit(d, 2, 0), _unit(d, 3, 0)],
-            -1: [_unit(d, 1, 0), _unit(d, 2, 1), _unit(d, 3, 1)],
-            0: [
-                _unit(d, 0, 0) - _unit(d, 1, 1),
-                _unit(d, 1, 1) - _unit(d, 2, 2),
-                _unit(d, 2, 2) - _unit(d, 3, 3),
-                _unit(d, 2, 3),
-                _unit(d, 3, 2),
-            ],
-            1: [_unit(d, 0, 1), _unit(d, 1, 2), _unit(d, 1, 3)],
-            2: [_unit(d, 0, 2), _unit(d, 0, 3)],
         },
     )
 
@@ -242,9 +205,12 @@ _FAMILIES = {
     "proj": (_build_proj, 1, lambda m: m + 1),
     "grass": (_build_grass, 2, lambda n, m: n + m),
     "conf": (_build_conf, 2, lambda p, q: p + q + 2),
-    "lagr3": (_build_lagr3, 0, lambda: 3),
+    # n-coordinates: g_-2 = (z at E31), g_-1 = (x at E21, y at E32)
+    "lagr3": (lambda: _build_sl("lagr3", "lagr3", {}, (1, 1, 1)), 0, lambda: 3),
     "su21": (_build_su21, 0, lambda: 6),
-    "xxdot": (_build_xxdot, 0, lambda: 4),
+    # n-coordinates: g_-2 = X2 (2-vector at rows 2,3 of column 0),
+    # g_-1 = (x1 at E10, X1 at rows 2,3 of column 1)
+    "xxdot": (lambda: _build_sl("xxdot", "xxdot", {}, (1, 1, 2)), 0, lambda: 4),
 }
 
 _PARAM_COUNTS = ("no parameters", "one parameter", "two parameters")
@@ -303,10 +269,10 @@ def validate_group_matrix(alg, mat):
     raise UnknownCatalogName(alg.family)
 
 
-def group_elem(alg, rows, check=True):
+def group_elem(alg, rows):
     """Build a validated GroupElem from explicit matrix rows."""
     mat = rows if isinstance(rows, Mat) else Mat(rows)
-    if check and not validate_group_matrix(alg, mat):
+    if not validate_group_matrix(alg, mat):
         raise ValueError("matrix is not in the group of %s" % alg.name)
     return GroupElem(alg, mat)
 

@@ -167,7 +167,7 @@ def jet_orders_equal(cc, ell):
     return True
 
 
-def jet_equal(c1, c2, ell, cross_check=True):
+def jet_equal(c1, c2, ell):
     """Decide equality of ell-jets at 0, with an independent oracle.
 
     Primary route: p-membership of (delta_u)^(i)(0) for i < ell.  Oracle:
@@ -178,15 +178,14 @@ def jet_equal(c1, c2, ell, cross_check=True):
         raise ValueError("jet order must be >= 1")
     cc = comparison(c1, c2)
     primary = jet_orders_equal(cc, ell)
-    if cross_check:
-        j1 = normal_coord_jet(c1, ell)
-        j2 = normal_coord_jet(c2, ell)
-        oracle = j1.coeffs_prefix(ell) == j2.coeffs_prefix(ell)
-        if oracle != primary:
-            raise OracleDisagreement(
-                "jet_equal at order %d: delta-route %s vs normal-coordinate %s"
-                % (ell, primary, oracle)
-            )
+    j1 = normal_coord_jet(c1, ell)
+    j2 = normal_coord_jet(c2, ell)
+    oracle = j1.coeffs_prefix(ell) == j2.coeffs_prefix(ell)
+    if oracle != primary:
+        raise OracleDisagreement(
+            "jet_equal at order %d: delta-route %s vs normal-coordinate %s"
+            % (ell, primary, oracle)
+        )
     return primary
 
 

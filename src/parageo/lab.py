@@ -449,7 +449,7 @@ def _pair_stats(ts, x, grid, r_max, workers=1):
     return [stat for part in parts for stat in part]
 
 
-def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None, reverify=True, workers=1):
+def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None, workers=1):
     """Check "equal r-jets implies equal curves" over the p_+ grid.
 
     For each Z with integer coordinates in [-grid, grid] the unique Y with
@@ -458,7 +458,8 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None, reverify
     "confirmed" or the first counterexample in grid order; a counterexample
     at or above the proved bound is recorded as a violation.  The sharp
     order is empirical: a lower bound from a counterexample at r-1 plus
-    the confirmation at r, never a claim beyond the grid.
+    the confirmation at r, never a claim beyond the grid.  Each reported
+    counterexample is re-verified by jet_equal and curves_equal.
     """
     alg = ts.algebra
     r_max = r_max if r_max is not None else alg.k + 3
@@ -498,12 +499,11 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None, reverify
             if r == 1 or verdicts[r - 1] == "counterexample":
                 sharp = r
             break
-    if reverify:
-        base = CurveSpec.base(alg, x)
-        for r, w in counterexamples.items():
-            c2 = CurveSpec.from_Z(alg, AlgElem(alg, w.z_coords), AlgElem(alg, w.y_coords))
-            if not jet_equal(base, c2, r) or curves_equal(base, c2):
-                raise OracleDisagreement("reported witness failed re-verification")
+    base = CurveSpec.base(alg, x)
+    for r, w in counterexamples.items():
+        c2 = CurveSpec.from_Z(alg, AlgElem(alg, w.z_coords), AlgElem(alg, w.y_coords))
+        if not jet_equal(base, c2, r) or curves_equal(base, c2):
+            raise OracleDisagreement("reported witness failed re-verification")
     return JetOrderReport(
         algebra=alg.name,
         type_label=ts.label,
@@ -544,13 +544,13 @@ class Prop41Report:
         }
 
 
-def verify_prop41_claim(alg, x_samples=None, z_bound=1, extra_orders=4):
+def verify_prop41_claim(alg, x_samples=None, z_bound=1):
     """Exact check of the inductive claim behind the (k+1)-jet bound.
 
     For W = Ad(exp Z_1 ... exp Z_k) X - X with X in g_-1: whenever
     ad_X^i(W) lies in p for all i <= l, each ad_X^(j+1)(Z_j) with j <= l
     must vanish and ad_X^n(W'_l) must stay in p for n > l (checked up to
-    l + extra_orders), where W'_l collects the terms of the expansion that
+    l + 4), where W'_l collects the terms of the expansion that
     involve only Z_1..Z_l, i.e. W'_l = Ad(exp Z_1 ... exp Z_l) X - X.
     """
     if alg.k < 2:
@@ -615,7 +615,7 @@ def verify_prop41_claim(alg, x_samples=None, z_bound=1, extra_orders=4):
                 partial = partial * m
             wl = _conj(partial, xm) - xm
             d = wl
-            for n in range(1, ell + extra_orders + 1):
+            for n in range(1, ell + 5):
                 d = xm * d - d * xm
                 if n > ell and not alg.matrix_in_p_pattern(d):
                     violations.append("ad_X^%d(W'_%d) left p, X=%s" % (n, ell, x.coords))
@@ -729,7 +729,7 @@ def _pplus_flat(alg, elem):
     return tuple(out)
 
 
-def family_dimension(ts, x, grid=2, jet_class_cap=512):
+def family_dimension(ts, x, grid=2):
     """Dimension bookkeeping for the parametrized geodesics in direction X.
 
     Enumerates Z over the p_+ grid, solves the direction constraint for Y,
@@ -770,8 +770,8 @@ def family_dimension(ts, x, grid=2, jet_class_cap=512):
                 break
     fam = adm_dim - stab_dim
     fam_range = (fam, adm_dim) if not linear else (fam, fam)
-    classes = None
-    if len(admissible) <= jet_class_cap:
+    classes = None  # counted only when at most 512 pairs are admissible
+    if len(admissible) <= 512:
         signatures = set()
         order = alg.k + 2
         for z, y in admissible:
@@ -808,17 +808,15 @@ def family_members(ts, x, grid=2):
     return out
 
 
-def mobius_candidate_between(c1, c2, order=None):
+def mobius_candidate_between(c1, c2):
     """The unique Moebius-seed candidate matching directions and 2-jets.
 
     Returns (a, b) seeds when the normal-coordinate jets allow a solution
     of Y2' = a Y1' and Y2'' = b Y1' + a^2 Y1''; otherwise None.  The
     candidate still has to pass verify_reparam to count.
     """
-    alg = c1.algebra
-    order = order if order is not None else 2
-    j1 = normal_coord_jet(c1, order)
-    j2 = normal_coord_jet(c2, order)
+    j1 = normal_coord_jet(c1, 2)
+    j2 = normal_coord_jet(c2, 2)
     y1p, y1pp = j1.derivative_at_zero(1), j1.derivative_at_zero(2)
     y2p, y2pp = j2.derivative_at_zero(1), j2.derivative_at_zero(2)
     a = _proportionality(y1p, y2p)
@@ -873,7 +871,7 @@ def _truncated_ad_coords_poly(alg, z0, dz, y0, dy):
     return coords
 
 
-def orbit_hull_dimension(ts, grid=2, probes=6):
+def orbit_hull_dimension(ts, grid=2):
     """Hull and pointwise dimension of the truncated-adjoint orbit of a set.
 
     ``hull_dim`` is the linear span of the sampled orbit points; the orbit
@@ -916,7 +914,7 @@ def orbit_hull_dimension(ts, grid=2, probes=6):
         probe_pairs.append((zero, x))
         probe_pairs.append((ones, x))
     best = 0
-    for z0, x0 in probe_pairs[:probes]:
+    for z0, x0 in probe_pairs[:6]:
         cols = []
         for dz in pplus_basis:
             coords = _truncated_ad_coords_poly(alg, z0, dz, x0, x0.algebra.zero_elem())

@@ -217,27 +217,6 @@ def rref(rows):
     return [tuple(row) for row in rows], pivots
 
 
-def kernel_basis(m):
-    """Exact basis of the null space of a scalar matrix; [] iff injective."""
-    if isinstance(m, Mat):
-        rows = m.rows
-    else:
-        rows = tuple(tuple(r) for r in m)
-    if not rows:
-        return []
-    nc = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return basis
-
-
 def solve_linear(a_rows, b):
     """One exact solution x of A x = b, or None when inconsistent."""
     if not a_rows:

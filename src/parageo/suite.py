@@ -27,6 +27,9 @@ from .curves import (
 )
 from .poly import Poly
 
+_PER_FAMILY = 12  # samples of each identity family
+_I_MAX = 4  # highest derivative order of the Lemma 3.2 check
+
 _COEFF_PATTERNS = (
     (1,),
     (2,),
@@ -88,19 +91,19 @@ class SuiteReport:
         }
 
 
-def lemma_suite(alg, per_family=12, i_max=4):
+def lemma_suite(alg):
     """Run the five identity families on structured samples; exact pass/fail."""
     neg_grades = list(range(-alg.k, 0))
     pos_grades = list(range(1, alg.k + 1))
-    n_samples = structured_elements(alg, neg_grades, per_family + 4)
-    p_samples = structured_elements(alg, pos_grades, per_family + 4)
+    n_samples = structured_elements(alg, neg_grades, _PER_FAMILY + 4)
+    p_samples = structured_elements(alg, pos_grades, _PER_FAMILY + 4)
     violations = []
     counts = {}
 
     # delta(exp o Y) series on n-valued polynomial curves
     n_checks = 0
     zero = alg.zero_elem()
-    for i in range(per_family):
+    for i in range(_PER_FAMILY):
         a = n_samples[i % len(n_samples)]
         b = n_samples[(i + 1) % len(n_samples)]
         coeffs = [zero, a, b] if i % 2 == 0 else [zero, a, a * Fraction(2), b]
@@ -112,7 +115,7 @@ def lemma_suite(alg, per_family=12, i_max=4):
     # Leibniz rule for delta on P-valued polynomial curves
     n_checks = 0
     polys = (Poly((0, 1)), Poly((0, 0, 1)), Poly((0, 2, 1)), Poly((0, 1, 0, 1)))
-    for i in range(per_family):
+    for i in range(_PER_FAMILY):
         z1 = p_samples[i % len(p_samples)]
         z2 = p_samples[(i + 2) % len(p_samples)]
         p, q = polys[i % len(polys)], polys[(i + 1) % len(polys)]
@@ -128,7 +131,7 @@ def lemma_suite(alg, per_family=12, i_max=4):
     # iterated-adjoint derivative formula, and the Ad_{u^{-1}}Y derivative
     n_checks = 0
     eq_checks = 0
-    for i in range(per_family):
+    for i in range(_PER_FAMILY):
         x = n_samples[i % len(n_samples)]
         y = n_samples[(i + 3) % len(n_samples)]
         z = p_samples[i % len(p_samples)]
@@ -147,13 +150,13 @@ def lemma_suite(alg, per_family=12, i_max=4):
     # reparametrized derivative formula with two sample reparametrizations
     n_checks = 0
     phis = (Poly((0, 1, 1)), Poly((0, 2, 0, 1)))
-    for i in range(per_family):
+    for i in range(_PER_FAMILY):
         x = n_samples[(i + 1) % len(n_samples)]
         y = n_samples[(i + 4) % len(n_samples)]
         z = p_samples[(i + 1) % len(p_samples)]
         cc = comparison(CurveSpec.base(alg, x), CurveSpec.from_Z(alg, z, y))
         for phi in phis:
-            if not verify_lemma_3_2(cc, phi, i_max):
+            if not verify_lemma_3_2(cc, phi, _I_MAX):
                 violations.append(
                     "reparam-derivative sample %d (phi=%s) failed on %s" % (i, phi, alg.name)
                 )

@@ -13,7 +13,6 @@ from parageo.algebra import (
     group_exp,
     log_unipotent,
     normal_form_P,
-    reconstruct_from_normal_form,
     truncated_Ad,
 )
 from parageo.catalog import g0_samples, make_algebra, validate_group_matrix
@@ -28,7 +27,7 @@ from parageo.errors import (
 from parageo.matrices import Mat
 from parageo.poly import P_T, Poly
 
-from conftest import ALL_IDS, full_flag_sl4
+from conftest import ALL_IDS, block_flag_sl
 from fraction_reference import reference_build
 
 EXPECTED_GRADE_DIMS = {
@@ -188,7 +187,6 @@ def test_normal_form_roundtrip(any_algebra):
         nb0, zs = normal_form_P(b)
         assert nb0.mat == b0.mat
         assert list(zs) == zs_parts
-        assert reconstruct_from_normal_form(nb0, zs).mat == b.mat
 
 
 def test_normal_form_identity_and_g0(lagr3):
@@ -412,12 +410,21 @@ def test_values_are_immutable(proj1):
 # -- the sparse build against the dense reference ----------------------------
 
 
-@pytest.mark.parametrize("cid", ALL_IDS + ["sl(1,1,1,1)"])
+# block flags outside the catalog, built by the catalog's sl builder
+SL_BLOCKS = {"sl(1,1,1,1)": (1, 1, 1, 1), "sl(1,2,1)": (1, 2, 1), "sl(2,1,1)": (2, 1, 1)}
+
+
+@pytest.mark.parametrize("cid", ALL_IDS + list(SL_BLOCKS))
 def test_build_agrees_with_dense_reference(cid):
     # repr compares the entry types as well as the values
-    alg = full_flag_sl4() if cid == "sl(1,1,1,1)" else make_algebra(cid)
+    alg = block_flag_sl(*SL_BLOCKS[cid]) if cid in SL_BLOCKS else make_algebra(cid)
     built = (alg._pivot_rows, alg._extractor.rows, alg.bracket_table)
     assert repr(built) == repr(reference_build(alg))
+
+
+@pytest.mark.parametrize("cid", ["sl(1,2,1)", "sl(2,1,1)"])
+def test_block_flag_sl_structure(cid):
+    assert block_flag_sl(*SL_BLOCKS[cid]).structure_violations() == []
 
 
 _RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)

@@ -16,10 +16,12 @@ curve-layer digests were re-pinned when su21 was realified into 6x6
 rational matrices: they hold matrix reprs, which realification changes.
 
 Each report digest pins a report that carries the catalog descriptions
-and su21's describe() labels.  The su21 coordinate digests (bracket
-table, curve-sample jet and delta_u coordinates) hold basis coordinates
-only, so they do not depend on the matrices that realize the basis; they
-were pinned before the realification and pass unchanged.
+and su21's describe() labels, or a fiber, family, classify or reparam
+report, as first computed before proj, grass, lagr3 and xxdot shared one
+block-flag builder.  The su21 coordinate digests (bracket table,
+curve-sample jet and delta_u coordinates) hold basis coordinates only, so
+they do not depend on the matrices that realize the basis; they were
+pinned before the realification and pass unchanged.
 
 Each curve-layer digest is the SHA-256 of the repr of one fixed sample of
 the curve calculus: a normal-coordinate jet, the coordinates of a
@@ -175,7 +177,9 @@ def _digest(obj):
     return hashlib.sha256(text).hexdigest()
 
 
-# Reports that carry the catalog labels and su21's describe() fields.
+# Reports that carry the catalog labels and su21's describe() fields, and
+# the fiber, family, classify and reparam reports, which read the per-grade
+# basis orderings of the catalog builders.
 REPORT_GOLDEN = [
     (
         dict(command="catalog"),
@@ -185,11 +189,69 @@ REPORT_GOLDEN = [
         dict(command="verify", algebra="su21", suite="structure"),
         "c7b54346911c941b8200d106d7c48e6a59929ffc9ec8b5a6ba9270c48e00a408",
     ),
+    (
+        dict(command="fiber", algebra="proj(2)", type_spec="full_n", grid=2),
+        "22d6b0390cd5ae27913f9818d7d1bc11e3d24986be9fdda57c3cc306b0de6d9a",
+    ),
+    (
+        dict(command="fiber", algebra="grass(1,2)", type_spec="full_n", grid=1),
+        "3591fdbf8a5167c959653f7cb91b5f9b6aa8d8b841175dfb6681c140b406d1f6",
+    ),
+    (
+        dict(command="fiber", algebra="conf(1,1)", type_spec="null_cone", grid=2),
+        "86c3e73a5e7ac610f3322e0481914dbdb0da9267a6e1932f983a661b4323a195",
+    ),
+    (
+        dict(command="family", algebra="proj(2)", type_spec="grade(-1)", grid=2),
+        "760ffc41dae259a963f0501dd841eb5571140c47447d0cfb4936ae9fc76f8f37",
+    ),
+    (
+        dict(command="family", algebra="lagr3", type_spec="grade(-2)", grid=2),
+        "5563c48047435d37ee5ea5c66227a0d40837d012afae10258190264bf1b50721",
+    ),
+    (
+        dict(command="family", algebra="lagr3", type_spec="grade(-1)", grid=2),
+        "173cd0a8bb8bc4a4efaf8dc3e81619ba721fbecf49c97ec4c019cf52191ccb73",
+    ),
+    (
+        dict(command="family", algebra="xxdot", type_spec="grade(-2)", grid=1),
+        "455da29cc6bc5002c4119c85df9f6712d783c5a67194c86d3c1e04218914fdd6",
+    ),
+    (
+        dict(command="family", algebra="su21", type_spec="grade(-2)", grid=1),
+        "bcea2b9924b9832216cf23158762a61d8412e94f00ccedb96671c2ee6b2862a3",
+    ),
+    (
+        dict(command="classify", algebra="grass(2,2)", grid=1),
+        "e1d442d2c63a0c4bda9ed7055ba5a6873668e32ea32c539aded13ad3e78d6879",
+    ),
+    (
+        dict(command="classify", algebra="lagr3", grid=2),
+        "8588ea453eebe4787625df78ce6877f0fb7835f90604136aedd28cf5a1ad45d4",
+    ),
+    (
+        dict(command="classify", algebra="xxdot", grid=1),
+        "45b920ea12cdbe9a147b6643c20177cfd342d5f3e75170007870a948733550ff",
+    ),
+    (
+        dict(command="classify", algebra="conf(1,2)", grid=1),
+        "90635e14e4f10be9b7431f642a15aa057babb4040652a3480440a55e40b18343",
+    ),
+    (
+        dict(command="reparam", algebra="lagr3"),
+        "f61ebff313b282ef42f3d915496873429878ab9a5fccfbf98d96d4d4bf5ba367",
+    ),
+    (
+        dict(command="reparam", algebra="xxdot"),
+        "fcb28a94126a47238f3387d43d478832c8ecccabdd9db08550a2a485620dd076",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "params,digest", REPORT_GOLDEN, ids=[" ".join(p.values()) for p, _ in REPORT_GOLDEN]
+    "params,digest",
+    REPORT_GOLDEN,
+    ids=[" ".join(str(v) for v in p.values()) for p, _ in REPORT_GOLDEN],
 )
 def test_report_digest(params, digest):
     report, code = run(ExperimentConfig(**params))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fraction_reference import cofactor_inverse
 from parageo.algebra import exp_mat, exp_nilpotent
-from parageo.matrices import Mat, kernel_basis, rank, rref, solve_linear
+from parageo.matrices import Mat, rref, solve_linear
 from parageo.poly import P_T, Poly
 from parageo.scalars import GaussianRational
 
@@ -72,24 +72,6 @@ def test_exp_inverse_is_exp_minus(any_algebra):
             det = m.det()
             assert det == 1 or det == Poly.const(Fraction(1))
             assert m * exp_nilpotent(x, -P_T) == ident
-
-
-def test_kernel_examples():
-    assert len(kernel_basis(Mat.zero(2))) == 2
-    assert kernel_basis(Mat.identity(2)) == []
-    k = kernel_basis([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
-    assert len(k) == 1
-    v = k[0]
-    assert v[0] == -v[1] and v[0]
-
-
-@settings(max_examples=40)
-@given(frac_mat(3))
-def test_kernel_is_null_space(m):
-    for v in kernel_basis(m):
-        out = [sum(m.rows[i][j] * v[j] for j in range(3)) for i in range(3)]
-        assert all(x == 0 for x in out)
-    assert len(kernel_basis(m)) == 3 - rank(m.rows)
 
 
 def test_solve_linear():
