@@ -102,8 +102,7 @@ class GridKernel:
         # nonzero entries (i, j, value) of each p_+ basis matrix
         self.pplus_entries = [
             [(i, j, v) for i, row in enumerate(basis_rows[idx]) for j, v in enumerate(row) if v]
-            for g in range(1, alg.k + 1)
-            for idx in alg.grade_slices[g]
+            for idx in alg.pplus_indices
         ]
         self._build_extract()
         self.exp_x_coeffs = self._exp_poly_coeffs(self.x_rows, 1, self.x_den)

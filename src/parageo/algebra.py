@@ -32,7 +32,12 @@ _ONE = Fraction(1)
 
 
 class GradedAlgebra:
-    """A |k|-graded matrix Lie algebra from the catalog."""
+    """A |k|-graded matrix Lie algebra from the catalog.
+
+    ``n_indices`` and ``pplus_indices`` are the basis indices of n = g_-
+    and of p_+ = g_+, grades ascending: the coordinate order of a direction
+    X in n and of a grid point Z in p_+.
+    """
 
     def __init__(self, name, family, params, k, block_sizes, basis_by_grade, meta=None):
         self.name = name
@@ -77,6 +82,8 @@ class GradedAlgebra:
             self.basis_grades.extend([grade] * len(self.grade_slices[grade]))
         self.basis_grades = tuple(self.basis_grades)
         self.dim = len(self.basis)
+        self.n_indices = tuple(i for i, g in enumerate(self.basis_grades) if g < 0)
+        self.pplus_indices = tuple(i for i, g in enumerate(self.basis_grades) if g > 0)
 
         self._basis_vecs = tuple(self.vectorize(m) for m in self.basis)
         self._build_extractor()
@@ -208,10 +215,15 @@ class GradedAlgebra:
     def zero_elem(self):
         return AlgElem(self, (_ZERO,) * self.dim)
 
-    def basis_elem(self, idx):
+    def elem_at(self, indices, vals):
+        """The element with Fraction(v) at each basis index and 0 elsewhere."""
         coords = [_ZERO] * self.dim
-        coords[idx] = _ONE
+        for i, v in zip(indices, vals, strict=True):
+            coords[i] = Fraction(v)
         return AlgElem(self, tuple(coords))
+
+    def basis_elem(self, idx):
+        return self.elem_at((idx,), (_ONE,))
 
     def grade_basis(self, grade):
         return [self.basis_elem(i) for i in self.grade_slices[grade]]
@@ -224,14 +236,14 @@ class GradedAlgebra:
 
     def elem_from_grade_coords(self, grade_coords):
         """Element from {grade: coordinate list} over the per-grade bases."""
-        coords = [_ZERO] * self.dim
-        for grade, vals in grade_coords.items():
+        indices, vals = [], []
+        for grade, gvals in grade_coords.items():
             sl = self.grade_slices[grade]
-            if len(vals) != len(sl):
+            if len(gvals) != len(sl):
                 raise ValueError("grade %d expects %d coordinates" % (grade, len(sl)))
-            for i, v in zip(sl, vals):
-                coords[i] = Fraction(v)
-        return AlgElem(self, tuple(coords))
+            indices.extend(sl)
+            vals.extend(gvals)
+        return self.elem_at(indices, vals)
 
     def group_identity(self):
         """The identity of G, its inverse known."""
@@ -263,39 +275,14 @@ class GradedAlgebra:
     def matrix_in_g0_pattern(self, mat):
         return all(not mat.rows[i][j] for i, j in self.offdiag_block_positions)
 
-    def block_diagonal_part(self, mat):
-        # a Fraction 0 mixes fine with any entry ring
+    def position_part(self, mat, keep):
+        """``mat`` with every entry whose position grade fails ``keep`` set
+        to 0 (a Fraction 0 mixes fine with any entry ring)."""
         d = self.matrix_dim
+        grades = self.position_grade
         return Mat(
             tuple(
-                tuple(
-                    mat.rows[i][j] if self.position_grade[i][j] == 0 else _ZERO
-                    for j in range(d)
-                )
-                for i in range(d)
-            )
-        )
-
-    def grade_position_part(self, mat, grade):
-        d = self.matrix_dim
-        return Mat(
-            tuple(
-                tuple(
-                    mat.rows[i][j] if self.position_grade[i][j] == grade else _ZERO
-                    for j in range(d)
-                )
-                for i in range(d)
-            )
-        )
-
-    def negative_position_part(self, mat):
-        d = self.matrix_dim
-        return Mat(
-            tuple(
-                tuple(
-                    mat.rows[i][j] if self.position_grade[i][j] < 0 else _ZERO
-                    for j in range(d)
-                )
+                tuple(mat.rows[i][j] if keep(grades[i][j]) else _ZERO for j in range(d))
                 for i in range(d)
             )
         )
@@ -412,10 +399,8 @@ class AlgElem:
         return any(bool(c) for c in self.coords)
 
     def grade_component(self, grade):
-        coords = [_ZERO] * self.algebra.dim
-        for i in self.algebra.grade_slices[grade]:
-            coords[i] = self.coords[i]
-        return AlgElem(self.algebra, tuple(coords))
+        idx = self.algebra.grade_slices[grade]
+        return self.algebra.elem_at(idx, (self.coords[i] for i in idx))
 
     def grade_coords(self, grade):
         return tuple(self.coords[i] for i in self.algebra.grade_slices[grade])
@@ -442,10 +427,8 @@ class AlgElem:
         )
 
     def negative_part(self):
-        coords = [
-            c if self.algebra.basis_grades[i] < 0 else _ZERO for i, c in enumerate(self.coords)
-        ]
-        return AlgElem(self.algebra, tuple(coords))
+        idx = self.algebra.n_indices
+        return self.algebra.elem_at(idx, (self.coords[i] for i in idx))
 
     def __repr__(self):
         return "AlgElem(%s; %s)" % (self.algebra.name, ", ".join(str(c) for c in self.coords))
@@ -598,7 +581,7 @@ def normal_form_P(b):
     if not b.in_P():
         raise NotInParabolic("group element is not block upper triangular")
     ident = alg.group_identity()
-    b0_mat = alg.block_diagonal_part(b.mat)
+    b0_mat = alg.position_part(b.mat, lambda g: g == 0)
     if b0_mat == ident.mat:
         b0 = ident
     else:
@@ -608,7 +591,7 @@ def normal_form_P(b):
     v = b0.inv_mat * b.mat
     zs = []
     for grade in range(1, alg.k + 1):
-        part = alg.grade_position_part(v - ident.mat, grade)
+        part = alg.position_part(v - ident.mat, lambda g: g == grade)
         coords = alg.express(part)
         if coords is None:
             raise NotInParabolic("unipotent part leaves exp(p_+)")

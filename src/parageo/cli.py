@@ -11,6 +11,7 @@ positive integer) caps the worker pool used to fan out grid evaluation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,7 +19,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import __version__
-from .algebra import AlgElem
 from .catalog import CATALOG, make_algebra
 from .errors import IoError, ParageoError
 from .lab import (
@@ -26,12 +26,9 @@ from .lab import (
     g0_orbit_classify,
     min_jet_order_search,
     orbit_hull_dimension,
+    parse_type,
     standard_fiber,
     type_full,
-    type_grade,
-    type_null_cone,
-    type_rank_stratum,
-    type_stratum,
 )
 from .reparam import reparam_solve, schwarzian_check, verify_reparam
 from .curves import CurveSpec
@@ -67,27 +64,6 @@ class ExperimentConfig:
         return cls(output=None, **d)
 
 
-def _parse_int(text):
-    try:
-        return int(text)
-    except ValueError:
-        raise ParageoError("expected an integer, got %r" % text) from None
-
-
-def parse_type(alg, text):
-    """Type names: full_n, grade(-j), null_cone, rank(r), or a stratum name."""
-    text = text.strip()
-    if text in ("full", "full_n", "n"):
-        return type_full(alg)
-    if text.startswith("grade(") and text.endswith(")"):
-        return type_grade(alg, _parse_int(text[6:-1]))
-    if text in ("null", "null_cone"):
-        return type_null_cone(alg)
-    if text.startswith("rank(") and text.endswith(")"):
-        return type_rank_stratum(alg, _parse_int(text[5:-1]))
-    return type_stratum(alg, text)
-
-
 # Largest accepted decimal exponent, as large as CPython's default limit on
 # the digits of an int string: Fraction expands an exponent to the full
 # integer, so 1e999999999 would take unbounded time and memory.
@@ -118,16 +94,12 @@ def _parse_coords(alg, text, idx, what):
         ) from None
     if len(vals) != len(idx):
         raise ParageoError("%s needs %d coordinates, got %d" % (what, len(idx), len(vals)))
-    coords = [Fraction(0)] * alg.dim
-    for i, v in zip(idx, vals):
-        coords[i] = v
-    return AlgElem(alg, tuple(coords))
+    return alg.elem_at(idx, vals)
 
 
 def parse_direction(alg, text):
     """Comma-separated exact coordinates over the n basis (grades ascending)."""
-    n_idx = [i for i in range(alg.dim) if alg.basis_grades[i] < 0]
-    return _parse_coords(alg, text, n_idx, "direction over the n basis")
+    return _parse_coords(alg, text, alg.n_indices, "direction over the n basis")
 
 
 def parse_grade_coords(alg, grade, text):
@@ -135,8 +107,7 @@ def parse_grade_coords(alg, grade, text):
 
 
 def parse_pplus_coords(alg, text):
-    idx = [i for g in range(1, alg.k + 1) for i in alg.grade_slices[g]]
-    return _parse_coords(alg, text, idx, "p_+")
+    return _parse_coords(alg, text, alg.pplus_indices, "p_+")
 
 
 def envelope(config, algebra_desc, results, failures):
@@ -368,47 +339,50 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("catalog", help="list the algebra families")
+    # an option left out stays out of the namespace, so its default is the
+    # ExperimentConfig field's
+    add_parser = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
+
+    add_parser("catalog", help="list the algebra families")
 
     def add_common(sp, with_type=True):
         sp.add_argument("--algebra", required=True, help="catalog id, e.g. conf(1,2)")
         if with_type:
-            sp.add_argument("--type", default="full_n", dest="type_spec",
+            sp.add_argument("--type", dest="type_spec",
                             help="full_n | grade(-j) | null_cone | rank(r) | stratum name")
-        sp.add_argument("--grid", type=int, default=2, help="integer grid radius (default 2)")
-        sp.add_argument("--output", default=None, help="write the report to this path")
-        sp.add_argument("--format", default="json", choices=("json", "md"))
+        sp.add_argument("--grid", type=int, help="integer grid radius (default 2)")
+        sp.add_argument("--output", help="write the report to this path")
+        sp.add_argument("--format", choices=("json", "md"))
 
-    sp = sub.add_parser("verify", help="run identity suites")
+    sp = add_parser("verify", help="run identity suites")
     add_common(sp, with_type=False)
-    sp.add_argument("--suite", default="lemmas", choices=("lemmas", "structure", "all"))
+    sp.add_argument("--suite", choices=("lemmas", "structure", "all"))
 
-    sp = sub.add_parser("jets", help="jet-determination search")
+    sp = add_parser("jets", help="jet-determination search")
     add_common(sp)
-    sp.add_argument("--orders", type=int, default=None, help="max jet order (default k+3)")
-    sp.add_argument("--direction", default=None, help="comma coords over the n basis")
+    sp.add_argument("--orders", type=int, help="max jet order (default k+3)")
+    sp.add_argument("--direction", help="comma coords over the n basis")
     sp.add_argument(
         "--claimed-bound",
         type=int,
-        default=None,
         dest="claimed_bound",
         help="override the proved bound used for FAIL flagging",
     )
 
-    sp = sub.add_parser("fiber", help="standard fiber of admissible 2-jets")
+    sp = add_parser("fiber", help="standard fiber of admissible 2-jets")
     add_common(sp)
 
-    sp = sub.add_parser("family", help="family dimension for a direction")
+    sp = add_parser("family", help="family dimension for a direction")
     add_common(sp)
-    sp.add_argument("--direction", default=None, help="comma coords over the n basis")
+    sp.add_argument("--direction", help="comma coords over the n basis")
 
-    sp = sub.add_parser("reparam", help="solve + verify a projective reparametrization")
+    sp = add_parser("reparam", help="solve + verify a projective reparametrization")
     add_common(sp, with_type=False)
-    sp.add_argument("--x1", default=None, help="coords over the lowest grade basis")
-    sp.add_argument("--x2", default=None, help="coords over the lowest grade basis")
-    sp.add_argument("--z", default=None, help="coords over the p_+ basis")
+    sp.add_argument("--x1", help="coords over the lowest grade basis")
+    sp.add_argument("--x2", help="coords over the lowest grade basis")
+    sp.add_argument("--z", help="coords over the p_+ basis")
 
-    sp = sub.add_parser("classify", help="G0-orbit strata of grid directions")
+    sp = add_parser("classify", help="G0-orbit strata of grid directions")
     add_common(sp, with_type=False)
     return p
 
@@ -420,23 +394,7 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        workers = _workers_from_env()
-        config = ExperimentConfig(
-            command=ns.command,
-            algebra=getattr(ns, "algebra", ""),
-            type_spec=getattr(ns, "type_spec", "full_n"),
-            grid=getattr(ns, "grid", 2),
-            orders=getattr(ns, "orders", None),
-            direction=getattr(ns, "direction", None),
-            claimed_bound=getattr(ns, "claimed_bound", None),
-            suite=getattr(ns, "suite", "lemmas"),
-            x1=getattr(ns, "x1", None),
-            z=getattr(ns, "z", None),
-            x2=getattr(ns, "x2", None),
-            output=getattr(ns, "output", None),
-            format=getattr(ns, "format", "json"),
-            workers=workers,
-        )
+        config = ExperimentConfig(**vars(ns), workers=_workers_from_env())
         report, code = run(config)
     except ParageoError as e:
         print("error: %s" % e, file=sys.stderr)

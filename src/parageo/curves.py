@@ -155,10 +155,7 @@ def curves_equal(c1, c2):
 
 def jet_orders_equal(cc, ell):
     """(delta_u)^(i)(0) in p for all i <= ell-1, by coordinate vanishing."""
-    alg = cc.algebra
-    for idx in range(alg.dim):
-        if alg.basis_grades[idx] >= 0:
-            continue
+    for idx in cc.algebra.n_indices:
         coeffs = cc.delta_coords[idx].coeffs
         # i-th derivative at 0 is i! * coeffs[i]
         for i in range(min(ell, len(coeffs))):

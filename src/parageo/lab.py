@@ -21,6 +21,7 @@ oracle.  Every grid pair runs on the exact integer engine of
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,20 +50,19 @@ _F1 = Fraction(1)
 class TypeSpec:
     """A G0-invariant set A of admissible directions in n.
 
-    ``kind`` is one of full_n / grade / null_cone / rank_stratum / custom;
-    membership is always an exact predicate on coordinates.  ``token`` is
-    a picklable recipe for rebuilding the spec in worker processes (None
-    for ad-hoc custom predicates, which then run single-process).
+    ``kind`` is one of full_n / grade / null_cone / rank_stratum / stratum;
+    membership is always an exact predicate on coordinates.  ``label`` is
+    also the recipe that rebuilds the spec: ``parse_type(algebra, label)``
+    returns an equal spec, which is how worker processes get theirs.
     """
 
-    __slots__ = ("algebra", "kind", "label", "data", "token", "_member")
+    __slots__ = ("algebra", "kind", "label", "data", "_member")
 
-    def __init__(self, algebra, kind, label, member, data=None, token=None):
+    def __init__(self, algebra, kind, label, member, data=None):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "token", token)
         object.__setattr__(self, "_member", member)
 
     def __setattr__(self, name, value):
@@ -84,20 +84,16 @@ class TypeSpec:
         """Basis indices of the smallest grade-span containing the set."""
         alg = self.algebra
         if self.kind == "grade":
-            return list(alg.grade_slices[self.data])
-        return [i for i in range(alg.dim) if alg.basis_grades[i] < 0]
+            return alg.grade_slices[self.data]
+        return alg.n_indices
 
     def grid(self, bound):
         """Deterministic enumeration of members with integer coordinates."""
         if bound < 0:
             raise EmptyGrid("grid bound must be >= 0")
-        alg = self.algebra
         idxs = self.param_indices()
         for vals in itertools.product(range(-bound, bound + 1), repeat=len(idxs)):
-            coords = [_F0] * alg.dim
-            for i, v in zip(idxs, vals):
-                coords[i] = Fraction(v)
-            x = AlgElem(alg, tuple(coords))
+            x = self.algebra.elem_at(idxs, vals)
             if self.contains(x):
                 yield x
 
@@ -117,7 +113,7 @@ class TypeSpec:
 
 
 def type_full(alg):
-    return TypeSpec(alg, "full_n", "full_n", lambda x: True, token=("full_n",))
+    return TypeSpec(alg, "full_n", "full_n", lambda x: True)
 
 
 def type_grade(alg, grade):
@@ -129,7 +125,6 @@ def type_grade(alg, grade):
         "grade(%d)" % grade,
         lambda x: x.in_grade(grade),
         data=grade,
-        token=("grade", grade),
     )
 
 
@@ -148,7 +143,6 @@ def type_null_cone(alg):
         "null_cone",
         "null_cone",
         lambda x: bool(x) and conf_norm_square(x) == 0,
-        token=("null_cone",),
     )
 
 
@@ -168,12 +162,7 @@ def type_rank_stratum(alg, r):
         "rank(%d)" % r,
         lambda x: rank(grass_block(x)) == r,
         data=r,
-        token=("rank_stratum", r),
     )
-
-
-def type_custom(alg, label, member, data=None, token=None):
-    return TypeSpec(alg, "custom", label, member, data=data, token=token)
 
 
 def _lagr3_parts(x):
@@ -215,27 +204,35 @@ def type_stratum(alg, name):
     """Named G0-invariant strata of n for the contact-type catalogs."""
     if alg.family == "lagr3" and name in _LAGR3_STRATA:
         pred = _LAGR3_STRATA[name]
-        return type_custom(alg, name, lambda x: pred(*_lagr3_parts(x)), token=("stratum", name))
+        return TypeSpec(alg, "stratum", name, lambda x: pred(*_lagr3_parts(x)))
     if alg.family == "xxdot" and name in _XXDOT_STRATA:
         pred = _XXDOT_STRATA[name]
-        return type_custom(alg, name, lambda x: pred(*_xxdot_parts(x)), token=("stratum", name))
+        return TypeSpec(alg, "stratum", name, lambda x: pred(*_xxdot_parts(x)))
     raise NotAMember("unknown stratum %r for %s" % (name, alg.name))
 
 
-def type_from_token(alg, token):
-    """Rebuild a TypeSpec from its picklable token."""
-    kind = token[0]
-    if kind == "full_n":
+def _parse_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParageoError("expected an integer, got %r" % text) from None
+
+
+def parse_type(alg, text):
+    """Type names: full_n, grade(-j), null_cone, rank(r), or a stratum name.
+
+    Every TypeSpec label is such a name, so the label rebuilds its spec.
+    """
+    text = text.strip()
+    if text in ("full", "full_n", "n"):
         return type_full(alg)
-    if kind == "grade":
-        return type_grade(alg, token[1])
-    if kind == "null_cone":
+    if text.startswith("grade(") and text.endswith(")"):
+        return type_grade(alg, _parse_int(text[6:-1]))
+    if text in ("null", "null_cone"):
         return type_null_cone(alg)
-    if kind == "rank_stratum":
-        return type_rank_stratum(alg, token[1])
-    if kind == "stratum":
-        return type_stratum(alg, token[1])
-    raise NotAMember("unknown type token %r" % (token,))
+    if text.startswith("rank(") and text.endswith(")"):
+        return type_rank_stratum(alg, _parse_int(text[5:-1]))
+    return type_stratum(alg, text)
 
 
 def g0_orbit_classify(x):
@@ -290,18 +287,11 @@ def iter_pplus_coords(alg, bound):
     """Integer coordinate tuples over the p_+ basis, lexicographic."""
     if bound < 0:
         raise EmptyGrid("grid bound must be >= 0")
-    nplus = sum(len(alg.grade_slices[g]) for g in range(1, alg.k + 1))
-    return itertools.product(range(-bound, bound + 1), repeat=nplus)
+    return itertools.product(range(-bound, bound + 1), repeat=len(alg.pplus_indices))
 
 
 def pplus_elem(alg, vals):
-    coords = [_F0] * alg.dim
-    idx = 0
-    for g in range(1, alg.k + 1):
-        for i in alg.grade_slices[g]:
-            coords[i] = Fraction(vals[idx])
-            idx += 1
-    return AlgElem(alg, tuple(coords))
+    return alg.elem_at(alg.pplus_indices, vals)
 
 
 def solve_direction(g, x):
@@ -316,7 +306,7 @@ def solve_direction(g, x):
     ymat = x.matrix
     xmat = x.matrix
     for _ in range(alg.k + 1):
-        img = alg.negative_position_part(gm * ymat * gi)
+        img = alg.position_part(gm * ymat * gi, lambda grade: grade < 0)
         resid = xmat - img
         if resid.is_zero():
             return AlgElem(alg, alg.express(ymat, check=False))
@@ -391,17 +381,22 @@ class JetOrderReport:
         }
 
 
+def _solve_pair(kern, vals):
+    """(Y, A2) of one p_+ grid point Z: the solved direction Y, and
+    A2 = Ad(exp Z) Y as the integer pair (num, den)."""
+    e, einv, s = kern.exp_pair(kern.combo_rows(vals))
+    y_num, y_den, a2_num, a2_den = kern.solve_direction(e, einv, s)
+    return AlgElem(kern.alg, kern.elem_coords(y_num, y_den)), (a2_num, a2_den)
+
+
 def _pair_step(ts, kern, vals, r_max):
     """(Z coords, Y coords, jet order, equal) of one p_+ grid point."""
-    alg = ts.algebra
-    zc = tuple(pplus_elem(alg, vals).coords)
-    e, einv, s = kern.exp_pair(kern.combo_rows(vals))
-    y_num, y_den, a2num, a2den = kern.solve_direction(e, einv, s)
-    yc = kern.elem_coords(y_num, y_den)
-    if not ts.contains(AlgElem(alg, yc)):
-        return zc, yc, None, False
-    jord = kern.pair_jet_order(a2num, a2den, r_max)
-    return zc, yc, jord, jord == r_max and kern.curves_equal(a2num, a2den)
+    zc = pplus_elem(ts.algebra, vals).coords
+    y, a2 = _solve_pair(kern, vals)
+    if not ts.contains(y):
+        return zc, y.coords, None, False
+    jord = kern.pair_jet_order(*a2, r_max)
+    return zc, y.coords, jord, jord == r_max and kern.curves_equal(*a2)
 
 
 def _iter_pair_stats(ts, x, grid, r_max):
@@ -420,11 +415,11 @@ def _iter_pair_stats(ts, x, grid, r_max):
 
 def _pair_stats_chunk(args):
     """Worker entry point: evaluate one contiguous chunk of the Z grid."""
-    algebra_name, token, x_coords, chunk, r_max = args
+    algebra_name, type_label, x_coords, chunk, r_max = args
     from .catalog import make_algebra
 
     alg = make_algebra(algebra_name)
-    ts = type_from_token(alg, token)
+    ts = parse_type(alg, type_label)
     kern = grid_kernel(alg, AlgElem(alg, x_coords))
     return [_pair_step(ts, kern, vals, r_max) for vals in chunk]
 
@@ -434,8 +429,9 @@ def _pair_stats(ts, x, grid, r_max, workers=1):
 
     Chunks are contiguous slices of the lexicographic grid and results are
     merged in chunk order, so the output is identical for any worker count.
+    The pool starts no more processes than there are chunks or CPUs.
     """
-    if workers <= 1 or ts.token is None:
+    if workers <= 1:
         return list(_iter_pair_stats(ts, x, grid, r_max))
     from concurrent.futures import ProcessPoolExecutor
 
@@ -443,8 +439,9 @@ def _pair_stats(ts, x, grid, r_max, workers=1):
     nchunks = min(workers * 4, max(1, len(vals_list)))
     size = -(-len(vals_list) // nchunks)
     chunks = [vals_list[i : i + size] for i in range(0, len(vals_list), size)]
-    args = [(ts.algebra.name, ts.token, tuple(x.coords), chunk, r_max) for chunk in chunks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    args = [(ts.algebra.name, ts.label, tuple(x.coords), chunk, r_max) for chunk in chunks]
+    pool_size = min(workers, len(chunks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
         parts = list(pool.map(_pair_stats_chunk, args))
     return [stat for part in parts for stat in part]
 
@@ -574,18 +571,9 @@ def verify_prop41_claim(alg, x_samples=None, z_bound=1):
         xm = x.matrix
         for combo in itertools.product(*zgrids):
             n_samples += 1
-            zs = []
-            for g, vals in enumerate(combo, start=1):
-                coords = [_F0] * alg.dim
-                for i, v in zip(alg.grade_slices[g], vals):
-                    coords[i] = Fraction(v)
-                zs.append(AlgElem(alg, tuple(coords)))
-            mats = [exp_nilpotent(z, _F1) for z in zs]
-            prod = mats[0]
-            for m in mats[1:]:
-                prod = prod * m
-            prod_inv = None
-            w = _conj(prod, xm) - xm
+            zs = [alg.elem_at(alg.grade_slices[g], vals) for g, vals in enumerate(combo, 1)]
+            exps = [(exp_nilpotent(z, _F1), exp_nilpotent(z, -_F1)) for z in zs]
+            w = _ad_exp(exps, xm) - xm
             if not alg.matrix_in_p_pattern(w):
                 violations.append("W left p for X=%s" % (x.coords,))
                 continue
@@ -610,10 +598,7 @@ def verify_prop41_claim(alg, x_samples=None, z_bound=1):
             # W'_l from the partial product
             if ell == 0:
                 continue
-            partial = mats[0]
-            for m in mats[1:ell]:
-                partial = partial * m
-            wl = _conj(partial, xm) - xm
+            wl = _ad_exp(exps[:ell], xm) - xm
             d = wl
             for n in range(1, ell + 5):
                 d = xm * d - d * xm
@@ -622,8 +607,12 @@ def verify_prop41_claim(alg, x_samples=None, z_bound=1):
     return Prop41Report(alg.name, n_samples, n_applicable, tuple(violations))
 
 
-def _conj(gmat, xmat):
-    return gmat * xmat * gmat.inverse()
+def _ad_exp(exps, xmat):
+    """Ad(exp Z_1 ... exp Z_l) X from the pairs (exp Z_i, exp -Z_i): the
+    inverse of the product is the reversed product of the exp(-Z_i)."""
+    for e, einv in reversed(exps):
+        xmat = e * xmat * einv
+    return xmat
 
 
 # -- standard fiber -------------------------------------------------------------
@@ -659,13 +648,10 @@ def standard_fiber(ts, grid=2):
     if alg.k != 1:
         raise NotOneGraded("standard fiber is computed for |1|-graded algebras")
     pairs = []
-    zs = list(alg.grade_slices[1])
+    zs = alg.grade_slices[1]
     for x in ts.grid(grid):
         for vals in itertools.product(range(-grid, grid + 1), repeat=len(zs)):
-            coords = [_F0] * alg.dim
-            for i, v in zip(zs, vals):
-                coords[i] = Fraction(v)
-            z = AlgElem(alg, tuple(coords))
+            z = alg.elem_at(zs, vals)
             second = bracket(x, bracket(x, z))
             pairs.append((tuple(x.coords), tuple(second.coords), tuple(z.coords)))
     return FiberSample(alg.name, ts.label, grid, tuple(pairs))
@@ -723,10 +709,7 @@ class FamilyReport:
 
 
 def _pplus_flat(alg, elem):
-    out = []
-    for g in range(1, alg.k + 1):
-        out.extend(elem.grade_coords(g))
-    return tuple(out)
+    return tuple(elem.coords[i] for i in alg.pplus_indices)
 
 
 def family_dimension(ts, x, grid=2):
@@ -800,9 +783,7 @@ def family_members(ts, x, grid=2):
     kern = grid_kernel(alg, x)
     out = []
     for vals in iter_pplus_coords(alg, grid):
-        e, einv, s = kern.exp_pair(kern.combo_rows(vals))
-        y_num, y_den, _, _ = kern.solve_direction(e, einv, s)
-        y = AlgElem(alg, kern.elem_coords(y_num, y_den))
+        y, _ = _solve_pair(kern, vals)
         if ts.contains(y):
             out.append((pplus_elem(alg, vals), y))
     return out
@@ -866,7 +847,7 @@ def _truncated_ad_coords_poly(alg, z0, dz, y0, dy):
     ymat = y0.matrix.map(lambda v: Poly.const(v)) + dy.matrix.scale(P_T)
     g = exp_mat(zmat)
     gi = exp_mat(-zmat)
-    img = alg.negative_position_part(g * ymat * gi)
+    img = alg.position_part(g * ymat * gi, lambda grade: grade < 0)
     coords = alg.express_poly(img, check=False)
     return coords
 
@@ -882,7 +863,7 @@ def orbit_hull_dimension(ts, grid=2):
     of the orbit is known, every sampled point is checked against it.
     """
     alg = ts.algebra
-    nplus = sum(len(alg.grade_slices[g]) for g in range(1, alg.k + 1))
+    nplus = len(alg.pplus_indices)
     zero = pplus_elem(alg, (0,) * nplus)
     points = []
     zs_used = [pplus_elem(alg, vals) for vals in iter_pplus_coords(alg, min(grid, 1))]
@@ -891,9 +872,10 @@ def orbit_hull_dimension(ts, grid=2):
         g = group_exp(z)
         gm, gi = g.mat, g.inv_mat
         for x in xs_used:
-            img = alg.negative_position_part(gm * x.matrix * gi)
+            img = alg.position_part(gm * x.matrix * gi, lambda grade: grade < 0)
             points.append((z, x, AlgElem(alg, alg.express(img, check=False))))
-    rows = [list(p.coords) for _, _, p in points]
+    # every orbit point lies in n, so the rank is that of its n columns
+    rows = [[p.coords[i] for i in alg.n_indices] for _, _, p in points]
     hull = rank(rows) if rows else 0
     checker = _orbit_description(alg, ts)
     bad = []
@@ -904,9 +886,7 @@ def orbit_hull_dimension(ts, grid=2):
                     tuple(z.coords), tuple(x.coords)))
     # pointwise tangent dimension at probe points
     param_basis = [alg.basis_elem(i) for i in ts.param_indices()]
-    pplus_basis = []
-    for g in range(1, alg.k + 1):
-        pplus_basis.extend(alg.grade_basis(g))
+    pplus_basis = [alg.basis_elem(i) for i in alg.pplus_indices]
     probe_pairs = []
     nonzero_xs = [x for x in xs_used if x]
     ones = pplus_elem(alg, (1,) * nplus)

@@ -420,6 +420,11 @@ def test_build_agrees_with_dense_reference(cid):
     alg = block_flag_sl(*SL_BLOCKS[cid]) if cid in SL_BLOCKS else make_algebra(cid)
     built = (alg._pivot_rows, alg._extractor.rows, alg.bracket_table)
     assert repr(built) == repr(reference_build(alg))
+    grades = alg.basis_grades
+    assert (alg.n_indices, alg.pplus_indices) == (
+        tuple(i for i, g in enumerate(grades) if g < 0),
+        tuple(i for i, g in enumerate(grades) if g > 0),
+    )
 
 
 @pytest.mark.parametrize("cid", ["sl(1,2,1)", "sl(2,1,1)"])

@@ -136,6 +136,22 @@ def test_main_exit_codes(capsys):
     assert main(["jets", "--algebra", "proj(1)", "--type", "bogus-type", "--grid", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command", ["catalog", "verify", "jets", "fiber", "family", "reparam", "classify"]
+)
+def test_cli_defaults_are_the_config_defaults(monkeypatch, capsysbinary, command):
+    # main sets only the options given, so every default is ExperimentConfig's
+    monkeypatch.delenv("PARAGEO_WORKERS", raising=False)
+    if command == "catalog":
+        argv, config = [command], ExperimentConfig(command=command)
+    else:
+        argv = [command, "--algebra", "proj(1)"]
+        config = ExperimentConfig(command=command, algebra="proj(1)")
+    report, code = run(config)
+    assert main(argv) == code
+    assert capsysbinary.readouterr().out == emit(report)
+
+
 def test_workers_env_validation(monkeypatch):
     monkeypatch.setenv("PARAGEO_WORKERS", "zero")
     assert main(["classify", "--algebra", "proj(1)", "--grid", "1"]) == 2

@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 from fractions import Fraction
 
 import pytest
@@ -17,17 +19,19 @@ from parageo.lab import (
     mobius_candidate_between,
     orbit_hull_dimension,
     paper_jet_bound,
+    parse_type,
     pplus_action_on_2jets,
     pplus_elem,
     solve_direction,
     standard_fiber,
-    type_from_token,
     type_full,
     type_grade,
     type_null_cone,
     type_rank_stratum,
     type_stratum,
     verify_prop41_claim,
+    _LAGR3_STRATA,
+    _XXDOT_STRATA,
     _iter_pair_stats,
     _pair_stats,
 )
@@ -94,18 +98,22 @@ def test_types_are_g0_invariant(any_algebra):
                 assert ts.contains(Ad(g0, x))
 
 
-def test_type_tokens_roundtrip(lagr3, xxdot):
-    for ts in (
-        type_full(lagr3),
-        type_grade(lagr3, -2),
-        type_stratum(xxdot, "cylinder"),
-        type_rank_stratum(make_algebra("grass(2,2)"), 1),
-        type_null_cone(make_algebra("conf(1,1)")),
-    ):
-        rebuilt = type_from_token(ts.algebra, ts.token)
+def test_type_labels_rebuild_their_specs():
+    # worker processes rebuild a spec from its label alone
+    specs = []
+    for cid in ALL_IDS:
+        alg = make_algebra(cid)
+        specs += [type_full(alg)] + [type_grade(alg, -j) for j in range(1, alg.k + 1)]
+    lagr3, xxdot = make_algebra("lagr3"), make_algebra("xxdot")
+    specs += [type_stratum(lagr3, name) for name in _LAGR3_STRATA]
+    specs += [type_stratum(xxdot, name) for name in _XXDOT_STRATA]
+    grass = make_algebra("grass(2,2)")
+    specs += [type_rank_stratum(grass, r) for r in range(3)]
+    specs += [type_null_cone(make_algebra(cid)) for cid in ("conf(1,1)", "conf(1,2)")]
+    for ts in specs:
+        rebuilt = parse_type(ts.algebra, ts.label)
         assert rebuilt.label == ts.label
-        for x in list(ts.grid(1))[:5]:
-            assert rebuilt.contains(x)
+        assert [x.coords for x in rebuilt.grid(1)] == [x.coords for x in ts.grid(1)]
 
 
 def test_grid_is_deterministic_and_exact(lagr3):
@@ -323,6 +331,36 @@ def test_workers_produce_identical_stats(lagr3):
     seq = _pair_stats(ts, x, 1, 4, workers=1)
     par = _pair_stats(ts, x, 1, 4, workers=2)
     assert seq == par
+
+
+def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch, lagr3):
+    # an in-process stand-in for the pool records its size and starts no
+    # process, so a huge worker count is safe to pass
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    ts = type_grade(lagr3, -2)
+    x = lagr3.grade_basis(-2)[0]
+    # one grid point makes one chunk
+    assert _pair_stats(ts, x, 0, 3, workers=100_000) == _pair_stats(ts, x, 0, 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _pair_stats(ts, x, 1, 3, workers=8) == _pair_stats(ts, x, 1, 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    _pair_stats(ts, x, 1, 3, workers=8)
+    assert sizes == [1, 2, 1]
 
 
 # -- jet order search ---------------------------------------------------------------
