@@ -1,4 +1,10 @@
-"""The exact integer engine of every p_+ grid search.
+"""The exact integer engine: grid pairs and polynomial-matrix identities.
+
+``IntPolyMat`` (at the end of this module) is the polynomial-matrix type
+of the curve calculus: the comparison curve, curve equality and the lemma
+identity checkers of ``curves`` run on it.  It shares ``_imul`` with the
+grid kernel below, and both read coordinates through the algebra's one
+integer extractor (``GradedAlgebra.integer_frame``).
 
 Every grid search (``jets``, ``family`` and their worker fan-out) runs its
 pairs here, for every catalog algebra and every rational base direction.
@@ -30,7 +36,12 @@ zeros.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import zip_longest
+from math import factorial, gcd, lcm
+
+from .errors import NotNilpotent
+from .matrices import Mat
+from .poly import Poly
 
 _F0 = Fraction(0)
 
@@ -93,32 +104,13 @@ class GridKernel:
         self.terms = len(alg.block_sizes)
         self.forbidden = alg.forbidden_positions
         self.x_den, self.x_rows = _integral(x.matrix)
-        basis_rows = []
-        for idx, b in enumerate(alg.basis):
-            den, rows = _integral(b)
-            if den != 1:
-                raise ValueError("%s: basis matrix %d is not integral" % (alg.name, idx))
-            basis_rows.append(rows)
+        self.extract_scale, self.extract_terms, basis = alg.integer_frame()
         # nonzero entries (i, j, value) of each p_+ basis matrix
-        self.pplus_entries = [
-            [(i, j, v) for i, row in enumerate(basis_rows[idx]) for j, v in enumerate(row) if v]
-            for idx in alg.pplus_indices
-        ]
-        self._build_extract()
+        self.pplus_entries = [[(r // d, r % d, v) for r, v in basis[idx]] for idx in alg.pplus_indices]
         self.exp_x_coeffs = self._exp_poly_coeffs(self.x_rows, 1, self.x_den)
         # jet forms of ad(-X)^r, built on demand; see _jet_forms
         self._forms = []
         self._duals = [_iunit(d, j, i) for i, j in self.forbidden]
-
-    def _build_extract(self):
-        # integer-scaled copy of the algebra's pivot-row coordinate
-        # extractor; a pivot row is a row-major position of the matrix
-        alg = self.alg
-        scale = lcm(*(e.denominator for terms in alg._extract_terms for _, e in terms))
-        self.extract_scale = scale
-        self.extract_terms = [
-            [(int(e * scale), pr) for pr, e in terms] for terms in alg._extract_terms
-        ]
 
     def combo_rows(self, vals):
         """Integer matrix of the p_+ element with the given grid coordinates."""
@@ -272,3 +264,178 @@ class GridKernel:
 def grid_kernel(alg, x):
     """The GridKernel of an algebra and a base direction in it."""
     return GridKernel(alg, x)
+
+
+# -- polynomial matrices -------------------------------------------------------
+
+
+def _iadd_into(acc, b, c=1):
+    """acc += c * b in place."""
+    for acc_row, b_row in zip(acc, b):
+        for j, y in enumerate(b_row):
+            if y:
+                acc_row[j] += c * y
+
+
+def _reduced(d, coeffs, den):
+    """The IntPolyMat sum_p t^p coeffs[p] / den with the gcd of its entries
+    and den divided out."""
+    g = den
+    for c in coeffs:
+        for row in c:
+            g = gcd(g, *row)
+            if g == 1:
+                return IntPolyMat(d, coeffs, den)
+    return IntPolyMat(d, [[[x // g for x in row] for row in c] for c in coeffs], den // g)
+
+
+class IntPolyMat:
+    """An exact polynomial matrix sum_p t^p C_p / den over the rationals.
+
+    Each coefficient C_p is a d x d integer matrix (a list of int rows,
+    never changed once built) and den > 0 is one common denominator.
+    Trailing zero coefficients are dropped, so the zero matrix has no
+    coefficients, and a product divides out the gcd of its entries and
+    denominator.  Products convolve ``_imul``; equality cross-multiplies
+    the denominators; coordinates come from the algebra's integer
+    extractor (``GradedAlgebra.integer_frame``).
+    """
+
+    __slots__ = ("d", "coeffs", "den")
+
+    def __init__(self, d, coeffs, den=1):
+        coeffs = list(coeffs)
+        while coeffs and _is_zero(coeffs[-1]):
+            coeffs.pop()
+        self.d = d
+        self.coeffs = tuple(coeffs)
+        self.den = den
+
+    @classmethod
+    def identity(cls, d):
+        return cls(d, [_iident(d)])
+
+    @classmethod
+    def from_mats(cls, mats):
+        """sum_p t^p mats[p] for constant rational Mats of one size."""
+        ints = [_integral(m) for m in mats]
+        den = lcm(*(dn for dn, _ in ints))
+        return cls(mats[0].nrows, [_iscale(rows, den // dn) for dn, rows in ints], den)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def _combine(self, other, sign):
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        zero = [[0] * self.d] * self.d
+        return IntPolyMat(
+            self.d,
+            [
+                [[fa * x + fb * y for x, y in zip(ra, rb)] for ra, rb in zip(ca, cb)]
+                for ca, cb in zip_longest(self.coeffs, other.coeffs, fillvalue=zero)
+            ],
+            den,
+        )
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __mul__(self, other):
+        d = self.d
+        a, b = self.coeffs, other.coeffs
+        out = [[[0] * d for _ in range(d)] for _ in range(len(a) + len(b) - 1)]
+        for p, ap in enumerate(a):
+            for q, bq in enumerate(b):
+                _iadd_into(out[p + q], _imul(ap, bq))
+        return _reduced(d, out, self.den * other.den)
+
+    def scale(self, c):
+        """c * self for a rational or a Poly c."""
+        cs = [Fraction(x) for x in (c.coeffs if isinstance(c, Poly) else (c,))]
+        cden = lcm(*(x.denominator for x in cs))
+        nums = [int(x * cden) for x in cs]
+        d = self.d
+        out = [[[0] * d for _ in range(d)] for _ in range(len(self.coeffs) + len(nums) - 1)]
+        for p, cp in enumerate(self.coeffs):
+            for i, num in enumerate(nums):
+                if num:
+                    _iadd_into(out[p + i], cp, num)
+        return _reduced(d, out, self.den * cden)
+
+    def derivative(self):
+        return IntPolyMat(self.d, [_iscale(c, p) for p, c in enumerate(self.coeffs)][1:], self.den)
+
+    def exp(self, scale=1):
+        """exp(scale * self) of a nilpotent self, scale a rational or a Poly.
+
+        The finite series I + sum_p scale^p self^p / p!, stopped at the
+        first zero power.  Raises NotNilpotent when self^d != 0.
+        """
+        acc = IntPolyMat.identity(self.d)
+        power = self
+        scale_pow = 1
+        for p in range(1, self.d):
+            if power.is_zero():
+                return acc
+            scale_pow = scale_pow * scale
+            acc = acc + power.scale(scale_pow * Fraction(1, factorial(p)))
+            power = power * self
+        if not power.is_zero():
+            raise NotNilpotent("matrix is not nilpotent")
+        return acc
+
+    def __eq__(self, other):
+        if not isinstance(other, IntPolyMat):
+            return NotImplemented
+        if len(self.coeffs) != len(other.coeffs):
+            return False
+        fa, fb = other.den, self.den
+        return all(
+            fa * x == fb * y
+            for ca, cb in zip(self.coeffs, other.coeffs)
+            for ra, rb in zip(ca, cb)
+            for x, y in zip(ra, rb)
+        )
+
+    __hash__ = None
+
+    def in_p_pattern(self, alg):
+        """True when every coefficient vanishes at the forbidden positions."""
+        return all(not c[i][j] for c in self.coeffs for i, j in alg.forbidden_positions)
+
+    def coords(self, alg):
+        """Poly coordinates over the basis of ``alg``, or None when some
+        coefficient leaves its span."""
+        scale, extract, basis = alg.integer_frame()
+        nums = []
+        for c in self.coeffs:
+            flat = [v for row in c for v in row]
+            cn = [sum(e * flat[r] for e, r in terms) for terms in extract]
+            # span check: sum_m cn[m] B_m must equal scale * flat everywhere
+            acc = [0] * len(flat)
+            for n, entries in zip(cn, basis):
+                if n:
+                    for r, v in entries:
+                        acc[r] += n * v
+            if any(a != scale * v for a, v in zip(acc, flat)):
+                return None
+            nums.append(cn)
+        den = scale * self.den
+        return tuple(Poly(tuple(Fraction(cn[m], den) for cn in nums)) for m in range(alg.dim))
+
+    def to_mat(self):
+        """The same matrix as a Mat with Poly entries."""
+        d, den = self.d, self.den
+        return Mat(
+            tuple(
+                tuple(Poly(tuple(Fraction(c[i][j], den) for c in self.coeffs)) for j in range(d))
+                for i in range(d)
+            )
+        )
+
+    def __repr__(self):
+        return "IntPolyMat(%s)" % self.to_mat()

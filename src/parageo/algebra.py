@@ -16,7 +16,7 @@ so the coordinates of a matrix are read off its entries directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import (
     AlgebraMismatch,
@@ -88,6 +88,7 @@ class GradedAlgebra:
         self._basis_vecs = tuple(self.vectorize(m) for m in self.basis)
         self._build_extractor()
         self._build_bracket_table()
+        self._integer_frame = None
         ident = Mat.identity(d)
         self._identity = GroupElem(self, ident)
         object.__setattr__(self._identity, "_inv", ident)
@@ -128,6 +129,28 @@ class GradedAlgebra:
         self._basis_terms = tuple(
             tuple((r, v) for r, v in enumerate(vec) if v) for vec in self._basis_vecs
         )
+
+    def integer_frame(self):
+        """(scale, extract, basis): the integer form of the coordinates.
+
+        ``extract[m]`` lists the (integer, position) terms of the coordinate
+        extractor's row m times ``scale``, its least common denominator, so
+        that coordinate m of a matrix with row-major entries v is
+        sum(c * v[r]) / scale; ``basis[m]`` lists the (position, integer)
+        entries of basis matrix m.  Built on first use and cached; raises
+        ValueError when a basis matrix is not integral.
+        """
+        if self._integer_frame is None:
+            terms = self._extract_terms
+            scale = lcm(*(e.denominator for row in terms for _, e in row))
+            extract = tuple(tuple((int(e * scale), pr) for pr, e in row) for row in terms)
+            basis = []
+            for idx, entries in enumerate(self._basis_terms):
+                if any(v.denominator != 1 for _, v in entries):
+                    raise ValueError("%s: basis matrix %d is not integral" % (self.name, idx))
+                basis.append(tuple((r, int(v)) for r, v in entries))
+            self._integer_frame = (scale, extract, tuple(basis))
+        return self._integer_frame
 
     def _build_bracket_table(self):
         # [b_i, b_j] from the nonzero entries of the two basis matrices, for
@@ -290,9 +313,13 @@ class GradedAlgebra:
     # -- structural invariants ------------------------------------------------
 
     def structure_violations(self):
-        """Exhaustive grading / Jacobi / nilpotency checks over the basis.
+        """Grading, Jacobi and nilpotency checks over the basis.
 
-        Returns a list of human-readable violation strings (empty = pass).
+        Jacobi is checked as "ad is a representation": [ad b_i, ad b_j] =
+        sum_m c_ij^m ad b_m for i < j, column by column on the sparse
+        structure constants c of ``bracket_table``.  Returns a list of
+        human-readable violation strings (empty = pass); a Jacobi failure
+        names its pair (i, j) once.
         """
         bad = []
         n = self.dim
@@ -312,18 +339,30 @@ class GradedAlgebra:
                             "[g_%d, g_%d] leaks into grade %d (basis %d,%d)"
                             % (gi_, gj, self.basis_grades[m], i, j)
                         )
+        # sparse[i][l] = nonzero (m, c) of [b_i, b_l], the column l of ad b_i
+        sparse = [[[(m, c) for m, c in enumerate(col) if c] for col in row] for row in self.bracket_table]
+
+        def apply(i, col):
+            # ad b_i applied to the vector with nonzero entries ``col``
+            out = {}
+            for a, c in col:
+                for m, e in sparse[i][a]:
+                    out[m] = out.get(m, 0) + c * e
+            return out
+
         for i in range(n):
-            ei = self.basis_elem(i).coords
-            for j in range(n):
-                ej = self.basis_elem(j).coords
-                bij = self.bracket_coords(ei, ej)
-                for m in range(n):
-                    em = self.basis_elem(m).coords
-                    lhs = self.bracket_coords(bij, em)
-                    t1 = self.bracket_coords(self.bracket_coords(ei, em), ej)
-                    t2 = self.bracket_coords(ei, self.bracket_coords(ej, em))
-                    if any(a - b - c for a, b, c in zip(lhs, t1, t2)):
-                        bad.append("Jacobi fails on basis triple (%d,%d,%d)" % (i, j, m))
+            for j in range(i + 1, n):
+                cij = sparse[i][j]
+                for col in range(n):
+                    lhs = apply(i, sparse[j][col])
+                    for m, c in apply(j, sparse[i][col]).items():
+                        lhs[m] = lhs.get(m, 0) - c
+                    for m, c in cij:
+                        for a, e in sparse[m][col]:
+                            lhs[a] = lhs.get(a, 0) - c * e
+                    if any(lhs.values()):
+                        bad.append("Jacobi fails on basis pair (%d,%d)" % (i, j))
+                        break
         return bad
 
     def describe(self):
@@ -405,26 +444,20 @@ class AlgElem:
     def grade_coords(self, grade):
         return tuple(self.coords[i] for i in self.algebra.grade_slices[grade])
 
+    def _supported_on(self, indices):
+        """True when every coordinate outside ``indices`` vanishes: the
+        nonzero coordinates inside are all the nonzero ones."""
+        coords = self.coords
+        return sum(map(bool, coords)) == sum(1 for i in indices if coords[i])
+
     def in_grade(self, grade):
-        return all(
-            not self.coords[i]
-            for i in range(self.algebra.dim)
-            if self.algebra.basis_grades[i] != grade
-        )
+        return self._supported_on(self.algebra.grade_slices[grade])
 
     def in_n(self):
-        return all(
-            not self.coords[i]
-            for i in range(self.algebra.dim)
-            if self.algebra.basis_grades[i] >= 0
-        )
+        return self._supported_on(self.algebra.n_indices)
 
     def in_p_plus(self):
-        return all(
-            not self.coords[i]
-            for i in range(self.algebra.dim)
-            if self.algebra.basis_grades[i] <= 0
-        )
+        return self._supported_on(self.algebra.pplus_indices)
 
     def negative_part(self):
         idx = self.algebra.n_indices

@@ -169,10 +169,14 @@ CATALOG = {
 
 _ID_RE = re.compile(r"^\s*([a-z0-9]+)\s*(?:\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\))?\s*$")
 
-# Largest matrix dimension the catalog builds.  Build and check costs grow
-# steeply with it (the Jacobi check alone is cubic in dim g ~ d^2), so an
-# id past this fails fast with BadParams instead of running for hours.
-MAX_MATRIX_DIM = 12
+# Largest matrix dimension the catalog builds; an id past it fails fast
+# with BadParams.  Measured at this limit (Python 3.11, shared 2-core x86
+# host): `verify --suite all` takes 8.4 s on proj(10) and 9.1 s on
+# grass(5,6) (dim g = 120), and `jets --grid 1` 30 s and 230 MB on
+# proj(10) (59,049 pairs).  At 12, `jets --algebra 'proj(11)' --grid 1`
+# ran past 80 s and 600 MB.  A grid search costs about (2R+1)^dim(p_+)
+# pairs, which this limit does not bound: dim p_+ of grass(n,m) is nm.
+MAX_MATRIX_DIM = 11
 
 
 def parse_catalog_id(text):

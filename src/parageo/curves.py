@@ -18,6 +18,14 @@ series expansion of delta(exp(Y(t))), the Leibniz rule for delta, the
 iterated-adjoint formula for (delta u)^(i), the derivative formula for
 Ad_{u(t)^{-1}} Y(t), and the reparametrized derivative formula with its
 partition coefficients.
+
+Two engines evaluate these polynomial matrices.  The comparison curve,
+curve equality and the five identity checkers run on ``IntPolyMat``
+(integer coefficient matrices over one common denominator, from
+``_fastgrid``); ``ComparisonCurve.delta_coords`` is still a tuple of
+``Poly``.  The normal-coordinate jet (``normal_coord_jet`` and its
+block-LU series) and the curve and representative matrices of a spec run
+on ``Mat``s with ``Poly`` entries.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from ._fastgrid import IntPolyMat
 from .algebra import (
     AlgElem,
     _same_algebra,
@@ -48,24 +57,35 @@ _F1 = Fraction(1)
 
 
 class CurveSpec:
-    """The data (b, X) of a distinguished curve c^{b,X}(t) = b exp(tX) P."""
+    """The data (b, X) of a distinguished curve c^{b,X}(t) = b exp(tX) P.
 
-    __slots__ = ("algebra", "b", "X", "b0", "zs", "_a_mat")
+    ``b0`` and ``zs`` are the factors of b = b0 exp(Z_1) ... exp(Z_k)
+    (``normal_form_P``).  The general constructor factors b eagerly, which
+    also checks that b lies in P.  ``base`` and ``from_Z`` build b in
+    exp(p_+) (b = I or exp(Z), Z checked in p_+), so b0 = I there and
+    ``zs`` is factored on first access.
+    """
 
-    def __init__(self, algebra, b, X):
+    __slots__ = ("algebra", "b", "X", "b0", "_zs", "_a_mat", "_a_int")
+
+    def __init__(self, algebra, b, X, *, _b_in_exp_pplus=False):
         if b.algebra is not algebra or X.algebra is not algebra:
             raise NotInParabolic("curve data must live in the given algebra")
         if not b.in_P():
             raise NotInParabolic("base point b is not in P")
         if not X.in_n():
             raise NotInNilpotentPart("direction X is not in n")
-        b0, zs = normal_form_P(b)
+        if _b_in_exp_pplus:
+            b0, zs = algebra.group_identity(), None
+        else:
+            b0, zs = normal_form_P(b)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "b0", b0)
-        object.__setattr__(self, "zs", zs)
+        object.__setattr__(self, "_zs", zs)
         object.__setattr__(self, "_a_mat", None)
+        object.__setattr__(self, "_a_int", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CurveSpec is immutable")
@@ -75,11 +95,18 @@ class CurveSpec:
         """Curve c^{exp(Z), X} for Z in p_+ (the reduced form of 2.5a)."""
         if not Z.in_p_plus():
             raise NotInParabolic("Z must lie in p_+")
-        return cls(algebra, group_exp(Z), X)
+        return cls(algebra, group_exp(Z), X, _b_in_exp_pplus=True)
 
     @classmethod
     def base(cls, algebra, X):
-        return cls(algebra, algebra.group_identity(), X)
+        return cls(algebra, algebra.group_identity(), X, _b_in_exp_pplus=True)
+
+    @property
+    def zs(self):
+        """(Z_1, ..., Z_k) of b = b0 exp(Z_1) ... exp(Z_k)."""
+        if self._zs is None:
+            object.__setattr__(self, "_zs", normal_form_P(self.b)[1])
+        return self._zs
 
     @property
     def ad_matrix(self):
@@ -87,6 +114,13 @@ class CurveSpec:
         if self._a_mat is None:
             object.__setattr__(self, "_a_mat", self.b.mat * self.X.matrix * self.b.inv_mat)
         return self._a_mat
+
+    @property
+    def ad_polymat(self):
+        """Ad_b X as a constant IntPolyMat."""
+        if self._a_int is None:
+            object.__setattr__(self, "_a_int", IntPolyMat.from_mats([self.ad_matrix]))
+        return self._a_int
 
     def curve_matrix(self, scale=P_T):
         """b exp(tX) as an exact polynomial matrix."""
@@ -105,7 +139,11 @@ class CurveSpec:
 
 
 class ComparisonCurve:
-    """u(t) with rep_1(t) = rep_2(t) u(t), plus delta_u in coordinates."""
+    """u(t) with rep_1(t) = rep_2(t) u(t), plus delta_u in coordinates.
+
+    ``u``, ``u_inv`` and ``delta_u`` are IntPolyMats; ``delta_coords`` is a
+    tuple of Poly, one per basis coordinate.
+    """
 
     __slots__ = ("c1", "c2", "u", "u_inv", "delta_u", "delta_coords")
 
@@ -134,12 +172,11 @@ class ComparisonCurve:
 def comparison(c1, c2):
     """Comparison data of two curve specs in the same algebra."""
     _same_algebra(c1.X, c2.X)
-    alg = c1.algebra
-    a1, a2 = c1.ad_matrix, c2.ad_matrix
-    u = exp_mat(a2, -P_T) * exp_mat(a1, P_T)
-    u_inv = exp_mat(a1, -P_T) * exp_mat(a2, P_T)
+    a1, a2 = c1.ad_polymat, c2.ad_polymat
+    u = a2.exp(-P_T) * a1.exp(P_T)
+    u_inv = a1.exp(-P_T) * a2.exp(P_T)
     delta = u_inv * u.derivative()
-    coords = alg.express_poly(delta)
+    coords = delta.coords(c1.algebra)
     if coords is None:
         raise OracleDisagreement("delta_u left the algebra span; this cannot happen for curves in G")
     return ComparisonCurve(c1, c2, u, u_inv, delta, coords)
@@ -148,9 +185,8 @@ def comparison(c1, c2):
 def curves_equal(c1, c2):
     """True iff the two curves coincide in G/P: u(t) stays in the P pattern."""
     _same_algebra(c1.X, c2.X)
-    alg = c1.algebra
-    u = exp_mat(c2.ad_matrix, -P_T) * exp_mat(c1.ad_matrix, P_T)
-    return alg.matrix_in_p_pattern(u)
+    u = c2.ad_polymat.exp(-P_T) * c1.ad_polymat.exp(P_T)
+    return u.in_p_pattern(c1.algebra)
 
 
 def jet_orders_equal(cc, ell):
@@ -226,12 +262,10 @@ def normal_coord_jet(c, order):
     coords = alg.express_poly(ymat)
     if coords is None:
         raise OracleDisagreement("normal-coordinate factor left the algebra span")
-    for idx in range(alg.dim):
-        if alg.basis_grades[idx] >= 0 and coords[idx]:
-            raise OracleDisagreement("normal-coordinate factor is not n-valued")
-    ycoeffs = []
-    for i in range(order + 1):
-        ycoeffs.append(AlgElem(alg, tuple(p[i] for p in coords)))
+    # ymat has degree <= order, so these coefficients are all of Y
+    ycoeffs = [AlgElem(alg, tuple(p[i] for p in coords)) for i in range(order + 1)]
+    if not all(e.in_n() for e in ycoeffs):
+        raise OracleDisagreement("normal-coordinate factor is not n-valued")
     if ycoeffs[0]:
         raise OracleDisagreement("curve does not start at the origin of the chart")
     recon = (exp_mat(ymat) * upper).truncate(order)
@@ -298,42 +332,31 @@ def _as_poly_entry(e):
 
 
 def curve_matrix_from_coeffs(coeff_elems, require_n=True):
-    """Sum_j t^j * Y_j as a polynomial matrix; Y_j algebra elements."""
+    """Sum_j t^j * Y_j as an IntPolyMat; Y_j algebra elements."""
     if not coeff_elems:
         raise ValueError("need at least one coefficient")
-    alg = coeff_elems[0].algebra
-    if require_n:
-        for e in coeff_elems:
-            if not e.in_n():
-                raise NotInNilpotentPart("curve coefficient outside n")
-    d = alg.matrix_dim
-    acc = Mat.zero(d).map(lambda _: Poly())
-    for j, e in enumerate(coeff_elems):
-        acc = acc + e.matrix.map(lambda v: Poly.const(v).shift(j) if v else Poly())
-    return acc
+    if require_n and not all(e.in_n() for e in coeff_elems):
+        raise NotInNilpotentPart("curve coefficient outside n")
+    return IntPolyMat.from_mats([e.matrix for e in coeff_elems])
 
 
 def delta_of_exp(ymat):
     """Left logarithmic derivative of exp(Y(t)) computed from first principles."""
-    e = exp_mat(ymat)
-    e_inv = exp_mat(-ymat)
-    return e_inv * e.derivative()
+    return ymat.exp(-1) * ymat.exp().derivative()
 
 
 def delta_series(ymat):
     """The finite series sum_p ad(-Y)^p Y'(t) / (p+1)!."""
-    term = ymat.derivative()
-    total = term.scale(Fraction(1, 1))
+    term = total = ymat.derivative()
     p = 1
     while True:
         term = term * ymat - ymat * term  # ad(-Y) applied once
         if term.is_zero():
-            break
+            return total
         total = total + term.scale(Fraction(1, factorial(p + 1)))
         p += 1
-        if p > ymat.dim * ymat.dim:
+        if p > ymat.d * ymat.d:
             raise OracleDisagreement("delta series failed to terminate")
-    return total
 
 
 def verify_lemma_2_3(coeff_elems):
@@ -353,10 +376,9 @@ def verify_delta_leibniz(f, f_inv, g, g_inv):
 
 def verify_lemma_2_4(cc, i_max):
     """(delta_u)^(i)(t) = ad(-Ad_{b1}X1)^i (delta_u(t)) for 1 <= i <= i_max."""
-    a1 = cc.c1.ad_matrix
-    lhs = cc.delta_u
-    rhs = cc.delta_u
-    for _ in range(1, i_max + 1):
+    a1 = cc.c1.ad_polymat
+    lhs = rhs = cc.delta_u
+    for _ in range(i_max):
         lhs = lhs.derivative()
         rhs = rhs * a1 - a1 * rhs  # ad(-a1)
         if lhs != rhs:
@@ -369,7 +391,7 @@ def verify_eq_2_4_1(u, u_inv, coeff_elems):
 
     ``u_inv`` is the known inverse of u; False unless u_inv * u = I.
     """
-    if u_inv * u != Mat.identity(u.dim):
+    if u_inv * u != IntPolyMat.identity(u.d):
         return False
     ymat = curve_matrix_from_coeffs(coeff_elems, require_n=False)
     ad_y = u_inv * ymat * u
@@ -412,9 +434,9 @@ def reparam_comparison(cc, phi):
         raise BadReparam("phi(0) must be 0")
     if not phi[1]:
         raise BadReparam("phi'(0) must be nonzero")
-    a1, a2 = cc.c1.ad_matrix, cc.c2.ad_matrix
-    u = exp_mat(a2, -P_T) * exp_mat(a1, phi)
-    u_inv = exp_mat(a1, -phi) * exp_mat(a2, P_T)
+    a1, a2 = cc.c1.ad_polymat, cc.c2.ad_polymat
+    u = a2.exp(-P_T) * a1.exp(phi)
+    u_inv = a1.exp(-phi) * a2.exp(P_T)
     return u, u_inv, a1
 
 
@@ -437,17 +459,13 @@ def verify_lemma_3_2(cc, phi, i_max):
         rhs = a1.scale(phi.nth_derivative(i + 1))
         coeff_by_k = {}
         for parts in _partitions(i):
-            k = len(parts)
-            if k < 1 or k > i:
-                continue
-            c = partition_coefficient(i, parts)
-            term = Poly.const(c)
+            term = Poly.const(partition_coefficient(i, parts))
             for p in parts:
                 term = term * phi.nth_derivative(p)
-            coeff_by_k[k] = coeff_by_k.get(k, Poly()) + term
+            coeff_by_k[len(parts)] = coeff_by_k.get(len(parts), Poly()) + term
         for k, cpoly in coeff_by_k.items():
             sign = 1 if k % 2 == 0 else -1
-            rhs = rhs + ad_pow[k].scale(cpoly).scale(Fraction(sign))
+            rhs = rhs + ad_pow[k].scale(cpoly * sign)
         if lhs != rhs:
             return False
     return True

@@ -6,12 +6,19 @@ determinant), and all operations go through the entries' own exact
 arithmetic.  A Fraction 0 stands for the zero of any entry ring, and
 ``scale`` keeps a zero entry as it is.  Determinants use Laplace expansion
 memoized over column masks, which is exact over any commutative ring; the
-memo holds up to 2^n minors.  Row
-reduction (rref / kernel / solve) is for field entries only, and so is
-``inverse``: the right half of rref([M | I]), the route the algebra build
-takes for its coordinate extractor.  The curve code never inverts a
-polynomial matrix: every inverse it needs is known in closed form, as
-exp(-Z) or exp(-tA).
+memo holds up to 2^n minors.  Row reduction (rref / kernel / solve) is
+for field entries only, and so is ``inverse``: the right half of
+rref([M | I]), the route the algebra build takes for its coordinate
+extractor.  The curve code never inverts a polynomial matrix: every
+inverse it needs is known in closed form, as exp(-Z) or exp(-tA).
+
+Which engine runs where: ``Mat`` holds every constant matrix (basis,
+group elements, Ad) and runs the Poly-entry paths that remain, namely the
+normal-coordinate jet and its block-LU series, a spec's curve and
+representative matrices, the orbit probes of ``lab`` and the
+reparametrization check.  The lemma identities, comparison curves and
+curve equality run on the integer ``_fastgrid.IntPolyMat``, and every grid
+pair on the integer ``_fastgrid.GridKernel``.
 """
 
 from __future__ import annotations
@@ -116,12 +123,6 @@ class Mat:
 
     def is_zero(self):
         return all(not a for r in self.rows for a in r)
-
-    def derivative(self):
-        """Entrywise formal derivative; scalar entries are constants."""
-        return self.map(
-            lambda e: e.derivative() if hasattr(e, "derivative") else Fraction(0)
-        )
 
     def truncate(self, order):
         """Entrywise series truncation; scalar entries pass through."""

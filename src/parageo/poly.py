@@ -146,12 +146,6 @@ class Poly:
         """Drop all terms of degree > order (series arithmetic helper)."""
         return Poly(self.coeffs[: order + 1])
 
-    def shift(self, n):
-        """Multiply by t**n."""
-        if not self.coeffs:
-            return self
-        return Poly((Fraction(0),) * n + self.coeffs)
-
     def __str__(self):
         if not self.coeffs:
             return "0"

@@ -13,6 +13,10 @@ candidate row, an inverse from Laplace cofactors (``cofactor_inverse``,
 which shares no ``rref`` with the build or with ``Mat.inverse``), and dense
 commutators expressed through dense extractor products with a dense span
 check.
+
+The Jacobi identity on every basis triple through dense ``bracket_coords``
+calls, the n^3 loop that ``GradedAlgebra.structure_violations`` replaced
+by its sparse "ad is a representation" check.
 """
 
 from fractions import Fraction
@@ -106,3 +110,21 @@ def reference_build(alg):
             row.append(coords)
         table.append(tuple(row))
     return tuple(chosen), extractor.rows, tuple(table)
+
+
+def exhaustive_jacobi_violations(alg):
+    """Jacobi on every basis triple through dense ``bracket_coords`` calls,
+    one violation string per failing triple (i, j, m)."""
+    br = alg.bracket_coords
+    basis = [alg.basis_elem(i).coords for i in range(alg.dim)]
+    bad = []
+    for i, ei in enumerate(basis):
+        for j, ej in enumerate(basis):
+            bij = br(ei, ej)
+            for m, em in enumerate(basis):
+                lhs = br(bij, em)
+                t1 = br(br(ei, em), ej)
+                t2 = br(ei, br(ej, em))
+                if any(a - b - c for a, b, c in zip(lhs, t1, t2)):
+                    bad.append("Jacobi fails on basis triple (%d,%d,%d)" % (i, j, m))
+    return bad

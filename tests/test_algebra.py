@@ -27,8 +27,8 @@ from parageo.errors import (
 from parageo.matrices import Mat
 from parageo.poly import P_T, Poly
 
-from conftest import ALL_IDS, block_flag_sl
-from fraction_reference import reference_build
+from conftest import ALL_IDS, block_flag_sl, full_flag_sl4
+from fraction_reference import exhaustive_jacobi_violations, reference_build
 
 EXPECTED_GRADE_DIMS = {
     "proj(1)": {-1: 1, 0: 1, 1: 1},
@@ -50,6 +50,43 @@ def test_catalog_dimensions(any_algebra):
 
 def test_grading_jacobi_nilpotency_exhaustive(any_algebra):
     assert any_algebra.structure_violations() == []
+
+
+def _jacobi_violations(alg):
+    return [v for v in alg.structure_violations() if v.startswith("Jacobi")]
+
+
+@pytest.mark.parametrize("cid", ALL_IDS + ["full_flag_sl4"])
+def test_sparse_and_exhaustive_jacobi_pass(cid):
+    alg = full_flag_sl4() if cid == "full_flag_sl4" else make_algebra(cid)
+    assert _jacobi_violations(alg) == []
+    assert exhaustive_jacobi_violations(alg) == []
+
+
+@pytest.mark.parametrize("cid", ["xxdot", "conf(1,2)", "lagr3"])
+@pytest.mark.parametrize("which", [0, -1])
+def test_doubled_structure_constant_breaks_both_jacobi_checks(cid, which, monkeypatch):
+    # double c_ij^m and its antisymmetric partner c_ji^m, for the first
+    # or the last nonzero constant with i < j (on the cached catalog
+    # algebra, so monkeypatch puts the table back)
+    alg = make_algebra(cid)
+    table = [list(row) for row in alg.bracket_table]
+    nonzero = [
+        (i, j, m)
+        for i in range(alg.dim)
+        for j in range(i + 1, alg.dim)
+        for m, c in enumerate(table[i][j])
+        if c
+    ]
+    i, j, m = nonzero[which]
+    doubled = list(table[i][j])
+    doubled[m] *= 2
+    table[i][j] = tuple(doubled)
+    table[j][i] = tuple(-c for c in doubled)
+    monkeypatch.setattr(alg, "bracket_table", tuple(tuple(row) for row in table))
+    sparse = _jacobi_violations(alg)
+    assert sparse and len(set(sparse)) == len(sparse)
+    assert exhaustive_jacobi_violations(alg)
 
 
 def test_catalog_errors():

@@ -216,11 +216,14 @@ def test_exponent_literals_keep_their_value():
     [
         "proj(100000)",  # dim 100001: would build for hours
         "proj(%s)" % ("9" * 5000),  # past the int-string digit limit
-        "proj(12)",  # the first id of each family past dim 12
+        "proj(12)",  # ids past dim 12
         "grass(6,7)",
         "conf(5,6)",
+        "proj(11)",  # the first id of each family past dim 11
+        "grass(6,6)",
+        "conf(5,5)",
     ],
-    ids=["proj-1e5", "proj-5000-digits", "proj12", "grass6-7", "conf5-6"],
+    ids=["proj-1e5", "proj-5000-digits", "proj12", "grass6-7", "conf5-6", "proj11", "grass6-6", "conf5-5"],
 )
 def test_oversized_catalog_id_exits_2_fast(cid, capsys):
     t0 = time.perf_counter()
@@ -229,14 +232,15 @@ def test_oversized_catalog_id_exits_2_fast(cid, capsys):
     assert "at most %d" % MAX_MATRIX_DIM in capsys.readouterr().err
 
 
-def test_size_guard_admits_dimension_12(monkeypatch):
+def test_size_guard_admits_max_matrix_dim(monkeypatch):
     # the guard runs before the builder; a stub in place of the algebra
     # construction shows which ids get past it, without building them
+    assert MAX_MATRIX_DIM == 11
     built = []
     monkeypatch.setattr(catalog, "GradedAlgebra", lambda name, *args, **kw: built.append(name))
-    for cid in ("proj(11)", "grass(6,6)", "conf(5,5)", "proj(0011)"):
+    for cid in ("proj(10)", "grass(5,6)", "conf(4,5)", "proj(0010)"):
         catalog._make.__wrapped__(*catalog.parse_catalog_id(cid))
-    assert built == ["proj(11)", "grass(6,6)", "conf(5,5)", "proj(11)"]
+    assert built == ["proj(10)", "grass(5,6)", "conf(4,5)", "proj(10)"]
 
 
 def test_bad_type_parameter_exits_2():

@@ -18,7 +18,10 @@ rational matrices: they hold matrix reprs, which realification changes.
 Each report digest pins a report that carries the catalog descriptions
 and su21's describe() labels, or a fiber, family, classify or reparam
 report, as first computed before proj, grass, lagr3 and xxdot shared one
-block-flag builder.  The su21 coordinate digests (bracket table,
+block-flag builder.  The ``verify --suite all`` digests of the nine
+catalog ids were computed on the Poly-entry lemma checkers and the
+exhaustive Jacobi loop, before both moved to integer polynomial matrices
+and the sparse "ad is a representation" check.  The su21 coordinate digests (bracket table,
 curve-sample jet and delta_u coordinates) hold basis coordinates only, so
 they do not depend on the matrices that realize the basis; they were
 pinned before the realification and pass unchanged.
@@ -188,6 +191,42 @@ REPORT_GOLDEN = [
     (
         dict(command="verify", algebra="su21", suite="structure"),
         "c7b54346911c941b8200d106d7c48e6a59929ffc9ec8b5a6ba9270c48e00a408",
+    ),
+    (
+        dict(command="verify", algebra="proj(1)", suite="all"),
+        "3eb3471578a6d2209bcc793a21da42393d9067a8f8d2c4b29c9e7ec729e210c9",
+    ),
+    (
+        dict(command="verify", algebra="proj(2)", suite="all"),
+        "6636086d113162f3fee45791471f45afe686b927845e1c99867abe0ee55b53e7",
+    ),
+    (
+        dict(command="verify", algebra="grass(1,2)", suite="all"),
+        "9fd3355baffea35a79f8af2c0e613f104c3d98a28d5cb465f38a3ffa9c20c381",
+    ),
+    (
+        dict(command="verify", algebra="grass(2,2)", suite="all"),
+        "31c7401e177e68893e361797678e464677b2686d558171682db3e53f144f57a8",
+    ),
+    (
+        dict(command="verify", algebra="conf(1,1)", suite="all"),
+        "2872f874f5977ddc31154adc94cc3d6f2936bc72d52e81f8ad47cf83fdc33b60",
+    ),
+    (
+        dict(command="verify", algebra="conf(1,2)", suite="all"),
+        "61c9b4424f4382161fe0fe7b280d4977b0acc1a1f86b19e8fad76999bad1edc1",
+    ),
+    (
+        dict(command="verify", algebra="lagr3", suite="all"),
+        "cdeaf11c79e6744e4b2f871b072a3805ddde47782a90c637871a76df18e6f280",
+    ),
+    (
+        dict(command="verify", algebra="su21", suite="all"),
+        "d593ed3c8d69406f5f455272835cfd586d138fb8a6c60a4520e1942c8c4cc7be",
+    ),
+    (
+        dict(command="verify", algebra="xxdot", suite="all"),
+        "13872e8d5972cf45abac461ed0f6f20e842d568c41e28d58fe52301a385a96be",
     ),
     (
         dict(command="fiber", algebra="proj(2)", type_spec="full_n", grid=2),

@@ -1,0 +1,213 @@
+"""The integer polynomial matrices of the curve calculus against the
+Poly-entry references of ``poly_reference``.
+
+The unit tests hold each ``IntPolyMat`` operation to the same operation on
+a ``Mat`` with ``Poly`` entries.  The hypothesis tests draw curve data on
+the nine catalog ids and the sl(4) full flag and require both routes to
+give the same comparison curve (u, its inverse, delta_u and delta_coords),
+the same curve-equality verdict and the same verdict of every identity
+checker; the negative cases perturb one sample coefficient, or flip the
+sign of one partition coefficient, and both routes must return False.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from unittest import mock
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import poly_reference as ref
+from conftest import ALL_IDS, full_flag_sl4
+from parageo import curves
+from parageo._fastgrid import IntPolyMat
+from parageo.algebra import exp_mat, exp_nilpotent
+from parageo.catalog import make_algebra
+from parageo.curves import CurveSpec
+from parageo.errors import NotNilpotent
+from parageo.matrices import Mat
+from parageo.poly import P_T, Poly
+
+IDS = ALL_IDS + ["full_flag_sl4"]
+
+
+@lru_cache(maxsize=None)
+def algebra(cid):
+    return full_flag_sl4() if cid == "full_flag_sl4" else make_algebra(cid)
+
+
+def poly_mat(rows):
+    return Mat(tuple(tuple(Poly(e) for e in row) for row in rows))
+
+
+# -- operations ----------------------------------------------------------------
+
+A = poly_mat([[(1, Fraction(1, 2)), (0, 0, 3)], [(Fraction(-2, 3),), ()]])
+B = poly_mat([[(), (1,)], [(0, Fraction(1, 5)), (2, -1)]])
+
+
+def test_round_trip_and_ring_operations():
+    a, b = ref.to_int(A), ref.to_int(B)
+    assert a.to_mat() == A and b.to_mat() == B
+    assert (a + b).to_mat() == A + B
+    assert (a - b).to_mat() == A - B
+    assert (a * b).to_mat() == A * B
+    assert a.derivative().to_mat() == ref.derivative(A)
+    assert a.scale(Poly((Fraction(1, 3), 2))).to_mat() == A.scale(Poly((Fraction(1, 3), 2)))
+    assert a.scale(Fraction(-3, 4)).to_mat() == A.scale(Fraction(-3, 4))
+    assert (a - a).is_zero() and (a * (b - b)).is_zero()
+
+
+def test_equality_cross_multiplies_denominators():
+    a = ref.to_int(A)
+    doubled = IntPolyMat(a.d, [[[2 * x for x in row] for row in c] for c in a.coeffs], 2 * a.den)
+    assert doubled == a and doubled.den != a.den
+    assert a != ref.to_int(B)
+    assert a != a + ref.to_int(Mat.identity(2)).scale(P_T**3)
+
+
+def test_exp_matches_poly_entry_exp(any_algebra):
+    alg = any_algebra
+    x = alg.grade_basis(-1)[0] + alg.grade_basis(-alg.k)[-1] * Fraction(1, 3)
+    m = IntPolyMat.from_mats([x.matrix])
+    for scale in (1, P_T, -P_T, Poly((0, 2, Fraction(1, 2)))):
+        assert m.exp(scale).to_mat() == exp_nilpotent(x, scale)
+    # exp of a polynomial curve Y(t) = t X + t^2 X'
+    y = IntPolyMat.from_mats([alg.zero_elem().matrix, x.matrix, alg.grade_basis(-1)[-1].matrix])
+    assert y.exp().to_mat() == exp_mat(y.to_mat())
+
+
+def test_exp_rejects_non_nilpotent():
+    with pytest.raises(NotNilpotent):
+        IntPolyMat.identity(3).exp(P_T)
+
+
+def test_coords_and_span_check(any_algebra):
+    alg = any_algebra
+    x = alg.grade_basis(-1)[0] * Fraction(2, 3) + alg.grade_basis(alg.k)[-1]
+    curve = IntPolyMat.from_mats([x.matrix, alg.zero_elem().matrix, x.matrix])
+    assert curve.coords(alg) == alg.express_poly(curve.to_mat())
+    # the identity is not traceless, so it leaves every catalog span
+    off = curve + IntPolyMat.identity(alg.matrix_dim).scale(P_T)
+    assert off.coords(alg) is None and alg.express_poly(off.to_mat()) is None
+
+
+# -- agreement with the Poly-entry references -----------------------------------
+
+_VALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_PHI = st.tuples(_VALS.filter(bool), _VALS, _VALS).map(lambda c: Poly((0,) + c))
+_PQ = st.sampled_from((Poly((0, 1)), Poly((0, 0, 1)), Poly((0, 2, 1)), Poly((0, 1, 0, 1))))
+
+
+def _elem(data, alg, indices):
+    """A nonzero element supported on ``indices``."""
+    vals = data.draw(st.lists(_VALS, min_size=len(indices), max_size=len(indices)).filter(any))
+    return alg.elem_at(indices, vals)
+
+
+def _curve_data(data):
+    alg = algebra(data.draw(st.sampled_from(IDS)))
+    x = _elem(data, alg, alg.n_indices)
+    y = _elem(data, alg, alg.n_indices)
+    z = _elem(data, alg, alg.pplus_indices)
+    return alg, CurveSpec.base(alg, x), CurveSpec.from_Z(alg, z, y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_checkers_agree_with_poly_reference(data):
+    alg, c1, c2 = _curve_data(data)
+    cc, rc = curves.comparison(c1, c2), ref.comparison(c1, c2)
+    assert cc.delta_coords == rc.delta_coords
+    assert cc.u.to_mat() == rc.u and cc.u_inv.to_mat() == rc.u_inv
+    assert cc.delta_u.to_mat() == rc.delta_u
+    for a, b in ((c1, c2), (c2, c2)):
+        assert curves.curves_equal(a, b) == ref.curves_equal(a, b)
+    assert curves.verify_lemma_2_4(cc, alg.k + 2) is ref.verify_lemma_2_4(rc, alg.k + 2) is True
+    path = [alg.zero_elem(), _elem(data, alg, alg.n_indices)]
+    assert curves.verify_eq_2_4_1(cc.u, cc.u_inv, path) is True
+    assert ref.verify_eq_2_4_1(rc.u, rc.u_inv, path) is True
+    phi = data.draw(_PHI)
+    assert curves.verify_lemma_3_2(cc, phi, 3) is ref.verify_lemma_3_2(rc, phi, 3) is True
+    coeffs = [alg.zero_elem(), path[1], c1.X]
+    assert curves.verify_lemma_2_3(coeffs) is ref.verify_lemma_2_3(coeffs) is True
+    z1 = _elem(data, alg, alg.pplus_indices)
+    z2 = _elem(data, alg, alg.pplus_indices)
+    p, q = data.draw(_PQ), data.draw(_PQ)
+    polys = (exp_nilpotent(z1, p), exp_nilpotent(z1, -p), exp_nilpotent(z2, q), exp_nilpotent(z2, -q))
+    ints = tuple(ref.to_int(m) for m in polys)
+    assert curves.verify_delta_leibniz(*ints) is ref.verify_delta_leibniz(*polys) is True
+
+
+def _perturbed(mat, i, j, eps, power):
+    """``mat`` plus eps * t^power at entry (i, j)."""
+    rows = [list(row) for row in mat.rows]
+    rows[i][j] = rows[i][j] + Poly((0,) * power + (eps,))
+    return Mat(rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_perturbed_inputs_fail_on_both_routes(data):
+    alg, c1, c2 = _curve_data(data)
+    rc = ref.comparison(c1, c2)
+    d = alg.matrix_dim
+    i, j = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
+    eps = data.draw(_VALS.filter(bool))
+    power = data.draw(st.integers(0, 3))
+    path = [alg.zero_elem(), c2.X]
+
+    # a claimed inverse of u that is off by one coefficient
+    bad_inv = _perturbed(rc.u_inv, i, j, eps, power)
+    assert ref.verify_eq_2_4_1(rc.u, bad_inv, path) is False
+    assert curves.verify_eq_2_4_1(ref.to_int(rc.u), ref.to_int(bad_inv), path) is False
+
+    # delta_u off by eps * t^D E_ij, D two past its degree: the t^(D-1)
+    # coefficient of delta_u' is then nonzero, and that of ad(-a1) delta_u is 0
+    top = len(ref.to_int(rc.delta_u).coeffs)
+    bad_delta = _perturbed(rc.delta_u, i, j, eps, top + 1)
+    bad_rc = curves.ComparisonCurve(c1, c2, rc.u, rc.u_inv, bad_delta, rc.delta_coords)
+    bad_cc = curves.ComparisonCurve(c1, c2, None, None, ref.to_int(bad_delta), None)
+    assert ref.verify_lemma_2_4(bad_rc, 1) is False
+    assert curves.verify_lemma_2_4(bad_cc, 1) is False
+
+    # f^{-1} off by E = eps * t^power E_ib, with row b of Z2 nonzero: the
+    # two sides then differ by g^{-1} E f g', and the lowest coefficient of
+    # f g' is a nonzero multiple of Z2 (f(0) = I), so row b of f g' != 0
+    z1 = _elem(data, alg, alg.pplus_indices)
+    z2 = _elem(data, alg, alg.pplus_indices)
+    rows = [b for b, row in enumerate(z2.matrix.rows) if any(row)]
+    b = data.draw(st.sampled_from(rows))
+    p, q = data.draw(_PQ), data.draw(_PQ)
+    f, g, g_inv = exp_nilpotent(z1, p), exp_nilpotent(z2, q), exp_nilpotent(z2, -q)
+    bad_f_inv = _perturbed(exp_nilpotent(z1, -p), i, b, eps, power)
+    assert ref.verify_delta_leibniz(f, bad_f_inv, g, g_inv) is False
+    ints = [ref.to_int(m) for m in (f, bad_f_inv, g, g_inv)]
+    assert curves.verify_delta_leibniz(*ints) is False
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_flipped_partition_sign_fails_on_both_routes(data):
+    # flipping the sign of the partition (1,) changes the order-1 right-hand
+    # side by 2 phi' ad(a1) delta_u, which is nonzero unless a1 and
+    # delta_u commute
+    alg, c1, c2 = _curve_data(data)
+    rc = ref.comparison(c1, c2)
+    phi = data.draw(_PHI)
+    u, u_inv, a1 = ref.reparam_comparison(rc, phi)
+    delta = u_inv * ref.derivative(u)
+    assume(not (a1 * delta - delta * a1).is_zero())
+    coefficient = curves.partition_coefficient
+
+    def flipped(i, parts):
+        c = coefficient(i, parts)
+        return -c if parts == (1,) else c
+
+    cc = curves.comparison(c1, c2)
+    with mock.patch.object(curves, "partition_coefficient", flipped), mock.patch.object(
+        ref, "partition_coefficient", flipped
+    ):
+        assert ref.verify_lemma_3_2(rc, phi, 2) is False
+        assert curves.verify_lemma_3_2(cc, phi, 2) is False
+    assert ref.verify_lemma_3_2(rc, phi, 2) is curves.verify_lemma_3_2(cc, phi, 2) is True
