@@ -1,10 +1,13 @@
-"""The exact integer engine: grid pairs and polynomial-matrix identities.
+"""The exact integer engine: grid pairs and polynomial matrices.
 
-``IntPolyMat`` (at the end of this module) is the polynomial-matrix type
-of the curve calculus: the comparison curve, curve equality and the lemma
-identity checkers of ``curves`` run on it.  It shares ``_imul`` with the
-grid kernel below, and both read coordinates through the algebra's one
-integer extractor (``GradedAlgebra.integer_frame``).
+``IntPolyMat`` (at the end of this module) is the one polynomial-matrix
+type of the library: comparison curves, curve equality, the lemma identity
+checkers and the normal-coordinate jet of ``curves``, the
+reparametrization check of ``reparam`` and the orbit probes of ``lab`` all
+run on it.  It shares ``_imul`` with the grid kernel below, and both read
+coordinates through the algebra's one integer extractor
+(``GradedAlgebra.integer_frame``; ``GradedAlgebra.express_poly`` for an
+``IntPolyMat``).
 
 Every grid search (``jets``, ``family`` and their worker fan-out) runs its
 pairs here, for every catalog algebra and every rational base direction.
@@ -297,8 +300,7 @@ class IntPolyMat:
     Trailing zero coefficients are dropped, so the zero matrix has no
     coefficients, and a product divides out the gcd of its entries and
     denominator.  Products convolve ``_imul``; equality cross-multiplies
-    the denominators; coordinates come from the algebra's integer
-    extractor (``GradedAlgebra.integer_frame``).
+    the denominators; ``GradedAlgebra.express_poly`` reads coordinates.
     """
 
     __slots__ = ("d", "coeffs", "den")
@@ -366,6 +368,10 @@ class IntPolyMat:
                     _iadd_into(out[p + i], cp, num)
         return _reduced(d, out, self.den * cden)
 
+    def truncate(self, order):
+        """The terms of degree <= order."""
+        return IntPolyMat(self.d, self.coeffs[: order + 1], self.den)
+
     def derivative(self):
         return IntPolyMat(self.d, [_iscale(c, p) for p, c in enumerate(self.coeffs)][1:], self.den)
 
@@ -406,26 +412,6 @@ class IntPolyMat:
     def in_p_pattern(self, alg):
         """True when every coefficient vanishes at the forbidden positions."""
         return all(not c[i][j] for c in self.coeffs for i, j in alg.forbidden_positions)
-
-    def coords(self, alg):
-        """Poly coordinates over the basis of ``alg``, or None when some
-        coefficient leaves its span."""
-        scale, extract, basis = alg.integer_frame()
-        nums = []
-        for c in self.coeffs:
-            flat = [v for row in c for v in row]
-            cn = [sum(e * flat[r] for e, r in terms) for terms in extract]
-            # span check: sum_m cn[m] B_m must equal scale * flat everywhere
-            acc = [0] * len(flat)
-            for n, entries in zip(cn, basis):
-                if n:
-                    for r, v in entries:
-                        acc[r] += n * v
-            if any(a != scale * v for a, v in zip(acc, flat)):
-                return None
-            nums.append(cn)
-        den = scale * self.den
-        return tuple(Poly(tuple(Fraction(cn[m], den) for cn in nums)) for m in range(alg.dim))
 
     def to_mat(self):
         """The same matrix as a Mat with Poly entries."""

@@ -182,12 +182,6 @@ class GradedAlgebra:
         """Flatten a constant matrix into its rational entries, row-major."""
         return tuple(Fraction(e) for row in mat.rows for e in row)
 
-    def vectorize_poly(self, mat):
-        """Same as vectorize but for Poly entries; components are Q-polys."""
-        return tuple(
-            e if isinstance(e, Poly) else Poly.const(e) for row in mat.rows for e in row
-        )
-
     def express(self, mat, check=True):
         """Coordinates of a constant matrix over the basis, or None."""
         vec = self.vectorize(mat)
@@ -206,26 +200,29 @@ class GradedAlgebra:
                 return None
         return coords
 
-    def express_poly(self, mat, check=True):
-        """Poly coordinates of a polynomial matrix curve in g, or None."""
-        vec = self.vectorize_poly(mat)
-        coords = []
-        for terms in self._extract_terms:
-            acc = Poly()
-            for pr, e in terms:
-                if vec[pr]:
-                    acc = acc + e * vec[pr]
-            coords.append(acc)
-        coords = tuple(coords)
-        if check:
-            acc = [Poly()] * len(vec)
-            for c, terms in zip(coords, self._basis_terms):
-                if c:
-                    for r, v in terms:
-                        acc[r] = acc[r] + v * c
-            if acc != list(vec):
+    def express_poly(self, pm):
+        """Poly coordinates of an IntPolyMat curve ``pm`` in g, or None
+        when some coefficient leaves the span of the basis."""
+        scale, extract, basis = self.integer_frame()
+        nums = []
+        for c in pm.coeffs:
+            flat = [v for row in c for v in row]
+            cn = [sum(e * flat[r] for e, r in terms) for terms in extract]
+            # span check: sum_m cn[m] B_m must equal scale * flat everywhere
+            acc = [0] * len(flat)
+            for n, entries in zip(cn, basis):
+                if n:
+                    for r, v in entries:
+                        acc[r] += n * v
+            if any(a != scale * v for a, v in zip(acc, flat)):
                 return None
-        return coords
+            nums.append(cn)
+        # a zero coefficient is the int 0, as Poly arithmetic leaves it (P_T
+        # is Poly((0, 1))), so these Polys repr like the Poly-entry ones
+        den = scale * pm.den
+        return tuple(
+            Poly(tuple(Fraction(cn[m], den) if cn[m] else 0 for cn in nums)) for m in range(self.dim)
+        )
 
     # -- element constructors ------------------------------------------------
 
@@ -548,12 +545,13 @@ def _nilpotent_powers(m):
 
 
 def exp_mat(m, scale=1):
-    """Exact exponential exp(scale * m) of a nilpotent matrix m.
+    """Exact exponential exp(scale * m) of a nilpotent constant matrix m.
 
     The finite series I + sum_p scale^p m^p / p!: each power of m is formed
-    once, and the series stops at the first zero power.  ``scale`` may be a
-    scalar or a Poly (giving the curve exp(phi(t) m) from the constant
-    powers of m), and m's entries may be Poly themselves.  Raises
+    once, and the series stops at the first zero power.  The library passes
+    rational scales only: a polynomial curve such as exp(t A) is
+    ``IntPolyMat.exp``.  A Poly scale still works through the entries' own
+    arithmetic, for the Poly-entry references of the tests.  Raises
     NotNilpotent when m^d != 0, d = dim m.
     """
     acc = Mat.identity(m.dim)
@@ -561,14 +559,6 @@ def exp_mat(m, scale=1):
     for p, power in enumerate(_nilpotent_powers(m), 1):
         scale_pow = scale if scale_pow is None else scale_pow * scale
         acc = acc + power.scale(scale_pow * Fraction(1, factorial(p)))
-    return acc
-
-
-def log_unipotent(m):
-    """Finite matrix logarithm of I + N with N nilpotent."""
-    acc = Mat.zero(m.dim)
-    for p, power in enumerate(_nilpotent_powers(m - Mat.identity(m.dim)), 1):
-        acc = acc + power.scale(Fraction(1, p) if p % 2 == 1 else Fraction(-1, p))
     return acc
 
 

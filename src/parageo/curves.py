@@ -19,13 +19,12 @@ iterated-adjoint formula for (delta u)^(i), the derivative formula for
 Ad_{u(t)^{-1}} Y(t), and the reparametrized derivative formula with its
 partition coefficients.
 
-Two engines evaluate these polynomial matrices.  The comparison curve,
-curve equality and the five identity checkers run on ``IntPolyMat``
-(integer coefficient matrices over one common denominator, from
-``_fastgrid``); ``ComparisonCurve.delta_coords`` is still a tuple of
-``Poly``.  The normal-coordinate jet (``normal_coord_jet`` and its
-block-LU series) and the curve and representative matrices of a spec run
-on ``Mat``s with ``Poly`` entries.
+Every polynomial matrix here is an ``IntPolyMat`` (integer coefficient
+matrices over one common denominator, from ``_fastgrid``): Ad_b X of a
+spec, the comparison curve, curve equality, the five identity checkers and
+the normal-coordinate jet with its block-LU series.  Coordinates of a
+polynomial matrix (``delta_coords``, the jet's Y) are tuples of ``Poly``
+read by ``GradedAlgebra.express_poly``.
 """
 
 from __future__ import annotations
@@ -34,26 +33,14 @@ from fractions import Fraction
 from math import factorial
 
 from ._fastgrid import IntPolyMat
-from .algebra import (
-    AlgElem,
-    _same_algebra,
-    exp_mat,
-    exp_nilpotent,
-    group_exp,
-    log_unipotent,
-    normal_form_P,
-    truncated_Ad,
-)
+from .algebra import AlgElem, _same_algebra, group_exp, normal_form_P, truncated_Ad
 from .errors import (
     BadReparam,
     NotInNilpotentPart,
     NotInParabolic,
     OracleDisagreement,
 )
-from .matrices import Mat
 from .poly import P_T, Poly
-
-_F1 = Fraction(1)
 
 
 class CurveSpec:
@@ -66,7 +53,7 @@ class CurveSpec:
     ``zs`` is factored on first access.
     """
 
-    __slots__ = ("algebra", "b", "X", "b0", "_zs", "_a_mat", "_a_int")
+    __slots__ = ("algebra", "b", "X", "b0", "_zs", "_a_int")
 
     def __init__(self, algebra, b, X, *, _b_in_exp_pplus=False):
         if b.algebra is not algebra or X.algebra is not algebra:
@@ -84,7 +71,6 @@ class CurveSpec:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "b0", b0)
         object.__setattr__(self, "_zs", zs)
-        object.__setattr__(self, "_a_mat", None)
         object.__setattr__(self, "_a_int", None)
 
     def __setattr__(self, name, value):
@@ -109,26 +95,13 @@ class CurveSpec:
         return self._zs
 
     @property
-    def ad_matrix(self):
-        """The constant matrix Ad_b X (nilpotent)."""
-        if self._a_mat is None:
-            object.__setattr__(self, "_a_mat", self.b.mat * self.X.matrix * self.b.inv_mat)
-        return self._a_mat
-
-    @property
     def ad_polymat(self):
-        """Ad_b X as a constant IntPolyMat."""
+        """The constant matrix Ad_b X = b X b^{-1}, as an integer product."""
         if self._a_int is None:
-            object.__setattr__(self, "_a_int", IntPolyMat.from_mats([self.ad_matrix]))
+            mats = (self.b.mat, self.X.matrix, self.b.inv_mat)
+            b, x, b_inv = (IntPolyMat.from_mats([m]) for m in mats)
+            object.__setattr__(self, "_a_int", b * x * b_inv)
         return self._a_int
-
-    def curve_matrix(self, scale=P_T):
-        """b exp(tX) as an exact polynomial matrix."""
-        return self.b.mat * exp_nilpotent(self.X, scale)
-
-    def rep_matrix(self, scale=P_T):
-        """The canonical representative exp(t Ad_b X); same projection."""
-        return exp_mat(self.ad_matrix, scale)
 
     def direction(self):
         """Tangent direction at o as an element of n (= g/p)."""
@@ -176,7 +149,7 @@ def comparison(c1, c2):
     u = a2.exp(-P_T) * a1.exp(P_T)
     u_inv = a1.exp(-P_T) * a2.exp(P_T)
     delta = u_inv * u.derivative()
-    coords = delta.coords(c1.algebra)
+    coords = c1.algebra.express_poly(delta)
     if coords is None:
         raise OracleDisagreement("delta_u left the algebra span; this cannot happen for curves in G")
     return ComparisonCurve(c1, c2, u, u_inv, delta, coords)
@@ -223,7 +196,11 @@ def jet_equal(c1, c2, ell):
 
 
 class NormalCoordJet:
-    """Jet of the normal-coordinate representation exp(Y(t)) p(t)."""
+    """Jet of the normal-coordinate representation exp(Y(t)) p(t).
+
+    ``Y_coeffs`` are the coefficients of Y as algebra elements;
+    ``P_part`` is p(t) mod t^(order+1), an IntPolyMat.
+    """
 
     __slots__ = ("algebra", "order", "Y_coeffs", "P_part")
 
@@ -256,9 +233,9 @@ def normal_coord_jet(c, order):
     if order < 1:
         raise ValueError("jet order must be >= 1")
     alg = c.algebra
-    m = c.rep_matrix().truncate(order)
+    m = c.ad_polymat.exp(P_T).truncate(order)
     lower, upper = _block_lu_series(alg, m, order)
-    ymat = log_unipotent(lower).truncate(order)
+    ymat = _log_unipotent_series(lower, order)
     coords = alg.express_poly(ymat)
     if coords is None:
         raise OracleDisagreement("normal-coordinate factor left the algebra span")
@@ -268,42 +245,38 @@ def normal_coord_jet(c, order):
         raise OracleDisagreement("normal-coordinate factor is not n-valued")
     if ycoeffs[0]:
         raise OracleDisagreement("curve does not start at the origin of the chart")
-    recon = (exp_mat(ymat) * upper).truncate(order)
-    if recon != m:
+    if (ymat.exp() * upper).truncate(order) != m:
         raise OracleDisagreement("big-cell factorization failed to reproduce the curve")
     return NormalCoordJet(alg, order, ycoeffs, upper)
 
 
 def _block_lu_series(alg, m, order):
-    """m = L Q with L block-lower unipotent, Q block-upper, mod t^(order+1)."""
-    sizes = alg.block_sizes
-    starts = []
-    s = 0
-    for size in sizes:
-        starts.append(s)
-        s += size
+    """m = L Q with L block-lower unipotent, Q block-upper, mod t^(order+1).
+
+    Block elimination one block column j at a time, on d x d matrices:
+    with E the projector onto block j and B the one onto the blocks below
+    it, F = B W E (E W E + I - E)^{-1} holds the multipliers of column j,
+    L gains F and the work matrix W becomes (I - F) W.
+    """
     d = alg.matrix_dim
-    work = [[_as_poly_entry(m.rows[i][j]) for j in range(d)] for i in range(d)]
-    lower = [[Poly.const(_F1) if i == j else Poly() for j in range(d)] for i in range(d)]
-    nb = len(sizes)
-    for jb in range(nb - 1):
-        rj = range(starts[jb], starts[jb] + sizes[jb])
-        piv = Mat(tuple(tuple(work[i][j] for j in rj) for i in rj))
-        piv_inv = _unipotent_series_inverse(piv, order)
-        for ib in range(jb + 1, nb):
-            ri = range(starts[ib], starts[ib] + sizes[ib])
-            blk = Mat(tuple(tuple(work[i][j] for j in rj) for i in ri))
-            f = (blk * piv_inv).map(lambda e: e.truncate(order))
-            for a, i in enumerate(ri):
-                for bcol, j in enumerate(rj):
-                    lower[i][j] = f.rows[a][bcol]
-            for a, i in enumerate(ri):
-                for j in range(d):
-                    acc = work[i][j]
-                    for bcol, jj in enumerate(rj):
-                        acc = acc - f.rows[a][bcol] * work[jj][j]
-                    work[i][j] = acc.truncate(order)
-    return Mat(lower), Mat(work)
+    ident = IntPolyMat.identity(d)
+    lower, work = ident, m
+    start = 0
+    for size in alg.block_sizes[:-1]:
+        block = _projector(d, range(start, start + size))
+        below = _projector(d, range(start + size, d))
+        column = work * block
+        piv_inv = _unipotent_series_inverse(block * column + ident - block, order)
+        f = (below * column * piv_inv).truncate(order)
+        lower = lower + f
+        work = (work - f * work).truncate(order)
+        start += size
+    return lower, work
+
+
+def _projector(d, indices):
+    """The constant diagonal 0/1 matrix that keeps the given indices."""
+    return IntPolyMat(d, [[[int(i == j and i in indices) for j in range(d)] for i in range(d)]])
 
 
 def _unipotent_series_inverse(piv, order):
@@ -311,8 +284,8 @@ def _unipotent_series_inverse(piv, order):
 
     (I - piv)^k = O(t^k), so the terms k <= order are all that survive.
     """
-    ident = Mat.identity(piv.dim)
-    if piv.eval(0) != ident:
+    ident = IntPolyMat.identity(piv.d)
+    if piv.truncate(0) != ident:
         raise OracleDisagreement("pivot block of the representative is not I at t = 0")
     step = ident - piv
     term = inv = ident
@@ -324,8 +297,17 @@ def _unipotent_series_inverse(piv, order):
     return inv
 
 
-def _as_poly_entry(e):
-    return e if isinstance(e, Poly) else Poly.const(e)
+def _log_unipotent_series(m, order):
+    """log m mod t^(order+1) for m = I + N with N(0) = 0: the series
+    sum_p (-1)^(p+1) N^p / p, where N^p = O(t^p) ends it by p = order."""
+    n = m - IntPolyMat.identity(m.d)
+    acc = power = n.truncate(order)
+    for p in range(2, order + 1):
+        power = (power * n).truncate(order)
+        if power.is_zero():
+            break
+        acc = acc + power.scale(Fraction((-1) ** (p + 1), p))
+    return acc
 
 
 # -- identity checkers ---------------------------------------------------------

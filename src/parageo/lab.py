@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgElem, bracket, exp_mat, exp_nilpotent, group_exp
+from .algebra import AlgElem, bracket, exp_nilpotent, group_exp
 from .curves import CurveSpec, curves_equal, jet_equal, normal_coord_jet
 from .errors import (
     EmptyGrid,
@@ -35,9 +35,8 @@ from .errors import (
     OracleDisagreement,
     ParageoError,
 )
-from ._fastgrid import grid_kernel
+from ._fastgrid import IntPolyMat, grid_kernel
 from .matrices import rank, rref
-from .poly import P_T, Poly
 from .reparam import _double_bracket_solution, _proportionality, reparam_solve, verify_reparam
 
 _F0 = Fraction(0)
@@ -314,6 +313,15 @@ def solve_direction(g, x):
     raise OracleDisagreement("direction constraint failed to converge")
 
 
+def check_direction(ts, x):
+    """Raise NotAMember unless the base direction x is a nonzero member
+    of the type: the one direction rule of ``jets`` and ``family``."""
+    if not ts.contains(x):
+        raise NotAMember("base direction is not a member of %s" % ts.label)
+    if not x:
+        raise NotAMember("base direction must be nonzero")
+
+
 def paper_jet_bound(ts):
     """The proved determination bound for this type of geodesics."""
     k = ts.algebra.k
@@ -462,10 +470,7 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None, workers=
     r_max = r_max if r_max is not None else alg.k + 3
     if r_max < 1:
         raise ParageoError("highest jet order must be at least 1, got %d" % r_max)
-    if not ts.contains(x):
-        raise NotAMember("base direction is not a member of %s" % ts.label)
-    if not x:
-        raise NotAMember("base direction must be nonzero")
+    check_direction(ts, x)
     claimed = claimed_bound if claimed_bound is not None else paper_jet_bound(ts)
     records = []
     n_grid = 0
@@ -723,8 +728,7 @@ def family_dimension(ts, x, grid=2):
     linearity check the claim is downgraded to a range.
     """
     alg = ts.algebra
-    if not ts.contains(x):
-        raise NotAMember("direction is not a member of %s" % ts.label)
+    check_direction(ts, x)
     r_filter = alg.k + 2
     admissible = []
     stab = []
@@ -841,15 +845,15 @@ class OrbitHullReport:
         }
 
 
-def _truncated_ad_coords_poly(alg, z0, dz, y0, dy):
-    """Poly coords of s -> Adbar(exp(z0 + s dz))(y0 + s dy), exact."""
-    zmat = z0.matrix.map(lambda v: Poly.const(v)) + dz.matrix.scale(P_T)
-    ymat = y0.matrix.map(lambda v: Poly.const(v)) + dy.matrix.scale(P_T)
-    g = exp_mat(zmat)
-    gi = exp_mat(-zmat)
-    img = alg.position_part(g * ymat * gi, lambda grade: grade < 0)
-    coords = alg.express_poly(img, check=False)
-    return coords
+def _truncated_ad_derivative(alg, z0, dz, y0, dy):
+    """n coordinates of d/ds Adbar(exp(z0 + s dz))(y0 + s dy) at s = 0."""
+    zs = IntPolyMat.from_mats([z0.matrix, dz.matrix])
+    ys = IntPolyMat.from_mats([y0.matrix, dy.matrix])
+    img = (zs.exp().truncate(1) * ys * zs.exp(-1).truncate(1)).truncate(1)
+    coords = alg.express_poly(img)
+    if coords is None:
+        raise OracleDisagreement("orbit probe left the algebra span")
+    return [coords[i][1] for i in alg.n_indices]
 
 
 def orbit_hull_dimension(ts, grid=2):
@@ -895,14 +899,9 @@ def orbit_hull_dimension(ts, grid=2):
         probe_pairs.append((ones, x))
     best = 0
     for z0, x0 in probe_pairs[:6]:
-        cols = []
-        for dz in pplus_basis:
-            coords = _truncated_ad_coords_poly(alg, z0, dz, x0, x0.algebra.zero_elem())
-            cols.append([p[1] for p in coords])
-        for dx in param_basis:
-            coords = _truncated_ad_coords_poly(alg, z0, z0.algebra.zero_elem(), x0, dx)
-            cols.append([p[1] for p in coords])
-        best = max(best, rank([list(col) for col in zip(*cols)]) if cols else 0)
+        cols = [_truncated_ad_derivative(alg, z0, dz, x0, zero) for dz in pplus_basis]
+        cols += [_truncated_ad_derivative(alg, z0, zero, x0, dx) for dx in param_basis]
+        best = max(best, rank(cols))
         if best == hull:
             break
     return OrbitHullReport(

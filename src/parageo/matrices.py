@@ -9,16 +9,18 @@ memoized over column masks, which is exact over any commutative ring; the
 memo holds up to 2^n minors.  Row reduction (rref / kernel / solve) is
 for field entries only, and so is ``inverse``: the right half of
 rref([M | I]), the route the algebra build takes for its coordinate
-extractor.  The curve code never inverts a polynomial matrix: every
-inverse it needs is known in closed form, as exp(-Z) or exp(-tA).
+extractor.  The curve code inverts no polynomial matrix exactly: every
+inverse it needs is known in closed form, as exp(-Z) or exp(-tA), or is a
+truncated power series (the pivot blocks of the normal-coordinate jet).
 
-Which engine runs where: ``Mat`` holds every constant matrix (basis,
-group elements, Ad) and runs the Poly-entry paths that remain, namely the
-normal-coordinate jet and its block-LU series, a spec's curve and
-representative matrices, the orbit probes of ``lab`` and the
-reparametrization check.  The lemma identities, comparison curves and
-curve equality run on the integer ``_fastgrid.IntPolyMat``, and every grid
-pair on the integer ``_fastgrid.GridKernel``.
+Which engine runs where: ``Mat`` holds the constant matrices (basis,
+group elements, Ad on coordinates) and the row reductions.  Every
+polynomial matrix (comparison curves, curve equality, the lemma
+identities, the normal-coordinate jet, the reparametrization check and
+the orbit probes) is an integer ``_fastgrid.IntPolyMat``, and every grid
+pair runs on the integer ``_fastgrid.GridKernel``.  The ``Mat``s with
+``Poly`` entries that remain are ``IntPolyMat.to_mat`` (for ``repr``) and
+the test references.
 """
 
 from __future__ import annotations
@@ -124,13 +126,6 @@ class Mat:
     def is_zero(self):
         return all(not a for r in self.rows for a in r)
 
-    def truncate(self, order):
-        """Entrywise series truncation; scalar entries pass through."""
-        return self.map(lambda e: e.truncate(order) if hasattr(e, "truncate") else e)
-
-    def eval(self, x):
-        return Mat(tuple(tuple(_eval_entry(a, x) for a in r) for r in self.rows))
-
     def det(self):
         n = self.dim
         if n == 0:
@@ -183,10 +178,6 @@ def _dot(row, col):
         if a and b:
             acc = acc + a * b
     return acc + Fraction(0) * row[0] if isinstance(acc, int) else acc
-
-
-def _eval_entry(e, x):
-    return e.eval(x) if hasattr(e, "eval") else e
 
 
 def rref(rows):

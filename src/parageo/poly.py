@@ -136,12 +136,6 @@ class Poly:
             p = p.derivative()
         return p
 
-    def eval(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def truncate(self, order):
         """Drop all terms of degree > order (series arithmetic helper)."""
         return Poly(self.coeffs[: order + 1])

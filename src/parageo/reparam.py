@@ -13,7 +13,7 @@ decided by exact linear algebra on iterated brackets, and every positive
 answer is verifiable as an exact matrix identity.  Writing phi = N/D with
 N = At+B and D = Ct+D, the factor D^q (q the last nonzero power of the
 direction) clears every denominator of exp(phi X), so the identity is one
-of polynomial matrices.
+of polynomial matrices (``IntPolyMat``).
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .algebra import _nilpotent_powers, bracket, exp_nilpotent, group_exp, normal_form_P
+from ._fastgrid import IntPolyMat
+from .algebra import bracket, group_exp, normal_form_P
 from .errors import (
     NotApplicableGrading,
     PoleAtOrigin,
     ZeroVelocity,
 )
-from .matrices import Mat, solve_linear
+from .matrices import solve_linear
 from .poly import P_ONE, P_T, Poly
 
 _F0 = Fraction(0)
@@ -196,23 +197,29 @@ def _num_den(m):
 def verify_reparam(c1, c2, m):
     """Exact check that c2(t) and c1(phi(t)) project to the same curve.
 
-    u(t) = c2(t)^{-1} c1(phi(t)) lies in P iff D^q u(t) does, as D != 0.
-    With X1^p (p <= q) the nonzero powers of c1's direction, D^q exp(phi X1)
-    is the polynomial matrix sum_p N^p D^(q-p) X1^p / p!, and every entry
-    of D^q u outside the block pattern of P must vanish identically.
+    u(t) = c2(t)^{-1} c1(phi(t)) = b2^{-1} exp(-t A2) exp(phi A1) b1 with
+    A_i = Ad_{b_i} X_i.  As b1 and b2 lie in P and D != 0, u lies in P iff
+    D^q exp(-t A2) exp(phi A1) does.  With A1^p (p <= q) the nonzero powers
+    of A1, D^q exp(phi A1) is the polynomial matrix
+    sum_p N^p D^(q-p) A1^p / p!, and every entry of the product outside
+    the block pattern of P must vanish identically.
     """
     if not m.d:
         raise PoleAtOrigin("reparametrization has a pole at t = 0")
     num, den = _num_den(m)
-    powers = list(_nilpotent_powers(c1.X.matrix))
-    q = len(powers)
-    cleared = Mat.identity(c1.algebra.matrix_dim).scale(den**q)
+    a1 = c1.ad_polymat
+    powers = [IntPolyMat.identity(a1.d)]
+    power = a1
+    while not power.is_zero():
+        powers.append(power)
+        power = power * a1
+    q = len(powers) - 1
+    cleared = powers[0].scale(den**q)
     num_pow = P_ONE
-    for p, power in enumerate(powers, 1):
+    for p, power in enumerate(powers[1:], 1):
         num_pow = num_pow * num
         cleared = cleared + power.scale(num_pow * den ** (q - p) * Fraction(1, factorial(p)))
-    left = exp_nilpotent(c2.X, -P_T) * c2.b.inv_mat
-    return c1.algebra.matrix_in_p_pattern(left * (c1.b.mat * cleared))
+    return (c2.ad_polymat.exp(-P_T) * cleared).in_p_pattern(c1.algebra)
 
 
 def schwarzian_check(phi):

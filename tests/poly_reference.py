@@ -1,23 +1,25 @@
-"""Poly-entry references for the curve-calculus identity checkers.
+"""Poly-entry references for the curve calculus.
 
-The same comparison curve, curve equality and five identity checkers as
-``parageo.curves``, computed on ``Mat``s whose entries are ``Poly`` with
-``Fraction`` coefficients instead of on the integer ``IntPolyMat``:
-products go through ``Poly.__mul__``, and coordinates come from the
-algebra's Fraction extractor (``GradedAlgebra.express_poly``).  They take
-and return Poly-entry ``Mat``s; ``to_int`` converts one for the primary
-route.
+The same comparison curve, curve equality, five identity checkers,
+normal-coordinate jet, reparametrization check and orbit-probe curve as
+``parageo.curves``, ``parageo.reparam`` and ``parageo.lab``, computed on
+``Mat``s whose entries are ``Poly`` with ``Fraction`` coefficients instead
+of on the integer ``IntPolyMat``: products go through ``Poly.__mul__``,
+Ad_b X is two ``Fraction`` products, and coordinates come from the
+algebra's Fraction extractor (``express_poly`` below).  They take and
+return Poly-entry ``Mat``s; ``to_int`` converts one for the primary route.
 """
 
 from fractions import Fraction
 from math import factorial
 
 from parageo._fastgrid import IntPolyMat
-from parageo.algebra import exp_mat
-from parageo.curves import ComparisonCurve, _partitions, partition_coefficient
-from parageo.errors import BadReparam, NotInNilpotentPart, OracleDisagreement
+from parageo.algebra import AlgElem, _nilpotent_powers, exp_mat, exp_nilpotent
+from parageo.curves import ComparisonCurve, NormalCoordJet, _partitions, partition_coefficient
+from parageo.errors import BadReparam, NotInNilpotentPart, OracleDisagreement, PoleAtOrigin
 from parageo.matrices import Mat
-from parageo.poly import P_T, Poly
+from parageo.poly import P_ONE, P_T, Poly
+from parageo.reparam import _num_den
 
 
 def to_int(mat):
@@ -34,19 +36,69 @@ def derivative(mat):
     return mat.map(lambda e: e.derivative() if isinstance(e, Poly) else Fraction(0))
 
 
+def _as_poly(e):
+    return e if isinstance(e, Poly) else Poly.const(e)
+
+
+def truncate(mat, order):
+    """Entrywise series truncation; rational entries become constants."""
+    return mat.map(lambda e: _as_poly(e).truncate(order))
+
+
+def express_poly(alg, mat):
+    """Poly coordinates of a Poly-entry matrix curve in g, or None."""
+    vec = tuple(_as_poly(e) for row in mat.rows for e in row)
+    coords = []
+    for terms in alg._extract_terms:
+        acc = Poly()
+        for pr, e in terms:
+            if vec[pr]:
+                acc = acc + e * vec[pr]
+        coords.append(acc)
+    acc = [Poly()] * len(vec)
+    for c, terms in zip(coords, alg._basis_terms):
+        if c:
+            for r, v in terms:
+                acc[r] = acc[r] + v * c
+    return tuple(coords) if acc == list(vec) else None
+
+
+def log_unipotent(m):
+    """Finite matrix logarithm of I + N with N nilpotent."""
+    acc = Mat.zero(m.dim)
+    for p, power in enumerate(_nilpotent_powers(m - Mat.identity(m.dim)), 1):
+        acc = acc + power.scale(Fraction(1, p) if p % 2 == 1 else Fraction(-1, p))
+    return acc
+
+
+def ad_matrix(c):
+    """Ad_b X of a curve spec as two Fraction products."""
+    return c.b.mat * c.X.matrix * c.b.inv_mat
+
+
+def curve_matrix(c, scale=P_T):
+    """b exp(tX) as a Poly-entry matrix."""
+    return c.b.mat * exp_nilpotent(c.X, scale)
+
+
+def rep_matrix(c, scale=P_T):
+    """The canonical representative exp(t Ad_b X); same projection."""
+    return exp_mat(ad_matrix(c), scale)
+
+
 def comparison(c1, c2):
-    a1, a2 = c1.ad_matrix, c2.ad_matrix
+    a1, a2 = ad_matrix(c1), ad_matrix(c2)
     u = exp_mat(a2, -P_T) * exp_mat(a1, P_T)
     u_inv = exp_mat(a1, -P_T) * exp_mat(a2, P_T)
     delta = u_inv * derivative(u)
-    coords = c1.algebra.express_poly(delta)
+    coords = express_poly(c1.algebra, delta)
     if coords is None:
         raise OracleDisagreement("delta_u left the algebra span")
     return ComparisonCurve(c1, c2, u, u_inv, delta, coords)
 
 
 def curves_equal(c1, c2):
-    u = exp_mat(c2.ad_matrix, -P_T) * exp_mat(c1.ad_matrix, P_T)
+    u = exp_mat(ad_matrix(c2), -P_T) * exp_mat(ad_matrix(c1), P_T)
     return c1.algebra.matrix_in_p_pattern(u)
 
 
@@ -92,7 +144,7 @@ def verify_delta_leibniz(f, f_inv, g, g_inv):
 
 
 def verify_lemma_2_4(cc, i_max):
-    a1 = cc.c1.ad_matrix
+    a1 = ad_matrix(cc.c1)
     lhs = rhs = cc.delta_u
     for _ in range(i_max):
         lhs = derivative(lhs)
@@ -117,7 +169,7 @@ def reparam_comparison(cc, phi):
         raise BadReparam("phi(0) must be 0")
     if not phi[1]:
         raise BadReparam("phi'(0) must be nonzero")
-    a1, a2 = cc.c1.ad_matrix, cc.c2.ad_matrix
+    a1, a2 = ad_matrix(cc.c1), ad_matrix(cc.c2)
     u = exp_mat(a2, -P_T) * exp_mat(a1, phi)
     u_inv = exp_mat(a1, -phi) * exp_mat(a2, P_T)
     return u, u_inv, a1
@@ -145,3 +197,87 @@ def verify_lemma_3_2(cc, phi, i_max):
         if lhs != rhs:
             return False
     return True
+
+
+def normal_coord_jet(c, order):
+    """exp(Y(t)) p(t) mod t^(order+1) by block LU of the representative."""
+    alg = c.algebra
+    m = truncate(rep_matrix(c), order)
+    lower, upper = _block_lu_series(alg, m, order)
+    ymat = truncate(log_unipotent(lower), order)
+    coords = express_poly(alg, ymat)
+    if coords is None:
+        raise OracleDisagreement("normal-coordinate factor left the algebra span")
+    ycoeffs = [AlgElem(alg, tuple(p[i] for p in coords)) for i in range(order + 1)]
+    if not all(e.in_n() for e in ycoeffs) or ycoeffs[0]:
+        raise OracleDisagreement("normal-coordinate factor is not an n-valued Y with Y(0) = 0")
+    if truncate(exp_mat(ymat) * upper, order) != m:
+        raise OracleDisagreement("big-cell factorization failed to reproduce the curve")
+    return NormalCoordJet(alg, order, ycoeffs, upper)
+
+
+def _block_lu_series(alg, m, order):
+    """m = L Q with L block-lower unipotent, Q block-upper, mod t^(order+1)."""
+    sizes = alg.block_sizes
+    starts = [sum(sizes[:b]) for b in range(len(sizes))]
+    d = alg.matrix_dim
+    work = [list(row) for row in m.rows]
+    lower = [[Poly.const(Fraction(1)) if i == j else Poly() for j in range(d)] for i in range(d)]
+    nb = len(sizes)
+    for jb in range(nb - 1):
+        rj = range(starts[jb], starts[jb] + sizes[jb])
+        piv = Mat(tuple(tuple(work[i][j] for j in rj) for i in rj))
+        piv_inv = unipotent_series_inverse(piv, order)
+        for ib in range(jb + 1, nb):
+            ri = range(starts[ib], starts[ib] + sizes[ib])
+            blk = Mat(tuple(tuple(work[i][j] for j in rj) for i in ri))
+            f = truncate(blk * piv_inv, order)
+            for a, i in enumerate(ri):
+                for bcol, j in enumerate(rj):
+                    lower[i][j] = f.rows[a][bcol]
+            for a, i in enumerate(ri):
+                for j in range(d):
+                    acc = work[i][j]
+                    for bcol, jj in enumerate(rj):
+                        acc = acc - f.rows[a][bcol] * work[jj][j]
+                    work[i][j] = acc.truncate(order)
+    return Mat(lower), Mat(work)
+
+
+def unipotent_series_inverse(piv, order):
+    """piv^{-1} mod t^(order+1) for piv = I at t = 0: sum_k (I - piv)^k."""
+    ident = Mat.identity(piv.dim)
+    if piv.map(lambda e: e[0]) != ident:
+        raise OracleDisagreement("pivot block of the representative is not I at t = 0")
+    step = ident - piv
+    term = inv = ident
+    for _ in range(order):
+        term = truncate(term * step, order)
+        if term.is_zero():
+            break
+        inv = inv + term
+    return inv
+
+
+def truncated_ad_coords_poly(alg, z0, dz, y0, dy):
+    """Poly coords of s -> Adbar(exp(z0 + s dz))(y0 + s dy), exact."""
+    zmat = z0.matrix.map(Poly.const) + dz.matrix.scale(P_T)
+    ymat = y0.matrix.map(Poly.const) + dy.matrix.scale(P_T)
+    img = alg.position_part(exp_mat(zmat) * ymat * exp_mat(-zmat), lambda grade: grade < 0)
+    return express_poly(alg, img)
+
+
+def verify_reparam(c1, c2, m):
+    """D^q u(t) in the P pattern, u = c2(t)^{-1} c1(phi(t)), on b and X."""
+    if not m.d:
+        raise PoleAtOrigin("reparametrization has a pole at t = 0")
+    num, den = _num_den(m)
+    powers = list(_nilpotent_powers(c1.X.matrix))
+    q = len(powers)
+    cleared = Mat.identity(c1.algebra.matrix_dim).scale(den**q)
+    num_pow = P_ONE
+    for p, power in enumerate(powers, 1):
+        num_pow = num_pow * num
+        cleared = cleared + power.scale(num_pow * den ** (q - p) * Fraction(1, factorial(p)))
+    left = exp_nilpotent(c2.X, -P_T) * c2.b.inv_mat
+    return c1.algebra.matrix_in_p_pattern(left * (c1.b.mat * cleared))

@@ -11,11 +11,12 @@ from parageo.algebra import (
     exp_mat,
     exp_nilpotent,
     group_exp,
-    log_unipotent,
     normal_form_P,
     truncated_Ad,
 )
+from parageo._fastgrid import IntPolyMat
 from parageo.catalog import g0_samples, make_algebra, validate_group_matrix
+from parageo.curves import _log_unipotent_series
 from parageo.errors import (
     AlgebraMismatch,
     BadParams,
@@ -29,6 +30,7 @@ from parageo.poly import P_T, Poly
 
 from conftest import ALL_IDS, block_flag_sl, full_flag_sl4
 from fraction_reference import exhaustive_jacobi_violations, reference_build
+from poly_reference import express_poly, log_unipotent, to_int
 
 EXPECTED_GRADE_DIMS = {
     "proj(1)": {-1: 1, 0: 1, 1: 1},
@@ -245,6 +247,10 @@ def test_log_unipotent_inverts_exp(lagr3):
     z = lagr3.grade_basis(1)[0] + lagr3.grade_basis(2)[0] * Fraction(3)
     m = exp_nilpotent(z, Fraction(1))
     assert lagr3.express(log_unipotent(m)) == z.coords
+    # the series logarithm of the normal-coordinate jet: log exp(tZ) = tZ
+    line = IntPolyMat.from_mats([lagr3.zero_elem().matrix, z.matrix])
+    for order in (1, 2, 4):
+        assert _log_unipotent_series(line.exp(), order) == line
 
 
 # -- the worked closed-form bracket identities ---------------------------------
@@ -514,10 +520,11 @@ def test_express_poly_round_trip_and_off_span(cid, data):
     mat = Mat.zero(alg.matrix_dim)
     for c, b in zip(coords, alg.basis):
         mat = mat + b.scale(c)
-    assert alg.express_poly(mat) == coords
+    assert alg.express_poly(to_int(mat)) == express_poly(alg, mat) == coords
     r = data.draw(st.sampled_from(_off_span_positions(alg)))
     eps = data.draw(quadratic.filter(bool))
-    assert alg.express_poly(_perturb(alg, mat, r, eps)) is None
+    off = _perturb(alg, mat, r, eps)
+    assert alg.express_poly(to_int(off)) is express_poly(alg, off) is None
 
 
 @settings(max_examples=60, deadline=None)

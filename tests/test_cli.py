@@ -260,3 +260,13 @@ _COORD = st.one_of(
 def test_direction_fuzz_exit_codes(coords):
     argv = ["jets", "--algebra", "lagr3", "--grid", "0", "--direction=" + ",".join(coords)]
     assert main(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("command", ["jets", "family"])
+def test_zero_direction_exits_2(command, capsys):
+    # jets and family share one direction rule: a nonzero member of the type
+    argv = [command, "--algebra", "lagr3", "--type", "grade(-1)", "--direction", "0,0,0", "--grid", "1"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert "base direction must be nonzero" in out.err
+    assert out.out == ""

@@ -22,10 +22,11 @@ from parageo.curves import (
     verify_lemma_2_4,
     verify_lemma_3_2,
 )
+from parageo._fastgrid import IntPolyMat
 from parageo.errors import BadReparam, NotInNilpotentPart, NotInParabolic, OracleDisagreement
 from parageo.matrices import Mat
 from parageo.poly import P_T, Poly
-from poly_reference import derivative, to_int
+from poly_reference import ad_matrix, curve_matrix, derivative, rep_matrix, to_int
 
 
 def proj1_pair():
@@ -43,7 +44,7 @@ def test_curve_spec_validation(proj1):
     with pytest.raises(NotInNilpotentPart):
         CurveSpec.base(proj1, z)
     spec = CurveSpec.from_Z(proj1, z, x)
-    assert spec.curve_matrix().det() == Poly.const(Fraction(1))
+    assert curve_matrix(spec).det() == Poly.const(Fraction(1))
     assert spec.direction() == x
 
 
@@ -58,9 +59,9 @@ def test_direction_nonzero_iff_x_nonzero(lagr3):
 def test_comparison_basics():
     alg, x, z, c1, c2 = proj1_pair()
     cc = comparison(c1, c2)
-    assert cc.u.to_mat().eval(Fraction(0)) == Mat.identity(2)
+    assert cc.u.truncate(0) == IntPolyMat.identity(2)
     # rep_1(t) = rep_2(t) u(t) exactly
-    assert c2.rep_matrix() * cc.u.to_mat() == c1.rep_matrix()
+    assert rep_matrix(c2) * cc.u.to_mat() == rep_matrix(c1)
     # delta_u(0) = Ad_b1 X1 - Ad_b2 X2
     assert cc.delta_at_zero() == x - Ad(group_exp(z), x)
     # the worked value: -[Z,X] - 1/2 [Z,[Z,X]]
@@ -100,7 +101,7 @@ def test_base_and_from_Z_specs_invert_nothing(monkeypatch, any_algebra):
     x = alg.grade_basis(-1)[0]
     for c in (CurveSpec.base(alg, x), CurveSpec.from_Z(alg, alg.grade_basis(1)[0], x)):
         assert c.b0 is alg.group_identity()
-        assert c.ad_matrix == c.b.mat * x.matrix * c.b.inv_mat
+        assert c.ad_polymat == to_int(c.b.mat * x.matrix * c.b.inv_mat)
     # a b0 other than I still goes through the inverse
     b0 = g0_samples(alg)[1]
     with pytest.raises(AssertionError, match="Mat.inverse"):
@@ -184,7 +185,7 @@ def test_normal_coord_reconstruction(xxdot):
     nj = normal_coord_jet(CurveSpec.from_Z(xxdot, z, x), 5)
     # factor recombines by construction (the op itself asserts it); spot-check
     # the P part stays in the block pattern
-    assert xxdot.matrix_in_p_pattern(nj.P_part)
+    assert nj.P_part.in_p_pattern(xxdot)
 
 
 def test_lemma_2_3_series(any_algebra):
@@ -271,7 +272,7 @@ def test_lemma_2_4(any_algebra):
 def test_lemma_2_4_first_order_worked(proj1):
     alg, x, z, c1, c2 = proj1_pair()
     cc = comparison(c1, c2)
-    a1 = cc.c1.ad_matrix
+    a1 = ad_matrix(cc.c1)
     delta = cc.delta_u.to_mat()
     assert derivative(delta) == delta * a1 - a1 * delta
 
@@ -295,13 +296,27 @@ def test_eq_2_4_1(any_algebra):
 def test_unipotent_series_inverse():
     # piv = I + t B with B(0) not nilpotent, so every term k <= order counts
     one = Poly((1,))
-    piv = Mat([[one + P_T, P_T * P_T], [-P_T, one]])
+    piv = to_int(Mat([[one + P_T, P_T * P_T], [-P_T, one]]))
+    ident = IntPolyMat.identity(2)
     for order in (1, 2, 5):
         inv = _unipotent_series_inverse(piv, order)
-        assert (piv * inv).truncate(order) == Mat.identity(2)
-        assert (inv * piv).truncate(order) == Mat.identity(2)
-    with pytest.raises(OracleDisagreement):
-        _unipotent_series_inverse(Mat([[one + one, P_T], [Poly(), one]]), 3)
+        assert (piv * inv).truncate(order) == ident
+        assert (inv * piv).truncate(order) == ident
+        assert (piv * inv).truncate(order + 1) != ident
+
+
+@pytest.mark.parametrize(
+    "at_zero",
+    [[[2, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [0, 0]]],
+    ids=["diagonal", "off-diagonal", "singular"],
+)
+def test_unipotent_series_inverse_rejects_pivot_not_I_at_zero(at_zero):
+    # the value at t = 0 differs from I; the t^1 term alone never matters
+    piv = IntPolyMat(2, [at_zero, [[0, 1], [1, 0]]])
+    with pytest.raises(OracleDisagreement, match="not I at t = 0"):
+        _unipotent_series_inverse(piv, 3)
+    good = IntPolyMat(2, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    assert (good * _unipotent_series_inverse(good, 3)).truncate(3) == IntPolyMat.identity(2)
 
 
 def test_lemma_3_2(any_algebra):

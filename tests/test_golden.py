@@ -30,7 +30,9 @@ Each curve-layer digest is the SHA-256 of the repr of one fixed sample of
 the curve calculus: a normal-coordinate jet, the coordinates of a
 comparison curve's delta_u, exponentials exp(tX) and exp(-tZ), and the
 logarithms of two unipotent matrices, as first computed with three
-separate exponential loops and the Laplace adjugate inverse.
+separate exponential loops and the Laplace adjugate inverse.  The jet was
+pinned on the Poly-entry block-LU series and passes unchanged on the
+integer one; the constant-matrix logarithm now lives in ``poly_reference``.
 """
 
 import hashlib
@@ -39,11 +41,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import full_flag_sl4
-from parageo.algebra import exp_mat, exp_nilpotent, log_unipotent
+from parageo.algebra import exp_mat, exp_nilpotent
 from parageo.catalog import make_algebra
 from parageo.cli import ExperimentConfig, emit, run
 from parageo.curves import CurveSpec, comparison, normal_coord_jet
 from parageo.poly import P_T
+from poly_reference import log_unipotent
 
 GOLDEN = [
     (

@@ -5,9 +5,11 @@ The unit tests hold each ``IntPolyMat`` operation to the same operation on
 a ``Mat`` with ``Poly`` entries.  The hypothesis tests draw curve data on
 the nine catalog ids and the sl(4) full flag and require both routes to
 give the same comparison curve (u, its inverse, delta_u and delta_coords),
-the same curve-equality verdict and the same verdict of every identity
-checker; the negative cases perturb one sample coefficient, or flip the
-sign of one partition coefficient, and both routes must return False.
+the same curve-equality verdict, the same verdict of every identity
+checker and of the reparametrization check, the same normal-coordinate jet
+and the same orbit-probe derivative; the negative cases perturb one sample
+coefficient, or flip the sign of one partition coefficient, and both
+routes must return False.
 """
 
 from fractions import Fraction
@@ -21,10 +23,12 @@ import poly_reference as ref
 from conftest import ALL_IDS, full_flag_sl4
 from parageo import curves
 from parageo._fastgrid import IntPolyMat
-from parageo.algebra import exp_mat, exp_nilpotent
-from parageo.catalog import make_algebra
-from parageo.curves import CurveSpec
+from parageo.algebra import exp_mat, exp_nilpotent, group_exp
+from parageo.catalog import g0_samples, make_algebra
+from parageo.curves import CurveSpec, normal_coord_jet
 from parageo.errors import NotNilpotent
+from parageo.lab import _truncated_ad_derivative
+from parageo.reparam import MobiusMap, reparam_solve, verify_reparam
 from parageo.matrices import Mat
 from parageo.poly import P_T, Poly
 
@@ -82,14 +86,26 @@ def test_exp_rejects_non_nilpotent():
         IntPolyMat.identity(3).exp(P_T)
 
 
+def test_truncate_keeps_low_terms():
+    a = ref.to_int(A)  # degree 2, denominator 6
+    assert a.truncate(5) == a and a.truncate(2) == a
+    assert a.truncate(1).to_mat() == ref.truncate(A, 1)
+    assert a.truncate(0).to_mat() == ref.truncate(A, 0)
+    assert a.truncate(0) == IntPolyMat.from_mats([A.map(lambda e: e[0])])
+    # a dropped top term leaves no trailing zero coefficient behind
+    assert len(ref.to_int(B).truncate(1).coeffs) == 2
+    assert (a - a.truncate(1)).to_mat() == A - ref.truncate(A, 1)
+    assert IntPolyMat(2, []).truncate(3).is_zero()
+
+
 def test_coords_and_span_check(any_algebra):
     alg = any_algebra
     x = alg.grade_basis(-1)[0] * Fraction(2, 3) + alg.grade_basis(alg.k)[-1]
     curve = IntPolyMat.from_mats([x.matrix, alg.zero_elem().matrix, x.matrix])
-    assert curve.coords(alg) == alg.express_poly(curve.to_mat())
+    assert alg.express_poly(curve) == ref.express_poly(alg, curve.to_mat())
     # the identity is not traceless, so it leaves every catalog span
     off = curve + IntPolyMat.identity(alg.matrix_dim).scale(P_T)
-    assert off.coords(alg) is None and alg.express_poly(off.to_mat()) is None
+    assert alg.express_poly(off) is None and ref.express_poly(alg, off.to_mat()) is None
 
 
 # -- agreement with the Poly-entry references -----------------------------------
@@ -103,6 +119,11 @@ def _elem(data, alg, indices):
     """A nonzero element supported on ``indices``."""
     vals = data.draw(st.lists(_VALS, min_size=len(indices), max_size=len(indices)).filter(any))
     return alg.elem_at(indices, vals)
+
+
+def _any_elem(data, alg, indices):
+    """An element supported on ``indices``, possibly zero."""
+    return alg.elem_at(indices, data.draw(st.lists(_VALS, min_size=len(indices), max_size=len(indices))))
 
 
 def _curve_data(data):
@@ -211,3 +232,52 @@ def test_flipped_partition_sign_fails_on_both_routes(data):
         assert ref.verify_lemma_3_2(rc, phi, 2) is False
         assert curves.verify_lemma_3_2(cc, phi, 2) is False
     assert ref.verify_lemma_3_2(rc, phi, 2) is curves.verify_lemma_3_2(cc, phi, 2) is True
+
+
+# -- the normal-coordinate jet, the reparametrization check, orbit probes -------
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_normal_coord_jet_agrees_with_poly_reference(data):
+    alg = algebra(data.draw(st.sampled_from(IDS)))
+    x = _elem(data, alg, alg.n_indices)
+    b = group_exp(_any_elem(data, alg, alg.pplus_indices))
+    if data.draw(st.booleans()):
+        b = g0_samples(alg)[-1] * b  # a G0 factor, where the catalog has one
+    c = CurveSpec(alg, b, x)
+    order = data.draw(st.integers(1, alg.k + 3))
+    jet, rj = normal_coord_jet(c, order), ref.normal_coord_jet(c, order)
+    assert jet.Y_coeffs == rj.Y_coeffs
+    assert jet.coeffs_prefix(order) == rj.coeffs_prefix(order)
+    assert jet.P_part == ref.to_int(rj.P_part)
+    assert jet.derivative_at_zero(1) == c.direction()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_verify_reparam_agrees_with_poly_reference(data):
+    alg = algebra(data.draw(st.sampled_from(IDS)))
+    x = _elem(data, alg, alg.grade_slices[-alg.k])
+    z = _elem(data, alg, alg.pplus_indices)
+    a = data.draw(_VALS.filter(bool))
+    c1, c2 = CurveSpec.base(alg, x), CurveSpec.from_Z(alg, z, x * a)
+    maps = [MobiusMap.from_seeds(data.draw(_VALS), a, data.draw(_VALS))]
+    verdict = reparam_solve(alg, x, z, x * a)
+    if verdict.exists:
+        maps.append(verdict.map)
+        assert verify_reparam(c1, c2, verdict.map) is True
+    for m in maps:
+        assert verify_reparam(c1, c2, m) == ref.verify_reparam(c1, c2, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_orbit_probe_derivative_is_the_reference_s1_coefficient(data):
+    alg = algebra(data.draw(st.sampled_from(IDS)))
+    z0, dz = (_any_elem(data, alg, alg.pplus_indices) for _ in range(2))
+    y0, dy = (_any_elem(data, alg, alg.n_indices) for _ in range(2))
+    coords = ref.truncated_ad_coords_poly(alg, z0, dz, y0, dy)
+    assert _truncated_ad_derivative(alg, z0, dz, y0, dy) == [coords[i][1] for i in alg.n_indices]
+    # the reference projects to n, so its other coordinates vanish
+    assert not any(coords[i] for i in range(alg.dim) if i not in alg.n_indices)
