@@ -1,44 +1,41 @@
-"""The exact integer engine: grid pairs and polynomial matrices.
+"""The exact integer engine: one nilpotent exponential, the grid pair
+step and polynomial matrices.
+
+Every nilpotent exponential of the library is one series on raw integer
+rows: ``nilpotent_powers`` lists the nonzero powers of an integer matrix
+polynomial and ``exp_series`` sums them over one common denominator for a
+scale N(t)/D.  ``product_in_p_pattern`` decides every curve identity
+"left * right stays in the block pattern of P" from the forbidden entries
+of the product only.  ``IntPolyMat.exp`` (so ``exp_nilpotent`` and
+``group_exp``), the kernel's exp(+-Z), exp(tX) and exp(-t A2), and the
+cleared series of ``verify_reparam`` are that series.
 
 ``IntPolyMat`` (at the end of this module) is the one polynomial-matrix
-type of the library: comparison curves, curve equality, the lemma identity
-checkers and the normal-coordinate jet of ``curves``, the
-reparametrization check of ``reparam`` and the orbit probes of ``lab`` all
-run on it.  It shares ``_imul`` with the grid kernel below, and both read
-coordinates through the algebra's one integer extractor
-(``GradedAlgebra.integer_frame``; ``GradedAlgebra.express_poly`` for an
-``IntPolyMat``).
+type: comparison curves, the lemma identity checkers and the
+normal-coordinate jet of ``curves``, the reparametrization check, and the
+orbit points, orbit probes and Prop. 4.1 conjugations of ``lab`` run on
+it.  Coordinates are read through the algebra's one integer extractor
+(``GradedAlgebra.integer_frame``; ``express_poly`` for an ``IntPolyMat``).
 
 Every grid search (``jets``, ``family`` and their worker fan-out) runs its
-pairs here, for every catalog algebra and every rational base direction.
-The per-pair work (exponentials, conjugation, the direction solve, jet
-derivatives at 0, and the polynomial curve-equality check) runs on
-plain-int matrices with a tracked positive denominator:
-
-* grid points have integer coordinates and every catalog basis has
-  integral matrix entries;
-* a base direction X is carried as the integer matrix ``x_den * X``, where
-  the direction denominator ``x_den`` is the lcm of the denominators of
-  X's entries.  Every catalog algebra has rational entries (su21 is
-  realified at build time), so the forbidden positions are the algebra's
-  own.
-
-Scaling by a positive integer never changes whether an entry vanishes, so
-every block-pattern test is exact.
-
-One pair costs one ``exp_pair`` (both series, stopped at the first zero
-power) and at most k conjugations inside ``solve_direction``; the
-conjugate A2 = Ad(exp Z) Y of the converged iteration is returned with Y
-and reused by the jet test and the curve identity.  The jet test makes no
+pairs on ``GridKernel``, for every catalog algebra and every rational base
+direction, on plain-int matrices with a tracked positive denominator and no
+gcd: grid points have integer coordinates, every catalog basis is
+integral, and a base direction X is carried as ``x_den * X`` for the lcm
+``x_den`` of its entries' denominators.  Scaling by a positive integer
+never changes whether an entry vanishes, so every pattern test is exact.
+One pair costs one ``exp_pair`` (one power list, both series) and at most
+k conjugations inside ``solve_direction``, whose conjugate A2 = Ad(exp Z) Y
+is reused by the jet test and the curve identity.  The jet test makes no
 matrix product: the forbidden entries of ad(-X)^r d0 are integer linear
-forms in the entries of d0, built once per order r and cached.  Products
-skip the zero entries of both factors, since grid matrices are mostly
-zeros.
+forms in the entries of d0, built once per order r.  Products skip the
+zero entries of both factors, since grid matrices are mostly zeros.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 from math import factorial, gcd, lcm
 
@@ -81,7 +78,10 @@ def _iscale(a, c):
 
 
 def _iident(d, one=1):
-    return [[one if i == j else 0 for j in range(d)] for i in range(d)]
+    rows = [[0] * d for _ in range(d)]
+    for i, row in enumerate(rows):
+        row[i] = one
+    return rows
 
 
 def _iunit(d, i, j):
@@ -93,24 +93,114 @@ def _is_zero(a):
     return not any(map(any, a))
 
 
+def _iadd_into(acc, b, c=1):
+    """acc += c * b in place, skipping the zero rows and entries of b."""
+    for acc_row, b_row in zip(acc, b):
+        if any(b_row):
+            for j, y in enumerate(b_row):
+                if y:
+                    acc_row[j] += c * y
+
+
+# -- the one nilpotent exponential ---------------------------------------------
+# A matrix polynomial is the list of its integer d x d coefficients, trailing
+# zeros dropped; a scalar polynomial is the tuple of its integer coefficients.
+
+
+def _polymul(a, b):
+    """The product of two integer matrix polynomials."""
+    if not (a and b):
+        return []
+    if len(a) == 1 and len(b) == 1:
+        out = [_imul(a[0], b[0])]
+    else:
+        d = len(a[0])
+        out = [[[0] * d for _ in range(d)] for _ in range(len(a) + len(b) - 1)]
+        for p, ap in enumerate(a):
+            for q, bq in enumerate(b):
+                _iadd_into(out[p + q], _imul(ap, bq))
+    while out and _is_zero(out[-1]):
+        out.pop()
+    return out
+
+
+def nilpotent_powers(a, index=None):
+    """[a, a^2, ..., a^q], the nonzero powers of a nilpotent integer matrix
+    polynomial a, stopping at the first zero power.  A known nilpotency
+    index (a^index = 0) saves forming that power; without one, raises
+    NotNilpotent when a^d != 0, d the matrix size."""
+    powers = []
+    power = a
+    while power:
+        powers.append(power)
+        if len(powers) + 1 == index:
+            break
+        if len(powers) == len(a[0]):
+            raise NotNilpotent("matrix is not nilpotent")
+        power = _polymul(power, a)
+    return powers
+
+
+@lru_cache(maxsize=1024)
+def _series_scalars(q, num, den):
+    """(q!/p!) num^p den^(q-p) for p = 0..q; a search meets few (q, num, den)."""
+    num, den = Poly(num), Poly(den)
+    return tuple(
+        tuple(factorial(q) // factorial(p) * int(c) for c in (num**p * den ** (q - p)).coeffs)
+        for p in range(q + 1)
+    )
+
+
+def exp_series(d, powers, num, den=(1,)):
+    """q! den^q exp((num/den) a) = sum_p (q!/p!) num^p den^(q-p) a^p, an
+    integer matrix polynomial, from ``powers = nilpotent_powers(a)`` (q its
+    length) and integer coefficient tuples num, den (den != 0)."""
+    scalars = _series_scalars(len(powers), num, den)
+    out = [_iident(d, s) for s in scalars[0]]
+    for power, scalar in zip(powers, scalars[1:]):
+        for i, s in enumerate(scalar):
+            if not s:
+                continue
+            for j, m in enumerate(power, i):
+                if j < len(out):
+                    _iadd_into(out[j], m, s)
+                else:
+                    out.extend([[0] * d for _ in range(d)] for _ in range(j - len(out)))
+                    out.append(_iscale(m, s))
+    while out and _is_zero(out[-1]):
+        out.pop()
+    return out
+
+
+def product_in_p_pattern(left, right, forbidden):
+    """True when every coefficient of the matrix polynomial left * right
+    vanishes at the forbidden positions, the only entries formed."""
+    d = len(left[0]) if left else 0
+    nl, nr = len(left), len(right)
+    for r in range(nl + nr - 1):
+        pairs = [(left[p], right[r - p]) for p in range(max(0, r - nr + 1), min(r, nl - 1) + 1)]
+        for i, j in forbidden:
+            if sum(lm[i][m] * rm[m][j] for lm, rm in pairs for m in range(d)):
+                return False
+    return True
+
+
 class GridKernel:
     """Exact integer engine for one algebra and one rational base direction."""
 
     def __init__(self, alg, x):
         self.alg = alg
         self.d = d = alg.matrix_dim
-        # the exponential series length is the block count n: every matrix
-        # exponentiated here is strictly block triangular (Z in p_+, X in
-        # n) or conjugate to one (A2 = Ad(exp Z) Y with Y in n), so its
-        # n-th power is zero.  n = k+1, except for the conformal 3-block
-        # form (1, p+q, 1), where k = 1 and n = 3
+        # the nilpotency index of every matrix exponentiated here: each is
+        # strictly block triangular (Z, X) or conjugate to one (A2)
         self.terms = len(alg.block_sizes)
         self.forbidden = alg.forbidden_positions
         self.x_den, self.x_rows = _integral(x.matrix)
         self.extract_scale, self.extract_terms, basis = alg.integer_frame()
         # nonzero entries (i, j, value) of each p_+ basis matrix
         self.pplus_entries = [[(r // d, r % d, v) for r, v in basis[idx]] for idx in alg.pplus_indices]
-        self.exp_x_coeffs = self._exp_poly_coeffs(self.x_rows, 1, self.x_den)
+        powers = nilpotent_powers([self.x_rows], self.terms)
+        self.exp_x_coeffs = exp_series(d, powers, (0, 1), (self.x_den,))  # a multiple of exp(tX)
         # jet forms of ad(-X)^r, built on demand; see _jet_forms
         self._forms = []
         self._duals = [_iunit(d, j, i) for i, j in self.forbidden]
@@ -128,24 +218,12 @@ class GridKernel:
     # -- scaled integer primitives ------------------------------------------
 
     def exp_pair(self, z_rows):
-        """(num(exp Z), num(exp -Z), den) with den = (n-1)!, n = terms."""
-        den = factorial(self.terms - 1)
-        pos_acc = _iident(self.d, den)
-        neg_acc = _iident(self.d, den)
-        power = z_rows
-        for p in range(1, self.terms):
-            if p > 1:
-                power = _imul(power, z_rows)
-            if _is_zero(power):
-                break
-            c = den // factorial(p)
-            c_neg = -c if p % 2 else c
-            for pos_row, neg_row, row in zip(pos_acc, neg_acc, power):
-                for j, v in enumerate(row):
-                    if v:
-                        pos_row[j] += c * v
-                        neg_row[j] += c_neg * v
-        return pos_acc, neg_acc, den
+        """(num(exp Z), num(exp -Z), den) from one power list of Z, with
+        den = q! for q the last nonzero power."""
+        powers = nilpotent_powers([z_rows], self.terms)
+        (pos,) = exp_series(self.d, powers, (1,))
+        (neg,) = exp_series(self.d, powers, (-1,))
+        return pos, neg, factorial(len(powers))
 
     def elem_coords(self, rows, den):
         """Fraction coordinates of an integer-scaled algebra element."""
@@ -227,41 +305,10 @@ class GridKernel:
             self._duals = [_isub(_imul(x_rows, f), _imul(f, x_rows)) for f in duals]
         return forms[r]
 
-    def _exp_poly_coeffs(self, a_rows, num_scale, den_scale):
-        """Coefficient matrices of exp(t A/den_scale) * common positive scale.
-
-        coeff of t^p is A^p num_scale^p / (p! den_scale^p); scaled by
-        (q-1)! * den_scale^(q-1) everything is integral.
-        """
-        q = self.terms
-        coeffs = [_iident(self.d, factorial(q - 1) * den_scale ** (q - 1))]
-        power = a_rows
-        for p in range(1, q):
-            if p > 1:
-                power = _imul(power, a_rows)
-            if _is_zero(power):
-                break
-            c = (factorial(q - 1) // factorial(p)) * (num_scale**p) * den_scale ** (q - 1 - p)
-            coeffs.append(_iscale(power, c))
-        return coeffs
-
     def curves_equal(self, a2_num, a2_den):
-        """Exact polynomial identity: exp(-t A2) exp(t A1) in the P pattern.
-
-        Only the forbidden entries of each t^r coefficient are formed.
-        """
-        left = self._exp_poly_coeffs(a2_num, -1, a2_den)
-        right = self.exp_x_coeffs
-        d = self.d
-        for r in range(len(left) + len(right) - 1):
-            pairs = [
-                (left[p], right[r - p])
-                for p in range(max(0, r - len(right) + 1), min(r, len(left) - 1) + 1)
-            ]
-            for i, j in self.forbidden:
-                if sum(lm[i][m] * rm[m][j] for lm, rm in pairs for m in range(d)):
-                    return False
-        return True
+        """Exact polynomial identity: exp(-t A2) exp(t A1) in the P pattern."""
+        left = exp_series(self.d, nilpotent_powers([a2_num], self.terms), (0, -1), (a2_den,))
+        return product_in_p_pattern(left, self.exp_x_coeffs, self.forbidden)
 
 
 def grid_kernel(alg, x):
@@ -272,12 +319,12 @@ def grid_kernel(alg, x):
 # -- polynomial matrices -------------------------------------------------------
 
 
-def _iadd_into(acc, b, c=1):
-    """acc += c * b in place."""
-    for acc_row, b_row in zip(acc, b):
-        for j, y in enumerate(b_row):
-            if y:
-                acc_row[j] += c * y
+def _int_coeffs(c):
+    """(nums, den): the integer coefficients of den * c for a rational or a
+    Poly c, den the least positive integer that clears c."""
+    cs = [Fraction(x) for x in (c.coeffs if isinstance(c, Poly) else (c,))]
+    den = lcm(*(x.denominator for x in cs))
+    return tuple(int(x * den) for x in cs), den
 
 
 def _reduced(d, coeffs, den):
@@ -347,26 +394,13 @@ class IntPolyMat:
         return self._combine(other, -1)
 
     def __mul__(self, other):
-        d = self.d
-        a, b = self.coeffs, other.coeffs
-        out = [[[0] * d for _ in range(d)] for _ in range(len(a) + len(b) - 1)]
-        for p, ap in enumerate(a):
-            for q, bq in enumerate(b):
-                _iadd_into(out[p + q], _imul(ap, bq))
-        return _reduced(d, out, self.den * other.den)
+        return _reduced(self.d, _polymul(self.coeffs, other.coeffs), self.den * other.den)
 
     def scale(self, c):
         """c * self for a rational or a Poly c."""
-        cs = [Fraction(x) for x in (c.coeffs if isinstance(c, Poly) else (c,))]
-        cden = lcm(*(x.denominator for x in cs))
-        nums = [int(x * cden) for x in cs]
-        d = self.d
-        out = [[[0] * d for _ in range(d)] for _ in range(len(self.coeffs) + len(nums) - 1)]
-        for p, cp in enumerate(self.coeffs):
-            for i, num in enumerate(nums):
-                if num:
-                    _iadd_into(out[p + i], cp, num)
-        return _reduced(d, out, self.den * cden)
+        nums, cden = _int_coeffs(c)
+        scalar = [_iident(self.d, n) for n in nums]
+        return _reduced(self.d, _polymul(self.coeffs, scalar), self.den * cden)
 
     def truncate(self, order):
         """The terms of degree <= order."""
@@ -378,40 +412,30 @@ class IntPolyMat:
     def exp(self, scale=1):
         """exp(scale * self) of a nilpotent self, scale a rational or a Poly.
 
-        The finite series I + sum_p scale^p self^p / p!, stopped at the
-        first zero power.  Raises NotNilpotent when self^d != 0.
+        ``exp_series`` over its one common denominator, reduced once at the
+        end.  Raises NotNilpotent when self^d != 0.
         """
-        acc = IntPolyMat.identity(self.d)
-        power = self
-        scale_pow = 1
-        for p in range(1, self.d):
-            if power.is_zero():
-                return acc
-            scale_pow = scale_pow * scale
-            acc = acc + power.scale(scale_pow * Fraction(1, factorial(p)))
-            power = power * self
-        if not power.is_zero():
-            raise NotNilpotent("matrix is not nilpotent")
-        return acc
+        nums, cden = _int_coeffs(scale)
+        den = cden * self.den
+        powers = nilpotent_powers(self.coeffs)
+        q = len(powers)
+        return _reduced(self.d, exp_series(self.d, powers, nums, (den,)), factorial(q) * den**q)
 
     def __eq__(self, other):
         if not isinstance(other, IntPolyMat):
             return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        fa, fb = other.den, self.den
-        return all(
-            fa * x == fb * y
-            for ca, cb in zip(self.coeffs, other.coeffs)
-            for ra, rb in zip(ca, cb)
-            for x, y in zip(ra, rb)
-        )
+        return (self - other).is_zero()
 
     __hash__ = None
 
     def in_p_pattern(self, alg):
         """True when every coefficient vanishes at the forbidden positions."""
         return all(not c[i][j] for c in self.coeffs for i, j in alg.forbidden_positions)
+
+    def const_mat(self):
+        """The constant term as a Mat with Fraction entries."""
+        c0 = self.coeffs[0] if self.coeffs else [[0] * self.d] * self.d
+        return Mat(tuple(tuple(Fraction(x, self.den) for x in row) for row in c0))
 
     def to_mat(self):
         """The same matrix as a Mat with Poly entries."""

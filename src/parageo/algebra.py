@@ -16,8 +16,9 @@ so the coordinates of a matrix are read off its entries directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 
+from ._fastgrid import IntPolyMat, nilpotent_powers
 from .errors import (
     AlgebraMismatch,
     NotInNilpotentPart,
@@ -90,8 +91,7 @@ class GradedAlgebra:
         self._build_bracket_table()
         self._integer_frame = None
         ident = Mat.identity(d)
-        self._identity = GroupElem(self, ident)
-        object.__setattr__(self._identity, "_inv", ident)
+        self._identity = GroupElem(self, ident, _inv=ident)
 
     # -- construction helpers ------------------------------------------------
 
@@ -182,23 +182,20 @@ class GradedAlgebra:
         """Flatten a constant matrix into its rational entries, row-major."""
         return tuple(Fraction(e) for row in mat.rows for e in row)
 
-    def express(self, mat, check=True):
+    def express(self, mat):
         """Coordinates of a constant matrix over the basis, or None."""
         vec = self.vectorize(mat)
         coords = tuple(
             sum((e * vec[pr] for pr, e in terms if vec[pr]), _ZERO)
             for terms in self._extract_terms
         )
-        if check:
-            # sum_j c_j B_j must equal vec at every position
-            acc = [_ZERO] * len(vec)
-            for c, terms in zip(coords, self._basis_terms):
-                if c:
-                    for r, v in terms:
-                        acc[r] += c * v
-            if acc != list(vec):
-                return None
-        return coords
+        # sum_j c_j B_j must equal vec at every position
+        acc = [_ZERO] * len(vec)
+        for c, terms in zip(coords, self._basis_terms):
+            if c:
+                for r, v in terms:
+                    acc[r] += c * v
+        return coords if acc == list(vec) else None
 
     def express_poly(self, pm):
         """Poly coordinates of an IntPolyMat curve ``pm`` in g, or None
@@ -324,7 +321,7 @@ class GradedAlgebra:
             gi_ = self.basis_grades[i]
             if abs(gi_) >= 1:
                 try:
-                    exp_mat(self.basis[i])
+                    nilpotent_powers(IntPolyMat.from_mats([self.basis[i]]).coeffs)
                 except NotNilpotent:
                     bad.append("basis[%d] of grade %d is not nilpotent" % (i, gi_))
             for j in range(n):
@@ -469,13 +466,13 @@ class GroupElem:
 
     __slots__ = ("algebra", "mat", "_inv")
 
-    def __init__(self, algebra, mat):
-        d = mat.det()
-        if not d:
+    def __init__(self, algebra, mat, *, _inv=None):
+        # a known inverse (identity, exp(Z), inverse()) needs no determinant
+        if _inv is None and not mat.det():
             raise ValueError("group element matrix is singular")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "_inv", None)
+        object.__setattr__(self, "_inv", _inv)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElem is immutable")
@@ -487,9 +484,7 @@ class GroupElem:
         return self._inv
 
     def inverse(self):
-        g = GroupElem(self.algebra, self.inv_mat)
-        object.__setattr__(g, "_inv", self.mat)
-        return g
+        return GroupElem(self.algebra, self.inv_mat, _inv=self.mat)
 
     def __mul__(self, other):
         _same_algebra(self, other)
@@ -529,49 +524,17 @@ def bracket(x, y):
     return AlgElem(x.algebra, x.algebra.bracket_coords(x.coords, y.coords))
 
 
-def _nilpotent_powers(m):
-    """m, m^2, ... up to the last nonzero power, each formed once.
-
-    Raises NotNilpotent (after the last yield) when m^d != 0, d = dim m.
-    """
-    power = m
-    for _ in range(1, m.dim):
-        if power.is_zero():
-            return
-        yield power
-        power = power * m
-    if not power.is_zero():
-        raise NotNilpotent("matrix is not nilpotent")
-
-
-def exp_mat(m, scale=1):
-    """Exact exponential exp(scale * m) of a nilpotent constant matrix m.
-
-    The finite series I + sum_p scale^p m^p / p!: each power of m is formed
-    once, and the series stops at the first zero power.  The library passes
-    rational scales only: a polynomial curve such as exp(t A) is
-    ``IntPolyMat.exp``.  A Poly scale still works through the entries' own
-    arithmetic, for the Poly-entry references of the tests.  Raises
-    NotNilpotent when m^d != 0, d = dim m.
-    """
-    acc = Mat.identity(m.dim)
-    scale_pow = None
-    for p, power in enumerate(_nilpotent_powers(m), 1):
-        scale_pow = scale if scale_pow is None else scale_pow * scale
-        acc = acc + power.scale(scale_pow * Fraction(1, factorial(p)))
-    return acc
-
-
 def exp_nilpotent(x, scale=1):
-    """exp(scale * x) for nilpotent x: ``exp_mat`` of the matrix of x."""
-    return exp_mat(x.matrix, scale)
+    """exp(scale * x) for nilpotent x and a rational or Poly scale, as an
+    ``IntPolyMat``: the one nilpotent series of ``_fastgrid`` on the
+    integer form of x's matrix.  Raises NotNilpotent when x^d != 0."""
+    return IntPolyMat.from_mats([x.matrix]).exp(scale)
 
 
 def group_exp(x):
-    """exp(x) as a GroupElem, for nilpotent x; inverse seeded as exp(-x)."""
-    g = GroupElem(x.algebra, exp_nilpotent(x, _ONE))
-    object.__setattr__(g, "_inv", exp_nilpotent(x, -_ONE))
-    return g
+    """exp(x) as a GroupElem for nilpotent x, its inverse exp(-x) known."""
+    inv = exp_nilpotent(x, -1).const_mat()
+    return GroupElem(x.algebra, exp_nilpotent(x).const_mat(), _inv=inv)
 
 
 def Ad(g, x):
@@ -622,7 +585,7 @@ def normal_form_P(b):
         if not (z.is_zero() or z.in_grade(grade)):
             raise NotInParabolic("unipotent part leaves exp(p_+)")
         zs.append(z)
-        v = exp_nilpotent(z, Fraction(-1)) * v
+        v = exp_nilpotent(z, -1).const_mat() * v
     if v != ident.mat:
         raise NotInParabolic("residual unipotent part after extracting all grades")
     return b0, tuple(zs)

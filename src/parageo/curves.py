@@ -21,10 +21,12 @@ partition coefficients.
 
 Every polynomial matrix here is an ``IntPolyMat`` (integer coefficient
 matrices over one common denominator, from ``_fastgrid``): Ad_b X of a
-spec, the comparison curve, curve equality, the five identity checkers and
-the normal-coordinate jet with its block-LU series.  Coordinates of a
-polynomial matrix (``delta_coords``, the jet's Y) are tuples of ``Poly``
-read by ``GradedAlgebra.express_poly``.
+spec, the comparison curve, the five identity checkers and the
+normal-coordinate jet with its block-LU series.  Every exponential is
+``IntPolyMat.exp``, the one nilpotent series of ``_fastgrid``, and curve
+equality is its one pattern test ``product_in_p_pattern`` on the two
+factors of u.  Coordinates of a polynomial matrix (``delta_coords``, the
+jet's Y) are tuples of ``Poly`` read by ``GradedAlgebra.express_poly``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from ._fastgrid import IntPolyMat
+from ._fastgrid import IntPolyMat, product_in_p_pattern
 from .algebra import AlgElem, _same_algebra, group_exp, normal_form_P, truncated_Ad
 from .errors import (
     BadReparam,
@@ -158,8 +160,8 @@ def comparison(c1, c2):
 def curves_equal(c1, c2):
     """True iff the two curves coincide in G/P: u(t) stays in the P pattern."""
     _same_algebra(c1.X, c2.X)
-    u = c2.ad_polymat.exp(-P_T) * c1.ad_polymat.exp(P_T)
-    return u.in_p_pattern(c1.algebra)
+    left, right = c2.ad_polymat.exp(-P_T), c1.ad_polymat.exp(P_T)
+    return product_in_p_pattern(left.coeffs, right.coeffs, c1.algebra.forbidden_positions)
 
 
 def jet_orders_equal(cc, ell):

@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgElem, bracket, exp_nilpotent, group_exp
+from .algebra import AlgElem, bracket, exp_nilpotent
 from .curves import CurveSpec, curves_equal, jet_equal, normal_coord_jet
 from .errors import (
     EmptyGrid,
@@ -40,7 +40,6 @@ from .matrices import rank, rref
 from .reparam import _double_bracket_solution, _proportionality, reparam_solve, verify_reparam
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 # -- type specs ----------------------------------------------------------------
@@ -301,16 +300,27 @@ def solve_direction(g, x):
     in at most k steps.
     """
     alg = x.algebra
-    gm, gi = g.mat, g.inv_mat
-    ymat = x.matrix
-    xmat = x.matrix
+    e, einv = (IntPolyMat.from_mats([m]) for m in (g.mat, g.inv_mat))
+    y = x
     for _ in range(alg.k + 1):
-        img = alg.position_part(gm * ymat * gi, lambda grade: grade < 0)
-        resid = xmat - img
-        if resid.is_zero():
-            return AlgElem(alg, alg.express(ymat, check=False))
-        ymat = ymat + resid
+        resid = x - _n_part(alg, e * IntPolyMat.from_mats([y.matrix]) * einv)
+        if not resid:
+            return y
+        y = y + resid
     raise OracleDisagreement("direction constraint failed to converge")
+
+
+def _n_coords(alg, pm):
+    """The Poly n coordinates of an IntPolyMat curve in g (express_poly)."""
+    coords = alg.express_poly(pm)
+    if coords is None:
+        raise OracleDisagreement("Ad image left the algebra span")
+    return [coords[i] for i in alg.n_indices]
+
+
+def _n_part(alg, mat):
+    """The n part of a constant IntPolyMat in g, as an element."""
+    return alg.elem_at(alg.n_indices, (p[0] for p in _n_coords(alg, mat)))
 
 
 def check_direction(ts, x):
@@ -433,14 +443,15 @@ def _pair_stats_chunk(args):
 
 
 def _pair_stats(ts, x, grid, r_max, workers=1):
-    """Pair statistics, optionally fanned out to a worker pool.
+    """Pair statistics in grid order: streamed with one worker, else fanned
+    out to a worker pool.
 
     Chunks are contiguous slices of the lexicographic grid and results are
     merged in chunk order, so the output is identical for any worker count.
     The pool starts no more processes than there are chunks or CPUs.
     """
     if workers <= 1:
-        return list(_iter_pair_stats(ts, x, grid, r_max))
+        return _iter_pair_stats(ts, x, grid, r_max)
     from concurrent.futures import ProcessPoolExecutor
 
     vals_list = list(iter_pplus_coords(ts.algebra, grid))
@@ -472,35 +483,33 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None, workers=
         raise ParageoError("highest jet order must be at least 1, got %d" % r_max)
     check_direction(ts, x)
     claimed = claimed_bound if claimed_bound is not None else paper_jet_bound(ts)
-    records = []
-    n_grid = 0
+    n_grid = n_admissible = n_equal = 0
+    # order r -> the first unequal pair in grid order with jet order >= r,
+    # which serves every lower order too: the keys are 1..len
+    counterexamples = {}
     for zc, yc, jord, equal in _pair_stats(ts, x, grid, r_max, workers=workers):
         n_grid += 1
         if jord is None:
             continue
         if jord == 0:
             raise OracleDisagreement("solved pair does not even share its 1-jet")
-        records.append(PairRecord(zc, yc, jord, equal))
-    verdicts = {}
-    counterexamples = {}
-    violations = []
-    for r in range(1, r_max + 1):
-        witness = next((p for p in records if p.jet_order >= r and not p.equal), None)
-        if witness is None:
-            verdicts[r] = "confirmed"
-        else:
-            verdicts[r] = "counterexample"
-            counterexamples[r] = witness
-            if r >= claimed:
-                violations.append(
-                    "counterexample at order %d despite proved bound %d" % (r, claimed)
-                )
-    sharp = None
-    for r in range(1, r_max + 1):
-        if verdicts[r] == "confirmed":
-            if r == 1 or verdicts[r - 1] == "counterexample":
-                sharp = r
-            break
+        n_admissible += 1
+        if equal:
+            n_equal += 1
+        elif jord > len(counterexamples):
+            witness = PairRecord(zc, yc, jord, False)
+            for r in range(len(counterexamples) + 1, jord + 1):
+                counterexamples[r] = witness
+    verdicts = {
+        r: "counterexample" if r in counterexamples else "confirmed" for r in range(1, r_max + 1)
+    }
+    violations = [
+        "counterexample at order %d despite proved bound %d" % (r, claimed)
+        for r in counterexamples
+        if r >= claimed
+    ]
+    # the first confirmed order follows a counterexample, or is order 1
+    sharp = len(counterexamples) + 1 if len(counterexamples) < r_max else None
     base = CurveSpec.base(alg, x)
     for r, w in counterexamples.items():
         c2 = CurveSpec.from_Z(alg, AlgElem(alg, w.z_coords), AlgElem(alg, w.y_coords))
@@ -514,8 +523,8 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None, workers=
         orders_tested=tuple(range(1, r_max + 1)),
         claimed_bound=claimed,
         n_grid=n_grid,
-        n_admissible=len(records),
-        n_equal=sum(1 for p in records if p.equal),
+        n_admissible=n_admissible,
+        n_equal=n_equal,
         verdicts=verdicts,
         counterexamples=counterexamples,
         violations=tuple(violations),
@@ -573,13 +582,13 @@ def verify_prop41_claim(alg, x_samples=None, z_bound=1):
     n_applicable = 0
     violations = []
     for x in x_samples:
-        xm = x.matrix
+        xm = IntPolyMat.from_mats([x.matrix])
         for combo in itertools.product(*zgrids):
             n_samples += 1
             zs = [alg.elem_at(alg.grade_slices[g], vals) for g, vals in enumerate(combo, 1)]
-            exps = [(exp_nilpotent(z, _F1), exp_nilpotent(z, -_F1)) for z in zs]
+            exps = [(exp_nilpotent(z), exp_nilpotent(z, -1)) for z in zs]
             w = _ad_exp(exps, xm) - xm
-            if not alg.matrix_in_p_pattern(w):
+            if not w.in_p_pattern(alg):
                 violations.append("W left p for X=%s" % (x.coords,))
                 continue
             # largest l with ad_X^i(W) in p for all i <= l
@@ -587,13 +596,13 @@ def verify_prop41_claim(alg, x_samples=None, z_bound=1):
             d = w
             while ell < alg.k:
                 d = xm * d - d * xm
-                if not alg.matrix_in_p_pattern(d):
+                if not d.in_p_pattern(alg):
                     break
                 ell += 1
             if ell >= 1:
                 n_applicable += 1
             for j in range(1, min(ell, alg.k) + 1):
-                t = zs[j - 1].matrix
+                t = IntPolyMat.from_mats([zs[j - 1].matrix])
                 for _ in range(j + 1):
                     t = xm * t - t * xm
                 if not t.is_zero():
@@ -607,14 +616,15 @@ def verify_prop41_claim(alg, x_samples=None, z_bound=1):
             d = wl
             for n in range(1, ell + 5):
                 d = xm * d - d * xm
-                if n > ell and not alg.matrix_in_p_pattern(d):
+                if n > ell and not d.in_p_pattern(alg):
                     violations.append("ad_X^%d(W'_%d) left p, X=%s" % (n, ell, x.coords))
     return Prop41Report(alg.name, n_samples, n_applicable, tuple(violations))
 
 
 def _ad_exp(exps, xmat):
-    """Ad(exp Z_1 ... exp Z_l) X from the pairs (exp Z_i, exp -Z_i): the
-    inverse of the product is the reversed product of the exp(-Z_i)."""
+    """Ad(exp Z_1 ... exp Z_l) X from the IntPolyMat pairs (exp Z_i,
+    exp -Z_i): the inverse of the product is the reversed product of the
+    exp(-Z_i)."""
     for e, einv in reversed(exps):
         xmat = e * xmat * einv
     return xmat
@@ -850,10 +860,20 @@ def _truncated_ad_derivative(alg, z0, dz, y0, dy):
     zs = IntPolyMat.from_mats([z0.matrix, dz.matrix])
     ys = IntPolyMat.from_mats([y0.matrix, dy.matrix])
     img = (zs.exp().truncate(1) * ys * zs.exp(-1).truncate(1)).truncate(1)
-    coords = alg.express_poly(img)
-    if coords is None:
-        raise OracleDisagreement("orbit probe left the algebra span")
-    return [coords[i][1] for i in alg.n_indices]
+    return [p[1] for p in _n_coords(alg, img)]
+
+
+def _orbit_points(ts, grid):
+    """(Z, X, Adbar(exp Z) X) for Z on the p_+ grid of radius min(grid, 1)
+    and X over the type's members on the grid of radius ``grid``."""
+    alg = ts.algebra
+    xs = [(x, IntPolyMat.from_mats([x.matrix])) for x in ts.grid(grid)]
+    points = []
+    for vals in iter_pplus_coords(alg, min(grid, 1)):
+        z = pplus_elem(alg, vals)
+        e, einv = exp_nilpotent(z), exp_nilpotent(z, -1)
+        points.extend((z, x, _n_part(alg, e * xm * einv)) for x, xm in xs)
+    return points
 
 
 def orbit_hull_dimension(ts, grid=2):
@@ -869,15 +889,7 @@ def orbit_hull_dimension(ts, grid=2):
     alg = ts.algebra
     nplus = len(alg.pplus_indices)
     zero = pplus_elem(alg, (0,) * nplus)
-    points = []
-    zs_used = [pplus_elem(alg, vals) for vals in iter_pplus_coords(alg, min(grid, 1))]
-    xs_used = list(ts.grid(grid))
-    for z in zs_used:
-        g = group_exp(z)
-        gm, gi = g.mat, g.inv_mat
-        for x in xs_used:
-            img = alg.position_part(gm * x.matrix * gi, lambda grade: grade < 0)
-            points.append((z, x, AlgElem(alg, alg.express(img, check=False))))
+    points = _orbit_points(ts, grid)
     # every orbit point lies in n, so the rank is that of its n columns
     rows = [[p.coords[i] for i in alg.n_indices] for _, _, p in points]
     hull = rank(rows) if rows else 0
@@ -892,7 +904,7 @@ def orbit_hull_dimension(ts, grid=2):
     param_basis = [alg.basis_elem(i) for i in ts.param_indices()]
     pplus_basis = [alg.basis_elem(i) for i in alg.pplus_indices]
     probe_pairs = []
-    nonzero_xs = [x for x in xs_used if x]
+    nonzero_xs = [x for x in ts.grid(grid) if x]
     ones = pplus_elem(alg, (1,) * nplus)
     for x in (nonzero_xs[:2] + nonzero_xs[-2:]):
         probe_pairs.append((zero, x))

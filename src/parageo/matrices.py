@@ -14,13 +14,16 @@ inverse it needs is known in closed form, as exp(-Z) or exp(-tA), or is a
 truncated power series (the pivot blocks of the normal-coordinate jet).
 
 Which engine runs where: ``Mat`` holds the constant matrices (basis,
-group elements, Ad on coordinates) and the row reductions.  Every
+group elements, Ad on coordinates) and the row reductions, and takes no
+exponential.  Every nilpotent exponential is the one integer series of
+``_fastgrid`` (``nilpotent_powers`` and ``exp_series``); ``group_exp``
+converts exp(Z) and exp(-Z) to ``Fraction`` ``Mat``s once.  Every
 polynomial matrix (comparison curves, curve equality, the lemma
-identities, the normal-coordinate jet, the reparametrization check and
-the orbit probes) is an integer ``_fastgrid.IntPolyMat``, and every grid
-pair runs on the integer ``_fastgrid.GridKernel``.  The ``Mat``s with
-``Poly`` entries that remain are ``IntPolyMat.to_mat`` (for ``repr``) and
-the test references.
+identities, the normal-coordinate jet, the reparametrization check, the
+orbit points and probes, and the Prop. 4.1 conjugations) is an integer
+``_fastgrid.IntPolyMat``, and every grid pair runs on the integer
+``_fastgrid.GridKernel``.  The ``Mat``s with ``Poly`` entries that remain
+are ``IntPolyMat.to_mat`` (for ``repr``) and the test references.
 """
 
 from __future__ import annotations

@@ -11,18 +11,19 @@ recursion phi^(i+1)(0) = (i+1)!/2^i * b^i / a^(i-1).
 Whether two distinguished curves agree up to such a reparametrization is
 decided by exact linear algebra on iterated brackets, and every positive
 answer is verifiable as an exact matrix identity.  Writing phi = N/D with
-N = At+B and D = Ct+D, the factor D^q (q the last nonzero power of the
+N = At+B and D = Ct+D, the factor q! D^q (q the last nonzero power of the
 direction) clears every denominator of exp(phi X), so the identity is one
-of polynomial matrices (``IntPolyMat``).
+of integer matrix polynomials: the series ``_fastgrid.exp_series`` with a
+polynomial denominator, decided by ``_fastgrid.product_in_p_pattern``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import lcm
 
-from ._fastgrid import IntPolyMat
+from ._fastgrid import exp_series, nilpotent_powers, product_in_p_pattern
 from .algebra import bracket, group_exp, normal_form_P
 from .errors import (
     NotApplicableGrading,
@@ -199,27 +200,20 @@ def verify_reparam(c1, c2, m):
 
     u(t) = c2(t)^{-1} c1(phi(t)) = b2^{-1} exp(-t A2) exp(phi A1) b1 with
     A_i = Ad_{b_i} X_i.  As b1 and b2 lie in P and D != 0, u lies in P iff
-    D^q exp(-t A2) exp(phi A1) does.  With A1^p (p <= q) the nonzero powers
-    of A1, D^q exp(phi A1) is the polynomial matrix
-    sum_p N^p D^(q-p) A1^p / p!, and every entry of the product outside
-    the block pattern of P must vanish identically.
+    exp(-t A2) times the cleared series q! D^q exp(phi A1) =
+    sum_p (q!/p!) N^p D^(q-p) A1^p does (q the last nonzero power of A1,
+    N and D scaled to integer coefficients): every entry of that product
+    outside the block pattern of P must vanish identically.
     """
     if not m.d:
         raise PoleAtOrigin("reparametrization has a pole at t = 0")
-    num, den = _num_den(m)
     a1 = c1.ad_polymat
-    powers = [IntPolyMat.identity(a1.d)]
-    power = a1
-    while not power.is_zero():
-        powers.append(power)
-        power = power * a1
-    q = len(powers) - 1
-    cleared = powers[0].scale(den**q)
-    num_pow = P_ONE
-    for p, power in enumerate(powers[1:], 1):
-        num_pow = num_pow * num
-        cleared = cleared + power.scale(num_pow * den ** (q - p) * Fraction(1, factorial(p)))
-    return (c2.ad_polymat.exp(-P_T) * cleared).in_p_pattern(c1.algebra)
+    scale = lcm(*(c.denominator for c in (m.a, m.b, m.c, m.d)))
+    num = (int(m.b * scale), int(m.a * scale))
+    den = (int(m.d * scale) * a1.den, int(m.c * scale) * a1.den)
+    cleared = exp_series(a1.d, nilpotent_powers(a1.coeffs), num, den)
+    left = c2.ad_polymat.exp(-P_T).coeffs
+    return product_in_p_pattern(left, cleared, c1.algebra.forbidden_positions)
 
 
 def schwarzian_check(phi):

@@ -2,10 +2,15 @@
 
 The same per-pair statistics as ``parageo.lab._iter_pair_stats``, computed
 on the Fraction ``Mat`` stack instead of the integer engine of
-``parageo._fastgrid``: ``group_exp`` + ``solve_direction`` give Y,
+``parageo._fastgrid``: ``group_exp`` + ``solve_direction`` (the Fraction
+fixed-point iteration that ``parageo.lab.solve_direction`` replaced) give Y,
 the jet order comes from the constant-matrix derivatives of delta_u at 0,
 and curve equality is the polynomial identity "exp(-t A2) exp(t A1) stays
 in the P block pattern".
+
+The orbit points of ``parageo.lab.orbit_hull_dimension`` on the Fraction
+``Mat`` stack (``reference_orbit_points``), the loop that the integer
+``IntPolyMat`` route replaced.
 
 The same pivot rows, coordinate extractor and bracket table as
 ``GradedAlgebra``'s sparse build, computed densely: one rank test per
@@ -21,10 +26,25 @@ by its sparse "ad is a representation" check.
 
 from fractions import Fraction
 
-from parageo.algebra import exp_mat, group_exp
-from parageo.lab import iter_pplus_coords, pplus_elem, solve_direction
+from parageo.algebra import AlgElem, group_exp
+from parageo.lab import iter_pplus_coords, pplus_elem
 from parageo.matrices import Mat, rank
 from parageo.poly import P_T
+from poly_reference import exp_mat
+
+
+def solve_direction(g, x):
+    """Y in n with truncated_Ad(g, Y) = X by Y <- Y + (X - Adbar(Y)) on
+    Fraction matrices."""
+    alg = x.algebra
+    ymat = xmat = x.matrix
+    for _ in range(alg.k + 1):
+        img = alg.position_part(g.mat * ymat * g.inv_mat, lambda grade: grade < 0)
+        resid = xmat - img
+        if resid.is_zero():
+            return AlgElem(alg, alg.express(ymat))
+        ymat = ymat + resid
+    raise AssertionError("direction constraint failed to converge")
 
 
 def pair_jet_order(alg, a1, a2, r_max):
@@ -59,6 +79,22 @@ def reference_pair_stats(ts, x, grid, r_max):
         equal = fast_curves_equal(alg, a1, a2) if jord == r_max else False
         out.append((tuple(z.coords), tuple(y.coords), jord, equal))
     return out
+
+
+def reference_orbit_points(ts, grid):
+    """(Z, X, Adbar(exp Z) X) over the same grids as ``lab._orbit_points``:
+    ``group_exp``, two Fraction products, ``position_part`` and
+    ``express``."""
+    alg = ts.algebra
+    xs = list(ts.grid(grid))
+    points = []
+    for vals in iter_pplus_coords(alg, min(grid, 1)):
+        z = pplus_elem(alg, vals)
+        g = group_exp(z)
+        for x in xs:
+            img = alg.position_part(g.mat * x.matrix * g.inv_mat, lambda grade: grade < 0)
+            points.append((z, x, AlgElem(alg, alg.express(img))))
+    return points
 
 
 def cofactor_inverse(m):

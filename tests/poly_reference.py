@@ -1,6 +1,7 @@
 """Poly-entry references for the curve calculus.
 
-The same comparison curve, curve equality, five identity checkers,
+The nilpotent exponential ``exp_mat`` (with its power list) and the same
+comparison curve, curve equality, five identity checkers,
 normal-coordinate jet, reparametrization check and orbit-probe curve as
 ``parageo.curves``, ``parageo.reparam`` and ``parageo.lab``, computed on
 ``Mat``s whose entries are ``Poly`` with ``Fraction`` coefficients instead
@@ -14,12 +15,45 @@ from fractions import Fraction
 from math import factorial
 
 from parageo._fastgrid import IntPolyMat
-from parageo.algebra import AlgElem, _nilpotent_powers, exp_mat, exp_nilpotent
+from parageo.algebra import AlgElem
 from parageo.curves import ComparisonCurve, NormalCoordJet, _partitions, partition_coefficient
-from parageo.errors import BadReparam, NotInNilpotentPart, OracleDisagreement, PoleAtOrigin
+from parageo.errors import (
+    BadReparam,
+    NotInNilpotentPart,
+    NotNilpotent,
+    OracleDisagreement,
+    PoleAtOrigin,
+)
 from parageo.matrices import Mat
 from parageo.poly import P_ONE, P_T, Poly
 from parageo.reparam import _num_den
+
+
+def nilpotent_powers(m):
+    """m, m^2, ... up to the last nonzero power, each formed once.
+
+    Raises NotNilpotent (after the last yield) when m^d != 0, d = dim m.
+    """
+    power = m
+    for _ in range(1, m.dim):
+        if power.is_zero():
+            return
+        yield power
+        power = power * m
+    if not power.is_zero():
+        raise NotNilpotent("matrix is not nilpotent")
+
+
+def exp_mat(m, scale=1):
+    """exp(scale * m) of a nilpotent matrix m with rational or Poly
+    entries, for a rational or Poly scale: the series I + sum_p
+    scale^p m^p / p! through the entries' own arithmetic."""
+    acc = Mat.identity(m.dim)
+    scale_pow = None
+    for p, power in enumerate(nilpotent_powers(m), 1):
+        scale_pow = scale if scale_pow is None else scale_pow * scale
+        acc = acc + power.scale(scale_pow * Fraction(1, factorial(p)))
+    return acc
 
 
 def to_int(mat):
@@ -66,7 +100,7 @@ def express_poly(alg, mat):
 def log_unipotent(m):
     """Finite matrix logarithm of I + N with N nilpotent."""
     acc = Mat.zero(m.dim)
-    for p, power in enumerate(_nilpotent_powers(m - Mat.identity(m.dim)), 1):
+    for p, power in enumerate(nilpotent_powers(m - Mat.identity(m.dim)), 1):
         acc = acc + power.scale(Fraction(1, p) if p % 2 == 1 else Fraction(-1, p))
     return acc
 
@@ -78,7 +112,7 @@ def ad_matrix(c):
 
 def curve_matrix(c, scale=P_T):
     """b exp(tX) as a Poly-entry matrix."""
-    return c.b.mat * exp_nilpotent(c.X, scale)
+    return c.b.mat * exp_mat(c.X.matrix, scale)
 
 
 def rep_matrix(c, scale=P_T):
@@ -272,12 +306,12 @@ def verify_reparam(c1, c2, m):
     if not m.d:
         raise PoleAtOrigin("reparametrization has a pole at t = 0")
     num, den = _num_den(m)
-    powers = list(_nilpotent_powers(c1.X.matrix))
+    powers = list(nilpotent_powers(c1.X.matrix))
     q = len(powers)
     cleared = Mat.identity(c1.algebra.matrix_dim).scale(den**q)
     num_pow = P_ONE
     for p, power in enumerate(powers, 1):
         num_pow = num_pow * num
         cleared = cleared + power.scale(num_pow * den ** (q - p) * Fraction(1, factorial(p)))
-    left = exp_nilpotent(c2.X, -P_T) * c2.b.inv_mat
+    left = exp_mat(c2.X.matrix, -P_T) * c2.b.inv_mat
     return c1.algebra.matrix_in_p_pattern(left * (c1.b.mat * cleared))

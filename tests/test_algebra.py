@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from parageo.algebra import (
     Ad,
     AlgElem,
+    GroupElem,
     bracket,
-    exp_mat,
     exp_nilpotent,
     group_exp,
     normal_form_P,
@@ -30,7 +30,7 @@ from parageo.poly import P_T, Poly
 
 from conftest import ALL_IDS, block_flag_sl, full_flag_sl4
 from fraction_reference import exhaustive_jacobi_violations, reference_build
-from poly_reference import express_poly, log_unipotent, to_int
+from poly_reference import exp_mat, express_poly, log_unipotent, to_int
 
 EXPECTED_GRADE_DIMS = {
     "proj(1)": {-1: 1, 0: 1, 1: 1},
@@ -127,10 +127,11 @@ def test_grade_components_recombine(any_algebra):
 
 
 def test_exp_nilpotent_examples(lagr3, proj1):
-    assert exp_nilpotent(lagr3.zero_elem(), P_T) == Mat.identity(3)
+    assert exp_nilpotent(lagr3.zero_elem(), P_T).to_mat() == Mat.identity(3)
     e31 = lagr3.grade_basis(-2)[0]
     m = exp_nilpotent(e31, P_T)
-    assert m.rows[2][0] == P_T and m * exp_nilpotent(e31, -P_T) == Mat.identity(3)
+    assert m.to_mat().rows[2][0] == P_T
+    assert (m * exp_nilpotent(e31, -P_T)).to_mat() == Mat.identity(3)
     with pytest.raises(NotNilpotent):
         h = proj1.grade_basis(0)[0]
         exp_nilpotent(h, P_T)
@@ -245,7 +246,7 @@ def test_normal_form_rejects_non_parabolic(lagr3):
 
 def test_log_unipotent_inverts_exp(lagr3):
     z = lagr3.grade_basis(1)[0] + lagr3.grade_basis(2)[0] * Fraction(3)
-    m = exp_nilpotent(z, Fraction(1))
+    m = exp_nilpotent(z, Fraction(1)).const_mat()
     assert lagr3.express(log_unipotent(m)) == z.coords
     # the series logarithm of the normal-coordinate jet: log exp(tZ) = tZ
     line = IntPolyMat.from_mats([lagr3.zero_elem().matrix, z.matrix])
@@ -436,6 +437,28 @@ def test_su21_group_membership():
     assert not validate_group_matrix(alg, _realify_test({(0, 0): (2, 0), (1, 1): half, (2, 2): one}))
 
 
+def test_known_inverses_take_no_determinant(monkeypatch, lagr3):
+    # the identity of a new build, exp(Z) and an inverse have their inverse
+    # known, so only the public constructor pays for a determinant
+    def no_det(self):
+        raise AssertionError("Mat.det called")
+
+    z = lagr3.grade_basis(1)[0] + lagr3.grade_basis(2)[0] * Fraction(1, 2)
+    monkeypatch.setattr(Mat, "det", no_det)
+    ident = block_flag_sl(1, 2).group_identity()
+    assert ident.mat == ident.inv_mat == Mat.identity(3)
+    g = group_exp(z)
+    assert g.mat * g.inv_mat == Mat.identity(3)
+    h = g.inverse()
+    assert h.mat == g.inv_mat and h.inv_mat == g.mat
+    with pytest.raises(AssertionError, match="Mat.det"):
+        GroupElem(lagr3, g.mat)
+    monkeypatch.undo()
+    assert GroupElem(lagr3, g.mat) == g
+    with pytest.raises(ValueError, match="singular"):
+        GroupElem(lagr3, Mat.zero(3))
+
+
 def test_values_are_immutable(proj1):
     from parageo.poly import Poly
 
@@ -536,12 +559,14 @@ def test_express_poly_round_trip_and_off_span(cid, data):
 )
 def test_exp_mat_scale_is_exp_of_scaled_matrix(cid, side, scale, data):
     # exp_mat(a, s) takes powers of the constant matrix a; exp_mat(a.scale(s))
-    # takes powers of a Poly-entry matrix; both are exp(s a), for a in n or p_+
+    # takes powers of a Poly-entry matrix; both are exp(s a), for a in n or
+    # p_+, and so is the integer series of exp_nilpotent
     alg = make_algebra(cid)
     idxs = [i for g in range(1, alg.k + 1) for i in alg.grade_slices[side * g]]
     coords = [Fraction(0)] * alg.dim
     vals = data.draw(st.lists(_RATIONALS, min_size=len(idxs), max_size=len(idxs)))
     for i, c in zip(idxs, vals):
         coords[i] = c
-    a = AlgElem(alg, tuple(coords)).matrix
-    assert exp_mat(a, scale) == exp_mat(a.scale(scale))
+    elem = AlgElem(alg, tuple(coords))
+    a = elem.matrix
+    assert exp_mat(a, scale) == exp_mat(a.scale(scale)) == exp_nilpotent(elem, scale).to_mat()

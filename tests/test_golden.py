@@ -8,6 +8,13 @@ base directions, one search fanned out to two worker processes, and
 integer-direction searches on four other algebras.  Any change to these
 bytes is a behaviour change of the jet-determination checker.
 
+The remaining jets runs of ``scripts/run_full_suite.py`` (proj(2),
+grass(1,2), lagr3 grade(-1) and grade(-2), su21 grade(-2) at grid 1, xxdot
+full_n), its reparam proj(1) report, and the benchmark's family xxdot
+grade(-2) job at grid 2 were pinned on the Fraction exponential, before
+every nilpotent exponential became one integer series; with them every
+report that script writes is pinned.
+
 Each build digest is the SHA-256 of the repr of an algebra's pivot rows,
 coordinate extractor and bracket table as first computed by the dense
 build (greedy rank tests, Laplace cofactor inverse, dense commutators).
@@ -32,7 +39,9 @@ comparison curve's delta_u, exponentials exp(tX) and exp(-tZ), and the
 logarithms of two unipotent matrices, as first computed with three
 separate exponential loops and the Laplace adjugate inverse.  The jet was
 pinned on the Poly-entry block-LU series and passes unchanged on the
-integer one; the constant-matrix logarithm now lives in ``poly_reference``.
+integer one; the exponentials are ``IntPolyMat``s now, sampled through
+``to_mat``, whose repr is that of the old Poly-entry ``Mat``; the
+constant-matrix exponential and logarithm now live in ``poly_reference``.
 """
 
 import hashlib
@@ -41,12 +50,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import full_flag_sl4
-from parageo.algebra import exp_mat, exp_nilpotent
+from parageo.algebra import exp_nilpotent
 from parageo.catalog import make_algebra
 from parageo.cli import ExperimentConfig, emit, run
 from parageo.curves import CurveSpec, comparison, normal_coord_jet
 from parageo.poly import P_T
-from poly_reference import log_unipotent
+from poly_reference import exp_mat, log_unipotent
 
 GOLDEN = [
     (
@@ -96,6 +105,31 @@ GOLDEN = [
     (
         dict(algebra="proj(4)", type_spec="full_n", grid=1),
         "31d80b74f3e6c838939f9e3710860d9ce8a3f449769721d6afd116bc966513d8",
+    ),
+    # the remaining jets runs of scripts/run_full_suite.py
+    (
+        dict(algebra="proj(2)", type_spec="full_n", grid=2),
+        "09bc39486de06242ce1a7817ee64d94f45c443208118c01055432c900a22d601",
+    ),
+    (
+        dict(algebra="grass(1,2)", type_spec="full_n", grid=2),
+        "af35e96bbf1dea6630f8a87c2b9b33c41733bf78371b38d65ed03056f308ae9b",
+    ),
+    (
+        dict(algebra="lagr3", type_spec="grade(-1)", grid=2),
+        "cb34f2d459865b01b853b58267b5d3fb31b9a2840247ceecd4eeaec65c5a67dd",
+    ),
+    (
+        dict(algebra="lagr3", type_spec="grade(-2)", grid=2),
+        "d095625ca831b6dc682553740a155dabb720221629093361b185feec40773a1f",
+    ),
+    (
+        dict(algebra="su21", type_spec="grade(-2)", grid=1),
+        "365777ea199e65c56ff2f2f893302dd84a777972a6413b8b0206fba4482e2ce5",
+    ),
+    (
+        dict(algebra="xxdot", type_spec="full_n", grid=2),
+        "6f1656d50ac96221778cfd29403fbb5e63dcd4c2aa296eefcbd8706423621981",
     ),
 ]
 
@@ -162,7 +196,8 @@ def curve_layer_parts(alg):
     order = alg.k + 2
     jet = normal_coord_jet(c, order).coeffs_prefix(order)
     delta = comparison(CurveSpec.base(alg, x), c).delta_coords
-    exps = tuple(exp_nilpotent(b, P_T) for b in n_basis + [x]) + (exp_nilpotent(z, -P_T),)
+    exps = tuple(exp_nilpotent(b, P_T).to_mat() for b in n_basis + [x])
+    exps += (exp_nilpotent(z, -P_T).to_mat(),)
     logs = (log_unipotent(exp_mat(x.matrix)), log_unipotent(exp_mat(z.matrix)))
     return jet, delta, exps, logs
 
@@ -286,6 +321,16 @@ REPORT_GOLDEN = [
     (
         dict(command="reparam", algebra="xxdot"),
         "fcb28a94126a47238f3387d43d478832c8ecccabdd9db08550a2a485620dd076",
+    ),
+    # the reparam report of scripts/run_full_suite.py, and the family job
+    # of the grid-fraction benchmark workload
+    (
+        dict(command="reparam", algebra="proj(1)"),
+        "6e8ea03b0ef669a12882db8ada5c13ab2bb5d2b5614d9d73aedf273593af3eb2",
+    ),
+    (
+        dict(command="family", algebra="xxdot", type_spec="grade(-2)", grid=2),
+        "de4850fd5260d468851dc789d3a5045a08c9d116279467d084d2cb88f4c7aeac",
     ),
 ]
 

@@ -2,7 +2,9 @@
 Poly-entry references of ``poly_reference``.
 
 The unit tests hold each ``IntPolyMat`` operation to the same operation on
-a ``Mat`` with ``Poly`` entries.  The hypothesis tests draw curve data on
+a ``Mat`` with ``Poly`` entries, and the one nilpotent series of
+``_fastgrid`` (power list, common-denominator sum, the pattern test of a
+product) to ``exp_mat`` and to "full product, then ``in_p_pattern``".  The hypothesis tests draw curve data on
 the nine catalog ids and the sl(4) full flag and require both routes to
 give the same comparison curve (u, its inverse, delta_u and delta_coords),
 the same curve-equality verdict, the same verdict of every identity
@@ -14,6 +16,7 @@ routes must return False.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from unittest import mock
 
 import pytest
@@ -22,12 +25,21 @@ from hypothesis import assume, given, settings, strategies as st
 import poly_reference as ref
 from conftest import ALL_IDS, full_flag_sl4
 from parageo import curves
-from parageo._fastgrid import IntPolyMat
-from parageo.algebra import exp_mat, exp_nilpotent, group_exp
+from parageo._fastgrid import (
+    IntPolyMat,
+    _iident,
+    _int_coeffs,
+    exp_series,
+    grid_kernel,
+    nilpotent_powers,
+    product_in_p_pattern,
+)
+from parageo import _fastgrid
+from parageo.algebra import exp_nilpotent, group_exp
 from parageo.catalog import g0_samples, make_algebra
 from parageo.curves import CurveSpec, normal_coord_jet
 from parageo.errors import NotNilpotent
-from parageo.lab import _truncated_ad_derivative
+from parageo.lab import _truncated_ad_derivative, pplus_elem
 from parageo.reparam import MobiusMap, reparam_solve, verify_reparam
 from parageo.matrices import Mat
 from parageo.poly import P_T, Poly
@@ -75,10 +87,10 @@ def test_exp_matches_poly_entry_exp(any_algebra):
     x = alg.grade_basis(-1)[0] + alg.grade_basis(-alg.k)[-1] * Fraction(1, 3)
     m = IntPolyMat.from_mats([x.matrix])
     for scale in (1, P_T, -P_T, Poly((0, 2, Fraction(1, 2)))):
-        assert m.exp(scale).to_mat() == exp_nilpotent(x, scale)
+        assert m.exp(scale).to_mat() == ref.exp_mat(x.matrix, scale)
     # exp of a polynomial curve Y(t) = t X + t^2 X'
     y = IntPolyMat.from_mats([alg.zero_elem().matrix, x.matrix, alg.grade_basis(-1)[-1].matrix])
-    assert y.exp().to_mat() == exp_mat(y.to_mat())
+    assert y.exp().to_mat() == ref.exp_mat(y.to_mat())
 
 
 def test_exp_rejects_non_nilpotent():
@@ -155,8 +167,9 @@ def test_checkers_agree_with_poly_reference(data):
     z1 = _elem(data, alg, alg.pplus_indices)
     z2 = _elem(data, alg, alg.pplus_indices)
     p, q = data.draw(_PQ), data.draw(_PQ)
-    polys = (exp_nilpotent(z1, p), exp_nilpotent(z1, -p), exp_nilpotent(z2, q), exp_nilpotent(z2, -q))
-    ints = tuple(ref.to_int(m) for m in polys)
+    pairs = ((z1, p), (z1, -p), (z2, q), (z2, -q))
+    polys = tuple(ref.exp_mat(z.matrix, s) for z, s in pairs)
+    ints = tuple(exp_nilpotent(z, s) for z, s in pairs)
     assert curves.verify_delta_leibniz(*ints) is ref.verify_delta_leibniz(*polys) is True
 
 
@@ -200,8 +213,8 @@ def test_perturbed_inputs_fail_on_both_routes(data):
     rows = [b for b, row in enumerate(z2.matrix.rows) if any(row)]
     b = data.draw(st.sampled_from(rows))
     p, q = data.draw(_PQ), data.draw(_PQ)
-    f, g, g_inv = exp_nilpotent(z1, p), exp_nilpotent(z2, q), exp_nilpotent(z2, -q)
-    bad_f_inv = _perturbed(exp_nilpotent(z1, -p), i, b, eps, power)
+    f, g, g_inv = (ref.exp_mat(z.matrix, s) for z, s in ((z1, p), (z2, q), (z2, -q)))
+    bad_f_inv = _perturbed(ref.exp_mat(z1.matrix, -p), i, b, eps, power)
     assert ref.verify_delta_leibniz(f, bad_f_inv, g, g_inv) is False
     ints = [ref.to_int(m) for m in (f, bad_f_inv, g, g_inv)]
     assert curves.verify_delta_leibniz(*ints) is False
@@ -281,3 +294,100 @@ def test_orbit_probe_derivative_is_the_reference_s1_coefficient(data):
     assert _truncated_ad_derivative(alg, z0, dz, y0, dy) == [coords[i][1] for i in alg.n_indices]
     # the reference projects to n, so its other coordinates vanish
     assert not any(coords[i] for i in range(alg.dim) if i not in alg.n_indices)
+
+
+# -- the one nilpotent series and the pattern test of a product --------------
+
+_SCALES = st.one_of(st.sampled_from((1, -1, P_T, -P_T)), _VALS, _PHI)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_series_matches_exp_mat(data):
+    # a0 + t a1 + t^2 a2 with every coefficient in n, or every one in p_+,
+    # is strictly block triangular, so nilpotent
+    alg = algebra(data.draw(st.sampled_from(IDS)))
+    part = data.draw(st.sampled_from((alg.n_indices, alg.pplus_indices)))
+    coeffs = [_any_elem(data, alg, part) for _ in range(data.draw(st.integers(1, 3)))]
+    scale = data.draw(_SCALES)
+    a = IntPolyMat.from_mats([e.matrix for e in coeffs])
+    expected = ref.exp_mat(a.to_mat(), scale)
+    assert a.exp(scale).to_mat() == expected
+    if len(coeffs) == 1:
+        assert exp_nilpotent(coeffs[0], scale).to_mat() == expected
+    # the raw routines: the power list is the reference's, and the series
+    # is q! D^q exp(scale a) for D = den(scale) * den(a)
+    powers = nilpotent_powers(a.coeffs)
+    ref_powers = list(ref.nilpotent_powers(a.to_mat()))
+    assert [IntPolyMat(a.d, p, a.den**i) for i, p in enumerate(powers, 1)] == [
+        ref.to_int(m) for m in ref_powers
+    ]
+    nums, cden = _int_coeffs(scale)
+    den = cden * a.den
+    raw = exp_series(a.d, powers, nums, (den,))
+    assert IntPolyMat(a.d, raw, factorial(len(powers)) * den ** len(powers)).to_mat() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernel_exponentials_match_exp_mat(data):
+    alg = algebra(data.draw(st.sampled_from(IDS)))
+    x = _elem(data, alg, alg.n_indices)
+    kern = grid_kernel(alg, x)
+    vals = data.draw(st.tuples(*[st.integers(-2, 2)] * len(alg.pplus_indices)))
+    z = pplus_elem(alg, vals)
+    pos, neg, den = kern.exp_pair(kern.combo_rows(vals))
+    assert Mat(pos).scale(Fraction(1, den)) == ref.exp_mat(z.matrix)
+    assert Mat(neg).scale(Fraction(1, den)) == ref.exp_mat(z.matrix, -1)
+    # exp(tX) over its common denominator, the t^0 coefficient's (0, 0)
+    coeffs = kern.exp_x_coeffs
+    assert IntPolyMat(alg.matrix_dim, coeffs, coeffs[0][0][0]).to_mat() == ref.exp_mat(x.matrix, P_T)
+
+
+def test_nilpotent_powers_stop_at_the_first_zero_power(monkeypatch):
+    jordan = [[int(j == i + 1) for j in range(4)] for i in range(4)]
+    powers = nilpotent_powers([jordan])
+    assert len(powers) == 3 and powers[-1] == [[[0, 0, 0, 1], [0] * 4, [0] * 4, [0] * 4]]
+    assert nilpotent_powers([]) == [] and exp_series(2, [], (0, 1)) == [_iident(2)]
+    # a known nilpotency index saves forming the zero power
+    calls = []
+    polymul = _fastgrid._polymul
+    monkeypatch.setattr(_fastgrid, "_polymul", lambda a, b: calls.append(1) or polymul(a, b))
+    assert nilpotent_powers([jordan], 4) == powers and len(calls) == 2
+    assert nilpotent_powers([jordan]) == powers and len(calls) == 5
+
+
+def test_nilpotent_powers_reject_non_nilpotent(any_algebra):
+    with pytest.raises(NotNilpotent):
+        nilpotent_powers([_iident(3)])
+    # the polynomial argument [[0, t], [t, 0]] squares to t^2 I
+    with pytest.raises(NotNilpotent):
+        nilpotent_powers([[[0, 0], [0, 0]], [[0, 1], [1, 0]]])
+    h = any_algebra.grade_basis(0)[0]
+    with pytest.raises(NotNilpotent):
+        exp_nilpotent(h, P_T)
+    with pytest.raises(NotNilpotent):
+        list(ref.nilpotent_powers(h.matrix))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pattern_product_is_full_product_then_pattern(data):
+    alg, c1, c2 = _curve_data(data)
+    forbidden = alg.forbidden_positions
+    for a, b in ((c1, c2), (c2, c1), (c2, c2)):
+        left, right = b.ad_polymat.exp(-P_T), a.ad_polymat.exp(P_T)
+        product = left * right
+        assert product_in_p_pattern(left.coeffs, right.coeffs, forbidden) == product.in_p_pattern(alg)
+        assert curves.curves_equal(a, b) == product.in_p_pattern(alg)
+    # exp(-tA) exp(tA) = I; bump the right factor by eps t^p E_ij at one
+    # forbidden (i, j): as the left factor is I at t = 0, the t^p
+    # coefficient of the product is then eps at (i, j)
+    left, right = c2.ad_polymat.exp(-P_T), c2.ad_polymat.exp(P_T)
+    assert product_in_p_pattern(left.coeffs, right.coeffs, forbidden)
+    i, j = data.draw(st.sampled_from(forbidden))
+    power = data.draw(st.integers(0, 3))
+    eps = data.draw(_VALS.filter(bool))
+    bumped = ref.to_int(_perturbed(right.to_mat(), i, j, eps, power))
+    assert not product_in_p_pattern(left.coeffs, bumped.coeffs, forbidden)
+    assert not (left * bumped).in_p_pattern(alg)

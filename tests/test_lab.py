@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -33,12 +34,18 @@ from parageo.lab import (
     _LAGR3_STRATA,
     _XXDOT_STRATA,
     _iter_pair_stats,
+    _orbit_points,
     _pair_stats,
 )
 from parageo.matrices import Mat
 
 from conftest import ALL_IDS, full_flag_sl4
-from fraction_reference import pair_jet_order as reference_jet_order, reference_pair_stats
+from fraction_reference import (
+    pair_jet_order as reference_jet_order,
+    reference_orbit_points,
+    reference_pair_stats,
+    solve_direction as reference_solve_direction,
+)
 
 
 # -- type specs -----------------------------------------------------------------
@@ -189,6 +196,26 @@ def test_solve_direction_roundtrip(any_algebra):
             assert truncated_Ad(g, y) == x
 
 
+_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cid=st.sampled_from(ALL_IDS + ["full_flag_sl4"]), data=st.data())
+def test_solve_direction_matches_fraction_reference(cid, data):
+    # the IntPolyMat solve against the Fraction Mat iteration it replaced
+    alg = full_flag_sl4() if cid == "full_flag_sl4" else make_algebra(cid)
+
+    def draw(indices):
+        vals = data.draw(st.lists(_FRACTIONS, min_size=len(indices), max_size=len(indices)))
+        return alg.elem_at(indices, vals)
+
+    g = group_exp(draw(alg.pplus_indices))
+    x = draw(alg.n_indices)
+    y = solve_direction(g, x)
+    assert y == reference_solve_direction(g, x)
+    assert truncated_Ad(g, y) == x
+
+
 def _pplus_dim(alg):
     return sum(len(alg.grade_slices[g]) for g in range(1, alg.k + 1))
 
@@ -328,7 +355,7 @@ def test_su21_runs_on_kernel():
 def test_workers_produce_identical_stats(lagr3):
     ts = type_full(lagr3)
     x = lagr3.elem_from_grade_coords({-1: (1, 1), -2: (1,)})
-    seq = _pair_stats(ts, x, 1, 4, workers=1)
+    seq = list(_pair_stats(ts, x, 1, 4, workers=1))
     par = _pair_stats(ts, x, 1, 4, workers=2)
     assert seq == par
 
@@ -355,15 +382,35 @@ def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch, lagr3):
     ts = type_grade(lagr3, -2)
     x = lagr3.grade_basis(-2)[0]
     # one grid point makes one chunk
-    assert _pair_stats(ts, x, 0, 3, workers=100_000) == _pair_stats(ts, x, 0, 3)
+    assert _pair_stats(ts, x, 0, 3, workers=100_000) == list(_pair_stats(ts, x, 0, 3))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert _pair_stats(ts, x, 1, 3, workers=8) == _pair_stats(ts, x, 1, 3)
+    assert _pair_stats(ts, x, 1, 3, workers=8) == list(_pair_stats(ts, x, 1, 3))
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     _pair_stats(ts, x, 1, 3, workers=8)
     assert sizes == [1, 2, 1]
 
 
 # -- jet order search ---------------------------------------------------------------
+
+
+def test_search_memory_does_not_grow_with_the_grid():
+    # the verdict needs only counts and the first witness of each order, so
+    # the peak memory of a one-worker search is the same at radius 1 (27
+    # pairs) and radius 3 (343 pairs); keeping a record per pair made it
+    # grow about fourfold
+    ts = type_full(make_algebra("proj(3)"))
+    x = ts.default_direction()
+    min_jet_order_search(ts, x, grid=0)
+    peaks = []
+    for grid in (1, 3):
+        tracemalloc.start()
+        try:
+            report = min_jet_order_search(ts, x, grid=grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.n_grid == (2 * grid + 1) ** 3 and report.passed()
+    assert peaks[1] <= 1.25 * peaks[0] + 16 * 1024, peaks
 
 
 def test_paper_bounds(lagr3, xxdot):
@@ -551,6 +598,24 @@ def test_orbit_dimensions(lagr3, xxdot):
     assert rep.hull_dim == 5  # its linear span is everything
     rep2 = orbit_hull_dimension(type_grade(lagr3, -2), grid=1)
     assert rep2.passed() and rep2.orbit_dim == 3 == rep2.hull_dim
+
+
+@pytest.mark.parametrize(
+    "cid,tspec,grid",
+    [
+        ("xxdot", "grade(-2)", 1),
+        ("xxdot", "grade(-1)", 1),
+        ("lagr3", "grade(-2)", 2),
+        ("lagr3", "full_n", 1),
+        ("su21", "grade(-1)", 1),
+        ("proj(2)", "full_n", 1),
+        ("conf(1,1)", "null_cone", 1),
+    ],
+)
+def test_orbit_points_match_fraction_loop(cid, tspec, grid):
+    ts = parse_type(make_algebra(cid), tspec)
+    points = _orbit_points(ts, grid)
+    assert points and points == reference_orbit_points(ts, grid)
 
 
 def test_orbit_trivial_for_one_graded():
