@@ -10,20 +10,25 @@ of the product only.  ``IntPolyMat.exp`` (so ``exp_nilpotent`` and
 ``group_exp``), the kernel's exp(+-Z), exp(tX) and exp(-t A2), and the
 cleared series of ``verify_reparam`` are that series.
 
-``IntPolyMat`` (at the end of this module) is the one polynomial-matrix
-type: comparison curves, the lemma identity checkers and the
-normal-coordinate jet of ``curves``, the reparametrization check, and the
-orbit points, orbit probes and Prop. 4.1 conjugations of ``lab`` run on
-it.  Coordinates are read through the algebra's one integer extractor
-(``GradedAlgebra.integer_frame``; ``express_poly`` for an ``IntPolyMat``).
+``IntPolyMat`` (at the end of this module) is the one matrix type past
+the catalog boundary, constant or polynomial: the matrix of an algebra
+element (``AlgElem.matrix``, summed on the integer basis of
+``GradedAlgebra.integer_frame``), a group element and its inverse, Ad and
+the normal form of P, comparison curves, the lemma identity checkers and
+the normal-coordinate jet of ``curves``, the reparametrization check, and
+the orbit points, orbit probes and Prop. 4.1 conjugations of ``lab`` run
+on it.  Coordinates are read through the algebra's one integer extractor
+(``GradedAlgebra.express_poly``).  ``IntPolyMat.from_mats`` is the one
+conversion from a ``Fraction`` ``Mat``, for a user's group matrix.
 
 Every grid search (``jets``, ``family`` and their worker fan-out) runs its
 pairs on ``GridKernel``, for every catalog algebra and every rational base
 direction, on plain-int matrices with a tracked positive denominator and no
 gcd: grid points have integer coordinates, every catalog basis is
 integral, and a base direction X is carried as ``x_den * X`` for the lcm
-``x_den`` of its entries' denominators.  Scaling by a positive integer
-never changes whether an entry vanishes, so every pattern test is exact.
+``x_den`` of its entries' denominators (the reduced ``X.matrix``).  Scaling
+by a positive integer never changes whether an entry vanishes, so every
+pattern test is exact.
 One pair costs one ``exp_pair`` (one power list, both series) and at most
 k conjugations inside ``solve_direction``, whose conjugate A2 = Ad(exp Z) Y
 is reused by the jet test and the curve identity.  The jet test makes no
@@ -44,14 +49,6 @@ from .matrices import Mat
 from .poly import Poly
 
 _F0 = Fraction(0)
-
-
-def _integral(mat):
-    """(den, rows): the least positive den making den * mat integral, and
-    the integer rows of den * mat."""
-    rows = [[Fraction(e) for e in row] for row in mat.rows]
-    den = lcm(*(e.denominator for row in rows for e in row))
-    return den, tuple(tuple(int(e * den) for e in row) for row in rows)
 
 
 def _imul(a, b):
@@ -195,7 +192,8 @@ class GridKernel:
         # strictly block triangular (Z, X) or conjugate to one (A2)
         self.terms = len(alg.block_sizes)
         self.forbidden = alg.forbidden_positions
-        self.x_den, self.x_rows = _integral(x.matrix)
+        xm = x.matrix
+        self.x_den, self.x_rows = xm.den, (xm.coeffs or [_iident(d, 0)])[0]
         self.extract_scale, self.extract_terms, basis = alg.integer_frame()
         # nonzero entries (i, j, value) of each p_+ basis matrix
         self.pplus_entries = [[(r // d, r % d, v) for r, v in basis[idx]] for idx in alg.pplus_indices]
@@ -367,9 +365,9 @@ class IntPolyMat:
     @classmethod
     def from_mats(cls, mats):
         """sum_p t^p mats[p] for constant rational Mats of one size."""
-        ints = [_integral(m) for m in mats]
-        den = lcm(*(dn for dn, _ in ints))
-        return cls(mats[0].nrows, [_iscale(rows, den // dn) for dn, rows in ints], den)
+        den = lcm(*(Fraction(e).denominator for m in mats for row in m.rows for e in row))
+        coeffs = [[[int(e * den) for e in row] for row in m.rows] for m in mats]
+        return cls(mats[0].nrows, coeffs, den)
 
     def is_zero(self):
         return not self.coeffs
@@ -426,16 +424,14 @@ class IntPolyMat:
             return NotImplemented
         return (self - other).is_zero()
 
-    __hash__ = None
+    def __hash__(self):
+        # equal matrices have the same reduced form
+        r = _reduced(self.d, self.coeffs, self.den)
+        return hash((r.den, tuple(tuple(map(tuple, c)) for c in r.coeffs)))
 
     def in_p_pattern(self, alg):
         """True when every coefficient vanishes at the forbidden positions."""
         return all(not c[i][j] for c in self.coeffs for i, j in alg.forbidden_positions)
-
-    def const_mat(self):
-        """The constant term as a Mat with Fraction entries."""
-        c0 = self.coeffs[0] if self.coeffs else [[0] * self.d] * self.d
-        return Mat(tuple(tuple(Fraction(x, self.den) for x in row) for row in c0))
 
     def to_mat(self):
         """The same matrix as a Mat with Poly entries."""

@@ -11,6 +11,11 @@ P / G0 block patterns simple position tests on group matrices.
 Matrix entries and coordinates are rationals.  A complex realization is
 realified by the catalog before it gets here (su(2,1) as 2x2 real blocks),
 so the coordinates of a matrix are read off its entries directly.
+
+The extractor and bracket table are built from the ``Fraction`` basis
+``Mat``s.  Past that build a constant matrix is an integer ``IntPolyMat``:
+an element's matrix, a ``GroupElem``'s matrix and inverse, and the Ad and
+normal-form products, whose coordinates ``express_poly`` reads back.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from ._fastgrid import IntPolyMat, nilpotent_powers
+from ._fastgrid import IntPolyMat, _reduced, nilpotent_powers
 from .errors import (
     AlgebraMismatch,
     NotInNilpotentPart,
@@ -63,9 +68,6 @@ class GradedAlgebra:
         self.forbidden_positions = tuple(
             (i, j) for i in range(d) for j in range(d) if self.position_grade[i][j] < 0
         )
-        self.offdiag_block_positions = tuple(
-            (i, j) for i in range(d) for j in range(d) if self.position_grade[i][j] != 0
-        )
 
         # flattened basis, grades ascending
         self.basis = []
@@ -90,8 +92,8 @@ class GradedAlgebra:
         self._build_extractor()
         self._build_bracket_table()
         self._integer_frame = None
-        ident = Mat.identity(d)
-        self._identity = GroupElem(self, ident, _inv=ident)
+        ident = IntPolyMat.identity(d)
+        self._identity = GroupElem(self, ident, ident)
 
     # -- construction helpers ------------------------------------------------
 
@@ -173,7 +175,8 @@ class GradedAlgebra:
                     raise ValueError("%s: bracket of basis pair leaves the span" % self.name)
                 table[i][j] = coords
                 if j != i:
-                    table[j][i] = tuple(-c for c in coords)
+                    # most coordinates are 0: share one zero, not a new one each
+                    table[j][i] = tuple(-c if c else _ZERO for c in coords)
         self.bracket_table = tuple(tuple(row) for row in table)
 
     # -- vectorization and coordinates --------------------------------------
@@ -245,11 +248,11 @@ class GradedAlgebra:
     def grade_basis(self, grade):
         return [self.basis_elem(i) for i in self.grade_slices[grade]]
 
-    def elem_from_matrix(self, mat):
-        coords = self.express(mat)
-        if coords is None:
-            raise ValueError("matrix is not in the span of the %s basis" % self.name)
-        return AlgElem(self, coords)
+    def elem_from_matrix(self, pm):
+        """The element whose matrix is the constant IntPolyMat ``pm``, or
+        None when pm leaves the span of the basis."""
+        coords = self.express_poly(pm)
+        return None if coords is None else AlgElem(self, tuple(p[0] for p in coords))
 
     def elem_from_grade_coords(self, grade_coords):
         """Element from {grade: coordinate list} over the per-grade bases."""
@@ -283,25 +286,17 @@ class GradedAlgebra:
                         out[m] += ab * c
         return tuple(out)
 
-    # -- pattern tests on matrices -------------------------------------------
-
-    def matrix_in_p_pattern(self, mat):
-        """True when all entries at negative-grade positions vanish."""
-        return all(not mat.rows[i][j] for i, j in self.forbidden_positions)
-
-    def matrix_in_g0_pattern(self, mat):
-        return all(not mat.rows[i][j] for i, j in self.offdiag_block_positions)
-
-    def position_part(self, mat, keep):
-        """``mat`` with every entry whose position grade fails ``keep`` set
-        to 0 (a Fraction 0 mixes fine with any entry ring)."""
-        d = self.matrix_dim
+    def position_part(self, pm, keep):
+        """The IntPolyMat ``pm`` with every entry whose position grade
+        fails ``keep`` set to 0."""
         grades = self.position_grade
-        return Mat(
-            tuple(
-                tuple(mat.rows[i][j] if keep(grades[i][j]) else _ZERO for j in range(d))
-                for i in range(d)
-            )
+        return IntPolyMat(
+            pm.d,
+            [
+                [[x if keep(g) else 0 for x, g in zip(row, grow)] for row, grow in zip(c, grades)]
+                for c in pm.coeffs
+            ],
+            pm.den,
         )
 
     # -- structural invariants ------------------------------------------------
@@ -321,7 +316,7 @@ class GradedAlgebra:
             gi_ = self.basis_grades[i]
             if abs(gi_) >= 1:
                 try:
-                    nilpotent_powers(IntPolyMat.from_mats([self.basis[i]]).coeffs)
+                    nilpotent_powers(self.basis_elem(i).matrix.coeffs)
                 except NotNilpotent:
                     bad.append("basis[%d] of grade %d is not nilpotent" % (i, gi_))
             for j in range(n):
@@ -392,13 +387,19 @@ class AlgElem:
 
     @property
     def matrix(self):
+        """sum_m c_m B_m as a constant IntPolyMat, from the integer basis of
+        ``integer_frame``, over its least common denominator."""
         if self._mat is None:
             alg = self.algebra
-            acc = Mat.zero(alg.matrix_dim)
-            for c, b in zip(self.coords, alg.basis):
+            d = alg.matrix_dim
+            den = lcm(*(c.denominator for c in self.coords))
+            rows = [[0] * d for _ in range(d)]
+            for c, entries in zip(self.coords, alg.integer_frame()[2]):
                 if c:
-                    acc = acc + b.scale(c)
-            object.__setattr__(self, "_mat", acc)
+                    num = c.numerator * (den // c.denominator)
+                    for r, v in entries:
+                        rows[r // d][r % d] += num * v
+            object.__setattr__(self, "_mat", _reduced(d, [rows], den))
         return self._mat
 
     def __add__(self, other):
@@ -462,33 +463,30 @@ class AlgElem:
 
 
 class GroupElem:
-    """An element of G as a constant invertible matrix."""
+    """An element of G: a constant IntPolyMat and its inverse, checked to
+    multiply to I.  A user's matrix enters through ``catalog.group_elem``."""
 
-    __slots__ = ("algebra", "mat", "_inv")
+    __slots__ = ("algebra", "mat", "inv_mat")
 
-    def __init__(self, algebra, mat, *, _inv=None):
-        # a known inverse (identity, exp(Z), inverse()) needs no determinant
-        if _inv is None and not mat.det():
-            raise ValueError("group element matrix is singular")
+    def __init__(self, algebra, mat, inv_mat):
+        d = algebra.matrix_dim
+        if not (mat.d == inv_mat.d == d and len(mat.coeffs) == len(inv_mat.coeffs) == 1):
+            raise ValueError("group element needs two constant %d x %d matrices" % (d, d))
+        if mat * inv_mat != IntPolyMat.identity(d):
+            raise ValueError("group element matrix times its inverse is not I")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "_inv", _inv)
+        object.__setattr__(self, "inv_mat", inv_mat)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElem is immutable")
 
-    @property
-    def inv_mat(self):
-        if self._inv is None:
-            object.__setattr__(self, "_inv", self.mat.inverse())
-        return self._inv
-
     def inverse(self):
-        return GroupElem(self.algebra, self.inv_mat, _inv=self.mat)
+        return GroupElem(self.algebra, self.inv_mat, self.mat)
 
     def __mul__(self, other):
         _same_algebra(self, other)
-        return GroupElem(self.algebra, self.mat * other.mat)
+        return GroupElem(self.algebra, self.mat * other.mat, other.inv_mat * self.inv_mat)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElem):
@@ -499,10 +497,10 @@ class GroupElem:
         return hash((id(self.algebra), self.mat))
 
     def in_P(self):
-        return self.algebra.matrix_in_p_pattern(self.mat)
+        return self.mat.in_p_pattern(self.algebra)
 
     def in_G0(self):
-        return self.algebra.matrix_in_g0_pattern(self.mat)
+        return self.mat == self.algebra.position_part(self.mat, lambda g: g == 0)
 
     def __repr__(self):
         return "GroupElem(%s; %s)" % (self.algebra.name, self.mat)
@@ -527,24 +525,22 @@ def bracket(x, y):
 def exp_nilpotent(x, scale=1):
     """exp(scale * x) for nilpotent x and a rational or Poly scale, as an
     ``IntPolyMat``: the one nilpotent series of ``_fastgrid`` on the
-    integer form of x's matrix.  Raises NotNilpotent when x^d != 0."""
-    return IntPolyMat.from_mats([x.matrix]).exp(scale)
+    integer matrix of x.  Raises NotNilpotent when x^d != 0."""
+    return x.matrix.exp(scale)
 
 
 def group_exp(x):
-    """exp(x) as a GroupElem for nilpotent x, its inverse exp(-x) known."""
-    inv = exp_nilpotent(x, -1).const_mat()
-    return GroupElem(x.algebra, exp_nilpotent(x).const_mat(), _inv=inv)
+    """exp(x) as a GroupElem for nilpotent x, with its inverse exp(-x)."""
+    return GroupElem(x.algebra, exp_nilpotent(x), exp_nilpotent(x, -1))
 
 
 def Ad(g, x):
     """Adjoint action g x g^{-1} expressed in basis coordinates."""
     _same_algebra(g, x)
-    m = g.mat * x.matrix * g.inv_mat
-    coords = x.algebra.express(m)
-    if coords is None:
+    out = x.algebra.elem_from_matrix(g.mat * x.matrix * g.inv_mat)
+    if out is None:
         raise ValueError("Ad image leaves the algebra span; matrix is not in G")
-    return AlgElem(x.algebra, coords)
+    return out
 
 
 def truncated_Ad(g, y):
@@ -567,25 +563,21 @@ def normal_form_P(b):
     if not b.in_P():
         raise NotInParabolic("group element is not block upper triangular")
     ident = alg.group_identity()
+    # b and b^-1 are block upper triangular, so the block diagonal part of
+    # b^-1 is the inverse of that of b: no determinant is needed
     b0_mat = alg.position_part(b.mat, lambda g: g == 0)
     if b0_mat == ident.mat:
         b0 = ident
     else:
-        if not b0_mat.det():
-            raise NotInParabolic("block diagonal part is singular")
-        b0 = GroupElem(alg, b0_mat)
+        b0 = GroupElem(alg, b0_mat, alg.position_part(b.inv_mat, lambda g: g == 0))
     v = b0.inv_mat * b.mat
     zs = []
     for grade in range(1, alg.k + 1):
-        part = alg.position_part(v - ident.mat, lambda g: g == grade)
-        coords = alg.express(part)
-        if coords is None:
-            raise NotInParabolic("unipotent part leaves exp(p_+)")
-        z = AlgElem(alg, coords)
-        if not (z.is_zero() or z.in_grade(grade)):
+        z = alg.elem_from_matrix(alg.position_part(v, lambda g: g == grade))
+        if z is None or not (z.is_zero() or z.in_grade(grade)):
             raise NotInParabolic("unipotent part leaves exp(p_+)")
         zs.append(z)
-        v = exp_nilpotent(z, -1).const_mat() * v
+        v = exp_nilpotent(z, -1) * v
     if v != ident.mat:
         raise NotInParabolic("residual unipotent part after extracting all grades")
     return b0, tuple(zs)

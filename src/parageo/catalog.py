@@ -36,6 +36,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
+from ._fastgrid import IntPolyMat
 from .algebra import GradedAlgebra, GroupElem
 from .errors import BadParams, UnknownCatalogName
 from .matrices import Mat
@@ -274,11 +275,12 @@ def validate_group_matrix(alg, mat):
 
 
 def group_elem(alg, rows):
-    """Build a validated GroupElem from explicit matrix rows."""
-    mat = rows if isinstance(rows, Mat) else Mat(rows)
+    """Build a validated GroupElem from explicit rational matrix rows: the
+    matrix is checked to lie in G, inverted once and made integral once."""
+    mat = (rows if isinstance(rows, Mat) else Mat(rows)).map(Fraction)
     if not validate_group_matrix(alg, mat):
         raise ValueError("matrix is not in the group of %s" % alg.name)
-    return GroupElem(alg, mat)
+    return GroupElem(alg, *(IntPolyMat.from_mats([m]) for m in (mat, mat.inverse())))
 
 
 def g0_samples(alg):

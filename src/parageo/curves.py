@@ -19,10 +19,11 @@ iterated-adjoint formula for (delta u)^(i), the derivative formula for
 Ad_{u(t)^{-1}} Y(t), and the reparametrized derivative formula with its
 partition coefficients.
 
-Every polynomial matrix here is an ``IntPolyMat`` (integer coefficient
-matrices over one common denominator, from ``_fastgrid``): Ad_b X of a
-spec, the comparison curve, the five identity checkers and the
-normal-coordinate jet with its block-LU series.  Every exponential is
+Every matrix here, constant or polynomial, is an ``IntPolyMat`` (integer
+coefficient matrices over one common denominator, from ``_fastgrid``): b
+and b^-1 of a spec and X (from ``GroupElem`` and ``AlgElem.matrix``),
+Ad_b X = b X b^-1, the comparison curve, the five identity checkers and
+the normal-coordinate jet with its block-LU series.  Every exponential is
 ``IntPolyMat.exp``, the one nilpotent series of ``_fastgrid``, and curve
 equality is its one pattern test ``product_in_p_pattern`` on the two
 factors of u.  Coordinates of a polynomial matrix (``delta_coords``, the
@@ -98,11 +99,9 @@ class CurveSpec:
 
     @property
     def ad_polymat(self):
-        """The constant matrix Ad_b X = b X b^{-1}, as an integer product."""
+        """The constant matrix Ad_b X = b X b^{-1}, one integer product."""
         if self._a_int is None:
-            mats = (self.b.mat, self.X.matrix, self.b.inv_mat)
-            b, x, b_inv = (IntPolyMat.from_mats([m]) for m in mats)
-            object.__setattr__(self, "_a_int", b * x * b_inv)
+            object.__setattr__(self, "_a_int", self.b.mat * self.X.matrix * self.b.inv_mat)
         return self._a_int
 
     def direction(self):
@@ -321,7 +320,10 @@ def curve_matrix_from_coeffs(coeff_elems, require_n=True):
         raise ValueError("need at least one coefficient")
     if require_n and not all(e.in_n() for e in coeff_elems):
         raise NotInNilpotentPart("curve coefficient outside n")
-    return IntPolyMat.from_mats([e.matrix for e in coeff_elems])
+    acc = coeff_elems[-1].matrix
+    for e in reversed(coeff_elems[:-1]):
+        acc = acc.scale(P_T) + e.matrix
+    return acc
 
 
 def delta_of_exp(ymat):

@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgElem, bracket, exp_nilpotent
+from .algebra import AlgElem, bracket, exp_nilpotent, truncated_Ad
 from .curves import CurveSpec, curves_equal, jet_equal, normal_coord_jet
 from .errors import (
     EmptyGrid,
@@ -35,8 +35,9 @@ from .errors import (
     OracleDisagreement,
     ParageoError,
 )
-from ._fastgrid import IntPolyMat, grid_kernel
+from ._fastgrid import grid_kernel
 from .matrices import rank, rref
+from .poly import P_T
 from .reparam import _double_bracket_solution, _proportionality, reparam_solve, verify_reparam
 
 _F0 = Fraction(0)
@@ -293,21 +294,11 @@ def pplus_elem(alg, vals):
 
 
 def solve_direction(g, x):
-    """The unique Y in n with truncated_Ad(g, Y) = X, solved exactly.
+    """The unique Y in n with truncated_Ad(g, Y) = X, for any g in P.
 
-    The truncated action is unipotent with respect to the grade filtration
-    of n, so the fixed-point iteration Y <- Y + (X - Adbar(Y)) terminates
-    in at most k steps.
+    Truncated Ad is an action of P on n = g/p, so Y = truncated_Ad(g^-1, X).
     """
-    alg = x.algebra
-    e, einv = (IntPolyMat.from_mats([m]) for m in (g.mat, g.inv_mat))
-    y = x
-    for _ in range(alg.k + 1):
-        resid = x - _n_part(alg, e * IntPolyMat.from_mats([y.matrix]) * einv)
-        if not resid:
-            return y
-        y = y + resid
-    raise OracleDisagreement("direction constraint failed to converge")
+    return truncated_Ad(g.inverse(), x)
 
 
 def _n_coords(alg, pm):
@@ -582,7 +573,7 @@ def verify_prop41_claim(alg, x_samples=None, z_bound=1):
     n_applicable = 0
     violations = []
     for x in x_samples:
-        xm = IntPolyMat.from_mats([x.matrix])
+        xm = x.matrix
         for combo in itertools.product(*zgrids):
             n_samples += 1
             zs = [alg.elem_at(alg.grade_slices[g], vals) for g, vals in enumerate(combo, 1)]
@@ -602,7 +593,7 @@ def verify_prop41_claim(alg, x_samples=None, z_bound=1):
             if ell >= 1:
                 n_applicable += 1
             for j in range(1, min(ell, alg.k) + 1):
-                t = IntPolyMat.from_mats([zs[j - 1].matrix])
+                t = zs[j - 1].matrix
                 for _ in range(j + 1):
                     t = xm * t - t * xm
                 if not t.is_zero():
@@ -857,8 +848,8 @@ class OrbitHullReport:
 
 def _truncated_ad_derivative(alg, z0, dz, y0, dy):
     """n coordinates of d/ds Adbar(exp(z0 + s dz))(y0 + s dy) at s = 0."""
-    zs = IntPolyMat.from_mats([z0.matrix, dz.matrix])
-    ys = IntPolyMat.from_mats([y0.matrix, dy.matrix])
+    zs = z0.matrix + dz.matrix.scale(P_T)
+    ys = y0.matrix + dy.matrix.scale(P_T)
     img = (zs.exp().truncate(1) * ys * zs.exp(-1).truncate(1)).truncate(1)
     return [p[1] for p in _n_coords(alg, img)]
 
@@ -867,12 +858,12 @@ def _orbit_points(ts, grid):
     """(Z, X, Adbar(exp Z) X) for Z on the p_+ grid of radius min(grid, 1)
     and X over the type's members on the grid of radius ``grid``."""
     alg = ts.algebra
-    xs = [(x, IntPolyMat.from_mats([x.matrix])) for x in ts.grid(grid)]
+    xs = list(ts.grid(grid))
     points = []
     for vals in iter_pplus_coords(alg, min(grid, 1)):
         z = pplus_elem(alg, vals)
         e, einv = exp_nilpotent(z), exp_nilpotent(z, -1)
-        points.extend((z, x, _n_part(alg, e * xm * einv)) for x, xm in xs)
+        points.extend((z, x, _n_part(alg, e * x.matrix * einv)) for x in xs)
     return points
 
 

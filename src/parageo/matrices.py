@@ -8,22 +8,20 @@ arithmetic.  A Fraction 0 stands for the zero of any entry ring, and
 memoized over column masks, which is exact over any commutative ring; the
 memo holds up to 2^n minors.  Row reduction (rref / kernel / solve) is
 for field entries only, and so is ``inverse``: the right half of
-rref([M | I]), the route the algebra build takes for its coordinate
-extractor.  The curve code inverts no polynomial matrix exactly: every
-inverse it needs is known in closed form, as exp(-Z) or exp(-tA), or is a
-truncated power series (the pivot blocks of the normal-coordinate jet).
+rref([M | I]), taken once per user group matrix.  The curve code inverts
+no polynomial matrix exactly: every inverse it needs is known in closed
+form, as exp(-Z) or exp(-tA), or is a truncated power series (the pivot
+blocks of the normal-coordinate jet).
 
-Which engine runs where: ``Mat`` holds the constant matrices (basis,
-group elements, Ad on coordinates) and the row reductions, and takes no
-exponential.  Every nilpotent exponential is the one integer series of
-``_fastgrid`` (``nilpotent_powers`` and ``exp_series``); ``group_exp``
-converts exp(Z) and exp(-Z) to ``Fraction`` ``Mat``s once.  Every
-polynomial matrix (comparison curves, curve equality, the lemma
-identities, the normal-coordinate jet, the reparametrization check, the
-orbit points and probes, and the Prop. 4.1 conjugations) is an integer
-``_fastgrid.IntPolyMat``, and every grid pair runs on the integer
-``_fastgrid.GridKernel``.  The ``Mat``s with ``Poly`` entries that remain
-are ``IntPolyMat.to_mat`` (for ``repr``) and the test references.
+Which engine runs where: ``Mat`` is the boundary form.  It holds the
+catalog's basis input, the extractor's row reduction and bracket-table
+build, and a user's group matrix, which ``catalog.group_elem`` validates,
+inverts and converts once.  Past it every matrix, constant or polynomial,
+is an integer ``_fastgrid.IntPolyMat`` (elements, group elements, Ad, the
+normal form, every nilpotent exponential, the curves, identities, jets,
+orbits and Prop. 4.1), and every grid pair runs on ``GridKernel``.  The
+``Mat``s with ``Poly`` entries that remain are ``IntPolyMat.to_mat`` (for
+``repr``) and the test references.
 """
 
 from __future__ import annotations

@@ -1,5 +1,10 @@
+from fractions import Fraction
+from math import lcm
+
 import pytest
 
+from parageo._fastgrid import IntPolyMat
+from parageo.algebra import GroupElem
 from parageo.catalog import _build_sl, make_algebra
 
 ALL_IDS = [
@@ -44,3 +49,17 @@ def block_flag_sl(*blocks):
 def full_flag_sl4():
     """sl(4, R) with blocks (1,1,1,1): the |3|-graded full flag."""
     return block_flag_sl(1, 1, 1, 1)
+
+
+def diag_group_elem(alg, vals):
+    """The diagonal GroupElem diag(vals) with its inverse, for an algebra
+    outside the catalog (its group matrices have no validator)."""
+    d = alg.matrix_dim
+
+    def diag(entries):
+        entries = [Fraction(e) for e in entries]
+        den = lcm(*(e.denominator for e in entries))
+        rows = [[int(e * den) if i == j else 0 for j in range(d)] for i, e in enumerate(entries)]
+        return IntPolyMat(d, [rows], den)
+
+    return GroupElem(alg, diag(vals), diag([1 / Fraction(v) for v in vals]))

@@ -2,8 +2,9 @@
 
 The same per-pair statistics as ``parageo.lab._iter_pair_stats``, computed
 on the Fraction ``Mat`` stack instead of the integer engine of
-``parageo._fastgrid``: ``group_exp`` + ``solve_direction`` (the Fraction
-fixed-point iteration that ``parageo.lab.solve_direction`` replaced) give Y,
+``parageo._fastgrid``: ``exp_mat`` of Z's ``frac_matrix`` + ``solve_direction``
+(the Fraction fixed-point iteration that ``parageo.lab.solve_direction``
+replaced, for unipotent g) give Y,
 the jet order comes from the constant-matrix derivatives of delta_u at 0,
 and curve equality is the polynomial identity "exp(-t A2) exp(t A1) stays
 in the P block pattern".
@@ -26,20 +27,20 @@ by its sparse "ad is a representation" check.
 
 from fractions import Fraction
 
-from parageo.algebra import AlgElem, group_exp
+from parageo.algebra import AlgElem
 from parageo.lab import iter_pplus_coords, pplus_elem
 from parageo.matrices import Mat, rank
 from parageo.poly import P_T
-from poly_reference import exp_mat
+from poly_reference import exp_mat, frac_matrix, in_p_pattern, position_part
 
 
-def solve_direction(g, x):
+def solve_direction(e, einv, x):
     """Y in n with truncated_Ad(g, Y) = X by Y <- Y + (X - Adbar(Y)) on
-    Fraction matrices."""
+    Fraction matrices, for a unipotent g = e with inverse einv."""
     alg = x.algebra
-    ymat = xmat = x.matrix
+    ymat = xmat = frac_matrix(x)
     for _ in range(alg.k + 1):
-        img = alg.position_part(g.mat * ymat * g.inv_mat, lambda grade: grade < 0)
+        img = position_part(alg, e * ymat * einv, lambda grade: grade < 0)
         resid = xmat - img
         if resid.is_zero():
             return AlgElem(alg, alg.express(ymat))
@@ -51,7 +52,7 @@ def pair_jet_order(alg, a1, a2, r_max):
     """Consecutive orders r with (delta_u)^(i)(0) in p for i < r, capped."""
     d = a1 - a2
     order = 0
-    while order < r_max and alg.matrix_in_p_pattern(d):
+    while order < r_max and in_p_pattern(alg, d):
         order += 1
         d = d * a1 - a1 * d  # ad(-a1)
     return order
@@ -59,22 +60,22 @@ def pair_jet_order(alg, a1, a2, r_max):
 
 def fast_curves_equal(alg, a1, a2):
     u = exp_mat(a2.scale(-P_T)) * exp_mat(a1.scale(P_T))
-    return alg.matrix_in_p_pattern(u)
+    return in_p_pattern(alg, u)
 
 
 def reference_pair_stats(ts, x, grid, r_max):
     """List of (Z coords, Y coords, jet order, equal) over the p_+ grid."""
     alg = ts.algebra
-    a1 = x.matrix
+    a1 = frac_matrix(x)
     out = []
     for vals in iter_pplus_coords(alg, grid):
         z = pplus_elem(alg, vals)
-        g = group_exp(z)
-        y = solve_direction(g, x)
+        e, einv = exp_mat(frac_matrix(z)), exp_mat(frac_matrix(z), -1)
+        y = solve_direction(e, einv, x)
         if not ts.contains(y):
             out.append((tuple(z.coords), tuple(y.coords), None, False))
             continue
-        a2 = g.mat * y.matrix * g.inv_mat
+        a2 = e * frac_matrix(y) * einv
         jord = pair_jet_order(alg, a1, a2, r_max)
         equal = fast_curves_equal(alg, a1, a2) if jord == r_max else False
         out.append((tuple(z.coords), tuple(y.coords), jord, equal))
@@ -83,16 +84,16 @@ def reference_pair_stats(ts, x, grid, r_max):
 
 def reference_orbit_points(ts, grid):
     """(Z, X, Adbar(exp Z) X) over the same grids as ``lab._orbit_points``:
-    ``group_exp``, two Fraction products, ``position_part`` and
+    ``exp_mat``, two Fraction products, ``position_part`` and
     ``express``."""
     alg = ts.algebra
     xs = list(ts.grid(grid))
     points = []
     for vals in iter_pplus_coords(alg, min(grid, 1)):
         z = pplus_elem(alg, vals)
-        g = group_exp(z)
+        e, einv = exp_mat(frac_matrix(z)), exp_mat(frac_matrix(z), -1)
         for x in xs:
-            img = alg.position_part(g.mat * x.matrix * g.inv_mat, lambda grade: grade < 0)
+            img = position_part(alg, e * frac_matrix(x) * einv, lambda grade: grade < 0)
             points.append((z, x, AlgElem(alg, alg.express(img))))
     return points
 

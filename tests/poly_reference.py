@@ -9,6 +9,10 @@ of on the integer ``IntPolyMat``: products go through ``Poly.__mul__``,
 Ad_b X is two ``Fraction`` products, and coordinates come from the
 algebra's Fraction extractor (``express_poly`` below).  They take and
 return Poly-entry ``Mat``s; ``to_int`` converts one for the primary route.
+An algebra element enters as ``frac_matrix``, summed over ``alg.basis`` in
+``Fraction``s, and a group element as the ``Fraction`` form of its two
+integer matrices (``group_mats``), so no reference shares the arithmetic
+of the integer route.
 """
 
 from fractions import Fraction
@@ -27,6 +31,44 @@ from parageo.errors import (
 from parageo.matrices import Mat
 from parageo.poly import P_ONE, P_T, Poly
 from parageo.reparam import _num_den
+
+
+def frac_matrix(x):
+    """The Fraction Mat sum_m c_m B_m of an algebra element over
+    ``alg.basis``."""
+    alg = x.algebra
+    acc = Mat.zero(alg.matrix_dim)
+    for c, b in zip(x.coords, alg.basis):
+        if c:
+            acc = acc + b.scale(c)
+    return acc
+
+
+def const_mat(pm):
+    """The Fraction Mat of a constant IntPolyMat."""
+    c0 = pm.coeffs[0] if pm.coeffs else [[0] * pm.d] * pm.d
+    return Mat(tuple(tuple(Fraction(x, pm.den) for x in row) for row in c0))
+
+
+def group_mats(g):
+    """(matrix, inverse) of a GroupElem as Fraction Mats."""
+    return const_mat(g.mat), const_mat(g.inv_mat)
+
+
+def in_p_pattern(alg, mat):
+    """True when every entry of ``mat`` at a negative-grade position vanishes."""
+    return all(not mat.rows[i][j] for i, j in alg.forbidden_positions)
+
+
+def position_part(alg, mat, keep):
+    """``mat`` with every entry whose position grade fails ``keep`` set to 0."""
+    grades = alg.position_grade
+    return Mat(
+        tuple(
+            tuple(e if keep(g) else Fraction(0) for e, g in zip(row, grow))
+            for row, grow in zip(mat.rows, grades)
+        )
+    )
 
 
 def nilpotent_powers(m):
@@ -107,12 +149,13 @@ def log_unipotent(m):
 
 def ad_matrix(c):
     """Ad_b X of a curve spec as two Fraction products."""
-    return c.b.mat * c.X.matrix * c.b.inv_mat
+    b, b_inv = group_mats(c.b)
+    return b * frac_matrix(c.X) * b_inv
 
 
 def curve_matrix(c, scale=P_T):
     """b exp(tX) as a Poly-entry matrix."""
-    return c.b.mat * exp_mat(c.X.matrix, scale)
+    return group_mats(c.b)[0] * exp_mat(frac_matrix(c.X), scale)
 
 
 def rep_matrix(c, scale=P_T):
@@ -133,7 +176,7 @@ def comparison(c1, c2):
 
 def curves_equal(c1, c2):
     u = exp_mat(ad_matrix(c2), -P_T) * exp_mat(ad_matrix(c1), P_T)
-    return c1.algebra.matrix_in_p_pattern(u)
+    return in_p_pattern(c1.algebra, u)
 
 
 def curve_matrix_from_coeffs(coeff_elems, require_n=True):
@@ -143,7 +186,7 @@ def curve_matrix_from_coeffs(coeff_elems, require_n=True):
     acc = Mat.zero(alg.matrix_dim).map(lambda _: Poly())
     for j, e in enumerate(coeff_elems):
         tj = Poly((0,) * j + (1,))
-        acc = acc + e.matrix.map(lambda v: tj * v)
+        acc = acc + frac_matrix(e).map(lambda v: tj * v)
     return acc
 
 
@@ -295,9 +338,9 @@ def unipotent_series_inverse(piv, order):
 
 def truncated_ad_coords_poly(alg, z0, dz, y0, dy):
     """Poly coords of s -> Adbar(exp(z0 + s dz))(y0 + s dy), exact."""
-    zmat = z0.matrix.map(Poly.const) + dz.matrix.scale(P_T)
-    ymat = y0.matrix.map(Poly.const) + dy.matrix.scale(P_T)
-    img = alg.position_part(exp_mat(zmat) * ymat * exp_mat(-zmat), lambda grade: grade < 0)
+    zmat = frac_matrix(z0).map(Poly.const) + frac_matrix(dz).scale(P_T)
+    ymat = frac_matrix(y0).map(Poly.const) + frac_matrix(dy).scale(P_T)
+    img = position_part(alg, exp_mat(zmat) * ymat * exp_mat(-zmat), lambda grade: grade < 0)
     return express_poly(alg, img)
 
 
@@ -306,12 +349,12 @@ def verify_reparam(c1, c2, m):
     if not m.d:
         raise PoleAtOrigin("reparametrization has a pole at t = 0")
     num, den = _num_den(m)
-    powers = list(nilpotent_powers(c1.X.matrix))
+    powers = list(nilpotent_powers(frac_matrix(c1.X)))
     q = len(powers)
     cleared = Mat.identity(c1.algebra.matrix_dim).scale(den**q)
     num_pow = P_ONE
     for p, power in enumerate(powers, 1):
         num_pow = num_pow * num
         cleared = cleared + power.scale(num_pow * den ** (q - p) * Fraction(1, factorial(p)))
-    left = exp_mat(c2.X.matrix, -P_T) * c2.b.inv_mat
-    return c1.algebra.matrix_in_p_pattern(left * (c1.b.mat * cleared))
+    left = exp_mat(frac_matrix(c2.X), -P_T) * group_mats(c2.b)[1]
+    return in_p_pattern(c1.algebra, left * (group_mats(c1.b)[0] * cleared))

@@ -218,7 +218,7 @@ def test_criterion_07_grassmannian_formulas():
         for xb in alg.grade_basis(-1):
             for zb in alg.grade_basis(1):
                 lhs = bracket(xb, bracket(xb, zb))
-                rhs = alg.elem_from_matrix(xb.matrix * zb.matrix * xb.matrix * Fraction(-2))
+                rhs = alg.elem_from_matrix((xb.matrix * zb.matrix * xb.matrix).scale(-2))
                 assert lhs == rhs, cid
     g12 = make_algebra("grass(1,2)")
     fib = standard_fiber(type_rank_stratum(g12, 1), grid=2)

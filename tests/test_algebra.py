@@ -1,5 +1,7 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from parageo.algebra import (
     truncated_Ad,
 )
 from parageo._fastgrid import IntPolyMat
-from parageo.catalog import g0_samples, make_algebra, validate_group_matrix
+from parageo.catalog import g0_samples, group_elem, make_algebra, validate_group_matrix
 from parageo.curves import _log_unipotent_series
 from parageo.errors import (
     AlgebraMismatch,
@@ -28,9 +30,9 @@ from parageo.errors import (
 from parageo.matrices import Mat
 from parageo.poly import P_T, Poly
 
-from conftest import ALL_IDS, block_flag_sl, full_flag_sl4
+from conftest import ALL_IDS, block_flag_sl, diag_group_elem, full_flag_sl4
 from fraction_reference import exhaustive_jacobi_violations, reference_build
-from poly_reference import exp_mat, express_poly, log_unipotent, to_int
+from poly_reference import const_mat, exp_mat, express_poly, frac_matrix, log_unipotent, to_int
 
 EXPECTED_GRADE_DIMS = {
     "proj(1)": {-1: 1, 0: 1, 1: 1},
@@ -163,11 +165,22 @@ def test_ad_of_product_of_exponentials(lagr3):
         assert Ad(g, x) == Ad(group_exp(z1), Ad(group_exp(z2), x))
 
 
+def test_ad_of_product_depth_3():
+    alg = full_flag_sl4()
+    z1 = alg.grade_basis(1)[0] + alg.grade_basis(1)[1] * Fraction(2)
+    z2 = alg.grade_basis(2)[1] * Fraction(1, 2) + alg.grade_basis(3)[0] * Fraction(-1)
+    g0 = diag_group_elem(alg, (2, Fraction(1, 3), -1, Fraction(-3, 2)))
+    g = g0 * group_exp(z1) * group_exp(z2)
+    for idx in range(alg.dim):
+        x = alg.basis_elem(idx)
+        assert Ad(g, x) == Ad(g0, Ad(group_exp(z1), Ad(group_exp(z2), x)))
+
+
 def test_g0_preserves_grading(any_algebra):
     alg = any_algebra
     for g0 in g0_samples(alg):
         assert g0.in_G0()
-        assert validate_group_matrix(alg, g0.mat)
+        assert validate_group_matrix(alg, const_mat(g0.mat))
         for g in range(-alg.k, alg.k + 1):
             for b in alg.grade_basis(g):
                 assert Ad(g0, b).in_grade(g)
@@ -191,7 +204,7 @@ def test_truncated_ad_xxdot_formula(xxdot):
 
 
 def test_truncated_ad_is_an_action(lagr3, xxdot):
-    for alg in (lagr3, xxdot):
+    for alg in (lagr3, xxdot, full_flag_sl4()):
         z1 = alg.grade_basis(1)[0] + alg.grade_basis(alg.k)[0] * Fraction(2)
         z2 = alg.grade_basis(1)[-1] * Fraction(-1) + alg.grade_basis(alg.k)[-1]
         b1, b2 = group_exp(z1), group_exp(z2)
@@ -229,10 +242,39 @@ def test_normal_form_roundtrip(any_algebra):
         assert list(zs) == zs_parts
 
 
+def test_normal_form_roundtrip_depth_3():
+    # Z_1, Z_2, Z_3 in grades 1..3 of the |3|-graded full flag, behind the
+    # identity and behind a G0 factor
+    alg = full_flag_sl4()
+    zs_parts = []
+    for g in (1, 2, 3):
+        idx = alg.grade_slices[g]
+        zs_parts.append(alg.elem_at(idx, [Fraction(g + i, 1 + i) * (-1) ** i for i in range(len(idx))]))
+    g0 = diag_group_elem(alg, (2, Fraction(1, 3), -1, Fraction(-3, 2)))
+    for b0 in (alg.group_identity(), g0):
+        b = b0
+        for z in zs_parts:
+            b = b * group_exp(z)
+        nb0, zs = normal_form_P(b)
+        assert nb0 == b0 and list(zs) == zs_parts
+        assert b0.in_G0() and not b.in_G0() and b.in_P()
+
+
+def test_group_exp_known_inverse_depth_3():
+    alg = full_flag_sl4()
+    z = alg.elem_at(alg.pplus_indices, [(-1) ** i * Fraction(i + 1, 2) for i in range(6)])
+    g = group_exp(z)
+    assert g.inv_mat == group_exp(z * -1).mat
+    assert g.inverse() == group_exp(z * -1)
+    assert const_mat(g.mat) == exp_mat(frac_matrix(z))
+    assert const_mat(g.inv_mat) == exp_mat(frac_matrix(z), -1)
+    assert g * g.inverse() == g.inverse() * g == alg.group_identity()
+
+
 def test_normal_form_identity_and_g0(lagr3):
     ident = lagr3.group_identity()
     b0, zs = normal_form_P(ident)
-    assert b0.mat == Mat.identity(3) and all(z.is_zero() for z in zs)
+    assert b0.mat == IntPolyMat.identity(3) and all(z.is_zero() for z in zs)
     blockdiag = g0_samples(lagr3)[1]
     b0, zs = normal_form_P(blockdiag)
     assert b0.mat == blockdiag.mat and all(z.is_zero() for z in zs)
@@ -246,10 +288,10 @@ def test_normal_form_rejects_non_parabolic(lagr3):
 
 def test_log_unipotent_inverts_exp(lagr3):
     z = lagr3.grade_basis(1)[0] + lagr3.grade_basis(2)[0] * Fraction(3)
-    m = exp_nilpotent(z, Fraction(1)).const_mat()
+    m = const_mat(exp_nilpotent(z, Fraction(1)))
     assert lagr3.express(log_unipotent(m)) == z.coords
     # the series logarithm of the normal-coordinate jet: log exp(tZ) = tZ
-    line = IntPolyMat.from_mats([lagr3.zero_elem().matrix, z.matrix])
+    line = z.matrix.scale(P_T)
     for order in (1, 2, 4):
         assert _log_unipotent_series(line.exp(), order) == line
 
@@ -328,7 +370,7 @@ def test_grass_iterated_bracket_is_minus_2xzx(cid):
         for zb in alg.grade_basis(1):
             x = xb + alg.grade_basis(-1)[0] * Fraction(2)
             lhs = bracket(x, bracket(x, zb))
-            rhs = alg.elem_from_matrix(x.matrix * zb.matrix * x.matrix * Fraction(-2))
+            rhs = alg.elem_from_matrix((x.matrix * zb.matrix * x.matrix).scale(-2))
             assert lhs == rhs
 
 
@@ -438,25 +480,55 @@ def test_su21_group_membership():
 
 
 def test_known_inverses_take_no_determinant(monkeypatch, lagr3):
-    # the identity of a new build, exp(Z) and an inverse have their inverse
-    # known, so only the public constructor pays for a determinant
-    def no_det(self):
-        raise AssertionError("Mat.det called")
+    # every group element past the catalog boundary carries its inverse:
+    # the identity, exp(Z), products, inverses and the normal form's G0 part
+    def refuse(self):
+        raise AssertionError("Fraction Mat determinant or inverse called")
 
     z = lagr3.grade_basis(1)[0] + lagr3.grade_basis(2)[0] * Fraction(1, 2)
-    monkeypatch.setattr(Mat, "det", no_det)
+    g0 = g0_samples(lagr3)[1]
+    monkeypatch.setattr(Mat, "det", refuse)
+    monkeypatch.setattr(Mat, "inverse", refuse)
     ident = block_flag_sl(1, 2).group_identity()
-    assert ident.mat == ident.inv_mat == Mat.identity(3)
+    assert ident.mat == ident.inv_mat == IntPolyMat.identity(3)
     g = group_exp(z)
-    assert g.mat * g.inv_mat == Mat.identity(3)
+    assert g.mat * g.inv_mat == IntPolyMat.identity(3)
     h = g.inverse()
     assert h.mat == g.inv_mat and h.inv_mat == g.mat
-    with pytest.raises(AssertionError, match="Mat.det"):
-        GroupElem(lagr3, g.mat)
-    monkeypatch.undo()
-    assert GroupElem(lagr3, g.mat) == g
-    with pytest.raises(ValueError, match="singular"):
-        GroupElem(lagr3, Mat.zero(3))
+    b0, zs = normal_form_P(g0 * g)
+    assert b0 == g0 and zs[0] + zs[1] == z
+    with pytest.raises(AssertionError, match="Fraction Mat"):
+        group_elem(lagr3, const_mat(g0.mat))
+
+
+def test_group_elem_constructor_rejects_bad_inverses(lagr3):
+    g = group_exp(lagr3.grade_basis(1)[0] + lagr3.grade_basis(2)[0] * Fraction(1, 2))
+    assert GroupElem(lagr3, g.mat, g.inv_mat) == g
+    for mat, inv in (
+        (g.mat, g.mat),  # a wrong inverse
+        (IntPolyMat(3, []), g.inv_mat),  # singular: the zero matrix
+        (g.mat.scale(P_T), g.inv_mat),  # not constant
+        (IntPolyMat.identity(4), IntPolyMat.identity(4)),  # wrong size
+    ):
+        with pytest.raises(ValueError):
+            GroupElem(lagr3, mat, inv)
+    # the catalog boundary validates and inverts a user matrix once
+    with pytest.raises(ValueError, match="not in the group"):
+        group_elem(lagr3, [[Fraction(2), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(1)]])
+    diag = group_elem(lagr3, [[Fraction(2), 0, 0], [0, Fraction(1, 2), 0], [0, 0, Fraction(1)]])
+    assert const_mat(diag.inv_mat) == const_mat(diag.mat).inverse()
+
+
+def test_group_elem_hash_agrees_with_eq(lagr3):
+    g = group_exp(lagr3.grade_basis(1)[0] * Fraction(1, 3))
+    # the same matrices over a non-reduced common denominator
+    scaled = GroupElem(
+        lagr3,
+        IntPolyMat(3, [[[6 * x for x in row] for row in g.mat.coeffs[0]]], 6 * g.mat.den),
+        IntPolyMat(3, [[[4 * x for x in row] for row in g.inv_mat.coeffs[0]]], 4 * g.inv_mat.den),
+    )
+    assert scaled == g and hash(scaled) == hash(g)
+    assert len({g, scaled, g.inverse(), g * g.inverse(), lagr3.group_identity()}) == 3
 
 
 def test_values_are_immutable(proj1):
@@ -498,6 +570,18 @@ def test_block_flag_sl_structure(cid):
     assert block_flag_sl(*SL_BLOCKS[cid]).structure_violations() == []
 
 
+def test_bracket_table_memory_is_one_slot_per_coordinate():
+    # the table holds dim^3 coordinates, almost all 0: a shared zero costs
+    # a tuple slot (8 bytes), a fresh Fraction per zero about 40 bytes more
+    tracemalloc.start()
+    try:
+        alg = block_flag_sl(1, 5)  # a new build, not the cached catalog one
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert alg.dim == 35 and live < 24 * alg.dim**3
+
+
 _RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
@@ -526,8 +610,13 @@ def _perturb(alg, mat, r, eps):
 def test_express_round_trip_and_off_span(cid, data):
     alg = make_algebra(cid)
     coords = tuple(data.draw(st.lists(_RATIONALS, min_size=alg.dim, max_size=alg.dim)))
-    mat = AlgElem(alg, coords).matrix
+    elem = AlgElem(alg, coords)
+    mat = frac_matrix(elem)
     assert alg.express(mat) == coords
+    # the integer matrix: the same entries over their least denominator
+    assert const_mat(elem.matrix) == mat
+    assert elem.matrix.den == lcm(*(e.denominator for row in mat.rows for e in row))
+    assert alg.elem_from_matrix(elem.matrix) == elem
     r = data.draw(st.sampled_from(_off_span_positions(alg)))
     eps = data.draw(_RATIONALS.filter(bool))
     assert alg.express(_perturb(alg, mat, r, eps)) is None
@@ -568,5 +657,5 @@ def test_exp_mat_scale_is_exp_of_scaled_matrix(cid, side, scale, data):
     for i, c in zip(idxs, vals):
         coords[i] = c
     elem = AlgElem(alg, tuple(coords))
-    a = elem.matrix
+    a = frac_matrix(elem)
     assert exp_mat(a, scale) == exp_mat(a.scale(scale)) == exp_nilpotent(elem, scale).to_mat()

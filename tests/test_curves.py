@@ -26,7 +26,7 @@ from parageo._fastgrid import IntPolyMat
 from parageo.errors import BadReparam, NotInNilpotentPart, NotInParabolic, OracleDisagreement
 from parageo.matrices import Mat
 from parageo.poly import P_T, Poly
-from poly_reference import ad_matrix, curve_matrix, derivative, rep_matrix, to_int
+from poly_reference import ad_matrix, curve_matrix, derivative, frac_matrix, rep_matrix, to_int
 
 
 def proj1_pair():
@@ -92,20 +92,24 @@ def test_invariance_of_curves_under_normal_form(any_algebra):
 
 
 def test_base_and_from_Z_specs_invert_nothing(monkeypatch, any_algebra):
-    # b0 = I for both: the identity's inverse is known, and exp(Z)'s is exp(-Z)
-    def no_inverse(self):
-        raise AssertionError("Mat.inverse called")
+    # every group element carries its inverse: the identity's is known,
+    # exp(Z)'s is exp(-Z), and a G0 sample's was formed once at the catalog
+    # boundary, so no spec takes a Fraction inverse or determinant
+    def refuse(self):
+        raise AssertionError("Fraction Mat inverse or determinant called")
 
-    monkeypatch.setattr(Mat, "inverse", no_inverse)
     alg = any_algebra
     x = alg.grade_basis(-1)[0]
-    for c in (CurveSpec.base(alg, x), CurveSpec.from_Z(alg, alg.grade_basis(1)[0], x)):
-        assert c.b0 is alg.group_identity()
-        assert c.ad_polymat == to_int(c.b.mat * x.matrix * c.b.inv_mat)
-    # a b0 other than I still goes through the inverse
+    z = alg.grade_basis(1)[0]
     b0 = g0_samples(alg)[1]
-    with pytest.raises(AssertionError, match="Mat.inverse"):
-        CurveSpec(alg, b0, x)
+    monkeypatch.setattr(Mat, "inverse", refuse)
+    monkeypatch.setattr(Mat, "det", refuse)
+    for c in (CurveSpec.base(alg, x), CurveSpec.from_Z(alg, z, x)):
+        assert c.b0 is alg.group_identity()
+        assert c.ad_polymat == to_int(ad_matrix(c))
+    c = CurveSpec(alg, b0 * group_exp(z), x)
+    assert c.b0 == b0 and c.zs[0] == z
+    assert c.ad_polymat == to_int(ad_matrix(c))
 
 
 def test_jet_equal_examples():
@@ -208,7 +212,7 @@ def test_delta_of_line_is_direction(any_algebra):
     for g in range(-alg.k, 0):
         for x in alg.grade_basis(g):
             ymat = curve_matrix_from_coeffs([alg.zero_elem(), x])
-            expect = x.matrix.map(lambda v: Poly.const(v))
+            expect = frac_matrix(x).map(lambda v: Poly.const(v))
             assert delta_of_exp(ymat).to_mat() == expect
 
 
@@ -218,7 +222,7 @@ def test_delta_of_phi_times_direction(lagr3):
     y = lagr3.grade_basis(-1)[0] + lagr3.grade_basis(-2)[0]
     coeffs = [y * phi[i] for i in range(phi.degree + 1)]
     ymat = curve_matrix_from_coeffs(coeffs)
-    assert delta_of_exp(ymat).to_mat() == y.matrix.scale(phi.derivative())
+    assert delta_of_exp(ymat).to_mat() == frac_matrix(y).scale(phi.derivative())
 
 
 def test_lemma_2_3_truncation_order(lagr3):

@@ -55,7 +55,7 @@ from parageo.catalog import make_algebra
 from parageo.cli import ExperimentConfig, emit, run
 from parageo.curves import CurveSpec, comparison, normal_coord_jet
 from parageo.poly import P_T
-from poly_reference import exp_mat, log_unipotent
+from poly_reference import exp_mat, frac_matrix, log_unipotent
 
 GOLDEN = [
     (
@@ -198,7 +198,7 @@ def curve_layer_parts(alg):
     delta = comparison(CurveSpec.base(alg, x), c).delta_coords
     exps = tuple(exp_nilpotent(b, P_T).to_mat() for b in n_basis + [x])
     exps += (exp_nilpotent(z, -P_T).to_mat(),)
-    logs = (log_unipotent(exp_mat(x.matrix)), log_unipotent(exp_mat(z.matrix)))
+    logs = (log_unipotent(exp_mat(frac_matrix(x))), log_unipotent(exp_mat(frac_matrix(z))))
     return jet, delta, exps, logs
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from parageo._fastgrid import GridKernel, _integral, grid_kernel
+from parageo._fastgrid import GridKernel, grid_kernel
 from parageo.algebra import Ad, AlgElem, group_exp, truncated_Ad
 from parageo.catalog import g0_samples, make_algebra
 from parageo.curves import CurveSpec, curves_equal, jet_equal, normal_coord_jet
@@ -39,13 +39,14 @@ from parageo.lab import (
 )
 from parageo.matrices import Mat
 
-from conftest import ALL_IDS, full_flag_sl4
+from conftest import ALL_IDS, diag_group_elem, full_flag_sl4
 from fraction_reference import (
     pair_jet_order as reference_jet_order,
     reference_orbit_points,
     reference_pair_stats,
     solve_direction as reference_solve_direction,
 )
+from poly_reference import exp_mat, frac_matrix
 
 
 # -- type specs -----------------------------------------------------------------
@@ -209,11 +210,27 @@ def test_solve_direction_matches_fraction_reference(cid, data):
         vals = data.draw(st.lists(_FRACTIONS, min_size=len(indices), max_size=len(indices)))
         return alg.elem_at(indices, vals)
 
-    g = group_exp(draw(alg.pplus_indices))
+    z = draw(alg.pplus_indices)
+    g = group_exp(z)
     x = draw(alg.n_indices)
     y = solve_direction(g, x)
-    assert y == reference_solve_direction(g, x)
+    zm = frac_matrix(z)
+    assert y == reference_solve_direction(exp_mat(zm), exp_mat(zm, -1), x)
     assert truncated_Ad(g, y) == x
+
+
+@pytest.mark.parametrize("cid", ALL_IDS + ["full_flag_sl4"])
+def test_solve_direction_with_g0_factor(cid):
+    # truncated Ad is a P-action, so a G0 factor in g is solved exactly too;
+    # proj(1) with g = diag(2, 1/2) and X the g_-1 basis vector is one case
+    alg = full_flag_sl4() if cid == "full_flag_sl4" else make_algebra(cid)
+    z = pplus_elem(alg, [(-1) ** i for i in range(len(alg.pplus_indices))])
+    xs = [alg.grade_basis(-1)[0], alg.grade_basis(-alg.k)[-1]]
+    for g0 in g0_samples(alg) if cid != "full_flag_sl4" else [diag_group_elem(alg, (2, 1, 3, Fraction(1, 6)))]:
+        for g in (g0, g0 * group_exp(z), group_exp(z) * g0):
+            for x in xs:
+                y = solve_direction(g, x)
+                assert y.in_n() and truncated_Ad(g, y) == x
 
 
 def _pplus_dim(alg):
@@ -287,11 +304,11 @@ def test_jet_forms_agree_with_commutator_loop(cid, data):
     )
     r_max = data.draw(st.integers(0, 6))
     kern = GridKernel(alg, x)
-    _, d0_rows = _integral(d0)
+    d0_rows = [[int(e) for e in row] for row in d0.rows]
     a2_num = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(kern.x_rows, d0_rows)]
-    a2 = x.matrix - d0.scale(Fraction(1, kern.x_den))
+    a2 = frac_matrix(x) - d0.scale(Fraction(1, kern.x_den))
     assert kern.pair_jet_order(a2_num, kern.x_den, r_max) == reference_jet_order(
-        alg, x.matrix, a2, r_max
+        alg, frac_matrix(x), a2, r_max
     )
 
 

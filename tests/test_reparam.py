@@ -16,6 +16,7 @@ from parageo.reparam import (
     taylor_seed_expand,
     verify_reparam,
 )
+from poly_reference import frac_matrix
 
 
 def test_mobius_basics():
@@ -252,7 +253,7 @@ def _oracle_in_p(alg, x1, z, x2, m):
     d = alg.matrix_dim
     block = [b for b, size in enumerate(alg.block_sizes) for _ in range(size)]
     forbidden = [(i, j) for i in range(d) for j in range(d) if block[i] > block[j]]
-    mx1, mx2, mz = ([[Fraction(e) for e in row] for row in v.matrix.rows] for v in (x1, x2, z))
+    mx1, mx2, mz = ([list(row) for row in frac_matrix(v).rows] for v in (x1, x2, z))
     exp_neg_z = _fexp(mz, Fraction(-1))
     points = (Fraction(v, 2) for v in range(-4 * d, 4 * d))
     samples = [t0 for t0 in points if m.c * t0 + m.d][: 2 * d - 1]
