@@ -12,14 +12,16 @@ cleared series of ``verify_reparam`` are that series.
 
 ``IntPolyMat`` (at the end of this module) is the one matrix type past
 the catalog boundary, constant or polynomial: the matrix of an algebra
-element (``AlgElem.matrix``, summed on the integer basis of
-``GradedAlgebra.integer_frame``), a group element and its inverse, Ad and
-the normal form of P, comparison curves, the lemma identity checkers and
-the normal-coordinate jet of ``curves``, the reparametrization check, and
-the orbit points, orbit probes and Prop. 4.1 conjugations of ``lab`` run
-on it.  Coordinates are read through the algebra's one integer extractor
-(``GradedAlgebra.express_poly``).  ``IntPolyMat.from_mats`` is the one
-conversion from a ``Fraction`` ``Mat``, for a user's group matrix.
+element (``AlgElem.matrix``, summed on the algebra's integer
+``basis_entries``), a group element and its inverse, Ad and the normal
+form of P, comparison curves, the lemma identity checkers and the
+normal-coordinate jet of ``curves``, the reparametrization check, and the
+orbit points, orbit probes and Prop. 4.1 conjugations of ``lab`` run on
+it.  Coordinates are read through the algebra's one integer frame, built
+with the algebra (``GradedAlgebra.express`` for a constant, ``express_poly``
+for a curve; ``GridKernel`` reads the same extractor terms).
+``IntPolyMat.from_mats`` is the one conversion from a ``Fraction`` ``Mat``,
+for a user's group matrix.
 
 Every grid search (``jets``, ``family`` and their worker fan-out) runs its
 pairs on ``GridKernel``, for every catalog algebra and every rational base
@@ -194,9 +196,11 @@ class GridKernel:
         self.forbidden = alg.forbidden_positions
         xm = x.matrix
         self.x_den, self.x_rows = xm.den, (xm.coeffs or [_iident(d, 0)])[0]
-        self.extract_scale, self.extract_terms, basis = alg.integer_frame()
+        self.extract_scale, self.extract_terms = alg.extract_scale, alg.extract_terms
         # nonzero entries (i, j, value) of each p_+ basis matrix
-        self.pplus_entries = [[(r // d, r % d, v) for r, v in basis[idx]] for idx in alg.pplus_indices]
+        self.pplus_entries = [
+            [(r // d, r % d, v) for r, v in alg.basis_entries[idx]] for idx in alg.pplus_indices
+        ]
         powers = nilpotent_powers([self.x_rows], self.terms)
         self.exp_x_coeffs = exp_series(d, powers, (0, 1), (self.x_den,))  # a multiple of exp(tX)
         # jet forms of ad(-X)^r, built on demand; see _jet_forms
@@ -345,7 +349,8 @@ class IntPolyMat:
     Trailing zero coefficients are dropped, so the zero matrix has no
     coefficients, and a product divides out the gcd of its entries and
     denominator.  Products convolve ``_imul``; equality cross-multiplies
-    the denominators; ``GradedAlgebra.express_poly`` reads coordinates.
+    the denominators; ``GradedAlgebra.express`` and ``express_poly`` read
+    coordinates.
     """
 
     __slots__ = ("d", "coeffs", "den")

@@ -12,10 +12,15 @@ Matrix entries and coordinates are rationals.  A complex realization is
 realified by the catalog before it gets here (su(2,1) as 2x2 real blocks),
 so the coordinates of a matrix are read off its entries directly.
 
-The extractor and bracket table are built from the ``Fraction`` basis
-``Mat``s.  Past that build a constant matrix is an integer ``IntPolyMat``:
-an element's matrix, a ``GroupElem``'s matrix and inverse, and the Ad and
-normal-form products, whose coordinates ``express_poly`` reads back.
+The catalog's ``Fraction`` basis ``Mat``s are read once, at construction:
+they must be integral, and two ``rref`` calls (the only ``Fraction``
+arithmetic of the build) give one integer frame, the extractor terms over
+one scale and the integer basis entries.  Past that every constant matrix
+is an integer ``IntPolyMat``: an element's matrix (summed on the basis
+entries), a ``GroupElem``'s matrix and inverse, and the Ad and normal-form
+products.  One integer reader with its span check always on gives the
+coordinates of ``express`` (a constant matrix), ``express_poly`` (each
+coefficient of a curve) and of every commutator in the bracket table.
 """
 
 from __future__ import annotations
@@ -23,14 +28,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from ._fastgrid import IntPolyMat, _reduced, nilpotent_powers
+from ._fastgrid import IntPolyMat, _imul, _isub, _reduced, nilpotent_powers
 from .errors import (
     AlgebraMismatch,
     NotInNilpotentPart,
     NotInParabolic,
     NotNilpotent,
 )
-from .matrices import Mat, rref
+from .matrices import rref
 from .poly import Poly
 
 _ZERO = Fraction(0)
@@ -88,10 +93,8 @@ class GradedAlgebra:
         self.n_indices = tuple(i for i, g in enumerate(self.basis_grades) if g < 0)
         self.pplus_indices = tuple(i for i, g in enumerate(self.basis_grades) if g > 0)
 
-        self._basis_vecs = tuple(self.vectorize(m) for m in self.basis)
-        self._build_extractor()
+        self._build_frame()
         self._build_bracket_table()
-        self._integer_frame = None
         ident = IntPolyMat.identity(d)
         self._identity = GroupElem(self, ident, ident)
 
@@ -106,120 +109,96 @@ class GradedAlgebra:
                         "(%d,%d) of grade %d" % (self.name, grade, i, j, self.position_grade[i][j])
                     )
 
-    def _build_extractor(self):
-        # the rows R of the vectorized-basis matrix B (one column per basis
-        # vector) taken greedily while they stay independent are the pivot
-        # columns of rref(B^T); coords of v in span(B) are inv(B[R]) @ v[R],
-        # and inv(B[R]) is the right half of rref([B[R] | I])
+    def _build_frame(self):
+        # the catalog's Fraction basis is read once.  Let B have one column
+        # per basis matrix, flattened row-major (entry (i, j) at r = i*d + j).
+        # The rows R of B taken greedily while they stay independent are the
+        # pivot columns of rref(B^T); coords of v in span(B) are
+        # inv(B[R]) @ v[R], and inv(B[R]) is the right half of rref([B[R] | I])
         n = self.dim
-        chosen = rref(self._basis_vecs)[1]
+        vecs = [[e for row in m.rows for e in row] for m in self.basis]
+        for idx, vec in enumerate(vecs):
+            if any(e.denominator != 1 for e in vec):
+                raise ValueError("%s: basis matrix %d is not integral" % (self.name, idx))
+        chosen = rref(vecs)[1]
         if len(chosen) != n:
             raise ValueError("%s: basis matrices are linearly dependent" % self.name)
         augmented = [
-            [vec[r] for vec in self._basis_vecs] + [_ONE if c == i else _ZERO for c in range(n)]
+            [vec[r] for vec in vecs] + [_ONE if c == i else _ZERO for c in range(n)]
             for i, r in enumerate(chosen)
         ]
-        reduced = rref(augmented)[0]
-        self._pivot_rows = tuple(chosen)
-        self._extractor = Mat(row[n:] for row in reduced)
-        # nonzero (pivot row, entry) of each extractor row, and nonzero
-        # (position, entry) of each vectorized basis matrix: catalog bases
-        # are almost all unit matrices, so express loops over few terms
-        self._extract_terms = tuple(
-            tuple((pr, e) for pr, e in zip(chosen, row) if e) for row in self._extractor.rows
+        inverse = [row[n:] for row in rref(augmented)[0]]
+        # the integer frame: coordinate m of a matrix with row-major entries
+        # v is sum(c * v[r] for c, r in extract_terms[m]) / extract_scale,
+        # and basis_entries[m] lists the nonzero (r, int) entries of B_m;
+        # catalog bases are almost all unit matrices, so both are short
+        scale = lcm(*(e.denominator for row in inverse for e in row))
+        self.extract_scale = scale
+        self.extract_terms = tuple(
+            tuple((int(e * scale), r) for r, e in zip(chosen, row) if e) for row in inverse
         )
-        self._basis_terms = tuple(
-            tuple((r, v) for r, v in enumerate(vec) if v) for vec in self._basis_vecs
-        )
-
-    def integer_frame(self):
-        """(scale, extract, basis): the integer form of the coordinates.
-
-        ``extract[m]`` lists the (integer, position) terms of the coordinate
-        extractor's row m times ``scale``, its least common denominator, so
-        that coordinate m of a matrix with row-major entries v is
-        sum(c * v[r]) / scale; ``basis[m]`` lists the (position, integer)
-        entries of basis matrix m.  Built on first use and cached; raises
-        ValueError when a basis matrix is not integral.
-        """
-        if self._integer_frame is None:
-            terms = self._extract_terms
-            scale = lcm(*(e.denominator for row in terms for _, e in row))
-            extract = tuple(tuple((int(e * scale), pr) for pr, e in row) for row in terms)
-            basis = []
-            for idx, entries in enumerate(self._basis_terms):
-                if any(v.denominator != 1 for _, v in entries):
-                    raise ValueError("%s: basis matrix %d is not integral" % (self.name, idx))
-                basis.append(tuple((r, int(v)) for r, v in entries))
-            self._integer_frame = (scale, extract, tuple(basis))
-        return self._integer_frame
+        self.basis_entries = tuple(tuple((r, int(e)) for r, e in enumerate(vec) if e) for vec in vecs)
 
     def _build_bracket_table(self):
-        # [b_i, b_j] from the nonzero entries of the two basis matrices, for
-        # i <= j only: the (j, i) entry is the exact negative, since the
-        # coordinates are linear in the matrix
-        d = self.matrix_dim
-        by_row = [[[(b, v) for b, v in enumerate(row) if v] for row in m.rows] for m in self.basis]
-        entries = [[(a, b, v) for a, row in enumerate(rs) for b, v in row] for rs in by_row]
-        n = self.dim
-        table = [[None] * n for _ in range(n)]
+        # [b_i, b_j] on the integer basis, for i <= j only: the (j, i) entry
+        # is the exact negative, since the coordinates are linear in the
+        # matrix; most coordinates are 0, so they share one zero
+        d, n = self.matrix_dim, self.dim
+        mats = [[[0] * d for _ in range(d)] for _ in range(n)]
+        for rows, entries in zip(mats, self.basis_entries):
+            for r, v in entries:
+                rows[r // d][r % d] = v
+        zeros = (_ZERO,) * n
+        table = [[zeros] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                rows = [[_ZERO] * d for _ in range(d)]
-                for left, right, sign in ((i, j, 1), (j, i, -1)):
-                    for a, b, v in entries[left]:
-                        for c, w in by_row[right][b]:
-                            rows[a][c] = rows[a][c] + sign * v * w
-                coords = self.express(Mat(rows))
-                if coords is None:
+                comm = _isub(_imul(mats[i], mats[j]), _imul(mats[j], mats[i]))
+                if not any(map(any, comm)):
+                    continue
+                nums = self._read([v for row in comm for v in row])
+                if nums is None:
                     raise ValueError("%s: bracket of basis pair leaves the span" % self.name)
-                table[i][j] = coords
-                if j != i:
-                    # most coordinates are 0: share one zero, not a new one each
-                    table[j][i] = tuple(-c if c else _ZERO for c in coords)
+                table[i][j] = tuple(Fraction(c, self.extract_scale) if c else _ZERO for c in nums)
+                table[j][i] = tuple(-c if c else _ZERO for c in table[i][j])
         self.bracket_table = tuple(tuple(row) for row in table)
 
-    # -- vectorization and coordinates --------------------------------------
+    # -- coordinates ---------------------------------------------------------
 
-    def vectorize(self, mat):
-        """Flatten a constant matrix into its rational entries, row-major."""
-        return tuple(Fraction(e) for row in mat.rows for e in row)
+    def _read(self, flat):
+        """The integer coordinates (times ``extract_scale``) of the integer
+        matrix with row-major entries ``flat``, or None off the span."""
+        nums = [sum(c * flat[r] for c, r in terms) for terms in self.extract_terms]
+        # span check: sum_m nums[m] B_m must equal scale * flat everywhere
+        acc = [0] * len(flat)
+        for num, entries in zip(nums, self.basis_entries):
+            if num:
+                for r, v in entries:
+                    acc[r] += num * v
+        scale = self.extract_scale
+        return nums if all(a == scale * v for a, v in zip(acc, flat)) else None
 
-    def express(self, mat):
-        """Coordinates of a constant matrix over the basis, or None."""
-        vec = self.vectorize(mat)
-        coords = tuple(
-            sum((e * vec[pr] for pr, e in terms if vec[pr]), _ZERO)
-            for terms in self._extract_terms
-        )
-        # sum_j c_j B_j must equal vec at every position
-        acc = [_ZERO] * len(vec)
-        for c, terms in zip(coords, self._basis_terms):
-            if c:
-                for r, v in terms:
-                    acc[r] += c * v
-        return coords if acc == list(vec) else None
+    def express(self, pm):
+        """Coordinates of a constant IntPolyMat ``pm`` over the basis, or
+        None when pm leaves the span of the basis."""
+        if len(pm.coeffs) > 1:
+            raise ValueError("express reads a constant matrix; use express_poly for a curve")
+        flat = [v for c in pm.coeffs for row in c for v in row] or [0] * pm.d**2
+        nums = self._read(flat)
+        den = self.extract_scale * pm.den
+        return None if nums is None else tuple(Fraction(c, den) if c else _ZERO for c in nums)
 
     def express_poly(self, pm):
         """Poly coordinates of an IntPolyMat curve ``pm`` in g, or None
         when some coefficient leaves the span of the basis."""
-        scale, extract, basis = self.integer_frame()
         nums = []
         for c in pm.coeffs:
-            flat = [v for row in c for v in row]
-            cn = [sum(e * flat[r] for e, r in terms) for terms in extract]
-            # span check: sum_m cn[m] B_m must equal scale * flat everywhere
-            acc = [0] * len(flat)
-            for n, entries in zip(cn, basis):
-                if n:
-                    for r, v in entries:
-                        acc[r] += n * v
-            if any(a != scale * v for a, v in zip(acc, flat)):
+            cn = self._read([v for row in c for v in row])
+            if cn is None:
                 return None
             nums.append(cn)
         # a zero coefficient is the int 0, as Poly arithmetic leaves it (P_T
         # is Poly((0, 1))), so these Polys repr like the Poly-entry ones
-        den = scale * pm.den
+        den = self.extract_scale * pm.den
         return tuple(
             Poly(tuple(Fraction(cn[m], den) if cn[m] else 0 for cn in nums)) for m in range(self.dim)
         )
@@ -251,8 +230,8 @@ class GradedAlgebra:
     def elem_from_matrix(self, pm):
         """The element whose matrix is the constant IntPolyMat ``pm``, or
         None when pm leaves the span of the basis."""
-        coords = self.express_poly(pm)
-        return None if coords is None else AlgElem(self, tuple(p[0] for p in coords))
+        coords = self.express(pm)
+        return None if coords is None else AlgElem(self, coords)
 
     def elem_from_grade_coords(self, grade_coords):
         """Element from {grade: coordinate list} over the per-grade bases."""
@@ -387,14 +366,14 @@ class AlgElem:
 
     @property
     def matrix(self):
-        """sum_m c_m B_m as a constant IntPolyMat, from the integer basis of
-        ``integer_frame``, over its least common denominator."""
+        """sum_m c_m B_m as a constant IntPolyMat, from the algebra's
+        ``basis_entries``, over its least common denominator."""
         if self._mat is None:
             alg = self.algebra
             d = alg.matrix_dim
             den = lcm(*(c.denominator for c in self.coords))
             rows = [[0] * d for _ in range(d)]
-            for c, entries in zip(self.coords, alg.integer_frame()[2]):
+            for c, entries in zip(self.coords, alg.basis_entries):
                 if c:
                     num = c.numerator * (den // c.denominator)
                     for r, v in entries:

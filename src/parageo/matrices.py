@@ -14,12 +14,14 @@ form, as exp(-Z) or exp(-tA), or is a truncated power series (the pivot
 blocks of the normal-coordinate jet).
 
 Which engine runs where: ``Mat`` is the boundary form.  It holds the
-catalog's basis input, the extractor's row reduction and bracket-table
-build, and a user's group matrix, which ``catalog.group_elem`` validates,
-inverts and converts once.  Past it every matrix, constant or polynomial,
-is an integer ``_fastgrid.IntPolyMat`` (elements, group elements, Ad, the
-normal form, every nilpotent exponential, the curves, identities, jets,
-orbits and Prop. 4.1), and every grid pair runs on ``GridKernel``.  The
+catalog's basis input, which ``GradedAlgebra`` reads once at construction
+(two ``rref`` calls give its one integer coordinate frame, and the bracket
+table is built on integer rows), and a user's group matrix, which
+``catalog.group_elem`` validates, inverts and converts once.  Past it every
+matrix, constant or polynomial, is an integer ``_fastgrid.IntPolyMat``
+(elements, group elements, Ad, the normal form, every nilpotent
+exponential, the curves, identities, jets, orbits and Prop. 4.1), and every
+grid pair runs on ``GridKernel``.  The
 ``Mat``s with ``Poly`` entries that remain are ``IntPolyMat.to_mat`` (for
 ``repr``) and the test references.
 """

@@ -63,3 +63,15 @@ def diag_group_elem(alg, vals):
         return IntPolyMat(d, [rows], den)
 
     return GroupElem(alg, diag(vals), diag([1 / Fraction(v) for v in vals]))
+
+
+def frame_extractor(alg):
+    """(pivot rows, extractor rows) of an algebra's integer frame, read as
+    ``Fraction``s: the positions its extractor terms read, ascending, and
+    each coordinate's terms over them divided by ``extract_scale``."""
+    pivots = tuple(sorted({r for terms in alg.extract_terms for _, r in terms}))
+    rows = []
+    for terms in alg.extract_terms:
+        by_row = {r: c for c, r in terms}
+        rows.append(tuple(Fraction(by_row.get(r, 0), alg.extract_scale) for r in pivots))
+    return pivots, tuple(rows)

@@ -14,24 +14,22 @@ The orbit points of ``parageo.lab.orbit_hull_dimension`` on the Fraction
 ``IntPolyMat`` route replaced.
 
 The same pivot rows, coordinate extractor and bracket table as
-``GradedAlgebra``'s sparse build, computed densely: one rank test per
-candidate row, an inverse from Laplace cofactors (``cofactor_inverse``,
-which shares no ``rref`` with the build or with ``Mat.inverse``), and dense
-commutators expressed through dense extractor products with a dense span
-check.
+``GradedAlgebra``'s integer build, computed densely: the pivot rows and
+cofactor extractor of ``poly_reference.dense_frame`` (one rank test per
+candidate row, an inverse from Laplace cofactors, which shares no ``rref``
+with the build or with ``Mat.inverse``), and ``Fraction`` commutators of
+``alg.basis`` read by its ``express`` with a dense span check.  The Y of
+``solve_direction`` and the orbit points are read by the same reader.
 
 The Jacobi identity on every basis triple through dense ``bracket_coords``
 calls, the n^3 loop that ``GradedAlgebra.structure_violations`` replaced
 by its sparse "ad is a representation" check.
 """
 
-from fractions import Fraction
-
 from parageo.algebra import AlgElem
 from parageo.lab import iter_pplus_coords, pplus_elem
-from parageo.matrices import Mat, rank
 from parageo.poly import P_T
-from poly_reference import exp_mat, frac_matrix, in_p_pattern, position_part
+from poly_reference import dense_frame, exp_mat, express, frac_matrix, in_p_pattern, position_part
 
 
 def solve_direction(e, einv, x):
@@ -43,7 +41,7 @@ def solve_direction(e, einv, x):
         img = position_part(alg, e * ymat * einv, lambda grade: grade < 0)
         resid = xmat - img
         if resid.is_zero():
-            return AlgElem(alg, alg.express(ymat))
+            return AlgElem(alg, express(alg, ymat))
         ymat = ymat + resid
     raise AssertionError("direction constraint failed to converge")
 
@@ -94,59 +92,22 @@ def reference_orbit_points(ts, grid):
         e, einv = exp_mat(frac_matrix(z)), exp_mat(frac_matrix(z), -1)
         for x in xs:
             img = position_part(alg, e * frac_matrix(x) * einv, lambda grade: grade < 0)
-            points.append((z, x, AlgElem(alg, alg.express(img))))
+            points.append((z, x, AlgElem(alg, express(alg, img))))
     return points
-
-
-def cofactor_inverse(m):
-    """m^{-1} = adj(m) / det(m), every cofactor a Laplace ``Mat.det`` minor."""
-    n = m.dim
-    d = m.det()
-    if not d:
-        raise ZeroDivisionError("singular matrix")
-
-    def cofactor(i, j):
-        rows = (row for r, row in enumerate(m.rows) if r != i)
-        sub = Mat(tuple(row[c] for c in range(n) if c != j) for row in rows)
-        return (1 if (i + j) % 2 == 0 else -1) * sub.det()
-
-    return Mat(tuple(tuple(cofactor(j, i) / d for j in range(n)) for i in range(n)))
 
 
 def reference_build(alg):
     """(pivot rows, extractor rows, bracket table) of the dense build."""
-    vecs = [alg.vectorize(m) for m in alg.basis]
-    chosen, acc = [], []
-    for r in range(len(vecs[0])):
-        row = tuple(v[r] for v in vecs)
-        if rank(acc + [row]) > len(chosen):
-            acc.append(row)
-            chosen.append(r)
-        if len(chosen) == alg.dim:
-            break
-    assert len(chosen) == alg.dim, "basis matrices are linearly dependent"
-    extractor = cofactor_inverse(Mat(acc))
-
-    def express(mat):
-        vec = alg.vectorize(mat)
-        coords = tuple(
-            sum((e * vec[pr] for e, pr in zip(erow, chosen)), Fraction(0))
-            for erow in extractor.rows
-        )
-        for r, target in enumerate(vec):
-            if sum((c * v[r] for c, v in zip(coords, vecs)), Fraction(0)) != target:
-                return None
-        return coords
-
+    chosen, extractor, _ = dense_frame(alg)
     table = []
     for bi in alg.basis:
         row = []
         for bj in alg.basis:
-            coords = express(bi * bj - bj * bi)
+            coords = express(alg, bi * bj - bj * bi)
             assert coords is not None, "bracket of basis pair leaves the span"
             row.append(coords)
         table.append(tuple(row))
-    return tuple(chosen), extractor.rows, tuple(table)
+    return chosen, extractor, tuple(table)
 
 
 def exhaustive_jacobi_violations(alg):

@@ -6,9 +6,11 @@ normal-coordinate jet, reparametrization check and orbit-probe curve as
 ``parageo.curves``, ``parageo.reparam`` and ``parageo.lab``, computed on
 ``Mat``s whose entries are ``Poly`` with ``Fraction`` coefficients instead
 of on the integer ``IntPolyMat``: products go through ``Poly.__mul__``,
-Ad_b X is two ``Fraction`` products, and coordinates come from the
-algebra's Fraction extractor (``express_poly`` below).  They take and
-return Poly-entry ``Mat``s; ``to_int`` converts one for the primary route.
+Ad_b X is two ``Fraction`` products, and coordinates come from a dense
+cofactor extractor over ``alg.basis`` (``express`` below, cached per
+algebra), which reads none of the algebra's own coordinate frame.  They
+take and return Poly-entry ``Mat``s; ``to_int`` converts one for the
+primary route.
 An algebra element enters as ``frac_matrix``, summed over ``alg.basis`` in
 ``Fraction``s, and a group element as the ``Fraction`` form of its two
 integer matrices (``group_mats``), so no reference shares the arithmetic
@@ -16,6 +18,7 @@ of the integer route.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from parageo._fastgrid import IntPolyMat
@@ -28,7 +31,7 @@ from parageo.errors import (
     OracleDisagreement,
     PoleAtOrigin,
 )
-from parageo.matrices import Mat
+from parageo.matrices import Mat, rank
 from parageo.poly import P_ONE, P_T, Poly
 from parageo.reparam import _num_den
 
@@ -121,22 +124,64 @@ def truncate(mat, order):
     return mat.map(lambda e: _as_poly(e).truncate(order))
 
 
+def vectorize(mat):
+    """The entries of a matrix, row-major."""
+    return tuple(e for row in mat.rows for e in row)
+
+
+def cofactor_inverse(m):
+    """m^{-1} = adj(m) / det(m), every cofactor a Laplace ``Mat.det`` minor."""
+    n = m.dim
+    d = m.det()
+    if not d:
+        raise ZeroDivisionError("singular matrix")
+
+    def cofactor(i, j):
+        rows = (row for r, row in enumerate(m.rows) if r != i)
+        sub = Mat(tuple(row[c] for c in range(n) if c != j) for row in rows)
+        return (1 if (i + j) % 2 == 0 else -1) * sub.det()
+
+    return Mat(tuple(tuple(cofactor(j, i) / d for j in range(n)) for i in range(n)))
+
+
+@cache
+def dense_frame(alg):
+    """(pivot rows, extractor rows, vectorized basis) over ``alg.basis``:
+    one rank test per candidate row, and the inverse of the basis at the
+    chosen rows from Laplace cofactors."""
+    vecs = [vectorize(m) for m in alg.basis]
+    chosen, acc = [], []
+    for r in range(len(vecs[0])):
+        row = tuple(v[r] for v in vecs)
+        if rank(acc + [row]) > len(chosen):
+            acc.append(row)
+            chosen.append(r)
+        if len(chosen) == alg.dim:
+            break
+    assert len(chosen) == alg.dim, "basis matrices are linearly dependent"
+    return tuple(chosen), cofactor_inverse(Mat(acc)).rows, vecs
+
+
+def express(alg, mat):
+    """Coordinates over ``alg.basis`` of a matrix with Fraction or Poly
+    entries, through the cofactor extractor of ``dense_frame`` with a dense
+    span check at every position, or None off the span."""
+    chosen, extractor, vecs = dense_frame(alg)
+    vec = vectorize(mat)
+    coords = tuple(
+        sum((e * vec[pr] for e, pr in zip(erow, chosen) if e), Fraction(0)) for erow in extractor
+    )
+    terms = [(c, v) for c, v in zip(coords, vecs) if c]
+    for r, target in enumerate(vec):
+        if sum((c * v[r] for c, v in terms if v[r]), Fraction(0)) != target:
+            return None
+    return coords
+
+
 def express_poly(alg, mat):
     """Poly coordinates of a Poly-entry matrix curve in g, or None."""
-    vec = tuple(_as_poly(e) for row in mat.rows for e in row)
-    coords = []
-    for terms in alg._extract_terms:
-        acc = Poly()
-        for pr, e in terms:
-            if vec[pr]:
-                acc = acc + e * vec[pr]
-        coords.append(acc)
-    acc = [Poly()] * len(vec)
-    for c, terms in zip(coords, alg._basis_terms):
-        if c:
-            for r, v in terms:
-                acc[r] = acc[r] + v * c
-    return tuple(coords) if acc == list(vec) else None
+    coords = express(alg, mat)
+    return None if coords is None else tuple(_as_poly(c) for c in coords)
 
 
 def log_unipotent(m):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from parageo.algebra import (
     Ad,
     AlgElem,
+    GradedAlgebra,
     GroupElem,
     bracket,
     exp_nilpotent,
@@ -30,9 +31,18 @@ from parageo.errors import (
 from parageo.matrices import Mat
 from parageo.poly import P_T, Poly
 
-from conftest import ALL_IDS, block_flag_sl, diag_group_elem, full_flag_sl4
+from conftest import ALL_IDS, block_flag_sl, diag_group_elem, frame_extractor, full_flag_sl4
 from fraction_reference import exhaustive_jacobi_violations, reference_build
-from poly_reference import const_mat, exp_mat, express_poly, frac_matrix, log_unipotent, to_int
+from poly_reference import (
+    const_mat,
+    exp_mat,
+    express,
+    express_poly,
+    frac_matrix,
+    log_unipotent,
+    to_int,
+    vectorize,
+)
 
 EXPECTED_GRADE_DIMS = {
     "proj(1)": {-1: 1, 0: 1, 1: 1},
@@ -289,7 +299,7 @@ def test_normal_form_rejects_non_parabolic(lagr3):
 def test_log_unipotent_inverts_exp(lagr3):
     z = lagr3.grade_basis(1)[0] + lagr3.grade_basis(2)[0] * Fraction(3)
     m = const_mat(exp_nilpotent(z, Fraction(1)))
-    assert lagr3.express(log_unipotent(m)) == z.coords
+    assert express(lagr3, log_unipotent(m)) == z.coords
     # the series logarithm of the normal-coordinate jet: log exp(tZ) = tZ
     line = z.matrix.scale(P_T)
     for order in (1, 2, 4):
@@ -554,10 +564,15 @@ SL_BLOCKS = {"sl(1,1,1,1)": (1, 1, 1, 1), "sl(1,2,1)": (1, 2, 1), "sl(2,1,1)": (
 
 @pytest.mark.parametrize("cid", ALL_IDS + list(SL_BLOCKS))
 def test_build_agrees_with_dense_reference(cid):
-    # repr compares the entry types as well as the values
     alg = block_flag_sl(*SL_BLOCKS[cid]) if cid in SL_BLOCKS else make_algebra(cid)
-    built = (alg._pivot_rows, alg._extractor.rows, alg.bracket_table)
-    assert repr(built) == repr(reference_build(alg))
+    pivots, extractor, table = reference_build(alg)
+    # the integer frame, read as Fractions, against the cofactor extractor
+    assert frame_extractor(alg) == (pivots, extractor)
+    assert alg.basis_entries == tuple(
+        tuple((r, int(e)) for r, e in enumerate(vectorize(m)) if e) for m in alg.basis
+    )
+    # repr compares the entry types as well as the values
+    assert repr(alg.bracket_table) == repr(table)
     grades = alg.basis_grades
     assert (alg.n_indices, alg.pplus_indices) == (
         tuple(i for i, g in enumerate(grades) if g < 0),
@@ -568,6 +583,14 @@ def test_build_agrees_with_dense_reference(cid):
 @pytest.mark.parametrize("cid", ["sl(1,2,1)", "sl(2,1,1)"])
 def test_block_flag_sl_structure(cid):
     assert block_flag_sl(*SL_BLOCKS[cid]).structure_violations() == []
+
+
+def test_non_integral_basis_fails_at_construction():
+    alg = block_flag_sl(1, 2)
+    by_grade = {g: [alg.basis[i] for i in alg.grade_slices[g]] for g in (-1, 0, 1)}
+    by_grade[-1][0] = by_grade[-1][0].scale(Fraction(1, 2))
+    with pytest.raises(ValueError, match="basis matrix 0 is not integral"):
+        GradedAlgebra("half", "sl", {}, alg.k, alg.block_sizes, by_grade)
 
 
 def test_bracket_table_memory_is_one_slot_per_coordinate():
@@ -590,7 +613,7 @@ def _off_span_positions(alg):
     no basis matrix reaches, and the diagonal ones (every basis matrix is
     traceless, so a lone diagonal entry is not in g)."""
     assert all(m.trace() == 0 for m in alg.basis)
-    vecs = [alg.vectorize(m) for m in alg.basis]
+    vecs = [vectorize(m) for m in alg.basis]
     d = alg.matrix_dim
     diagonal = {i * d + i for i in range(d)}
     unreached = {r for r in range(len(vecs[0])) if not any(v[r] for v in vecs)}
@@ -605,28 +628,44 @@ def _perturb(alg, mat, r, eps):
     return Mat(rows)
 
 
+# the catalog ids and the |3|-graded full flag, built once
+_EXPRESS_ALGEBRAS = {cid: make_algebra(cid) for cid in ALL_IDS} | {"full_flag_sl4": full_flag_sl4()}
+
+
 @settings(max_examples=60, deadline=None)
-@given(cid=st.sampled_from(ALL_IDS), data=st.data())
+@given(cid=st.sampled_from(list(_EXPRESS_ALGEBRAS)), data=st.data())
 def test_express_round_trip_and_off_span(cid, data):
-    alg = make_algebra(cid)
+    alg = _EXPRESS_ALGEBRAS[cid]
     coords = tuple(data.draw(st.lists(_RATIONALS, min_size=alg.dim, max_size=alg.dim)))
     elem = AlgElem(alg, coords)
     mat = frac_matrix(elem)
-    assert alg.express(mat) == coords
+    assert alg.express(elem.matrix) == coords
     # the integer matrix: the same entries over their least denominator
     assert const_mat(elem.matrix) == mat
     assert elem.matrix.den == lcm(*(e.denominator for row in mat.rows for e in row))
     assert alg.elem_from_matrix(elem.matrix) == elem
+    # eps at one off-span position of the integer matrix
     r = data.draw(st.sampled_from(_off_span_positions(alg)))
     eps = data.draw(_RATIONALS.filter(bool))
-    assert alg.express(_perturb(alg, mat, r, eps)) is None
+    d = alg.matrix_dim
+    unit = [[0] * d for _ in range(d)]
+    unit[r // d][r % d] = eps.numerator
+    assert alg.express(elem.matrix + IntPolyMat(d, [unit], eps.denominator)) is None
+
+
+def test_express_rejects_a_curve(lagr3):
+    line = lagr3.grade_basis(-1)[0].matrix.scale(P_T)
+    with pytest.raises(ValueError, match="constant matrix"):
+        lagr3.express(line)
+    assert lagr3.express_poly(line)[lagr3.grade_slices[-1][0]] == P_T
+    assert lagr3.express(IntPolyMat(3, [])) == lagr3.zero_elem().coords
 
 
 @settings(max_examples=40, deadline=None)
-@given(cid=st.sampled_from(ALL_IDS), data=st.data())
+@given(cid=st.sampled_from(list(_EXPRESS_ALGEBRAS)), data=st.data())
 def test_express_poly_round_trip_and_off_span(cid, data):
     # curves of degree <= 2 in g
-    alg = make_algebra(cid)
+    alg = _EXPRESS_ALGEBRAS[cid]
     quadratic = st.lists(_RATIONALS, min_size=3, max_size=3).map(Poly)
     coords = tuple(data.draw(st.lists(quadratic, min_size=alg.dim, max_size=alg.dim)))
     mat = Mat.zero(alg.matrix_dim)

@@ -1,13 +1,14 @@
 """The engine boundary, read from the source.
 
 Past the catalog every constant matrix (an algebra element, a group
-element and its inverse) is an integer ``IntPolyMat``.  A ``Fraction``
-``Mat`` is left only at the boundary: the catalog's basis input, the
-coordinate extractor's row reduction and bracket-table build, and a user's
-group matrix, which ``catalog.group_elem`` validates, inverts and makes
-integral once.  So the curve, lab, reparametrization and suite modules
-import no ``Mat``, and no module converts a matrix from one form to the
-other except that one boundary call.
+element and its inverse, a commutator of two basis matrices) is an integer
+``IntPolyMat`` or integer rows.  A ``Fraction`` ``Mat`` is left only at the
+boundary: the catalog's basis input, which ``GradedAlgebra`` reads once
+into its integer coordinate frame (``rref`` rows, not ``Mat``s), and a
+user's group matrix, which ``catalog.group_elem`` validates, inverts and
+makes integral once.  So the algebra, curve, lab, reparametrization and
+suite modules name no ``Mat``, and no module converts a matrix from one
+form to the other except that one boundary call.
 """
 
 import ast
@@ -17,7 +18,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "parageo"
 
-INTEGER_MODULES = ("curves.py", "lab.py", "reparam.py", "suite.py")
+INTEGER_MODULES = ("algebra.py", "curves.py", "lab.py", "reparam.py", "suite.py")
 
 
 def _names(module):

@@ -18,7 +18,9 @@ report that script writes is pinned.
 Each build digest is the SHA-256 of the repr of an algebra's pivot rows,
 coordinate extractor and bracket table as first computed by the dense
 build (greedy rank tests, Laplace cofactor inverse, dense commutators).
-The repr pins the entry types as well as the values.  su21's build and
+The repr pins the entry types as well as the values; the extractor rows
+are read off the integer frame as ``Fraction``s (``frame_extractor``),
+now that the build keeps no ``Fraction`` extractor.  su21's build and
 curve-layer digests were re-pinned when su21 was realified into 6x6
 rational matrices: they hold matrix reprs, which realification changes.
 
@@ -49,7 +51,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import full_flag_sl4
+from conftest import frame_extractor, full_flag_sl4
 from parageo.algebra import exp_nilpotent
 from parageo.catalog import make_algebra
 from parageo.cli import ExperimentConfig, emit, run
@@ -162,7 +164,7 @@ BUILD_GOLDEN = [
 @pytest.mark.parametrize("cid,digest", BUILD_GOLDEN, ids=[c for c, _ in BUILD_GOLDEN])
 def test_build_digest(cid, digest):
     alg = make_algebra(cid)
-    built = repr((alg._pivot_rows, alg._extractor.rows, alg.bracket_table))
+    built = repr((*frame_extractor(alg), alg.bracket_table))
     assert hashlib.sha256(built.encode()).hexdigest() == digest
 
 

@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraction_reference import cofactor_inverse
 from parageo.algebra import exp_nilpotent
 from parageo.matrices import Mat, rref, solve_linear
 from parageo.poly import P_T, Poly
 from parageo.scalars import GaussianRational
-from poly_reference import exp_mat
+from poly_reference import cofactor_inverse, exp_mat
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 gaussians = st.builds(GaussianRational, fractions, fractions)
