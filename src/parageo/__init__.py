@@ -35,17 +35,14 @@ from .lab import (
     g0_orbit_classify,
     min_jet_order_search,
     orbit_hull_dimension,
-    pplus_action_on_2jets,
     standard_fiber,
     verify_prop41_claim,
 )
 from .reparam import (
     MobiusMap,
     ReparamVerdict,
-    projective_structure_exists,
     reparam_solve,
     schwarzian_check,
-    taylor_seed_expand,
     verify_reparam,
 )
 
@@ -73,12 +70,9 @@ __all__ = [
     "normal_coord_jet",
     "normal_form_P",
     "orbit_hull_dimension",
-    "pplus_action_on_2jets",
-    "projective_structure_exists",
     "reparam_solve",
     "schwarzian_check",
     "standard_fiber",
-    "taylor_seed_expand",
     "truncated_Ad",
     "verify_prop41_claim",
     "verify_reparam",

@@ -35,6 +35,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from ._fastgrid import IntPolyMat
 from .algebra import GradedAlgebra, GroupElem
@@ -159,25 +160,55 @@ def _build_su21():
     )
 
 
+class Family(NamedTuple):
+    """One catalog family: the row of the ``catalog`` report, and how to
+    build one of its algebras."""
+
+    signature: str
+    description: str
+    representative: str  # the id whose algebra the catalog report describes
+    build: Callable[..., GradedAlgebra]
+    n_params: int
+    matrix_dim: Callable[..., int]  # from the parameters
+
+
 CATALOG = {
-    "proj": ("proj(m)", "projective structures: sl(m+1,R), stabilizer of a line"),
-    "grass": ("grass(n,m)", "almost Grassmannian: sl(n+m,R), stabilizer of R^n"),
-    "conf": ("conf(p,q)", "conformal: o(p+1,q+1), stabilizer of a null line"),
-    "lagr3": ("lagr3", "Lagrangian contact: sl(3,R) with Borel parabolic"),
-    "su21": ("su21", "CR sphere: su(2,1), Gaussian rational realization"),
-    "xxdot": ("xxdot", "x-x-dot: sl(4,R), flag R^1 in R^2 in R^4"),
+    "proj": Family("proj(m)", "projective structures: sl(m+1,R), stabilizer of a line",
+                   "proj(2)", _build_proj, 1, lambda m: m + 1),
+    "grass": Family("grass(n,m)", "almost Grassmannian: sl(n+m,R), stabilizer of R^n",
+                    "grass(2,2)", _build_grass, 2, lambda n, m: n + m),
+    "conf": Family("conf(p,q)", "conformal: o(p+1,q+1), stabilizer of a null line",
+                   "conf(1,2)", _build_conf, 2, lambda p, q: p + q + 2),
+    # n-coordinates: g_-2 = (z at E31), g_-1 = (x at E21, y at E32)
+    "lagr3": Family("lagr3", "Lagrangian contact: sl(3,R) with Borel parabolic",
+                    "lagr3", lambda: _build_sl("lagr3", "lagr3", {}, (1, 1, 1)), 0, lambda: 3),
+    "su21": Family("su21", "CR sphere: su(2,1), Gaussian rational realization",
+                   "su21", _build_su21, 0, lambda: 6),
+    # n-coordinates: g_-2 = X2 (2-vector at rows 2,3 of column 0),
+    # g_-1 = (x1 at E10, X1 at rows 2,3 of column 1)
+    "xxdot": Family("xxdot", "x-x-dot: sl(4,R), flag R^1 in R^2 in R^4",
+                    "xxdot", lambda: _build_sl("xxdot", "xxdot", {}, (1, 1, 2)), 0, lambda: 4),
 }
 
 _ID_RE = re.compile(r"^\s*([a-z0-9]+)\s*(?:\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\))?\s*$")
 
 # Largest matrix dimension the catalog builds; an id past it fails fast
 # with BadParams.  Measured at this limit (Python 3.11, shared 2-core x86
-# host): `verify --suite all` takes 8.4 s on proj(10) and 9.1 s on
-# grass(5,6) (dim g = 120), and `jets --grid 1` 30 s and 230 MB on
-# proj(10) (59,049 pairs).  At 12, `jets --algebra 'proj(11)' --grid 1`
-# ran past 80 s and 600 MB.  A grid search costs about (2R+1)^dim(p_+)
-# pairs, which this limit does not bound: dim p_+ of grass(n,m) is nm.
+# host, one run each): `verify --suite all` takes 3.5 s on proj(10) and
+# 2.4 s on grass(5,6) (dim g = 120), and `jets --grid 1` 13.0 s on proj(10)
+# (59,049 pairs); each peaks at 20-21 MB, a bare interpreter at 13.6 MB.
+# proj(11), past the limit, builds in 1.4 s at a 21.1 MB peak, so the
+# limit is no longer set by builds but by grids: a grid search costs about
+# (2R+1)^dim(p_+) pairs, which this limit does not bound (dim p_+ of
+# grass(n,m) is nm, and proj(11) at --grid 1 has 177,147 pairs).
 MAX_MATRIX_DIM = 11
+
+# Highest jet order a search accepts.  ad(X) lowers the grade, so
+# ad(X)^(2k+1) vanishes on g and every order past 2k+1 gets the verdict of
+# order 2k+1.  The grading depth k is below the matrix dimension, so this
+# admits 2k+1 for every catalog algebra, and every order in use (4, and
+# the default k+3).
+MAX_JET_ORDER = 2 * MAX_MATRIX_DIM
 
 
 def parse_catalog_id(text):
@@ -205,36 +236,23 @@ def parse_catalog_id(text):
     return family, tuple(int(x or "0") for x in literals)
 
 
-# family -> (builder, parameter count, matrix dimension from the parameters)
-_FAMILIES = {
-    "proj": (_build_proj, 1, lambda m: m + 1),
-    "grass": (_build_grass, 2, lambda n, m: n + m),
-    "conf": (_build_conf, 2, lambda p, q: p + q + 2),
-    # n-coordinates: g_-2 = (z at E31), g_-1 = (x at E21, y at E32)
-    "lagr3": (lambda: _build_sl("lagr3", "lagr3", {}, (1, 1, 1)), 0, lambda: 3),
-    "su21": (_build_su21, 0, lambda: 6),
-    # n-coordinates: g_-2 = X2 (2-vector at rows 2,3 of column 0),
-    # g_-1 = (x1 at E10, X1 at rows 2,3 of column 1)
-    "xxdot": (lambda: _build_sl("xxdot", "xxdot", {}, (1, 1, 2)), 0, lambda: 4),
-}
-
 _PARAM_COUNTS = ("no parameters", "one parameter", "two parameters")
 
 
 @lru_cache(maxsize=None)
 def _make(family, params):
-    if family not in _FAMILIES:
+    fam = CATALOG.get(family)
+    if fam is None:
         raise UnknownCatalogName("unknown catalog family %r" % family)
-    build, count, matrix_dim = _FAMILIES[family]
-    if len(params) != count:
-        raise BadParams("%s takes %s, got %r" % (family, _PARAM_COUNTS[count], params))
-    dim = matrix_dim(*params)
+    if len(params) != fam.n_params:
+        raise BadParams("%s takes %s, got %r" % (family, _PARAM_COUNTS[fam.n_params], params))
+    dim = fam.matrix_dim(*params)
     if dim > MAX_MATRIX_DIM:
         raise BadParams(
             "%s(%s) has matrix dimension %d; the catalog builds at most %d"
             % (family, ",".join(map(str, params)), dim, MAX_MATRIX_DIM)
         )
-    return build(*params)
+    return fam.build(*params)
 
 
 def make_algebra(name, *params):
@@ -243,12 +261,8 @@ def make_algebra(name, *params):
     Accepts either make_algebra("conf(1,2)") or make_algebra("conf", 1, 2).
     """
     if params:
-        family = name
-        if family not in CATALOG:
-            raise UnknownCatalogName("unknown catalog family %r" % family)
-        return _make(family, tuple(int(p) for p in params))
-    family, parsed = parse_catalog_id(name)
-    return _make(family, parsed)
+        return _make(name, tuple(int(p) for p in params))
+    return _make(*parse_catalog_id(name))
 
 
 def validate_group_matrix(alg, mat):
@@ -281,58 +295,3 @@ def group_elem(alg, rows):
     if not validate_group_matrix(alg, mat):
         raise ValueError("matrix is not in the group of %s" % alg.name)
     return GroupElem(alg, *(IntPolyMat.from_mats([m]) for m in (mat, mat.inverse())))
-
-
-def g0_samples(alg):
-    """A few explicit block-diagonal G0 elements with rational entries.
-
-    These are user-style inputs: supplied as matrices and validated, not
-    generated from abstract reductive group theory.
-    """
-    d = alg.matrix_dim
-    out = [alg.group_identity()]
-    if alg.family in ("proj", "grass"):
-        n = alg.params["n"] if alg.family == "grass" else 1
-        diag = [Fraction(2)] + [_F1] * (d - 2) + [Fraction(1, 2)]
-        out.append(group_elem(alg, _diag(diag)))
-        if n >= 2:
-            # a unipotent shear inside the upper diagonal block
-            rows = _diag([_F1] * d)
-            rows[0][1] = _F1
-            out.append(group_elem(alg, rows))
-    elif alg.family == "conf":
-        signs = alg.meta["signs"]
-        nn = len(signs)
-        out.append(group_elem(alg, _diag([Fraction(3)] + [_F1] * nn + [Fraction(1, 3)])))
-        # a rational (pseudo-)rotation in the first two middle slots
-        if nn >= 2:
-            rows = _diag([_F1] * d)
-            if signs[0] == signs[1]:
-                c, s = Fraction(3, 5), Fraction(4, 5)
-                rows[1][1], rows[1][2], rows[2][1], rows[2][2] = c, -s, s, c
-            else:
-                c, s = Fraction(5, 4), Fraction(3, 4)
-                rows[1][1], rows[1][2], rows[2][1], rows[2][2] = c, s, s, c
-            out.append(group_elem(alg, rows))
-    elif alg.family in ("lagr3",):
-        out.append(group_elem(alg, _diag([Fraction(2), Fraction(3), Fraction(1, 6)])))
-        out.append(group_elem(alg, _diag([Fraction(1, 2), Fraction(-1), Fraction(-2)])))
-    elif alg.family == "xxdot":
-        out.append(group_elem(alg, _diag([Fraction(2), Fraction(3), Fraction(1, 2), Fraction(1, 3)])))
-        rows = _diag([_F1, _F1, _F1, _F1])
-        rows[2][3] = _F1
-        out.append(group_elem(alg, rows))
-    elif alg.family == "su21":
-        # diag(2, 1, 1/2) and diag(1 + i, -i, (1 + i)/2), realified
-        half = Fraction(1, 2)
-        for vals in (((2, 0), (1, 0), (half, 0)), ((1, 1), (0, -1), (half, half))):
-            out.append(group_elem(alg, _realified(3, {(a, a): v for a, v in enumerate(vals)})))
-    return out
-
-
-def _diag(vals):
-    d = len(vals)
-    rows = [[_F0] * d for _ in range(d)]
-    for i, v in enumerate(vals):
-        rows[i][i] = v
-    return rows

@@ -6,6 +6,8 @@ found (a counterexample at or above a proved bound, or a failed identity),
 produce byte-identical output.  Rationals serialize as exact 'p/q'
 strings, never floats.  The environment variable PARAGEO_WORKERS (a
 positive integer) caps the worker pool used to fan out grid evaluation.
+The report's ``config.workers`` echoes it, so two runs that differ only in
+their worker count give the same results but different report bytes.
 """
 
 from __future__ import annotations
@@ -126,17 +128,13 @@ def run(config):
     failures = []
     if config.command == "catalog":
         rows = []
-        for family, (sig, desc) in sorted(CATALOG.items()):
-            rep = {"proj": "proj(2)", "grass": "grass(2,2)", "conf": "conf(1,2)"}.get(
-                family, family
-            )
-            alg = make_algebra(rep)
+        for family, fam in sorted(CATALOG.items()):
             rows.append(
                 {
                     "family": family,
-                    "signature": sig,
-                    "description": desc,
-                    "representative": alg.describe(),
+                    "signature": fam.signature,
+                    "description": fam.description,
+                    "representative": make_algebra(fam.representative).describe(),
                 }
             )
         return envelope(config, {"catalog": "all"}, {"families": rows}, []), 0

@@ -23,9 +23,9 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import AlgElem, bracket, exp_nilpotent, truncated_Ad
+from .catalog import MAX_JET_ORDER
 from .curves import CurveSpec, curves_equal, jet_equal, normal_coord_jet
 from .errors import (
     EmptyGrid,
@@ -38,9 +38,6 @@ from .errors import (
 from ._fastgrid import grid_kernel
 from .matrices import rank, rref
 from .poly import P_T
-from .reparam import _double_bracket_solution, _proportionality, reparam_solve, verify_reparam
-
-_F0 = Fraction(0)
 
 
 # -- type specs ----------------------------------------------------------------
@@ -472,6 +469,8 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None, workers=
     r_max = r_max if r_max is not None else alg.k + 3
     if r_max < 1:
         raise ParageoError("highest jet order must be at least 1, got %d" % r_max)
+    if r_max > MAX_JET_ORDER:
+        raise ParageoError("highest jet order must be at most %d, got %d" % (MAX_JET_ORDER, r_max))
     check_direction(ts, x)
     claimed = claimed_bound if claimed_bound is not None else paper_jet_bound(ts)
     n_grid = n_admissible = n_equal = 0
@@ -663,22 +662,6 @@ def standard_fiber(ts, grid=2):
     return FiberSample(alg.name, ts.label, grid, tuple(pairs))
 
 
-def fiber_second_in_span(alg, x, second):
-    """Is ``second`` of the form [X,[X,Z]] for some Z in g_1 (exact solve)?"""
-    return _double_bracket_solution(alg, x, 1, second) is not None
-
-
-def pplus_action_on_2jets(w, jet):
-    """The action of exp(W), W in g_1, on admissible 2-jets (Y', Y'')."""
-    alg = w.algebra
-    if alg.k != 1:
-        raise NotOneGraded("2-jet action is defined for |1|-graded algebras")
-    if not w.in_grade(1) and not w.is_zero():
-        raise NotAMember("W must lie in g_1")
-    y1, y2 = jet
-    return (y1, y2 + bracket(y1, bracket(y1, w)))
-
-
 # -- family dimensions ----------------------------------------------------------
 
 
@@ -780,41 +763,6 @@ def family_dimension(ts, x, grid=2):
         family_dimension_range=fam_range,
         jet_class_count=classes,
     )
-
-
-def family_members(ts, x, grid=2):
-    """The admissible (Z, Y) pairs of the family in direction X."""
-    alg = ts.algebra
-    kern = grid_kernel(alg, x)
-    out = []
-    for vals in iter_pplus_coords(alg, grid):
-        y, _ = _solve_pair(kern, vals)
-        if ts.contains(y):
-            out.append((pplus_elem(alg, vals), y))
-    return out
-
-
-def mobius_candidate_between(c1, c2):
-    """The unique Moebius-seed candidate matching directions and 2-jets.
-
-    Returns (a, b) seeds when the normal-coordinate jets allow a solution
-    of Y2' = a Y1' and Y2'' = b Y1' + a^2 Y1''; otherwise None.  The
-    candidate still has to pass verify_reparam to count.
-    """
-    j1 = normal_coord_jet(c1, 2)
-    j2 = normal_coord_jet(c2, 2)
-    y1p, y1pp = j1.derivative_at_zero(1), j1.derivative_at_zero(2)
-    y2p, y2pp = j2.derivative_at_zero(1), j2.derivative_at_zero(2)
-    a = _proportionality(y1p, y2p)
-    if a is None or a == 0:
-        return None
-    rest = y2pp - y1pp * (a * a)
-    if rest.is_zero():
-        return (a, _F0)
-    b = _proportionality(y1p, rest)
-    if b is None:
-        return None
-    return (a, b)
 
 
 # -- orbit hulls -----------------------------------------------------------------
@@ -934,32 +882,3 @@ def _orbit_description(alg, ts):
             return bool(c) or (a == 0 and b == 0)
         return offcontact
     return None
-
-
-# -- chains up to reparametrization ----------------------------------------------
-
-
-def chain_family_reparam_check(alg, x, grid=2):
-    """All same-direction lowest-grade curves are projectively related.
-
-    For each admissible Z the pairwise reparametrization against the base
-    chain c^{e,X} is solved from the bracket seeds and verified by
-    ``verify_reparam`` as an exact polynomial identity.  Returns
-    (n_checked, failures).
-    """
-    ts = type_grade(alg, -alg.k)
-    if not ts.contains(x):
-        raise NotAMember("direction must lie in the lowest grade")
-    base = CurveSpec.base(alg, x)
-    n = 0
-    failures = []
-    for z, y in family_members(ts, x, grid):
-        verdict = reparam_solve(alg, x, z, y)
-        if not verdict.exists:
-            failures.append("no reparametrization for Z=%s" % (tuple(z.coords),))
-            continue
-        c2 = CurveSpec.from_Z(alg, z, y)
-        if not verify_reparam(base, c2, verdict.map):
-            failures.append("map failed verification for Z=%s" % (tuple(z.coords),))
-        n += 1
-    return n, failures

@@ -6,7 +6,7 @@ determinant), and all operations go through the entries' own exact
 arithmetic.  A Fraction 0 stands for the zero of any entry ring, and
 ``scale`` keeps a zero entry as it is.  Determinants use Laplace expansion
 memoized over column masks, which is exact over any commutative ring; the
-memo holds up to 2^n minors.  Row reduction (rref / kernel / solve) is
+memo holds up to 2^n minors.  Row reduction (``rref`` and ``rank``) is
 for field entries only, and so is ``inverse``: the right half of
 rref([M | I]), taken once per user group matrix.  The curve code inverts
 no polynomial matrix exactly: every inverse it needs is known in closed
@@ -210,21 +210,6 @@ def rref(rows):
         if r == nr:
             break
     return [tuple(row) for row in rows], pivots
-
-
-def solve_linear(a_rows, b):
-    """One exact solution x of A x = b, or None when inconsistent."""
-    if not a_rows:
-        return ()
-    rows = [list(r) + [bv] for r, bv in zip(a_rows, b)]
-    nc = len(a_rows[0])
-    red, pivots = rref(rows)
-    if nc in pivots:
-        return None
-    x = [Fraction(0)] * nc
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][-1]
-    return tuple(x)
 
 
 def rank(rows):

@@ -9,8 +9,9 @@ phi(t) = a t (1 - (b/2a) t)^{-1}; its higher derivatives at 0 follow the
 recursion phi^(i+1)(0) = (i+1)!/2^i * b^i / a^(i-1).
 
 Whether two distinguished curves agree up to such a reparametrization is
-decided by exact linear algebra on iterated brackets, and every positive
-answer is verifiable as an exact matrix identity.  Writing phi = N/D with
+decided exactly from iterated brackets (the seeds a, b are proportionality
+factors against the direction), and every positive answer is verifiable
+as an exact matrix identity.  Writing phi = N/D with
 N = At+B and D = Ct+D, the factor q! D^q (q the last nonzero power of the
 direction) clears every denominator of exp(phi X), so the identity is one
 of integer matrix polynomials: the series ``_fastgrid.exp_series`` with a
@@ -30,11 +31,9 @@ from .errors import (
     PoleAtOrigin,
     ZeroVelocity,
 )
-from .matrices import solve_linear
 from .poly import P_ONE, P_T, Poly
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class MobiusMap:
@@ -229,54 +228,3 @@ def schwarzian_check(phi):
     p2 = p1.derivative() * den - 2 * p1 * den1
     p3 = p2.derivative() * den - 3 * p2 * den1
     return p3 * p1 == p2 * p2 * Fraction(3, 2)
-
-
-def _double_bracket_solution(algebra, x, grade, target):
-    """Coordinates over grade_basis(grade) of a Z with [X,[X,Z]] = target,
-    or None when there is none."""
-    basis = algebra.grade_basis(grade)
-    cols = [bracket(x, bracket(x, bj)).coords for bj in basis]
-    rows = [[cols[j][r] for j in range(len(basis))] for r in range(algebra.dim)]
-    return solve_linear(rows, list(target.coords))
-
-
-def projective_structure_exists(algebra, x, grade_for_z):
-    """A witness Z in g_{grade} with [X,[X,Z]] = X, or None.
-
-    The zero direction returns None by convention (a constant curve has no
-    projective family of parametrizations).
-    """
-    if x.is_zero():
-        return None
-    if not x.in_grade(-grade_for_z):
-        raise NotApplicableGrading("X must lie in g_-%d" % grade_for_z)
-    sol = _double_bracket_solution(algebra, x, grade_for_z, x)
-    if sol is None:
-        return None
-    out = algebra.zero_elem()
-    for coeff, bj in zip(sol, algebra.grade_basis(grade_for_z)):
-        out = out + bj * coeff
-    return out
-
-
-def taylor_seed_expand(a, b, order):
-    """Taylor coefficients (degrees 1..order) of a t (1 - (b/2a) t)^{-1}.
-
-    The i-th coefficient is a (b/2a)^(i-1), the geometric-series form of
-    the derivative recursion; times the closed form's denominator
-    1 - (b/2a) t the series must be exactly a t modulo t^(order+1).
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    if not a:
-        raise ZeroVelocity("phi'(0) must be nonzero")
-    ratio = b / (2 * a)
-    coeffs = []
-    power = _F1
-    for _ in range(order):
-        coeffs.append(a * power)
-        power *= ratio
-    series = Poly((_F0,) + tuple(coeffs))
-    if (series * Poly((_F1, -ratio))).truncate(order) != Poly((_F0, a)).truncate(order):
-        raise AssertionError("seed expansion disagrees with the closed form")
-    return coeffs

@@ -1,0 +1,197 @@
+"""Paper checks that only the tests run: G0 samples, the [X,[X,Z]] solve,
+projective-structure witnesses, Moebius seeds and the chain-family check."""
+
+from fractions import Fraction
+
+from parageo.algebra import AlgElem, bracket
+from parageo.catalog import _realified, group_elem
+from parageo.curves import CurveSpec, normal_coord_jet
+from parageo.errors import NotAMember, NotApplicableGrading, ZeroVelocity
+from parageo.lab import _iter_pair_stats, type_grade
+from parageo.matrices import rref
+from parageo.poly import Poly
+from parageo.reparam import _proportionality, reparam_solve, verify_reparam
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+
+
+def g0_samples(alg):
+    """A few explicit block-diagonal G0 elements with rational entries.
+
+    These are user-style inputs: supplied as matrices and validated, not
+    generated from abstract reductive group theory.
+    """
+    d = alg.matrix_dim
+    out = [alg.group_identity()]
+    if alg.family in ("proj", "grass"):
+        n = alg.params["n"] if alg.family == "grass" else 1
+        diag = [Fraction(2)] + [_F1] * (d - 2) + [Fraction(1, 2)]
+        out.append(group_elem(alg, _diag(diag)))
+        if n >= 2:
+            # a unipotent shear inside the upper diagonal block
+            rows = _diag([_F1] * d)
+            rows[0][1] = _F1
+            out.append(group_elem(alg, rows))
+    elif alg.family == "conf":
+        signs = alg.meta["signs"]
+        nn = len(signs)
+        out.append(group_elem(alg, _diag([Fraction(3)] + [_F1] * nn + [Fraction(1, 3)])))
+        # a rational (pseudo-)rotation in the first two middle slots
+        if nn >= 2:
+            rows = _diag([_F1] * d)
+            if signs[0] == signs[1]:
+                c, s = Fraction(3, 5), Fraction(4, 5)
+                rows[1][1], rows[1][2], rows[2][1], rows[2][2] = c, -s, s, c
+            else:
+                c, s = Fraction(5, 4), Fraction(3, 4)
+                rows[1][1], rows[1][2], rows[2][1], rows[2][2] = c, s, s, c
+            out.append(group_elem(alg, rows))
+    elif alg.family in ("lagr3",):
+        out.append(group_elem(alg, _diag([Fraction(2), Fraction(3), Fraction(1, 6)])))
+        out.append(group_elem(alg, _diag([Fraction(1, 2), Fraction(-1), Fraction(-2)])))
+    elif alg.family == "xxdot":
+        out.append(group_elem(alg, _diag([Fraction(2), Fraction(3), Fraction(1, 2), Fraction(1, 3)])))
+        rows = _diag([_F1, _F1, _F1, _F1])
+        rows[2][3] = _F1
+        out.append(group_elem(alg, rows))
+    elif alg.family == "su21":
+        # diag(2, 1, 1/2) and diag(1 + i, -i, (1 + i)/2), realified
+        half = Fraction(1, 2)
+        for vals in (((2, 0), (1, 0), (half, 0)), ((1, 1), (0, -1), (half, half))):
+            out.append(group_elem(alg, _realified(3, {(a, a): v for a, v in enumerate(vals)})))
+    return out
+
+
+def _diag(vals):
+    d = len(vals)
+    rows = [[_F0] * d for _ in range(d)]
+    for i, v in enumerate(vals):
+        rows[i][i] = v
+    return rows
+
+
+def solve_linear(a_rows, b):
+    """One exact solution x of A x = b, or None when inconsistent."""
+    if not a_rows:
+        return ()
+    rows = [list(r) + [bv] for r, bv in zip(a_rows, b)]
+    nc = len(a_rows[0])
+    red, pivots = rref(rows)
+    if nc in pivots:
+        return None
+    x = [Fraction(0)] * nc
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][-1]
+    return tuple(x)
+
+
+def double_bracket_solution(algebra, x, grade, target):
+    """Coordinates over grade_basis(grade) of a Z with [X,[X,Z]] = target,
+    or None when there is none."""
+    basis = algebra.grade_basis(grade)
+    cols = [bracket(x, bracket(x, bj)).coords for bj in basis]
+    rows = [[cols[j][r] for j in range(len(basis))] for r in range(algebra.dim)]
+    return solve_linear(rows, list(target.coords))
+
+
+def projective_structure_exists(algebra, x, grade_for_z):
+    """A witness Z in g_{grade} with [X,[X,Z]] = X, or None.
+
+    The zero direction returns None by convention (a constant curve has no
+    projective family of parametrizations).
+    """
+    if x.is_zero():
+        return None
+    if not x.in_grade(-grade_for_z):
+        raise NotApplicableGrading("X must lie in g_-%d" % grade_for_z)
+    sol = double_bracket_solution(algebra, x, grade_for_z, x)
+    if sol is None:
+        return None
+    out = algebra.zero_elem()
+    for coeff, bj in zip(sol, algebra.grade_basis(grade_for_z)):
+        out = out + bj * coeff
+    return out
+
+
+def taylor_seed_expand(a, b, order):
+    """Taylor coefficients (degrees 1..order) of a t (1 - (b/2a) t)^{-1}.
+
+    The i-th coefficient is a (b/2a)^(i-1), the geometric-series form of
+    the derivative recursion; times the closed form's denominator
+    1 - (b/2a) t the series must be exactly a t modulo t^(order+1).
+    """
+    a = Fraction(a)
+    b = Fraction(b)
+    if not a:
+        raise ZeroVelocity("phi'(0) must be nonzero")
+    ratio = b / (2 * a)
+    coeffs = []
+    power = _F1
+    for _ in range(order):
+        coeffs.append(a * power)
+        power *= ratio
+    series = Poly((_F0,) + tuple(coeffs))
+    if (series * Poly((_F1, -ratio))).truncate(order) != Poly((_F0, a)).truncate(order):
+        raise AssertionError("seed expansion disagrees with the closed form")
+    return coeffs
+
+
+def mobius_candidate_between(c1, c2):
+    """The unique Moebius-seed candidate matching directions and 2-jets.
+
+    Returns (a, b) seeds when the normal-coordinate jets allow a solution
+    of Y2' = a Y1' and Y2'' = b Y1' + a^2 Y1''; otherwise None.  The
+    candidate still has to pass verify_reparam to count.
+    """
+    j1 = normal_coord_jet(c1, 2)
+    j2 = normal_coord_jet(c2, 2)
+    y1p, y1pp = j1.derivative_at_zero(1), j1.derivative_at_zero(2)
+    y2p, y2pp = j2.derivative_at_zero(1), j2.derivative_at_zero(2)
+    a = _proportionality(y1p, y2p)
+    if a is None or a == 0:
+        return None
+    rest = y2pp - y1pp * (a * a)
+    if rest.is_zero():
+        return (a, _F0)
+    b = _proportionality(y1p, rest)
+    if b is None:
+        return None
+    return (a, b)
+
+
+def admissible_pairs(ts, x, grid):
+    """The admissible (Z, Y) pairs of the family in direction X, in grid
+    order: the grid points whose solved Y is a member of the type."""
+    alg = ts.algebra
+    return [
+        (AlgElem(alg, zc), AlgElem(alg, yc))
+        for zc, yc, jord, _ in _iter_pair_stats(ts, x, grid, alg.k + 2)
+        if jord is not None
+    ]
+
+
+def chain_family_reparam_check(alg, x, grid=2):
+    """All same-direction lowest-grade curves are projectively related.
+
+    For each admissible Z the pairwise reparametrization against the base
+    chain c^{e,X} is solved from the bracket seeds and verified by
+    ``verify_reparam`` as an exact polynomial identity.  Returns
+    (n_checked, failures).
+    """
+    ts = type_grade(alg, -alg.k)
+    if not ts.contains(x):
+        raise NotAMember("direction must lie in the lowest grade")
+    base = CurveSpec.base(alg, x)
+    n = 0
+    failures = []
+    for z, y in admissible_pairs(ts, x, grid):
+        verdict = reparam_solve(alg, x, z, y)
+        if not verdict.exists:
+            failures.append("no reparametrization for Z=%s" % (tuple(z.coords),))
+            continue
+        c2 = CurveSpec.from_Z(alg, z, y)
+        if not verify_reparam(base, c2, verdict.map):
+            failures.append("map failed verification for Z=%s" % (tuple(z.coords),))
+        n += 1
+    return n, failures

@@ -1,14 +1,19 @@
-"""The engine boundary, read from the source.
+"""Two boundaries of the source tree, read from the source.
 
-Past the catalog every constant matrix (an algebra element, a group
-element and its inverse, a commutator of two basis matrices) is an integer
-``IntPolyMat`` or integer rows.  A ``Fraction`` ``Mat`` is left only at the
-boundary: the catalog's basis input, which ``GradedAlgebra`` reads once
-into its integer coordinate frame (``rref`` rows, not ``Mat``s), and a
-user's group matrix, which ``catalog.group_elem`` validates, inverts and
-makes integral once.  So the algebra, curve, lab, reparametrization and
-suite modules name no ``Mat``, and no module converts a matrix from one
-form to the other except that one boundary call.
+The engine boundary.  Past the catalog every constant matrix (an algebra
+element, a group element and its inverse, a commutator of two basis
+matrices) is an integer ``IntPolyMat`` or integer rows.  A ``Fraction``
+``Mat`` is left only at the boundary: the catalog's basis input, which
+``GradedAlgebra`` reads once into its integer coordinate frame (``rref``
+rows, not ``Mat``s), and a user's group matrix, which ``catalog.group_elem``
+validates, inverts and makes integral once.  So the algebra, curve, lab,
+reparametrization and suite modules name no ``Mat``, and no module converts
+a matrix from one form to the other except that one boundary call.
+
+The test-code boundary.  Every module-level function and class of the
+package is reached from the command line or the scripts, or is listed in
+``UNCALLED`` with the reason it stays.  A check that only the tests run
+lives under ``tests/`` (``paper_checks.py``), not in the package.
 """
 
 import ast
@@ -16,7 +21,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "parageo"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "parageo"
 
 INTEGER_MODULES = ("algebra.py", "curves.py", "lab.py", "reparam.py", "suite.py")
 
@@ -49,3 +55,76 @@ def test_from_mats_only_at_the_catalog_boundary():
     }
     # one conversion, in catalog.group_elem
     assert [(m, len(lines)) for m, lines in uses.items() if lines] == [("catalog.py", 1)]
+
+
+# Module-level names that nothing in src/ or scripts/ reaches, with the reason
+# each stays.  A listed name does not reach what it calls: those need entries.
+UNCALLED = {
+    "lab.solve_direction": "parabench times it as a span; it goes with that span",
+    "lab.verify_prop41_claim": "the Prop. 4.1 claim check, due as a verify suite "
+    "family; run by --suite all it would slow every lemma run",
+    "lab.Prop41Report": "the report of verify_prop41_claim",
+    "lab._ad_exp": "the conjugation helper of verify_prop41_claim",
+    "catalog.group_elem": "the one entry for a user's group matrix; parabench "
+    "times the Mat.inverse and Mat.det it reaches",
+    "catalog.validate_group_matrix": "the membership test of group_elem",
+    "scalars.GaussianRational": "the su21 determinant of validate_group_matrix; "
+    "parabench counts its __mul__",
+    "scalars._coerce": "an operand helper of GaussianRational",
+    "scalars.scalar_str": "the string form of GaussianRational",
+}
+
+
+def _reach():
+    """(every module-level def and class as "module.name", those reached).
+
+    Module-level code outside a def or class (tables, the CLI's main guard)
+    and the scripts are the roots; a def reaches the names its body reads.
+    A bare name resolves to its module's own definition or to one it
+    imports from another package module.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    defs = {"%s.%s" % (m, st.name) for m, tree in trees.items() for st in tree.body
+            if isinstance(st, (ast.FunctionDef, ast.ClassDef))}
+
+    def scope(module, tree):
+        names = {d.partition(".")[2]: d for d in defs if d.startswith(module + ".")}
+        for imp in ast.walk(tree):
+            if isinstance(imp, ast.ImportFrom) and (imp.level or imp.module.startswith("parageo.")):
+                home = (imp.module or "").rpartition(".")[2]
+                names.update((a.asname or a.name, "%s.%s" % (home, a.name)) for a in imp.names)
+        return names
+
+    def reads(names, node):
+        loads = (n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+        return defs & {names.get(n) for n in loads}
+
+    todo, edges = [], {}
+    for m, tree in trees.items():
+        names = scope(m, tree)
+        for st in tree.body:
+            name = "%s.%s" % (m, getattr(st, "name", ""))
+            if name in defs:
+                edges[name] = reads(names, st) - {name}
+            else:
+                todo.extend(reads(names, st))
+    for path in (ROOT / "scripts").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        todo.extend(reads(scope(path.stem, tree), tree))
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(edges[name])
+    return defs, reached
+
+
+def test_every_package_name_is_reached_or_listed():
+    defs, reached = _reach()
+    assert sorted(defs - reached - set(UNCALLED)) == []
+
+
+def test_uncalled_lists_only_unreached_definitions():
+    defs, reached = _reach()
+    assert sorted(set(UNCALLED) - (defs - reached)) == []

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from parageo import catalog
-from parageo.catalog import MAX_MATRIX_DIM, make_algebra
+from parageo.catalog import MAX_JET_ORDER, MAX_MATRIX_DIM, make_algebra
 from parageo.cli import ExperimentConfig, emit, main, parse_direction, run
+
+from conftest import ALL_IDS
 
 
 def run_json(config):
@@ -195,6 +197,18 @@ def test_jets_orders_below_1_exit_2(orders, capsys):
     assert main(["jets", "--algebra", "lagr3", "--grid", "1", "--orders", orders]) == 2
     out = capsys.readouterr()
     assert "highest jet order must be at least 1" in out.err
+    assert out.out == ""
+
+
+def test_jets_orders_past_the_cap_exit_2(capsys):
+    # the cap admits 2k+1, past which every verdict repeats, on every catalog id
+    assert max(2 * make_algebra(cid).k + 1 for cid in ALL_IDS) <= MAX_JET_ORDER
+    argv = ["jets", "--algebra", "proj(1)", "--grid", "0", "--orders"]
+    assert main(argv + [str(MAX_JET_ORDER)]) == 0
+    capsys.readouterr()
+    assert main(argv + [str(MAX_JET_ORDER + 1)]) == 2
+    out = capsys.readouterr()
+    assert "highest jet order must be at most %d" % MAX_JET_ORDER in out.err
     assert out.out == ""
 
 

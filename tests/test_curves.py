@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from parageo.algebra import Ad, bracket, exp_nilpotent, group_exp
-from parageo.catalog import g0_samples, make_algebra
+from parageo.catalog import make_algebra
 from parageo.curves import (
     CurveSpec,
     _partitions,
@@ -26,6 +26,7 @@ from parageo._fastgrid import IntPolyMat
 from parageo.errors import BadReparam, NotInNilpotentPart, NotInParabolic, OracleDisagreement
 from parageo.matrices import Mat
 from parageo.poly import P_T, Poly
+from paper_checks import g0_samples
 from poly_reference import ad_matrix, curve_matrix, derivative, frac_matrix, rep_matrix, to_int
 
 

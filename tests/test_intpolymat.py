@@ -24,6 +24,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import poly_reference as ref
 from conftest import ALL_IDS, full_flag_sl4
+from paper_checks import g0_samples
 from parageo import curves
 from parageo._fastgrid import (
     IntPolyMat,
@@ -36,7 +37,7 @@ from parageo._fastgrid import (
 )
 from parageo import _fastgrid
 from parageo.algebra import exp_nilpotent, group_exp
-from parageo.catalog import g0_samples, make_algebra
+from parageo.catalog import make_algebra
 from parageo.curves import CurveSpec, normal_coord_jet
 from parageo.errors import NotNilpotent
 from parageo.lab import _truncated_ad_derivative, pplus_elem

@@ -6,22 +6,17 @@ from fractions import Fraction
 import pytest
 
 from parageo._fastgrid import GridKernel, grid_kernel
-from parageo.algebra import Ad, AlgElem, group_exp, truncated_Ad
-from parageo.catalog import g0_samples, make_algebra
+from parageo.algebra import Ad, AlgElem, bracket, group_exp, truncated_Ad
+from parageo.catalog import make_algebra
 from parageo.curves import CurveSpec, curves_equal, jet_equal, normal_coord_jet
 from parageo.errors import EmptyGrid, NotAMember, NotOneGraded
 from parageo.lab import (
-    chain_family_reparam_check,
     family_dimension,
-    family_members,
-    fiber_second_in_span,
     g0_orbit_classify,
     min_jet_order_search,
-    mobius_candidate_between,
     orbit_hull_dimension,
     paper_jet_bound,
     parse_type,
-    pplus_action_on_2jets,
     pplus_elem,
     solve_direction,
     standard_fiber,
@@ -45,6 +40,13 @@ from fraction_reference import (
     reference_orbit_points,
     reference_pair_stats,
     solve_direction as reference_solve_direction,
+)
+from paper_checks import (
+    admissible_pairs,
+    chain_family_reparam_check,
+    double_bracket_solution,
+    g0_samples,
+    mobius_candidate_between,
 )
 from poly_reference import exp_mat, frac_matrix
 
@@ -522,23 +524,12 @@ def test_fiber_invariance(any_algebra):
     ws = [alg.grade_basis(1)[0], alg.grade_basis(1)[-1] * Fraction(-2)]
     for xc, sc, _ in sample:
         x, s = AlgElem(alg, xc), AlgElem(alg, sc)
+        # exp(W), W in g_1, maps the 2-jet (Y', Y'') to (Y', Y'' + [Y',[Y',W]])
         for w in ws:
-            _, s2 = pplus_action_on_2jets(w, (x, s))
-            assert fiber_second_in_span(alg, x, s2)
+            s2 = s + bracket(x, bracket(x, w))
+            assert double_bracket_solution(alg, x, 1, s2) is not None
         for g0 in g0_samples(alg):
-            assert fiber_second_in_span(alg, Ad(g0, x), Ad(g0, s))
-
-
-def test_pplus_action_examples(proj1):
-    x = proj1.grade_basis(-1)[0]
-    z = proj1.grade_basis(1)[0]
-    y2 = proj1.zero_elem()
-    same = pplus_action_on_2jets(proj1.zero_elem(), (x, y2))
-    assert same == (x, y2)
-    _, shifted = pplus_action_on_2jets(z, (x, y2))
-    assert shifted == x * Fraction(-2)
-    with pytest.raises(NotOneGraded):
-        pplus_action_on_2jets(make_algebra("lagr3").grade_basis(1)[0], (x, y2))
+            assert double_bracket_solution(alg, Ad(g0, x), 1, Ad(g0, s)) is not None
 
 
 # -- families ---------------------------------------------------------------------
@@ -581,7 +572,7 @@ def test_chain_equivalence_of_strata(lagr3, xxdot):
     # the two off-diagonal strata trace exactly the chain curves (4-jet classes)
     def signatures(alg, ts, x, grid, order):
         sigs = set()
-        for z, y in family_members(ts, x, grid):
+        for z, y in admissible_pairs(ts, x, grid):
             sigs.add(normal_coord_jet(CurveSpec.from_Z(alg, z, y), order).coeffs_prefix(order))
         return sigs
 

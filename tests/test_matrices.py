@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parageo.algebra import exp_nilpotent
-from parageo.matrices import Mat, rref, solve_linear
+from parageo.matrices import Mat, rref
 from parageo.poly import P_T, Poly
 from parageo.scalars import GaussianRational
+from paper_checks import solve_linear
 from poly_reference import cofactor_inverse, exp_mat
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,12 +11,11 @@ from parageo.errors import NotApplicableGrading, PoleAtOrigin, ZeroVelocity
 from parageo.poly import Poly
 from parageo.reparam import (
     MobiusMap,
-    projective_structure_exists,
     reparam_solve,
     schwarzian_check,
-    taylor_seed_expand,
     verify_reparam,
 )
+from paper_checks import projective_structure_exists, taylor_seed_expand
 from poly_reference import frac_matrix
 
 
@@ -150,14 +150,10 @@ def test_schwarzian():
 
 def test_projective_structure_witness():
     conf = make_algebra("conf(1,1)")
-    import itertools
-
     for vec in itertools.product(range(-2, 3), repeat=2):
         if vec == (0, 0):
             continue
-        x = conf.zero_elem()
-        for v, b in zip(vec, conf.grade_basis(-1)):
-            x = x + b * Fraction(v)
+        x = conf.elem_from_grade_coords({-1: vec})
         z = projective_structure_exists(conf, x, 1)
         assert z is not None and z.in_grade(1)
         assert bracket(x, bracket(x, z)) == x
