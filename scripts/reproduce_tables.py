@@ -15,8 +15,8 @@ from parageo.lab import (
     family_dimension,
     min_jet_order_search,
     orbit_hull_dimension,
+    parse_type,
     type_grade,
-    type_stratum,
 )
 
 CASES = {
@@ -38,12 +38,6 @@ CASES = {
 }
 
 
-def spec_for(alg, name):
-    if name.startswith("grade("):
-        return type_grade(alg, int(name[6:-1]))
-    return type_stratum(alg, name)
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--grid", type=int, default=2)
@@ -56,7 +50,7 @@ def main():
         print("| direction class | sharp jet order (grid) | family dim | stabilizer dim |")
         print("|---|---|---|---|")
         for name, coords in rows:
-            ts = spec_for(alg, name)
+            ts = parse_type(alg, name)
             x = alg.elem_from_grade_coords(coords)
             jets = min_jet_order_search(ts, x, grid=args.grid, r_max=alg.k + 2)
             fam = family_dimension(ts, x, grid=args.grid)

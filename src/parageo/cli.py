@@ -347,7 +347,8 @@ def build_parser():
         sp.add_argument("--algebra", required=True, help="catalog id, e.g. conf(1,2)")
         if with_type:
             sp.add_argument("--type", dest="type_spec",
-                            help="full_n | grade(-j) | null_cone | rank(r) | stratum name")
+                            help="full_n | grade(-j) | rank(r) | null_cone | a lagr3 or "
+                            "xxdot stratum type (a union of classify labels)")
         sp.add_argument("--grid", type=int, help="integer grid radius (default 2)")
         sp.add_argument("--output", help="write the report to this path")
         sp.add_argument("--format", choices=("json", "md"))

@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import factorial
 
 from ._fastgrid import IntPolyMat, product_in_p_pattern
-from .algebra import AlgElem, _same_algebra, group_exp, normal_form_P, truncated_Ad
+from .algebra import AlgElem, _same_algebra, group_exp, truncated_Ad
 from .errors import (
     BadReparam,
     NotInNilpotentPart,
@@ -47,33 +47,20 @@ from .poly import P_T, Poly
 
 
 class CurveSpec:
-    """The data (b, X) of a distinguished curve c^{b,X}(t) = b exp(tX) P.
+    """The data (b, X) of a distinguished curve c^{b,X}(t) = b exp(tX) P."""
 
-    ``b0`` and ``zs`` are the factors of b = b0 exp(Z_1) ... exp(Z_k)
-    (``normal_form_P``).  The general constructor factors b eagerly, which
-    also checks that b lies in P.  ``base`` and ``from_Z`` build b in
-    exp(p_+) (b = I or exp(Z), Z checked in p_+), so b0 = I there and
-    ``zs`` is factored on first access.
-    """
+    __slots__ = ("algebra", "b", "X", "_a_int")
 
-    __slots__ = ("algebra", "b", "X", "b0", "_zs", "_a_int")
-
-    def __init__(self, algebra, b, X, *, _b_in_exp_pplus=False):
+    def __init__(self, algebra, b, X):
         if b.algebra is not algebra or X.algebra is not algebra:
             raise NotInParabolic("curve data must live in the given algebra")
         if not b.in_P():
             raise NotInParabolic("base point b is not in P")
         if not X.in_n():
             raise NotInNilpotentPart("direction X is not in n")
-        if _b_in_exp_pplus:
-            b0, zs = algebra.group_identity(), None
-        else:
-            b0, zs = normal_form_P(b)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "b0", b0)
-        object.__setattr__(self, "_zs", zs)
         object.__setattr__(self, "_a_int", None)
 
     def __setattr__(self, name, value):
@@ -84,18 +71,11 @@ class CurveSpec:
         """Curve c^{exp(Z), X} for Z in p_+ (the reduced form of 2.5a)."""
         if not Z.in_p_plus():
             raise NotInParabolic("Z must lie in p_+")
-        return cls(algebra, group_exp(Z), X, _b_in_exp_pplus=True)
+        return cls(algebra, group_exp(Z), X)
 
     @classmethod
     def base(cls, algebra, X):
-        return cls(algebra, algebra.group_identity(), X, _b_in_exp_pplus=True)
-
-    @property
-    def zs(self):
-        """(Z_1, ..., Z_k) of b = b0 exp(Z_1) ... exp(Z_k)."""
-        if self._zs is None:
-            object.__setattr__(self, "_zs", normal_form_P(self.b)[1])
-        return self._zs
+        return cls(algebra, algebra.group_identity(), X)
 
     @property
     def ad_polymat(self):

@@ -24,7 +24,7 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .algebra import AlgElem, bracket, exp_nilpotent, truncated_Ad
+from .algebra import AlgElem, bracket, exp_nilpotent, group_exp, truncated_Ad
 from .catalog import MAX_JET_ORDER
 from .curves import CurveSpec, curves_equal, jet_equal, normal_coord_jet
 from .errors import (
@@ -46,20 +46,21 @@ from .poly import P_T
 class TypeSpec:
     """A G0-invariant set A of admissible directions in n.
 
-    ``kind`` is one of full_n / grade / null_cone / rank_stratum / stratum;
-    membership is always an exact predicate on coordinates.  ``label`` is
-    also the recipe that rebuilds the spec: ``parse_type(algebra, label)``
-    returns an equal spec, which is how worker processes get theirs.
+    ``kind`` is one of full_n / grade / stratum.  A grade type's ``data``
+    is its grade; a stratum type's is the frozenset of the
+    ``g0_orbit_classify`` labels of its members, so membership is always an
+    exact predicate on coordinates.  ``label`` is also the recipe that
+    rebuilds the spec: ``parse_type(algebra, label)`` returns an equal
+    spec, which is how worker processes get theirs.
     """
 
-    __slots__ = ("algebra", "kind", "label", "data", "_member")
+    __slots__ = ("algebra", "kind", "label", "data")
 
-    def __init__(self, algebra, kind, label, member, data=None):
+    def __init__(self, algebra, kind, label, data=None):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_member", member)
 
     def __setattr__(self, name, value):
         raise AttributeError("TypeSpec is immutable")
@@ -69,7 +70,11 @@ class TypeSpec:
             return False
         if not x.in_n():
             return False
-        return self._member(x)
+        if self.kind == "grade":
+            return x.in_grade(self.data)
+        if self.kind == "stratum":
+            return g0_orbit_classify(x) in self.data
+        return True
 
     def __repr__(self):
         return "TypeSpec(%s: %s)" % (self.algebra.name, self.label)
@@ -109,19 +114,65 @@ class TypeSpec:
 
 
 def type_full(alg):
-    return TypeSpec(alg, "full_n", "full_n", lambda x: True)
+    return TypeSpec(alg, "full_n", "full_n")
 
 
 def type_grade(alg, grade):
     if not (-alg.k <= grade <= -1):
         raise NotAMember("grade must be one of -1..-%d" % alg.k)
-    return TypeSpec(
-        alg,
-        "grade",
-        "grade(%d)" % grade,
-        lambda x: x.in_grade(grade),
-        data=grade,
-    )
+    return TypeSpec(alg, "grade", "grade(%d)" % grade, grade)
+
+
+# Every named type other than full_n and grade(-j) is a union of the G0
+# strata that g0_orbit_classify labels: {family: {type name: labels}}.
+# parse_type adds rank(r) = {"rank r"} ({"zero"} for r = 0) on grass and proj.
+STRATUM_TYPES = {
+    "conf": {"null_cone": frozenset({"null"})},
+    "lagr3": {
+        n: frozenset({n})
+        for n in ("lagrange1", "lagrange2", "contact-generic", "chain-equiv1", "chain-equiv2", "generic")
+    },
+    "xxdot": {
+        **{n: frozenset({n}) for n in ("x1", "X1", "contact-generic", "offcyl", "generic")},
+        "cylinder": frozenset({"chain", "cylinder-a1", "cylinder-a2", "cylinder-generic"}),
+        "cylinder-a1": frozenset({"chain", "cylinder-a1"}),
+        "cylinder-a2": frozenset({"chain", "cylinder-a2"}),
+    },
+}
+
+
+def type_stratum(alg, name):
+    """The named union of G0 strata of ``STRATUM_TYPES``."""
+    labels = STRATUM_TYPES.get(alg.family, {}).get(name)
+    if labels is None:
+        raise NotAMember("unknown stratum %r for %s" % (name, alg.name))
+    return TypeSpec(alg, "stratum", name, labels)
+
+
+def _parse_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParageoError("expected an integer, got %r" % text) from None
+
+
+def parse_type(alg, text):
+    """Type names: full_n, grade(-j), rank(r), or a ``STRATUM_TYPES`` name
+    (``null`` is null_cone).
+
+    Every TypeSpec label is such a name, so the label rebuilds its spec.
+    """
+    text = text.strip()
+    if text in ("full", "full_n", "n"):
+        return type_full(alg)
+    if text.startswith("grade(") and text.endswith(")"):
+        return type_grade(alg, _parse_int(text[6:-1]))
+    if text.startswith("rank(") and text.endswith(")"):
+        r = _parse_int(text[5:-1])
+        if alg.family not in ("grass", "proj"):
+            raise NotAMember("rank(r) is a Grassmannian type")
+        return TypeSpec(alg, "stratum", "rank(%d)" % r, frozenset({"rank %d" % r if r else "zero"}))
+    return type_stratum(alg, "null_cone" if text == "null" else text)
 
 
 def conf_norm_square(x):
@@ -131,39 +182,11 @@ def conf_norm_square(x):
     return sum(s * v * v for s, v in zip(signs, vec))
 
 
-def type_null_cone(alg):
-    if alg.family != "conf":
-        raise NotAMember("null_cone is a conformal type")
-    return TypeSpec(
-        alg,
-        "null_cone",
-        "null_cone",
-        lambda x: bool(x) and conf_norm_square(x) == 0,
-    )
-
-
 def grass_block(x):
     """The m x n block matrix of a grass/proj g_-1 element."""
     m, n = x.algebra.meta["x_shape"]
     vec = x.grade_coords(-1)
     return [[vec[i * n + j] for j in range(n)] for i in range(m)]
-
-
-def type_rank_stratum(alg, r):
-    if alg.family not in ("grass", "proj"):
-        raise NotAMember("rank_stratum is a Grassmannian type")
-    return TypeSpec(
-        alg,
-        "rank_stratum",
-        "rank(%d)" % r,
-        lambda x: rank(grass_block(x)) == r,
-        data=r,
-    )
-
-
-def _lagr3_parts(x):
-    gm1 = x.grade_coords(-1)
-    return gm1[0], gm1[1], x.grade_coords(-2)[0]
 
 
 def _xxdot_parts(x):
@@ -175,64 +198,9 @@ def _parallel(u, v):
     return u[0] * v[1] - u[1] * v[0] == 0
 
 
-_LAGR3_STRATA = {
-    "lagrange1": lambda a, b, c: a != 0 and b == 0 and c == 0,
-    "lagrange2": lambda a, b, c: a == 0 and b != 0 and c == 0,
-    "contact-generic": lambda a, b, c: a != 0 and b != 0 and c == 0,
-    "chain-equiv1": lambda a, b, c: a != 0 and b == 0 and c != 0,
-    "chain-equiv2": lambda a, b, c: a == 0 and b != 0 and c != 0,
-    "generic": lambda a, b, c: a != 0 and b != 0 and c != 0,
-}
-
-_XXDOT_STRATA = {
-    "x1": lambda x1, X1, X2: x1 != 0 and X1 == (0, 0) and X2 == (0, 0),
-    "X1": lambda x1, X1, X2: x1 == 0 and X1 != (0, 0) and X2 == (0, 0),
-    "contact-generic": lambda x1, X1, X2: x1 != 0 and X1 != (0, 0) and X2 == (0, 0),
-    "cylinder": lambda x1, X1, X2: X2 != (0, 0) and _parallel(X1, X2),
-    "cylinder-a1": lambda x1, X1, X2: x1 == 0 and X2 != (0, 0) and _parallel(X1, X2),
-    "cylinder-a2": lambda x1, X1, X2: X1 == (0, 0) and X2 != (0, 0),
-    "offcyl": lambda x1, X1, X2: x1 == 0 and not _parallel(X1, X2),
-    "generic": lambda x1, X1, X2: x1 != 0 and not _parallel(X1, X2),
-}
-
-
-def type_stratum(alg, name):
-    """Named G0-invariant strata of n for the contact-type catalogs."""
-    if alg.family == "lagr3" and name in _LAGR3_STRATA:
-        pred = _LAGR3_STRATA[name]
-        return TypeSpec(alg, "stratum", name, lambda x: pred(*_lagr3_parts(x)))
-    if alg.family == "xxdot" and name in _XXDOT_STRATA:
-        pred = _XXDOT_STRATA[name]
-        return TypeSpec(alg, "stratum", name, lambda x: pred(*_xxdot_parts(x)))
-    raise NotAMember("unknown stratum %r for %s" % (name, alg.name))
-
-
-def _parse_int(text):
-    try:
-        return int(text)
-    except ValueError:
-        raise ParageoError("expected an integer, got %r" % text) from None
-
-
-def parse_type(alg, text):
-    """Type names: full_n, grade(-j), null_cone, rank(r), or a stratum name.
-
-    Every TypeSpec label is such a name, so the label rebuilds its spec.
-    """
-    text = text.strip()
-    if text in ("full", "full_n", "n"):
-        return type_full(alg)
-    if text.startswith("grade(") and text.endswith(")"):
-        return type_grade(alg, _parse_int(text[6:-1]))
-    if text in ("null", "null_cone"):
-        return type_null_cone(alg)
-    if text.startswith("rank(") and text.endswith(")"):
-        return type_rank_stratum(alg, _parse_int(text[5:-1]))
-    return type_stratum(alg, text)
-
-
 def g0_orbit_classify(x):
-    """Stratum label of a direction under the reductive subgroup G0."""
+    """Stratum label of a direction under the reductive subgroup G0: the
+    one description of the strata that every named type is a union of."""
     alg = x.algebra
     if not x.in_n():
         raise NotInNilpotentPart("direction must lie in n")
@@ -246,27 +214,27 @@ def g0_orbit_classify(x):
     if alg.family in ("grass", "proj"):
         return "rank %d" % rank(grass_block(x))
     if alg.family == "lagr3":
-        a, b, c = _lagr3_parts(x)
-        for name, pred in _LAGR3_STRATA.items():
-            if pred(a, b, c):
-                return name
-        return "chain"
+        (a, b), c = x.grade_coords(-1), x.grade_coords(-2)[0]
+        if a and b:
+            return "generic" if c else "contact-generic"
+        if c:
+            return "chain-equiv1" if a else "chain-equiv2" if b else "chain"
+        return "lagrange1" if a else "lagrange2"
     if alg.family == "xxdot":
         x1, X1, X2 = _xxdot_parts(x)
         if X2 == (0, 0):
-            for name in ("x1", "X1", "contact-generic"):
-                if _XXDOT_STRATA[name](x1, X1, X2):
-                    return name
-        else:
-            if x1 == 0 and X1 == (0, 0):
-                return "chain"
-            if _parallel(X1, X2):
-                if x1 == 0:
-                    return "cylinder-a1"
-                if X1 == (0, 0):
-                    return "cylinder-a2"
-                return "cylinder-generic"
-            return "offcyl" if x1 == 0 else "generic"
+            if X1 == (0, 0):
+                return "x1"
+            return "contact-generic" if x1 else "X1"
+        if x1 == 0 and X1 == (0, 0):
+            return "chain"
+        if _parallel(X1, X2):
+            if x1 == 0:
+                return "cylinder-a1"
+            if X1 == (0, 0):
+                return "cylinder-a2"
+            return "cylinder-generic"
+        return "offcyl" if x1 == 0 else "generic"
     if alg.family == "su21":
         u = x.grade_coords(-1)
         v = x.grade_coords(-2)
@@ -296,19 +264,6 @@ def solve_direction(g, x):
     Truncated Ad is an action of P on n = g/p, so Y = truncated_Ad(g^-1, X).
     """
     return truncated_Ad(g.inverse(), x)
-
-
-def _n_coords(alg, pm):
-    """The Poly n coordinates of an IntPolyMat curve in g (express_poly)."""
-    coords = alg.express_poly(pm)
-    if coords is None:
-        raise OracleDisagreement("Ad image left the algebra span")
-    return [coords[i] for i in alg.n_indices]
-
-
-def _n_part(alg, mat):
-    """The n part of a constant IntPolyMat in g, as an element."""
-    return alg.elem_at(alg.n_indices, (p[0] for p in _n_coords(alg, mat)))
 
 
 def check_direction(ts, x):
@@ -799,7 +754,10 @@ def _truncated_ad_derivative(alg, z0, dz, y0, dy):
     zs = z0.matrix + dz.matrix.scale(P_T)
     ys = y0.matrix + dy.matrix.scale(P_T)
     img = (zs.exp().truncate(1) * ys * zs.exp(-1).truncate(1)).truncate(1)
-    return [p[1] for p in _n_coords(alg, img)]
+    coords = alg.express_poly(img)
+    if coords is None:
+        raise OracleDisagreement("Ad image left the algebra span")
+    return [coords[i][1] for i in alg.n_indices]
 
 
 def _orbit_points(ts, grid):
@@ -810,8 +768,8 @@ def _orbit_points(ts, grid):
     points = []
     for vals in iter_pplus_coords(alg, min(grid, 1)):
         z = pplus_elem(alg, vals)
-        e, einv = exp_nilpotent(z), exp_nilpotent(z, -1)
-        points.extend((z, x, _n_part(alg, e * x.matrix * einv)) for x in xs)
+        g = group_exp(z)
+        points.extend((z, x, truncated_Ad(g, x)) for x in xs)
     return points
 
 
@@ -866,19 +824,24 @@ def orbit_hull_dimension(ts, grid=2):
     )
 
 
+# Truncated-adjoint orbits known as unions of G0 strata: {family: {type name:
+# labels}}.  The grade(-2) orbit is 0 and the directions with a nonzero g_-2
+# part on lagr3, and the directions with X1 parallel to X2 on xxdot.
+ORBIT_STRATA = {
+    "lagr3": {"grade(-2)": frozenset({"zero", "chain", "chain-equiv1", "chain-equiv2", "generic"})},
+    "xxdot": {
+        "grade(-2)": frozenset({
+            "zero", "x1", "X1", "contact-generic",
+            "chain", "cylinder-a1", "cylinder-a2", "cylinder-generic",
+        })
+    },
+}
+
+
 def _orbit_description(alg, ts):
-    """Known parametric descriptions of truncated-adjoint orbits."""
+    """Known descriptions of truncated-adjoint orbits: a predicate on n."""
     if alg.k == 1:
         # p_+ acts trivially on g/p: the orbit of any set is the set itself
-        return lambda p: ts.contains(p)
-    if alg.family == "xxdot" and ts.kind == "grade" and ts.data == -2:
-        def cyl(p):
-            x1, X1, X2 = _xxdot_parts(p)
-            return _parallel(X1, X2)
-        return cyl
-    if alg.family == "lagr3" and ts.kind == "grade" and ts.data == -2:
-        def offcontact(p):
-            a, b, c = _lagr3_parts(p)
-            return bool(c) or (a == 0 and b == 0)
-        return offcontact
-    return None
+        return ts.contains
+    labels = ORBIT_STRATA.get(alg.family, {}).get(ts.label)
+    return None if labels is None else lambda p: g0_orbit_classify(p) in labels

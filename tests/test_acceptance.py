@@ -25,9 +25,8 @@ from parageo.lab import (
     orbit_hull_dimension,
     standard_fiber,
     type_full,
+    parse_type,
     type_grade,
-    type_null_cone,
-    type_rank_stratum,
     type_stratum,
     verify_prop41_claim,
     _iter_pair_stats,
@@ -176,7 +175,7 @@ def test_criterion_06_conformal_formulas():
                 assert lhs == rhs, (cid, i, j)
                 checked += 1
         # null directions: second components are multiples of X on the grid
-        fib = standard_fiber(type_null_cone(alg), grid=2)
+        fib = standard_fiber(parse_type(alg, "null_cone"), grid=2)
         for xc, sc, _ in fib.pairs:
             # X is nonzero, so a nonzero second component is a multiple of X
             # exactly when the two have rank 1
@@ -200,11 +199,11 @@ def test_criterion_07_grassmannian_formulas():
                 rhs = alg.elem_from_matrix((xb.matrix * zb.matrix * xb.matrix).scale(-2))
                 assert lhs == rhs, cid
     g12 = make_algebra("grass(1,2)")
-    fib = standard_fiber(type_rank_stratum(g12, 1), grid=2)
+    fib = standard_fiber(parse_type(g12, "rank(1)"), grid=2)
     for xc, sc, _ in fib.pairs:
         assert not any(sc) or rank([xc, sc]) == 1
     g22 = make_algebra("grass(2,2)")
-    fib2 = standard_fiber(type_rank_stratum(g22, 2), grid=1)
+    fib2 = standard_fiber(parse_type(g22, "rank(2)"), grid=1)
     hull = rank([list(sc) for _, sc, _ in fib2.pairs])
     assert hull == 4
     note(7, "Grassmannian -2XZX on all basis pairs; rank-1 fibers collinear; rank-2 hull = 4")

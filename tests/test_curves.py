@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from parageo.algebra import Ad, bracket, exp_nilpotent, group_exp
+from parageo.algebra import Ad, bracket, exp_nilpotent, group_exp, normal_form_P
 from parageo.catalog import make_algebra
 from parageo.curves import (
     CurveSpec,
@@ -106,10 +106,11 @@ def test_base_and_from_Z_specs_invert_nothing(monkeypatch, any_algebra):
     monkeypatch.setattr(Mat, "inverse", refuse)
     monkeypatch.setattr(Mat, "det", refuse)
     for c in (CurveSpec.base(alg, x), CurveSpec.from_Z(alg, z, x)):
-        assert c.b0 is alg.group_identity()
+        assert normal_form_P(c.b)[0] is alg.group_identity()
         assert c.ad_polymat == to_int(ad_matrix(c))
     c = CurveSpec(alg, b0 * group_exp(z), x)
-    assert c.b0 == b0 and c.zs[0] == z
+    nb0, zs = normal_form_P(c.b)
+    assert nb0 == b0 and zs[0] == z
     assert c.ad_polymat == to_int(ad_matrix(c))
 
 

@@ -22,12 +22,10 @@ from parageo.lab import (
     standard_fiber,
     type_full,
     type_grade,
-    type_null_cone,
-    type_rank_stratum,
     type_stratum,
     verify_prop41_claim,
-    _LAGR3_STRATA,
-    _XXDOT_STRATA,
+    ORBIT_STRATA,
+    STRATUM_TYPES,
     _iter_pair_stats,
     _orbit_points,
     _pair_stats,
@@ -43,7 +41,6 @@ from fraction_reference import (
 )
 from paper_checks import (
     admissible_pairs,
-    chain_family_reparam_check,
     double_bracket_solution,
     g0_samples,
     mobius_candidate_between,
@@ -73,7 +70,7 @@ def test_type_membership(lagr3, xxdot):
 
 def test_type_null_cone():
     conf = make_algebra("conf(1,2)")
-    null = type_null_cone(conf)
+    null = parse_type(conf, "null_cone")
     e = conf.elem_from_grade_coords
     assert null.contains(e({-1: (1, 1, 0)}))
     assert not null.contains(e({-1: (1, 0, 0)}))
@@ -82,8 +79,8 @@ def test_type_null_cone():
 
 def test_type_rank_stratum():
     g = make_algebra("grass(2,2)")
-    r1 = type_rank_stratum(g, 1)
-    r2 = type_rank_stratum(g, 2)
+    r1 = parse_type(g, "rank(1)")
+    r2 = parse_type(g, "rank(2)")
     e = g.elem_from_grade_coords
     assert r1.contains(e({-1: (1, 0, 0, 0)}))
     assert r2.contains(e({-1: (1, 0, 0, 1)}))
@@ -93,14 +90,9 @@ def test_type_rank_stratum():
 def test_types_are_g0_invariant(any_algebra):
     alg = any_algebra
     specs = [type_full(alg)] + [type_grade(alg, -j) for j in range(1, alg.k + 1)]
-    if alg.family == "conf":
-        specs.append(type_null_cone(alg))
+    specs += [type_stratum(alg, name) for name in STRATUM_TYPES.get(alg.family, ())]
     if alg.family in ("grass", "proj"):
-        specs.append(type_rank_stratum(alg, 1))
-    if alg.family == "lagr3":
-        specs += [type_stratum(alg, s) for s in ("lagrange1", "contact-generic", "generic")]
-    if alg.family == "xxdot":
-        specs += [type_stratum(alg, s) for s in ("x1", "X1", "cylinder", "generic")]
+        specs.append(parse_type(alg, "rank(1)"))
     for ts in specs:
         members = [x for x in ts.grid(1)][:8]
         for g0 in g0_samples(alg):
@@ -114,12 +106,9 @@ def test_type_labels_rebuild_their_specs():
     for cid in ALL_IDS:
         alg = make_algebra(cid)
         specs += [type_full(alg)] + [type_grade(alg, -j) for j in range(1, alg.k + 1)]
-    lagr3, xxdot = make_algebra("lagr3"), make_algebra("xxdot")
-    specs += [type_stratum(lagr3, name) for name in _LAGR3_STRATA]
-    specs += [type_stratum(xxdot, name) for name in _XXDOT_STRATA]
+        specs += [type_stratum(alg, name) for name in STRATUM_TYPES.get(alg.family, ())]
     grass = make_algebra("grass(2,2)")
-    specs += [type_rank_stratum(grass, r) for r in range(3)]
-    specs += [type_null_cone(make_algebra(cid)) for cid in ("conf(1,1)", "conf(1,2)")]
+    specs += [parse_type(grass, "rank(%d)" % r) for r in range(3)]
     for ts in specs:
         rebuilt = parse_type(ts.algebra, ts.label)
         assert rebuilt.label == ts.label
@@ -157,6 +146,36 @@ def test_classify_is_g0_invariant(any_algebra):
         label = g0_orbit_classify(x)
         for g0 in g0_samples(alg):
             assert g0_orbit_classify(Ad(g0, x)) == label
+
+
+# member counts of every named type on the full_n grid of radius 1
+NAMED_TYPE_COUNTS = {
+    "conf(1,1)": {"null_cone": 4},
+    "conf(1,2)": {"null_cone": 8},
+    "proj(2)": {"rank(0)": 1, "rank(1)": 8},
+    "grass(2,2)": {"rank(0)": 1, "rank(1)": 32, "rank(2)": 48},
+    "lagr3": {"lagrange1": 2, "lagrange2": 2, "contact-generic": 4, "chain-equiv1": 4,
+              "chain-equiv2": 4, "generic": 8},
+    "xxdot": {"x1": 2, "X1": 8, "contact-generic": 16, "cylinder": 72, "cylinder-a1": 24,
+              "cylinder-a2": 24, "offcyl": 48, "generic": 96},
+}
+
+
+@pytest.mark.parametrize("cid", sorted(NAMED_TYPE_COUNTS))
+def test_named_types_are_unions_of_classify_labels(cid):
+    # every stratum type and known orbit is a set of labels that classify
+    # returns on the full_n grid, so a typo in a table shows here
+    alg = make_algebra(cid)
+    seen = {g0_orbit_classify(x) for x in type_full(alg).grid(2)}
+    counts = NAMED_TYPE_COUNTS[cid]
+    names = set(STRATUM_TYPES.get(alg.family, ()))
+    if alg.family in ("grass", "proj"):
+        names = {"rank(%d)" % r for r in range(min(alg.meta["x_shape"]) + 1)}
+    assert set(counts) == names
+    specs = [parse_type(alg, name) for name in counts]
+    assert all(ts.kind == "stratum" and ts.data <= seen for ts in specs)
+    assert all(labels <= seen for labels in ORBIT_STRATA.get(alg.family, {}).values())
+    assert {ts.label: len(list(ts.grid(1))) for ts in specs} == counts
 
 
 def test_classify_examples(lagr3):
@@ -561,11 +580,6 @@ def test_stabilizer_members_reverify(lagr3):
         z = pplus_elem(lagr3, flat)
         y = solve_direction(group_exp(z), x)
         assert curves_equal(base, CurveSpec.from_Z(lagr3, z, y))
-
-
-def test_chain_reparam_family(lagr3):
-    n, fails = chain_family_reparam_check(lagr3, lagr3.elem_from_grade_coords({-2: (2,)}), grid=2)
-    assert n == 5 and not fails
 
 
 def test_chain_equivalence_of_strata(lagr3, xxdot):
