@@ -21,8 +21,11 @@ oracle.  Every grid pair runs on the exact integer engine of
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .algebra import AlgElem, bracket, exp_nilpotent, group_exp, truncated_Ad
 from .catalog import MAX_JET_ORDER
@@ -603,17 +606,39 @@ class FiberSample:
 
 
 def standard_fiber(ts, grid=2):
-    """All admissible 2-jets (X, [X,[X,Z]]) over the grid, Z in g_1."""
+    """All admissible 2-jets (X, [X,[X,Z]]) over the grid, Z in g_1.
+
+    ``second`` = [X,[X,Z]] is linear in Z, so each X takes only the double
+    brackets s_i = [X,[X,e_i]] of the g_1 basis e_i, and a grid Z with
+    integer coordinates v gets the exact combination sum_i v_i s_i.  Pairs
+    are X-major (X in ``ts.grid`` order), Z lexicographic in its g_1
+    coordinates.
+    """
     alg = ts.algebra
     if alg.k != 1:
         raise NotOneGraded("standard fiber is computed for |1|-graded algebras")
+    # p_+ = g_1 here; the Z grid is built once and shared by every X
+    zvals = list(iter_pplus_coords(alg, grid))
+    zcoords = [pplus_elem(alg, v).coords for v in zvals]
+    basis = alg.grade_basis(1)
+    zero = (Fraction(0),) * alg.dim
     pairs = []
-    zs = alg.grade_slices[1]
     for x in ts.grid(grid):
-        for vals in itertools.product(range(-grid, grid + 1), repeat=len(zs)):
-            z = alg.elem_at(zs, vals)
-            second = bracket(x, bracket(x, z))
-            pairs.append((tuple(x.coords), tuple(second.coords), tuple(z.coords)))
+        images = [bracket(x, bracket(x, e)).coords for e in basis]
+        # the images over one denominator: the integer column den * s_i[m]
+        # of every coordinate m that some s_i reaches
+        den = lcm(*(c.denominator for s in images for c in s))
+        cols = [(m, [int(s[m] * den) for s in images]) for m in range(alg.dim) if any(s[m] for s in images)]
+        fracs = {}  # numerator -> Fraction(numerator, den), built once
+        for v, zc in zip(zvals, zcoords):
+            second = list(zero)
+            for m, col in cols:
+                num = sum(map(operator.mul, v, col))
+                f = fracs.get(num)
+                if f is None:
+                    f = fracs[num] = Fraction(num, den)
+                second[m] = f
+            pairs.append((x.coords, tuple(second), zc))
     return FiberSample(alg.name, ts.label, grid, tuple(pairs))
 
 

@@ -1,6 +1,8 @@
 """Paper checks that only the tests run: G0 samples, the [X,[X,Z]] solve,
-projective-structure witnesses, Moebius seeds and the chain-family check."""
+projective-structure witnesses, Moebius seeds, the chain-family check and
+the direct standard-fiber loop."""
 
+import itertools
 from fractions import Fraction
 
 from parageo.algebra import AlgElem, bracket
@@ -195,3 +197,18 @@ def chain_family_reparam_check(alg, x, grid=2):
             failures.append("map failed verification for Z=%s" % (tuple(z.coords),))
         n += 1
     return n, failures
+
+
+def standard_fiber_pairs(ts, grid):
+    """The (X coords, [X,[X,Z]] coords, Z coords) pairs of the standard
+    fiber by the direct loop, one ``elem_at`` and two brackets per (X, Z):
+    the reference for ``lab.standard_fiber``."""
+    alg = ts.algebra
+    zs = alg.grade_slices[1]
+    pairs = []
+    for x in ts.grid(grid):
+        for vals in itertools.product(range(-grid, grid + 1), repeat=len(zs)):
+            z = alg.elem_at(zs, vals)
+            second = bracket(x, bracket(x, z))
+            pairs.append((tuple(x.coords), tuple(second.coords), tuple(z.coords)))
+    return tuple(pairs)

@@ -1,9 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import parageo
 from parageo import catalog
 from parageo.catalog import MAX_JET_ORDER, MAX_MATRIX_DIM, make_algebra
 from parageo.cli import ExperimentConfig, emit, main, parse_direction, run
@@ -129,6 +134,22 @@ def test_main_writes_output(tmp_path):
     assert code == 0
     data = json.loads(out.read_bytes())
     assert data["schema"] == "parageo/1"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # ``python -m parageo`` is the console script, from any directory
+    src = str(pathlib.Path(parageo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "parageo", *argv], capture_output=True, cwd=tmp_path, env=env, timeout=120
+        )
+
+    ok = cli("catalog")
+    assert ok.returncode == 0 and json.loads(ok.stdout)["schema"] == "parageo/1"
+    bad = cli("fiber", "--algebra", "conf(1,1)", "--grid", "-1")
+    assert bad.returncode == 2 and b"grid bound must be >= 0" in bad.stderr
 
 
 def test_main_exit_codes(capsys):

@@ -280,6 +280,20 @@ REPORT_GOLDEN = [
         dict(command="fiber", algebra="conf(1,1)", type_spec="null_cone", grid=2),
         "86c3e73a5e7ac610f3322e0481914dbdb0da9267a6e1932f983a661b4323a195",
     ),
+    # pinned before the fiber took [X,[X,Z]] by linearity in Z: the
+    # benchmark's fiber job and both grass(2,2) fiber types
+    (
+        dict(command="fiber", algebra="conf(1,2)", type_spec="full_n", grid=2),
+        "fd0b75a8024ba67a58f2cf0b04e4f524cfc3a60565b3430b1f34edbbfac5a56a",
+    ),
+    (
+        dict(command="fiber", algebra="grass(2,2)", type_spec="full_n", grid=1),
+        "78b603703040d611229dd14ade59f570d4c25b4e6e8ed01735a4ef0d435a5f8c",
+    ),
+    (
+        dict(command="fiber", algebra="grass(2,2)", type_spec="rank(1)", grid=1),
+        "8648532f0dc9182f625b40c83d65dfeca31fd6cd088cc25551a7b58aeae3fe8d",
+    ),
     (
         dict(command="family", algebra="proj(2)", type_spec="grade(-1)", grid=2),
         "760ffc41dae259a963f0501dd841eb5571140c47447d0cfb4936ae9fc76f8f37",

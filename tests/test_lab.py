@@ -24,6 +24,7 @@ from parageo.lab import (
     type_grade,
     type_stratum,
     verify_prop41_claim,
+    FiberSample,
     ORBIT_STRATA,
     STRATUM_TYPES,
     _iter_pair_stats,
@@ -44,6 +45,7 @@ from paper_checks import (
     double_bracket_solution,
     g0_samples,
     mobius_candidate_between,
+    standard_fiber_pairs,
 )
 from poly_reference import exp_mat, frac_matrix
 
@@ -528,9 +530,56 @@ def test_standard_fiber_contains_zero_section():
         assert any(p[0] == xc and not any(p[1]) for p in fib.pairs)
 
 
-def test_standard_fiber_needs_one_grading(lagr3):
-    with pytest.raises(NotOneGraded):
-        standard_fiber(type_full(lagr3), grid=1)
+def _no_bracket(x, y):
+    raise AssertionError("bracket called")
+
+
+def test_standard_fiber_needs_one_grading(lagr3, monkeypatch):
+    # the grading is checked first: before the grid bound and any bracket
+    monkeypatch.setattr("parageo.lab.bracket", _no_bracket)
+    for grid in (1, -1):
+        with pytest.raises(NotOneGraded):
+            standard_fiber(type_full(lagr3), grid=grid)
+
+
+ONE_GRADED_IDS = [cid for cid in ALL_IDS if make_algebra(cid).k == 1]
+
+
+def _fiber_types(alg):
+    """full_n, and the named stratum types of the fiber reports."""
+    names = ["full_n"]
+    if alg.family == "conf":
+        names.append("null_cone")
+    if alg.family in ("grass", "proj"):
+        names.append("rank(1)")
+    return [parse_type(alg, name) for name in names]
+
+
+@pytest.mark.parametrize("cid", ONE_GRADED_IDS)
+def test_standard_fiber_matches_direct_loop(cid):
+    # second = sum_i v_i [X,[X,e_i]] against one elem_at and two brackets
+    # per pair, pair for pair and in the same order
+    for ts in _fiber_types(make_algebra(cid)):
+        fib = standard_fiber(ts, grid=1)
+        ref = standard_fiber_pairs(ts, 1)
+        assert ref and fib.pairs == ref
+        assert fib.to_jsonable() == FiberSample(fib.algebra, fib.type_label, 1, ref).to_jsonable()
+
+
+@pytest.mark.parametrize("cid", ONE_GRADED_IDS)
+def test_standard_fiber_grid_0_is_the_zero_pair(cid):
+    alg = make_algebra(cid)
+    zero = alg.zero_elem()
+    for ts in _fiber_types(alg):
+        expect = ((zero.coords,) * 3,) if ts.contains(zero) else ()
+        assert standard_fiber(ts, grid=0).pairs == expect
+
+
+def test_standard_fiber_negative_grid():
+    conf = make_algebra("conf(1,1)")
+    for ts in _fiber_types(conf):
+        with pytest.raises(EmptyGrid, match="grid bound must be >= 0"):
+            standard_fiber(ts, grid=-1)
 
 
 def test_fiber_invariance(any_algebra):
