@@ -10,8 +10,8 @@ of the product only.  ``IntPolyMat.exp`` (so ``exp_nilpotent`` and
 ``group_exp``), the kernel's exp(+-Z), exp(tX) and exp(-t A2), and the
 cleared series of ``verify_reparam`` are that series.
 
-``IntPolyMat`` (at the end of this module) is the one matrix type past
-the catalog boundary, constant or polynomial: the matrix of an algebra
+``IntPolyMat`` (at the end of this module) is the library's one matrix
+type, constant or polynomial: the matrix of an algebra
 element (``AlgElem.matrix``, summed on the algebra's integer
 ``basis_entries``), a group element and its inverse, Ad and the normal
 form of P, comparison curves, the lemma identity checkers and the
@@ -21,7 +21,7 @@ it.  Coordinates are read through the algebra's one integer frame, built
 with the algebra (``GradedAlgebra.express`` for a constant, ``express_poly``
 for a curve; ``GridKernel`` reads the same extractor terms).
 ``IntPolyMat.from_mats`` is the one conversion from a ``Fraction`` ``Mat``,
-for a user's group matrix.
+for a user's group matrix; this module imports no ``Mat``.
 
 Every grid search (``jets``, ``family`` and their worker fan-out) runs its
 pairs on ``GridKernel``, for every catalog algebra and every rational base
@@ -47,7 +47,6 @@ from itertools import zip_longest
 from math import factorial, gcd, lcm
 
 from .errors import NotNilpotent
-from .matrices import Mat
 from .poly import Poly
 
 _F0 = Fraction(0)
@@ -350,7 +349,8 @@ class IntPolyMat:
     coefficients, and a product divides out the gcd of its entries and
     denominator.  Products convolve ``_imul``; equality cross-multiplies
     the denominators; ``GradedAlgebra.express`` and ``express_poly`` read
-    coordinates.
+    coordinates.  The repr is the constructor call: d, the integer
+    coefficients and den.
     """
 
     __slots__ = ("d", "coeffs", "den")
@@ -438,15 +438,5 @@ class IntPolyMat:
         """True when every coefficient vanishes at the forbidden positions."""
         return all(not c[i][j] for c in self.coeffs for i, j in alg.forbidden_positions)
 
-    def to_mat(self):
-        """The same matrix as a Mat with Poly entries."""
-        d, den = self.d, self.den
-        return Mat(
-            tuple(
-                tuple(Poly(tuple(Fraction(c[i][j], den) for c in self.coeffs)) for j in range(d))
-                for i in range(d)
-            )
-        )
-
     def __repr__(self):
-        return "IntPolyMat(%s)" % self.to_mat()
+        return "IntPolyMat(%d, %r, %d)" % (self.d, list(self.coeffs), self.den)

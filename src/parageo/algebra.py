@@ -12,15 +12,17 @@ Matrix entries and coordinates are rationals.  A complex realization is
 realified by the catalog before it gets here (su(2,1) as 2x2 real blocks),
 so the coordinates of a matrix are read off its entries directly.
 
-The catalog's ``Fraction`` basis ``Mat``s are read once, at construction:
-they must be integral, and two ``rref`` calls (the only ``Fraction``
-arithmetic of the build) give one integer frame, the extractor terms over
-one scale and the integer basis entries.  Past that every constant matrix
-is an integer ``IntPolyMat``: an element's matrix (summed on the basis
-entries), a ``GroupElem``'s matrix and inverse, and the Ad and normal-form
-products.  One integer reader with its span check always on gives the
-coordinates of ``express`` (a constant matrix), ``express_poly`` (each
-coefficient of a curve) and of every commutator in the bracket table.
+The catalog gives each basis matrix as its nonzero integer entries
+{(row, col): int}, read at construction into ``basis_entries`` (a
+non-integer entry or one off the matrix's grade raises ``ValueError``).
+Two ``rref`` calls on ``Fraction`` rows (the only ``Fraction`` arithmetic
+of the build) give one integer frame: the extractor terms over one scale.
+Past that every constant matrix is an integer ``IntPolyMat``: an
+element's matrix (summed on the basis entries), a ``GroupElem``'s matrix
+and inverse, and the Ad and normal-form products.  One integer reader
+with its span check always on gives the coordinates of ``express`` (a
+constant matrix), ``express_poly`` (each coefficient of a curve) and of
+every commutator in the bracket table.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ class GradedAlgebra:
         weights = []
         for b, size in enumerate(self.block_sizes):
             weights.extend([nblocks - 1 - b] * size)
-        self.row_weights = tuple(weights)
 
         d = self.matrix_dim
         self.position_grade = tuple(
@@ -74,22 +75,23 @@ class GradedAlgebra:
             (i, j) for i in range(d) for j in range(d) if self.position_grade[i][j] < 0
         )
 
-        # flattened basis, grades ascending
-        self.basis = []
-        self.basis_grades = []
-        self.grade_slices = {}
+        # the basis, grades ascending: each matrix as its nonzero integer
+        # entries (r, v) at row-major positions r = i*d + j
+        entries, grades, self.grade_slices = [], [], {}
         for grade in range(-k, k + 1):
-            mats = basis_by_grade.get(grade, ())
-            start = len(self.basis)
-            for m in mats:
-                self._check_grade_purity(m, grade)
-                self.basis.append(m)
-            self.grade_slices[grade] = range(start, len(self.basis))
-        self.basis = tuple(self.basis)
-        for grade in range(-k, k + 1):
-            self.basis_grades.extend([grade] * len(self.grade_slices[grade]))
-        self.basis_grades = tuple(self.basis_grades)
-        self.dim = len(self.basis)
+            start = len(entries)
+            for m in basis_by_grade.get(grade, ()):
+                for (i, j), v in m.items():
+                    if not isinstance(v, int):
+                        raise ValueError("%s: basis matrix %d is not integral" % (name, len(entries)))
+                    if self.position_grade[i][j] != grade:
+                        raise ValueError("%s: basis matrix %d leaves grade %d" % (name, len(entries), grade))
+                entries.append(tuple(sorted((i * d + j, v) for (i, j), v in m.items())))
+            self.grade_slices[grade] = range(start, len(entries))
+            grades.extend([grade] * (len(entries) - start))
+        self.basis_entries = tuple(entries)
+        self.basis_grades = tuple(grades)
+        self.dim = len(entries)
         self.n_indices = tuple(i for i, g in enumerate(self.basis_grades) if g < 0)
         self.pplus_indices = tuple(i for i, g in enumerate(self.basis_grades) if g > 0)
 
@@ -100,26 +102,17 @@ class GradedAlgebra:
 
     # -- construction helpers ------------------------------------------------
 
-    def _check_grade_purity(self, m, grade):
-        for i in range(self.matrix_dim):
-            for j in range(self.matrix_dim):
-                if m.rows[i][j] and self.position_grade[i][j] != grade:
-                    raise ValueError(
-                        "%s: basis matrix of grade %d has an entry at position "
-                        "(%d,%d) of grade %d" % (self.name, grade, i, j, self.position_grade[i][j])
-                    )
-
     def _build_frame(self):
-        # the catalog's Fraction basis is read once.  Let B have one column
-        # per basis matrix, flattened row-major (entry (i, j) at r = i*d + j).
-        # The rows R of B taken greedily while they stay independent are the
-        # pivot columns of rref(B^T); coords of v in span(B) are
-        # inv(B[R]) @ v[R], and inv(B[R]) is the right half of rref([B[R] | I])
+        # Let B have one column per basis matrix, flattened row-major (entry
+        # (i, j) at r = i*d + j).  The rows R of B taken greedily while they
+        # stay independent are the pivot columns of rref(B^T); coords of v
+        # in span(B) are inv(B[R]) @ v[R], and inv(B[R]) is the right half
+        # of rref([B[R] | I]).  rref divides, so it gets Fraction rows
         n = self.dim
-        vecs = [[e for row in m.rows for e in row] for m in self.basis]
-        for idx, vec in enumerate(vecs):
-            if any(e.denominator != 1 for e in vec):
-                raise ValueError("%s: basis matrix %d is not integral" % (self.name, idx))
+        vecs = [[_ZERO] * self.matrix_dim**2 for _ in range(n)]
+        for vec, entries in zip(vecs, self.basis_entries):
+            for r, v in entries:
+                vec[r] = Fraction(v)
         chosen = rref(vecs)[1]
         if len(chosen) != n:
             raise ValueError("%s: basis matrices are linearly dependent" % self.name)
@@ -129,15 +122,13 @@ class GradedAlgebra:
         ]
         inverse = [row[n:] for row in rref(augmented)[0]]
         # the integer frame: coordinate m of a matrix with row-major entries
-        # v is sum(c * v[r] for c, r in extract_terms[m]) / extract_scale,
-        # and basis_entries[m] lists the nonzero (r, int) entries of B_m;
-        # catalog bases are almost all unit matrices, so both are short
+        # v is sum(c * v[r] for c, r in extract_terms[m]) / extract_scale;
+        # catalog bases are almost all unit matrices, so the terms are short
         scale = lcm(*(e.denominator for row in inverse for e in row))
         self.extract_scale = scale
         self.extract_terms = tuple(
             tuple((int(e * scale), r) for r, e in zip(chosen, row) if e) for row in inverse
         )
-        self.basis_entries = tuple(tuple((r, int(e)) for r, e in enumerate(vec) if e) for vec in vecs)
 
     def _build_bracket_table(self):
         # [b_i, b_j] on the integer basis, for i <= j only: the (j, i) entry
@@ -477,9 +468,6 @@ class GroupElem:
 
     def in_P(self):
         return self.mat.in_p_pattern(self.algebra)
-
-    def in_G0(self):
-        return self.mat == self.algebra.position_part(self.mat, lambda g: g == 0)
 
     def __repr__(self):
         return "GroupElem(%s; %s)" % (self.algebra.name, self.mat)

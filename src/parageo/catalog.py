@@ -26,8 +26,14 @@ su(2,1) is written as complex 3x3 matrices and realified at build time:
 each entry a + bi becomes the real 2x2 block [[a, -b], [b, a]].
 Realification is an injective ring homomorphism, so brackets, grades and
 the P block pattern carry over exactly, and every catalog algebra has
-rational entries.  Its reports keep the field and matrix dimension of the
+integer entries.  Its reports keep the field and matrix dimension of the
 complex realization, from its meta "labels".
+
+Every basis matrix, and each invariant form in a meta (conf's and su21's
+"form", su21's "complex_structure"), is given as its nonzero integer
+entries {(row, col): int}.  ``validate_group_matrix``, the membership test
+of a user's group matrix, builds the ``Fraction`` ``Mat`` of a form when
+it is called.
 """
 
 from __future__ import annotations
@@ -43,25 +49,23 @@ from .errors import BadParams, UnknownCatalogName
 from .matrices import Mat
 from .scalars import GaussianRational
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
-
-def _unit(d, i, j, val=_F1):
-    rows = [[_F0] * d for _ in range(d)]
-    rows[i][j] = val
-    return Mat(rows)
-
-
-def _realified(d, entries):
-    """The 2d x 2d real matrix of the d x d complex matrix whose nonzero
-    entries are {(row, col): (re, im)}: a + bi becomes [[a, -b], [b, a]]."""
-    rows = [[_F0] * (2 * d) for _ in range(2 * d)]
+def _realified(entries):
+    """The nonzero entries {(row, col): int} of the real matrix of the
+    complex matrix whose nonzero entries are {(row, col): (re, im)}:
+    a + bi becomes [[a, -b], [b, a]]."""
+    out = {}
     for (r, c), (a, b) in entries.items():
-        a, b = Fraction(a), Fraction(b)
-        rows[2 * r][2 * c], rows[2 * r][2 * c + 1] = a, -b
-        rows[2 * r + 1][2 * c], rows[2 * r + 1][2 * c + 1] = b, a
-    return Mat(rows)
+        for (i, j), v in (((0, 0), a), ((0, 1), -b), ((1, 0), b), ((1, 1), a)):
+            if v:
+                out[2 * r + i, 2 * c + j] = v
+    return out
+
+
+def _mat(d, entries):
+    """The Fraction Mat of the d x d integer matrix with nonzero entries
+    {(row, col): int}."""
+    return Mat([Fraction(entries.get((i, j), 0)) for j in range(d)] for i in range(d))
 
 
 # -- builders -----------------------------------------------------------------
@@ -74,11 +78,11 @@ def _build_sl(name, family, params, blocks, meta=None):
     k = len(blocks) - 1
     block = [b for b, size in enumerate(blocks) for _ in range(size)]
     by_grade = {g: [] for g in range(-k, k + 1)}
-    by_grade[0] = [_unit(d, a, a) - _unit(d, a + 1, a + 1) for a in range(d - 1)]
+    by_grade[0] = [{(a, a): 1, (a + 1, a + 1): -1} for a in range(d - 1)]
     for i in range(d):
         for j in range(d):
             if i != j:
-                by_grade[block[j] - block[i]].append(_unit(d, i, j))
+                by_grade[block[j] - block[i]].append({(i, j): 1})
     return GradedAlgebra(name, family, params, k, blocks, by_grade, meta=meta)
 
 
@@ -100,22 +104,15 @@ def _build_conf(p, q):
         raise BadParams("conf(p,q) needs p,q >= 0 and p+q >= 2; got (%d,%d)" % (p, q))
     nn = p + q
     d = nn + 2
-    signs = tuple([_F1] * p + [-_F1] * q)
-    neg = []
-    for i in range(nn):
-        neg.append(_unit(d, 1 + i, 0) + _unit(d, d - 1, 1 + i, -signs[i]))
-    g0 = [_unit(d, 0, 0) - _unit(d, d - 1, d - 1)]
+    signs = (1,) * p + (-1,) * q
+    neg = [{(1 + i, 0): 1, (d - 1, 1 + i): -signs[i]} for i in range(nn)]
+    g0 = [{(0, 0): 1, (d - 1, d - 1): -1}]
     for i in range(nn):
         for j in range(i + 1, nn):
-            g0.append(_unit(d, 1 + i, 1 + j) + _unit(d, 1 + j, 1 + i, -signs[i] * signs[j]))
-    pos = []
-    for i in range(nn):
-        pos.append(_unit(d, 0, 1 + i) + _unit(d, 1 + i, d - 1, -signs[i]))
-    form_rows = [[_F0] * d for _ in range(d)]
-    form_rows[0][d - 1] = _F1
-    form_rows[d - 1][0] = _F1
-    for i in range(nn):
-        form_rows[1 + i][1 + i] = signs[i]
+            g0.append({(1 + i, 1 + j): 1, (1 + j, 1 + i): -signs[i] * signs[j]})
+    pos = [{(0, 1 + i): 1, (1 + i, d - 1): -signs[i]} for i in range(nn)]
+    form = {(0, d - 1): 1, (d - 1, 0): 1}
+    form.update(((1 + i, 1 + i), s) for i, s in enumerate(signs))
     return GradedAlgebra(
         "conf(%d,%d)" % (p, q),
         "conf",
@@ -123,7 +120,7 @@ def _build_conf(p, q):
         1,
         (1, nn, 1),
         {-1: neg, 0: g0, 1: pos},
-        meta={"signs": signs, "form": Mat(form_rows)},
+        meta={"signs": signs, "form": form},
     )
 
 
@@ -133,18 +130,14 @@ def _build_su21():
     # constants are rational over this basis
     d = 3
     one, i1 = (1, 0), (0, 1)
-
-    def cm(entries):
-        return _realified(d, entries)
-
-    v = cm({(2, 0): i1})
-    u1 = cm({(1, 0): one, (2, 1): (-1, 0)})
-    u2 = cm({(1, 0): i1, (2, 1): i1})
-    h1 = cm({(0, 0): one, (2, 2): (-1, 0)})
-    h2 = cm({(0, 0): i1, (1, 1): (0, -2), (2, 2): i1})
-    z1 = cm({(0, 1): one, (1, 2): (-1, 0)})
-    z2 = cm({(0, 1): i1, (1, 2): i1})
-    w = cm({(0, 2): i1})
+    v = _realified({(2, 0): i1})
+    u1 = _realified({(1, 0): one, (2, 1): (-1, 0)})
+    u2 = _realified({(1, 0): i1, (2, 1): i1})
+    h1 = _realified({(0, 0): one, (2, 2): (-1, 0)})
+    h2 = _realified({(0, 0): i1, (1, 1): (0, -2), (2, 2): i1})
+    z1 = _realified({(0, 1): one, (1, 2): (-1, 0)})
+    z2 = _realified({(0, 1): i1, (1, 2): i1})
+    w = _realified({(0, 2): i1})
     return GradedAlgebra(
         "su21",
         "su21",
@@ -153,8 +146,8 @@ def _build_su21():
         (2, 2, 2),
         {-2: [v], -1: [u1, u2], 0: [h1, h2], 1: [z1, z2], 2: [w]},
         meta={
-            "form": cm({(0, 2): one, (1, 1): one, (2, 0): one}),
-            "complex_structure": cm({(a, a): i1 for a in range(d)}),
+            "form": _realified({(0, 2): one, (1, 1): one, (2, 0): one}),
+            "complex_structure": _realified({(a, a): i1 for a in range(d)}),
             "labels": {"field": "gaussian", "matrix_dim": d},
         },
     )
@@ -202,6 +195,12 @@ _ID_RE = re.compile(r"^\s*([a-z0-9]+)\s*(?:\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\))
 # (2R+1)^dim(p_+) pairs, which this limit does not bound (dim p_+ of
 # grass(n,m) is nm, and proj(11) at --grid 1 has 177,147 pairs).
 MAX_MATRIX_DIM = 11
+
+# Most points one grid visits: (2R+1)^m for radius R over m coordinates
+# (X points times Z points for the standard fiber); a larger grid fails
+# with GridTooLarge before any point is produced.  At about 113 us per
+# kernel pair this is about 2 minutes; it admits `jets proj(10) --grid 1`.
+MAX_GRID_POINTS = 10**6
 
 # Highest jet order a search accepts.  ad(X) lowers the grade, so
 # ad(X)^(2k+1) vanishes on g and every order past 2k+1 gets the verdict of
@@ -269,20 +268,20 @@ def validate_group_matrix(alg, mat):
     """Exact membership test of a matrix in the catalog group G."""
     if alg.family in ("proj", "grass", "lagr3", "xxdot"):
         return mat.det() == 1
+    d = alg.matrix_dim
     if alg.family == "conf":
-        form = alg.meta["form"]
+        form = _mat(d, alg.meta["form"])
         return mat.transpose() * form * mat == form
     if alg.family == "su21":
         # a complex matrix (commutes with J0), preserving the Hermitian form
         # (realified: M^T F M = F), of complex determinant 1
-        form, j0 = alg.meta["form"], alg.meta["complex_structure"]
+        form, j0 = _mat(d, alg.meta["form"]), _mat(d, alg.meta["complex_structure"])
         if mat * j0 != j0 * mat or mat.transpose() * form * mat != form:
             return False
         rows = mat.rows
-        d = len(rows) // 2
         complex_mat = Mat(
-            [GaussianRational(rows[2 * r][2 * c], rows[2 * r + 1][2 * c]) for c in range(d)]
-            for r in range(d)
+            [GaussianRational(rows[2 * r][2 * c], rows[2 * r + 1][2 * c]) for c in range(d // 2)]
+            for r in range(d // 2)
         )
         return complex_mat.det() == 1
     raise UnknownCatalogName(alg.family)

@@ -61,10 +61,6 @@ class ExperimentConfig:
         d.pop("output")
         return d
 
-    @classmethod
-    def from_jsonable(cls, d):
-        return cls(output=None, **d)
-
 
 # Largest accepted decimal exponent, as large as CPython's default limit on
 # the digits of an int string: Fraction expands an exponent to the full

@@ -119,9 +119,6 @@ class ComparisonCurve:
     def algebra(self):
         return self.c1.algebra
 
-    def delta_at_zero(self):
-        return AlgElem(self.algebra, tuple(p[0] for p in self.delta_coords))
-
 
 def comparison(c1, c2):
     """Comparison data of two curve specs in the same algebra."""

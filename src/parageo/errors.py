@@ -41,6 +41,10 @@ class EmptyGrid(ParageoError):
     """Enumeration grid contains no points."""
 
 
+class GridTooLarge(ParageoError):
+    """Enumeration grid has more points than MAX_GRID_POINTS."""
+
+
 class BadReparam(ParageoError):
     """Reparametrization violates phi(0)=0 or phi'(0) != 0."""
 

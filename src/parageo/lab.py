@@ -28,10 +28,11 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import AlgElem, bracket, exp_nilpotent, group_exp, truncated_Ad
-from .catalog import MAX_JET_ORDER
+from .catalog import MAX_GRID_POINTS, MAX_JET_ORDER
 from .curves import CurveSpec, curves_equal, jet_equal, normal_coord_jet
 from .errors import (
     EmptyGrid,
+    GridTooLarge,
     NotAMember,
     NotInNilpotentPart,
     NotOneGraded,
@@ -91,28 +92,30 @@ class TypeSpec:
             return alg.grade_slices[self.data]
         return alg.n_indices
 
-    def grid(self, bound):
-        """Deterministic enumeration of members with integer coordinates."""
-        if bound < 0:
-            raise EmptyGrid("grid bound must be >= 0")
+    def _members(self, values):
+        """Members with every parameter coordinate in ``values``, lexicographic."""
         idxs = self.param_indices()
-        for vals in itertools.product(range(-bound, bound + 1), repeat=len(idxs)):
+        for vals in itertools.product(values, repeat=len(idxs)):
             x = self.algebra.elem_at(idxs, vals)
             if self.contains(x):
                 yield x
 
+    def grid(self, bound):
+        """Deterministic enumeration of members with integer coordinates."""
+        check_grid(bound, len(self.param_indices()))
+        return self._members(range(-bound, bound + 1))
+
     def default_direction(self):
-        """A canonical member used by the CLI when no direction is given."""
-        fallback = None
+        """A canonical member used by the CLI when no direction is given:
+        at the first bound 1, 2, 3 with a nonzero member, the first one in
+        grid order with no negative coordinate, or else the first one.  The
+        grid order restricted to [0, b]^m is that of [0, b]^m, so that scan
+        comes first; each scan stops at its first hit."""
         for bound in (1, 2, 3):
-            for x in self.grid(bound):
-                if not x:
-                    continue
-                if all(c >= 0 for c in x.coords):
+            for values in (range(bound + 1), range(-bound, bound + 1)):
+                x = next(filter(None, self._members(values)), None)
+                if x is not None:
                     return x
-                fallback = fallback or x
-            if fallback is not None:
-                return fallback
         raise NotAMember("type %s has no small integer member" % self.label)
 
 
@@ -250,10 +253,24 @@ def g0_orbit_classify(x):
 # -- direction constraint ------------------------------------------------------
 
 
-def iter_pplus_coords(alg, bound):
-    """Integer coordinate tuples over the p_+ basis, lexicographic."""
+def check_grid(bound, n_coords):
+    """Raise EmptyGrid for a negative bound, and GridTooLarge when the grid
+    [-bound, bound]^n_coords has more than MAX_GRID_POINTS points."""
     if bound < 0:
         raise EmptyGrid("grid bound must be >= 0")
+    points = 1
+    for _ in range(n_coords):
+        points *= 2 * bound + 1
+        if points > MAX_GRID_POINTS:
+            raise GridTooLarge(
+                "grid of radius %d over %d coordinates has more than %d points"
+                % (bound, n_coords, MAX_GRID_POINTS)
+            )
+
+
+def iter_pplus_coords(alg, bound):
+    """Integer coordinate tuples over the p_+ basis, lexicographic."""
+    check_grid(bound, len(alg.pplus_indices))
     return itertools.product(range(-bound, bound + 1), repeat=len(alg.pplus_indices))
 
 
@@ -617,6 +634,8 @@ def standard_fiber(ts, grid=2):
     alg = ts.algebra
     if alg.k != 1:
         raise NotOneGraded("standard fiber is computed for |1|-graded algebras")
+    # the pairs are X points times Z points
+    check_grid(grid, len(ts.param_indices()) + len(alg.pplus_indices))
     # p_+ = g_1 here; the Z grid is built once and shared by every X
     zvals = list(iter_pplus_coords(alg, grid))
     zcoords = [pplus_elem(alg, v).coords for v in zvals]

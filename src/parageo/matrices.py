@@ -1,7 +1,7 @@
 """Exact square matrices over any of the library's rings.
 
 ``Mat`` is entry-agnostic: entries may be Fraction, Poly or any other
-exact commutative ring element (the catalog takes one complex
+exact commutative ring element (the su21 group check takes one complex
 determinant), and all operations go through the entries' own exact
 arithmetic.  A Fraction 0 stands for the zero of any entry ring, and
 ``scale`` keeps a zero entry as it is.  Determinants use Laplace expansion
@@ -13,17 +13,18 @@ no polynomial matrix exactly: every inverse it needs is known in closed
 form, as exp(-Z) or exp(-tA), or is a truncated power series (the pivot
 blocks of the normal-coordinate jet).
 
-Which engine runs where: ``Mat`` is the boundary form.  It holds the
-catalog's basis input, which ``GradedAlgebra`` reads once at construction
-(two ``rref`` calls give its one integer coordinate frame, and the bracket
-table is built on integer rows), and a user's group matrix, which
-``catalog.group_elem`` validates, inverts and converts once.  Past it every
-matrix, constant or polynomial, is an integer ``_fastgrid.IntPolyMat``
-(elements, group elements, Ad, the normal form, every nilpotent
-exponential, the curves, identities, jets, orbits and Prop. 4.1), and every
-grid pair runs on ``GridKernel``.  The
-``Mat``s with ``Poly`` entries that remain are ``IntPolyMat.to_mat`` (for
-``repr``) and the test references.
+Which engine runs where: ``Mat`` is the user group-matrix boundary and
+the oracles' type.  ``catalog.group_elem`` validates a user's group matrix
+(``validate_group_matrix`` builds the ``Mat`` of an invariant form from
+its integer entries when called), inverts it and converts it once; the
+test references compute on ``Mat``s with ``Fraction`` or ``Poly``
+entries.  No command of the command line constructs one: the catalog
+builds each basis matrix as its integer entries, ``GradedAlgebra`` reads
+them into one integer coordinate frame (two ``rref`` calls on
+``Fraction`` rows), and every other matrix, constant or polynomial, is an
+integer ``_fastgrid.IntPolyMat`` (elements, group elements, Ad, the normal
+form, every nilpotent exponential, the curves, identities, jets, orbits
+and Prop. 4.1), and every grid pair runs on ``GridKernel``.
 """
 
 from __future__ import annotations

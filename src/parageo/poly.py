@@ -1,9 +1,8 @@
 """Dense univariate polynomials over the rationals.
 
 Coefficients are Fraction (or plain int, which the arithmetic coerces on
-contact).  The zero polynomial has degree ``NEG_INF``, a distinguished
-minus-infinity marker, so degree arithmetic like deg(p*q) = deg p + deg q
-stays literally true.
+contact).  Trailing zero coefficients are dropped, so the zero polynomial
+has no coefficients.
 
 There is no rational-function type: the one check that needs a rational
 function, a Moebius reparametrization phi = N/D, clears the power of D
@@ -12,10 +11,7 @@ and becomes a polynomial identity (see ``reparam``).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-NEG_INF = -math.inf
 
 _SCALARS = (int, Fraction)
 
@@ -45,10 +41,6 @@ class Poly:
     @classmethod
     def t(cls):
         return cls((0, 1))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
     def is_zero(self):
         return not self.coeffs

@@ -57,16 +57,6 @@ class MobiusMap:
         raise AttributeError("MobiusMap is immutable")
 
     @classmethod
-    def identity(cls):
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def affine(cls, slope, shift=0):
-        if not slope:
-            raise ZeroVelocity("affine map needs a nonzero slope")
-        return cls(slope, shift, 0, 1)
-
-    @classmethod
     def from_seeds(cls, value0, velocity, acceleration):
         """Map with phi(0)=value0, phi'(0)=velocity, phi''(0)=acceleration."""
         a = Fraction(velocity)
@@ -81,21 +71,6 @@ class MobiusMap:
     def det(self):
         return self.a * self.d - self.b * self.c
 
-    def is_affine(self):
-        return self.c == 0
-
-    def compose(self, other):
-        """self after other: (self.compose(other))(t) = self(other(t))."""
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self):
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
-
     def seeds(self):
         """(phi(0), phi'(0), phi''(0)); needs no pole at the origin."""
         if not self.d:
@@ -106,12 +81,6 @@ class MobiusMap:
             det / (self.d * self.d),
             -2 * self.c * det / (self.d**3),
         )
-
-    def eval(self, x):
-        den = self.c * x + self.d
-        if not den:
-            raise ZeroDivisionError("evaluation at the pole")
-        return (self.a * x + self.b) / den
 
     def __eq__(self, other):
         if not isinstance(other, MobiusMap):

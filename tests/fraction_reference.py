@@ -18,7 +18,7 @@ The same pivot rows, coordinate extractor and bracket table as
 cofactor extractor of ``poly_reference.dense_frame`` (one rank test per
 candidate row, an inverse from Laplace cofactors, which shares no ``rref``
 with the build or with ``Mat.inverse``), and ``Fraction`` commutators of
-``alg.basis`` read by its ``express`` with a dense span check.  The Y of
+``basis_mats`` read by its ``express`` with a dense span check.  The Y of
 ``solve_direction`` and the orbit points are read by the same reader.
 
 The Jacobi identity on every basis triple through dense ``bracket_coords``
@@ -29,7 +29,7 @@ by its sparse "ad is a representation" check.
 from parageo.algebra import AlgElem
 from parageo.lab import iter_pplus_coords, pplus_elem
 from parageo.poly import P_T
-from poly_reference import dense_frame, exp_mat, express, frac_matrix, in_p_pattern, position_part
+from poly_reference import basis_mats, dense_frame, exp_mat, express, frac_matrix, in_p_pattern, position_part
 
 
 def solve_direction(e, einv, x):
@@ -99,10 +99,11 @@ def reference_orbit_points(ts, grid):
 def reference_build(alg):
     """(pivot rows, extractor rows, bracket table) of the dense build."""
     chosen, extractor, _ = dense_frame(alg)
+    basis = basis_mats(alg)
     table = []
-    for bi in alg.basis:
+    for bi in basis:
         row = []
-        for bj in alg.basis:
+        for bj in basis:
             coords = express(alg, bi * bj - bj * bi)
             assert coords is not None, "bracket of basis pair leaves the span"
             row.append(coords)

@@ -1,16 +1,16 @@
 """Paper checks that only the tests run: G0 samples, the [X,[X,Z]] solve,
-projective-structure witnesses, Moebius seeds, the chain-family check and
-the direct standard-fiber loop."""
+projective-structure witnesses, Moebius seeds, the chain-family check, the
+direct standard-fiber loop and the full-grid default-direction walk."""
 
 import itertools
 from fractions import Fraction
 
 from parageo.algebra import AlgElem, bracket
-from parageo.catalog import _realified, group_elem
+from parageo.catalog import group_elem
 from parageo.curves import CurveSpec, normal_coord_jet
 from parageo.errors import NotAMember, NotApplicableGrading, ZeroVelocity
 from parageo.lab import _iter_pair_stats, type_grade
-from parageo.matrices import rref
+from parageo.matrices import Mat, rref
 from parageo.poly import Poly
 from parageo.reparam import _proportionality, reparam_solve, verify_reparam
 
@@ -61,8 +61,19 @@ def g0_samples(alg):
         # diag(2, 1, 1/2) and diag(1 + i, -i, (1 + i)/2), realified
         half = Fraction(1, 2)
         for vals in (((2, 0), (1, 0), (half, 0)), ((1, 1), (0, -1), (half, half))):
-            out.append(group_elem(alg, _realified(3, {(a, a): v for a, v in enumerate(vals)})))
+            out.append(group_elem(alg, realified({(a, a): v for a, v in enumerate(vals)})))
     return out
+
+
+def realified(entries):
+    """The 6 x 6 real Fraction Mat of the complex 3 x 3 matrix whose
+    nonzero entries are {(row, col): (re, im)}: a + bi becomes the block
+    [[a, -b], [b, a]]."""
+    rows = [[_F0] * 6 for _ in range(6)]
+    for (r, c), (a, b) in entries.items():
+        rows[2 * r][2 * c], rows[2 * r][2 * c + 1] = Fraction(a), Fraction(-b)
+        rows[2 * r + 1][2 * c], rows[2 * r + 1][2 * c + 1] = Fraction(b), Fraction(a)
+    return Mat(rows)
 
 
 def _diag(vals):
@@ -212,3 +223,21 @@ def standard_fiber_pairs(ts, grid):
             second = bracket(x, bracket(x, z))
             pairs.append((tuple(x.coords), tuple(second.coords), tuple(z.coords)))
     return tuple(pairs)
+
+
+def default_direction_scan(ts):
+    """The default direction of a type by the full grid walk that
+    ``TypeSpec.default_direction`` replaced: at bounds 1, 2, 3, walk
+    ``ts.grid(bound)`` from (-b, ..., -b), return the first nonzero member
+    with no negative coordinate, or else the first nonzero member."""
+    fallback = None
+    for bound in (1, 2, 3):
+        for x in ts.grid(bound):
+            if not x:
+                continue
+            if all(c >= 0 for c in x.coords):
+                return x
+            fallback = fallback or x
+        if fallback is not None:
+            return fallback
+    raise NotAMember("type %s has no small integer member" % ts.label)

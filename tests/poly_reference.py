@@ -7,14 +7,15 @@ normal-coordinate jet, reparametrization check and orbit-probe curve as
 ``Mat``s whose entries are ``Poly`` with ``Fraction`` coefficients instead
 of on the integer ``IntPolyMat``: products go through ``Poly.__mul__``,
 Ad_b X is two ``Fraction`` products, and coordinates come from a dense
-cofactor extractor over ``alg.basis`` (``express`` below, cached per
+cofactor extractor over ``basis_mats`` (``express`` below, cached per
 algebra), which reads none of the algebra's own coordinate frame.  They
 take and return Poly-entry ``Mat``s; ``to_int`` converts one for the
-primary route.
-An algebra element enters as ``frac_matrix``, summed over ``alg.basis`` in
-``Fraction``s, and a group element as the ``Fraction`` form of its two
-integer matrices (``group_mats``), so no reference shares the arithmetic
-of the integer route.
+primary route, and ``to_mat`` converts an ``IntPolyMat`` back.
+The basis is ``basis_mats``: ``Fraction`` ``Mat``s built from the
+algebra's integer ``basis_entries``.  An algebra element enters as
+``frac_matrix``, summed over it in ``Fraction``s, and a group element as
+the ``Fraction`` form of its two integer matrices (``group_mats``), so no
+reference shares the arithmetic of the integer route.
 """
 
 from fractions import Fraction
@@ -36,15 +37,40 @@ from parageo.poly import P_ONE, P_T, Poly
 from parageo.reparam import _num_den
 
 
+def entries_mat(d, entries):
+    """The Fraction Mat of the d x d matrix with nonzero entries
+    {(row, col): value}."""
+    return Mat(tuple(tuple(Fraction(entries.get((i, j), 0)) for j in range(d)) for i in range(d)))
+
+
+@cache
+def basis_mats(alg):
+    """The basis of ``alg`` as Fraction Mats, built from its integer
+    ``basis_entries``: the oracles share no matrix object with the build."""
+    d = alg.matrix_dim
+    return tuple(entries_mat(d, {divmod(r, d): v for r, v in entries}) for entries in alg.basis_entries)
+
+
 def frac_matrix(x):
     """The Fraction Mat sum_m c_m B_m of an algebra element over
-    ``alg.basis``."""
+    ``basis_mats``."""
     alg = x.algebra
     acc = Mat.zero(alg.matrix_dim)
-    for c, b in zip(x.coords, alg.basis):
+    for c, b in zip(x.coords, basis_mats(alg)):
         if c:
             acc = acc + b.scale(c)
     return acc
+
+
+def to_mat(pm):
+    """The same matrix as an IntPolyMat ``pm``, as a Mat with Poly entries."""
+    d, den = pm.d, pm.den
+    return Mat(
+        tuple(
+            tuple(Poly(tuple(Fraction(c[i][j], den) for c in pm.coeffs)) for j in range(d))
+            for i in range(d)
+        )
+    )
 
 
 def const_mat(pm):
@@ -146,10 +172,10 @@ def cofactor_inverse(m):
 
 @cache
 def dense_frame(alg):
-    """(pivot rows, extractor rows, vectorized basis) over ``alg.basis``:
+    """(pivot rows, extractor rows, vectorized basis) over ``basis_mats``:
     one rank test per candidate row, and the inverse of the basis at the
     chosen rows from Laplace cofactors."""
-    vecs = [vectorize(m) for m in alg.basis]
+    vecs = [vectorize(m) for m in basis_mats(alg)]
     chosen, acc = [], []
     for r in range(len(vecs[0])):
         row = tuple(v[r] for v in vecs)
@@ -163,7 +189,7 @@ def dense_frame(alg):
 
 
 def express(alg, mat):
-    """Coordinates over ``alg.basis`` of a matrix with Fraction or Poly
+    """Coordinates over ``basis_mats`` of a matrix with Fraction or Poly
     entries, through the cofactor extractor of ``dense_frame`` with a dense
     span check at every position, or None off the span."""
     chosen, extractor, vecs = dense_frame(alg)

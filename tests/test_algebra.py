@@ -33,15 +33,19 @@ from parageo.poly import P_T, Poly
 
 from conftest import ALL_IDS, block_flag_sl, diag_group_elem, frame_extractor, full_flag_sl4
 from fraction_reference import exhaustive_jacobi_violations, reference_build
-from paper_checks import g0_samples
+from paper_checks import g0_samples, realified
 from poly_reference import (
+    basis_mats,
     const_mat,
+    entries_mat,
     exp_mat,
     express,
     express_poly,
     frac_matrix,
     log_unipotent,
+    position_part,
     to_int,
+    to_mat,
     vectorize,
 )
 
@@ -140,11 +144,11 @@ def test_grade_components_recombine(any_algebra):
 
 
 def test_exp_nilpotent_examples(lagr3, proj1):
-    assert exp_nilpotent(lagr3.zero_elem(), P_T).to_mat() == Mat.identity(3)
+    assert to_mat(exp_nilpotent(lagr3.zero_elem(), P_T)) == Mat.identity(3)
     e31 = lagr3.grade_basis(-2)[0]
     m = exp_nilpotent(e31, P_T)
-    assert m.to_mat().rows[2][0] == P_T
-    assert (m * exp_nilpotent(e31, -P_T)).to_mat() == Mat.identity(3)
+    assert to_mat(m).rows[2][0] == P_T
+    assert to_mat(m * exp_nilpotent(e31, -P_T)) == Mat.identity(3)
     with pytest.raises(NotNilpotent):
         h = proj1.grade_basis(0)[0]
         exp_nilpotent(h, P_T)
@@ -187,10 +191,16 @@ def test_ad_of_product_depth_3():
         assert Ad(g, x) == Ad(g0, Ad(group_exp(z1), Ad(group_exp(z2), x)))
 
 
+def _in_G0(g):
+    """True when the matrix of g is block diagonal."""
+    mat = const_mat(g.mat)
+    return mat == position_part(g.algebra, mat, lambda grade: grade == 0)
+
+
 def test_g0_preserves_grading(any_algebra):
     alg = any_algebra
     for g0 in g0_samples(alg):
-        assert g0.in_G0()
+        assert _in_G0(g0)
         assert validate_group_matrix(alg, const_mat(g0.mat))
         for g in range(-alg.k, alg.k + 1):
             for b in alg.grade_basis(g):
@@ -268,7 +278,7 @@ def test_normal_form_roundtrip_depth_3():
             b = b * group_exp(z)
         nb0, zs = normal_form_P(b)
         assert nb0 == b0 and list(zs) == zs_parts
-        assert b0.in_G0() and not b.in_G0() and b.in_P()
+        assert _in_G0(b0) and not _in_G0(b) and b.in_P()
 
 
 def test_group_exp_known_inverse_depth_3():
@@ -459,28 +469,21 @@ def test_su21_bracket_table_matches_complex_basis():
     assert _su21_coords({(1, 0): (1, 0)}) is None
 
 
-def _realify_test(entries):
-    rows = [[Fraction(0)] * 6 for _ in range(6)]
-    for (r, c), (a, b) in entries.items():
-        rows[2 * r][2 * c], rows[2 * r][2 * c + 1] = Fraction(a), Fraction(-b)
-        rows[2 * r + 1][2 * c], rows[2 * r + 1][2 * c + 1] = Fraction(b), Fraction(a)
-    return Mat(rows)
-
-
 def test_su21_group_membership():
     alg = make_algebra("su21")
     one, i1 = (1, 0), (0, 1)
     # diag(i, -1, i): preserves the form, complex determinant 1
-    assert validate_group_matrix(alg, _realify_test({(0, 0): i1, (1, 1): (-1, 0), (2, 2): i1}))
+    assert validate_group_matrix(alg, realified({(0, 0): i1, (1, 1): (-1, 0), (2, 2): i1}))
     # diag(1, i, 1): preserves the form, complex determinant i
-    assert not validate_group_matrix(alg, _realify_test({(0, 0): one, (1, 1): i1, (2, 2): one}))
+    assert not validate_group_matrix(alg, realified({(0, 0): one, (1, 1): i1, (2, 2): one}))
     # complex conjugation: preserves the realified form, not complex-linear
     conj = Mat([[Fraction((-1) ** i) if i == j else Fraction(0) for j in range(6)] for i in range(6)])
-    assert conj.transpose() * alg.meta["form"] * conj == alg.meta["form"]
+    form = entries_mat(6, alg.meta["form"])
+    assert conj.transpose() * form * conj == form
     assert not validate_group_matrix(alg, conj)
     # diag(2, 1/2, 1): complex-linear, determinant 1, does not preserve the form
     half = (Fraction(1, 2), 0)
-    assert not validate_group_matrix(alg, _realify_test({(0, 0): (2, 0), (1, 1): half, (2, 2): one}))
+    assert not validate_group_matrix(alg, realified({(0, 0): (2, 0), (1, 1): half, (2, 2): one}))
 
 
 def test_known_inverses_take_no_determinant(monkeypatch, lagr3):
@@ -562,9 +565,11 @@ def test_build_agrees_with_dense_reference(cid):
     pivots, extractor, table = reference_build(alg)
     # the integer frame, read as Fractions, against the cofactor extractor
     assert frame_extractor(alg) == (pivots, extractor)
-    assert alg.basis_entries == tuple(
-        tuple((r, int(e)) for r, e in enumerate(vectorize(m)) if e) for m in alg.basis
-    )
+    # each basis matrix as its nonzero integer entries, positions ascending
+    for entries in alg.basis_entries:
+        positions = [r for r, _ in entries]
+        assert positions == sorted(set(positions))
+        assert all(type(v) is int and v for _, v in entries)
     # repr compares the entry types as well as the values
     assert repr(alg.bracket_table) == repr(table)
     grades = alg.basis_grades
@@ -580,11 +585,22 @@ def test_block_flag_sl_structure(cid):
 
 
 def test_non_integral_basis_fails_at_construction():
-    alg = block_flag_sl(1, 2)
-    by_grade = {g: [alg.basis[i] for i in alg.grade_slices[g]] for g in (-1, 0, 1)}
-    by_grade[-1][0] = by_grade[-1][0].scale(Fraction(1, 2))
+    # sl(3) with blocks (1, 2); the first g_-1 matrix E_10 carries 1/2
+    by_grade = {
+        -1: [{(1, 0): Fraction(1, 2)}, {(2, 0): 1}],
+        0: [{(0, 0): 1, (1, 1): -1}, {(1, 1): 1, (2, 2): -1}, {(1, 2): 1}, {(2, 1): 1}],
+        1: [{(0, 1): 1}, {(0, 2): 1}],
+    }
     with pytest.raises(ValueError, match="basis matrix 0 is not integral"):
-        GradedAlgebra("half", "sl", {}, alg.k, alg.block_sizes, by_grade)
+        GradedAlgebra("half", "sl", {}, 1, (1, 2), by_grade)
+    # an entry at a position of grade 1 in a g_-1 matrix
+    by_grade[-1][0] = {(1, 0): 1, (0, 1): 1}
+    with pytest.raises(ValueError, match="basis matrix 0 leaves grade -1"):
+        GradedAlgebra("mixed", "sl", {}, 1, (1, 2), by_grade)
+    # with 1 in its place, the same entries build the catalog's sl basis
+    by_grade[-1][0] = {(1, 0): 1}
+    whole = GradedAlgebra("whole", "sl", {}, 1, (1, 2), by_grade)
+    assert whole.basis_entries == block_flag_sl(1, 2).basis_entries
 
 
 def test_bracket_table_memory_is_one_slot_per_coordinate():
@@ -606,8 +622,8 @@ def _off_span_positions(alg):
     """Vectorized positions whose unit vector lies outside the span: those
     no basis matrix reaches, and the diagonal ones (every basis matrix is
     traceless, so a lone diagonal entry is not in g)."""
-    assert all(m.trace() == 0 for m in alg.basis)
-    vecs = [vectorize(m) for m in alg.basis]
+    assert all(m.trace() == 0 for m in basis_mats(alg))
+    vecs = [vectorize(m) for m in basis_mats(alg)]
     d = alg.matrix_dim
     diagonal = {i * d + i for i in range(d)}
     unreached = {r for r in range(len(vecs[0])) if not any(v[r] for v in vecs)}
@@ -663,7 +679,7 @@ def test_express_poly_round_trip_and_off_span(cid, data):
     quadratic = st.lists(_RATIONALS, min_size=3, max_size=3).map(Poly)
     coords = tuple(data.draw(st.lists(quadratic, min_size=alg.dim, max_size=alg.dim)))
     mat = Mat.zero(alg.matrix_dim)
-    for c, b in zip(coords, alg.basis):
+    for c, b in zip(coords, basis_mats(alg)):
         mat = mat + b.scale(c)
     assert alg.express_poly(to_int(mat)) == express_poly(alg, mat) == coords
     r = data.draw(st.sampled_from(_off_span_positions(alg)))
@@ -691,4 +707,4 @@ def test_exp_mat_scale_is_exp_of_scaled_matrix(cid, side, scale, data):
         coords[i] = c
     elem = AlgElem(alg, tuple(coords))
     a = frac_matrix(elem)
-    assert exp_mat(a, scale) == exp_mat(a.scale(scale)) == exp_nilpotent(elem, scale).to_mat()
+    assert exp_mat(a, scale) == exp_mat(a.scale(scale)) == to_mat(exp_nilpotent(elem, scale))

@@ -1,14 +1,18 @@
-"""Two boundaries of the source tree, read from the source.
+"""Two boundaries of the source tree, read from the source, and the
+engine boundary run end to end.
 
-The engine boundary.  Past the catalog every constant matrix (an algebra
-element, a group element and its inverse, a commutator of two basis
-matrices) is an integer ``IntPolyMat`` or integer rows.  A ``Fraction``
-``Mat`` is left only at the boundary: the catalog's basis input, which
-``GradedAlgebra`` reads once into its integer coordinate frame (``rref``
-rows, not ``Mat``s), and a user's group matrix, which ``catalog.group_elem``
-validates, inverts and makes integral once.  So the algebra, curve, lab,
-reparametrization and suite modules name no ``Mat``, and no module converts
-a matrix from one form to the other except that one boundary call.
+The engine boundary.  Every constant matrix (a catalog basis matrix, an
+algebra element, a group element and its inverse, a commutator of two basis
+matrices) is an integer ``IntPolyMat`` or integer entries; the catalog
+builds each basis matrix as its integer entries, and ``GradedAlgebra``
+reads them into its integer coordinate frame (``rref`` rows, not ``Mat``s).
+A ``Fraction`` ``Mat`` is left only at the user group-matrix boundary:
+``catalog.group_elem`` validates, inverts and makes integral a user's
+matrix once, and ``validate_group_matrix`` builds the ``Mat`` of an
+invariant form when called.  So the integer engine, algebra, curve, lab,
+reparametrization and suite modules name no ``Mat``, no module converts a
+matrix from one form to the other except that one boundary call, and no
+command of the command line constructs a ``Mat`` at all.
 
 The test-code boundary.  Every module-level function and class of the
 package is reached from the command line or the scripts, or is listed in
@@ -17,14 +21,17 @@ lives under ``tests/`` (``paper_checks.py``), not in the package.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "parageo"
 
-INTEGER_MODULES = ("algebra.py", "curves.py", "lab.py", "reparam.py", "suite.py")
+INTEGER_MODULES = ("_fastgrid.py", "algebra.py", "curves.py", "lab.py", "reparam.py", "suite.py")
 
 
 def _names(module):
@@ -57,6 +64,53 @@ def test_from_mats_only_at_the_catalog_boundary():
     assert [(m, len(lines)) for m, lines in uses.items() if lines] == [("catalog.py", 1)]
 
 
+# Every command of the command line, with Mat.__init__ patched to raise: each
+# config runs through cli.run and both formats of cli.emit.  A fresh process,
+# so that no algebra cached by another test was built before the patch.
+_NO_MAT_RUN = """
+import sys
+import parageo.matrices
+
+def refuse(self, rows):
+    raise AssertionError("a Mat was constructed")
+
+parageo.matrices.Mat.__init__ = refuse
+
+from parageo.cli import ExperimentConfig, emit, run
+
+configs = [dict(command="catalog")]
+configs += [
+    dict(command="verify", algebra=cid, suite="all")
+    for cid in ("proj(1)", "grass(1,2)", "conf(1,1)", "lagr3", "su21", "xxdot")
+]
+configs += [
+    dict(command="jets", algebra="lagr3", grid=1),
+    dict(command="jets", algebra="su21", type_spec="grade(-1)", grid=1),
+    dict(command="fiber", algebra="conf(1,1)", grid=1),
+    dict(command="family", algebra="lagr3", type_spec="grade(-1)", grid=1),
+    dict(command="reparam", algebra="proj(1)"),
+    dict(command="reparam", algebra="lagr3"),
+    dict(command="classify", algebra="xxdot", grid=1),
+]
+for kwargs in configs:
+    report, code = run(ExperimentConfig(**kwargs))
+    assert code == 0, kwargs
+    for fmt in ("json", "md"):
+        emit(report, fmt)
+print(len(configs))
+"""
+
+
+def test_no_command_constructs_a_mat():
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MAT_RUN], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["14"]
+
+
 # Module-level names that nothing in src/ or scripts/ reaches, with the reason
 # each stays.  A listed name does not reach what it calls: those need entries.
 UNCALLED = {
@@ -68,6 +122,10 @@ UNCALLED = {
     "catalog.group_elem": "the one entry for a user's group matrix; parabench "
     "times the Mat.inverse and Mat.det it reaches",
     "catalog.validate_group_matrix": "the membership test of group_elem",
+    "catalog._mat": "the Fraction Mat of an invariant form, for validate_group_matrix",
+    "matrices.Mat": "the user group-matrix form of group_elem and the oracles' type; "
+    "parabench counts its det and __mul__ and times its inverse",
+    "matrices._dot": "the entry product of Mat.__mul__",
     "scalars.GaussianRational": "the su21 determinant of validate_group_matrix; "
     "parabench counts its __mul__",
     "scalars._coerce": "an operand helper of GaussianRational",

@@ -26,7 +26,7 @@ def run_json(config):
 def test_config_roundtrips_through_serialization():
     cfg = ExperimentConfig(command="jets", algebra="xxdot", type_spec="grade(-2)", grid=1, orders=4)
     wire = json.loads(json.dumps(cfg.to_jsonable(), sort_keys=True))
-    assert ExperimentConfig.from_jsonable(wire) == cfg
+    assert ExperimentConfig(output=None, **wire) == cfg
 
 
 def test_emit_rejects_unknown_format():
@@ -238,6 +238,38 @@ def test_huge_exponent_exits_2_fast(capsys):
     assert main(["jets", "--algebra", "lagr3", "--direction", "1e999999999,1,1"]) == 2
     assert time.perf_counter() - t0 < 1.0
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jets", "--algebra", "xxdot", "--grid", "1000"],  # 2001^5 Z points
+        ["classify", "--algebra", "xxdot", "--grid", "1000"],  # 2001^5 X points
+        ["jets", "--algebra", "grass(5,6)", "--grid", "1"],  # 3^30 Z points
+    ],
+    ids=" ".join,
+)
+def test_oversized_grid_exits_2_fast(argv, capsys):
+    make_algebra(argv[2])  # time the grid check, not the build
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr()
+    assert "points" in out.err and out.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["jets", "--algebra", "grass(5,6)"], ["family", "--algebra", "grass(4,4)"]], ids=" ".join
+)
+def test_default_direction_on_a_large_n_exits_0(argv, capsys):
+    # one grid point; the default direction, the first nonzero point of
+    # [0, 1]^m, is found without walking the 3^m points of [-1, 1]^m
+    assert main(argv + ["--grid", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["summary"]["pass"]
+    alg = make_algebra(argv[2])
+    first = alg.elem_at(alg.n_indices[-1:], (1,))
+    assert report["results"][argv[0]]["direction"] == [str(c) for c in first.coords]
 
 
 def test_exponent_literals_keep_their_value():

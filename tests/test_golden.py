@@ -42,8 +42,9 @@ logarithms of two unipotent matrices, as first computed with three
 separate exponential loops and the Laplace adjugate inverse.  The jet was
 pinned on the Poly-entry block-LU series and passes unchanged on the
 integer one; the exponentials are ``IntPolyMat``s now, sampled through
-``to_mat``, whose repr is that of the old Poly-entry ``Mat``; the
-constant-matrix exponential and logarithm now live in ``poly_reference``.
+``poly_reference.to_mat``, whose repr is that of the old Poly-entry
+``Mat``; the constant-matrix exponential and logarithm now live in
+``poly_reference``.
 """
 
 import hashlib
@@ -57,7 +58,7 @@ from parageo.catalog import make_algebra
 from parageo.cli import ExperimentConfig, emit, run
 from parageo.curves import CurveSpec, comparison, normal_coord_jet
 from parageo.poly import P_T
-from poly_reference import exp_mat, frac_matrix, log_unipotent
+from poly_reference import exp_mat, frac_matrix, log_unipotent, to_mat
 
 GOLDEN = [
     (
@@ -198,8 +199,8 @@ def curve_layer_parts(alg):
     order = alg.k + 2
     jet = normal_coord_jet(c, order).coeffs_prefix(order)
     delta = comparison(CurveSpec.base(alg, x), c).delta_coords
-    exps = tuple(exp_nilpotent(b, P_T).to_mat() for b in n_basis + [x])
-    exps += (exp_nilpotent(z, -P_T).to_mat(),)
+    exps = tuple(to_mat(exp_nilpotent(b, P_T)) for b in n_basis + [x])
+    exps += (to_mat(exp_nilpotent(z, -P_T)),)
     logs = (log_unipotent(exp_mat(frac_matrix(x))), log_unipotent(exp_mat(frac_matrix(z))))
     return jet, delta, exps, logs
 

@@ -7,12 +7,14 @@ import pytest
 
 from parageo._fastgrid import GridKernel, grid_kernel
 from parageo.algebra import Ad, AlgElem, bracket, group_exp, truncated_Ad
-from parageo.catalog import make_algebra
+from parageo.catalog import MAX_GRID_POINTS, make_algebra
 from parageo.curves import CurveSpec, curves_equal, jet_equal, normal_coord_jet
-from parageo.errors import EmptyGrid, NotAMember, NotOneGraded
+from parageo.errors import EmptyGrid, GridTooLarge, NotAMember, NotOneGraded
 from parageo.lab import (
+    check_grid,
     family_dimension,
     g0_orbit_classify,
+    iter_pplus_coords,
     min_jet_order_search,
     orbit_hull_dimension,
     paper_jet_bound,
@@ -42,6 +44,7 @@ from fraction_reference import (
 )
 from paper_checks import (
     admissible_pairs,
+    default_direction_scan,
     double_bracket_solution,
     g0_samples,
     mobius_candidate_between,
@@ -125,6 +128,46 @@ def test_grid_is_deterministic_and_exact(lagr3):
     assert len(first) == 9
     with pytest.raises(EmptyGrid):
         list(ts.grid(-1))
+
+
+def _named_types(alg):
+    """Every type the CLI names on ``alg``: full_n, each grade(-j), each
+    stratum type, and rank(r) on grass and proj."""
+    names = ["full_n"] + ["grade(%d)" % -j for j in range(1, alg.k + 1)]
+    names += list(STRATUM_TYPES.get(alg.family, ()))
+    if alg.family in ("grass", "proj"):
+        names += ["rank(%d)" % r for r in range(min(alg.meta["x_shape"]) + 1)]
+    return [parse_type(alg, name) for name in names]
+
+
+@pytest.mark.parametrize("cid", ALL_IDS + ["proj(3)", "grass(1,3)", "conf(2,0)", "conf(0,2)", "conf(2,2)"])
+def test_default_direction_matches_full_grid_walk(cid):
+    # the scan of [0, b]^m first picks what the walk of [-b, b]^m picks
+    for ts in _named_types(make_algebra(cid)):
+        try:
+            expected = default_direction_scan(ts)
+        except NotAMember:
+            with pytest.raises(NotAMember):
+                ts.default_direction()
+        else:
+            assert ts.default_direction() == expected
+
+
+def test_grid_cap_fires_before_enumeration(xxdot):
+    check_grid(1, 12)  # 3^12 = 531,441 points
+    with pytest.raises(GridTooLarge):
+        check_grid(1, 13)  # 3^13 = 1,594,323 points
+    with pytest.raises(GridTooLarge):
+        type_full(xxdot).grid(1000)
+    with pytest.raises(GridTooLarge):
+        iter_pplus_coords(xxdot, 1000)
+    # grass(2,2) at radius 3: 7^4 X points and 7^4 Z points, 7^8 pairs
+    grass = make_algebra("grass(2,2)")
+    assert 7**4 <= MAX_GRID_POINTS < 7**8
+    with pytest.raises(GridTooLarge):
+        standard_fiber(type_full(grass), grid=3)
+    with pytest.raises(EmptyGrid):
+        check_grid(-1, 0)
 
 
 # -- classification ---------------------------------------------------------------

@@ -23,9 +23,9 @@ def test_mobius_basics():
     m = MobiusMap.from_seeds(0, 1, -2)
     assert m == MobiusMap(1, 0, 1, 1)
     assert m.seeds() == (Fraction(0), Fraction(1), Fraction(-2))
-    assert not m.is_affine()
-    aff = MobiusMap.affine(Fraction(3), Fraction(2))
-    assert aff.is_affine() and aff.eval(Fraction(1)) == 5
+    # canonical projective scaling: D becomes 1
+    aff = MobiusMap(6, 4, 0, 2)
+    assert (aff.a, aff.b, aff.c, aff.d) == (3, 2, 0, 1)
     with pytest.raises(ZeroVelocity):
         MobiusMap.from_seeds(0, 0, 1)
     with pytest.raises(ValueError):
@@ -49,22 +49,6 @@ def test_closed_form_matches_seeds():
         assert m == MobiusMap(a, 0, -b / (2 * a), 1)
 
 
-def test_composition_matches_matrix_product():
-    m1 = MobiusMap(1, 2, 3, 5)
-    m2 = MobiusMap(2, -1, 1, 1)
-    comp = m1.compose(m2)
-    checked = 0
-    for s in (Fraction(v, 3) for v in range(-9, 10)):
-        # skip the poles of m2 (s = -1) and of m1 after m2 (m2(s) = -5/3)
-        if s == -1 or m2.eval(s) == Fraction(-5, 3):
-            continue
-        assert comp.eval(s) == m1.eval(m2.eval(s))
-        checked += 1
-    assert checked >= 15
-    # inverse composes to the identity map (projectively)
-    assert m1.compose(m1.inverse()) == MobiusMap(1, 0, 0, 1)
-
-
 def test_reparam_solve_proj1_worked_example():
     alg = make_algebra("proj(1)")
     x = alg.grade_basis(-1)[0]
@@ -83,7 +67,7 @@ def test_reparam_affine_case():
     alg = make_algebra("proj(1)")
     x = alg.grade_basis(-1)[0]
     verdict = reparam_solve(alg, x, alg.zero_elem(), x * Fraction(3))
-    assert verdict.exists and verdict.map.is_affine()
+    assert verdict.exists and verdict.map.c == 0
     assert verdict.map.seeds() == (Fraction(0), Fraction(3), Fraction(0))
 
 
@@ -109,7 +93,7 @@ def test_reparam_identity_map_reduces_to_curve_equality():
     z = alg.grade_basis(1)[0]
     c1 = CurveSpec.base(alg, x)
     c2 = CurveSpec.from_Z(alg, z, x)
-    ident = MobiusMap.identity()
+    ident = MobiusMap(1, 0, 0, 1)
     assert verify_reparam(c1, c1, ident)
     assert verify_reparam(c1, c2, ident) == curves_equal(c1, c2)
 
@@ -137,7 +121,7 @@ def test_reparam_grade_k_cascade(lagr3):
 
 
 def test_schwarzian():
-    assert schwarzian_check(MobiusMap.affine(Fraction(5)))
+    assert schwarzian_check(MobiusMap(5, 0, 0, 1))
     assert schwarzian_check(MobiusMap.from_seeds(0, 1, -2))
     assert not schwarzian_check(Poly((0, 1, 0, 1)))  # t + t^3
     random.seed(11)
@@ -255,7 +239,8 @@ def _oracle_in_p(alg, x1, z, x2, m):
     samples = [t0 for t0 in points if m.c * t0 + m.d][: 2 * d - 1]
     assert len(samples) == 2 * d - 1
     for t0 in samples:
-        u = _fmul(_fmul(_fexp(mx2, -t0), exp_neg_z), _fexp(mx1, m.eval(t0)))
+        phi_t0 = (m.a * t0 + m.b) / (m.c * t0 + m.d)
+        u = _fmul(_fmul(_fexp(mx2, -t0), exp_neg_z), _fexp(mx1, phi_t0))
         if any(u[i][j] for i, j in forbidden):
             return False
     return True
