@@ -4,10 +4,12 @@ Exit codes: 0 when every checked claim holds, 1 when any violation was
 found (a counterexample at or above a proved bound, or a failed identity),
 2 on usage errors.  Reports are deterministic: identical configurations
 produce byte-identical output.  Rationals serialize as exact 'p/q'
-strings, never floats.  The environment variable PARAGEO_WORKERS (a
-positive integer) caps the worker pool used to fan out grid evaluation.
-The report's ``config.workers`` echoes it, so two runs that differ only in
-their worker count give the same results but different report bytes.
+strings, never floats: ``emit`` is the one writer of those strings, and
+Markdown is rendered from the canonical JSON.  The environment variable
+PARAGEO_WORKERS (a positive integer) caps the worker pool used to fan out
+grid evaluation.  The report's ``config.workers`` echoes it, so two runs
+that differ only in their worker count give the same results but
+different report bytes.
 """
 
 from __future__ import annotations
@@ -196,14 +198,7 @@ def run(config):
         }
         if verdict.exists:
             m = verdict.map
-            v0, a, b = m.seeds()
-            result["map"] = {
-                "A": str(m.a),
-                "B": str(m.b),
-                "C": str(m.c),
-                "D": str(m.d),
-                "seeds": [str(v0), str(a), str(b)],
-            }
+            result["map"] = {"A": m.a, "B": m.b, "C": m.c, "D": m.d, "seeds": m.seeds()}
             c1 = CurveSpec.base(alg, x1)
             c2 = CurveSpec.from_Z(alg, z, x2)
             verified = verify_reparam(c1, c2, m)
@@ -227,26 +222,34 @@ def run(config):
     raise ParageoError("unknown command %r" % config.command)
 
 
+def _exact(value):
+    """The JSON encoder's hook: an exact rational is its 'p/q' string."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError("%s is not JSON serializable" % type(value).__name__)
+
+
 def emit(report, fmt="json"):
-    """Serialize an envelope to bytes (canonical JSON or Markdown)."""
+    """Serialize an envelope to bytes: canonical JSON, or Markdown rendered
+    from that JSON.  This is the one place where an exact number becomes
+    text; the reports hand over their Fractions as they are."""
+    if fmt not in ("json", "md"):
+        raise IoError("unknown format %r" % fmt)
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"), default=_exact)
     if fmt == "json":
-        return (json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n").encode()
-    if fmt == "md":
-        return _emit_markdown(report).encode()
-    raise IoError("unknown format %r" % fmt)
+        return (text + "\n").encode()
+    return _emit_markdown(json.loads(text)).encode()
 
 
 def _emit_markdown(report):
-    lines = []
-    cfg = report.get("config", {})
-    lines.append("# parageo report: %s" % cfg.get("command", "?"))
-    lines.append("")
-    alg = report.get("algebra", {})
+    """Markdown of a parsed canonical JSON report."""
+    lines = ["# parageo report: %s" % report["config"]["command"], ""]
+    alg = report["algebra"]
     if "name" in alg:
         dims = ", ".join("g_%s: %s" % (g, d) for g, d in sorted(alg["grade_dims"].items()))
         lines.append("algebra: **%s** (matrix dim %s; %s)" % (alg["name"], alg["matrix_dim"], dims))
         lines.append("")
-    results = report.get("results", {})
+    results = report["results"]
     if "families" in results:
         lines.append("| family | signature | description |")
         lines.append("|---|---|---|")
@@ -258,8 +261,9 @@ def _emit_markdown(report):
         lines.append("")
         lines.append("| jet order | verdict |")
         lines.append("|---|---|")
-        for r, v in jr["verdicts"].items():
-            lines.append("| %s | %s |" % (r, v))
+        # JSON sorts the order keys as strings ("1", "10", "2")
+        for r in sorted(jr["verdicts"], key=int):
+            lines.append("| %s | %s |" % (r, jr["verdicts"][r]))
         lines.append("")
         lines.append("claimed bound: %s, empirical sharp order: %s" % (jr["claimed_bound"], jr["empirical_sharp_order"]))
     if "family" in results:
@@ -304,11 +308,9 @@ def _emit_markdown(report):
                 rr["map"]["A"], rr["map"]["B"], rr["map"]["C"], rr["map"]["D"],
                 rr.get("verified"), rr.get("schwarzian")))
     lines.append("")
-    summ = report.get("summary", {})
-    lines.append("**%s**" % ("PASS" if summ.get("pass") else "FAIL"))
-    if summ.get("failures"):
-        for f in summ["failures"]:
-            lines.append("- %s" % f)
+    summ = report["summary"]
+    lines.append("**%s**" % ("PASS" if summ["pass"] else "FAIL"))
+    lines.extend("- %s" % f for f in summ["failures"])
     lines.append("")
     return "\n".join(lines)
 

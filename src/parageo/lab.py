@@ -102,7 +102,7 @@ class TypeSpec:
 
     def grid(self, bound):
         """Deterministic enumeration of members with integer coordinates."""
-        check_grid(bound, len(self.param_indices()))
+        check_grid((bound, len(self.param_indices())))
         return self._members(range(-bound, bound + 1))
 
     def default_direction(self):
@@ -253,24 +253,26 @@ def g0_orbit_classify(x):
 # -- direction constraint ------------------------------------------------------
 
 
-def check_grid(bound, n_coords):
-    """Raise EmptyGrid for a negative bound, and GridTooLarge when the grid
-    [-bound, bound]^n_coords has more than MAX_GRID_POINTS points."""
-    if bound < 0:
+def check_grid(*grids):
+    """Raise EmptyGrid for a negative bound, and GridTooLarge when the
+    product of the grids [-bound, bound]^n_coords, one per (bound,
+    n_coords) pair, has more than MAX_GRID_POINTS points."""
+    if any(bound < 0 for bound, _ in grids):
         raise EmptyGrid("grid bound must be >= 0")
     points = 1
-    for _ in range(n_coords):
-        points *= 2 * bound + 1
-        if points > MAX_GRID_POINTS:
-            raise GridTooLarge(
-                "grid of radius %d over %d coordinates has more than %d points"
-                % (bound, n_coords, MAX_GRID_POINTS)
-            )
+    for bound, n_coords in grids:
+        for _ in range(n_coords):
+            points *= 2 * bound + 1
+            if points > MAX_GRID_POINTS:
+                raise GridTooLarge(
+                    "grid %s has more than %d points"
+                    % (" x ".join("[-%d, %d]^%d" % (b, b, n) for b, n in grids), MAX_GRID_POINTS)
+                )
 
 
 def iter_pplus_coords(alg, bound):
     """Integer coordinate tuples over the p_+ basis, lexicographic."""
-    check_grid(bound, len(alg.pplus_indices))
+    check_grid((bound, len(alg.pplus_indices)))
     return itertools.product(range(-bound, bound + 1), repeat=len(alg.pplus_indices))
 
 
@@ -314,7 +316,6 @@ class PairRecord:
     z_coords: tuple
     y_coords: tuple
     jet_order: int
-    equal: bool
 
 
 @dataclass(frozen=True)
@@ -340,23 +341,19 @@ class JetOrderReport:
         return {
             "algebra": self.algebra,
             "type": self.type_label,
-            "direction": [str(c) for c in self.direction],
+            "direction": self.direction,
             "grid_range": self.grid_range,
-            "orders_tested": list(self.orders_tested),
+            "orders_tested": self.orders_tested,
             "claimed_bound": self.claimed_bound,
             "n_grid": self.n_grid,
             "n_admissible": self.n_admissible,
             "n_equal": self.n_equal,
             "verdicts": {str(r): v for r, v in sorted(self.verdicts.items())},
             "counterexamples": {
-                str(r): {
-                    "Z": [str(c) for c in w.z_coords],
-                    "Y": [str(c) for c in w.y_coords],
-                    "jet_order": w.jet_order,
-                }
+                str(r): {"Z": w.z_coords, "Y": w.y_coords, "jet_order": w.jet_order}
                 for r, w in sorted(self.counterexamples.items())
             },
-            "violations": list(self.violations),
+            "violations": self.violations,
             "empirical_sharp_order": self.empirical_sharp_order,
             "pass": self.passed(),
         }
@@ -462,7 +459,7 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None, workers=
         if equal:
             n_equal += 1
         elif jord > len(counterexamples):
-            witness = PairRecord(zc, yc, jord, False)
+            witness = PairRecord(zc, yc, jord)
             for r in range(len(counterexamples) + 1, jord + 1):
                 counterexamples[r] = witness
     verdicts = {
@@ -515,7 +512,7 @@ class Prop41Report:
             "algebra": self.algebra,
             "n_samples": self.n_samples,
             "n_applicable": self.n_applicable,
-            "violations": list(self.violations),
+            "violations": self.violations,
             "pass": self.passed(),
         }
 
@@ -611,14 +608,7 @@ class FiberSample:
             "type": self.type_label,
             "grid_range": self.grid_range,
             "n_pairs": len(self.pairs),
-            "pairs": [
-                {
-                    "X": [str(c) for c in x],
-                    "second": [str(c) for c in s],
-                    "Z": [str(c) for c in z],
-                }
-                for x, s, z in self.pairs
-            ],
+            "pairs": [{"X": x, "second": s, "Z": z} for x, s, z in self.pairs],
         }
 
 
@@ -635,7 +625,7 @@ def standard_fiber(ts, grid=2):
     if alg.k != 1:
         raise NotOneGraded("standard fiber is computed for |1|-graded algebras")
     # the pairs are X points times Z points
-    check_grid(grid, len(ts.param_indices()) + len(alg.pplus_indices))
+    check_grid((grid, len(ts.param_indices())), (grid, len(alg.pplus_indices)))
     # p_+ = g_1 here; the Z grid is built once and shared by every X
     zvals = list(iter_pplus_coords(alg, grid))
     zcoords = [pplus_elem(alg, v).coords for v in zvals]
@@ -683,7 +673,7 @@ class FamilyReport:
         return {
             "algebra": self.algebra,
             "type": self.type_label,
-            "direction": [str(c) for c in self.direction],
+            "direction": self.direction,
             "grid_range": self.grid_range,
             "n_admissible": self.n_admissible,
             "admissible_hull_dim": self.admissible_hull_dim,
@@ -691,13 +681,9 @@ class FamilyReport:
             "stabilizer_hull_dim": self.stabilizer_hull_dim,
             "stabilizer_linear": self.stabilizer_linear,
             "family_dimension": self.family_dimension,
-            "family_dimension_range": list(self.family_dimension_range),
+            "family_dimension_range": self.family_dimension_range,
             "jet_class_count": self.jet_class_count,
         }
-
-
-def _pplus_flat(alg, elem):
-    return tuple(elem.coords[i] for i in alg.pplus_indices)
 
 
 def family_dimension(ts, x, grid=2):
@@ -712,40 +698,43 @@ def family_dimension(ts, x, grid=2):
     """
     alg = ts.algebra
     check_direction(ts, x)
-    r_filter = alg.k + 2
-    admissible = []
-    stab = []
-    for zc, yc, jord, equal in _iter_pair_stats(ts, x, grid, r_filter):
+    admissible = []  # (Z coords, Y coords) of every admissible pair
+    adm_rows = []  # their Z coordinates over the p_+ basis
+    stab_rows = []
+    for zc, yc, jord, equal in _iter_pair_stats(ts, x, grid, alg.k + 2):
         if jord is None:
             continue
-        z = AlgElem(alg, zc)
-        admissible.append((z, AlgElem(alg, yc)))
+        admissible.append((zc, yc))
+        row = tuple(zc[i] for i in alg.pplus_indices)
+        adm_rows.append(row)
         if equal:
-            stab.append(z)
-    adm_rows = [_pplus_flat(alg, z) for z, _ in admissible]
-    stab_rows = [_pplus_flat(alg, z) for z in stab]
-    adm_dim = rank(adm_rows) if adm_rows else 0
-    stab_dim = rank(stab_rows) if stab_rows else 0
-    stab_set = {r for r in stab_rows}
+            stab_rows.append(row)
+    adm_dim = rank(adm_rows)
+    red, pivots = rref(stab_rows)
+    stab_dim = len(pivots)
+    stab_set = set(stab_rows)
     linear = True
-    if stab_rows:
-        red, pivots = rref(stab_rows)
-        span_rows = [red[i] for i in range(len(pivots))]
-        for z, _ in admissible:
-            flat = _pplus_flat(alg, z)
-            if flat in stab_set:
-                continue
-            if rank(span_rows + [list(flat)]) == stab_dim:
-                linear = False
-                break
+    for row in adm_rows:
+        if row in stab_set:
+            continue
+        # the reduced echelon rows clear their pivot columns: what is left
+        # of the row is zero iff it lies in the span of K
+        rest = row
+        for r, c in zip(red, pivots):
+            if rest[c]:
+                f = rest[c]
+                rest = [a - f * b for a, b in zip(rest, r)]
+        if not any(rest):
+            linear = False
+            break
     fam = adm_dim - stab_dim
     fam_range = (fam, adm_dim) if not linear else (fam, fam)
     classes = None  # counted only when at most 512 pairs are admissible
     if len(admissible) <= 512:
         signatures = set()
         order = alg.k + 2
-        for z, y in admissible:
-            c2 = CurveSpec.from_Z(alg, z, y)
+        for zc, yc in admissible:
+            c2 = CurveSpec.from_Z(alg, AlgElem(alg, zc), AlgElem(alg, yc))
             signatures.add(normal_coord_jet(c2, order).coeffs_prefix(order))
         classes = len(signatures)
     return FamilyReport(
@@ -755,7 +744,7 @@ def family_dimension(ts, x, grid=2):
         grid_range=grid,
         n_admissible=len(admissible),
         admissible_hull_dim=adm_dim,
-        stabilizer_points=tuple(_pplus_flat(alg, z) for z in stab),
+        stabilizer_points=tuple(stab_rows),
         stabilizer_hull_dim=stab_dim,
         stabilizer_linear=linear,
         family_dimension=fam,
@@ -788,7 +777,7 @@ class OrbitHullReport:
             "n_points": self.n_points,
             "hull_dim": self.hull_dim,
             "orbit_dim": self.orbit_dim,
-            "description_violations": list(self.description_violations),
+            "description_violations": self.description_violations,
             "pass": self.passed(),
         }
 
@@ -808,9 +797,12 @@ def _orbit_points(ts, grid):
     """(Z, X, Adbar(exp Z) X) for Z on the p_+ grid of radius min(grid, 1)
     and X over the type's members on the grid of radius ``grid``."""
     alg = ts.algebra
+    zgrid = min(grid, 1)
+    # the points are X points times Z points
+    check_grid((grid, len(ts.param_indices())), (zgrid, len(alg.pplus_indices)))
     xs = list(ts.grid(grid))
     points = []
-    for vals in iter_pplus_coords(alg, min(grid, 1)):
+    for vals in iter_pplus_coords(alg, zgrid):
         z = pplus_elem(alg, vals)
         g = group_exp(z)
         points.extend((z, x, truncated_Ad(g, x)) for x in xs)
@@ -833,7 +825,7 @@ def orbit_hull_dimension(ts, grid=2):
     points = _orbit_points(ts, grid)
     # every orbit point lies in n, so the rank is that of its n columns
     rows = [[p.coords[i] for i in alg.n_indices] for _, _, p in points]
-    hull = rank(rows) if rows else 0
+    hull = rank(rows)
     checker = _orbit_description(alg, ts)
     bad = []
     if checker is not None:

@@ -85,8 +85,8 @@ class SuiteReport:
         return {
             "algebra": self.algebra,
             "n_checks": self.n_checks,
-            "checks_by_family": dict(self.checks_by_family),
-            "violations": list(self.violations),
+            "checks_by_family": self.checks_by_family,
+            "violations": self.violations,
             "pass": self.passed(),
         }
 

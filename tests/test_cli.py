@@ -98,6 +98,24 @@ def test_reparam_default_example():
     assert rr["map"]["seeds"] == ["0", "1", "-2"]
 
 
+def _exact_values(config):
+    """Every exact number of a jets, fiber, family or reparam report, read
+    back from its canonical JSON bytes."""
+    report, _, data = run_json(config)
+    assert b"Fraction" not in data
+    results = report["results"]
+    if "jets" in results:
+        jr = results["jets"]
+        assert jr["counterexamples"]
+        return jr["direction"] + [c for w in jr["counterexamples"].values() for c in w["Z"] + w["Y"]]
+    if "fiber" in results:
+        return [c for p in results["fiber"]["pairs"] for c in p["X"] + p["second"] + p["Z"]]
+    if "family" in results:
+        return results["family"]["direction"]
+    rm = results["reparam"]["map"]
+    return [rm[k] for k in "ABCD"] + rm["seeds"]
+
+
 def test_rationals_serialize_as_strings():
     report, _, data = run_json(
         ExperimentConfig(command="jets", algebra="proj(2)", type_spec="full_n", grid=1, orders=3)
@@ -106,6 +124,16 @@ def test_rationals_serialize_as_strings():
     for w in jr["counterexamples"].values():
         assert all(isinstance(c, str) for c in w["Z"])
     assert b"Fraction" not in data
+    # integral values too: an int that skipped the conversion would be a
+    # JSON number
+    for config in [
+        ExperimentConfig(command="jets", algebra="lagr3", grid=1, direction="1/2,-3,2/7"),
+        ExperimentConfig(command="fiber", algebra="conf(1,1)", grid=1),
+        ExperimentConfig(command="family", algebra="lagr3", type_spec="lagrange1", grid=1, direction="0,1/3,0"),
+        ExperimentConfig(command="reparam", algebra="proj(1)", x1="1/2", z="1/3", x2="2"),
+    ]:
+        values = _exact_values(config)
+        assert values and all(isinstance(c, str) for c in values), config.command
 
 
 def test_byte_determinism():
@@ -126,6 +154,18 @@ def test_markdown_format():
     md = emit(report, "md").decode()
     assert "| type | direction | family dim |" in md
     assert "PASS" in md
+
+
+def test_markdown_lists_orders_in_numeric_order():
+    report, _ = run(ExperimentConfig(command="jets", algebra="proj(2)", grid=1, orders=12))
+    assert emit(report, "md") == (
+        b"# parageo report: jets\n\n"
+        b"algebra: **proj(2)** (matrix dim 3; g_-1: 2, g_0: 4, g_1: 2)\n\n"
+        b"direction: ['0', '1', '0', '0', '0', '0', '0', '0'], grid [-1, 1]\n\n"
+        b"| jet order | verdict |\n|---|---|\n| 1 | counterexample |\n"
+        + b"".join(b"| %d | confirmed |\n" % r for r in range(2, 13))
+        + b"\nclaimed bound: 2, empirical sharp order: 2\n\n**PASS**\n"
+    )
 
 
 def test_main_writes_output(tmp_path):
@@ -254,6 +294,18 @@ def test_oversized_grid_exits_2_fast(argv, capsys):
     t0 = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr()
+    assert "points" in out.err and out.out == ""
+
+
+@pytest.mark.parametrize("cid", ["proj(7)", "proj(8)"])
+def test_oversized_orbit_grid_exits_2(cid, capsys):
+    # the grade orbit walks 3^m X points times 3^m Z points; the product is
+    # capped after the family pass, before either grid is listed
+    make_algebra(cid)
+    t0 = time.perf_counter()
+    assert main(["family", "--algebra", cid, "--type", "grade(-1)", "--grid", "1"]) == 2
+    assert time.perf_counter() - t0 < 10.0
     out = capsys.readouterr()
     assert "points" in out.err and out.out == ""
 

@@ -154,9 +154,9 @@ def test_default_direction_matches_full_grid_walk(cid):
 
 
 def test_grid_cap_fires_before_enumeration(xxdot):
-    check_grid(1, 12)  # 3^12 = 531,441 points
+    check_grid((1, 12))  # 3^12 = 531,441 points
     with pytest.raises(GridTooLarge):
-        check_grid(1, 13)  # 3^13 = 1,594,323 points
+        check_grid((1, 13))  # 3^13 = 1,594,323 points
     with pytest.raises(GridTooLarge):
         type_full(xxdot).grid(1000)
     with pytest.raises(GridTooLarge):
@@ -166,8 +166,17 @@ def test_grid_cap_fires_before_enumeration(xxdot):
     assert 7**4 <= MAX_GRID_POINTS < 7**8
     with pytest.raises(GridTooLarge):
         standard_fiber(type_full(grass), grid=3)
+    # a product of grids with their own radii: 7^4 * 3^5 and 7^4 * 3^6
+    check_grid((3, 4), (1, 5))
+    with pytest.raises(GridTooLarge):
+        check_grid((3, 4), (1, 6))
     with pytest.raises(EmptyGrid):
-        check_grid(-1, 0)
+        check_grid((1, 2), (-1, 2))
+    # the orbit of grade(-1) on proj(7): 3^7 X points times 3^7 Z points
+    with pytest.raises(GridTooLarge):
+        _orbit_points(type_grade(make_algebra("proj(7)"), -1), 1)
+    with pytest.raises(EmptyGrid):
+        check_grid((-1, 0))
 
 
 # -- classification ---------------------------------------------------------------
@@ -656,6 +665,16 @@ def test_family_dimension_lagr3_values(lagr3):
     fr2 = family_dimension(contact, lagr3.elem_from_grade_coords({-1: (1, 1)}), grid=2)
     assert fr2.family_dimension == 3 and fr2.stabilizer_hull_dim == 0
     assert fr2.jet_class_count == fr2.n_admissible  # all 125 curves distinct
+
+
+def test_family_stabilizer_linearity_can_fail(lagr3):
+    # an admissible Z outside the 7 stabilizer points lies in their span,
+    # so the family dimension is downgraded to a range
+    x = lagr3.elem_at(lagr3.n_indices, (-1, -1, 0))
+    fr = family_dimension(type_full(lagr3), x, grid=2)
+    assert not fr.stabilizer_linear and len(fr.stabilizer_points) == 7
+    assert (fr.stabilizer_hull_dim, fr.admissible_hull_dim) == (2, 3)
+    assert fr.family_dimension_range == (1, 3)
 
 
 def test_family_direction_must_be_member(lagr3):
