@@ -198,8 +198,10 @@ MAX_MATRIX_DIM = 11
 
 # Most points one grid visits: (2R+1)^m for radius R over m coordinates
 # (X points times Z points for the standard fiber); a larger grid fails
-# with GridTooLarge before any point is produced.  At about 113 us per
-# kernel pair this is about 2 minutes; it admits `jets proj(10) --grid 1`.
+# with GridTooLarge before any point is produced.  One process on a 2-core
+# x86-64 host ran `jets xxdot --type full_n --grid 3 --orders 4` (16,807
+# pairs) in 1.1-1.4 s and `jets proj(10) --grid 1` (59,049) in 12.8 s, so
+# 10^6 pairs take about 1-4 minutes; the limit admits the latter.
 MAX_GRID_POINTS = 10**6
 
 # Highest jet order a search accepts.  ad(X) lowers the grade, so

@@ -26,6 +26,8 @@ from . import __version__
 from .catalog import CATALOG, make_algebra
 from .errors import IoError, ParageoError
 from .lab import (
+    check_direction,
+    check_grid,
     family_dimension,
     g0_orbit_classify,
     min_jet_order_search,
@@ -178,10 +180,14 @@ def run(config):
     if config.command == "family":
         ts = parse_type(alg, config.type_spec)
         x = parse_direction(alg, config.direction) if config.direction else ts.default_direction()
+        orbit_grid = min(config.grid, 1)
+        check_direction(ts, x)  # before either pass, as is the orbit's X x Z grid cap
+        if ts.kind == "grade":
+            check_grid((orbit_grid, len(ts.param_indices())), (orbit_grid, len(alg.pplus_indices)))
         rep = family_dimension(ts, x, grid=config.grid)
         results = {"family": rep.to_jsonable()}
         if ts.kind == "grade":
-            orb = orbit_hull_dimension(ts, grid=min(config.grid, 1))
+            orb = orbit_hull_dimension(ts, grid=orbit_grid)
             results["orbit"] = orb.to_jsonable()
             failures.extend(orb.description_violations)
         return envelope(config, desc, results, failures), (1 if failures else 0)

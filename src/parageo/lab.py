@@ -40,8 +40,7 @@ from .errors import (
     ParageoError,
 )
 from ._fastgrid import grid_kernel
-from .matrices import rank, rref
-from .poly import P_T
+from .matrices import echelon, rank, remainder
 
 
 # -- type specs ----------------------------------------------------------------
@@ -670,20 +669,10 @@ class FamilyReport:
     jet_class_count: int | None
 
     def to_jsonable(self):
-        return {
-            "algebra": self.algebra,
-            "type": self.type_label,
-            "direction": self.direction,
-            "grid_range": self.grid_range,
-            "n_admissible": self.n_admissible,
-            "admissible_hull_dim": self.admissible_hull_dim,
-            "stabilizer_size": len(self.stabilizer_points),
-            "stabilizer_hull_dim": self.stabilizer_hull_dim,
-            "stabilizer_linear": self.stabilizer_linear,
-            "family_dimension": self.family_dimension,
-            "family_dimension_range": self.family_dimension_range,
-            "jet_class_count": self.jet_class_count,
-        }
+        """The fields, ``type_label`` as "type" and K by its size."""
+        out = dict(vars(self), type=self.type_label, stabilizer_size=len(self.stabilizer_points))
+        del out["type_label"], out["stabilizer_points"]
+        return out
 
 
 def family_dimension(ts, x, grid=2):
@@ -710,24 +699,11 @@ def family_dimension(ts, x, grid=2):
         if equal:
             stab_rows.append(row)
     adm_dim = rank(adm_rows)
-    red, pivots = rref(stab_rows)
-    stab_dim = len(pivots)
+    stab = echelon(stab_rows)
     stab_set = set(stab_rows)
-    linear = True
-    for row in adm_rows:
-        if row in stab_set:
-            continue
-        # the reduced echelon rows clear their pivot columns: what is left
-        # of the row is zero iff it lies in the span of K
-        rest = row
-        for r, c in zip(red, pivots):
-            if rest[c]:
-                f = rest[c]
-                rest = [a - f * b for a, b in zip(rest, r)]
-        if not any(rest):
-            linear = False
-            break
-    fam = adm_dim - stab_dim
+    # K is linear on the grid when no admissible point outside K is in its span
+    linear = not any(row not in stab_set and not any(remainder(row, stab)) for row in adm_rows)
+    fam = adm_dim - len(stab)
     fam_range = (fam, adm_dim) if not linear else (fam, fam)
     classes = None  # counted only when at most 512 pairs are admissible
     if len(admissible) <= 512:
@@ -745,7 +721,7 @@ def family_dimension(ts, x, grid=2):
         n_admissible=len(admissible),
         admissible_hull_dim=adm_dim,
         stabilizer_points=tuple(stab_rows),
-        stabilizer_hull_dim=stab_dim,
+        stabilizer_hull_dim=len(stab),
         stabilizer_linear=linear,
         family_dimension=fam,
         family_dimension_range=fam_range,
@@ -770,27 +746,28 @@ class OrbitHullReport:
         return not self.description_violations
 
     def to_jsonable(self):
-        return {
-            "algebra": self.algebra,
-            "type": self.type_label,
-            "grid_range": self.grid_range,
-            "n_points": self.n_points,
-            "hull_dim": self.hull_dim,
-            "orbit_dim": self.orbit_dim,
-            "description_violations": self.description_violations,
-            "pass": self.passed(),
-        }
+        """The fields, ``type_label`` as "type", and the verdict."""
+        out = dict(vars(self), type=self.type_label)
+        del out["type_label"]
+        out["pass"] = self.passed()
+        return out
 
 
-def _truncated_ad_derivative(alg, z0, dz, y0, dy):
-    """n coordinates of d/ds Adbar(exp(z0 + s dz))(y0 + s dy) at s = 0."""
-    zs = z0.matrix + dz.matrix.scale(P_T)
-    ys = y0.matrix + dy.matrix.scale(P_T)
-    img = (zs.exp().truncate(1) * ys * zs.exp(-1).truncate(1)).truncate(1)
-    coords = alg.express_poly(img)
-    if coords is None:
-        raise OracleDisagreement("Ad image left the algebra span")
-    return [coords[i][1] for i in alg.n_indices]
+def _orbit_dim(ts, grid, hull):
+    """The best rank, stopping once it reaches ``hull``, of the orbit map's
+    tangent at (0, X) over the first two and the last nonzero grid members
+    X.  It is spanned by [e, X] for each p_+ basis element e and the unit
+    directions of the type's parameters, in n coordinates."""
+    alg = ts.algebra
+    units = [alg.basis_elem(i) for i in ts.param_indices()]
+    nonzero = [x for x in ts.grid(grid) if x]
+    best = 0
+    for x in (nonzero[:2] + nonzero[-2:])[:3]:
+        vecs = [bracket(alg.basis_elem(i), x) for i in alg.pplus_indices] + units
+        best = max(best, rank([[v.coords[i] for i in alg.n_indices] for v in vecs]))
+        if best == hull:
+            break
+    return best
 
 
 def _orbit_points(ts, grid):
@@ -813,49 +790,33 @@ def orbit_hull_dimension(ts, grid=2):
     """Hull and pointwise dimension of the truncated-adjoint orbit of a set.
 
     ``hull_dim`` is the linear span of the sampled orbit points; the orbit
-    itself is usually a proper subvariety, so ``orbit_dim`` reports the
-    maximal Jacobian rank of the orbit parametrization (Z, X) -> Adbar(exp
-    Z)(X) over deterministic rational probe points (an exact tangent-space
-    dimension at the best sampled point).  Where a parametric description
-    of the orbit is known, every sampled point is checked against it.
+    itself is usually a proper subvariety, so ``orbit_dim`` is the best
+    Jacobian rank of the orbit map (Z, X) -> Adbar(exp Z)(X) over a few
+    probe directions X (an exact tangent-space dimension).  The Jacobian
+    is taken at Z = 0, where it is a bracket, and that loses nothing:
+    exp(Z0 + s dZ) = exp(Z0) exp(s eta + O(s^2)) with eta = ((1 - e^{-ad
+    Z0}) / ad Z0) dZ ranging over all of p_+, so the Jacobian at (Z0, X) is
+    the one at (0, X) followed by Adbar(exp Z0), invertible on n, and the
+    two have the same rank.  Where a parametric description of the orbit
+    is known, every sampled point is checked against it.
     """
     alg = ts.algebra
-    nplus = len(alg.pplus_indices)
-    zero = pplus_elem(alg, (0,) * nplus)
     points = _orbit_points(ts, grid)
     # every orbit point lies in n, so the rank is that of its n columns
-    rows = [[p.coords[i] for i in alg.n_indices] for _, _, p in points]
-    hull = rank(rows)
+    hull = rank([[p.coords[i] for i in alg.n_indices] for _, _, p in points])
     checker = _orbit_description(alg, ts)
-    bad = []
-    if checker is not None:
-        for z, x, p in points:
-            if not checker(p):
-                bad.append("orbit point from Z=%s X=%s violates the description" % (
-                    tuple(z.coords), tuple(x.coords)))
-    # pointwise tangent dimension at probe points
-    param_basis = [alg.basis_elem(i) for i in ts.param_indices()]
-    pplus_basis = [alg.basis_elem(i) for i in alg.pplus_indices]
-    probe_pairs = []
-    nonzero_xs = [x for x in ts.grid(grid) if x]
-    ones = pplus_elem(alg, (1,) * nplus)
-    for x in (nonzero_xs[:2] + nonzero_xs[-2:]):
-        probe_pairs.append((zero, x))
-        probe_pairs.append((ones, x))
-    best = 0
-    for z0, x0 in probe_pairs[:6]:
-        cols = [_truncated_ad_derivative(alg, z0, dz, x0, zero) for dz in pplus_basis]
-        cols += [_truncated_ad_derivative(alg, z0, zero, x0, dx) for dx in param_basis]
-        best = max(best, rank(cols))
-        if best == hull:
-            break
+    bad = [] if checker is None else [
+        "orbit point from Z=%s X=%s violates the description" % (tuple(z.coords), tuple(x.coords))
+        for z, x, p in points
+        if not checker(p)
+    ]
     return OrbitHullReport(
         algebra=alg.name,
         type_label=ts.label,
         grid_range=grid,
         n_points=len(points),
         hull_dim=hull,
-        orbit_dim=best,
+        orbit_dim=_orbit_dim(ts, grid, hull),
         description_violations=tuple(bad),
     )
 

@@ -6,12 +6,13 @@ determinant), and all operations go through the entries' own exact
 arithmetic.  A Fraction 0 stands for the zero of any entry ring, and
 ``scale`` keeps a zero entry as it is.  Determinants use Laplace expansion
 memoized over column masks, which is exact over any commutative ring; the
-memo holds up to 2^n minors.  Row reduction (``rref`` and ``rank``) is
-for field entries only, and so is ``inverse``: the right half of
-rref([M | I]), taken once per user group matrix.  The curve code inverts
-no polynomial matrix exactly: every inverse it needs is known in closed
-form, as exp(-Z) or exp(-tA), or is a truncated power series (the pivot
-blocks of the normal-coordinate jet).
+memo holds up to 2^n minors.  Row reduction is for field entries only:
+``inverse`` is the right half of rref([M | I]), taken once per user group
+matrix, and every rank and span test runs on ``echelon``, which reduces
+one row at a time and stops once every column has a pivot.  The curve
+code inverts no polynomial matrix exactly: every inverse it needs is known
+in closed form, as exp(-Z) or exp(-tA), or is a truncated power series
+(the pivot blocks of the normal-coordinate jet).
 
 Which engine runs where: ``Mat`` is the user group-matrix boundary and
 the oracles' type.  ``catalog.group_elem`` validates a user's group matrix
@@ -213,5 +214,32 @@ def rref(rows):
     return [tuple(row) for row in rows], pivots
 
 
+def remainder(row, kept):
+    """``row`` with the pivot column of each ``echelon`` row cleared in
+    turn: zero iff the row lies in their span."""
+    for c, e in kept:
+        f = row[c]
+        if f:
+            row = [a - f * b if b else a for a, b in zip(row, e)]
+    return row
+
+
+def echelon(rows):
+    """(pivot column, row) pairs spanning ``rows`` over a field.  Each row's
+    nonzero remainder against the rows kept so far is kept, scaled to 1 at
+    its first nonzero column, so it is zero at every earlier pivot.  The
+    scan stops once every column has a pivot."""
+    kept = []
+    for row in rows:
+        rest = remainder(row, kept)
+        c = next((j for j, a in enumerate(rest) if a), None)
+        if c is not None:
+            lead = rest[c]
+            kept.append((c, [a / lead for a in rest]))
+            if len(kept) == len(rest):
+                break
+    return kept
+
+
 def rank(rows):
-    return len(rref(rows)[1])
+    return len(echelon(rows))

@@ -2,8 +2,9 @@
 
 The nilpotent exponential ``exp_mat`` (with its power list) and the same
 comparison curve, curve equality, five identity checkers,
-normal-coordinate jet, reparametrization check and orbit-probe curve as
-``parageo.curves``, ``parageo.reparam`` and ``parageo.lab``, computed on
+normal-coordinate jet and reparametrization check as ``parageo.curves``
+and ``parageo.reparam``, and the Jacobian of the orbit map whose rank
+``parageo.lab`` reports (there taken at Z = 0, here at any Z), computed on
 ``Mat``s whose entries are ``Poly`` with ``Fraction`` coefficients instead
 of on the integer ``IntPolyMat``: products go through ``Poly.__mul__``,
 Ad_b X is two ``Fraction`` products, and coordinates come from a dense
@@ -413,6 +414,21 @@ def truncated_ad_coords_poly(alg, z0, dz, y0, dy):
     ymat = frac_matrix(y0).map(Poly.const) + frac_matrix(dy).scale(P_T)
     img = position_part(alg, exp_mat(zmat) * ymat * exp_mat(-zmat), lambda grade: grade < 0)
     return express_poly(alg, img)
+
+
+def orbit_jacobian(alg, z0, x, param_indices):
+    """Rows spanning the Jacobian at (z0, x) of the orbit map (Z, X) ->
+    Adbar(exp Z)(X), X moving along ``param_indices``: the n coordinates of
+    the s^1 coefficient of ``truncated_ad_coords_poly`` along each p_+
+    basis element and each parameter's unit direction."""
+    zero = alg.elem_at((), ())
+    dirs = [(alg.basis_elem(i), zero) for i in alg.pplus_indices]
+    dirs += [(zero, alg.basis_elem(i)) for i in param_indices]
+    rows = []
+    for dz, dy in dirs:
+        coords = truncated_ad_coords_poly(alg, z0, dz, x, dy)
+        rows.append([coords[i][1] for i in alg.n_indices])
+    return rows
 
 
 def verify_reparam(c1, c2, m):

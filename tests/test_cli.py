@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import parageo
-from parageo import catalog
+from parageo import catalog, cli
 from parageo.catalog import MAX_JET_ORDER, MAX_MATRIX_DIM, make_algebra
 from parageo.cli import ExperimentConfig, emit, main, parse_direction, run
 
@@ -299,9 +299,13 @@ def test_oversized_grid_exits_2_fast(argv, capsys):
 
 
 @pytest.mark.parametrize("cid", ["proj(7)", "proj(8)"])
-def test_oversized_orbit_grid_exits_2(cid, capsys):
+def test_oversized_orbit_grid_exits_2(cid, capsys, monkeypatch):
     # the grade orbit walks 3^m X points times 3^m Z points; the product is
-    # capped after the family pass, before either grid is listed
+    # capped before the family pass runs, so that pass is never called
+    def family_pass(*args, **kwargs):
+        raise AssertionError("the family pass ran before the orbit grid cap")
+
+    monkeypatch.setattr(cli, "family_dimension", family_pass)
     make_algebra(cid)
     t0 = time.perf_counter()
     assert main(["family", "--algebra", cid, "--type", "grade(-1)", "--grid", "1"]) == 2

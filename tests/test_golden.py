@@ -45,9 +45,19 @@ integer one; the exponentials are ``IntPolyMat``s now, sampled through
 ``poly_reference.to_mat``, whose repr is that of the old Poly-entry
 ``Mat``; the constant-matrix exponential and logarithm now live in
 ``poly_reference``.
+
+
+The ``scripts/reproduce_tables.py`` digest is the SHA-256 of its
+``--grid 1`` stdout (sharp jet orders, family and stabilizer dimensions,
+and the lowest-grade orbit's pointwise and hull dimensions on lagr3 and
+xxdot), as first computed with orbit_dim taken over six (Z0, X) probes of
+a polynomial-in-s exponential and every rank by a full Gauss-Jordan pass.
 """
 
 import hashlib
+import pathlib
+import runpy
+import sys
 from fractions import Fraction
 
 import pytest
@@ -381,3 +391,13 @@ def test_su21_coordinate_digest(part):
         jet, delta, _, _ = curve_layer_parts(alg)
         value = jet if part == "jet" else delta
     assert _digest(value) == SU21_COORD_GOLDEN[part]
+
+
+REPRODUCE_TABLES = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"
+
+
+def test_reproduce_tables_digest(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [str(REPRODUCE_TABLES), "--grid", "1"])
+    runpy.run_path(str(REPRODUCE_TABLES), run_name="__main__")
+    out = capsys.readouterr().out.encode()
+    assert _digest(out) == "9f368cbecca69833ba3c12ae94e2605dc50fe18acd5193d7ee645dbeedb3be4b"

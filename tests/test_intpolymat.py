@@ -9,7 +9,7 @@ the nine catalog ids and the sl(4) full flag and require both routes to
 give the same comparison curve (u, its inverse, delta_u and delta_coords),
 the same curve-equality verdict, the same verdict of every identity
 checker and of the reparametrization check, the same normal-coordinate jet
-and the same orbit-probe derivative; the negative cases perturb one sample
+and the same orbit-map Jacobian rank; the negative cases perturb one sample
 coefficient, or flip the sign of one partition coefficient, and both
 routes must return False.
 """
@@ -36,13 +36,13 @@ from parageo._fastgrid import (
     product_in_p_pattern,
 )
 from parageo import _fastgrid
-from parageo.algebra import exp_nilpotent, group_exp
+from parageo.algebra import bracket, exp_nilpotent, group_exp
 from parageo.catalog import make_algebra
 from parageo.curves import CurveSpec, normal_coord_jet
 from parageo.errors import NotNilpotent
-from parageo.lab import _truncated_ad_derivative, pplus_elem
+from parageo.lab import pplus_elem
 from parageo.reparam import MobiusMap, reparam_solve, verify_reparam
-from parageo.matrices import Mat
+from parageo.matrices import Mat, rank
 from parageo.poly import P_T, Poly
 
 IDS = ALL_IDS + ["full_flag_sl4"]
@@ -250,7 +250,7 @@ def test_flipped_partition_sign_fails_on_both_routes(data):
     assert ref.verify_lemma_3_2(rc, phi, 2) is curves.verify_lemma_3_2(cc, phi, 2) is True
 
 
-# -- the normal-coordinate jet, the reparametrization check, orbit probes -------
+# -- the normal-coordinate jet, the reparametrization check, orbit tangents -----
 
 
 @settings(max_examples=30, deadline=None)
@@ -289,14 +289,19 @@ def test_verify_reparam_agrees_with_poly_reference(data):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_orbit_probe_derivative_is_the_reference_s1_coefficient(data):
+def test_orbit_tangent_at_zero_has_the_reference_jacobian_rank(data):
+    # P_+ acts linearly and invertibly on n, so the orbit map's Jacobian at
+    # (Z0, X) has the rank of its tangent at (0, X): [e, X] along each p_+
+    # basis element e, and the unit directions of the parameters
     alg = algebra(data.draw(st.sampled_from(IDS)))
-    z0, dz = (_any_elem(data, alg, alg.pplus_indices) for _ in range(2))
-    y0, dy = (_any_elem(data, alg, alg.n_indices) for _ in range(2))
-    coords = ref.truncated_ad_coords_poly(alg, z0, dz, y0, dy)
-    assert _truncated_ad_derivative(alg, z0, dz, y0, dy) == [coords[i][1] for i in alg.n_indices]
-    # the reference projects to n, so its other coordinates vanish
-    assert not any(coords[i] for i in range(alg.dim) if i not in alg.n_indices)
+    z0 = _any_elem(data, alg, alg.pplus_indices)
+    x = _any_elem(data, alg, alg.n_indices)
+    params = data.draw(st.lists(st.sampled_from(alg.n_indices), unique=True))
+    vecs = [bracket(alg.basis_elem(i), x) for i in alg.pplus_indices]
+    vecs += [alg.basis_elem(i) for i in params]
+    tangent = [[v.coords[i] for i in alg.n_indices] for v in vecs]
+    assert ref.orbit_jacobian(alg, alg.elem_at((), ()), x, params) == tangent
+    assert rank(ref.orbit_jacobian(alg, z0, x, params)) == rank(tangent)
 
 
 # -- the one nilpotent series and the pattern test of a product --------------

@@ -30,10 +30,11 @@ from parageo.lab import (
     ORBIT_STRATA,
     STRATUM_TYPES,
     _iter_pair_stats,
+    _orbit_dim,
     _orbit_points,
     _pair_stats,
 )
-from parageo.matrices import Mat
+from parageo.matrices import Mat, rank
 
 from conftest import ALL_IDS, diag_group_elem, full_flag_sl4
 from fraction_reference import (
@@ -50,7 +51,7 @@ from paper_checks import (
     mobius_candidate_between,
     standard_fiber_pairs,
 )
-from poly_reference import exp_mat, frac_matrix
+from poly_reference import exp_mat, frac_matrix, orbit_jacobian
 
 
 # -- type specs -----------------------------------------------------------------
@@ -749,6 +750,36 @@ def test_orbit_points_match_fraction_loop(cid, tspec, grid):
     ts = parse_type(make_algebra(cid), tspec)
     points = _orbit_points(ts, grid)
     assert points and points == reference_orbit_points(ts, grid)
+
+
+def _six_probe_ranks(ts, grid):
+    """The reference Jacobian ranks at the six (Z0, X) probes orbit_dim
+    was first taken over: Z0 = 0 and Z0 = (1, ..., 1) on p_+ for each of
+    the first two and the last two nonzero grid members."""
+    alg = ts.algebra
+    zero, ones = (pplus_elem(alg, (v,) * len(alg.pplus_indices)) for v in (0, 1))
+    nonzero = [x for x in ts.grid(grid) if x]
+    probes = [(z0, x) for x in nonzero[:2] + nonzero[-2:] for z0 in (zero, ones)]
+    return [rank(orbit_jacobian(alg, z0, x, ts.param_indices())) for z0, x in probes[:6]]
+
+
+@pytest.mark.parametrize("grid", [0, 1])
+@pytest.mark.parametrize(
+    "cid,tspec",
+    [(cid, ts.label) for cid in ALL_IDS + ["proj(4)"] for ts in _named_types(make_algebra(cid))],
+)
+def test_orbit_dim_is_the_six_probe_reference(cid, tspec, grid):
+    # the hull only sets where the search stops, so the two searches are
+    # compared at every value it can take, without sampling the orbit
+    ts = parse_type(make_algebra(cid), tspec)
+    ranks = _six_probe_ranks(ts, grid)
+    for hull in range(len(ts.algebra.n_indices) + 1):
+        best = 0
+        for r in ranks:
+            best = max(best, r)
+            if best == hull:
+                break
+        assert _orbit_dim(ts, grid, hull) == best, hull
 
 
 def test_orbit_trivial_for_one_graded():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parageo.algebra import exp_nilpotent
-from parageo.matrices import Mat, rref
+from parageo.matrices import Mat, echelon, rank, remainder, rref
 from parageo.poly import P_T, Poly
 from parageo.scalars import GaussianRational
 from paper_checks import solve_linear
@@ -86,3 +86,62 @@ def test_rref_pivots():
     red, piv = rref([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
     assert piv == [0, 1]
     assert red[0][0] == 1 and red[1][1] == 1
+
+
+sparse = st.one_of(st.just(Fraction(0)), fractions)
+
+
+@st.composite
+def row_lists(draw):
+    """Rows of one width with zero rows, repeated rows and combinations of
+    earlier rows mixed in, often more rows than columns."""
+    width = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(("drawn", "zero", "repeat", "combination")))
+        if kind == "zero" or (kind != "drawn" and not rows):
+            rows.append([Fraction(0)] * width)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination":
+            a, b, u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(fractions), draw(fractions)
+            rows.append([u * x + v * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(sparse, min_size=width, max_size=width)))
+    return width, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_lists())
+def test_rank_is_the_rref_pivot_count(drawn):
+    _, rows = drawn
+    assert rank(rows) == len(rref(rows)[1])
+    kept = echelon(rows)
+    # each kept row is 1 at its pivot and 0 at the pivots kept before it,
+    # and every input row reduces to zero against the kept rows
+    for k, (c, row) in enumerate(kept):
+        assert row[c] == 1 and not any(row[p] for p, _ in kept[:k])
+    assert not any(any(remainder(row, kept)) for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_lists(), st.data())
+def test_remainder_is_zero_iff_the_row_adds_no_rank(drawn, data):
+    width, k = drawn
+    row = data.draw(st.one_of(
+        st.lists(sparse, min_size=width, max_size=width),
+        st.sampled_from(k) if k else st.nothing(),
+    ))
+    in_span = not any(remainder(row, echelon(k)))
+    assert in_span == (rank(k + [row]) == rank(k))
+
+
+def test_reduction_edge_cases():
+    zero, one, two = Fraction(0), Fraction(1), Fraction(2)
+    assert echelon([]) == [] and rank([]) == 0
+    assert rank([[zero, zero], [zero, zero]]) == 0
+    # more rows than columns: the scan stops at the second pivot
+    tall = [[one, two], [two, one], [one, one], [zero, zero]]
+    assert [c for c, _ in echelon(tall)] == [0, 1] and rank(tall) == 2
+    assert rank([[one, two], [one, two], [two, 2 * two]]) == 1
+    assert not any(remainder([zero, zero], [])) and any(remainder([one, zero], []))
