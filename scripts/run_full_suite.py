@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Run every verification suite and experiment; write reports, exit on FAIL.
+"""Run every verification suite and experiment; write reports; exit 1 on FAIL.
 
 This is the batch driver: lemma/structure suites for all nine catalog
 algebras, the jet-determination searches at their proved bounds, and the
 worked reparametrization example.  JSON reports land in the given output
-directory (canonical encoding, byte-stable across runs); the exit code is
-1 as soon as any paper-bound assertion fails.
+directory (canonical encoding, byte-stable across runs).  Every config
+runs and writes its report; the exit code, given at the end, is 1 when
+any of them failed a paper-bound assertion.
 """
 
 import argparse

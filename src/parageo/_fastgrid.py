@@ -23,8 +23,8 @@ for a curve; ``GridKernel`` reads the same extractor terms).
 ``IntPolyMat.from_mats`` is the one conversion from a ``Fraction`` ``Mat``,
 for a user's group matrix; this module imports no ``Mat``.
 
-Every grid search (``jets``, ``family`` and their worker fan-out) runs its
-pairs on ``GridKernel``, for every catalog algebra and every rational base
+Every grid search (``jets`` and ``family``) runs its pairs on
+``GridKernel``, for every catalog algebra and every rational base
 direction, on plain-int matrices with a tracked positive denominator and no
 gcd: grid points have integer coordinates, every catalog basis is
 integral, and a base direction X is carried as ``x_den * X`` for the lcm

@@ -5,11 +5,7 @@ found (a counterexample at or above a proved bound, or a failed identity),
 2 on usage errors.  Reports are deterministic: identical configurations
 produce byte-identical output.  Rationals serialize as exact 'p/q'
 strings, never floats: ``emit`` is the one writer of those strings, and
-Markdown is rendered from the canonical JSON.  The environment variable
-PARAGEO_WORKERS (a positive integer) caps the worker pool used to fan out
-grid evaluation.  The report's ``config.workers`` echoes it, so two runs
-that differ only in their worker count give the same results but
-different report bytes.
+Markdown is rendered from the canonical JSON.
 """
 
 from __future__ import annotations
@@ -17,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -27,7 +22,6 @@ from .catalog import CATALOG, make_algebra
 from .errors import IoError, ParageoError
 from .lab import (
     check_direction,
-    check_grid,
     family_dimension,
     g0_orbit_classify,
     min_jet_order_search,
@@ -58,11 +52,12 @@ class ExperimentConfig:
     x2: str | None = None
     output: str | None = None
     format: str = "json"
-    workers: int = 1
 
     def to_jsonable(self):
         d = asdict(self)
         d.pop("output")
+        # schema parageo/1 echoes the worker count; the key goes with parageo/2
+        d["workers"] = 1
         return d
 
 
@@ -165,7 +160,6 @@ def run(config):
             grid=config.grid,
             r_max=config.orders,
             claimed_bound=config.claimed_bound,
-            workers=config.workers,
         )
         failures.extend(rep.violations)
         return envelope(config, desc, {"jets": rep.to_jsonable()}, failures), (
@@ -180,14 +174,12 @@ def run(config):
     if config.command == "family":
         ts = parse_type(alg, config.type_spec)
         x = parse_direction(alg, config.direction) if config.direction else ts.default_direction()
-        orbit_grid = min(config.grid, 1)
-        check_direction(ts, x)  # before either pass, as is the orbit's X x Z grid cap
-        if ts.kind == "grade":
-            check_grid((orbit_grid, len(ts.param_indices())), (orbit_grid, len(alg.pplus_indices)))
+        check_direction(ts, x)
+        # the orbit pass comes first, so its X x Z grid cap fires before the family pass
+        orb = orbit_hull_dimension(ts, grid=min(config.grid, 1)) if ts.kind == "grade" else None
         rep = family_dimension(ts, x, grid=config.grid)
         results = {"family": rep.to_jsonable()}
-        if ts.kind == "grade":
-            orb = orbit_hull_dimension(ts, grid=orbit_grid)
+        if orb is not None:
             results["orbit"] = orb.to_jsonable()
             failures.extend(orb.description_violations)
         return envelope(config, desc, results, failures), (1 if failures else 0)
@@ -321,19 +313,6 @@ def _emit_markdown(report):
     return "\n".join(lines)
 
 
-def _workers_from_env():
-    raw = os.environ.get("PARAGEO_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        w = int(raw)
-    except ValueError:
-        raise ParageoError("PARAGEO_WORKERS must be a positive integer, got %r" % raw)
-    if w < 1:
-        raise ParageoError("PARAGEO_WORKERS must be a positive integer, got %r" % raw)
-    return w
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog="parageo",
@@ -397,7 +376,7 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        config = ExperimentConfig(**vars(ns), workers=_workers_from_env())
+        config = ExperimentConfig(**vars(ns))
         report, code = run(config)
     except ParageoError as e:
         print("error: %s" % e, file=sys.stderr)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -54,7 +53,7 @@ class TypeSpec:
     ``g0_orbit_classify`` labels of its members, so membership is always an
     exact predicate on coordinates.  ``label`` is also the recipe that
     rebuilds the spec: ``parse_type(algebra, label)`` returns an equal
-    spec, which is how worker processes get theirs.
+    spec.
     """
 
     __slots__ = ("algebra", "kind", "label", "data")
@@ -390,41 +389,7 @@ def _iter_pair_stats(ts, x, grid, r_max):
         yield _pair_step(ts, kern, vals, r_max)
 
 
-def _pair_stats_chunk(args):
-    """Worker entry point: evaluate one contiguous chunk of the Z grid."""
-    algebra_name, type_label, x_coords, chunk, r_max = args
-    from .catalog import make_algebra
-
-    alg = make_algebra(algebra_name)
-    ts = parse_type(alg, type_label)
-    kern = grid_kernel(alg, AlgElem(alg, x_coords))
-    return [_pair_step(ts, kern, vals, r_max) for vals in chunk]
-
-
-def _pair_stats(ts, x, grid, r_max, workers=1):
-    """Pair statistics in grid order: streamed with one worker, else fanned
-    out to a worker pool.
-
-    Chunks are contiguous slices of the lexicographic grid and results are
-    merged in chunk order, so the output is identical for any worker count.
-    The pool starts no more processes than there are chunks or CPUs.
-    """
-    if workers <= 1:
-        return _iter_pair_stats(ts, x, grid, r_max)
-    from concurrent.futures import ProcessPoolExecutor
-
-    vals_list = list(iter_pplus_coords(ts.algebra, grid))
-    nchunks = min(workers * 4, max(1, len(vals_list)))
-    size = -(-len(vals_list) // nchunks)
-    chunks = [vals_list[i : i + size] for i in range(0, len(vals_list), size)]
-    args = [(ts.algebra.name, ts.label, tuple(x.coords), chunk, r_max) for chunk in chunks]
-    pool_size = min(workers, len(chunks), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        parts = list(pool.map(_pair_stats_chunk, args))
-    return [stat for part in parts for stat in part]
-
-
-def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None, workers=1):
+def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None):
     """Check "equal r-jets implies equal curves" over the p_+ grid.
 
     For each Z with integer coordinates in [-grid, grid] the unique Y with
@@ -448,7 +413,7 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None, workers=
     # order r -> the first unequal pair in grid order with jet order >= r,
     # which serves every lower order too: the keys are 1..len
     counterexamples = {}
-    for zc, yc, jord, equal in _pair_stats(ts, x, grid, r_max, workers=workers):
+    for zc, yc, jord, equal in _iter_pair_stats(ts, x, grid, r_max):
         n_grid += 1
         if jord is None:
             continue
@@ -611,14 +576,38 @@ class FiberSample:
         }
 
 
+def _linear_combinations(images, vectors):
+    """The exact coordinates of sum_i v_i images[i], for each integer
+    vector v of ``vectors`` in turn.
+
+    The images go over one denominator: every coordinate m that some image
+    reaches becomes the integer column den * images[i][m], so a point costs
+    one integer dot product per such coordinate, and each numerator's
+    ``Fraction`` is built once.
+    """
+    dim = len(images[0])
+    den = lcm(*(c.denominator for s in images for c in s))
+    cols = [(m, [int(s[m] * den) for s in images]) for m in range(dim) if any(s[m] for s in images)]
+    zero = (Fraction(0),) * dim
+    fracs = {}  # numerator -> Fraction(numerator, den)
+    for v in vectors:
+        out = list(zero)
+        for m, col in cols:
+            num = sum(map(operator.mul, v, col))
+            f = fracs.get(num)
+            if f is None:
+                f = fracs[num] = Fraction(num, den)
+            out[m] = f
+        yield tuple(out)
+
+
 def standard_fiber(ts, grid=2):
     """All admissible 2-jets (X, [X,[X,Z]]) over the grid, Z in g_1.
 
     ``second`` = [X,[X,Z]] is linear in Z, so each X takes only the double
-    brackets s_i = [X,[X,e_i]] of the g_1 basis e_i, and a grid Z with
-    integer coordinates v gets the exact combination sum_i v_i s_i.  Pairs
-    are X-major (X in ``ts.grid`` order), Z lexicographic in its g_1
-    coordinates.
+    brackets [X,[X,e_i]] of the g_1 basis e_i, combined over the integer
+    coordinates of each grid Z.  Pairs are X-major (X in ``ts.grid``
+    order), Z lexicographic in its g_1 coordinates.
     """
     alg = ts.algebra
     if alg.k != 1:
@@ -629,24 +618,10 @@ def standard_fiber(ts, grid=2):
     zvals = list(iter_pplus_coords(alg, grid))
     zcoords = [pplus_elem(alg, v).coords for v in zvals]
     basis = alg.grade_basis(1)
-    zero = (Fraction(0),) * alg.dim
     pairs = []
     for x in ts.grid(grid):
         images = [bracket(x, bracket(x, e)).coords for e in basis]
-        # the images over one denominator: the integer column den * s_i[m]
-        # of every coordinate m that some s_i reaches
-        den = lcm(*(c.denominator for s in images for c in s))
-        cols = [(m, [int(s[m] * den) for s in images]) for m in range(alg.dim) if any(s[m] for s in images)]
-        fracs = {}  # numerator -> Fraction(numerator, den), built once
-        for v, zc in zip(zvals, zcoords):
-            second = list(zero)
-            for m, col in cols:
-                num = sum(map(operator.mul, v, col))
-                f = fracs.get(num)
-                if f is None:
-                    f = fracs[num] = Fraction(num, den)
-                second[m] = f
-            pairs.append((x.coords, tuple(second), zc))
+        pairs.extend(zip(itertools.repeat(x.coords), _linear_combinations(images, zvals), zcoords))
     return FiberSample(alg.name, ts.label, grid, tuple(pairs))
 
 
@@ -772,17 +747,25 @@ def _orbit_dim(ts, grid, hull):
 
 def _orbit_points(ts, grid):
     """(Z, X, Adbar(exp Z) X) for Z on the p_+ grid of radius min(grid, 1)
-    and X over the type's members on the grid of radius ``grid``."""
+    and X over the type's members on the grid of radius ``grid``.
+
+    Adbar(exp Z) is linear on n, so each Z takes only the images of the
+    type's parameter basis, combined over the integer parameter
+    coordinates of each X."""
     alg = ts.algebra
     zgrid = min(grid, 1)
+    idxs = ts.param_indices()
     # the points are X points times Z points
-    check_grid((grid, len(ts.param_indices())), (zgrid, len(alg.pplus_indices)))
+    check_grid((grid, len(idxs)), (zgrid, len(alg.pplus_indices)))
     xs = list(ts.grid(grid))
+    xvals = [[int(x.coords[i]) for i in idxs] for x in xs]
+    units = [alg.basis_elem(i) for i in idxs]
     points = []
     for vals in iter_pplus_coords(alg, zgrid):
         z = pplus_elem(alg, vals)
         g = group_exp(z)
-        points.extend((z, x, truncated_Ad(g, x)) for x in xs)
+        coords = _linear_combinations([truncated_Ad(g, u).coords for u in units], xvals)
+        points.extend((z, x, AlgElem(alg, p)) for x, p in zip(xs, coords))
     return points
 
 

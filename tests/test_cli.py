@@ -26,6 +26,8 @@ def run_json(config):
 def test_config_roundtrips_through_serialization():
     cfg = ExperimentConfig(command="jets", algebra="xxdot", type_spec="grade(-2)", grid=1, orders=4)
     wire = json.loads(json.dumps(cfg.to_jsonable(), sort_keys=True))
+    # parageo/1 echoes a worker count that is no config field
+    assert wire.pop("workers") == 1
     assert ExperimentConfig(output=None, **wire) == cfg
 
 
@@ -202,9 +204,8 @@ def test_main_exit_codes(capsys):
 @pytest.mark.parametrize(
     "command", ["catalog", "verify", "jets", "fiber", "family", "reparam", "classify"]
 )
-def test_cli_defaults_are_the_config_defaults(monkeypatch, capsysbinary, command):
+def test_cli_defaults_are_the_config_defaults(capsysbinary, command):
     # main sets only the options given, so every default is ExperimentConfig's
-    monkeypatch.delenv("PARAGEO_WORKERS", raising=False)
     if command == "catalog":
         argv, config = [command], ExperimentConfig(command=command)
     else:
@@ -215,25 +216,17 @@ def test_cli_defaults_are_the_config_defaults(monkeypatch, capsysbinary, command
     assert capsysbinary.readouterr().out == emit(report)
 
 
-def test_workers_env_validation(monkeypatch):
-    monkeypatch.setenv("PARAGEO_WORKERS", "zero")
-    assert main(["classify", "--algebra", "proj(1)", "--grid", "1"]) == 2
-    monkeypatch.setenv("PARAGEO_WORKERS", "0")
-    assert main(["classify", "--algebra", "proj(1)", "--grid", "1"]) == 2
-
-
-def test_workers_env_results_match(monkeypatch, capsysbinary):
-    monkeypatch.setenv("PARAGEO_WORKERS", "2")
-    code = main(["jets", "--algebra", "lagr3", "--type", "grade(-2)", "--grid", "1"])
-    out2 = capsysbinary.readouterr().out
-    assert code == 0
-    monkeypatch.delenv("PARAGEO_WORKERS")
-    code = main(["jets", "--algebra", "lagr3", "--type", "grade(-2)", "--grid", "1"])
-    out1 = capsysbinary.readouterr().out
-    assert code == 0
-    r1, r2 = json.loads(out1), json.loads(out2)
-    assert r1["results"] == r2["results"]
-    assert r1["summary"] == r2["summary"]
+@pytest.mark.parametrize("value", ["2", "zero"])
+def test_workers_env_is_not_read(monkeypatch, capsysbinary, value):
+    # every run is one process: a set PARAGEO_WORKERS, even one that is no
+    # count, gives the bytes and the exit code of the unset run
+    argv = ["jets", "--algebra", "lagr3", "--type", "grade(-2)", "--grid", "1"]
+    monkeypatch.delenv("PARAGEO_WORKERS", raising=False)
+    code = main(argv)
+    unset = capsysbinary.readouterr().out
+    monkeypatch.setenv("PARAGEO_WORKERS", value)
+    assert main(argv) == code == 0
+    assert capsysbinary.readouterr().out == unset
 
 
 def test_bad_direction_exits_2(capsys):

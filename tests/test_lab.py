@@ -1,5 +1,3 @@
-import concurrent.futures
-import os
 import tracemalloc
 from fractions import Fraction
 
@@ -32,7 +30,6 @@ from parageo.lab import (
     _iter_pair_stats,
     _orbit_dim,
     _orbit_points,
-    _pair_stats,
 )
 from parageo.matrices import Mat, rank
 
@@ -107,7 +104,7 @@ def test_types_are_g0_invariant(any_algebra):
 
 
 def test_type_labels_rebuild_their_specs():
-    # worker processes rebuild a spec from its label alone
+    # a label alone rebuilds its spec
     specs = []
     for cid in ALL_IDS:
         alg = make_algebra(cid)
@@ -443,44 +440,6 @@ def test_su21_runs_on_kernel():
     rep = min_jet_order_search(ts, x, grid=1, r_max=4)
     assert rep.passed()
     assert rep.verdicts[2] == "confirmed"
-
-
-def test_workers_produce_identical_stats(lagr3):
-    ts = type_full(lagr3)
-    x = lagr3.elem_from_grade_coords({-1: (1, 1), -2: (1,)})
-    seq = list(_pair_stats(ts, x, 1, 4, workers=1))
-    par = _pair_stats(ts, x, 1, 4, workers=2)
-    assert seq == par
-
-
-def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch, lagr3):
-    # an in-process stand-in for the pool records its size and starts no
-    # process, so a huge worker count is safe to pass
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return map(fn, args)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    ts = type_grade(lagr3, -2)
-    x = lagr3.grade_basis(-2)[0]
-    # one grid point makes one chunk
-    assert _pair_stats(ts, x, 0, 3, workers=100_000) == list(_pair_stats(ts, x, 0, 3))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert _pair_stats(ts, x, 1, 3, workers=8) == list(_pair_stats(ts, x, 1, 3))
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    _pair_stats(ts, x, 1, 3, workers=8)
-    assert sizes == [1, 2, 1]
 
 
 # -- jet order search ---------------------------------------------------------------
