@@ -20,8 +20,6 @@ orbit points, orbit probes and Prop. 4.1 conjugations of ``lab`` run on
 it.  Coordinates are read through the algebra's one integer frame, built
 with the algebra (``GradedAlgebra.express`` for a constant, ``express_poly``
 for a curve; ``GridKernel`` reads the same extractor terms).
-``IntPolyMat.from_mats`` is the one conversion from a ``Fraction`` ``Mat``,
-for a user's group matrix; this module imports no ``Mat``.
 
 Every grid search (``jets`` and ``family``) runs its pairs on
 ``GridKernel``, for every catalog algebra and every rational base
@@ -366,13 +364,6 @@ class IntPolyMat:
     @classmethod
     def identity(cls, d):
         return cls(d, [_iident(d)])
-
-    @classmethod
-    def from_mats(cls, mats):
-        """sum_p t^p mats[p] for constant rational Mats of one size."""
-        den = lcm(*(Fraction(e).denominator for m in mats for row in m.rows for e in row))
-        coeffs = [[[int(e * den) for e in row] for row in m.rows] for m in mats]
-        return cls(mats[0].nrows, coeffs, den)
 
     def is_zero(self):
         return not self.coeffs

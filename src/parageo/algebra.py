@@ -402,10 +402,6 @@ class AlgElem:
     def __bool__(self):
         return any(bool(c) for c in self.coords)
 
-    def grade_component(self, grade):
-        idx = self.algebra.grade_slices[grade]
-        return self.algebra.elem_at(idx, (self.coords[i] for i in idx))
-
     def grade_coords(self, grade):
         return tuple(self.coords[i] for i in self.algebra.grade_slices[grade])
 
@@ -434,7 +430,7 @@ class AlgElem:
 
 class GroupElem:
     """An element of G: a constant IntPolyMat and its inverse, checked to
-    multiply to I.  A user's matrix enters through ``catalog.group_elem``."""
+    multiply to I, so no matrix is ever inverted."""
 
     __slots__ = ("algebra", "mat", "inv_mat")
 

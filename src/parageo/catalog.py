@@ -31,23 +31,19 @@ complex realization, from its meta "labels".
 
 Every basis matrix, and each invariant form in a meta (conf's and su21's
 "form", su21's "complex_structure"), is given as its nonzero integer
-entries {(row, col): int}.  ``validate_group_matrix``, the membership test
-of a user's group matrix, builds the ``Fraction`` ``Mat`` of a form when
-it is called.
+entries {(row, col): int}.  The forms define the group G; no command
+takes a group matrix, so the membership test that reads them lives with
+the tests (``tests/paper_checks.py``).
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from ._fastgrid import IntPolyMat
-from .algebra import GradedAlgebra, GroupElem
+from .algebra import GradedAlgebra
 from .errors import BadParams, UnknownCatalogName
-from .matrices import Mat
-from .scalars import GaussianRational
 
 
 def _realified(entries):
@@ -60,12 +56,6 @@ def _realified(entries):
             if v:
                 out[2 * r + i, 2 * c + j] = v
     return out
-
-
-def _mat(d, entries):
-    """The Fraction Mat of the d x d integer matrix with nonzero entries
-    {(row, col): int}."""
-    return Mat([Fraction(entries.get((i, j), 0)) for j in range(d)] for i in range(d))
 
 
 # -- builders -----------------------------------------------------------------
@@ -264,35 +254,3 @@ def make_algebra(name, *params):
     if params:
         return _make(name, tuple(int(p) for p in params))
     return _make(*parse_catalog_id(name))
-
-
-def validate_group_matrix(alg, mat):
-    """Exact membership test of a matrix in the catalog group G."""
-    if alg.family in ("proj", "grass", "lagr3", "xxdot"):
-        return mat.det() == 1
-    d = alg.matrix_dim
-    if alg.family == "conf":
-        form = _mat(d, alg.meta["form"])
-        return mat.transpose() * form * mat == form
-    if alg.family == "su21":
-        # a complex matrix (commutes with J0), preserving the Hermitian form
-        # (realified: M^T F M = F), of complex determinant 1
-        form, j0 = _mat(d, alg.meta["form"]), _mat(d, alg.meta["complex_structure"])
-        if mat * j0 != j0 * mat or mat.transpose() * form * mat != form:
-            return False
-        rows = mat.rows
-        complex_mat = Mat(
-            [GaussianRational(rows[2 * r][2 * c], rows[2 * r + 1][2 * c]) for c in range(d // 2)]
-            for r in range(d // 2)
-        )
-        return complex_mat.det() == 1
-    raise UnknownCatalogName(alg.family)
-
-
-def group_elem(alg, rows):
-    """Build a validated GroupElem from explicit rational matrix rows: the
-    matrix is checked to lie in G, inverted once and made integral once."""
-    mat = (rows if isinstance(rows, Mat) else Mat(rows)).map(Fraction)
-    if not validate_group_matrix(alg, mat):
-        raise ValueError("matrix is not in the group of %s" % alg.name)
-    return GroupElem(alg, *(IntPolyMat.from_mats([m]) for m in (mat, mat.inverse())))

@@ -155,11 +155,7 @@ def run(config):
         ts = parse_type(alg, config.type_spec)
         x = parse_direction(alg, config.direction) if config.direction else ts.default_direction()
         rep = min_jet_order_search(
-            ts,
-            x,
-            grid=config.grid,
-            r_max=config.orders,
-            claimed_bound=config.claimed_bound,
+            ts, x, grid=config.grid, r_max=config.orders, claimed_bound=config.claimed_bound
         )
         failures.extend(rep.violations)
         return envelope(config, desc, {"jets": rep.to_jsonable()}, failures), (
@@ -326,18 +322,19 @@ def build_parser():
 
     add_parser("catalog", help="list the algebra families")
 
-    def add_common(sp, with_type=True):
+    def add_common(sp, with_type=True, with_grid=True):
         sp.add_argument("--algebra", required=True, help="catalog id, e.g. conf(1,2)")
         if with_type:
             sp.add_argument("--type", dest="type_spec",
                             help="full_n | grade(-j) | rank(r) | null_cone | a lagr3 or "
                             "xxdot stratum type (a union of classify labels)")
-        sp.add_argument("--grid", type=int, help="integer grid radius (default 2)")
+        if with_grid:
+            sp.add_argument("--grid", type=int, help="integer grid radius (default 2)")
         sp.add_argument("--output", help="write the report to this path")
         sp.add_argument("--format", choices=("json", "md"))
 
     sp = add_parser("verify", help="run identity suites")
-    add_common(sp, with_type=False)
+    add_common(sp, with_type=False, with_grid=False)
     sp.add_argument("--suite", choices=("lemmas", "structure", "all"))
 
     sp = add_parser("jets", help="jet-determination search")
@@ -359,7 +356,7 @@ def build_parser():
     sp.add_argument("--direction", help="comma coords over the n basis")
 
     sp = add_parser("reparam", help="solve + verify a projective reparametrization")
-    add_common(sp, with_type=False)
+    add_common(sp, with_type=False, with_grid=False)
     sp.add_argument("--x1", help="coords over the lowest grade basis")
     sp.add_argument("--x2", help="coords over the lowest grade basis")
     sp.add_argument("--z", help="coords over the p_+ basis")

@@ -191,10 +191,6 @@ class NormalCoordJet:
     def __setattr__(self, name, value):
         raise AttributeError("NormalCoordJet is immutable")
 
-    def derivative_at_zero(self, i):
-        """Y^(i)(0) as an algebra element."""
-        return self.Y_coeffs[i] * Fraction(factorial(i))
-
     def coeffs_prefix(self, ell):
         return tuple(e.coords for e in self.Y_coeffs[: ell + 1])
 

@@ -407,6 +407,8 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None):
         raise ParageoError("highest jet order must be at least 1, got %d" % r_max)
     if r_max > MAX_JET_ORDER:
         raise ParageoError("highest jet order must be at most %d, got %d" % (MAX_JET_ORDER, r_max))
+    if claimed_bound is not None and claimed_bound < 1:
+        raise ParageoError("claimed bound must be at least 1, got %d" % claimed_bound)
     check_direction(ts, x)
     claimed = claimed_bound if claimed_bound is not None else paper_jet_bound(ts)
     n_grid = n_admissible = n_equal = 0
@@ -577,13 +579,13 @@ class FiberSample:
 
 
 def _linear_combinations(images, vectors):
-    """The exact coordinates of sum_i v_i images[i], for each integer
-    vector v of ``vectors`` in turn.
+    """The exact coordinates of sum_i v_i images[i], for each integer (or
+    rational) vector v of ``vectors`` in turn.
 
     The images go over one denominator: every coordinate m that some image
     reaches becomes the integer column den * images[i][m], so a point costs
-    one integer dot product per such coordinate, and each numerator's
-    ``Fraction`` is built once.
+    one dot product per such coordinate, and each numerator's ``Fraction``
+    is built once.
     """
     dim = len(images[0])
     den = lcm(*(c.denominator for s in images for c in s))
@@ -746,12 +748,14 @@ def _orbit_dim(ts, grid, hull):
 
 
 def _orbit_points(ts, grid):
-    """(Z, X, Adbar(exp Z) X) for Z on the p_+ grid of radius min(grid, 1)
-    and X over the type's members on the grid of radius ``grid``.
+    """(points, hull): (Z, X, Adbar(exp Z) X) for Z on the p_+ grid of radius
+    min(grid, 1) and X over the type's members on the grid of radius
+    ``grid``, and the dimension of their span.
 
     Adbar(exp Z) is linear on n, so each Z takes only the images of the
     type's parameter basis, combined over the integer parameter
-    coordinates of each X."""
+    coordinates of each X, and the span is that of the images under each Z
+    of an ``echelon`` basis of the X span: one row per Z and basis vector."""
     alg = ts.algebra
     zgrid = min(grid, 1)
     idxs = ts.param_indices()
@@ -759,14 +763,19 @@ def _orbit_points(ts, grid):
     check_grid((grid, len(idxs)), (zgrid, len(alg.pplus_indices)))
     xs = list(ts.grid(grid))
     xvals = [[int(x.coords[i]) for i in idxs] for x in xs]
+    xbasis = [row for _, row in echelon([[x.coords[i] for i in idxs] for x in xs])]
     units = [alg.basis_elem(i) for i in idxs]
-    points = []
+    points, per_z = [], []
     for vals in iter_pplus_coords(alg, zgrid):
         z = pplus_elem(alg, vals)
         g = group_exp(z)
-        coords = _linear_combinations([truncated_Ad(g, u).coords for u in units], xvals)
+        images = [truncated_Ad(g, u).coords for u in units]
+        per_z.append(images)
+        coords = _linear_combinations(images, xvals)
         points.extend((z, x, AlgElem(alg, p)) for x, p in zip(xs, coords))
-    return points
+    # the points lie in n; the rows are lazy, as the rank stops at a full one
+    span = ([p[i] for i in alg.n_indices] for imgs in per_z for p in _linear_combinations(imgs, xbasis))
+    return points, rank(span)
 
 
 def orbit_hull_dimension(ts, grid=2):
@@ -784,9 +793,7 @@ def orbit_hull_dimension(ts, grid=2):
     is known, every sampled point is checked against it.
     """
     alg = ts.algebra
-    points = _orbit_points(ts, grid)
-    # every orbit point lies in n, so the rank is that of its n columns
-    hull = rank([[p.coords[i] for i in alg.n_indices] for _, _, p in points])
+    points, hull = _orbit_points(ts, grid)
     checker = _orbit_description(alg, ts)
     bad = [] if checker is None else [
         "orbit point from Z=%s X=%s violates the description" % (tuple(z.coords), tuple(x.coords))

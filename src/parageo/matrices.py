@@ -1,8 +1,8 @@
 """Exact square matrices over any of the library's rings.
 
 ``Mat`` is entry-agnostic: entries may be Fraction, Poly or any other
-exact commutative ring element (the su21 group check takes one complex
-determinant), and all operations go through the entries' own exact
+exact commutative ring element (the tests' su21 group check takes one
+complex determinant), and all operations go through the entries' own exact
 arithmetic.  A Fraction 0 stands for the zero of any entry ring, and
 ``scale`` keeps a zero entry as it is.  Determinants use Laplace expansion
 memoized over column masks, which is exact over any commutative ring; the
@@ -14,14 +14,13 @@ code inverts no polynomial matrix exactly: every inverse it needs is known
 in closed form, as exp(-Z) or exp(-tA), or is a truncated power series
 (the pivot blocks of the normal-coordinate jet).
 
-Which engine runs where: ``Mat`` is the user group-matrix boundary and
-the oracles' type.  ``catalog.group_elem`` validates a user's group matrix
-(``validate_group_matrix`` builds the ``Mat`` of an invariant form from
-its integer entries when called), inverts it and converts it once; the
-test references compute on ``Mat``s with ``Fraction`` or ``Poly``
-entries.  No command of the command line constructs one: the catalog
-builds each basis matrix as its integer entries, ``GradedAlgebra`` reads
-them into one integer coordinate frame (two ``rref`` calls on
+Which engine runs where: ``Mat`` is the oracles' type.  The test
+references compute on ``Mat``s with ``Fraction`` or ``Poly`` entries, and
+the tests' user-style group matrices are ``Fraction`` ``Mat``s, validated
+and converted to integers under ``tests/``.  No other package module
+names ``Mat``, and no command of the command line constructs one: the
+catalog builds each basis matrix as its integer entries, ``GradedAlgebra``
+reads them into one integer coordinate frame (two ``rref`` calls on
 ``Fraction`` rows), and every other matrix, constant or polynomial, is an
 integer ``_fastgrid.IntPolyMat`` (elements, group elements, Ad, the normal
 form, every nilpotent exponential, the curves, identities, jets, orbits

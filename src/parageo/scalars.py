@@ -2,8 +2,9 @@
 
 Every algebra, polynomial and grid computation runs over the rationals
 (``fractions.Fraction``); su(2,1) is realified at build time.  The one
-complex computation left is the determinant of the complex matrix read
-back off a realified group matrix, over this thin pair-of-Fractions class.
+complex computation left, in the tests' su21 group-membership check, is
+the determinant of the complex matrix read back off a realified group
+matrix, over this thin pair-of-Fractions class.
 It interoperates with int/Fraction through the usual coercion dunders, so
 ``Mat.det`` runs on it unchanged.  There is no floating point anywhere in
 this module.

@@ -1,21 +1,64 @@
-"""Paper checks that only the tests run: G0 samples, the [X,[X,Z]] solve,
+"""Paper checks that only the tests run: the group of a catalog algebra
+as user-style matrices (the membership test ``validate_group_matrix``,
+``group_elem`` and the G0 samples built with it), the [X,[X,Z]] solve,
 projective-structure witnesses, Moebius seeds, the chain-family check, the
-direct standard-fiber loop and the full-grid default-direction walk."""
+direct standard-fiber loop and the full-grid default-direction walk.
+
+No command of the command line takes a group matrix, so this is the one
+place where a ``Fraction`` ``Mat`` becomes a ``GroupElem``: it is checked
+against the catalog's invariant forms, inverted once and converted to the
+integer engine by ``poly_reference.from_mats``.
+"""
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
-from parageo.algebra import AlgElem, bracket
-from parageo.catalog import group_elem
+from parageo.algebra import AlgElem, GroupElem, bracket
 from parageo.curves import CurveSpec, normal_coord_jet
-from parageo.errors import NotAMember, NotApplicableGrading, ZeroVelocity
+from parageo.errors import NotAMember, NotApplicableGrading, UnknownCatalogName, ZeroVelocity
 from parageo.lab import _iter_pair_stats, type_grade
 from parageo.matrices import Mat, rref
 from parageo.poly import Poly
 from parageo.reparam import _proportionality, reparam_solve, verify_reparam
+from parageo.scalars import GaussianRational
+
+from poly_reference import entries_mat, from_mats
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+def validate_group_matrix(alg, mat):
+    """Exact membership test of a matrix in the catalog group G."""
+    if alg.family in ("proj", "grass", "lagr3", "xxdot"):
+        return mat.det() == 1
+    d = alg.matrix_dim
+    if alg.family == "conf":
+        form = entries_mat(d, alg.meta["form"])
+        return mat.transpose() * form * mat == form
+    if alg.family == "su21":
+        # a complex matrix (commutes with J0), preserving the Hermitian form
+        # (realified: M^T F M = F), of complex determinant 1
+        form, j0 = entries_mat(d, alg.meta["form"]), entries_mat(d, alg.meta["complex_structure"])
+        if mat * j0 != j0 * mat or mat.transpose() * form * mat != form:
+            return False
+        rows = mat.rows
+        complex_mat = Mat(
+            [GaussianRational(rows[2 * r][2 * c], rows[2 * r + 1][2 * c]) for c in range(d // 2)]
+            for r in range(d // 2)
+        )
+        return complex_mat.det() == 1
+    raise UnknownCatalogName(alg.family)
+
+
+def group_elem(alg, rows):
+    """Build a validated GroupElem from explicit rational matrix rows: the
+    matrix is checked to lie in G, inverted once and made integral once."""
+    mat = (rows if isinstance(rows, Mat) else Mat(rows)).map(Fraction)
+    if not validate_group_matrix(alg, mat):
+        raise ValueError("matrix is not in the group of %s" % alg.name)
+    return GroupElem(alg, *(from_mats([m]) for m in (mat, mat.inverse())))
 
 
 def g0_samples(alg):
@@ -159,8 +202,9 @@ def mobius_candidate_between(c1, c2):
     """
     j1 = normal_coord_jet(c1, 2)
     j2 = normal_coord_jet(c2, 2)
-    y1p, y1pp = j1.derivative_at_zero(1), j1.derivative_at_zero(2)
-    y2p, y2pp = j2.derivative_at_zero(1), j2.derivative_at_zero(2)
+    # Y^(i)(0) = i! * Y_coeffs[i]
+    y1p, y1pp = (j1.Y_coeffs[i] * factorial(i) for i in (1, 2))
+    y2p, y2pp = (j2.Y_coeffs[i] * factorial(i) for i in (1, 2))
     a = _proportionality(y1p, y2p)
     if a is None or a == 0:
         return None

@@ -11,7 +11,9 @@ Ad_b X is two ``Fraction`` products, and coordinates come from a dense
 cofactor extractor over ``basis_mats`` (``express`` below, cached per
 algebra), which reads none of the algebra's own coordinate frame.  They
 take and return Poly-entry ``Mat``s; ``to_int`` converts one for the
-primary route, and ``to_mat`` converts an ``IntPolyMat`` back.
+primary route (through ``from_mats``, the one conversion from a
+``Fraction`` ``Mat`` to the integer engine), and ``to_mat`` converts an
+``IntPolyMat`` back.
 The basis is ``basis_mats``: ``Fraction`` ``Mat``s built from the
 algebra's integer ``basis_entries``.  An algebra element enters as
 ``frac_matrix``, summed over it in ``Fraction``s, and a group element as
@@ -21,7 +23,7 @@ reference shares the arithmetic of the integer route.
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 
 from parageo._fastgrid import IntPolyMat
 from parageo.algebra import AlgElem
@@ -128,11 +130,19 @@ def exp_mat(m, scale=1):
     return acc
 
 
+def from_mats(mats):
+    """The IntPolyMat sum_p t^p mats[p] of constant rational Mats of one
+    size, over the least common denominator of their entries."""
+    den = lcm(*(Fraction(e).denominator for m in mats for row in m.rows for e in row))
+    coeffs = [[[int(e * den) for e in row] for row in m.rows] for m in mats]
+    return IntPolyMat(mats[0].nrows, coeffs, den)
+
+
 def to_int(mat):
     """The IntPolyMat of a Mat with rational or Poly entries."""
     polys = [[e if isinstance(e, Poly) else Poly.const(e) for e in row] for row in mat.rows]
     top = max((len(e.coeffs) for row in polys for e in row), default=0)
-    return IntPolyMat.from_mats(
+    return from_mats(
         [Mat(tuple(tuple(e[p] for e in row) for row in polys)) for p in range(max(top, 1))]
     )
 

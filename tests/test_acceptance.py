@@ -129,7 +129,8 @@ def test_criterion_03_chains_two_jets_and_cascade():
             # chain direction, jet order not None) iff [Z_1, X] = 0
             for zc, _, jord, _ in _iter_pair_stats(ts, x, 2, 4):
                 admissible = jord is not None
-                cascade_ok = bracket(AlgElem(alg, zc).grade_component(1), x).is_zero()
+                z1 = alg.elem_at(alg.grade_slices[1], AlgElem(alg, zc).grade_coords(1))
+                cascade_ok = bracket(z1, x).is_zero()
                 assert admissible == cascade_ok, (cid, zc)
                 checked += 1
     note(3, "chains: 2-jet determination + cascade recovered on %d samples" % checked)
@@ -271,7 +272,7 @@ def test_criterion_09_family_dimensions():
     for (z1, y1), (z2, y2) in itertools.combinations(members, 2):
         c1 = CurveSpec.from_Z(lagr3, z1, y1)
         c2 = CurveSpec.from_Z(lagr3, z2, y2)
-        shift = (z2 - z1).grade_component(2)  # g_2 is abelian here
+        shift = lagr3.elem_at(lagr3.grade_slices[2], (z2 - z1).grade_coords(2))  # g_2 is abelian here
         v = reparam_solve(lagr3, y1, shift, y2)
         assert v.exists
         assert verify_reparam(c1, c2, v.map)

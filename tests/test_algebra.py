@@ -18,7 +18,7 @@ from parageo.algebra import (
     truncated_Ad,
 )
 from parageo._fastgrid import IntPolyMat
-from parageo.catalog import group_elem, make_algebra, validate_group_matrix
+from parageo.catalog import make_algebra
 from parageo.curves import _log_unipotent_series
 from parageo.errors import (
     AlgebraMismatch,
@@ -33,7 +33,7 @@ from parageo.poly import P_T, Poly
 
 from conftest import ALL_IDS, block_flag_sl, diag_group_elem, frame_extractor, full_flag_sl4
 from fraction_reference import exhaustive_jacobi_violations, reference_build
-from paper_checks import g0_samples, realified
+from paper_checks import g0_samples, group_elem, realified, validate_group_matrix
 from poly_reference import (
     basis_mats,
     const_mat,
@@ -137,10 +137,11 @@ def test_grade_components_recombine(any_algebra):
     alg = any_algebra
     x = alg.elem(tuple(Fraction(i - 2) for i in range(alg.dim)))
     total = alg.zero_elem()
-    for g in range(-alg.k, alg.k + 1):
-        total = total + x.grade_component(g)
+    parts = {g: alg.elem_at(alg.grade_slices[g], x.grade_coords(g)) for g in range(-alg.k, alg.k + 1)}
+    for part in parts.values():
+        total = total + part
     assert total == x
-    assert x.grade_component(-1).in_n()
+    assert parts[-1].in_n()
 
 
 def test_exp_nilpotent_examples(lagr3, proj1):
@@ -487,7 +488,7 @@ def test_su21_group_membership():
 
 
 def test_known_inverses_take_no_determinant(monkeypatch, lagr3):
-    # every group element past the catalog boundary carries its inverse:
+    # every group element past the user-matrix entry carries its inverse:
     # the identity, exp(Z), products, inverses and the normal form's G0 part
     def refuse(self):
         raise AssertionError("Fraction Mat determinant or inverse called")
@@ -519,7 +520,7 @@ def test_group_elem_constructor_rejects_bad_inverses(lagr3):
     ):
         with pytest.raises(ValueError):
             GroupElem(lagr3, mat, inv)
-    # the catalog boundary validates and inverts a user matrix once
+    # group_elem validates and inverts a user matrix once
     with pytest.raises(ValueError, match="not in the group"):
         group_elem(lagr3, [[Fraction(2), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(1)]])
     diag = group_elem(lagr3, [[Fraction(2), 0, 0], [0, Fraction(1, 2), 0], [0, 0, Fraction(1)]])

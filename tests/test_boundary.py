@@ -1,23 +1,23 @@
 """Two boundaries of the source tree, read from the source, and the
 engine boundary run end to end.
 
-The engine boundary.  Every constant matrix (a catalog basis matrix, an
-algebra element, a group element and its inverse, a commutator of two basis
-matrices) is an integer ``IntPolyMat`` or integer entries; the catalog
-builds each basis matrix as its integer entries, and ``GradedAlgebra``
-reads them into its integer coordinate frame (``rref`` rows, not ``Mat``s).
-A ``Fraction`` ``Mat`` is left only at the user group-matrix boundary:
-``catalog.group_elem`` validates, inverts and makes integral a user's
-matrix once, and ``validate_group_matrix`` builds the ``Mat`` of an
-invariant form when called.  So the integer engine, algebra, curve, lab,
-reparametrization and suite modules name no ``Mat``, no module converts a
-matrix from one form to the other except that one boundary call, and no
-command of the command line constructs a ``Mat`` at all.
+The engine boundary.  Every matrix of the package, constant or
+polynomial (a catalog basis matrix, an algebra element, a group element
+and its inverse, a commutator of two basis matrices, a curve), is an
+integer ``IntPolyMat`` or integer entries; the catalog builds each basis
+matrix as its integer entries, and ``GradedAlgebra`` reads them into its
+integer coordinate frame (``rref`` rows, not ``Mat``s).  So every module
+but ``matrices.py`` names no ``Mat``, nothing in the package converts a
+``Mat`` to the integer engine, and no command of the command line
+constructs a ``Mat`` at all.  A user's group matrix, and the conversion
+from a ``Fraction`` ``Mat``, live with the tests (``paper_checks.py``,
+``poly_reference.py``).
 
 The test-code boundary.  Every module-level function and class of the
-package is reached from the command line or the scripts, or is listed in
-``UNCALLED`` with the reason it stays.  A check that only the tests run
-lives under ``tests/`` (``paper_checks.py``), not in the package.
+package, and every method other than a dunder, is reached from the
+command line or the scripts, or is listed in ``UNCALLED`` with the reason
+it stays.  A check that only the tests run lives under ``tests/``
+(``paper_checks.py``), not in the package.
 """
 
 import ast
@@ -31,7 +31,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "parageo"
 
-INTEGER_MODULES = ("_fastgrid.py", "algebra.py", "curves.py", "lab.py", "reparam.py", "suite.py")
+INTEGER_MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "matrices.py")
 
 
 def _names(module):
@@ -53,15 +53,6 @@ def _names(module):
 def test_integer_modules_use_no_fraction_matrix(module):
     bad = [(line, name) for line, name in _names(module) if name in ("Mat", "from_mats", "const_mat")]
     assert bad == []
-
-
-def test_from_mats_only_at_the_catalog_boundary():
-    uses = {
-        path.name: [line for line, name in _names(path.name) if name in ("from_mats", "const_mat")]
-        for path in sorted(SRC.glob("*.py"))
-    }
-    # one conversion, in catalog.group_elem
-    assert [(m, len(lines)) for m, lines in uses.items() if lines] == [("catalog.py", 1)]
 
 
 # Every command of the command line, with Mat.__init__ patched to raise: each
@@ -111,42 +102,62 @@ def test_no_command_constructs_a_mat():
     assert proc.stdout.split() == ["14"]
 
 
-# Module-level names that nothing in src/ or scripts/ reaches, with the reason
-# each stays.  A listed name does not reach what it calls: those need entries.
+# Definitions that nothing in src/ or scripts/ reaches, with the reason each
+# stays.  A listed name does not reach what it calls: those need entries.  A
+# listed class is checked as a whole, its methods with it.
 UNCALLED = {
     "lab.solve_direction": "parabench times it as a span; it goes with that span",
     "lab.verify_prop41_claim": "the Prop. 4.1 claim check, due as a verify suite "
     "family; run by --suite all it would slow every lemma run",
     "lab.Prop41Report": "the report of verify_prop41_claim",
     "lab._ad_exp": "the conjugation helper of verify_prop41_claim",
-    "catalog.group_elem": "the one entry for a user's group matrix; parabench "
-    "times the Mat.inverse and Mat.det it reaches",
-    "catalog.validate_group_matrix": "the membership test of group_elem",
-    "catalog._mat": "the Fraction Mat of an invariant form, for validate_group_matrix",
-    "matrices.Mat": "the user group-matrix form of group_elem and the oracles' type; "
-    "parabench counts its det and __mul__ and times its inverse",
+    "algebra.GroupElem.inverse": "the inverse that solve_direction conjugates by",
+    "matrices.Mat": "the matrix type of the test references and of the tests' group "
+    "matrices; parabench counts its det and __mul__ and times its inverse",
     "matrices._dot": "the entry product of Mat.__mul__",
-    "scalars.GaussianRational": "the su21 determinant of validate_group_matrix; "
-    "parabench counts its __mul__",
+    "scalars.GaussianRational": "the su21 determinant of the tests' group-membership "
+    "check; parabench counts its __mul__",
     "scalars._coerce": "an operand helper of GaussianRational",
     "scalars.scalar_str": "the string form of GaussianRational",
 }
 
 
+def _units(module, tree):
+    """("module.name", node) of every module-level def and class, and
+    ("module.Class.name", node) of every method but a dunder; a class of
+    ``UNCALLED`` stays whole."""
+    for st in tree.body:
+        if isinstance(st, (ast.FunctionDef, ast.ClassDef)):
+            name = "%s.%s" % (module, st.name)
+            yield name, st
+            if isinstance(st, ast.ClassDef) and name not in UNCALLED:
+                for f in st.body:
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("__"):
+                        yield "%s.%s" % (name, f.name), f
+
+
 def _reach():
-    """(every module-level def and class as "module.name", those reached).
+    """(every unit of ``_units``, those reached).
 
     Module-level code outside a def or class (tables, the CLI's main guard)
-    and the scripts are the roots; a def reaches the names its body reads.
-    A bare name resolves to its module's own definition or to one it
-    imports from another package module.
+    and the scripts are the roots.  A unit reaches what its body reads; a
+    class's body is its code outside those methods, so its dunders, which
+    run implicitly, count with it.  A bare name resolves to its module's
+    own definition or to one it imports from another package module.  An
+    attribute read resolves to every method of that name, whatever its
+    class, since the receiver's type is not known.
     """
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
-    defs = {"%s.%s" % (m, st.name) for m, tree in trees.items() for st in tree.body
-            if isinstance(st, (ast.FunctionDef, ast.ClassDef))}
+    units = {name: node for m, tree in trees.items() for name, node in _units(m, tree)}
+    nested = set(units.values())  # a body's walk stops at the units inside it
+    methods = {}  # method name -> its units
+    for name in units:
+        if name.count(".") == 2:
+            methods.setdefault(name.rpartition(".")[2], set()).add(name)
 
     def scope(module, tree):
-        names = {d.partition(".")[2]: d for d in defs if d.startswith(module + ".")}
+        names = {st.name: "%s.%s" % (module, st.name) for st in tree.body
+                 if isinstance(st, (ast.FunctionDef, ast.ClassDef))}
         for imp in ast.walk(tree):
             if isinstance(imp, ast.ImportFrom) and (imp.level or imp.module.startswith("parageo.")):
                 home = (imp.module or "").rpartition(".")[2]
@@ -154,18 +165,22 @@ def _reach():
         return names
 
     def reads(names, node):
-        loads = (n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
-        return defs & {names.get(n) for n in loads}
+        out, todo = set(), [node]
+        while todo:
+            n = todo.pop()
+            if isinstance(getattr(n, "ctx", None), ast.Load):
+                if isinstance(n, ast.Name):
+                    out.add(names.get(n.id))
+                elif isinstance(n, ast.Attribute):
+                    out.update(methods.get(n.attr, ()))
+            todo.extend(c for c in ast.iter_child_nodes(n) if c not in nested)
+        return out & units.keys()
 
     todo, edges = [], {}
     for m, tree in trees.items():
         names = scope(m, tree)
-        for st in tree.body:
-            name = "%s.%s" % (m, getattr(st, "name", ""))
-            if name in defs:
-                edges[name] = reads(names, st) - {name}
-            else:
-                todo.extend(reads(names, st))
+        edges.update((name, reads(names, node) - {name}) for name, node in _units(m, tree))
+        todo.extend(reads(names, tree))
     for path in (ROOT / "scripts").glob("*.py"):
         tree = ast.parse(path.read_text())
         todo.extend(reads(scope(path.stem, tree), tree))
@@ -175,7 +190,7 @@ def _reach():
         if name not in reached:
             reached.add(name)
             todo.extend(edges[name])
-    return defs, reached
+    return set(units), reached
 
 
 def test_every_package_name_is_reached_or_listed():

@@ -199,6 +199,9 @@ def test_main_exit_codes(capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert main(["jets", "--algebra", "proj(1)", "--type", "bogus-type", "--grid", "1"]) == 2
+    # verify and reparam read no grid, so they take no --grid
+    assert main(["verify", "--algebra", "proj(1)", "--grid", "5"]) == 2
+    assert main(["reparam", "--algebra", "proj(1)", "--grid", "5"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -252,6 +255,17 @@ def test_jets_orders_below_1_exit_2(orders, capsys):
     out = capsys.readouterr()
     assert "highest jet order must be at least 1" in out.err
     assert out.out == ""
+
+
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_jets_claimed_bound_below_1_exit_2(bound, capsys):
+    argv = ["jets", "--algebra", "proj(2)", "--grid", "1", "--orders", "3", "--claimed-bound"]
+    assert main(argv + [bound]) == 2
+    out = capsys.readouterr()
+    assert "claimed bound must be at least 1" in out.err
+    assert out.out == ""
+    # bound 1 is a claim: the counterexample at order 1 violates it
+    assert main(argv + ["1"]) == 1
 
 
 def test_jets_orders_past_the_cap_exit_2(capsys):

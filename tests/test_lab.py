@@ -707,7 +707,7 @@ def test_orbit_dimensions(lagr3, xxdot):
 )
 def test_orbit_points_match_fraction_loop(cid, tspec, grid):
     ts = parse_type(make_algebra(cid), tspec)
-    points = _orbit_points(ts, grid)
+    points, _ = _orbit_points(ts, grid)
     assert points and points == reference_orbit_points(ts, grid)
 
 
@@ -739,6 +739,9 @@ def test_orbit_dim_is_the_six_probe_reference(cid, tspec, grid):
             if best == hull:
                 break
         assert _orbit_dim(ts, grid, hull) == best, hull
+    # the hull from a basis of the X span is the rank over every orbit point
+    points, hull = _orbit_points(ts, grid)
+    assert hull == rank([[p.coords[i] for i in ts.algebra.n_indices] for _, _, p in points])
 
 
 def test_orbit_trivial_for_one_graded():
