@@ -44,7 +44,6 @@ JET_RUNS = [
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="reports", help="directory for JSON reports")
-    ap.add_argument("--grid", type=int, default=None, help="override every grid radius")
     args = ap.parse_args()
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -75,7 +74,7 @@ def main():
                 command="jets",
                 algebra=cid,
                 type_spec=tspec,
-                grid=args.grid if args.grid is not None else grid,
+                grid=grid,
                 orders=4,
             ),
         )

@@ -29,11 +29,10 @@ the P block pattern carry over exactly, and every catalog algebra has
 integer entries.  Its reports keep the field and matrix dimension of the
 complex realization, from its meta "labels".
 
-Every basis matrix, and each invariant form in a meta (conf's and su21's
-"form", su21's "complex_structure"), is given as its nonzero integer
-entries {(row, col): int}.  The forms define the group G; no command
-takes a group matrix, so the membership test that reads them lives with
-the tests (``tests/paper_checks.py``).
+Every basis matrix is given as its nonzero integer entries
+{(row, col): int}.  The invariant forms of conf and su21 define the group
+G; no command takes a group matrix, so they and the membership test that
+reads them live with the tests (``tests/paper_checks.py``).
 """
 
 from __future__ import annotations
@@ -101,8 +100,6 @@ def _build_conf(p, q):
         for j in range(i + 1, nn):
             g0.append({(1 + i, 1 + j): 1, (1 + j, 1 + i): -signs[i] * signs[j]})
     pos = [{(0, 1 + i): 1, (1 + i, d - 1): -signs[i]} for i in range(nn)]
-    form = {(0, d - 1): 1, (d - 1, 0): 1}
-    form.update(((1 + i, 1 + i), s) for i, s in enumerate(signs))
     return GradedAlgebra(
         "conf(%d,%d)" % (p, q),
         "conf",
@@ -110,7 +107,7 @@ def _build_conf(p, q):
         1,
         (1, nn, 1),
         {-1: neg, 0: g0, 1: pos},
-        meta={"signs": signs, "form": form},
+        meta={"signs": signs},
     )
 
 
@@ -118,7 +115,6 @@ def _build_su21():
     # real basis of su(2,1) for the Hermitian form J~ = antidiag(1,1,1),
     # written as complex 3x3 matrices and realified; all structure
     # constants are rational over this basis
-    d = 3
     one, i1 = (1, 0), (0, 1)
     v = _realified({(2, 0): i1})
     u1 = _realified({(1, 0): one, (2, 1): (-1, 0)})
@@ -135,11 +131,7 @@ def _build_su21():
         2,
         (2, 2, 2),
         {-2: [v], -1: [u1, u2], 0: [h1, h2], 1: [z1, z2], 2: [w]},
-        meta={
-            "form": _realified({(0, 2): one, (1, 1): one, (2, 0): one}),
-            "complex_structure": _realified({(a, a): i1 for a in range(d)}),
-            "labels": {"field": "gaussian", "matrix_dim": d},
-        },
+        meta={"labels": {"field": "gaussian", "matrix_dim": 3}},
     )
 
 
@@ -246,11 +238,7 @@ def _make(family, params):
     return fam.build(*params)
 
 
-def make_algebra(name, *params):
-    """Construct (and cache) a catalog algebra from its id.
-
-    Accepts either make_algebra("conf(1,2)") or make_algebra("conf", 1, 2).
-    """
-    if params:
-        return _make(name, tuple(int(p) for p in params))
+def make_algebra(name):
+    """Construct (and cache) a catalog algebra from its id, such as
+    "conf(1,2)"."""
     return _make(*parse_catalog_id(name))

@@ -23,11 +23,12 @@ Every matrix here, constant or polynomial, is an ``IntPolyMat`` (integer
 coefficient matrices over one common denominator, from ``_fastgrid``): b
 and b^-1 of a spec and X (from ``GroupElem`` and ``AlgElem.matrix``),
 Ad_b X = b X b^-1, the comparison curve, the five identity checkers and
-the normal-coordinate jet with its block-LU series.  Every exponential is
-``IntPolyMat.exp``, the one nilpotent series of ``_fastgrid``, and curve
-equality is its one pattern test ``product_in_p_pattern`` on the two
-factors of u.  Coordinates of a polynomial matrix (``delta_coords``, the
-jet's Y) are tuples of ``Poly`` read by ``GradedAlgebra.express_poly``.
+the normal-coordinate jet, solved one degree at a time.  Every
+exponential is ``IntPolyMat.exp``, the one nilpotent series of
+``_fastgrid``, and curve equality is its one pattern test
+``product_in_p_pattern`` on the two factors of u.  Coordinates of a
+polynomial matrix (``delta_coords``, the jet's Y) are tuples of ``Poly``
+read by ``GradedAlgebra.express_poly``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 from math import factorial
 
 from ._fastgrid import IntPolyMat, product_in_p_pattern
-from .algebra import AlgElem, _same_algebra, group_exp, truncated_Ad
+from .algebra import AlgElem, _same_algebra, group_exp
 from .errors import (
     BadReparam,
     NotInNilpotentPart,
@@ -83,10 +84,6 @@ class CurveSpec:
         if self._a_int is None:
             object.__setattr__(self, "_a_int", self.b.mat * self.X.matrix * self.b.inv_mat)
         return self._a_int
-
-    def direction(self):
-        """Tangent direction at o as an element of n (= g/p)."""
-        return truncated_Ad(self.b, self.X)
 
     def __repr__(self):
         return "CurveSpec(%s; X=%s)" % (self.algebra.name, list(self.X.coords))
@@ -198,18 +195,22 @@ class NormalCoordJet:
 def normal_coord_jet(c, order):
     """Factor the curve through the big cell: exp(Y(t)) p(t), truncated.
 
-    Works on truncated power series; the factorization is the
-    unipotent-lower / parabolic-upper block decomposition, which exists at
-    t=0 because the representative starts at the identity.  Y lands in n
-    exactly (asserted), and exp(Y) p reproduces the representative to the
-    requested order.
+    Solves for Y(t) with exp(-Y(t)) exp(t Ad_b X) in P, one degree at a
+    time.  Every element of n lives on the negative-grade positions.  If Y
+    is right below degree j, then exp(-Y - t^j V) = exp(-Y) - t^j V +
+    O(t^(j+1)), so t^j Y_j is the negative-grade part of
+    exp(-Y) exp(t Ad_b X) mod t^(j+1), whose lower degrees already vanish;
+    Y_0 = 0 since the representative starts at I.  p(t) is that product
+    mod t^(order+1).  That Y lies in n and p(t) in P is asserted.
     """
     if order < 1:
         raise ValueError("jet order must be >= 1")
     alg = c.algebra
     m = c.ad_polymat.exp(P_T).truncate(order)
-    lower, upper = _block_lu_series(alg, m, order)
-    ymat = _log_unipotent_series(lower, order)
+    ymat = IntPolyMat(alg.matrix_dim, [])
+    for j in range(1, order + 1):
+        ymat = ymat + alg.position_part((ymat.exp(-1) * m).truncate(j), lambda g: g < 0)
+    upper = (ymat.exp(-1) * m).truncate(order)
     coords = alg.express_poly(ymat)
     if coords is None:
         raise OracleDisagreement("normal-coordinate factor left the algebra span")
@@ -217,71 +218,9 @@ def normal_coord_jet(c, order):
     ycoeffs = [AlgElem(alg, tuple(p[i] for p in coords)) for i in range(order + 1)]
     if not all(e.in_n() for e in ycoeffs):
         raise OracleDisagreement("normal-coordinate factor is not n-valued")
-    if ycoeffs[0]:
-        raise OracleDisagreement("curve does not start at the origin of the chart")
-    if (ymat.exp() * upper).truncate(order) != m:
-        raise OracleDisagreement("big-cell factorization failed to reproduce the curve")
+    if not upper.in_p_pattern(alg):
+        raise OracleDisagreement("big-cell factor p(t) left P")
     return NormalCoordJet(alg, order, ycoeffs, upper)
-
-
-def _block_lu_series(alg, m, order):
-    """m = L Q with L block-lower unipotent, Q block-upper, mod t^(order+1).
-
-    Block elimination one block column j at a time, on d x d matrices:
-    with E the projector onto block j and B the one onto the blocks below
-    it, F = B W E (E W E + I - E)^{-1} holds the multipliers of column j,
-    L gains F and the work matrix W becomes (I - F) W.
-    """
-    d = alg.matrix_dim
-    ident = IntPolyMat.identity(d)
-    lower, work = ident, m
-    start = 0
-    for size in alg.block_sizes[:-1]:
-        block = _projector(d, range(start, start + size))
-        below = _projector(d, range(start + size, d))
-        column = work * block
-        piv_inv = _unipotent_series_inverse(block * column + ident - block, order)
-        f = (below * column * piv_inv).truncate(order)
-        lower = lower + f
-        work = (work - f * work).truncate(order)
-        start += size
-    return lower, work
-
-
-def _projector(d, indices):
-    """The constant diagonal 0/1 matrix that keeps the given indices."""
-    return IntPolyMat(d, [[[int(i == j and i in indices) for j in range(d)] for i in range(d)]])
-
-
-def _unipotent_series_inverse(piv, order):
-    """piv^{-1} mod t^(order+1) for piv = I at t = 0: sum_k (I - piv)^k.
-
-    (I - piv)^k = O(t^k), so the terms k <= order are all that survive.
-    """
-    ident = IntPolyMat.identity(piv.d)
-    if piv.truncate(0) != ident:
-        raise OracleDisagreement("pivot block of the representative is not I at t = 0")
-    step = ident - piv
-    term = inv = ident
-    for _ in range(order):
-        term = (term * step).truncate(order)
-        if term.is_zero():
-            break
-        inv = inv + term
-    return inv
-
-
-def _log_unipotent_series(m, order):
-    """log m mod t^(order+1) for m = I + N with N(0) = 0: the series
-    sum_p (-1)^(p+1) N^p / p, where N^p = O(t^p) ends it by p = order."""
-    n = m - IntPolyMat.identity(m.d)
-    acc = power = n.truncate(order)
-    for p in range(2, order + 1):
-        power = (power * n).truncate(order)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction((-1) ** (p + 1), p))
-    return acc
 
 
 # -- identity checkers ---------------------------------------------------------

@@ -10,9 +10,8 @@ memo holds up to 2^n minors.  Row reduction is for field entries only:
 ``inverse`` is the right half of rref([M | I]), taken once per user group
 matrix, and every rank and span test runs on ``echelon``, which reduces
 one row at a time and stops once every column has a pivot.  The curve
-code inverts no polynomial matrix exactly: every inverse it needs is known
-in closed form, as exp(-Z) or exp(-tA), or is a truncated power series
-(the pivot blocks of the normal-coordinate jet).
+code inverts no polynomial matrix: every inverse it needs is known in
+closed form, as exp(-Z), exp(-tA) or exp(-Y(t)).
 
 Which engine runs where: ``Mat`` is the oracles' type.  The test
 references compute on ``Mat``s with ``Fraction`` or ``Poly`` entries, and

@@ -6,7 +6,8 @@ direct standard-fiber loop and the full-grid default-direction walk.
 
 No command of the command line takes a group matrix, so this is the one
 place where a ``Fraction`` ``Mat`` becomes a ``GroupElem``: it is checked
-against the catalog's invariant forms, inverted once and converted to the
+against the group's invariant forms (built here: conf's from its
+signs, su21's as constants), inverted once and converted to the
 integer engine by ``poly_reference.from_mats``.
 """
 
@@ -35,12 +36,12 @@ def validate_group_matrix(alg, mat):
         return mat.det() == 1
     d = alg.matrix_dim
     if alg.family == "conf":
-        form = entries_mat(d, alg.meta["form"])
+        form = conf_form(alg)
         return mat.transpose() * form * mat == form
     if alg.family == "su21":
         # a complex matrix (commutes with J0), preserving the Hermitian form
         # (realified: M^T F M = F), of complex determinant 1
-        form, j0 = entries_mat(d, alg.meta["form"]), entries_mat(d, alg.meta["complex_structure"])
+        form, j0 = SU21_FORM, SU21_COMPLEX_STRUCTURE
         if mat * j0 != j0 * mat or mat.transpose() * form * mat != form:
             return False
         rows = mat.rows
@@ -50,6 +51,15 @@ def validate_group_matrix(alg, mat):
         )
         return complex_mat.det() == 1
     raise UnknownCatalogName(alg.family)
+
+
+def conf_form(alg):
+    """The invariant form of conf(p,q): 1 at the two corners of the
+    antidiagonal and the signs of meta "signs" on the middle block."""
+    d = alg.matrix_dim
+    entries = {(0, d - 1): 1, (d - 1, 0): 1}
+    entries.update(((1 + i, 1 + i), s) for i, s in enumerate(alg.meta["signs"]))
+    return entries_mat(d, entries)
 
 
 def group_elem(alg, rows):
@@ -117,6 +127,12 @@ def realified(entries):
         rows[2 * r][2 * c], rows[2 * r][2 * c + 1] = Fraction(a), Fraction(-b)
         rows[2 * r + 1][2 * c], rows[2 * r + 1][2 * c + 1] = Fraction(b), Fraction(a)
     return Mat(rows)
+
+
+# su(2,1) realified: the Hermitian form antidiag(1, 1, 1) and the complex
+# structure J0, multiplication by i
+SU21_FORM = realified({(0, 2): (1, 0), (1, 1): (1, 0), (2, 0): (1, 0)})
+SU21_COMPLEX_STRUCTURE = realified({(a, a): (0, 1) for a in range(3)})
 
 
 def _diag(vals):

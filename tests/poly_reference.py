@@ -2,11 +2,12 @@
 
 The nilpotent exponential ``exp_mat`` (with its power list) and the same
 comparison curve, curve equality, five identity checkers,
-normal-coordinate jet and reparametrization check as ``parageo.curves``
-and ``parageo.reparam``, and the Jacobian of the orbit map whose rank
-``parageo.lab`` reports (there taken at Z = 0, here at any Z), computed on
-``Mat``s whose entries are ``Poly`` with ``Fraction`` coefficients instead
-of on the integer ``IntPolyMat``: products go through ``Poly.__mul__``,
+normal-coordinate jet (here by block LU and a series logarithm, there
+solved one degree at a time) and reparametrization check as
+``parageo.curves`` and ``parageo.reparam``, and the Jacobian of the orbit
+map whose rank ``parageo.lab`` reports (there taken at Z = 0, here at any
+Z), computed on ``Mat``s whose entries are ``Poly`` with ``Fraction``
+coefficients instead of on the integer ``IntPolyMat``: products go through ``Poly.__mul__``,
 Ad_b X is two ``Fraction`` products, and coordinates come from a dense
 cofactor extractor over ``basis_mats`` (``express`` below, cached per
 algebra), which reads none of the algebra's own coordinate frame.  They

@@ -3,12 +3,11 @@ from math import factorial
 
 import pytest
 
-from parageo.algebra import Ad, AlgElem, bracket, exp_nilpotent, group_exp, normal_form_P
+from parageo.algebra import Ad, AlgElem, bracket, exp_nilpotent, group_exp, normal_form_P, truncated_Ad
 from parageo.catalog import make_algebra
 from parageo.curves import (
     CurveSpec,
     _partitions,
-    _unipotent_series_inverse,
     comparison,
     curve_matrix_from_coeffs,
     curves_equal,
@@ -24,7 +23,7 @@ from parageo.curves import (
     verify_lemma_3_2,
 )
 from parageo._fastgrid import IntPolyMat
-from parageo.errors import BadReparam, NotInNilpotentPart, NotInParabolic, OracleDisagreement
+from parageo.errors import BadReparam, NotInNilpotentPart, NotInParabolic
 from parageo.matrices import Mat
 from parageo.poly import P_T, Poly
 from paper_checks import g0_samples
@@ -47,15 +46,15 @@ def test_curve_spec_validation(proj1):
         CurveSpec.base(proj1, z)
     spec = CurveSpec.from_Z(proj1, z, x)
     assert curve_matrix(spec).det() == Poly.const(Fraction(1))
-    assert spec.direction() == x
+    assert truncated_Ad(spec.b, spec.X) == x
 
 
 def test_direction_nonzero_iff_x_nonzero(lagr3):
     z = lagr3.grade_basis(1)[0]
     zero = CurveSpec.from_Z(lagr3, z, lagr3.zero_elem())
-    assert zero.direction().is_zero()
+    assert truncated_Ad(zero.b, zero.X).is_zero()
     spec = CurveSpec.from_Z(lagr3, z, lagr3.grade_basis(-2)[0])
-    assert spec.direction()
+    assert truncated_Ad(spec.b, spec.X)
 
 
 def test_comparison_basics():
@@ -300,32 +299,6 @@ def test_eq_2_4_1(any_algebra):
     assert verify_eq_2_4_1(u, exp_nilpotent(z, -P_T), [alg.grade_basis(-1)[0]])
     # a claimed inverse that is not one is rejected
     assert not verify_eq_2_4_1(u, u, [alg.grade_basis(-1)[0]])
-
-
-def test_unipotent_series_inverse():
-    # piv = I + t B with B(0) not nilpotent, so every term k <= order counts
-    one = Poly((1,))
-    piv = to_int(Mat([[one + P_T, P_T * P_T], [-P_T, one]]))
-    ident = IntPolyMat.identity(2)
-    for order in (1, 2, 5):
-        inv = _unipotent_series_inverse(piv, order)
-        assert (piv * inv).truncate(order) == ident
-        assert (inv * piv).truncate(order) == ident
-        assert (piv * inv).truncate(order + 1) != ident
-
-
-@pytest.mark.parametrize(
-    "at_zero",
-    [[[2, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [0, 0]]],
-    ids=["diagonal", "off-diagonal", "singular"],
-)
-def test_unipotent_series_inverse_rejects_pivot_not_I_at_zero(at_zero):
-    # the value at t = 0 differs from I; the t^1 term alone never matters
-    piv = IntPolyMat(2, [at_zero, [[0, 1], [1, 0]]])
-    with pytest.raises(OracleDisagreement, match="not I at t = 0"):
-        _unipotent_series_inverse(piv, 3)
-    good = IntPolyMat(2, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
-    assert (good * _unipotent_series_inverse(good, 3)).truncate(3) == IntPolyMat.identity(2)
 
 
 def test_lemma_3_2(any_algebra):

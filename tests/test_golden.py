@@ -44,10 +44,10 @@ comparison curve's delta_u, exponentials exp(tX) and exp(-tZ), and the
 logarithms of two unipotent matrices, as first computed with three
 separate exponential loops and the Laplace adjugate inverse.  The jet was
 pinned on the Poly-entry block-LU series and passes unchanged on the
-integer one; the exponentials are ``IntPolyMat``s now, sampled through
-``poly_reference.to_mat``, whose repr is that of the old Poly-entry
-``Mat``; the constant-matrix exponential and logarithm now live in
-``poly_reference``.
+integer degree-by-degree solve; the exponentials are ``IntPolyMat``s now,
+sampled through ``poly_reference.to_mat``, whose repr is that of the old
+Poly-entry ``Mat``; the constant-matrix exponential and logarithm now live
+in ``poly_reference``.
 
 
 The ``scripts/reproduce_tables.py`` digest is the SHA-256 of its

@@ -11,7 +11,9 @@ the same curve-equality verdict, the same verdict of every identity
 checker and of the reparametrization check, the same normal-coordinate jet
 and the same orbit-map Jacobian rank; the negative cases perturb one sample
 coefficient, or flip the sign of one partition coefficient, and both
-routes must return False.
+routes must return False.  One deterministic sweep also holds the
+normal-coordinate jet to the reference on every id, with and without a G0
+factor, at every order 1..k+3.
 """
 
 from fractions import Fraction
@@ -36,7 +38,7 @@ from parageo._fastgrid import (
     product_in_p_pattern,
 )
 from parageo import _fastgrid
-from parageo.algebra import bracket, exp_nilpotent, group_exp
+from parageo.algebra import bracket, exp_nilpotent, group_exp, truncated_Ad
 from parageo.catalog import make_algebra
 from parageo.curves import CurveSpec, normal_coord_jet
 from parageo.errors import NotNilpotent
@@ -267,7 +269,25 @@ def test_normal_coord_jet_agrees_with_poly_reference(data):
     assert jet.Y_coeffs == rj.Y_coeffs
     assert jet.coeffs_prefix(order) == rj.coeffs_prefix(order)
     assert jet.P_part == ref.to_int(rj.P_part)
-    assert jet.Y_coeffs[1] == c.direction()  # Y'(0) = 1! * Y_coeffs[1]
+    assert jet.Y_coeffs[1] == truncated_Ad(b, x)  # Y'(0) = 1! * Y_coeffs[1]
+
+
+@pytest.mark.parametrize("with_g0", [False, True], ids=["pplus", "g0"])
+@pytest.mark.parametrize("cid", IDS)
+def test_normal_coord_jet_sweep_agrees_with_poly_reference(cid, with_g0):
+    # every order 1..k+3 on X = sum (i+1) n_i and Z = sum (-1)^i/(i+1) p_i,
+    # so no id and no G0 factor is left to the draws above
+    alg = algebra(cid)
+    x = alg.elem_at(alg.n_indices, range(1, len(alg.n_indices) + 1))
+    z = alg.elem_at(alg.pplus_indices, [Fraction((-1) ** i, i + 1) for i in range(len(alg.pplus_indices))])
+    b = group_exp(z)
+    if with_g0:
+        b = g0_samples(alg)[-1] * b
+    c = CurveSpec(alg, b, x)
+    for order in range(1, alg.k + 4):
+        jet, rj = normal_coord_jet(c, order), ref.normal_coord_jet(c, order)
+        assert jet.Y_coeffs == rj.Y_coeffs, order
+        assert jet.P_part == ref.to_int(rj.P_part), order
 
 
 @settings(max_examples=30, deadline=None)
