@@ -35,6 +35,9 @@ is reused by the jet test and the curve identity.  The jet test makes no
 matrix product: the forbidden entries of ad(-X)^r d0 are integer linear
 forms in the entries of d0, built once per order r.  Products skip the
 zero entries of both factors, since grid matrices are mostly zeros.
+A pair leaves the kernel as integers: ``lab`` tests the type of Y on its
+matrix positions, and ``elem_coords`` builds Fraction coordinates only
+for a stratum type's classification.
 """
 
 from __future__ import annotations

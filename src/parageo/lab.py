@@ -16,6 +16,12 @@ witness that lands in a report is re-verified through the public
 curve-engine operations, including the independent normal-coordinate
 oracle.  Every grid pair runs on the exact integer engine of
 ``_fastgrid``, for every catalog algebra and every rational direction.
+
+The pair stream ``_iter_pair_stats`` stays in integers: Z is its grid
+tuple, Y the kernel's integer matrix and denominator, and the type test of
+full_n and grade(-j) reads the matrix positions.  Fraction coordinates are
+built (by ``pair_coords``) only for what a report keeps: the witnesses of
+a jets search, and the admissible pairs whose jet classes a family counts.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .errors import (
     OracleDisagreement,
     ParageoError,
 )
-from ._fastgrid import grid_kernel
+from ._fastgrid import IntPolyMat, grid_kernel
 from .matrices import echelon, rank, remainder
 
 
@@ -357,36 +363,52 @@ class JetOrderReport:
         }
 
 
-def _solve_pair(kern, vals):
-    """(Y, A2) of one p_+ grid point Z: the solved direction Y, and
-    A2 = Ad(exp Z) Y as the integer pair (num, den)."""
-    e, einv, s = kern.exp_pair(kern.combo_rows(vals))
-    y_num, y_den, a2_num, a2_den = kern.solve_direction(e, einv, s)
-    return AlgElem(kern.alg, kern.elem_coords(y_num, y_den)), (a2_num, a2_den)
+def _member_test(ts, kern):
+    """Type membership of a solved direction Y = y_num / y_den.
 
-
-def _pair_step(ts, kern, vals, r_max):
-    """(Z coords, Y coords, jet order, equal) of one p_+ grid point."""
-    zc = pplus_elem(ts.algebra, vals).coords
-    y, a2 = _solve_pair(kern, vals)
-    if not ts.contains(y):
-        return zc, y.coords, None, False
-    jord = kern.pair_jet_order(*a2, r_max)
-    return zc, y.coords, jord, jord == r_max and kern.curves_equal(*a2)
+    Each basis matrix is grade-pure on positions, so Y (in the span of the
+    basis) lies in grade g exactly when y_num vanishes at every position of
+    another grade, and in n exactly when it vanishes at every position of
+    grade >= 0.  Only a stratum type reads Y's coordinates, through the
+    kernel's ``elem_coords``, and asks ``ts.contains``."""
+    alg = ts.algebra
+    if ts.kind == "stratum":
+        return lambda y_num, y_den: ts.contains(AlgElem(alg, kern.elem_coords(y_num, y_den)))
+    keep = (lambda g: g == ts.data) if ts.kind == "grade" else (lambda g: g < 0)
+    zero = [(i, j) for i, row in enumerate(alg.position_grade) for j, g in enumerate(row) if not keep(g)]
+    return lambda y_num, y_den: not any(y_num[i][j] for i, j in zero)
 
 
 def _iter_pair_stats(ts, x, grid, r_max):
-    """Stream (Z coords, Y coords, jet order, equal) over the p_+ grid.
+    """Stream (vals, (y_num, y_den), jet order, equal) over the p_+ grid.
 
-    ``jet order`` is None when the solved Y is not a member of the type;
-    ``equal`` is the exact polynomial curve identity, computed only when
-    the jets agree through r_max (pairs with lower jet order are unequal
-    by definition: distinct jets force distinct curves).  Every pair runs
-    on the integer grid engine of ``_fastgrid``.
+    ``vals`` is the integer grid tuple of Z over the p_+ basis, and Y =
+    y_num / y_den the solved direction as the kernel's integer matrix and
+    denominator; ``pair_coords`` reads their Fraction coordinates, which
+    the stream never builds.  ``jet order`` is None when Y is not a member
+    of the type; ``equal`` is the exact polynomial curve identity, computed
+    only when the jets agree through r_max (pairs with lower jet order are
+    unequal by definition: distinct jets force distinct curves).  Every
+    pair runs on the integer grid engine of ``_fastgrid``, built in the
+    first step, where a trace of the loop reads which engine runs it.
     """
     kern = grid_kernel(ts.algebra, x)
+    member = _member_test(ts, kern)
     for vals in iter_pplus_coords(ts.algebra, grid):
-        yield _pair_step(ts, kern, vals, r_max)
+        e, einv, s = kern.exp_pair(kern.combo_rows(vals))
+        y_num, y_den, a2_num, a2_den = kern.solve_direction(e, einv, s)
+        if not member(y_num, y_den):
+            yield vals, (y_num, y_den), None, False
+            continue
+        jord = kern.pair_jet_order(a2_num, a2_den, r_max)
+        yield vals, (y_num, y_den), jord, jord == r_max and kern.curves_equal(a2_num, a2_den)
+
+
+def pair_coords(alg, vals, y):
+    """(Z coords, Y coords): the Fraction coordinates of a stream item's
+    grid point ``vals`` and direction ``y = (y_num, y_den)``."""
+    y_num, y_den = y
+    return pplus_elem(alg, vals).coords, alg.express(IntPolyMat(alg.matrix_dim, [y_num], y_den))
 
 
 def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None):
@@ -399,7 +421,9 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None):
     at or above the proved bound is recorded as a violation.  The sharp
     order is empirical: a lower bound from a counterexample at r-1 plus
     the confirmation at r, never a claim beyond the grid.  Each reported
-    counterexample is re-verified by jet_equal and curves_equal.
+    counterexample is re-verified by jet_equal and curves_equal.  The
+    search keeps counts from the integer stream and reads Fraction
+    coordinates only for a newly recorded witness, so at most r_max times.
     """
     alg = ts.algebra
     r_max = r_max if r_max is not None else alg.k + 3
@@ -415,7 +439,7 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None):
     # order r -> the first unequal pair in grid order with jet order >= r,
     # which serves every lower order too: the keys are 1..len
     counterexamples = {}
-    for zc, yc, jord, equal in _iter_pair_stats(ts, x, grid, r_max):
+    for vals, y, jord, equal in _iter_pair_stats(ts, x, grid, r_max):
         n_grid += 1
         if jord is None:
             continue
@@ -425,7 +449,7 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None):
         if equal:
             n_equal += 1
         elif jord > len(counterexamples):
-            witness = PairRecord(zc, yc, jord)
+            witness = PairRecord(*pair_coords(alg, vals, y), jord)
             for r in range(len(counterexamples) + 1, jord + 1):
                 counterexamples[r] = witness
     verdicts = {
@@ -660,21 +684,23 @@ def family_dimension(ts, x, grid=2):
     equal to the base curve c^{e,X} (each K point verified by the exact
     polynomial identity).  The family dimension is the linear-hull
     dimension of admissible Z minus that of K; when K fails the grid
-    linearity check the claim is downgraded to a range.
+    linearity check the claim is downgraded to a range.  The Z rows are the
+    integer grid tuples of the admissible pairs; Fraction coordinates of Z
+    and Y are read only when the jet classes are counted (at most 512
+    admissible pairs).
     """
     alg = ts.algebra
     check_direction(ts, x)
-    admissible = []  # (Z coords, Y coords) of every admissible pair
-    adm_rows = []  # their Z coordinates over the p_+ basis
+    admissible = []  # (vals, Y) of every admissible pair
     stab_rows = []
-    for zc, yc, jord, equal in _iter_pair_stats(ts, x, grid, alg.k + 2):
+    for vals, y, jord, equal in _iter_pair_stats(ts, x, grid, alg.k + 2):
         if jord is None:
             continue
-        admissible.append((zc, yc))
-        row = tuple(zc[i] for i in alg.pplus_indices)
-        adm_rows.append(row)
+        admissible.append((vals, y))
         if equal:
-            stab_rows.append(row)
+            stab_rows.append(vals)
+    # the Z rows over the p_+ basis are the integer grid tuples
+    adm_rows = [vals for vals, _ in admissible]
     adm_dim = rank(adm_rows)
     stab = echelon(stab_rows)
     stab_set = set(stab_rows)
@@ -686,7 +712,8 @@ def family_dimension(ts, x, grid=2):
     if len(admissible) <= 512:
         signatures = set()
         order = alg.k + 2
-        for zc, yc in admissible:
+        for vals, y in admissible:
+            zc, yc = pair_coords(alg, vals, y)
             c2 = CurveSpec.from_Z(alg, AlgElem(alg, zc), AlgElem(alg, yc))
             signatures.add(normal_coord_jet(c2, order).coeffs_prefix(order))
         classes = len(signatures)

@@ -226,13 +226,14 @@ def echelon(rows):
     """(pivot column, row) pairs spanning ``rows`` over a field.  Each row's
     nonzero remainder against the rows kept so far is kept, scaled to 1 at
     its first nonzero column, so it is zero at every earlier pivot.  The
-    scan stops once every column has a pivot."""
+    lead is a Fraction, so int rows divide exactly.  The scan stops once
+    every column has a pivot."""
     kept = []
     for row in rows:
         rest = remainder(row, kept)
         c = next((j for j, a in enumerate(rest) if a), None)
         if c is not None:
-            lead = rest[c]
+            lead = Fraction(rest[c])
             kept.append((c, [a / lead for a in rest]))
             if len(kept) == len(rest):
                 break

@@ -18,7 +18,7 @@ from math import factorial
 from parageo.algebra import AlgElem, GroupElem, bracket
 from parageo.curves import CurveSpec, normal_coord_jet
 from parageo.errors import NotAMember, NotApplicableGrading, UnknownCatalogName, ZeroVelocity
-from parageo.lab import _iter_pair_stats, type_grade
+from parageo.lab import _iter_pair_stats, pair_coords, type_grade
 from parageo.matrices import Mat, rref
 from parageo.poly import Poly
 from parageo.reparam import _proportionality, reparam_solve, verify_reparam
@@ -233,13 +233,23 @@ def mobius_candidate_between(c1, c2):
     return (a, b)
 
 
+def coordinate_pair_stats(ts, x, grid, r_max):
+    """The items of ``_iter_pair_stats`` with Z and Y read as Fraction
+    coordinates by ``pair_coords``: (Z coords, Y coords, jet order, equal)."""
+    alg = ts.algebra
+    return [
+        (*pair_coords(alg, vals, y), jord, equal)
+        for vals, y, jord, equal in _iter_pair_stats(ts, x, grid, r_max)
+    ]
+
+
 def admissible_pairs(ts, x, grid):
     """The admissible (Z, Y) pairs of the family in direction X, in grid
     order: the grid points whose solved Y is a member of the type."""
     alg = ts.algebra
     return [
         (AlgElem(alg, zc), AlgElem(alg, yc))
-        for zc, yc, jord, _ in _iter_pair_stats(ts, x, grid, alg.k + 2)
+        for zc, yc, jord, _ in coordinate_pair_stats(ts, x, grid, alg.k + 2)
         if jord is not None
     ]
 

@@ -23,6 +23,7 @@ from parageo.lab import (
     family_dimension,
     min_jet_order_search,
     orbit_hull_dimension,
+    pair_coords,
     standard_fiber,
     type_full,
     parse_type,
@@ -127,7 +128,8 @@ def test_criterion_03_chains_two_jets_and_cascade():
             assert rep.verdicts[2] == "confirmed"
             # cascade necessity: Z is admissible (its solved Y is again a
             # chain direction, jet order not None) iff [Z_1, X] = 0
-            for zc, _, jord, _ in _iter_pair_stats(ts, x, 2, 4):
+            for vals, y, jord, _ in _iter_pair_stats(ts, x, 2, 4):
+                zc, _ = pair_coords(alg, vals, y)
                 admissible = jord is not None
                 z1 = alg.elem_at(alg.grade_slices[1], AlgElem(alg, zc).grade_coords(1))
                 cascade_ok = bracket(z1, x).is_zero()

@@ -6,6 +6,7 @@ import pytest
 from parageo._fastgrid import GridKernel, grid_kernel
 from parageo.algebra import Ad, AlgElem, bracket, group_exp, truncated_Ad
 from parageo.catalog import MAX_GRID_POINTS, make_algebra
+from parageo.cli import ExperimentConfig, run
 from parageo.curves import CurveSpec, curves_equal, jet_equal, normal_coord_jet
 from parageo.errors import EmptyGrid, GridTooLarge, NotAMember, NotOneGraded
 from parageo.lab import (
@@ -15,6 +16,7 @@ from parageo.lab import (
     iter_pplus_coords,
     min_jet_order_search,
     orbit_hull_dimension,
+    pair_coords,
     paper_jet_bound,
     parse_type,
     pplus_elem,
@@ -42,6 +44,7 @@ from fraction_reference import (
 )
 from paper_checks import (
     admissible_pairs,
+    coordinate_pair_stats,
     default_direction_scan,
     double_bracket_solution,
     g0_samples,
@@ -322,7 +325,7 @@ def test_engine_agrees_with_reference(lagr3, xxdot):
     ]
     for ts, x in cases:
         r_max = ts.algebra.k + 2
-        assert list(_iter_pair_stats(ts, x, 1, r_max)) == reference_pair_stats(ts, x, 1, r_max)
+        assert coordinate_pair_stats(ts, x, 1, r_max) == reference_pair_stats(ts, x, 1, r_max)
 
 
 _SMALL_IDS = ["proj(1)", "proj(2)", "conf(1,1)", "lagr3", "su21"]
@@ -349,7 +352,7 @@ def test_engine_agrees_with_reference_fractional_hypothesis(cid, grade, coords):
     if not x:
         return
     r_max = alg.k + 2
-    assert list(_iter_pair_stats(ts, x, 1, r_max)) == reference_pair_stats(ts, x, 1, r_max)
+    assert coordinate_pair_stats(ts, x, 1, r_max) == reference_pair_stats(ts, x, 1, r_max)
 
 
 @settings(max_examples=150, deadline=None)
@@ -397,7 +400,7 @@ def test_engine_agrees_with_reference_depth_3():
     ]
     outcomes = []
     for ts, x, r_max in cases:
-        stats = list(_iter_pair_stats(ts, x, 1, r_max))
+        stats = coordinate_pair_stats(ts, x, 1, r_max)
         assert stats == reference_pair_stats(ts, x, 1, r_max)
         outcomes.append({(jord, equal) for _, _, jord, equal in stats})
     assert {(3, False), (3, True)} <= outcomes[0]
@@ -440,6 +443,54 @@ def test_su21_runs_on_kernel():
     rep = min_jet_order_search(ts, x, grid=1, r_max=4)
     assert rep.passed()
     assert rep.verdicts[2] == "confirmed"
+
+
+_STRATUM_SAMPLES = {"conf(1,2)": "null_cone", "lagr3": "lagrange1", "xxdot": "cylinder"}
+
+
+@pytest.mark.parametrize("cid", ALL_IDS + ["full_flag_sl4"])
+def test_position_type_test_agrees_with_contains(cid):
+    # the stream decides membership on the integer positions of y_num; on
+    # every pair of grid 1, that verdict equals ts.contains of the AlgElem
+    # read by elem_coords, and pair_coords reads the same Y
+    alg = full_flag_sl4() if cid == "full_flag_sl4" else make_algebra(cid)
+    names = ["full_n"] + ["grade(%d)" % -j for j in range(1, alg.k + 1)]
+    names += [_STRATUM_SAMPLES[cid]] if cid in _STRATUM_SAMPLES else []
+    outcomes = set()
+    for name in names:
+        ts = parse_type(alg, name)
+        x = ts.default_direction()
+        kern = grid_kernel(alg, x)
+        for vals, y, jord, _ in _iter_pair_stats(ts, x, 1, 2):
+            yc = kern.elem_coords(*y)
+            assert (jord is not None) == ts.contains(AlgElem(alg, yc)), (name, vals)
+            assert pair_coords(alg, vals, y) == (pplus_elem(alg, vals).coords, yc)
+            outcomes.add((name, jord is not None))
+    # Y - X lies in grades above that of X, so on a depth >= 2 algebra the
+    # lowest grade is the one left on both sides of the test
+    lowest = "grade(%d)" % -alg.k
+    assert alg.k == 1 or {(lowest, True), (lowest, False)} <= outcomes
+
+
+def test_grid_kernel_is_built_in_the_first_step(monkeypatch, lagr3):
+    # the benchmark tracer tags a pair loop by the grid_kernel call of its
+    # first step: none when the stream is created, one per jets or family run
+    calls = []
+
+    def counting(alg, x):
+        calls.append(alg.name)
+        return grid_kernel(alg, x)
+
+    monkeypatch.setattr("parageo.lab.grid_kernel", counting)
+    ts = type_full(lagr3)
+    stream = _iter_pair_stats(ts, ts.default_direction(), 1, 3)
+    assert calls == []
+    next(stream)
+    assert calls == ["lagr3"]
+    for command in ("jets", "family"):
+        calls.clear()
+        _, code = run(ExperimentConfig(command=command, algebra="lagr3", type_spec="grade(-1)", grid=1))
+        assert code == 0 and calls == ["lagr3"], command
 
 
 # -- jet order search ---------------------------------------------------------------

@@ -145,3 +145,25 @@ def test_reduction_edge_cases():
     assert [c for c, _ in echelon(tall)] == [0, 1] and rank(tall) == 2
     assert rank([[one, two], [one, two], [two, 2 * two]]) == 1
     assert not any(remainder([zero, zero], [])) and any(remainder([one, zero], []))
+
+
+def _as_fractions(rows):
+    return [[Fraction(a) for a in row] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # a float quotient rounds 10**17 + 1 to 10**17 and loses the rank
+        [[10**17, 1], [10**17 + 1, 1]],
+        # a lead of 3 makes thirds, which a float holds only approximately
+        [[3, 1, 2], [6, 1, 0], [9, 2, 2], [0, 7, -1]],
+    ],
+    ids=["huge", "small"],
+)
+def test_echelon_is_exact_on_int_rows(rows):
+    frac_rows = _as_fractions(rows)
+    assert echelon(rows) == echelon(frac_rows)
+    assert rank(rows) == rank(frac_rows) == len(rref(frac_rows)[1])
+    for row in rows:
+        assert not any(remainder(row, echelon(rows)))
