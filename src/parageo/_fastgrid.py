@@ -19,7 +19,7 @@ normal-coordinate jet of ``curves``, the reparametrization check, and the
 orbit points, orbit probes and Prop. 4.1 conjugations of ``lab`` run on
 it.  Coordinates are read through the algebra's one integer frame, built
 with the algebra (``GradedAlgebra.express`` for a constant, ``express_poly``
-for a curve; ``GridKernel`` reads the same extractor terms).
+for a curve; ``GridKernel.elem_coords`` reads through ``express``).
 
 Every grid search (``jets`` and ``family``) runs its pairs on
 ``GridKernel``, for every catalog algebra and every rational base
@@ -47,10 +47,8 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import factorial, gcd, lcm
 
-from .errors import NotNilpotent
+from .errors import NotNilpotent, OracleDisagreement
 from .poly import Poly
-
-_F0 = Fraction(0)
 
 
 def _imul(a, b):
@@ -196,7 +194,6 @@ class GridKernel:
         self.forbidden = alg.forbidden_positions
         xm = x.matrix
         self.x_den, self.x_rows = xm.den, (xm.coeffs or [_iident(d, 0)])[0]
-        self.extract_scale, self.extract_terms = alg.extract_scale, alg.extract_terms
         # nonzero entries (i, j, value) of each p_+ basis matrix
         self.pplus_entries = [
             [(r // d, r % d, v) for r, v in alg.basis_entries[idx]] for idx in alg.pplus_indices
@@ -228,14 +225,12 @@ class GridKernel:
         return pos, neg, factorial(len(powers))
 
     def elem_coords(self, rows, den):
-        """Fraction coordinates of an integer-scaled algebra element."""
-        flat = [v for row in rows for v in row]
-        denom = den * self.extract_scale
-        out = []
-        for terms in self.extract_terms:
-            num = sum(c * flat[r] for c, r in terms)
-            out.append(Fraction(num, denom) if num else _F0)
-        return tuple(out)
+        """Fraction coordinates of the algebra element rows / den, read by
+        ``GradedAlgebra.express`` with its span check."""
+        coords = self.alg.express(IntPolyMat(self.d, [rows], den))
+        if coords is None:
+            raise OracleDisagreement("a solved direction left the span of the basis")
+        return coords
 
     def solve_direction(self, e_num, einv_num, e_den):
         """Y with proj_n(Ad(exp Z) Y) = X, and its conjugate A2 = Ad(exp Z) Y.

@@ -15,7 +15,7 @@ so the coordinates of a matrix are read off its entries directly.
 The catalog gives each basis matrix as its nonzero integer entries
 {(row, col): int}, read at construction into ``basis_entries`` (a
 non-integer entry or one off the matrix's grade raises ``ValueError``).
-Two ``rref`` calls on ``Fraction`` rows (the only ``Fraction`` arithmetic
+Two ``rref`` calls on the integer entries (the only ``Fraction`` arithmetic
 of the build) give one integer frame: the extractor terms over one scale.
 Past that every constant matrix is an integer ``IntPolyMat``: an
 element's matrix (summed on the basis entries), a ``GroupElem``'s matrix
@@ -107,18 +107,17 @@ class GradedAlgebra:
         # (i, j) at r = i*d + j).  The rows R of B taken greedily while they
         # stay independent are the pivot columns of rref(B^T); coords of v
         # in span(B) are inv(B[R]) @ v[R], and inv(B[R]) is the right half
-        # of rref([B[R] | I]).  rref divides, so it gets Fraction rows
+        # of rref([B[R] | I])
         n = self.dim
-        vecs = [[_ZERO] * self.matrix_dim**2 for _ in range(n)]
+        vecs = [[0] * self.matrix_dim**2 for _ in range(n)]
         for vec, entries in zip(vecs, self.basis_entries):
             for r, v in entries:
-                vec[r] = Fraction(v)
+                vec[r] = v
         chosen = rref(vecs)[1]
         if len(chosen) != n:
             raise ValueError("%s: basis matrices are linearly dependent" % self.name)
         augmented = [
-            [vec[r] for vec in vecs] + [_ONE if c == i else _ZERO for c in range(n)]
-            for i, r in enumerate(chosen)
+            [vec[r] for vec in vecs] + [int(c == i) for c in range(n)] for i, r in enumerate(chosen)
         ]
         inverse = [row[n:] for row in rref(augmented)[0]]
         # the integer frame: coordinate m of a matrix with row-major entries

@@ -6,6 +6,15 @@ found (a counterexample at or above a proved bound, or a failed identity),
 produce byte-identical output.  Rationals serialize as exact 'p/q'
 strings, never floats: ``emit`` is the one writer of those strings, and
 Markdown is rendered from the canonical JSON.
+
+A report of schema ``parageo/2`` holds the algebra's description, the
+config (the command and the options its subparser declares), one result
+per check and the summary.  Every row-shaped result is one table shape,
+``{"columns": [...], "rows": [[...], ...]}``: the catalog families, the
+lemma checks per identity, the ``classify`` strata, the jets verdicts with
+their witnesses and the fiber ranks per X.  Coordinates are written in
+the basis the command line reads them in: a direction X and a witness Y
+over the n basis, a witness Z over the p_+ basis.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from .reparam import reparam_solve, schwarzian_check, verify_reparam
 from .curves import CurveSpec
 from .suite import lemma_suite
 
-SCHEMA = "parageo/1"
+SCHEMA = "parageo/2"
 
 
 @dataclass(frozen=True)
@@ -54,11 +63,10 @@ class ExperimentConfig:
     format: str = "json"
 
     def to_jsonable(self):
-        d = asdict(self)
-        d.pop("output")
-        # schema parageo/1 echoes the worker count; the key goes with parageo/2
-        d["workers"] = 1
-        return d
+        """The command and the options its subparser declares, but the
+        output path: a report's bytes do not depend on where it goes."""
+        keep = _declared_options(self.command) - {"output"}
+        return {k: v for k, v in asdict(self).items() if k == "command" or k in keep}
 
 
 # Largest accepted decimal exponent, as large as CPython's default limit on
@@ -122,17 +130,12 @@ def run(config):
     """Execute a config; returns (envelope dict, exit code)."""
     failures = []
     if config.command == "catalog":
-        rows = []
-        for family, fam in sorted(CATALOG.items()):
-            rows.append(
-                {
-                    "family": family,
-                    "signature": fam.signature,
-                    "description": fam.description,
-                    "representative": make_algebra(fam.representative).describe(),
-                }
-            )
-        return envelope(config, {"catalog": "all"}, {"families": rows}, []), 0
+        rows = [
+            [family, fam.signature, fam.description, make_algebra(fam.representative).describe()]
+            for family, fam in sorted(CATALOG.items())
+        ]
+        table = {"columns": ["family", "signature", "description", "representative"], "rows": rows}
+        return envelope(config, {"catalog": "all"}, {"families": table}, []), 0
 
     alg = make_algebra(config.algebra)
     desc = alg.describe()
@@ -211,7 +214,8 @@ def run(config):
         for x in ts.grid(config.grid):
             label = g0_orbit_classify(x)
             counts[label] = counts.get(label, 0) + 1
-        return envelope(config, desc, {"classify": dict(sorted(counts.items()))}, []), 0
+        table = {"columns": ["stratum", "grid_points"], "rows": sorted(counts.items())}
+        return envelope(config, desc, {"classify": table}, []), 0
 
     raise ParageoError("unknown command %r" % config.command)
 
@@ -235,78 +239,42 @@ def emit(report, fmt="json"):
     return _emit_markdown(json.loads(text)).encode()
 
 
+def _is_table(value):
+    return isinstance(value, dict) and value.keys() == {"columns", "rows"}
+
+
+def _text(value):
+    """A JSON value as Markdown text: a list joined by commas, so that a
+    direction pastes back into ``--direction``; null and [] as "-"."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return ",".join(map(_text, value)) or "-"
+    return "-" if value is None else json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _table(table):
+    lines = ["| %s |" % " | ".join(table["columns"]), "|" + "---|" * len(table["columns"])]
+    return lines + ["| %s |" % " | ".join(map(_text, row)) for row in table["rows"]]
+
+
 def _emit_markdown(report):
-    """Markdown of a parsed canonical JSON report."""
-    lines = ["# parageo report: %s" % report["config"]["command"], ""]
-    alg = report["algebra"]
-    if "name" in alg:
-        dims = ", ".join("g_%s: %s" % (g, d) for g, d in sorted(alg["grade_dims"].items()))
-        lines.append("algebra: **%s** (matrix dim %s; %s)" % (alg["name"], alg["matrix_dim"], dims))
-        lines.append("")
-    results = report["results"]
-    if "families" in results:
-        lines.append("| family | signature | description |")
-        lines.append("|---|---|---|")
-        for row in results["families"]:
-            lines.append("| %s | %s | %s |" % (row["family"], row["signature"], row["description"]))
-    if "jets" in results:
-        jr = results["jets"]
-        lines.append("direction: %s, grid [-%s, %s]" % (jr["direction"], jr["grid_range"], jr["grid_range"]))
-        lines.append("")
-        lines.append("| jet order | verdict |")
-        lines.append("|---|---|")
-        # JSON sorts the order keys as strings ("1", "10", "2")
-        for r in sorted(jr["verdicts"], key=int):
-            lines.append("| %s | %s |" % (r, jr["verdicts"][r]))
-        lines.append("")
-        lines.append("claimed bound: %s, empirical sharp order: %s" % (jr["claimed_bound"], jr["empirical_sharp_order"]))
-    if "family" in results:
-        fr = results["family"]
-        lines.append("| type | direction | family dim | stabilizer dim | linear |")
-        lines.append("|---|---|---|---|---|")
-        lines.append(
-            "| %s | %s | %s | %s | %s |"
-            % (
-                fr["type"],
-                ",".join(fr["direction"]),
-                fr["family_dimension"],
-                fr["stabilizer_hull_dim"],
-                fr["stabilizer_linear"],
-            )
-        )
-    if "orbit" in results:
-        orb = results["orbit"]
-        lines.append("")
-        lines.append("orbit hull dim: %s, orbit dim: %s" % (orb["hull_dim"], orb["orbit_dim"]))
-    if "fiber" in results:
-        fb = results["fiber"]
-        lines.append("fiber pairs over type %s: %s" % (fb["type"], fb["n_pairs"]))
-    if "classify" in results:
-        lines.append("| stratum | grid points |")
-        lines.append("|---|---|")
-        for k, v in results["classify"].items():
-            lines.append("| %s | %s |" % (k, v))
-    if "lemma_suite" in results:
-        sr = results["lemma_suite"]
-        lines.append("| identity family | checks |")
-        lines.append("|---|---|")
-        for k, v in sorted(sr["checks_by_family"].items()):
-            lines.append("| %s | %s |" % (k, v))
-        lines.append("")
-        lines.append("total checks: %s, violations: %s" % (sr["n_checks"], len(sr["violations"])))
-    if "reparam" in results:
-        rr = results["reparam"]
-        lines.append("reparametrization exists: %s" % rr["exists"])
-        if rr.get("map"):
-            lines.append("map: (%s t + %s)/(%s t + %s), verified: %s, schwarzian: %s" % (
-                rr["map"]["A"], rr["map"]["B"], rr["map"]["C"], rr["map"]["D"],
-                rr.get("verified"), rr.get("schwarzian")))
-    lines.append("")
-    summ = report["summary"]
-    lines.append("**%s**" % ("PASS" if summ["pass"] else "FAIL"))
-    lines.extend("- %s" % f for f in summ["failures"])
-    lines.append("")
-    return "\n".join(lines)
+    """Markdown of a parsed canonical JSON report: the algebra and each
+    result as a section, its fields as lines and its tables as tables."""
+    lines = ["# parageo report: %s" % report["config"]["command"]]
+    for name, section in {"algebra": report["algebra"], **report["results"]}.items():
+        lines += ["", "## " + name, ""]
+        if _is_table(section):
+            lines += _table(section)
+            continue
+        lines += ["- %s: %s" % (k, _text(v)) for k, v in section.items() if not _is_table(v)]
+        for key, value in section.items():
+            if _is_table(value):
+                lines += ["", "### " + key, ""] + _table(value)
+    summary = report["summary"]
+    lines += ["", "**%s**" % ("PASS" if summary["pass"] else "FAIL")]
+    lines += ["- " + f for f in summary["failures"]]
+    return "\n".join(lines) + "\n"
 
 
 def build_parser():
@@ -364,6 +332,14 @@ def build_parser():
     sp = add_parser("classify", help="G0-orbit strata of grid directions")
     add_common(sp, with_type=False)
     return p
+
+
+@functools.cache
+def _declared_options(command):
+    """The destinations of the options that the subparser of ``command``
+    declares, read off ``build_parser``."""
+    (commands,) = (a for a in build_parser()._actions if a.dest == "command")
+    return frozenset(a.dest for a in commands.choices[command]._actions)
 
 
 def main(argv=None):

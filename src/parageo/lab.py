@@ -284,6 +284,11 @@ def pplus_elem(alg, vals):
     return alg.elem_at(alg.pplus_indices, vals)
 
 
+def n_coords(x):
+    """The coordinates of x over the n basis, as ``--direction`` reads them."""
+    return tuple(x.coords[i] for i in x.algebra.n_indices)
+
+
 def solve_direction(g, x):
     """The unique Y in n with truncated_Ad(g, Y) = X, for any g in P.
 
@@ -317,8 +322,8 @@ def paper_jet_bound(ts):
 
 @dataclass(frozen=True)
 class PairRecord:
-    z_coords: tuple
-    y_coords: tuple
+    z_coords: tuple  # over the p_+ basis
+    y_coords: tuple  # over the n basis
     jet_order: int
 
 
@@ -326,7 +331,7 @@ class PairRecord:
 class JetOrderReport:
     algebra: str
     type_label: str
-    direction: tuple
+    direction: tuple  # over the n basis
     grid_range: int
     orders_tested: tuple
     claimed_bound: int
@@ -342,6 +347,11 @@ class JetOrderReport:
         return not self.violations
 
     def to_jsonable(self):
+        """The fields, with the verdicts and their witnesses as one table."""
+        rows = []
+        for r, verdict in sorted(self.verdicts.items()):
+            w = self.counterexamples.get(r)
+            rows.append([r, verdict, *((w.z_coords, w.y_coords, w.jet_order) if w else (None,) * 3)])
         return {
             "algebra": self.algebra,
             "type": self.type_label,
@@ -352,11 +362,7 @@ class JetOrderReport:
             "n_grid": self.n_grid,
             "n_admissible": self.n_admissible,
             "n_equal": self.n_equal,
-            "verdicts": {str(r): v for r, v in sorted(self.verdicts.items())},
-            "counterexamples": {
-                str(r): {"Z": w.z_coords, "Y": w.y_coords, "jet_order": w.jet_order}
-                for r, w in sorted(self.counterexamples.items())
-            },
+            "verdicts": {"columns": ["order", "verdict", "Z", "Y", "jet_order"], "rows": rows},
             "violations": self.violations,
             "empirical_sharp_order": self.empirical_sharp_order,
             "pass": self.passed(),
@@ -423,7 +429,9 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None):
     the confirmation at r, never a claim beyond the grid.  Each reported
     counterexample is re-verified by jet_equal and curves_equal.  The
     search keeps counts from the integer stream and reads Fraction
-    coordinates only for a newly recorded witness, so at most r_max times.
+    coordinates only for a newly recorded witness, so at most r_max times:
+    Z over the p_+ basis and Y over the n basis, as the command line reads
+    them.
     """
     alg = ts.algebra
     r_max = r_max if r_max is not None else alg.k + 3
@@ -449,7 +457,8 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None):
         if equal:
             n_equal += 1
         elif jord > len(counterexamples):
-            witness = PairRecord(*pair_coords(alg, vals, y), jord)
+            _, yc = pair_coords(alg, vals, y)
+            witness = PairRecord(tuple(map(Fraction, vals)), n_coords(AlgElem(alg, yc)), jord)
             for r in range(len(counterexamples) + 1, jord + 1):
                 counterexamples[r] = witness
     verdicts = {
@@ -464,13 +473,13 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None):
     sharp = len(counterexamples) + 1 if len(counterexamples) < r_max else None
     base = CurveSpec.base(alg, x)
     for r, w in counterexamples.items():
-        c2 = CurveSpec.from_Z(alg, AlgElem(alg, w.z_coords), AlgElem(alg, w.y_coords))
+        c2 = CurveSpec.from_Z(alg, pplus_elem(alg, w.z_coords), alg.elem_at(alg.n_indices, w.y_coords))
         if not jet_equal(base, c2, r) or curves_equal(base, c2):
             raise OracleDisagreement("reported witness failed re-verification")
     return JetOrderReport(
         algebra=alg.name,
         type_label=ts.label,
-        direction=tuple(x.coords),
+        direction=n_coords(x),
         grid_range=grid,
         orders_tested=tuple(range(1, r_max + 1)),
         claimed_bound=claimed,
@@ -591,14 +600,16 @@ class FiberSample:
     type_label: str
     grid_range: int
     pairs: tuple  # (X coords, second coords, Z coords)
+    ranks: tuple  # (X coords over n, rank of [X,[X,g_1]]) per grid X
 
     def to_jsonable(self):
+        """The pair count and the per-X ranks table; the pairs stay out."""
         return {
             "algebra": self.algebra,
             "type": self.type_label,
             "grid_range": self.grid_range,
             "n_pairs": len(self.pairs),
-            "pairs": [{"X": x, "second": s, "Z": z} for x, s, z in self.pairs],
+            "ranks": {"columns": ["X", "rank"], "rows": self.ranks},
         }
 
 
@@ -633,7 +644,8 @@ def standard_fiber(ts, grid=2):
     ``second`` = [X,[X,Z]] is linear in Z, so each X takes only the double
     brackets [X,[X,e_i]] of the g_1 basis e_i, combined over the integer
     coordinates of each grid Z.  Pairs are X-major (X in ``ts.grid``
-    order), Z lexicographic in its g_1 coordinates.
+    order), Z lexicographic in its g_1 coordinates.  The rank of those
+    double brackets is the dimension of the fiber over X, one per X.
     """
     alg = ts.algebra
     if alg.k != 1:
@@ -644,11 +656,12 @@ def standard_fiber(ts, grid=2):
     zvals = list(iter_pplus_coords(alg, grid))
     zcoords = [pplus_elem(alg, v).coords for v in zvals]
     basis = alg.grade_basis(1)
-    pairs = []
+    pairs, ranks = [], []
     for x in ts.grid(grid):
         images = [bracket(x, bracket(x, e)).coords for e in basis]
         pairs.extend(zip(itertools.repeat(x.coords), _linear_combinations(images, zvals), zcoords))
-    return FiberSample(alg.name, ts.label, grid, tuple(pairs))
+        ranks.append((n_coords(x), rank(images)))
+    return FiberSample(alg.name, ts.label, grid, tuple(pairs), tuple(ranks))
 
 
 # -- family dimensions ----------------------------------------------------------
@@ -658,7 +671,7 @@ def standard_fiber(ts, grid=2):
 class FamilyReport:
     algebra: str
     type_label: str
-    direction: tuple
+    direction: tuple  # over the n basis
     grid_range: int
     n_admissible: int
     admissible_hull_dim: int
@@ -720,7 +733,7 @@ def family_dimension(ts, x, grid=2):
     return FamilyReport(
         algebra=alg.name,
         type_label=ts.label,
-        direction=tuple(x.coords),
+        direction=n_coords(x),
         grid_range=grid,
         n_admissible=len(admissible),
         admissible_hull_dim=adm_dim,

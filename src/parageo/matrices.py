@@ -20,7 +20,7 @@ and converted to integers under ``tests/``.  No other package module
 names ``Mat``, and no command of the command line constructs one: the
 catalog builds each basis matrix as its integer entries, ``GradedAlgebra``
 reads them into one integer coordinate frame (two ``rref`` calls on
-``Fraction`` rows), and every other matrix, constant or polynomial, is an
+the integer entries), and every other matrix, constant or polynomial, is an
 integer ``_fastgrid.IntPolyMat`` (elements, group elements, Ad, the normal
 form, every nilpotent exponential, the curves, identities, jets, orbits
 and Prop. 4.1), and every grid pair runs on ``GridKernel``.
@@ -184,7 +184,8 @@ def _dot(row, col):
 
 
 def rref(rows):
-    """Reduced row echelon form over a field; returns (rows, pivot columns)."""
+    """Reduced row echelon form over a field; returns (rows, pivot columns).
+    An int lead becomes a Fraction, so int rows divide exactly."""
     rows = [list(r) for r in rows]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
@@ -200,6 +201,8 @@ def rref(rows):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         lead = rows[r][c]
+        if isinstance(lead, int):
+            lead = Fraction(lead)
         rows[r] = [x / lead for x in rows[r]]
         for i in range(nr):
             if i != r and rows[i][c]:

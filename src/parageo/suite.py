@@ -85,7 +85,10 @@ class SuiteReport:
         return {
             "algebra": self.algebra,
             "n_checks": self.n_checks,
-            "checks_by_family": self.checks_by_family,
+            "checks_by_family": {
+                "columns": ["identity", "checks"],
+                "rows": sorted(self.checks_by_family.items()),
+            },
             "violations": self.violations,
             "pass": self.passed(),
         }

@@ -26,9 +26,16 @@ def run_json(config):
 def test_config_roundtrips_through_serialization():
     cfg = ExperimentConfig(command="jets", algebra="xxdot", type_spec="grade(-2)", grid=1, orders=4)
     wire = json.loads(json.dumps(cfg.to_jsonable(), sort_keys=True))
-    # parageo/1 echoes a worker count that is no config field
-    assert wire.pop("workers") == 1
-    assert ExperimentConfig(output=None, **wire) == cfg
+    # the config echoes the command and the options its subparser declares,
+    # but the output path
+    assert set(wire) == {
+        "command", "algebra", "type_spec", "grid", "orders", "direction", "claimed_bound", "format"
+    }
+    assert ExperimentConfig(**wire) == cfg
+    assert set(ExperimentConfig(command="verify", output="r.json").to_jsonable()) == {
+        "command", "algebra", "suite", "format"
+    }
+    assert ExperimentConfig(command="catalog").to_jsonable() == {"command": "catalog"}
 
 
 def test_emit_rejects_unknown_format():
@@ -42,9 +49,10 @@ def test_emit_rejects_unknown_format():
 def test_catalog_lists_six_families():
     report, code, _ = run_json(ExperimentConfig(command="catalog"))
     assert code == 0
-    fams = {row["family"] for row in report["results"]["families"]}
-    assert fams == {"proj", "grass", "conf", "lagr3", "su21", "xxdot"}
-    assert report["schema"] == "parageo/1"
+    table = report["results"]["families"]
+    assert table["columns"] == ["family", "signature", "description", "representative"]
+    assert {row[0] for row in table["rows"]} == {"proj", "grass", "conf", "lagr3", "su21", "xxdot"}
+    assert report["schema"] == "parageo/2"
 
 
 def test_verify_lemmas_exit0():
@@ -67,7 +75,8 @@ def test_jets_report_and_exit_codes():
     report, code, _ = run_json(cfg)
     assert code == 0
     jr = report["results"]["jets"]
-    assert jr["verdicts"]["2"] == "confirmed"
+    assert jr["verdicts"]["columns"] == ["order", "verdict", "Z", "Y", "jet_order"]
+    assert jr["verdicts"]["rows"][1] == [2, "confirmed", None, None, None]
     assert jr["empirical_sharp_order"] == 2
     # a deliberately false bound must force exit 1
     cfg_bad = ExperimentConfig(
@@ -89,7 +98,8 @@ def test_fiber_and_family_and_classify():
     report, code, _ = run_json(ExperimentConfig(command="classify", algebra="lagr3", grid=1))
     assert code == 0
     counts = report["results"]["classify"]
-    assert sum(counts.values()) == 27
+    assert counts["columns"] == ["stratum", "grid_points"]
+    assert sum(n for _, n in counts["rows"]) == 27
 
 
 def test_reparam_default_example():
@@ -108,10 +118,11 @@ def _exact_values(config):
     results = report["results"]
     if "jets" in results:
         jr = results["jets"]
-        assert jr["counterexamples"]
-        return jr["direction"] + [c for w in jr["counterexamples"].values() for c in w["Z"] + w["Y"]]
+        witnesses = [row[2] + row[3] for row in jr["verdicts"]["rows"] if row[2]]
+        assert witnesses
+        return jr["direction"] + [c for w in witnesses for c in w]
     if "fiber" in results:
-        return [c for p in results["fiber"]["pairs"] for c in p["X"] + p["second"] + p["Z"]]
+        return [c for x, _ in results["fiber"]["ranks"]["rows"] for c in x]
     if "family" in results:
         return results["family"]["direction"]
     rm = results["reparam"]["map"]
@@ -123,8 +134,8 @@ def test_rationals_serialize_as_strings():
         ExperimentConfig(command="jets", algebra="proj(2)", type_spec="full_n", grid=1, orders=3)
     )
     jr = report["results"]["jets"]
-    for w in jr["counterexamples"].values():
-        assert all(isinstance(c, str) for c in w["Z"])
+    for row in jr["verdicts"]["rows"]:
+        assert row[2] is None or all(isinstance(c, str) for c in row[2])
     assert b"Fraction" not in data
     # integral values too: an int that skipped the conversion would be a
     # JSON number
@@ -154,20 +165,53 @@ def test_markdown_format():
         ExperimentConfig(command="family", algebra="lagr3", type_spec="lagrange1", grid=1)
     )
     md = emit(report, "md").decode()
-    assert "| type | direction | family dim |" in md
-    assert "PASS" in md
+    assert "## family\n\n- admissible_hull_dim: 3\n- algebra: lagr3\n" in md
+    assert "- direction: 0,1,0\n" in md
+    assert md.endswith("\n**PASS**\n")
 
 
 def test_markdown_lists_orders_in_numeric_order():
     report, _ = run(ExperimentConfig(command="jets", algebra="proj(2)", grid=1, orders=12))
     assert emit(report, "md") == (
-        b"# parageo report: jets\n\n"
-        b"algebra: **proj(2)** (matrix dim 3; g_-1: 2, g_0: 4, g_1: 2)\n\n"
-        b"direction: ['0', '1', '0', '0', '0', '0', '0', '0'], grid [-1, 1]\n\n"
-        b"| jet order | verdict |\n|---|---|\n| 1 | counterexample |\n"
-        + b"".join(b"| %d | confirmed |\n" % r for r in range(2, 13))
-        + b"\nclaimed bound: 2, empirical sharp order: 2\n\n**PASS**\n"
+        b"# parageo report: jets\n\n## algebra\n\n"
+        b"- depth: 1\n- family: proj\n- field: rational\n"
+        b'- grade_dims: {"-1":2,"0":4,"1":2}\n- matrix_dim: 3\n- name: proj(2)\n'
+        b'- params: {"m":2,"n":1}\n\n'
+        b"## jets\n\n- algebra: proj(2)\n- claimed_bound: 2\n- direction: 0,1\n"
+        b"- empirical_sharp_order: 2\n- grid_range: 1\n- n_admissible: 9\n- n_equal: 3\n"
+        b"- n_grid: 9\n- orders_tested: 1,2,3,4,5,6,7,8,9,10,11,12\n- pass: true\n"
+        b"- type: full_n\n- violations: -\n\n### verdicts\n\n"
+        b"| order | verdict | Z | Y | jet_order |\n|---|---|---|---|---|\n"
+        b"| 1 | counterexample | -1,-1 | 0,1 | 1 |\n"
+        + b"".join(b"| %d | confirmed | - | - | - |\n" % r for r in range(2, 13))
+        + b"\n**PASS**\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jets", "--algebra", "proj(2)"],
+        ["jets", "--algebra", "lagr3", "--direction", "1/2,-3,2/7"],
+        ["family", "--algebra", "xxdot", "--type", "grade(-1)"],
+    ],
+    ids=" ".join,
+)
+def test_report_direction_pastes_back(argv):
+    # the direction is written over the n basis, as --direction reads it,
+    # in JSON and in Markdown alike; pasted back, it gives the same results
+    def report_of(argv):
+        report, code = run(ExperimentConfig(**vars(cli.build_parser().parse_args(argv + ["--grid", "1"]))))
+        return json.loads(emit(report)), emit(report, "md").decode(), code
+
+    report, md, code = report_of(argv)
+    written = ",".join(report["results"][argv[0]]["direction"])
+    assert "\n- direction: %s\n" % written in md
+    if "--direction" in argv:
+        assert written == argv[argv.index("--direction") + 1]
+    again, _, again_code = report_of(argv + ["--direction", written])
+    assert again_code == code
+    assert again["results"] == report["results"]
 
 
 def test_main_writes_output(tmp_path):
@@ -175,7 +219,7 @@ def test_main_writes_output(tmp_path):
     code = main(["jets", "--algebra", "proj(1)", "--grid", "1", "--output", str(out)])
     assert code == 0
     data = json.loads(out.read_bytes())
-    assert data["schema"] == "parageo/1"
+    assert data["schema"] == "parageo/2"
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -189,7 +233,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
         )
 
     ok = cli("catalog")
-    assert ok.returncode == 0 and json.loads(ok.stdout)["schema"] == "parageo/1"
+    assert ok.returncode == 0 and json.loads(ok.stdout)["schema"] == "parageo/2"
     bad = cli("fiber", "--algebra", "conf(1,1)", "--grid", "-1")
     assert bad.returncode == 2 and b"grid bound must be >= 0" in bad.stderr
 
@@ -332,7 +376,7 @@ def test_default_direction_on_a_large_n_exits_0(argv, capsys):
     assert report["summary"]["pass"]
     alg = make_algebra(argv[2])
     first = alg.elem_at(alg.n_indices[-1:], (1,))
-    assert report["results"][argv[0]]["direction"] == [str(c) for c in first.coords]
+    assert report["results"][argv[0]]["direction"] == [str(first.coords[i]) for i in alg.n_indices]
 
 
 def test_exponent_literals_keep_their_value():

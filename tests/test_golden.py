@@ -49,12 +49,23 @@ sampled through ``poly_reference.to_mat``, whose repr is that of the old
 Poly-entry ``Mat``; the constant-matrix exponential and logarithm now live
 in ``poly_reference``.
 
-
 The ``scripts/reproduce_tables.py`` digest is the SHA-256 of its
 ``--grid 1`` stdout (sharp jet orders, family and stabilizer dimensions,
 and the lowest-grade orbit's pointwise and hull dimensions on lagr3 and
 xxdot), as first computed with orbit_dim taken over six (Z0, X) probes of
 a polynomial-in-s exponential and every rank by a full Gauss-Jordan pass.
+
+Re-pin note: the report schema ``parageo/2`` re-pinned all 18 jets and
+30 report digests at once.  The config echo lost ``workers`` and every
+option that its command does not take; row-shaped results became
+``{"columns": [...], "rows": [...]}`` tables (a jets row carries its
+witness); the fiber report writes per-X ranks of [X,[X,g_1]] in place of
+its pairs; directions and witnesses Y are written over n, witnesses Z
+over p_+.  The mapping of ``tests/test_schema.py`` took the parageo/1
+bytes of every pinned config to exactly its parageo/2 bytes, the fiber
+ranks taken from the old pairs, so no verdict or count moved.  The build,
+curve-layer, su21 coordinate and ``reproduce_tables.py`` digests did not
+change.
 """
 
 import hashlib
@@ -76,76 +87,76 @@ from poly_reference import exp_mat, frac_matrix, log_unipotent, to_mat
 GOLDEN = [
     (
         dict(algebra="su21", type_spec="grade(-2)", grid=2),
-        "e5f3981e7d31e964219363f3c59746cfff68a3fe6b207c64a86166cfecbe1262",
+        "f0c4d4e3758b265010de1bf6f99e8c615372034f3ec7c070e3c8d9653aac2932",
     ),
     (
         dict(algebra="su21", type_spec="grade(-1)", grid=1),
-        "974ce8b1e794ecf9d9d97258c7a1ab8e2ef26dee65f72946b482aace1f01bf6f",
+        "c5a424a05a5088f813600eeb8f2d8e72d23ea0bbb433dcc7bd2e50da1c1ea063",
     ),
     (
         dict(algebra="su21", type_spec="full_n", grid=1),
-        "18ca50f1f32a12cfeacaab305acb51033165410b834c339e792ecbd465c1b19d",
+        "24ca35704db3896b4ecf7af899699ddd58adf8801f015d49438fe97f223c32b1",
     ),
     (
         dict(algebra="xxdot", type_spec="grade(-1)", grid=2, direction="0,0,1/2,1,0"),
-        "61933b2af0bbe9f5954f752949165d0141d36529e6b562c7b2bc45c5489b333b",
+        "6a3eee9dfb0b5f0315877d07e01801f346b83f6b4578e5b4e17b162683c849f6",
     ),
     (
         dict(algebra="lagr3", type_spec="full_n", grid=3, direction="1/2,1,1"),
-        "39f9c71210bc46c0d160093c4c4e272586cc330383968956be2460cd60c57e6d",
+        "57f100ca5291e02c28447a287c57f44c6dfc26cfb7eb2a0da170da1c758f45ab",
     ),
     (
         dict(algebra="conf(1,2)", type_spec="full_n", grid=2, direction="1/2,1,1"),
-        "5729d5051ea765f9443351f63f8d084942228625b519f9bfd7b74a39594deff1",
+        "c2cc0356936244bcdd20aa74fcf478fea3e7de80f24f1a8fb3bffdd53734e4b1",
     ),
     (
         dict(algebra="lagr3", type_spec="full_n", grid=2, direction="1/2,1,1"),
-        "8e8f83891b62d8695104c73bbf3fc9010d2c9d612d13663a116094435c09c458",
+        "77e9a7a103c4ca486f0b2da1c86435491ea278042f19de9b1306d9dae5ffc281",
     ),
     (
         dict(algebra="xxdot", type_spec="grade(-1)", grid=2),
-        "e3f987eeae401f04040090ed5378672f9a7b3aa049f87d2e8e1b13ad72afa6fe",
+        "5ae3b2db62bf66c43ff31b571303a13b75329a88d2cf641aff6467ff48fce73a",
     ),
     (
         dict(algebra="xxdot", type_spec="grade(-2)", grid=2),
-        "11d94df01a0388cded5412f3c10d39468c4cde69bbbaca6b513225bc2b4ee8aa",
+        "c557470504c7892e120ffe712b40e7b7fcea10f5530cacd4f50100d4d70491f3",
     ),
     (
         dict(algebra="lagr3", type_spec="full_n", grid=2),
-        "2694ad16acf476a982d0d52fb7500832d5e0652cc80607d445c7112bc3ce2bf6",
+        "aae9d7591d1682b80fcc1b04073937be65d4c6d7afb49f776ed218d2804272a9",
     ),
     (
         dict(algebra="conf(1,2)", type_spec="full_n", grid=2),
-        "0bfc0e024b5841e64500ceb349d144f64ef83fda3179fd9a751d3fce039b3005",
+        "020168e4ce9b457c9c80f6e0049751487b88273d37edb95a7e61430c26b4e968",
     ),
     (
         dict(algebra="proj(4)", type_spec="full_n", grid=1),
-        "31d80b74f3e6c838939f9e3710860d9ce8a3f449769721d6afd116bc966513d8",
+        "87281a60f3144aa1a90de29a769e018f5e8e49f5691f9e1b8098bbcd7ec90c2d",
     ),
     # the remaining jets runs of scripts/run_full_suite.py
     (
         dict(algebra="proj(2)", type_spec="full_n", grid=2),
-        "09bc39486de06242ce1a7817ee64d94f45c443208118c01055432c900a22d601",
+        "ca26048c7da90c33e33f35b309a2cafab48be760890a4390ffa346cf0d11193c",
     ),
     (
         dict(algebra="grass(1,2)", type_spec="full_n", grid=2),
-        "af35e96bbf1dea6630f8a87c2b9b33c41733bf78371b38d65ed03056f308ae9b",
+        "a5bc8910a4a475bd581a5143681ac7ebb24a5cfb1339c1585afa1042f1323bf9",
     ),
     (
         dict(algebra="lagr3", type_spec="grade(-1)", grid=2),
-        "cb34f2d459865b01b853b58267b5d3fb31b9a2840247ceecd4eeaec65c5a67dd",
+        "978e2e9807a8c764b7f90aee2ea4fcdcd401ca8383d5148cb1075041f039d065",
     ),
     (
         dict(algebra="lagr3", type_spec="grade(-2)", grid=2),
-        "d095625ca831b6dc682553740a155dabb720221629093361b185feec40773a1f",
+        "6c8180e9a22538d763cb60770b90c1f121eb3130da1e36a9632c5eb2de47aed5",
     ),
     (
         dict(algebra="su21", type_spec="grade(-2)", grid=1),
-        "365777ea199e65c56ff2f2f893302dd84a777972a6413b8b0206fba4482e2ce5",
+        "e5611d3a1cff2f44d9360d851c9232257157a894da29e620ddc0d3ad314165fa",
     ),
     (
         dict(algebra="xxdot", type_spec="full_n", grid=2),
-        "6f1656d50ac96221778cfd29403fbb5e63dcd4c2aa296eefcbd8706423621981",
+        "8bf47f9bf9e2bf57433f3bd1ebd8f6a5aa4c99ce0ebb2989f68b9e0b11abf922",
     ),
 ]
 
@@ -240,127 +251,127 @@ def _digest(obj):
 REPORT_GOLDEN = [
     (
         dict(command="catalog"),
-        "5e26e88ec7068e73638a98ed5f7919a05ce94d08d40dba661afe0b6e694bae68",
+        "f7684c834d60b340f392df5a8273c91cd343478e17a1fd39824f41666e714cfc",
     ),
     (
         dict(command="verify", algebra="su21", suite="structure"),
-        "c7b54346911c941b8200d106d7c48e6a59929ffc9ec8b5a6ba9270c48e00a408",
+        "c956b9afa8c5b7e80ce8a48dfc1288c9c0e812330a83efbc0f0ad80f503733f5",
     ),
     (
         dict(command="verify", algebra="proj(1)", suite="all"),
-        "3eb3471578a6d2209bcc793a21da42393d9067a8f8d2c4b29c9e7ec729e210c9",
+        "44692ac18ac726d8c48d941caa33e1065ce5d02edac46517167fb6edef0a93fd",
     ),
     (
         dict(command="verify", algebra="proj(2)", suite="all"),
-        "6636086d113162f3fee45791471f45afe686b927845e1c99867abe0ee55b53e7",
+        "016efc0f6bf9ca1880295786bfebf8c6ceae576cd2cd7687ca7cf5f68bda9209",
     ),
     (
         dict(command="verify", algebra="grass(1,2)", suite="all"),
-        "9fd3355baffea35a79f8af2c0e613f104c3d98a28d5cb465f38a3ffa9c20c381",
+        "05adf1213b1652cc11b8d44b9f35d0f7acca8ecac8f110beb7b6f2810f6d6170",
     ),
     (
         dict(command="verify", algebra="grass(2,2)", suite="all"),
-        "31c7401e177e68893e361797678e464677b2686d558171682db3e53f144f57a8",
+        "70cab8413a0fca74fe9dcb237e91c1ead103a372e45e6cf3490ed865e2e835bc",
     ),
     (
         dict(command="verify", algebra="conf(1,1)", suite="all"),
-        "2872f874f5977ddc31154adc94cc3d6f2936bc72d52e81f8ad47cf83fdc33b60",
+        "61e25d55300eeac5f5634521593b0ca8b278024ceed3636dcfdc0749cd6b663c",
     ),
     (
         dict(command="verify", algebra="conf(1,2)", suite="all"),
-        "61c9b4424f4382161fe0fe7b280d4977b0acc1a1f86b19e8fad76999bad1edc1",
+        "f948305a3fc0978ac968513483722cd0bde8fa594b70fc8511643adc1313fe6a",
     ),
     (
         dict(command="verify", algebra="lagr3", suite="all"),
-        "cdeaf11c79e6744e4b2f871b072a3805ddde47782a90c637871a76df18e6f280",
+        "6ff80cd5eaff965de81accce5586ca2149b4bb2aea3acfc36b5b407713e27f0f",
     ),
     (
         dict(command="verify", algebra="su21", suite="all"),
-        "d593ed3c8d69406f5f455272835cfd586d138fb8a6c60a4520e1942c8c4cc7be",
+        "6f048204325564574adf5dc62c94b347600bb807e12b163c3d664d2eaac8c156",
     ),
     (
         dict(command="verify", algebra="xxdot", suite="all"),
-        "13872e8d5972cf45abac461ed0f6f20e842d568c41e28d58fe52301a385a96be",
+        "93615a99015f2d2e722821a8252b2752ecd62e5c54e790edbfe25e169334f588",
     ),
     (
         dict(command="fiber", algebra="proj(2)", type_spec="full_n", grid=2),
-        "22d6b0390cd5ae27913f9818d7d1bc11e3d24986be9fdda57c3cc306b0de6d9a",
+        "d20549fccee14de60617fffeb079b687f6b85abaf907578276b47994ad2a1be5",
     ),
     (
         dict(command="fiber", algebra="grass(1,2)", type_spec="full_n", grid=1),
-        "3591fdbf8a5167c959653f7cb91b5f9b6aa8d8b841175dfb6681c140b406d1f6",
+        "6ca2e517322cff7c3316d75dcc60108c42c6e7d81b47203e0f0602efd2f36a72",
     ),
     (
         dict(command="fiber", algebra="conf(1,1)", type_spec="null_cone", grid=2),
-        "86c3e73a5e7ac610f3322e0481914dbdb0da9267a6e1932f983a661b4323a195",
+        "eccbe826dcc5f7bd29a2386345043ab64d4949d7204b81c8a2196b7885e95b03",
     ),
     # pinned before the fiber took [X,[X,Z]] by linearity in Z: the
     # benchmark's fiber job and both grass(2,2) fiber types
     (
         dict(command="fiber", algebra="conf(1,2)", type_spec="full_n", grid=2),
-        "fd0b75a8024ba67a58f2cf0b04e4f524cfc3a60565b3430b1f34edbbfac5a56a",
+        "5d1dc65826854454026fba235038203ba7eb116c3fb472150a304b6120b5ea84",
     ),
     (
         dict(command="fiber", algebra="grass(2,2)", type_spec="full_n", grid=1),
-        "78b603703040d611229dd14ade59f570d4c25b4e6e8ed01735a4ef0d435a5f8c",
+        "e103ff700332f151f41fa2c42a0daa262891695b9e22ab124f4ec62fd3507e2e",
     ),
     (
         dict(command="fiber", algebra="grass(2,2)", type_spec="rank(1)", grid=1),
-        "8648532f0dc9182f625b40c83d65dfeca31fd6cd088cc25551a7b58aeae3fe8d",
+        "0609345175a5b478e935974b6c1af4fa8664cb0289ac72c774b9156194c54d9d",
     ),
     (
         dict(command="family", algebra="proj(2)", type_spec="grade(-1)", grid=2),
-        "760ffc41dae259a963f0501dd841eb5571140c47447d0cfb4936ae9fc76f8f37",
+        "1a74a62d03ef375d4bc3f3f8ff2cfada0387ea8594ac39baba45a11de247ece3",
     ),
     (
         dict(command="family", algebra="lagr3", type_spec="grade(-2)", grid=2),
-        "5563c48047435d37ee5ea5c66227a0d40837d012afae10258190264bf1b50721",
+        "584ca7b0b1b034af57b3344e3e577026d9dcf75d493d1e06a279da78c97150f9",
     ),
     (
         dict(command="family", algebra="lagr3", type_spec="grade(-1)", grid=2),
-        "173cd0a8bb8bc4a4efaf8dc3e81619ba721fbecf49c97ec4c019cf52191ccb73",
+        "7db0e74045b4f3fb4d286c6eefc764f1b100aec5db3ec656390fc1a937f5f636",
     ),
     (
         dict(command="family", algebra="xxdot", type_spec="grade(-2)", grid=1),
-        "455da29cc6bc5002c4119c85df9f6712d783c5a67194c86d3c1e04218914fdd6",
+        "6a1cdddcc3e4cac257f05dc796244cd0dfc185c2c916c91a4534bb144de8c39d",
     ),
     (
         dict(command="family", algebra="su21", type_spec="grade(-2)", grid=1),
-        "bcea2b9924b9832216cf23158762a61d8412e94f00ccedb96671c2ee6b2862a3",
+        "76aaa36f0d796e30734333b372b6930ff80075716efc7ec5a16b90299c915a4b",
     ),
     (
         dict(command="classify", algebra="grass(2,2)", grid=1),
-        "e1d442d2c63a0c4bda9ed7055ba5a6873668e32ea32c539aded13ad3e78d6879",
+        "5bb5351df4b539f215667a1d51cbfb80d0a12d1936ee9b313b3024ed14e9623d",
     ),
     (
         dict(command="classify", algebra="lagr3", grid=2),
-        "8588ea453eebe4787625df78ce6877f0fb7835f90604136aedd28cf5a1ad45d4",
+        "80176deb15b357dd74b7302d4f321d4a83f7b0b5ffacb34d78e43c15eaf87952",
     ),
     (
         dict(command="classify", algebra="xxdot", grid=1),
-        "45b920ea12cdbe9a147b6643c20177cfd342d5f3e75170007870a948733550ff",
+        "22b8c9dfd30fbb3dcc20154461c8539c754432fe214377ddfeb10f52b58d0747",
     ),
     (
         dict(command="classify", algebra="conf(1,2)", grid=1),
-        "90635e14e4f10be9b7431f642a15aa057babb4040652a3480440a55e40b18343",
+        "a466b608c379d177f30881e0ba625058dd2c1853db626e93620336c6c4382e3a",
     ),
     (
         dict(command="reparam", algebra="lagr3"),
-        "f61ebff313b282ef42f3d915496873429878ab9a5fccfbf98d96d4d4bf5ba367",
+        "8295fbc137c5fc1fee8b23f82a735bc61925c540aeed93375f3d3e3191adb495",
     ),
     (
         dict(command="reparam", algebra="xxdot"),
-        "fcb28a94126a47238f3387d43d478832c8ecccabdd9db08550a2a485620dd076",
+        "3e3379e2f95e029445622e8ad43327d79137ff47bf17749ca37f68d3028b2d50",
     ),
     # the reparam report of scripts/run_full_suite.py, and the family job
     # of the grid-fraction benchmark workload
     (
         dict(command="reparam", algebra="proj(1)"),
-        "6e8ea03b0ef669a12882db8ada5c13ab2bb5d2b5614d9d73aedf273593af3eb2",
+        "624cff1bee38b7256f46ef3f49e76890f6c92d5bb9ddb90815db64c0de99eaea",
     ),
     (
         dict(command="family", algebra="xxdot", type_spec="grade(-2)", grid=2),
-        "de4850fd5260d468851dc789d3a5045a08c9d116279467d084d2cb88f4c7aeac",
+        "2c2cdaee2d4fd66dae5364d7762181dd42e14dfe093071bba4516cf7bd20eb14",
     ),
 ]
 

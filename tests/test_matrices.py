@@ -167,3 +167,18 @@ def test_echelon_is_exact_on_int_rows(rows):
     assert rank(rows) == rank(frac_rows) == len(rref(frac_rows)[1])
     for row in rows:
         assert not any(remainder(row, echelon(rows)))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[10**17, 1], [10**17 + 1, 1]], [[3, 1], [1, 1]]],
+    ids=["huge", "small"],
+)
+def test_rref_is_exact_on_int_rows(rows):
+    # a float quotient loses the second pivot of the huge rows and writes
+    # the small rows' thirds as floats; a Fraction lead does neither
+    red, piv = rref(rows)
+    assert piv == [0, 1]
+    assert red == [(1, 0), (0, 1)]
+    assert not any(isinstance(x, float) for row in red for x in row)
+    assert (red, piv) == rref(_as_fractions(rows))
