@@ -596,26 +596,28 @@ def _ad_exp(exps, xmat):
 
 @dataclass(frozen=True)
 class FiberSample:
+    """The standard fiber over a grid: its pair count and per-X ranks."""
     algebra: str
     type_label: str
     grid_range: int
-    pairs: tuple  # (X coords, second coords, Z coords)
+    n_pairs: int  # |X members| * |Z grid|, the Z grid over g_1
     ranks: tuple  # (X coords over n, rank of [X,[X,g_1]]) per grid X
 
     def to_jsonable(self):
-        """The pair count and the per-X ranks table; the pairs stay out."""
+        """The pair count and the per-X ranks table."""
         return {
             "algebra": self.algebra,
             "type": self.type_label,
             "grid_range": self.grid_range,
-            "n_pairs": len(self.pairs),
+            "n_pairs": self.n_pairs,
             "ranks": {"columns": ["X", "rank"], "rows": self.ranks},
         }
 
 
 def _linear_combinations(images, vectors):
     """The exact coordinates of sum_i v_i images[i], for each integer (or
-    rational) vector v of ``vectors`` in turn.
+    rational) vector v of ``vectors`` in turn: the orbit points of one Z
+    from the images of the type's parameter basis.
 
     The images go over one denominator: every coordinate m that some image
     reaches becomes the integer column den * images[i][m], so a point costs
@@ -639,29 +641,24 @@ def _linear_combinations(images, vectors):
 
 
 def standard_fiber(ts, grid=2):
-    """All admissible 2-jets (X, [X,[X,Z]]) over the grid, Z in g_1.
+    """The admissible 2-jets (X, [X,[X,Z]]), Z in g_1, over the grid X.
 
-    ``second`` = [X,[X,Z]] is linear in Z, so each X takes only the double
-    brackets [X,[X,e_i]] of the g_1 basis e_i, combined over the integer
-    coordinates of each grid Z.  Pairs are X-major (X in ``ts.grid``
-    order), Z lexicographic in its g_1 coordinates.  The rank of those
-    double brackets is the dimension of the fiber over X, one per X.
+    [X,[X,Z]] is linear in Z, so the fiber over X is the span of the double
+    brackets [X,[X,e_i]] of the g_1 basis e_i, and its dimension is their
+    rank: one rank per X, in ``ts.grid`` order.  ``n_pairs`` counts the
+    pairs (X, Z) with Z on the g_1 grid of the same radius; no pair is
+    built.
     """
     alg = ts.algebra
     if alg.k != 1:
         raise NotOneGraded("standard fiber is computed for |1|-graded algebras")
-    # the pairs are X points times Z points
+    # the pairs are X points times Z points (p_+ = g_1 here)
     check_grid((grid, len(ts.param_indices())), (grid, len(alg.pplus_indices)))
-    # p_+ = g_1 here; the Z grid is built once and shared by every X
-    zvals = list(iter_pplus_coords(alg, grid))
-    zcoords = [pplus_elem(alg, v).coords for v in zvals]
     basis = alg.grade_basis(1)
-    pairs, ranks = [], []
-    for x in ts.grid(grid):
-        images = [bracket(x, bracket(x, e)).coords for e in basis]
-        pairs.extend(zip(itertools.repeat(x.coords), _linear_combinations(images, zvals), zcoords))
-        ranks.append((n_coords(x), rank(images)))
-    return FiberSample(alg.name, ts.label, grid, tuple(pairs), tuple(ranks))
+    ranks = tuple(
+        (n_coords(x), rank([bracket(x, bracket(x, e)).coords for e in basis])) for x in ts.grid(grid)
+    )
+    return FiberSample(alg.name, ts.label, grid, len(ranks) * (2 * grid + 1) ** len(basis), ranks)
 
 
 # -- family dimensions ----------------------------------------------------------
@@ -779,7 +776,7 @@ def _orbit_dim(ts, grid, hull):
     units = [alg.basis_elem(i) for i in ts.param_indices()]
     nonzero = [x for x in ts.grid(grid) if x]
     best = 0
-    for x in (nonzero[:2] + nonzero[-2:])[:3]:
+    for x in nonzero[:2] + nonzero[-1:]:
         vecs = [bracket(alg.basis_elem(i), x) for i in alg.pplus_indices] + units
         best = max(best, rank([[v.coords[i] for i in alg.n_indices] for v in vecs]))
         if best == hull:

@@ -48,6 +48,7 @@ from paper_checks import (
     chain_family_reparam_check,
     mobius_candidate_between,
     projective_structure_exists,
+    standard_fiber_pairs,
 )
 
 
@@ -178,11 +179,13 @@ def test_criterion_06_conformal_formulas():
                 assert lhs == rhs, (cid, i, j)
                 checked += 1
         # null directions: second components are multiples of X on the grid
-        fib = standard_fiber(parse_type(alg, "null_cone"), grid=2)
-        for xc, sc, _ in fib.pairs:
+        null = parse_type(alg, "null_cone")
+        for xc, sc, _ in standard_fiber_pairs(null, 2):
             # X is nonzero, so a nonzero second component is a multiple of X
             # exactly when the two have rank 1
             assert not any(sc) or rank([xc, sc]) == 1, (cid, xc, sc)
+        # so the fiber over each null X is the line through X
+        assert all(r == 1 for _, r in standard_fiber(null, grid=2).ranks), cid
         # projective structure for every nonzero grid direction
         for vec in itertools.product(range(-2, 3), repeat=nn):
             if not any(vec):
@@ -202,13 +205,16 @@ def test_criterion_07_grassmannian_formulas():
                 rhs = alg.elem_from_matrix((xb.matrix * zb.matrix * xb.matrix).scale(-2))
                 assert lhs == rhs, cid
     g12 = make_algebra("grass(1,2)")
-    fib = standard_fiber(parse_type(g12, "rank(1)"), grid=2)
-    for xc, sc, _ in fib.pairs:
+    rank1 = parse_type(g12, "rank(1)")
+    for xc, sc, _ in standard_fiber_pairs(rank1, 2):
         assert not any(sc) or rank([xc, sc]) == 1
+    assert all(r == 1 for _, r in standard_fiber(rank1, grid=2).ranks)
     g22 = make_algebra("grass(2,2)")
-    fib2 = standard_fiber(parse_type(g22, "rank(2)"), grid=1)
-    hull = rank([list(sc) for _, sc, _ in fib2.pairs])
+    rank2 = parse_type(g22, "rank(2)")
+    hull = rank([list(sc) for _, sc, _ in standard_fiber_pairs(rank2, 1)])
     assert hull == 4
+    # the fiber over each rank-2 X is all of g_-1
+    assert all(r == 4 for _, r in standard_fiber(rank2, grid=1).ranks)
     note(7, "Grassmannian -2XZX on all basis pairs; rank-1 fibers collinear; rank-2 hull = 4")
 
 

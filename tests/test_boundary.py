@@ -1,4 +1,4 @@
-"""Two boundaries of the source tree, read from the source, and the
+"""Three boundaries of the source tree, read from the source, and the
 engine boundary run end to end.
 
 The engine boundary.  Every matrix of the package, constant or
@@ -18,6 +18,10 @@ package, and every method other than a dunder, is reached from the
 command line or the scripts, or is listed in ``UNCALLED`` with the reason
 it stays.  A check that only the tests run lives under ``tests/``
 (``paper_checks.py``), not in the package.
+
+The exactness boundary.  Every true division of the package is listed in
+``DIVISIONS`` with the reason an operand is a ``Fraction`` (or a
+``GaussianRational``), so that the quotient is exact and never a float.
 """
 
 import ast
@@ -201,3 +205,60 @@ def test_every_package_name_is_reached_or_listed():
 def test_uncalled_lists_only_unreached_definitions():
     defs, reached = _reach()
     assert sorted(set(UNCALLED) - (defs - reached)) == []
+
+
+# Every true division of the package, as (module, enclosing definition, the
+# division's source), with the reason its quotient is exact: an int over an
+# int would be a float.
+DIVISIONS = {
+    ("matrices.py", "rref", "x / lead"): "an int lead is made a Fraction just above; "
+    "any other lead is already a Fraction",
+    ("matrices.py", "echelon", "a / lead"): "lead = Fraction(rest[c])",
+    ("reparam.py", "MobiusMap.__init__", "a / scale"): "a, b, c, d are made Fractions on "
+    "entry, and scale is d or c",
+    ("reparam.py", "MobiusMap.__init__", "b / scale"): "as a / scale",
+    ("reparam.py", "MobiusMap.__init__", "c / scale"): "as a / scale",
+    ("reparam.py", "MobiusMap.__init__", "d / scale"): "as a / scale",
+    ("reparam.py", "MobiusMap.from_seeds", "-b / (2 * a)"): "a = Fraction(velocity) and "
+    "b = Fraction(acceleration)",
+    ("reparam.py", "MobiusMap.seeds", "self.b / self.d"): "__init__ stores Fraction "
+    "coefficients",
+    ("reparam.py", "MobiusMap.seeds", "det / (self.d * self.d)"): "det is a * d - b * c "
+    "of the Fraction coefficients",
+    ("reparam.py", "MobiusMap.seeds", "-2 * self.c * det / self.d ** 3"): "as "
+    "det / (self.d * self.d)",
+    ("reparam.py", "_proportionality", "cx / cr"): "AlgElem coordinates are Fractions: "
+    "elem, elem_at, express, bracket_coords and the element arithmetic build them so",
+    ("scalars.py", "GaussianRational.__truediv__", "(self.re * other.re + self.im * other.im) / n"):
+    "GaussianRational parts are made Fractions in __init__, so n is a Fraction",
+    ("scalars.py", "GaussianRational.__truediv__", "(self.im * other.re - self.re * other.im) / n"):
+    "as the real part",
+    ("scalars.py", "GaussianRational.__rtruediv__", "other / self"): "other is coerced to "
+    "a GaussianRational, so this is GaussianRational.__truediv__",
+}
+
+
+def _divisions():
+    """(module, enclosing definition, source) of every true division
+    (``/`` and ``/=``) in the package; a definition is dotted into its
+    class, and module-level code has ``None``."""
+    out = set()
+
+    def visit(module, node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+                out.add((module, where, ast.unparse(child)))
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where is None else "%s.%s" % (where, child.name)
+            visit(module, child, inner)
+
+    for path in SRC.glob("*.py"):
+        visit(path.name, ast.parse(path.read_text()), None)
+    return out
+
+
+def test_every_division_is_listed_with_its_reason():
+    found = _divisions()
+    assert sorted(found - DIVISIONS.keys(), key=str) == []
+    assert sorted(DIVISIONS.keys() - found, key=str) == []
