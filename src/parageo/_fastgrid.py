@@ -21,30 +21,38 @@ it.  Coordinates are read through the algebra's one integer frame, built
 with the algebra (``GradedAlgebra.express`` for a constant, ``express_poly``
 for a curve; ``GridKernel.elem_coords`` reads through ``express``).
 
-Every grid search (``jets`` and ``family``) runs its pairs on
-``GridKernel``, for every catalog algebra and every rational base
-direction, on plain-int matrices with a tracked positive denominator and no
-gcd: grid points have integer coordinates, every catalog basis is
-integral, and a base direction X is carried as ``x_den * X`` for the lcm
-``x_den`` of its entries' denominators (the reduced ``X.matrix``).  Scaling
-by a positive integer never changes whether an entry vanishes, so every
-pattern test is exact.
-One pair costs one ``exp_pair`` (one power list, both series) and at most
-k conjugations inside ``solve_direction``, whose conjugate A2 = Ad(exp Z) Y
-is reused by the jet test and the curve identity.  The jet test makes no
-matrix product: the forbidden entries of ad(-X)^r d0 are integer linear
-forms in the entries of d0, built once per order r.  Products skip the
+Every grid search (``jets`` and ``family``), for every catalog algebra and
+every rational base direction, runs its pairs on ``PairSystem``: with X
+fixed, every quantity of the pair step is a polynomial in the p_+ grid
+coordinates z, so the step is built once per search as sparse integer
+polynomials ({exponent tuple: int} dicts) and evaluated at each grid
+point by an interpreted term loop.  ``GridKernel``, the same step as
+matrix arithmetic at one grid point, is the system's oracle: the stream
+of ``lab`` reruns it on the first pair of each outcome.  Both work on
+plain ints with a tracked positive denominator and no gcd: grid points
+have integer coordinates, every catalog basis is integral, and a base
+direction X is carried as ``x_den * X`` for the lcm ``x_den`` of its
+entries' denominators (the reduced ``X.matrix``).  Scaling by a positive
+integer never changes whether an entry vanishes, so every pattern test is
+exact.
+One kernel pair costs one ``exp_pair`` (one power list, both series) and
+at most k conjugations inside ``solve_direction``, whose conjugate A2 =
+Ad(exp Z) Y is reused by the jet test and the curve identity.  The jet
+test makes no matrix product: the forbidden entries of ad(-X)^r d0 are
+integer linear forms in the entries of d0, built once per order r; the
+system composes the same forms with A2's polynomials.  Products skip the
 zero entries of both factors, since grid matrices are mostly zeros.
-A pair leaves the kernel as integers: ``lab`` tests the type of Y on its
+A pair leaves either route as integers: ``lab`` tests the type of Y on its
 matrix positions, and ``elem_coords`` builds Fraction coordinates only
 for a stratum type's classification.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import accumulate, repeat, zip_longest
 from math import factorial, gcd, lcm
 
 from .errors import NotNilpotent, OracleDisagreement
@@ -311,6 +319,211 @@ class GridKernel:
 def grid_kernel(alg, x):
     """The GridKernel of an algebra and a base direction in it."""
     return GridKernel(alg, x)
+
+
+# -- the pair system -----------------------------------------------------------
+# A polynomial in the p_+ grid coordinates z is a dict {exponent tuple: int}
+# with no zero values; a polynomial matrix is a dict {(i, j): polynomial}
+# holding its nonzero entries only.
+
+
+def _plinear(terms):
+    """The polynomial sum of c * p over the pairs (c, p) of ``terms``."""
+    acc = {}
+    for c, p in terms:
+        for e, v in p.items():
+            acc[e] = acc.get(e, 0) + c * v
+    return {e: v for e, v in acc.items() if v}
+
+
+def _pmul(a, b):
+    """The polynomial a * b."""
+    out = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            e = tuple(map(int.__add__, ea, eb))
+            out[e] = out.get(e, 0) + va * vb
+    return {e: v for e, v in out.items() if v}
+
+
+def _mlinear(parts):
+    """The polynomial matrix with the entries sum c * p over the pairs
+    (c, p) that ``parts`` lists per position."""
+    return {pos: p for pos, terms in parts.items() for p in (_plinear(terms),) if p}
+
+
+def _mcombine(terms):
+    """The polynomial matrix sum of c * m over the pairs (c, m) of ``terms``."""
+    parts = {}
+    for c, m in terms:
+        for pos, p in m.items():
+            parts.setdefault(pos, []).append((c, p))
+    return _mlinear(parts)
+
+
+def _mmul(a, b):
+    """The product of two polynomial matrices."""
+    b_rows = {}
+    for (m, j), p in b.items():
+        b_rows.setdefault(m, []).append((j, p))
+    parts = {}
+    for (i, m), p in a.items():
+        for j, r in b_rows.get(m, ()):
+            parts.setdefault((i, j), []).append((1, _pmul(p, r)))
+    return _mlinear(parts)
+
+
+def _pconj(e, y, einv):
+    """The polynomial matrix e * y * einv: one symbolic conjugation."""
+    return _mmul(_mmul(e, y), einv)
+
+
+class PairSystem:
+    """The grid pair step of one algebra, one base direction X and the jet
+    orders below r_max, as integer polynomials in the p_+ grid coordinates z.
+
+    The build runs ``GridKernel``'s algorithm once on polynomial matrices,
+    from the algebra's ``basis_entries`` and block pattern and X's reduced
+    matrix x_rows / x_den, without going through the kernel:
+
+    - Z(z) = sum z_i B_i, and q! exp(+-Z) = sum_p (q!/p!) (+-Z)^p with
+      q = len(block_sizes) - 1, so every power of a strictly block
+      triangular matrix that can be nonzero is summed;
+    - ``y``: Y = y / y_den by the kernel's residual iteration, which must
+      reach a zero residual polynomial within k conjugations (``_pconj``);
+    - A2 = a2 / a2_den, a2 = q! exp(Z) y q! exp(-Z), a2_den = q!^2 y_den;
+    - ``jets[r]``: the forbidden entries (i, j) of ad(-X)^r d0, d0 = X - A2,
+      read by the kernel's dual forms, times a2_den x_den^r;
+    - ``identity``: the forbidden entries (m, i, j) of the t^m coefficient
+      of exp(-t A2) exp(t X), times q!^2 (a2_den x_den)^q.
+
+    Each keeps its nonzero polynomials only.  The positive constant scales
+    never change whether a value vanishes, so every decision read off the
+    system is exact.  ``evaluate`` runs the step at one grid point: each
+    polynomial is a list of (coefficient, monomial) terms, and the
+    monomials are built stage by stage (Y, then one stage per jet order,
+    then the identity), each as an earlier monomial times one coordinate,
+    so a pair pays only for the stages its verdict reads.
+    """
+
+    def __init__(self, alg, x, r_max):
+        self.d = d = alg.matrix_dim
+        nv = len(alg.pplus_indices)
+        q = len(alg.block_sizes) - 1
+        qf = factorial(q)
+        xm = x.matrix
+        x_den, x_rows = xm.den, (xm.coeffs or [_iident(d, 0)])[0]
+        forbidden = alg.forbidden_positions
+        z = {}
+        for v, idx in enumerate(alg.pplus_indices):
+            var = tuple(int(u == v) for u in range(nv))
+            for r, b in alg.basis_entries[idx]:
+                z.setdefault(divmod(r, d), []).append((b, {var: 1}))
+        ident = {(i, i): {(0,) * nv: 1} for i in range(d)}
+        powers = list(accumulate(repeat(_mlinear(z), q), _mmul, initial=ident))
+        e = _mcombine((qf // factorial(p), m) for p, m in enumerate(powers))
+        einv = _mcombine(((-1) ** p * (qf // factorial(p)), m) for p, m in enumerate(powers))
+        # Y by the residual iteration: each conjugation raises the lowest
+        # grade of the residual by one, so it vanishes within k of them;
+        # the residual is d0 = X - A2 on the forbidden positions
+        x_poly = {(i, j): {(0,) * nv: v} for i, row in enumerate(x_rows) for j, v in enumerate(row) if v}
+        s2 = qf * qf
+        y, y_den = x_poly, x_den
+        for _ in range(alg.k):
+            a2, a2_den = _pconj(e, y, einv), y_den * s2
+            d0 = _mcombine(((a2_den // x_den, x_poly), (-1, a2)))
+            resid = {pos: d0[pos] for pos in forbidden if pos in d0}
+            if not resid:
+                break
+            y, y_den = _mcombine(((s2, y), (1, resid))), a2_den
+        else:
+            raise ArithmeticError("direction constraint failed to converge")
+        self.y, self.y_den = y, y_den
+        # the jet forms: entry (i, j) of ad(-X)^r d0 is tr(F_r d0) for
+        # F_r = ad(X)^r E_ji, as in GridKernel._jet_forms
+        duals = [(pos, _iunit(d, pos[1], pos[0])) for pos in forbidden]
+        self.jets = []
+        for _ in range(r_max):
+            self.jets.append(
+                _mlinear({pos: [(f[b][a], p) for (a, b), p in d0.items() if f[b][a]] for pos, f in duals})
+            )
+            duals = [(pos, _isub(_imul(x_rows, f), _imul(f, x_rows))) for pos, f in duals]
+        # the curve identity: the t^m coefficient of q! a2_den^q exp(-t A2)
+        # times q! x_den^q exp(t X) is sum_{p+r=m} left_p right_r
+        left = accumulate(repeat(a2, q), _mmul, initial=ident)
+        right, power = [], _iident(d)
+        for r in range(q + 1):
+            right.append(_iscale(power, qf // factorial(r) * x_den ** (q - r)))
+            power = _imul(power, x_rows)
+        forbidden_set = set(forbidden)
+        parts = {}
+        for p, power in enumerate(left):
+            scale = (-1) ** p * (qf // factorial(p)) * a2_den ** (q - p)
+            for (i, c), poly in power.items():
+                for r, rows in enumerate(right):
+                    for j, v in enumerate(rows[c]):
+                        if v and (i, j) in forbidden_set:
+                            parts.setdefault((p + r, i, j), []).append((scale * v, poly))
+        self.identity = _mlinear(parts)
+        self._compile()
+
+    def _compile(self):
+        """The monomial stages and term lists that ``evaluate`` reads."""
+        index = {}
+        steps = []  # (earlier monomial, coordinate) of each monomial but 1
+
+        def monomial(e):
+            if not any(e):
+                return 0
+            m = index.get(e)
+            if m is None:
+                v = max(u for u, a in enumerate(e) if a)
+                steps.append((monomial(e[:v] + (e[v] - 1,) + e[v + 1 :]), v))
+                m = index[e] = len(steps)
+            return m
+
+        def stage(polys):
+            start = len(steps)
+            terms = [(tuple(p.values()), tuple(map(monomial, p))) for p in polys]
+            return steps[start:], terms
+
+        self._y_stage = stage(self.y.values())
+        self._y_positions = tuple(self.y)
+        # an order with no nonzero form adds no monomial and passes at every point
+        self._jet_stages = [(r, *stage(order.values())) for r, order in enumerate(self.jets) if order]
+        self._identity_stage = stage(self.identity.values())
+
+    def evaluate(self, vals, member):
+        """(y_num, jet order, equal) at the grid point ``vals``: Y =
+        y_num / y_den, the jet order None when ``member(y_num, y_den)`` is
+        false, and equal the curve identity, read only at jet order r_max."""
+        mono = [1]
+        steps, terms = self._y_stage
+        _extend(mono, steps, vals)
+        y_num = [[0] * self.d for _ in range(self.d)]
+        for (i, j), term in zip(self._y_positions, terms):
+            y_num[i][j] = _value(mono, term)
+        if not member(y_num, self.y_den):
+            return y_num, None, False
+        for r, steps, terms in self._jet_stages:
+            _extend(mono, steps, vals)
+            if any(_value(mono, term) for term in terms):
+                return y_num, r, False
+        steps, terms = self._identity_stage
+        _extend(mono, steps, vals)
+        return y_num, len(self.jets), not any(_value(mono, term) for term in terms)
+
+
+def _extend(mono, steps, vals):
+    """Append the values at ``vals`` of one stage's monomials."""
+    for earlier, v in steps:
+        mono.append(mono[earlier] * vals[v])
+
+
+def _value(mono, term):
+    """The value of one compiled polynomial (coefficients, monomials)."""
+    coeffs, monos = term
+    return sum(map(operator.mul, coeffs, map(mono.__getitem__, monos)))
 
 
 # -- polynomial matrices -------------------------------------------------------

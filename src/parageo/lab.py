@@ -15,11 +15,15 @@ sound without any theorem: distinct jets force distinct curves.  Every
 witness that lands in a report is re-verified through the public
 curve-engine operations, including the independent normal-coordinate
 oracle.  Every grid pair runs on the exact integer engine of
-``_fastgrid``, for every catalog algebra and every rational direction.
+``_fastgrid``, for every catalog algebra and every rational direction:
+the pair system (the whole step as integer polynomials in Z's grid
+coordinates, built once per search) is the pair route, and the matrix
+kernel ``GridKernel`` is its oracle, rerun on the first pair of each
+outcome.
 
 The pair stream ``_iter_pair_stats`` stays in integers: Z is its grid
-tuple, Y the kernel's integer matrix and denominator, and the type test of
-full_n and grade(-j) reads the matrix positions.  Fraction coordinates are
+tuple, Y an integer matrix and denominator, and the type test of full_n
+and grade(-j) reads the matrix positions.  Fraction coordinates are
 built (by ``pair_coords``) only for what a report keeps: the witnesses of
 a jets search, and the admissible pairs whose jet classes a family counts.
 """
@@ -44,7 +48,7 @@ from .errors import (
     OracleDisagreement,
     ParageoError,
 )
-from ._fastgrid import IntPolyMat, grid_kernel
+from ._fastgrid import IntPolyMat, PairSystem, grid_kernel
 from .matrices import echelon, rank, remainder
 
 
@@ -369,45 +373,83 @@ class JetOrderReport:
         }
 
 
-def _member_test(ts, kern):
+def _member_test(ts, kern, y_polys):
     """Type membership of a solved direction Y = y_num / y_den.
 
     Each basis matrix is grade-pure on positions, so Y (in the span of the
     basis) lies in grade g exactly when y_num vanishes at every position of
     another grade, and in n exactly when it vanishes at every position of
-    grade >= 0.  Only a stratum type reads Y's coordinates, through the
+    grade >= 0.  Only the positions where Y's polynomial ``y_polys`` (the
+    pair system's) is nonzero are read: those entries are the type
+    polynomials.  Only a stratum type reads Y's coordinates, through the
     kernel's ``elem_coords``, and asks ``ts.contains``."""
     alg = ts.algebra
     if ts.kind == "stratum":
         return lambda y_num, y_den: ts.contains(AlgElem(alg, kern.elem_coords(y_num, y_den)))
     keep = (lambda g: g == ts.data) if ts.kind == "grade" else (lambda g: g < 0)
-    zero = [(i, j) for i, row in enumerate(alg.position_grade) for j, g in enumerate(row) if not keep(g)]
+    zero = [
+        (i, j)
+        for i, row in enumerate(alg.position_grade)
+        for j, g in enumerate(row)
+        if not keep(g) and (i, j) in y_polys
+    ]
     return lambda y_num, y_den: not any(y_num[i][j] for i, j in zero)
+
+
+def _kernel_pair(kern, member, r_max, vals):
+    """((y_num, y_den), jet order, equal) at one grid point by the kernel's
+    matrix step: one ``exp_pair``, at most k conjugations, the jet forms
+    and, at jet order r_max, the curve identity."""
+    e, einv, s = kern.exp_pair(kern.combo_rows(vals))
+    y_num, y_den, a2_num, a2_den = kern.solve_direction(e, einv, s)
+    if not member(y_num, y_den):
+        return (y_num, y_den), None, False
+    jord = kern.pair_jet_order(a2_num, a2_den, r_max)
+    return (y_num, y_den), jord, jord == r_max and kern.curves_equal(a2_num, a2_den)
+
+
+def _same_direction(y, other):
+    """True when two (num, den) integer matrices are the same rational Y."""
+    (a, a_den), (b, b_den) = y, other
+    return all(u * b_den == v * a_den for ra, rb in zip(a, b) for u, v in zip(ra, rb))
 
 
 def _iter_pair_stats(ts, x, grid, r_max):
     """Stream (vals, (y_num, y_den), jet order, equal) over the p_+ grid.
 
     ``vals`` is the integer grid tuple of Z over the p_+ basis, and Y =
-    y_num / y_den the solved direction as the kernel's integer matrix and
+    y_num / y_den the solved direction as an integer matrix and
     denominator; ``pair_coords`` reads their Fraction coordinates, which
     the stream never builds.  ``jet order`` is None when Y is not a member
     of the type; ``equal`` is the exact polynomial curve identity, computed
     only when the jets agree through r_max (pairs with lower jet order are
-    unequal by definition: distinct jets force distinct curves).  Every
-    pair runs on the integer grid engine of ``_fastgrid``, built in the
-    first step, where a trace of the loop reads which engine runs it.
+    unequal by definition: distinct jets force distinct curves).
+
+    The pair route is the ``PairSystem`` of ``_fastgrid``: the whole step
+    as integer polynomials in the grid coordinates, built once here and
+    evaluated at each grid point.  The integer kernel ``GridKernel``, built
+    in the first step (where a trace of the loop reads which engine runs
+    it), is its oracle: it reruns the matrix step on the first pair of
+    each outcome (non-member, each jet order, equal or not), and any
+    difference in Y, membership, jet order or equality raises
+    OracleDisagreement.  A jets witness is the first unequal pair of its
+    jet order, so the kernel re-checks every witness.
     """
-    kern = grid_kernel(ts.algebra, x)
-    member = _member_test(ts, kern)
-    for vals in iter_pplus_coords(ts.algebra, grid):
-        e, einv, s = kern.exp_pair(kern.combo_rows(vals))
-        y_num, y_den, a2_num, a2_den = kern.solve_direction(e, einv, s)
-        if not member(y_num, y_den):
-            yield vals, (y_num, y_den), None, False
-            continue
-        jord = kern.pair_jet_order(a2_num, a2_den, r_max)
-        yield vals, (y_num, y_den), jord, jord == r_max and kern.curves_equal(a2_num, a2_den)
+    alg = ts.algebra
+    kern = grid_kernel(alg, x)
+    points = iter_pplus_coords(alg, grid)
+    system = PairSystem(alg, x, r_max)
+    member = _member_test(ts, kern, system.y)
+    y_den = system.y_den
+    checked = set()  # the outcomes whose first pair the kernel re-checked
+    for vals in points:
+        y_num, jord, equal = system.evaluate(vals, member)
+        if (jord, equal) not in checked:
+            checked.add((jord, equal))
+            y, k_jord, k_equal = _kernel_pair(kern, member, r_max, vals)
+            if not _same_direction((y_num, y_den), y) or (k_jord, k_equal) != (jord, equal):
+                raise OracleDisagreement("pair system and kernel disagree at Z = %s" % (vals,))
+        yield vals, (y_num, y_den), jord, equal
 
 
 def pair_coords(alg, vals, y):

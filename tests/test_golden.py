@@ -18,6 +18,11 @@ grade(-2) job at grid 2 were pinned on the Fraction exponential, before
 every nilpotent exponential became one integer series; with them every
 report that script writes is pinned.
 
+The ``proj(8)`` ``full_n`` search at grid 1 (6,561 pairs) was pinned on
+the kernel's per-pair matrix step, before the pair step became integer
+polynomials built once per search, so that a large grid's bytes are held
+to the kernel's.
+
 Each build digest is the SHA-256 of the repr of an algebra's pivot rows,
 coordinate extractor and bracket table as first computed by the dense
 build (greedy rank tests, Laplace cofactor inverse, dense commutators).
@@ -157,6 +162,11 @@ GOLDEN = [
     (
         dict(algebra="xxdot", type_spec="full_n", grid=2),
         "8bf47f9bf9e2bf57433f3bd1ebd8f6a5aa4c99ce0ebb2989f68b9e0b11abf922",
+    ),
+    # a large grid (6,561 pairs), pinned on the kernel's per-pair step
+    (
+        dict(algebra="proj(8)", type_spec="full_n", grid=1),
+        "1bfd74fe58230fa0a6b54d6255fc4242cf1eb32b196376f403a48a173858d848",
     ),
 ]
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from parageo._fastgrid import GridKernel, grid_kernel
+from parageo import _fastgrid
+from parageo._fastgrid import GridKernel, PairSystem, grid_kernel
 from parageo.algebra import Ad, AlgElem, bracket, group_exp, truncated_Ad
 from parageo.catalog import MAX_GRID_POINTS, make_algebra
 from parageo.cli import ExperimentConfig, run
@@ -406,32 +407,50 @@ def test_engine_agrees_with_reference_depth_3():
     assert (6, True) in outcomes[1]
 
 
+def _conjugation_cases(xxdot):
+    sl4 = full_flag_sl4()
+    return [
+        (sl4, sl4.elem_from_grade_coords({-1: (1, 0, 1), -3: (1,)}), 1),
+        (xxdot, xxdot.elem_from_grade_coords({-1: (1, 1, 0), -2: (0, 1)}), 2),
+    ]
+
+
 def test_solve_takes_at_most_k_conjugations(monkeypatch, xxdot):
     # the residual rises at least one grade per conjugation; with a g_-k
     # part in X every grade is crossed, so some solve takes exactly k
-    conj, solve = GridKernel.conj, GridKernel.solve_direction
+    conj = GridKernel.conj
     counts = []
-
-    def counting_solve(self, *args):
-        counts.append(0)
-        return solve(self, *args)
 
     def counting_conj(self, *args):
         counts[-1] += 1
         return conj(self, *args)
 
-    monkeypatch.setattr(GridKernel, "solve_direction", counting_solve)
     monkeypatch.setattr(GridKernel, "conj", counting_conj)
-    sl4 = full_flag_sl4()
-    cases = [
-        (type_full(sl4), sl4.elem_from_grade_coords({-1: (1, 0, 1), -3: (1,)}), 1),
-        (type_full(xxdot), xxdot.elem_from_grade_coords({-1: (1, 1, 0), -2: (0, 1)}), 2),
-    ]
-    for ts, x, grid in cases:
+    for alg, x, grid in _conjugation_cases(xxdot):
+        kern = grid_kernel(alg, x)
         counts.clear()
-        stats = list(_iter_pair_stats(ts, x, grid, ts.algebra.k + 2))
-        assert len(counts) == len(stats)
-        assert max(counts) == ts.algebra.k
+        for vals in iter_pplus_coords(alg, grid):
+            counts.append(0)
+            kern.solve_direction(*kern.exp_pair(kern.combo_rows(vals)))
+        assert len(counts) == (2 * grid + 1) ** len(alg.pplus_indices)
+        assert max(counts) == alg.k
+
+
+def test_symbolic_solve_takes_k_conjugations(monkeypatch, xxdot):
+    # the symbolic solve iterates until the residual polynomial is zero: it
+    # takes as many conjugations as the slowest grid pair, k on both cases
+    conj = _fastgrid._pconj
+    counts = []
+
+    def counting_conj(*args):
+        counts.append(1)
+        return conj(*args)
+
+    monkeypatch.setattr(_fastgrid, "_pconj", counting_conj)
+    for alg, x, _ in _conjugation_cases(xxdot):
+        counts.clear()
+        PairSystem(alg, x, alg.k + 2)
+        assert len(counts) == alg.k
 
 
 def test_su21_runs_on_kernel():
