@@ -7,7 +7,7 @@ polynomial and ``exp_series`` sums them over one common denominator for a
 scale N(t)/D.  ``product_in_p_pattern`` decides every curve identity
 "left * right stays in the block pattern of P" from the forbidden entries
 of the product only.  ``IntPolyMat.exp`` (so ``exp_nilpotent`` and
-``group_exp``), the kernel's exp(+-Z), exp(tX) and exp(-t A2), and the
+``group_exp``, and so every exponential of ``GridKernel``) and the
 cleared series of ``verify_reparam`` are that series.
 
 ``IntPolyMat`` (at the end of this module) is the library's one matrix
@@ -15,36 +15,29 @@ type, constant or polynomial: the matrix of an algebra
 element (``AlgElem.matrix``, summed on the algebra's integer
 ``basis_entries``), a group element and its inverse, Ad and the normal
 form of P, comparison curves, the lemma identity checkers and the
-normal-coordinate jet of ``curves``, the reparametrization check, and the
-orbit points, orbit probes and Prop. 4.1 conjugations of ``lab`` run on
-it.  Coordinates are read through the algebra's one integer frame, built
-with the algebra (``GradedAlgebra.express`` for a constant, ``express_poly``
-for a curve; ``GridKernel.elem_coords`` reads through ``express``).
+normal-coordinate jet of ``curves``, the reparametrization check, the
+grid kernel, and the orbit points, orbit probes and Prop. 4.1
+conjugations of ``lab`` run on it.  Coordinates are read through the
+algebra's one integer frame, built with the algebra
+(``GradedAlgebra.express`` for a constant, ``express_poly`` for a curve).
 
 Every grid search (``jets`` and ``family``), for every catalog algebra and
 every rational base direction, runs its pairs on ``PairSystem``: with X
 fixed, every quantity of the pair step is a polynomial in the p_+ grid
 coordinates z, so the step is built once per search as sparse integer
 polynomials ({exponent tuple: int} dicts) and evaluated at each grid
-point by an interpreted term loop.  ``GridKernel``, the same step as
-matrix arithmetic at one grid point, is the system's oracle: the stream
-of ``lab`` reruns it on the first pair of each outcome.  Both work on
-plain ints with a tracked positive denominator and no gcd: grid points
-have integer coordinates, every catalog basis is integral, and a base
-direction X is carried as ``x_den * X`` for the lcm ``x_den`` of its
-entries' denominators (the reduced ``X.matrix``).  Scaling by a positive
-integer never changes whether an entry vanishes, so every pattern test is
-exact.
-One kernel pair costs one ``exp_pair`` (one power list, both series) and
-at most k conjugations inside ``solve_direction``, whose conjugate A2 =
-Ad(exp Z) Y is reused by the jet test and the curve identity.  The jet
-test makes no matrix product: the forbidden entries of ad(-X)^r d0 are
-integer linear forms in the entries of d0, built once per order r; the
-system composes the same forms with A2's polynomials.  Products skip the
-zero entries of both factors, since grid matrices are mostly zeros.
-A pair leaves either route as integers: ``lab`` tests the type of Y on its
-matrix positions, and ``elem_coords`` builds Fraction coordinates only
-for a stratum type's classification.
+point by an interpreted term loop.  The system works on plain ints with a
+tracked positive denominator and no gcd: grid points have integer
+coordinates, every catalog basis is integral, and a base direction X is
+carried as ``x_den * X`` for the lcm ``x_den`` of its entries'
+denominators (the reduced ``X.matrix``).  Scaling by a positive integer
+never changes whether an entry vanishes, so every pattern test is exact.
+``GridKernel``, the same step as ``IntPolyMat`` arithmetic at one grid
+point by other algorithms, is the system's oracle: the stream of ``lab``
+reruns it on the first pair of each outcome.  A pair leaves the system
+as integers: ``lab`` tests the type of Y on its matrix positions, and
+``GridKernel.elem_coords`` builds Fraction coordinates only for a stratum
+type's classification.
 """
 
 from __future__ import annotations
@@ -129,17 +122,14 @@ def _polymul(a, b):
     return out
 
 
-def nilpotent_powers(a, index=None):
+def nilpotent_powers(a):
     """[a, a^2, ..., a^q], the nonzero powers of a nilpotent integer matrix
-    polynomial a, stopping at the first zero power.  A known nilpotency
-    index (a^index = 0) saves forming that power; without one, raises
-    NotNilpotent when a^d != 0, d the matrix size."""
+    polynomial a, stopping at the first zero power.  Raises NotNilpotent
+    when a^d != 0, d the matrix size."""
     powers = []
     power = a
     while power:
         powers.append(power)
-        if len(powers) + 1 == index:
-            break
         if len(powers) == len(a[0]):
             raise NotNilpotent("matrix is not nilpotent")
         power = _polymul(power, a)
@@ -156,7 +146,7 @@ def _series_scalars(q, num, den):
     )
 
 
-def exp_series(d, powers, num, den=(1,)):
+def exp_series(d, powers, num, den):
     """q! den^q exp((num/den) a) = sum_p (q!/p!) num^p den^(q-p) a^p, an
     integer matrix polynomial, from ``powers = nilpotent_powers(a)`` (q its
     length) and integer coefficient tuples num, den (den != 0)."""
@@ -191,129 +181,61 @@ def product_in_p_pattern(left, right, forbidden):
 
 
 class GridKernel:
-    """Exact integer engine for one algebra and one rational base direction."""
+    """The pair step of one algebra and one base direction X as plain
+    ``IntPolyMat`` arithmetic at one grid point: the pair system's oracle.
+
+    Y is the truncated action of exp(-Z) on X, read off one conjugation
+    (truncated Ad is an action of P on n), and the jet order takes
+    commutators with X; the pair system iterates on the residual and
+    composes linear forms instead.  exp(tX) is built once."""
 
     def __init__(self, alg, x):
         self.alg = alg
-        self.d = d = alg.matrix_dim
-        # the nilpotency index of every matrix exponentiated here: each is
-        # strictly block triangular (Z, X) or conjugate to one (A2)
-        self.terms = len(alg.block_sizes)
-        self.forbidden = alg.forbidden_positions
-        xm = x.matrix
-        self.x_den, self.x_rows = xm.den, (xm.coeffs or [_iident(d, 0)])[0]
-        # nonzero entries (i, j, value) of each p_+ basis matrix
-        self.pplus_entries = [
-            [(r // d, r % d, v) for r, v in alg.basis_entries[idx]] for idx in alg.pplus_indices
-        ]
-        powers = nilpotent_powers([self.x_rows], self.terms)
-        self.exp_x_coeffs = exp_series(d, powers, (0, 1), (self.x_den,))  # a multiple of exp(tX)
-        # jet forms of ad(-X)^r, built on demand; see _jet_forms
-        self._forms = []
-        self._duals = [_iunit(d, j, i) for i, j in self.forbidden]
+        self.x = x.matrix
+        self.exp_tx = self.x.exp(Poly((0, 1)))
 
     def combo_rows(self, vals):
-        """Integer matrix of the p_+ element with the given grid coordinates."""
-        d = self.d
-        acc = [[0] * d for _ in range(d)]
-        for v, entries in zip(vals, self.pplus_entries):
-            if v:
-                for i, j, b in entries:
-                    acc[i][j] += v * b
-        return acc
+        """The constant matrix of the p_+ element Z with the given grid coordinates."""
+        return self.alg.elem_at(self.alg.pplus_indices, vals).matrix
 
-    # -- scaled integer primitives ------------------------------------------
-
-    def exp_pair(self, z_rows):
-        """(num(exp Z), num(exp -Z), den) from one power list of Z, with
-        den = q! for q the last nonzero power."""
-        powers = nilpotent_powers([z_rows], self.terms)
-        (pos,) = exp_series(self.d, powers, (1,))
-        (neg,) = exp_series(self.d, powers, (-1,))
-        return pos, neg, factorial(len(powers))
+    def exp_pair(self, z):
+        """(exp Z, exp -Z)."""
+        return z.exp(), z.exp(-1)
 
     def elem_coords(self, rows, den):
         """Fraction coordinates of the algebra element rows / den, read by
         ``GradedAlgebra.express`` with its span check."""
-        coords = self.alg.express(IntPolyMat(self.d, [rows], den))
+        coords = self.alg.express(IntPolyMat(self.alg.matrix_dim, [rows], den))
         if coords is None:
             raise OracleDisagreement("a solved direction left the span of the basis")
         return coords
 
-    def solve_direction(self, e_num, einv_num, e_den):
-        """Y with proj_n(Ad(exp Z) Y) = X, and its conjugate A2 = Ad(exp Z) Y.
+    def solve_direction(self, e, einv):
+        """(Y, A2): Y = proj_n(Ad(exp -Z) X) and its conjugate A2 =
+        Ad(exp Z) Y, whose negative-grade part must be X's."""
+        y = self.alg.position_part(self.conj(einv, e, self.x), lambda g: g < 0)
+        a2 = self.conj(e, einv, y)
+        if not (self.x - a2).in_p_pattern(self.alg):
+            raise OracleDisagreement("truncated Ad(exp Z) does not map the solved Y to X")
+        return y, a2
 
-        Returns (y_num, y_den, a2_num, a2_den): Y = y_num / y_den, and A2 =
-        a2_num / a2_den is the unprojected conjugate that the converged
-        iteration has formed with ``conj``.  The residual X - proj_n(A2)
-        lives on the forbidden positions only, because X lies in n.  Each
-        conjugation raises the lowest grade of the residual by at least one,
-        so it vanishes after at most k conjugations.
-        """
-        s2 = e_den * e_den
-        x_rows, x_den = self.x_rows, self.x_den
-        y_num, y_den = x_rows, x_den
-        for _ in range(self.alg.k):
-            a2_num, a2_den = self.conj(e_num, einv_num, e_den, y_num, y_den)
-            x_scale = a2_den // x_den
-            resid = [
-                (i, j, v)
-                for i, j in self.forbidden
-                for v in (x_scale * x_rows[i][j] - a2_num[i][j],)
-                if v
-            ]
-            if not resid:
-                return y_num, y_den, a2_num, a2_den
-            y_num = _iscale(y_num, s2)
-            for i, j, v in resid:
-                y_num[i][j] += v
-            y_den = a2_den
-        raise ArithmeticError("direction constraint failed to converge")
+    def conj(self, e, einv, y):
+        """e y einv."""
+        return e * y * einv
 
-    def conj(self, e_num, einv_num, e_den, y_num, y_den):
-        """Ad(exp Z) applied to Y, integer-scaled."""
-        return _imul(_imul(e_num, y_num), einv_num), y_den * e_den * e_den
-
-    def pair_jet_order(self, a2_num, a2_den, r_max):
-        """Consecutive orders r < r_max with ad(-X)^r d0 in p, d0 = X - A2."""
-        x_scale = a2_den // self.x_den
-        d0 = [
-            x_scale * x - a
-            for x_row, a_row in zip(self.x_rows, a2_num)
-            for x, a in zip(x_row, a_row)
-        ]
+    def pair_jet_order(self, a2, r_max):
+        """Consecutive orders r < r_max with ad(-X)^r (X - A2) in p."""
+        d = self.x - a2
         for order in range(r_max):
-            for form in self._jet_forms(order):
-                if sum(c * d0[f] for f, c in form):
-                    return order
+            if not d.in_p_pattern(self.alg):
+                return order
+            d = d * self.x - self.x * d
         return r_max
 
-    def _jet_forms(self, r):
-        """The nonzero integer linear forms, on the flat d0, of the forbidden
-        entries of ad(-X)^r d0.
-
-        Entry (i, j) of D is tr(E_ji D), and tr(F (D X - X D)) =
-        tr((X F - F X) D), so the form of entry (i, j) at order r is read
-        off the dual matrix F_r = ad(X)^r E_ji, built once per order.
-        """
-        forms = self._forms
-        d = self.d
-        x_rows = self.x_rows
-        while len(forms) <= r:
-            duals = self._duals
-            order_forms = []
-            for f in duals:
-                form = tuple((a * d + b, f[b][a]) for a in range(d) for b in range(d) if f[b][a])
-                if form:
-                    order_forms.append(form)
-            forms.append(order_forms)
-            self._duals = [_isub(_imul(x_rows, f), _imul(f, x_rows)) for f in duals]
-        return forms[r]
-
-    def curves_equal(self, a2_num, a2_den):
-        """Exact polynomial identity: exp(-t A2) exp(t A1) in the P pattern."""
-        left = exp_series(self.d, nilpotent_powers([a2_num], self.terms), (0, -1), (a2_den,))
-        return product_in_p_pattern(left, self.exp_x_coeffs, self.forbidden)
+    def curves_equal(self, a2):
+        """Exact polynomial identity: exp(-t A2) exp(tX) in the P pattern."""
+        left = a2.exp(Poly((0, -1))).coeffs
+        return product_in_p_pattern(left, self.exp_tx.coeffs, self.alg.forbidden_positions)
 
 
 def grid_kernel(alg, x):
@@ -382,18 +304,18 @@ class PairSystem:
     """The grid pair step of one algebra, one base direction X and the jet
     orders below r_max, as integer polynomials in the p_+ grid coordinates z.
 
-    The build runs ``GridKernel``'s algorithm once on polynomial matrices,
-    from the algebra's ``basis_entries`` and block pattern and X's reduced
-    matrix x_rows / x_den, without going through the kernel:
+    The build runs the pair step once on polynomial matrices, from the
+    algebra's ``basis_entries`` and block pattern and X's reduced matrix
+    x_rows / x_den:
 
     - Z(z) = sum z_i B_i, and q! exp(+-Z) = sum_p (q!/p!) (+-Z)^p with
       q = len(block_sizes) - 1, so every power of a strictly block
       triangular matrix that can be nonzero is summed;
-    - ``y``: Y = y / y_den by the kernel's residual iteration, which must
-      reach a zero residual polynomial within k conjugations (``_pconj``);
+    - ``y``: Y = y / y_den by a residual iteration, which must reach a
+      zero residual polynomial within k conjugations (``_pconj``);
     - A2 = a2 / a2_den, a2 = q! exp(Z) y q! exp(-Z), a2_den = q!^2 y_den;
     - ``jets[r]``: the forbidden entries (i, j) of ad(-X)^r d0, d0 = X - A2,
-      read by the kernel's dual forms, times a2_den x_den^r;
+      read by dual linear forms, times a2_den x_den^r;
     - ``identity``: the forbidden entries (m, i, j) of the t^m coefficient
       of exp(-t A2) exp(t X), times q!^2 (a2_den x_den)^q.
 
@@ -439,8 +361,8 @@ class PairSystem:
         else:
             raise ArithmeticError("direction constraint failed to converge")
         self.y, self.y_den = y, y_den
-        # the jet forms: entry (i, j) of ad(-X)^r d0 is tr(F_r d0) for
-        # F_r = ad(X)^r E_ji, as in GridKernel._jet_forms
+        # the jet forms: entry (i, j) of ad(-X)^r d0 is tr(E_ji ad(-X)^r d0)
+        # = tr(F_r d0) for the dual F_r = ad(X)^r E_ji, built once per order
         duals = [(pos, _iunit(d, pos[1], pos[0])) for pos in forbidden]
         self.jets = []
         for _ in range(r_max):

@@ -169,21 +169,22 @@ _ID_RE = re.compile(r"^\s*([a-z0-9]+)\s*(?:\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\))
 
 # Largest matrix dimension the catalog builds; an id past it fails fast
 # with BadParams.  Measured at this limit (Python 3.11, shared 2-core x86
-# host, one run each): `verify --suite all` takes 3.5 s on proj(10) and
-# 2.4 s on grass(5,6) (dim g = 120), and `jets --grid 1` 13.0 s on proj(10)
-# (59,049 pairs); each peaks at 20-21 MB, a bare interpreter at 13.6 MB.
-# proj(11), past the limit, builds in 1.4 s at a 21.1 MB peak, so the
-# limit is no longer set by builds but by grids: a grid search costs about
-# (2R+1)^dim(p_+) pairs, which this limit does not bound (dim p_+ of
-# grass(n,m) is nm, and proj(11) at --grid 1 has 177,147 pairs).
+# host, in process, 3-5 runs each): `verify --suite all` takes 1.9-3.6 s
+# on proj(10) and 1.9-2.2 s on grass(5,6) (dim g = 120), and `jets --grid
+# 1` 0.9-1.6 s on proj(10) (59,049 pairs); each peaks at 20-21 MB, a bare
+# interpreter at 13.1 MB.  proj(11), past the limit, builds in 0.9-1.1 s
+# at a 20.9 MB peak, so the limit is no longer set by builds but by
+# grids: a grid search costs about (2R+1)^dim(p_+) pairs, which this
+# limit does not bound (dim p_+ of grass(n,m) is nm, and proj(11) at
+# --grid 1 has 177,147 pairs).
 MAX_MATRIX_DIM = 11
 
 # Most points one grid visits: (2R+1)^m for radius R over m coordinates
 # (X points times Z points for the standard fiber); a larger grid fails
-# with GridTooLarge before any point is produced.  One process on a 2-core
-# x86-64 host ran `jets xxdot --type full_n --grid 3 --orders 4` (16,807
-# pairs) in 1.1-1.4 s and `jets proj(10) --grid 1` (59,049) in 12.8 s, so
-# 10^6 pairs take about 1-4 minutes; the limit admits the latter.
+# with GridTooLarge before any point is produced.  In one process on the
+# host above, `jets proj(8) --grid 2` (390,625 pairs) took 2.4-4.2 s and
+# `jets proj(10) --grid 1` (59,049) 0.9-1.6 s, so a grid at the limit
+# takes about 10 s.
 MAX_GRID_POINTS = 10**6
 
 # Highest jet order a search accepts.  ad(X) lowers the grade, so

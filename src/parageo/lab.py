@@ -397,21 +397,17 @@ def _member_test(ts, kern, y_polys):
 
 
 def _kernel_pair(kern, member, r_max, vals):
-    """((y_num, y_den), jet order, equal) at one grid point by the kernel's
-    matrix step: one ``exp_pair``, at most k conjugations, the jet forms
-    and, at jet order r_max, the curve identity."""
-    e, einv, s = kern.exp_pair(kern.combo_rows(vals))
-    y_num, y_den, a2_num, a2_den = kern.solve_direction(e, einv, s)
-    if not member(y_num, y_den):
-        return (y_num, y_den), None, False
-    jord = kern.pair_jet_order(a2_num, a2_den, r_max)
-    return (y_num, y_den), jord, jord == r_max and kern.curves_equal(a2_num, a2_den)
-
-
-def _same_direction(y, other):
-    """True when two (num, den) integer matrices are the same rational Y."""
-    (a, a_den), (b, b_den) = y, other
-    return all(u * b_den == v * a_den for ra, rb in zip(a, b) for u, v in zip(ra, rb))
+    """(Y, jet order, equal) at one grid point by the kernel's
+    ``IntPolyMat`` step, Y a constant ``IntPolyMat``: the exponentials of
+    Z, the solve by the truncated action of exp(-Z) on X, the commutator
+    jet order and, at jet order r_max, the curve identity."""
+    e, einv = kern.exp_pair(kern.combo_rows(vals))
+    y, a2 = kern.solve_direction(e, einv)
+    # Y is nonzero: truncated Ad is an action, and X != 0
+    if not member(y.coeffs[0], y.den):
+        return y, None, False
+    jord = kern.pair_jet_order(a2, r_max)
+    return y, jord, jord == r_max and kern.curves_equal(a2)
 
 
 def _iter_pair_stats(ts, x, grid, r_max):
@@ -427,13 +423,14 @@ def _iter_pair_stats(ts, x, grid, r_max):
 
     The pair route is the ``PairSystem`` of ``_fastgrid``: the whole step
     as integer polynomials in the grid coordinates, built once here and
-    evaluated at each grid point.  The integer kernel ``GridKernel``, built
-    in the first step (where a trace of the loop reads which engine runs
-    it), is its oracle: it reruns the matrix step on the first pair of
-    each outcome (non-member, each jet order, equal or not), and any
-    difference in Y, membership, jet order or equality raises
-    OracleDisagreement.  A jets witness is the first unequal pair of its
-    jet order, so the kernel re-checks every witness.
+    evaluated at each grid point.  ``GridKernel``, built in the first step
+    (where a trace of the loop reads which engine runs it), is its oracle:
+    ``_kernel_pair`` reruns the step as ``IntPolyMat`` arithmetic, by other
+    algorithms, on the first pair of each outcome (non-member, each jet
+    order, equal or not), and any difference in Y as a rational matrix,
+    membership, jet order or equality raises OracleDisagreement.  A jets
+    witness is the first unequal pair of its jet order, so the kernel
+    re-checks every witness.
     """
     alg = ts.algebra
     kern = grid_kernel(alg, x)
@@ -447,7 +444,7 @@ def _iter_pair_stats(ts, x, grid, r_max):
         if (jord, equal) not in checked:
             checked.add((jord, equal))
             y, k_jord, k_equal = _kernel_pair(kern, member, r_max, vals)
-            if not _same_direction((y_num, y_den), y) or (k_jord, k_equal) != (jord, equal):
+            if IntPolyMat(system.d, [y_num], y_den) != y or (k_jord, k_equal) != (jord, equal):
                 raise OracleDisagreement("pair system and kernel disagree at Z = %s" % (vals,))
         yield vals, (y_num, y_den), jord, equal
 

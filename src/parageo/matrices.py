@@ -22,8 +22,9 @@ catalog builds each basis matrix as its integer entries, ``GradedAlgebra``
 reads them into one integer coordinate frame (two ``rref`` calls on
 the integer entries), and every other matrix, constant or polynomial, is an
 integer ``_fastgrid.IntPolyMat`` (elements, group elements, Ad, the normal
-form, every nilpotent exponential, the curves, identities, jets, orbits
-and Prop. 4.1), and every grid pair runs on ``GridKernel``.
+form, every nilpotent exponential, the curves, identities, jets, orbits,
+Prop. 4.1 and the grid kernel), and every grid pair runs on the integer
+polynomials of ``_fastgrid.PairSystem``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from parageo import _fastgrid
-from parageo._fastgrid import GridKernel, PairSystem, grid_kernel
+from parageo._fastgrid import GridKernel, IntPolyMat, PairSystem, grid_kernel
 from parageo.algebra import Ad, AlgElem, bracket, group_exp, truncated_Ad
 from parageo.catalog import MAX_GRID_POINTS, make_algebra
 from parageo.cli import ExperimentConfig, run
@@ -357,7 +357,7 @@ def test_engine_agrees_with_reference_fractional_hypothesis(cid, grade, coords):
 
 @settings(max_examples=150, deadline=None)
 @given(cid=st.sampled_from(ALL_IDS), data=st.data())
-def test_jet_forms_agree_with_commutator_loop(cid, data):
+def test_kernel_jet_order_agrees_with_reference(cid, data):
     # d0 is a random integer matrix, zero below a random position grade so
     # that higher jet orders occur; A2 = X - d0 / x_den on both sides
     alg = make_algebra(cid)
@@ -380,11 +380,10 @@ def test_jet_forms_agree_with_commutator_loop(cid, data):
     )
     r_max = data.draw(st.integers(0, 6))
     kern = GridKernel(alg, x)
-    d0_rows = [[int(e) for e in row] for row in d0.rows]
-    a2_num = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(kern.x_rows, d0_rows)]
-    a2 = frac_matrix(x) - d0.scale(Fraction(1, kern.x_den))
-    assert kern.pair_jet_order(a2_num, kern.x_den, r_max) == reference_jet_order(
-        alg, frac_matrix(x), a2, r_max
+    x_den = x.matrix.den
+    a2 = x.matrix - IntPolyMat(q, [[[int(e) for e in row] for row in d0.rows]], x_den)
+    assert kern.pair_jet_order(a2, r_max) == reference_jet_order(
+        alg, frac_matrix(x), frac_matrix(x) - d0.scale(Fraction(1, x_den)), r_max
     )
 
 
@@ -415,9 +414,10 @@ def _conjugation_cases(xxdot):
     ]
 
 
-def test_solve_takes_at_most_k_conjugations(monkeypatch, xxdot):
-    # the residual rises at least one grade per conjugation; with a g_-k
-    # part in X every grade is crossed, so some solve takes exactly k
+def test_kernel_solve_takes_two_conjugations(monkeypatch, xxdot):
+    # Y is the truncated action of exp(-Z) on X, one conjugation, and A2 =
+    # Ad(exp Z) Y is the other, on grids where the pair system's residual
+    # iteration takes k conjugations; Y is the reference's iterated solve
     conj = GridKernel.conj
     counts = []
 
@@ -431,9 +431,10 @@ def test_solve_takes_at_most_k_conjugations(monkeypatch, xxdot):
         counts.clear()
         for vals in iter_pplus_coords(alg, grid):
             counts.append(0)
-            kern.solve_direction(*kern.exp_pair(kern.combo_rows(vals)))
-        assert len(counts) == (2 * grid + 1) ** len(alg.pplus_indices)
-        assert max(counts) == alg.k
+            z = frac_matrix(pplus_elem(alg, vals))
+            y, _ = kern.solve_direction(*kern.exp_pair(kern.combo_rows(vals)))
+            assert y == reference_solve_direction(exp_mat(z), exp_mat(z, -1), x).matrix, vals
+        assert counts == [2] * (2 * grid + 1) ** len(alg.pplus_indices)
 
 
 def test_symbolic_solve_takes_k_conjugations(monkeypatch, xxdot):

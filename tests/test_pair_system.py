@@ -18,7 +18,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parageo._fastgrid import PairSystem, grid_kernel
+from parageo._fastgrid import IntPolyMat, PairSystem, grid_kernel
 from parageo.algebra import AlgElem
 from parageo.catalog import make_algebra
 from parageo.cli import parse_direction
@@ -27,7 +27,6 @@ from parageo.lab import (
     STRATUM_TYPES,
     _iter_pair_stats,
     _kernel_pair,
-    _same_direction,
     parse_type,
     type_full,
     type_grade,
@@ -52,7 +51,7 @@ def assert_routes_agree(ts, x, grid, r_max):
     n = 0
     for vals, y, jord, equal in _iter_pair_stats(ts, x, grid, r_max):
         k_y, k_jord, k_equal = _kernel_pair(kern, member, r_max, vals)
-        assert _same_direction(y, k_y), vals
+        assert IntPolyMat(alg.matrix_dim, [y[0]], y[1]) == k_y, vals
         assert (jord, equal) == (k_jord, k_equal), vals
         outcomes.add((jord, equal))
         n += 1
@@ -152,6 +151,41 @@ def test_a_negated_coefficient_fails_the_kernel_recheck(monkeypatch):
     alg = make_algebra("lagr3")
     with pytest.raises(OracleDisagreement, match="pair system and kernel disagree"):
         list(_iter_pair_stats(type_full(alg), parse_direction(alg, "1,1,1"), 1, 4))
+
+
+def _lagr3_stream_corrupted(monkeypatch, corrupt, r_max):
+    """The stream on lagr3, full_n, X = (1,1,1), grid 1, over a pair system
+    that ``corrupt`` changed before it was compiled."""
+
+    def corrupted(alg, x, r_max):
+        system = PairSystem(alg, x, r_max)
+        corrupt(system)
+        system._compile()
+        return system
+
+    alg = make_algebra("lagr3")
+    ts, x = type_full(alg), parse_direction(alg, "1,1,1")
+    # the first grid point is a member pair of jet order 1, unequal curves
+    assert next(_iter_pair_stats(ts, x, 1, r_max))[2:] == (1, False)
+    monkeypatch.setattr("parageo.lab.PairSystem", corrupted)
+    return _iter_pair_stats(ts, x, 1, r_max)
+
+
+def test_dropped_jet_forms_fail_the_kernel_recheck(monkeypatch):
+    # without its order-1 jet forms, the system reads a higher jet order at
+    # the first grid point, and the kernel re-check of that pair catches it
+    stream = _lagr3_stream_corrupted(monkeypatch, lambda system: system.jets[1].clear(), 4)
+    with pytest.raises(OracleDisagreement, match="pair system and kernel disagree"):
+        list(stream)
+
+
+def test_a_dropped_curve_identity_fails_the_kernel_recheck(monkeypatch):
+    # at r_max 1 every member pair reads the curve identity; without its
+    # polynomials the first pair, whose curves differ, reads equal, and the
+    # kernel re-check of that pair catches it
+    stream = _lagr3_stream_corrupted(monkeypatch, lambda system: system.identity.clear(), 1)
+    with pytest.raises(OracleDisagreement, match="pair system and kernel disagree"):
+        list(stream)
 
 
 # -- the sympy oracle -------------------------------------------------------------
