@@ -20,6 +20,11 @@ grid kernel, and the orbit points, orbit probes and Prop. 4.1
 conjugations of ``lab`` run on it.  Coordinates are read through the
 algebra's one integer frame, built with the algebra
 (``GradedAlgebra.express`` for a constant, ``express_poly`` for a curve).
+Its product ``_polymul`` sparsifies each coefficient of the right factor
+once and adds every product of two nonzero entries straight into its
+output coefficient; ``IntPolyMat.scale`` convolves a scalar polynomial's
+integer coefficients with the matrix coefficients, with no scalar
+matrix built.
 
 Every grid search (``jets`` and ``family``), for every catalog algebra and
 every rational base direction, runs its pairs on ``PairSystem``: with X
@@ -43,9 +48,8 @@ type's classification.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat, zip_longest
+from itertools import accumulate, islice, repeat, zip_longest
 from math import factorial, gcd, lcm
 
 from .errors import NotNilpotent, OracleDisagreement
@@ -106,17 +110,31 @@ def _iadd_into(acc, b, c=1):
 
 
 def _polymul(a, b):
-    """The product of two integer matrix polynomials."""
+    """The product of two integer matrix polynomials, in one pass: each
+    nonzero entry x of a_p at (i, m) adds x times the sparse row m of each
+    b_q into row i of the t^(p+q) coefficient."""
     if not (a and b):
         return []
     if len(a) == 1 and len(b) == 1:
         out = [_imul(a[0], b[0])]
     else:
         d = len(a[0])
+        # b_rows[m]: (q, the nonzero (j, y) of row m of b_q) for each q
+        b_rows = [[] for _ in range(d)]
+        for q, bq in enumerate(b):
+            for m, row in enumerate(bq):
+                sparse = [(j, y) for j, y in enumerate(row) if y]
+                if sparse:
+                    b_rows[m].append((q, sparse))
         out = [[[0] * d for _ in range(d)] for _ in range(len(a) + len(b) - 1)]
         for p, ap in enumerate(a):
-            for q, bq in enumerate(b):
-                _iadd_into(out[p + q], _imul(ap, bq))
+            for i, row in enumerate(ap):
+                for m, x in enumerate(row):
+                    if x:
+                        for q, sparse in b_rows[m]:
+                            acc = out[p + q][i]
+                            for j, y in sparse:
+                                acc[j] += x * y
     while out and _is_zero(out[-1]):
         out.pop()
     return out
@@ -300,6 +318,17 @@ def _pconj(e, y, einv):
     return _mmul(_mmul(e, y), einv)
 
 
+def _jet_duals(x_rows, positions):
+    """Yield, for r = 0, 1, ..., the dual forms of jet order r: the pairs
+    (pos, F_r) with F_r = ad(X)^r E_ji for each pos = (i, j), X the integer
+    matrix x_rows.  Entry (i, j) of ad(-X)^r d0 is tr(E_ji ad(-X)^r d0) =
+    tr(F_r d0) = sum_ab F_r[b][a] d0[a][b], for every matrix d0."""
+    duals = [(pos, _iunit(len(x_rows), pos[1], pos[0])) for pos in positions]
+    while True:
+        yield duals
+        duals = [(pos, _isub(_imul(x_rows, f), _imul(f, x_rows))) for pos, f in duals]
+
+
 class PairSystem:
     """The grid pair step of one algebra, one base direction X and the jet
     orders below r_max, as integer polynomials in the p_+ grid coordinates z.
@@ -315,7 +344,7 @@ class PairSystem:
       zero residual polynomial within k conjugations (``_pconj``);
     - A2 = a2 / a2_den, a2 = q! exp(Z) y q! exp(-Z), a2_den = q!^2 y_den;
     - ``jets[r]``: the forbidden entries (i, j) of ad(-X)^r d0, d0 = X - A2,
-      read by dual linear forms, times a2_den x_den^r;
+      read by the dual linear forms of ``_jet_duals``, times a2_den x_den^r;
     - ``identity``: the forbidden entries (m, i, j) of the t^m coefficient
       of exp(-t A2) exp(t X), times q!^2 (a2_den x_den)^q.
 
@@ -361,15 +390,10 @@ class PairSystem:
         else:
             raise ArithmeticError("direction constraint failed to converge")
         self.y, self.y_den = y, y_den
-        # the jet forms: entry (i, j) of ad(-X)^r d0 is tr(E_ji ad(-X)^r d0)
-        # = tr(F_r d0) for the dual F_r = ad(X)^r E_ji, built once per order
-        duals = [(pos, _iunit(d, pos[1], pos[0])) for pos in forbidden]
-        self.jets = []
-        for _ in range(r_max):
-            self.jets.append(
-                _mlinear({pos: [(f[b][a], p) for (a, b), p in d0.items() if f[b][a]] for pos, f in duals})
-            )
-            duals = [(pos, _isub(_imul(x_rows, f), _imul(f, x_rows))) for pos, f in duals]
+        self.jets = [
+            _mlinear({pos: [(f[b][a], p) for (a, b), p in d0.items() if f[b][a]] for pos, f in duals})
+            for duals in islice(_jet_duals(x_rows, forbidden), r_max)
+        ]
         # the curve identity: the t^m coefficient of q! a2_den^q exp(-t A2)
         # times q! x_den^q exp(t X) is sum_{p+r=m} left_p right_r
         left = accumulate(repeat(a2, q), _mmul, initial=ident)
@@ -454,9 +478,9 @@ def _value(mono, term):
 def _int_coeffs(c):
     """(nums, den): the integer coefficients of den * c for a rational or a
     Poly c, den the least positive integer that clears c."""
-    cs = [Fraction(x) for x in (c.coeffs if isinstance(c, Poly) else (c,))]
+    cs = c.coeffs if isinstance(c, Poly) else (c,)
     den = lcm(*(x.denominator for x in cs))
-    return tuple(int(x * den) for x in cs), den
+    return tuple(x.numerator * (den // x.denominator) for x in cs), den
 
 
 def _reduced(d, coeffs, den):
@@ -478,10 +502,13 @@ class IntPolyMat:
     never changed once built) and den > 0 is one common denominator.
     Trailing zero coefficients are dropped, so the zero matrix has no
     coefficients, and a product divides out the gcd of its entries and
-    denominator.  Products convolve ``_imul``; equality cross-multiplies
-    the denominators; ``GradedAlgebra.express`` and ``express_poly`` read
-    coordinates.  The repr is the constructor call: d, the integer
-    coefficients and den.
+    denominator.  A product is ``_polymul``, one sparse pass that
+    accumulates each entry product straight into its coefficient, and
+    ``scale`` convolves the scalar's integer coefficients with the matrix
+    coefficients.  Products, sums and equality (which cross-multiplies the
+    denominators) raise ``ValueError`` on operands of another size.
+    ``GradedAlgebra.express`` and ``express_poly`` read coordinates.  The
+    repr is the constructor call: d, the integer coefficients and den.
     """
 
     __slots__ = ("d", "coeffs", "den")
@@ -501,7 +528,12 @@ class IntPolyMat:
     def is_zero(self):
         return not self.coeffs
 
+    def _same_size(self, other):
+        if self.d != other.d:
+            raise ValueError("matrix sizes differ: %d and %d" % (self.d, other.d))
+
     def _combine(self, other, sign):
+        self._same_size(other)
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, sign * (den // other.den)
         zero = [[0] * self.d] * self.d
@@ -521,13 +553,20 @@ class IntPolyMat:
         return self._combine(other, -1)
 
     def __mul__(self, other):
+        self._same_size(other)
         return _reduced(self.d, _polymul(self.coeffs, other.coeffs), self.den * other.den)
 
     def scale(self, c):
-        """c * self for a rational or a Poly c."""
+        """c * self for a rational or a Poly c: the convolution of c's
+        integer coefficients with the matrix coefficients."""
         nums, cden = _int_coeffs(c)
-        scalar = [_iident(self.d, n) for n in nums]
-        return _reduced(self.d, _polymul(self.coeffs, scalar), self.den * cden)
+        d = self.d
+        out = [[[0] * d for _ in range(d)] for _ in range(len(self.coeffs) + len(nums) - 1)]
+        for p, cp in enumerate(self.coeffs):
+            for q, s in enumerate(nums):
+                if s:
+                    _iadd_into(out[p + q], cp, s)
+        return _reduced(d, out, self.den * cden)
 
     def truncate(self, order):
         """The terms of degree <= order."""

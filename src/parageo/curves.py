@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from ._fastgrid import IntPolyMat, product_in_p_pattern
+from ._fastgrid import IntPolyMat, _int_coeffs, product_in_p_pattern
 from .algebra import AlgElem, _same_algebra, group_exp
 from .errors import (
     BadReparam,
@@ -338,6 +338,34 @@ def reparam_comparison(cc, phi):
     return u, u_inv, a1
 
 
+def _lemma_3_2_scalars(phi, i_max):
+    """The scalar polynomials of the Lemma 3.2 right-hand side, one table
+    per phi: for i = 1..i_max, phi^(i+1) and, by part count k, the signed
+    partition sum (-1)^k sum_parts partition_coefficient(i, parts)
+    prod_{p in parts} phi^(p) over the partitions of i into k parts.
+
+    The derivative products run on the integer coefficients of den * phi
+    (den the least common denominator of phi), so a product of k of them
+    takes (-1)^k / den^k into its partition coefficient.
+    """
+    nums, den = _int_coeffs(phi)
+    derivs = [Poly(nums)]
+    for _ in range(i_max + 1):
+        derivs.append(derivs[-1].derivative())
+    table = []
+    for i in range(1, i_max + 1):
+        signed = {}
+        for parts in _partitions(i):
+            term = derivs[parts[0]]
+            for p in parts[1:]:
+                term = term * derivs[p]
+            k = len(parts)
+            c = partition_coefficient(i, parts) * Fraction((-1) ** k, den**k)
+            signed[k] = signed.get(k, Poly()) + term * c
+        table.append((derivs[i + 1] * Fraction(1, den), signed))
+    return table
+
+
 def verify_lemma_3_2(cc, phi, i_max):
     """Multi-index derivative formula for the reparametrized comparison.
 
@@ -352,18 +380,11 @@ def verify_lemma_3_2(cc, phi, i_max):
         prev = ad_pow[-1]
         ad_pow.append(a1 * prev - prev * a1)
     lhs = delta
-    for i in range(1, i_max + 1):
+    for phi_next, signed in _lemma_3_2_scalars(phi, i_max):
         lhs = lhs.derivative()
-        rhs = a1.scale(phi.nth_derivative(i + 1))
-        coeff_by_k = {}
-        for parts in _partitions(i):
-            term = Poly.const(partition_coefficient(i, parts))
-            for p in parts:
-                term = term * phi.nth_derivative(p)
-            coeff_by_k[len(parts)] = coeff_by_k.get(len(parts), Poly()) + term
-        for k, cpoly in coeff_by_k.items():
-            sign = 1 if k % 2 == 0 else -1
-            rhs = rhs + ad_pow[k].scale(cpoly * sign)
+        rhs = a1.scale(phi_next)
+        for k, cpoly in signed.items():
+            rhs = rhs + ad_pow[k].scale(cpoly)
         if lhs != rhs:
             return False
     return True

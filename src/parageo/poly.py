@@ -122,12 +122,6 @@ class Poly:
     def derivative(self):
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
 
-    def nth_derivative(self, n):
-        p = self
-        for _ in range(n):
-            p = p.derivative()
-        return p
-
     def truncate(self, order):
         """Drop all terms of degree > order (series arithmetic helper)."""
         return Poly(self.coeffs[: order + 1])

@@ -335,6 +335,12 @@ def reparam_comparison(cc, phi):
     return u, u_inv, a1
 
 
+def nth_derivative(p, n):
+    for _ in range(n):
+        p = p.derivative()
+    return p
+
+
 def verify_lemma_3_2(cc, phi, i_max):
     u, u_inv, a1 = reparam_comparison(cc, phi)
     delta = u_inv * derivative(u)
@@ -344,12 +350,12 @@ def verify_lemma_3_2(cc, phi, i_max):
     lhs = delta
     for i in range(1, i_max + 1):
         lhs = derivative(lhs)
-        rhs = a1.scale(phi.nth_derivative(i + 1))
+        rhs = a1.scale(nth_derivative(phi, i + 1))
         coeff_by_k = {}
         for parts in _partitions(i):
             term = Poly.const(partition_coefficient(i, parts))
             for p in parts:
-                term = term * phi.nth_derivative(p)
+                term = term * nth_derivative(phi, p)
             coeff_by_k[len(parts)] = coeff_by_k.get(len(parts), Poly()) + term
         for k, cpoly in coeff_by_k.items():
             sign = 1 if k % 2 == 0 else -1

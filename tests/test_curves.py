@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from parageo import curves
 from parageo.algebra import Ad, AlgElem, bracket, exp_nilpotent, group_exp, normal_form_P, truncated_Ad
 from parageo.catalog import make_algebra
 from parageo.curves import (
@@ -26,6 +27,7 @@ from parageo._fastgrid import IntPolyMat
 from parageo.errors import BadReparam, NotInNilpotentPart, NotInParabolic
 from parageo.matrices import Mat
 from parageo.poly import P_T, Poly
+from parageo.suite import lemma_suite
 from paper_checks import g0_samples
 from poly_reference import ad_matrix, curve_matrix, derivative, frac_matrix, rep_matrix, to_int, to_mat
 
@@ -326,3 +328,20 @@ def test_partition_coefficients():
     assert partition_coefficient(4, (2, 1, 1)) == 6
     assert partition_coefficient(4, (1, 1, 1, 1)) == 1
     assert partition_coefficient(4, (3, 1)) == 4
+
+
+def test_flipped_partition_sign_fails_the_suite(monkeypatch):
+    # the Lemma 3.2 scalars are built from the live partition_coefficient,
+    # so flipping the sign of the partition (1,) shows as reparam-derivative
+    # violations, and as no other kind
+    alg = make_algebra("proj(2)")
+    assert lemma_suite(alg).passed()
+    coefficient = curves.partition_coefficient
+
+    def flipped(i, parts):
+        c = coefficient(i, parts)
+        return -c if parts == (1,) else c
+
+    monkeypatch.setattr(curves, "partition_coefficient", flipped)
+    violations = lemma_suite(alg).violations
+    assert violations and all(v.startswith("reparam-derivative") for v in violations)

@@ -13,9 +13,12 @@ and the same orbit-map Jacobian rank; the negative cases perturb one sample
 coefficient, or flip the sign of one partition coefficient, and both
 routes must return False.  One deterministic sweep also holds the
 normal-coordinate jet to the reference on every id, with and without a G0
-factor, at every order 1..k+3.
+factor, at every order 1..k+3.  The fused product ``_polymul`` is held to
+the sum of ``_imul`` products over every coefficient pair, and ``scale``
+to the product with a scalar-identity polynomial matrix.
 """
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -31,7 +34,9 @@ from parageo import curves
 from parageo._fastgrid import (
     IntPolyMat,
     _iident,
+    _imul,
     _int_coeffs,
+    _iunit,
     exp_series,
     grid_kernel,
     nilpotent_powers,
@@ -83,6 +88,20 @@ def test_equality_cross_multiplies_denominators():
     assert doubled == a and doubled.den != a.den
     assert a != ref.to_int(B)
     assert a != a + ref.to_int(Mat.identity(2)).scale(P_T**3)
+
+
+def test_mismatched_sizes_raise():
+    # zipping to the shorter matrix made identity(3) == identity(4) true
+    # and a 2 x 2 times a 3 x 3 a malformed 2 x 3
+    i2, i3, i4 = (IntPolyMat.identity(d) for d in (2, 3, 4))
+    for op in (operator.eq, operator.add, operator.sub):
+        with pytest.raises(ValueError):
+            op(i3, i4)
+    with pytest.raises(ValueError):
+        i2 * i3
+    with pytest.raises(ValueError):
+        i3 * i2
+    assert i3 == IntPolyMat.identity(3) and (i3 * i3) == i3
 
 
 def test_exp_matches_poly_entry_exp(any_algebra):
@@ -416,3 +435,74 @@ def test_pattern_product_is_full_product_then_pattern(data):
     bumped = ref.to_int(_perturbed(ref.to_mat(right), i, j, eps, power))
     assert not product_in_p_pattern(left.coeffs, bumped.coeffs, forbidden)
     assert not (left * bumped).in_p_pattern(alg)
+
+
+# -- the fused product and scale ----------------------------------------------
+
+
+def reference_polymul(a, b):
+    """The product of two integer matrix polynomials as the sum over every
+    coefficient pair (p, q) of _imul(a_p, b_q) into the t^(p+q) coefficient,
+    trailing zero coefficients dropped."""
+    if not (a and b):
+        return []
+    d = len(a[0])
+    out = [[[0] * d for _ in range(d)] for _ in range(len(a) + len(b) - 1)]
+    for p, ap in enumerate(a):
+        for q, bq in enumerate(b):
+            out[p + q] = [[x + y for x, y in zip(r, s)] for r, s in zip(out[p + q], _imul(ap, bq))]
+    while out and not any(map(any, out[-1])):
+        out.pop()
+    return out
+
+
+# mostly zero entries, so zero rows and zero coefficients occur
+_ENTRY = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+
+
+def _int_poly(data, d):
+    """An integer d x d matrix polynomial of 0..3 coefficients (none is the
+    zero factor), any of them zero, the last one too."""
+    n = data.draw(st.integers(0, 3))
+    return [[[data.draw(_ENTRY) for _ in range(d)] for _ in range(d)] for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_polymul_matches_the_pairwise_sum(data):
+    d = data.draw(st.integers(1, 4))
+    a, b = _int_poly(data, d), _int_poly(data, d)
+    assert _fastgrid._polymul(a, b) == reference_polymul(a, b)
+
+
+def test_polymul_cases():
+    e12, e21 = _iunit(2, 0, 1), _iunit(2, 1, 0)
+    zero = [[0, 0], [0, 0]]
+    # constant x constant
+    assert _fastgrid._polymul([e12], [e21]) == [[[1, 0], [0, 0]]]
+    assert _fastgrid._polymul([e12], [e12]) == []
+    # the top coefficient e12 * e12 = 0 cancels
+    a, b = [_iident(2), e12], [e21, e12]
+    assert _fastgrid._polymul(a, b) == reference_polymul(a, b) == [e21, [[1, 1], [0, 0]]]
+    # unequal lengths, an inner zero coefficient, zero factors
+    a, b = [e12, zero, e21], [_iident(2, 2)]
+    assert _fastgrid._polymul(a, b) == reference_polymul(a, b) == [[[0, 2], [0, 0]], zero, [[0, 0], [2, 0]]]
+    assert _fastgrid._polymul(b, a) == reference_polymul(b, a)
+    assert _fastgrid._polymul(a, []) == _fastgrid._polymul([], a) == _fastgrid._polymul(a, [zero]) == []
+
+
+_SCALARS = st.one_of(st.just(0), _VALS, st.tuples(_VALS, _VALS, _VALS).map(Poly))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_scale_is_the_product_with_a_scalar_identity(data):
+    d = data.draw(st.integers(1, 4))
+    m = IntPolyMat(d, _int_poly(data, d), data.draw(st.integers(1, 6)))
+    c = data.draw(_SCALARS)
+    nums, cden = _int_coeffs(c)
+    scalar = IntPolyMat(d, [_iident(d, n) for n in nums], cden)
+    # both reduce the same integers by the same gcd, so even the
+    # representations agree
+    assert repr(m.scale(c)) == repr(m * scalar)
+    assert m.scale(c) == scalar * m

@@ -1,10 +1,11 @@
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from parageo import _fastgrid
-from parageo._fastgrid import GridKernel, IntPolyMat, PairSystem, grid_kernel
+from parageo._fastgrid import GridKernel, IntPolyMat, PairSystem, _jet_duals, grid_kernel
 from parageo.algebra import Ad, AlgElem, bracket, group_exp, truncated_Ad
 from parageo.catalog import MAX_GRID_POINTS, make_algebra
 from parageo.cli import ExperimentConfig, run
@@ -355,12 +356,10 @@ def test_engine_agrees_with_reference_fractional_hypothesis(cid, grade, coords):
     assert coordinate_pair_stats(ts, x, 1, r_max) == reference_pair_stats(ts, x, 1, r_max)
 
 
-@settings(max_examples=150, deadline=None)
-@given(cid=st.sampled_from(ALL_IDS), data=st.data())
-def test_kernel_jet_order_agrees_with_reference(cid, data):
-    # d0 is a random integer matrix, zero below a random position grade so
-    # that higher jet orders occur; A2 = X - d0 / x_den on both sides
-    alg = make_algebra(cid)
+def _draw_x_d0(alg, data):
+    """X in n with small rational coordinates, and d0 a random integer
+    matrix, zero below a random position grade so that higher jet orders
+    occur."""
     n_idx = [i for i in range(alg.dim) if alg.basis_grades[i] < 0]
     xc = data.draw(st.lists(st.integers(-2, 2), min_size=len(n_idx), max_size=len(n_idx)))
     coords = [Fraction(0)] * alg.dim
@@ -378,6 +377,16 @@ def test_kernel_jet_order_agrees_with_reference(cid, data):
             for i in range(q)
         ]
     )
+    return x, d0
+
+
+@settings(max_examples=150, deadline=None)
+@given(cid=st.sampled_from(ALL_IDS), data=st.data())
+def test_kernel_jet_order_agrees_with_reference(cid, data):
+    # A2 = X - d0 / x_den on both sides
+    alg = make_algebra(cid)
+    x, d0 = _draw_x_d0(alg, data)
+    q = alg.matrix_dim
     r_max = data.draw(st.integers(0, 6))
     kern = GridKernel(alg, x)
     x_den = x.matrix.den
@@ -385,6 +394,26 @@ def test_kernel_jet_order_agrees_with_reference(cid, data):
     assert kern.pair_jet_order(a2, r_max) == reference_jet_order(
         alg, frac_matrix(x), frac_matrix(x) - d0.scale(Fraction(1, x_den)), r_max
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cid=st.sampled_from(ALL_IDS), data=st.data())
+def test_jet_duals_read_the_commutator_loop(cid, data):
+    # entry (i, j) of ad(-X)^r d0, by the commutator loop d -> d X - X d,
+    # is tr(F_r d0) for the pair system's dual form F_r of (i, j), at every
+    # position and every order r <= 5; X is the integer matrix x_rows
+    alg = make_algebra(cid)
+    x, d0 = _draw_x_d0(alg, data)
+    x_rows = x.matrix.coeffs[0]
+    xm = Mat(x_rows)
+    q = alg.matrix_dim
+    positions = [(i, j) for i in range(q) for j in range(q)]
+    d = d0
+    for duals in islice(_jet_duals(x_rows, positions), 6):
+        assert [pos for pos, _ in duals] == positions
+        for (i, j), f in duals:
+            assert d.rows[i][j] == sum(f[b][a] * d0.rows[a][b] for a in range(q) for b in range(q))
+        d = d * xm - xm * d
 
 
 def test_engine_agrees_with_reference_depth_3():
