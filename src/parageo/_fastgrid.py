@@ -30,8 +30,10 @@ Every grid search (``jets`` and ``family``), for every catalog algebra and
 every rational base direction, runs its pairs on ``PairSystem``: with X
 fixed, every quantity of the pair step is a polynomial in the p_+ grid
 coordinates z, so the step is built once per search as sparse integer
-polynomials ({exponent tuple: int} dicts) and evaluated at each grid
-point by an interpreted term loop.  The system works on plain ints with a
+polynomials ({exponent tuple: int} dicts) and evaluated by an
+interpreted term loop once per fiber: the grid points that agree on the
+coordinates the system reads (``PairSystem.read_coords``) share every
+value of the step.  The system works on plain ints with a
 tracked positive denominator and no gcd: grid points have integer
 coordinates, every catalog basis is integral, and a base direction X is
 carried as ``x_den * X`` for the lcm ``x_den`` of its entries'
@@ -354,7 +356,9 @@ class PairSystem:
     polynomial is a list of (coefficient, monomial) terms, and the
     monomials are built stage by stage (Y, then one stage per jet order,
     then the identity), each as an earlier monomial times one coordinate,
-    so a pair pays only for the stages its verdict reads.
+    so a pair pays only for the stages its verdict reads.  ``read_coords``
+    is the sorted tuple of the coordinates that any monomial reads: the
+    value of ``evaluate`` depends on no other coordinate of ``vals``.
     """
 
     def __init__(self, alg, x, r_max):
@@ -438,6 +442,8 @@ class PairSystem:
         # an order with no nonzero form adds no monomial and passes at every point
         self._jet_stages = [(r, *stage(order.values())) for r, order in enumerate(self.jets) if order]
         self._identity_stage = stage(self.identity.values())
+        # each coordinate of a monomial is the last step of one of its factors
+        self.read_coords = tuple(sorted({v for _, v in steps}))
 
     def evaluate(self, vals, member):
         """(y_num, jet order, equal) at the grid point ``vals``: Y =

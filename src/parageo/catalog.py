@@ -181,10 +181,13 @@ MAX_MATRIX_DIM = 11
 
 # Most points one grid visits: (2R+1)^m for radius R over m coordinates
 # (X points times Z points for the standard fiber); a larger grid fails
-# with GridTooLarge before any point is produced.  In one process on the
-# host above, `jets proj(8) --grid 2` (390,625 pairs) took 2.4-4.2 s and
-# `jets proj(10) --grid 1` (59,049) 0.9-1.6 s, so a grid at the limit
-# takes about 10 s.
+# with GridTooLarge before any point is produced.  A jets search evaluates
+# its pair system once per fiber of the coordinates the system reads, so
+# its cost is set by the searches that read every coordinate: in one
+# process on the host above, `jets conf(1,2) --grid 49` (970,299 pairs,
+# 3 of 3 coordinates read) took 4.6-6.1 s and `jets conf(3,3) --grid 4`
+# (531,441, 6 of 6) 3.5-3.8 s, so a grid at the limit takes about 6 s.
+# `jets proj(8) --grid 2` (390,625 pairs, 1 of 8 read) takes 0.3 s.
 MAX_GRID_POINTS = 10**6
 
 # Highest jet order a search accepts.  ad(X) lowers the grade, so

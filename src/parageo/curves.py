@@ -366,12 +366,15 @@ def _lemma_3_2_scalars(phi, i_max):
     return table
 
 
-def verify_lemma_3_2(cc, phi, i_max):
+def verify_lemma_3_2(cc, phi, i_max, scalars=None):
     """Multi-index derivative formula for the reparametrized comparison.
 
     For each 1 <= i <= i_max the directly differentiated (delta_u)^(i)
     must equal phi^(i+1) X1 plus the signed partition sum applied to the
     iterated ad_{X1} of delta_u, exactly as polynomial matrices.
+    ``scalars`` is ``_lemma_3_2_scalars(phi, i_max)``, which a caller that
+    checks many curves against one phi builds once; it is built here when
+    None.
     """
     u, u_inv, a1 = reparam_comparison(cc, phi)
     delta = u_inv * u.derivative()
@@ -380,7 +383,9 @@ def verify_lemma_3_2(cc, phi, i_max):
         prev = ad_pow[-1]
         ad_pow.append(a1 * prev - prev * a1)
     lhs = delta
-    for phi_next, signed in _lemma_3_2_scalars(phi, i_max):
+    if scalars is None:
+        scalars = _lemma_3_2_scalars(phi, i_max)
+    for phi_next, signed in scalars:
         lhs = lhs.derivative()
         rhs = a1.scale(phi_next)
         for k, cpoly in signed.items():

@@ -21,11 +21,13 @@ coordinates, built once per search) is the pair route, and the matrix
 kernel ``GridKernel`` is its oracle, rerun on the first pair of each
 outcome.
 
-The pair stream ``_iter_pair_stats`` stays in integers: Z is its grid
-tuple, Y an integer matrix and denominator, and the type test of full_n
-and grade(-j) reads the matrix positions.  Fraction coordinates are
-built (by ``pair_coords``) only for what a report keeps: the witnesses of
-a jets search, and the admissible pairs whose jet classes a family counts.
+The pair stream ``_iter_pair_stats`` yields one item per fiber of the
+grid coordinates that the pair system reads, and stays in integers: Z is
+its grid tuple, Y an integer matrix and denominator, and the type test
+of full_n and grade(-j) reads the matrix positions.  Fraction coordinates
+are built (by ``pair_coords``) only for what a report keeps: the
+witnesses of a jets search, and the admissible pairs whose jet classes a
+family counts.
 """
 
 from __future__ import annotations
@@ -411,22 +413,26 @@ def _kernel_pair(kern, member, r_max, vals):
 
 
 def _iter_pair_stats(ts, x, grid, r_max):
-    """Stream (vals, (y_num, y_den), jet order, equal) over the p_+ grid.
+    """Stream (vals, (y_num, y_den), jet order, equal, free) over the p_+
+    grid, one item per fiber.
 
-    ``vals`` is the integer grid tuple of Z over the p_+ basis, and Y =
-    y_num / y_den the solved direction as an integer matrix and
-    denominator; ``pair_coords`` reads their Fraction coordinates, which
-    the stream never builds.  ``jet order`` is None when Y is not a member
-    of the type; ``equal`` is the exact polynomial curve identity, computed
-    only when the jets agree through r_max (pairs with lower jet order are
-    unequal by definition: distinct jets force distinct curves).
+    The pair route is the ``PairSystem`` of ``_fastgrid``, built once here.
+    It reads only the coordinates ``read_coords``, so the grid points that
+    agree on them, a fiber, share Y, jet order and equality.  ``free``
+    holds the other coordinate indices; a fiber has (2 grid + 1)^len(free)
+    points.  ``vals`` is the integer grid tuple of the fiber's first point
+    in grid order (every free coordinate at -grid), and fibers come in the
+    order of their first points, so the first pair of the grid with an
+    outcome is the first item with it.  Y = y_num / y_den is an integer
+    matrix and denominator; ``pair_coords`` reads Fraction coordinates.
+    ``jet order`` is None when Y is not a member of the type; ``equal`` is
+    the exact polynomial curve identity, computed only when the jets agree
+    through r_max (distinct jets force distinct curves).
 
-    The pair route is the ``PairSystem`` of ``_fastgrid``: the whole step
-    as integer polynomials in the grid coordinates, built once here and
-    evaluated at each grid point.  ``GridKernel``, built in the first step
-    (where a trace of the loop reads which engine runs it), is its oracle:
-    ``_kernel_pair`` reruns the step as ``IntPolyMat`` arithmetic, by other
-    algorithms, on the first pair of each outcome (non-member, each jet
+    ``GridKernel``, built in the first step (where a trace of the loop
+    reads which engine runs it), is the system's oracle: ``_kernel_pair``
+    reruns the step as ``IntPolyMat`` arithmetic, by other algorithms and
+    at the full Z, on the first pair of each outcome (non-member, each jet
     order, equal or not), and any difference in Y as a rational matrix,
     membership, jet order or equality raises OracleDisagreement.  A jets
     witness is the first unequal pair of its jet order, so the kernel
@@ -434,19 +440,29 @@ def _iter_pair_stats(ts, x, grid, r_max):
     """
     alg = ts.algebra
     kern = grid_kernel(alg, x)
-    points = iter_pplus_coords(alg, grid)
+    n = len(alg.pplus_indices)
+    check_grid((grid, n))
     system = PairSystem(alg, x, r_max)
+    read = system.read_coords
+    free = tuple(i for i in range(n) if i not in read)
     member = _member_test(ts, kern, system.y)
     y_den = system.y_den
     checked = set()  # the outcomes whose first pair the kernel re-checked
-    for vals in points:
+    for vals in _grid_points((-grid,) * n, read, grid):
         y_num, jord, equal = system.evaluate(vals, member)
         if (jord, equal) not in checked:
             checked.add((jord, equal))
             y, k_jord, k_equal = _kernel_pair(kern, member, r_max, vals)
             if IntPolyMat(system.d, [y_num], y_den) != y or (k_jord, k_equal) != (jord, equal):
                 raise OracleDisagreement("pair system and kernel disagree at Z = %s" % (vals,))
-        yield vals, (y_num, y_den), jord, equal
+        yield vals, (y_num, y_den), jord, equal, free
+
+
+def _grid_points(vals, spread, grid):
+    """The grid points that agree with ``vals`` outside the coordinate
+    indices ``spread``, in grid order."""
+    axis = range(-grid, grid + 1)
+    return itertools.product(*(axis if i in spread else (v,) for i, v in enumerate(vals)))
 
 
 def pair_coords(alg, vals, y):
@@ -467,10 +483,10 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None):
     order is empirical: a lower bound from a counterexample at r-1 plus
     the confirmation at r, never a claim beyond the grid.  Each reported
     counterexample is re-verified by jet_equal and curves_equal.  The
-    search keeps counts from the integer stream and reads Fraction
-    coordinates only for a newly recorded witness, so at most r_max times:
-    Z over the p_+ basis and Y over the n basis, as the command line reads
-    them.
+    search counts pairs from the integer stream, each item by the size of
+    its fiber, and reads Fraction coordinates only for a newly recorded
+    witness, so at most r_max times: Z over the p_+ basis and Y over the n
+    basis, as the command line reads them.
     """
     alg = ts.algebra
     r_max = r_max if r_max is not None else alg.k + 3
@@ -486,15 +502,16 @@ def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None):
     # order r -> the first unequal pair in grid order with jet order >= r,
     # which serves every lower order too: the keys are 1..len
     counterexamples = {}
-    for vals, y, jord, equal in _iter_pair_stats(ts, x, grid, r_max):
-        n_grid += 1
+    for vals, y, jord, equal, free in _iter_pair_stats(ts, x, grid, r_max):
+        size = (2 * grid + 1) ** len(free)
+        n_grid += size
         if jord is None:
             continue
         if jord == 0:
             raise OracleDisagreement("solved pair does not even share its 1-jet")
-        n_admissible += 1
+        n_admissible += size
         if equal:
-            n_equal += 1
+            n_equal += size
         elif jord > len(counterexamples):
             _, yc = pair_coords(alg, vals, y)
             witness = PairRecord(tuple(map(Fraction, vals)), n_coords(AlgElem(alg, yc)), jord)
@@ -734,22 +751,21 @@ def family_dimension(ts, x, grid=2):
     polynomial identity).  The family dimension is the linear-hull
     dimension of admissible Z minus that of K; when K fails the grid
     linearity check the claim is downgraded to a range.  The Z rows are the
-    integer grid tuples of the admissible pairs; Fraction coordinates of Z
-    and Y are read only when the jet classes are counted (at most 512
-    admissible pairs).
+    integer grid tuples of the admissible pairs, each admissible item of
+    the stream expanded over its fiber (the curve depends on the full Z)
+    and sorted into grid order; Fraction coordinates of Z and Y are read
+    only when the jet classes are counted (at most 512 admissible pairs).
     """
     alg = ts.algebra
     check_direction(ts, x)
-    admissible = []  # (vals, Y) of every admissible pair
-    stab_rows = []
-    for vals, y, jord, equal in _iter_pair_stats(ts, x, grid, alg.k + 2):
-        if jord is None:
-            continue
-        admissible.append((vals, y))
-        if equal:
-            stab_rows.append(vals)
+    admissible = []  # (vals, Y, equal) of every admissible pair
+    for vals, y, jord, equal, free in _iter_pair_stats(ts, x, grid, alg.k + 2):
+        if jord is not None:
+            admissible += ((point, y, equal) for point in _grid_points(vals, free, grid))
+    admissible.sort(key=operator.itemgetter(0))
+    stab_rows = [vals for vals, _, equal in admissible if equal]
     # the Z rows over the p_+ basis are the integer grid tuples
-    adm_rows = [vals for vals, _ in admissible]
+    adm_rows = [vals for vals, _, _ in admissible]
     adm_dim = rank(adm_rows)
     stab = echelon(stab_rows)
     stab_set = set(stab_rows)
@@ -761,7 +777,7 @@ def family_dimension(ts, x, grid=2):
     if len(admissible) <= 512:
         signatures = set()
         order = alg.k + 2
-        for vals, y in admissible:
+        for vals, y, _ in admissible:
             zc, yc = pair_coords(alg, vals, y)
             c2 = CurveSpec.from_Z(alg, AlgElem(alg, zc), AlgElem(alg, yc))
             signatures.add(normal_coord_jet(c2, order).coeffs_prefix(order))

@@ -23,6 +23,7 @@ from .curves import (
     verify_eq_2_4_1,
     verify_lemma_2_3,
     verify_lemma_2_4,
+    _lemma_3_2_scalars,
     verify_lemma_3_2,
 )
 from .poly import Poly
@@ -151,13 +152,16 @@ def lemma_suite(alg):
     # reparametrized derivative formula with two sample reparametrizations
     n_checks = 0
     phis = (Poly((0, 1, 1)), Poly((0, 2, 0, 1)))
+    # one table of the Lemma 3.2 scalars per phi, read from the live
+    # partition coefficients on each suite run
+    tables = [_lemma_3_2_scalars(phi, _I_MAX) for phi in phis]
     for i in range(_PER_FAMILY):
         x = n_samples[(i + 1) % len(n_samples)]
         y = n_samples[(i + 4) % len(n_samples)]
         z = p_samples[(i + 1) % len(p_samples)]
         cc = comparison(CurveSpec.base(alg, x), CurveSpec.from_Z(alg, z, y))
-        for phi in phis:
-            if not verify_lemma_3_2(cc, phi, _I_MAX):
+        for phi, table in zip(phis, tables):
+            if not verify_lemma_3_2(cc, phi, _I_MAX, table):
                 violations.append(
                     "reparam-derivative sample %d (phi=%s) failed on %s" % (i, phi, alg.name)
                 )

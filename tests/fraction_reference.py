@@ -1,14 +1,17 @@
 """Minimal Fraction references for the grid pair step and the algebra build.
 
-The same per-pair statistics as ``parageo.lab._iter_pair_stats``, with Z
-and Y as Fraction coordinates (as ``paper_checks.coordinate_pair_stats``
-reads them), computed on the Fraction ``Mat`` stack instead of the
-integer engine of ``parageo._fastgrid``: ``exp_mat`` of Z's
-``frac_matrix`` + ``solve_direction`` (the Fraction fixed-point
-iteration that ``parageo.lab.solve_direction`` replaced, for unipotent
-g) give Y, the jet order comes from the constant-matrix derivatives of
-delta_u at 0, and curve equality is the polynomial identity "exp(-t A2) exp(t A1) stays
-in the P block pattern".
+The same per-pair statistics as ``parageo.lab._iter_pair_stats``,
+expanded from its fibers to every grid point as
+``paper_checks.expand_pair_stats`` does, with Z and Y as Fraction
+coordinates (as ``paper_checks.coordinate_pair_stats`` reads them).  The
+reference computes each grid point on its own, sharing no fiber, on the
+Fraction ``Mat`` stack instead of the integer engine of
+``parageo._fastgrid``: ``exp_mat`` of Z's ``frac_matrix`` +
+``solve_direction`` (the Fraction fixed-point iteration that
+``parageo.lab.solve_direction`` replaced, for unipotent g) give Y, the
+jet order comes from the constant-matrix derivatives of delta_u at 0,
+and curve equality is the polynomial identity "exp(-t A2) exp(t A1)
+stays in the P block pattern".
 
 The orbit points of ``parageo.lab.orbit_hull_dimension`` on the Fraction
 ``Mat`` stack (``reference_orbit_points``), the loop that the integer

@@ -233,13 +233,34 @@ def mobius_candidate_between(c1, c2):
     return (a, b)
 
 
+def expand_pair_stats(ts, x, grid, r_max):
+    """The per-fiber items of ``_iter_pair_stats`` as a list of one item
+    (vals, y, jet order, equal) per grid point, in grid order.
+
+    Walks the full grid and gives each point the item of its fiber, found
+    by setting the point's free coordinates to -grid.  Asserts that the
+    stream's items come in grid order, each at its fiber's first point, so
+    that the fibers tile the grid."""
+    items = list(_iter_pair_stats(ts, x, grid, r_max))
+    free = items[0][4]
+    fibers = {item[0]: item[1:4] for item in items}
+    assert [item[0] for item in items] == sorted(fibers)
+    assert all(item[4] == free and all(item[0][i] == -grid for i in free) for item in items)
+    n = len(ts.algebra.pplus_indices)
+    assert len(fibers) == (2 * grid + 1) ** (n - len(free))
+    return [
+        (vals, *fibers[tuple(-grid if i in free else v for i, v in enumerate(vals))])
+        for vals in itertools.product(range(-grid, grid + 1), repeat=n)
+    ]
+
+
 def coordinate_pair_stats(ts, x, grid, r_max):
-    """The items of ``_iter_pair_stats`` with Z and Y read as Fraction
+    """The items of ``expand_pair_stats`` with Z and Y read as Fraction
     coordinates by ``pair_coords``: (Z coords, Y coords, jet order, equal)."""
     alg = ts.algebra
     return [
         (*pair_coords(alg, vals, y), jord, equal)
-        for vals, y, jord, equal in _iter_pair_stats(ts, x, grid, r_max)
+        for vals, y, jord, equal in expand_pair_stats(ts, x, grid, r_max)
     ]
 
 

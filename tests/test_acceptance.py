@@ -30,7 +30,6 @@ from parageo.lab import (
     type_grade,
     type_stratum,
     verify_prop41_claim,
-    _iter_pair_stats,
 )
 from parageo.matrices import rank
 from parageo.poly import Poly
@@ -46,6 +45,7 @@ from conftest import ALL_IDS
 from paper_checks import (
     admissible_pairs,
     chain_family_reparam_check,
+    expand_pair_stats,
     mobius_candidate_between,
     projective_structure_exists,
     standard_fiber_pairs,
@@ -129,7 +129,7 @@ def test_criterion_03_chains_two_jets_and_cascade():
             assert rep.verdicts[2] == "confirmed"
             # cascade necessity: Z is admissible (its solved Y is again a
             # chain direction, jet order not None) iff [Z_1, X] = 0
-            for vals, y, jord, _ in _iter_pair_stats(ts, x, 2, 4):
+            for vals, y, jord, _ in expand_pair_stats(ts, x, 2, 4):
                 zc, _ = pair_coords(alg, vals, y)
                 admissible = jord is not None
                 z1 = alg.elem_at(alg.grade_slices[1], AlgElem(alg, zc).grade_coords(1))

@@ -345,3 +345,21 @@ def test_flipped_partition_sign_fails_the_suite(monkeypatch):
     monkeypatch.setattr(curves, "partition_coefficient", flipped)
     violations = lemma_suite(alg).violations
     assert violations and all(v.startswith("reparam-derivative") for v in violations)
+
+
+def test_suite_builds_the_lemma_3_2_scalars_once_per_phi(monkeypatch):
+    # the suite checks 12 curves against each of its two phi and builds one
+    # table per phi per run; a second run builds its tables again
+    calls = []
+
+    def counting(phi, i_max):
+        calls.append((phi, i_max))
+        return curves._lemma_3_2_scalars(phi, i_max)
+
+    monkeypatch.setattr("parageo.suite._lemma_3_2_scalars", counting)
+    alg = make_algebra("proj(2)")
+    report = lemma_suite(alg)
+    assert report.passed() and report.checks_by_family["reparam_derivatives"] == 24
+    assert calls == [(Poly((0, 1, 1)), 4), (Poly((0, 2, 0, 1)), 4)]
+    lemma_suite(alg)
+    assert len(calls) == 4

@@ -21,7 +21,10 @@ report that script writes is pinned.
 The ``proj(8)`` ``full_n`` search at grid 1 (6,561 pairs) was pinned on
 the kernel's per-pair matrix step, before the pair step became integer
 polynomials built once per search, so that a large grid's bytes are held
-to the kernel's.
+to the kernel's.  The ``proj(8)`` search at grid 2 (390,625 pairs) and
+the xxdot ``full_n`` search at grid 3 were pinned on the per-pair
+stream, before the stream went one item per fiber of the grid
+coordinates that the pair system reads.
 
 Each build digest is the SHA-256 of the repr of an algebra's pivot rows,
 coordinate extractor and bracket table as first computed by the dense
@@ -167,6 +170,18 @@ GOLDEN = [
     (
         dict(algebra="proj(8)", type_spec="full_n", grid=1),
         "1bfd74fe58230fa0a6b54d6255fc4242cf1eb32b196376f403a48a173858d848",
+    ),
+    # pinned on the per-pair stream, before the stream went one item per
+    # fiber of the coordinates the pair system reads: proj(8) at grid 2
+    # (390,625 pairs), and xxdot full_n at grid 3, whose system reads one
+    # of five coordinates (16,807 pairs in 7 fibers)
+    (
+        dict(algebra="proj(8)", type_spec="full_n", grid=2),
+        "760c951e96246f87d9fc717bc39cb40ca76623d6b085f0a8794476e158232e2d",
+    ),
+    (
+        dict(algebra="xxdot", type_spec="full_n", grid=3),
+        "4bca816fcef367d654a5f795bfd9088577d00d38fb6c94fd0c82829586220f69",
     ),
 ]
 

@@ -48,6 +48,7 @@ from paper_checks import (
     coordinate_pair_stats,
     default_direction_scan,
     double_bracket_solution,
+    expand_pair_stats,
     g0_samples,
     mobius_candidate_between,
     standard_fiber_pairs,
@@ -509,7 +510,7 @@ def test_position_type_test_agrees_with_contains(cid):
         ts = parse_type(alg, name)
         x = ts.default_direction()
         kern = grid_kernel(alg, x)
-        for vals, y, jord, _ in _iter_pair_stats(ts, x, 1, 2):
+        for vals, y, jord, _ in expand_pair_stats(ts, x, 1, 2):
             yc = kern.elem_coords(*y)
             assert (jord is not None) == ts.contains(AlgElem(alg, yc)), (name, vals)
             assert pair_coords(alg, vals, y) == (pplus_elem(alg, vals).coords, yc)

@@ -1,9 +1,11 @@
 """The pair system of ``_fastgrid`` against the kernel's matrix step.
 
 ``lab._iter_pair_stats`` evaluates ``PairSystem``, the grid pair step built
-once per search as integer polynomials in the p_+ grid coordinates, and
-reruns the kernel only on the first pair of each outcome.  Here every pair
-of each search is also run through the kernel (``lab._kernel_pair``, with
+once per search as integer polynomials in the p_+ grid coordinates, once
+per fiber of the coordinates it reads, and reruns the kernel only on the
+first pair of each outcome.  Here the stream is expanded to every pair of
+the grid (``paper_checks.expand_pair_stats``), and every pair of each
+search is also run through the kernel (``lab._kernel_pair``, with
 membership decided by ``ts.contains`` on Y's coordinates), and the two
 routes must give the same Y as a rational matrix, the same membership,
 jet order and equality.  A sympy rebuild of the same polynomials, which
@@ -27,12 +29,15 @@ from parageo.lab import (
     STRATUM_TYPES,
     _iter_pair_stats,
     _kernel_pair,
+    _member_test,
+    family_dimension,
     parse_type,
     type_full,
     type_grade,
 )
 
 from conftest import ALL_IDS, full_flag_sl4
+from paper_checks import expand_pair_stats
 
 SUITE = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_full_suite.py"
 JET_RUNS = runpy.run_path(str(SUITE))["JET_RUNS"]
@@ -49,7 +54,7 @@ def assert_routes_agree(ts, x, grid, r_max):
 
     outcomes = set()
     n = 0
-    for vals, y, jord, equal in _iter_pair_stats(ts, x, grid, r_max):
+    for vals, y, jord, equal in expand_pair_stats(ts, x, grid, r_max):
         k_y, k_jord, k_equal = _kernel_pair(kern, member, r_max, vals)
         assert IntPolyMat(alg.matrix_dim, [y[0]], y[1]) == k_y, vals
         assert (jord, equal) == (k_jord, k_equal), vals
@@ -166,7 +171,7 @@ def _lagr3_stream_corrupted(monkeypatch, corrupt, r_max):
     alg = make_algebra("lagr3")
     ts, x = type_full(alg), parse_direction(alg, "1,1,1")
     # the first grid point is a member pair of jet order 1, unequal curves
-    assert next(_iter_pair_stats(ts, x, 1, r_max))[2:] == (1, False)
+    assert next(_iter_pair_stats(ts, x, 1, r_max))[2:4] == (1, False)
     monkeypatch.setattr("parageo.lab.PairSystem", corrupted)
     return _iter_pair_stats(ts, x, 1, r_max)
 
@@ -186,6 +191,91 @@ def test_a_dropped_curve_identity_fails_the_kernel_recheck(monkeypatch):
     stream = _lagr3_stream_corrupted(monkeypatch, lambda system: system.identity.clear(), 1)
     with pytest.raises(OracleDisagreement, match="pair system and kernel disagree"):
         list(stream)
+
+
+# -- fibers of the read coordinates ---------------------------------------------
+
+
+def _system_variables(system):
+    """The coordinates that occur in the polynomials of Y, the jet forms
+    and the curve identity."""
+    polys = [*system.y.values(), *(p for order in system.jets for p in order.values())]
+    polys += system.identity.values()
+    return {v for p in polys for e in p for v, a in enumerate(e) if a}
+
+
+# (id, type, grid, number of coordinates read out of dim p_+)
+FIBER_CASES = [
+    ("xxdot", "full_n", 3, 1),
+    ("conf(1,2)", "full_n", 2, 3),
+    ("full_flag_sl4", "full_n", 1, 1),
+    ("full_flag_sl4", "grade(-2)", 1, 3),
+]
+
+
+@pytest.mark.parametrize("cid,tspec,grid,n_read", FIBER_CASES)
+def test_expanded_stream_is_the_system_at_every_grid_point(cid, tspec, grid, n_read):
+    # a fiber's item holds at each of its points: PairSystem.evaluate reads
+    # nothing but the coordinates in read_coords
+    alg = full_flag_sl4() if cid == "full_flag_sl4" else make_algebra(cid)
+    ts = parse_type(alg, tspec)
+    x = ts.default_direction()
+    r_max = alg.k + 3
+    system = PairSystem(alg, x, r_max)
+    assert len(system.read_coords) == n_read
+    member = _member_test(ts, grid_kernel(alg, x), system.y)
+    stats = expand_pair_stats(ts, x, grid, r_max)
+    assert len(stats) == (2 * grid + 1) ** len(alg.pplus_indices)
+    for vals, y, jord, equal in stats:
+        y_num, s_jord, s_equal = system.evaluate(vals, member)
+        assert (y, jord, equal) == ((y_num, system.y_den), s_jord, s_equal), vals
+
+
+@pytest.mark.parametrize("cid,tspec", _grid_1_cases())
+def test_read_coords_are_the_variables_of_the_system(cid, tspec):
+    alg = make_algebra(cid)
+    ts = parse_type(alg, tspec)
+    system = PairSystem(alg, ts.default_direction(), alg.k + 3)
+    assert system.read_coords == tuple(sorted(_system_variables(system)))
+
+
+@pytest.mark.parametrize("cid,tspec", [("conf(1,2)", "full_n"), ("lagr3", "grade(-2)")])
+def test_a_dropped_read_coordinate_fails_the_routes(monkeypatch, cid, tspec):
+    # with one read coordinate taken for free, the stream runs that
+    # coordinate at -grid only and gives its value to every point of the
+    # too-large fiber; some pair of the grid then disagrees with the kernel
+    alg = make_algebra(cid)
+    ts = parse_type(alg, tspec)
+    x = ts.default_direction()
+    read = PairSystem(alg, x, 4).read_coords
+    assert len(read) == len(alg.pplus_indices)
+    for dropped in read:
+
+        def narrowed(alg, x, r_max):
+            system = PairSystem(alg, x, r_max)
+            system.read_coords = tuple(v for v in system.read_coords if v != dropped)
+            return system
+
+        with monkeypatch.context() as patch:
+            patch.setattr("parageo.lab.PairSystem", narrowed)
+            with pytest.raises(AssertionError, match=r"^\(-?\d"):
+                assert_routes_agree(ts, x, 1, 4)
+    assert_routes_agree(ts, x, 1, 4)
+
+
+def test_family_expands_each_fiber_in_grid_order():
+    # proj(3) full_n at X = (0,1,1) reads coordinates 1 and 2 only, and its
+    # stabilizer lies in 3 fibers whose points interleave in grid order:
+    # family_dimension's points are those of the expanded stream
+    alg = make_algebra("proj(3)")
+    ts = type_full(alg)
+    x = parse_direction(alg, "0,1,1")
+    items = list(_iter_pair_stats(ts, x, 1, alg.k + 2))
+    assert items[0][4] == (0,) and sum(item[3] for item in items) == 3
+    stats = expand_pair_stats(ts, x, 1, alg.k + 2)
+    report = family_dimension(ts, x, 1)
+    assert report.n_admissible == sum(jord is not None for _, _, jord, _ in stats)
+    assert report.stabilizer_points == tuple(vals for vals, _, _, equal in stats if equal)
 
 
 # -- the sympy oracle -------------------------------------------------------------
