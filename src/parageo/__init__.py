@@ -38,7 +38,7 @@ from .lab import (
     standard_fiber,
     verify_prop41_claim,
 )
-from . import scalars  # noqa: F401  for the parabench span scalars.GaussianRational.__mul__; ROADMAP item 9
+from . import scalars  # noqa: F401  for the parabench span scalars.GaussianRational.__mul__; ROADMAP item 19
 from .reparam import (
     MobiusMap,
     ReparamVerdict,

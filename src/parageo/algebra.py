@@ -27,6 +27,7 @@ every commutator in the bracket table.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -341,18 +342,16 @@ class GradedAlgebra:
         return "GradedAlgebra(%s)" % self.name
 
 
+@dataclass(frozen=True, slots=True)
 class AlgElem:
-    """An element of g as exact coordinates over the grade-organized basis."""
+    """An element of g as exact coordinates over the grade-organized basis.
 
-    __slots__ = ("algebra", "coords", "_mat")
+    Equal when the algebra is the same object and the coordinates agree.
+    """
 
-    def __init__(self, algebra, coords):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords", tuple(coords))
-        object.__setattr__(self, "_mat", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgElem is immutable")
+    algebra: GradedAlgebra
+    coords: tuple
+    _mat: IntPolyMat | None = field(default=None, init=False, compare=False)
 
     @property
     def matrix(self):
@@ -387,14 +386,6 @@ class AlgElem:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, AlgElem):
-            return NotImplemented
-        return self.algebra is other.algebra and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.coords))
-
     def is_zero(self):
         return not any(self.coords)
 
@@ -427,24 +418,21 @@ class AlgElem:
         return "AlgElem(%s; %s)" % (self.algebra.name, ", ".join(str(c) for c in self.coords))
 
 
+@dataclass(frozen=True, slots=True)
 class GroupElem:
     """An element of G: a constant IntPolyMat and its inverse, checked to
-    multiply to I, so no matrix is ever inverted."""
+    multiply to I, so no matrix is ever inverted.  Equal on (algebra, mat)."""
 
-    __slots__ = ("algebra", "mat", "inv_mat")
+    algebra: GradedAlgebra
+    mat: IntPolyMat
+    inv_mat: IntPolyMat = field(compare=False)
 
-    def __init__(self, algebra, mat, inv_mat):
-        d = algebra.matrix_dim
+    def __post_init__(self):
+        mat, inv_mat, d = self.mat, self.inv_mat, self.algebra.matrix_dim
         if not (mat.d == inv_mat.d == d and len(mat.coeffs) == len(inv_mat.coeffs) == 1):
             raise ValueError("group element needs two constant %d x %d matrices" % (d, d))
         if mat * inv_mat != IntPolyMat.identity(d):
             raise ValueError("group element matrix times its inverse is not I")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "inv_mat", inv_mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupElem is immutable")
 
     def inverse(self):
         return GroupElem(self.algebra, self.inv_mat, self.mat)
@@ -452,14 +440,6 @@ class GroupElem:
     def __mul__(self, other):
         _same_algebra(self, other)
         return GroupElem(self.algebra, self.mat * other.mat, other.inv_mat * self.inv_mat)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupElem):
-            return NotImplemented
-        return self.algebra is other.algebra and self.mat == other.mat
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.mat))
 
     def in_P(self):
         return self.mat.in_p_pattern(self.algebra)

@@ -33,11 +33,12 @@ read by ``GradedAlgebra.express_poly``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
 from ._fastgrid import IntPolyMat, _int_coeffs, product_in_p_pattern
-from .algebra import AlgElem, _same_algebra, group_exp
+from .algebra import AlgElem, GradedAlgebra, GroupElem, _same_algebra, group_exp
 from .errors import (
     BadReparam,
     NotInNilpotentPart,
@@ -47,25 +48,22 @@ from .errors import (
 from .poly import P_T, Poly
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CurveSpec:
     """The data (b, X) of a distinguished curve c^{b,X}(t) = b exp(tX) P."""
 
-    __slots__ = ("algebra", "b", "X", "_a_int")
+    algebra: GradedAlgebra
+    b: GroupElem
+    X: AlgElem
+    _a_int: IntPolyMat | None = field(default=None, init=False)
 
-    def __init__(self, algebra, b, X):
-        if b.algebra is not algebra or X.algebra is not algebra:
+    def __post_init__(self):
+        if self.b.algebra is not self.algebra or self.X.algebra is not self.algebra:
             raise NotInParabolic("curve data must live in the given algebra")
-        if not b.in_P():
+        if not self.b.in_P():
             raise NotInParabolic("base point b is not in P")
-        if not X.in_n():
+        if not self.X.in_n():
             raise NotInNilpotentPart("direction X is not in n")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "_a_int", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CurveSpec is immutable")
 
     @classmethod
     def from_Z(cls, algebra, Z, X):
@@ -89,6 +87,7 @@ class CurveSpec:
         return "CurveSpec(%s; X=%s)" % (self.algebra.name, list(self.X.coords))
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ComparisonCurve:
     """u(t) with rep_1(t) = rep_2(t) u(t), plus delta_u in coordinates.
 
@@ -96,21 +95,12 @@ class ComparisonCurve:
     tuple of Poly, one per basis coordinate.
     """
 
-    __slots__ = ("c1", "c2", "u", "u_inv", "delta_u", "delta_coords")
-
-    def __init__(self, c1, c2, u, u_inv, delta_u, delta_coords):
-        for name, val in (
-            ("c1", c1),
-            ("c2", c2),
-            ("u", u),
-            ("u_inv", u_inv),
-            ("delta_u", delta_u),
-            ("delta_coords", delta_coords),
-        ):
-            object.__setattr__(self, name, val)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComparisonCurve is immutable")
+    c1: CurveSpec
+    c2: CurveSpec
+    u: IntPolyMat
+    u_inv: IntPolyMat
+    delta_u: IntPolyMat
+    delta_coords: tuple
 
     @property
     def algebra(self):
@@ -170,6 +160,7 @@ def jet_equal(c1, c2, ell):
     return primary
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class NormalCoordJet:
     """Jet of the normal-coordinate representation exp(Y(t)) p(t).
 
@@ -177,16 +168,13 @@ class NormalCoordJet:
     ``P_part`` is p(t) mod t^(order+1), an IntPolyMat.
     """
 
-    __slots__ = ("algebra", "order", "Y_coeffs", "P_part")
+    algebra: GradedAlgebra
+    order: int
+    Y_coeffs: tuple
+    P_part: IntPolyMat
 
-    def __init__(self, algebra, order, Y_coeffs, P_part):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "Y_coeffs", tuple(Y_coeffs))
-        object.__setattr__(self, "P_part", P_part)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NormalCoordJet is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "Y_coeffs", tuple(self.Y_coeffs))
 
     def coeffs_prefix(self, ell):
         return tuple(e.coords for e in self.Y_coeffs[: ell + 1])

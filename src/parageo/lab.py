@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebra import AlgElem, bracket, exp_nilpotent, group_exp, truncated_Ad
+from .algebra import AlgElem, GradedAlgebra, bracket, exp_nilpotent, group_exp, truncated_Ad
 from .catalog import MAX_GRID_POINTS, MAX_JET_ORDER
 from .curves import CurveSpec, curves_equal, jet_equal, normal_coord_jet
 from .errors import (
@@ -57,6 +57,7 @@ from .matrices import echelon, rank, remainder
 # -- type specs ----------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class TypeSpec:
     """A G0-invariant set A of admissible directions in n.
 
@@ -68,16 +69,10 @@ class TypeSpec:
     spec.
     """
 
-    __slots__ = ("algebra", "kind", "label", "data")
-
-    def __init__(self, algebra, kind, label, data=None):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TypeSpec is immutable")
+    algebra: GradedAlgebra
+    kind: str
+    label: str
+    data: int | frozenset | None = None
 
     def contains(self, x):
         if x.algebra is not self.algebra:

@@ -36,13 +36,20 @@ from .poly import P_ONE, P_T, Poly
 _F0 = Fraction(0)
 
 
+@dataclass(frozen=True, slots=True)
 class MobiusMap:
-    """phi(t) = (At+B)/(Ct+D) with exact coefficients, AD-BC != 0."""
+    """phi(t) = (At+B)/(Ct+D) with exact coefficients, AD-BC != 0.
 
-    __slots__ = ("a", "b", "c", "d")
+    Stored projectively normalized, so equal maps have equal (a, b, c, d).
+    """
 
-    def __init__(self, a, b, c, d):
-        a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    d: Fraction
+
+    def __post_init__(self):
+        a, b, c, d = Fraction(self.a), Fraction(self.b), Fraction(self.c), Fraction(self.d)
         det = a * d - b * c
         if not det:
             raise ValueError("Moebius map needs AD - BC != 0")
@@ -52,9 +59,6 @@ class MobiusMap:
         object.__setattr__(self, "b", b / scale)
         object.__setattr__(self, "c", c / scale)
         object.__setattr__(self, "d", d / scale)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MobiusMap is immutable")
 
     @classmethod
     def from_seeds(cls, value0, velocity, acceleration):
@@ -81,14 +85,6 @@ class MobiusMap:
             det / (self.d * self.d),
             -2 * self.c * det / (self.d**3),
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, MobiusMap):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
 
     def __repr__(self):
         return "MobiusMap((%s t + %s)/(%s t + %s))" % (self.a, self.b, self.c, self.d)

@@ -532,18 +532,40 @@ def test_group_elem_hash_agrees_with_eq(lagr3):
     assert len({g, scaled, g.inverse(), g * g.inverse(), lagr3.group_identity()}) == 3
 
 
+def test_equality_needs_the_same_algebra(proj1):
+    # grass(1,1) has the matrix size and coordinates of proj(1)
+    grass = make_algebra("grass(1,1)")
+    assert proj1.basis_elem(0).coords == grass.basis_elem(0).coords
+    assert proj1.basis_elem(0) != grass.basis_elem(0)
+    assert proj1.group_identity().mat == grass.group_identity().mat
+    assert proj1.group_identity() != grass.group_identity()
+
+
 def test_values_are_immutable(proj1):
-    from parageo.poly import Poly
+    from parageo.curves import CurveSpec, comparison, normal_coord_jet
+    from parageo.lab import type_full
+    from parageo.reparam import MobiusMap
 
     x = proj1.grade_basis(-1)[0]
+    spec = CurveSpec.base(proj1, x)
     for obj, attr in (
         (x, "coords"),
         (group_exp(x), "mat"),
         (Poly((1, 2)), "coeffs"),
         (Mat.identity(2), "rows"),
+        (type_full(proj1), "label"),
+        (spec, "X"),
+        (comparison(spec, spec), "u"),
+        (normal_coord_jet(spec, 2), "Y_coeffs"),
+        (MobiusMap(1, 0, 0, 1), "a"),
     ):
         with pytest.raises(AttributeError):
             setattr(obj, attr, None)
+        # no new attribute either; a frozen slots dataclass raises TypeError
+        # for a name that is not a field (its __setattr__ calls super() with
+        # the class from before the slots were added)
+        with pytest.raises((AttributeError, TypeError)):
+            obj.extra = None
 
 
 # -- the sparse build against the dense reference ----------------------------

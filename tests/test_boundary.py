@@ -214,15 +214,15 @@ DIVISIONS = {
     ("matrices.py", "rref", "x / lead"): "an int lead is made a Fraction just above; "
     "any other lead is already a Fraction",
     ("matrices.py", "echelon", "a / lead"): "lead = Fraction(rest[c])",
-    ("reparam.py", "MobiusMap.__init__", "a / scale"): "a, b, c, d are made Fractions on "
-    "entry, and scale is d or c",
-    ("reparam.py", "MobiusMap.__init__", "b / scale"): "as a / scale",
-    ("reparam.py", "MobiusMap.__init__", "c / scale"): "as a / scale",
-    ("reparam.py", "MobiusMap.__init__", "d / scale"): "as a / scale",
+    ("reparam.py", "MobiusMap.__post_init__", "a / scale"): "a, b, c, d are made Fractions "
+    "on entry, and scale is d or c",
+    ("reparam.py", "MobiusMap.__post_init__", "b / scale"): "as a / scale",
+    ("reparam.py", "MobiusMap.__post_init__", "c / scale"): "as a / scale",
+    ("reparam.py", "MobiusMap.__post_init__", "d / scale"): "as a / scale",
     ("reparam.py", "MobiusMap.from_seeds", "-b / (2 * a)"): "a = Fraction(velocity) and "
     "b = Fraction(acceleration)",
-    ("reparam.py", "MobiusMap.seeds", "self.b / self.d"): "__init__ stores Fraction "
-    "coefficients",
+    ("reparam.py", "MobiusMap.seeds", "self.b / self.d"): "__post_init__ stores "
+    "Fraction coefficients",
     ("reparam.py", "MobiusMap.seeds", "det / (self.d * self.d)"): "det is a * d - b * c "
     "of the Fraction coefficients",
     ("reparam.py", "MobiusMap.seeds", "-2 * self.c * det / self.d ** 3"): "as "

@@ -51,6 +51,18 @@ def test_curve_spec_validation(proj1):
     assert truncated_Ad(spec.b, spec.X) == x
 
 
+def test_curve_data_must_live_in_the_given_algebra(proj1):
+    # grass(1,1) has the matrix size of proj(1), but it is another algebra
+    other = make_algebra("grass(1,1)")
+    x = proj1.grade_basis(-1)[0]
+    for b, direction in (
+        (other.group_identity(), x),
+        (proj1.group_identity(), other.grade_basis(-1)[0]),
+    ):
+        with pytest.raises(NotInParabolic, match="curve data must live in the given algebra"):
+            CurveSpec(proj1, b, direction)
+
+
 def test_direction_nonzero_iff_x_nonzero(lagr3):
     z = lagr3.grade_basis(1)[0]
     zero = CurveSpec.from_Z(lagr3, z, lagr3.zero_elem())

@@ -119,6 +119,7 @@ def test_type_labels_rebuild_their_specs():
     specs += [parse_type(grass, "rank(%d)" % r) for r in range(3)]
     for ts in specs:
         rebuilt = parse_type(ts.algebra, ts.label)
+        assert rebuilt == ts and hash(rebuilt) == hash(ts)
         assert rebuilt.label == ts.label
         assert [x.coords for x in rebuilt.grid(1)] == [x.coords for x in ts.grid(1)]
 
