@@ -45,6 +45,14 @@ reruns it on the first pair of each outcome.  A pair leaves the system
 as integers: ``lab`` tests the type of Y on its matrix positions, and
 ``GridKernel.elem_coords`` builds Fraction coordinates only for a stratum
 type's classification.
+
+``family`` counts jet classes on a ``JetSignature``, built once per
+search from the system's A2: the normal-coordinate jet Y_1, ..., Y_(k+2)
+of the curve exp(t A2) P as sparse integer polynomials in z, each Y_j
+over one positive denominator, so the integer tuple of their values at a
+grid point is its (k+2)-jet class.  It is evaluated once per fiber of
+the coordinates it reads itself, and ``curves.normal_coord_jet`` re-solves
+the first pair of each class as its oracle.
 """
 
 from __future__ import annotations
@@ -315,6 +323,20 @@ def _mmul(a, b):
     return _mlinear(parts)
 
 
+def _ppowers(m, q, ident, mul=_mmul):
+    """[I, m, m^2, ..., m^q] of a polynomial matrix m, I = ``ident``."""
+    return list(accumulate(repeat(m, q), mul, initial=ident))
+
+
+def _pexp(powers, sign=1, den=1):
+    """q! den^q exp(sign m / den) = sum_p (q!/p!) sign^p den^(q-p) m^p, an
+    integer polynomial matrix, from ``powers = _ppowers(m, q, ...)`` of a
+    polynomial matrix m with m^(q+1) = 0."""
+    q = len(powers) - 1
+    qf = factorial(q)
+    return _mcombine((sign**p * (qf // factorial(p)) * den ** (q - p), m) for p, m in enumerate(powers))
+
+
 def _pconj(e, y, einv):
     """The polynomial matrix e * y * einv: one symbolic conjugation."""
     return _mmul(_mmul(e, y), einv)
@@ -339,12 +361,13 @@ class PairSystem:
     algebra's ``basis_entries`` and block pattern and X's reduced matrix
     x_rows / x_den:
 
-    - Z(z) = sum z_i B_i, and q! exp(+-Z) = sum_p (q!/p!) (+-Z)^p with
-      q = len(block_sizes) - 1, so every power of a strictly block
-      triangular matrix that can be nonzero is summed;
+    - Z(z) = sum z_i B_i, and q! exp(+-Z) = sum_p (q!/p!) (+-Z)^p
+      (``_pexp``) with q = len(block_sizes) - 1, so every power of a
+      strictly block triangular matrix that can be nonzero is summed;
     - ``y``: Y = y / y_den by a residual iteration, which must reach a
       zero residual polynomial within k conjugations (``_pconj``);
-    - A2 = a2 / a2_den, a2 = q! exp(Z) y q! exp(-Z), a2_den = q!^2 y_den;
+    - A2 = a2 / a2_den, a2 = q! exp(Z) y q! exp(-Z), a2_den = q!^2 y_den,
+      kept for the ``JetSignature`` of the same search;
     - ``jets[r]``: the forbidden entries (i, j) of ad(-X)^r d0, d0 = X - A2,
       read by the dual linear forms of ``_jet_duals``, times a2_den x_den^r;
     - ``identity``: the forbidden entries (m, i, j) of the t^m coefficient
@@ -375,9 +398,8 @@ class PairSystem:
             for r, b in alg.basis_entries[idx]:
                 z.setdefault(divmod(r, d), []).append((b, {var: 1}))
         ident = {(i, i): {(0,) * nv: 1} for i in range(d)}
-        powers = list(accumulate(repeat(_mlinear(z), q), _mmul, initial=ident))
-        e = _mcombine((qf // factorial(p), m) for p, m in enumerate(powers))
-        einv = _mcombine(((-1) ** p * (qf // factorial(p)), m) for p, m in enumerate(powers))
+        powers = _ppowers(_mlinear(z), q, ident)
+        e, einv = _pexp(powers), _pexp(powers, -1)
         # Y by the residual iteration: each conjugation raises the lowest
         # grade of the residual by one, so it vanishes within k of them;
         # the residual is d0 = X - A2 on the forbidden positions
@@ -394,13 +416,14 @@ class PairSystem:
         else:
             raise ArithmeticError("direction constraint failed to converge")
         self.y, self.y_den = y, y_den
+        self.a2, self.a2_den = a2, a2_den
         self.jets = [
             _mlinear({pos: [(f[b][a], p) for (a, b), p in d0.items() if f[b][a]] for pos, f in duals})
             for duals in islice(_jet_duals(x_rows, forbidden), r_max)
         ]
         # the curve identity: the t^m coefficient of q! a2_den^q exp(-t A2)
         # times q! x_den^q exp(t X) is sum_{p+r=m} left_p right_r
-        left = accumulate(repeat(a2, q), _mmul, initial=ident)
+        left = _ppowers(a2, q, ident)
         right, power = [], _iident(d)
         for r in range(q + 1):
             right.append(_iscale(power, qf // factorial(r) * x_den ** (q - r)))
@@ -419,31 +442,13 @@ class PairSystem:
 
     def _compile(self):
         """The monomial stages and term lists that ``evaluate`` reads."""
-        index = {}
-        steps = []  # (earlier monomial, coordinate) of each monomial but 1
-
-        def monomial(e):
-            if not any(e):
-                return 0
-            m = index.get(e)
-            if m is None:
-                v = max(u for u, a in enumerate(e) if a)
-                steps.append((monomial(e[:v] + (e[v] - 1,) + e[v + 1 :]), v))
-                m = index[e] = len(steps)
-            return m
-
-        def stage(polys):
-            start = len(steps)
-            terms = [(tuple(p.values()), tuple(map(monomial, p))) for p in polys]
-            return steps[start:], terms
-
-        self._y_stage = stage(self.y.values())
+        monos = _Monomials()
+        self._y_stage = monos.stage(self.y.values())
         self._y_positions = tuple(self.y)
         # an order with no nonzero form adds no monomial and passes at every point
-        self._jet_stages = [(r, *stage(order.values())) for r, order in enumerate(self.jets) if order]
-        self._identity_stage = stage(self.identity.values())
-        # each coordinate of a monomial is the last step of one of its factors
-        self.read_coords = tuple(sorted({v for _, v in steps}))
+        self._jet_stages = [(r, *monos.stage(order.values())) for r, order in enumerate(self.jets) if order]
+        self._identity_stage = monos.stage(self.identity.values())
+        self.read_coords = monos.read_coords()
 
     def evaluate(self, vals, member):
         """(y_num, jet order, equal) at the grid point ``vals``: Y =
@@ -466,6 +471,38 @@ class PairSystem:
         return y_num, len(self.jets), not any(_value(mono, term) for term in terms)
 
 
+class _Monomials:
+    """The monomials of a set of compiled polynomials, numbered in build
+    order from 1 = monomial 0: each other one is an earlier monomial times
+    one coordinate, a step (earlier monomial, coordinate)."""
+
+    def __init__(self):
+        self._index = {}
+        self._steps = []
+
+    def _number(self, e):
+        if not any(e):
+            return 0
+        m = self._index.get(e)
+        if m is None:
+            v = max(u for u, a in enumerate(e) if a)
+            self._steps.append((self._number(e[:v] + (e[v] - 1,) + e[v + 1 :]), v))
+            m = self._index[e] = len(self._steps)
+        return m
+
+    def stage(self, polys):
+        """(steps, terms): the steps of the monomials that ``polys`` adds,
+        and each polynomial as (coefficients, monomial numbers)."""
+        start = len(self._steps)
+        terms = [(tuple(p.values()), tuple(map(self._number, p))) for p in polys]
+        return self._steps[start:], terms
+
+    def read_coords(self):
+        """The sorted coordinates that any monomial reads: each is the last
+        step of one of its factors."""
+        return tuple(sorted({v for _, v in self._steps}))
+
+
 def _extend(mono, steps, vals):
     """Append the values at ``vals`` of one stage's monomials."""
     for earlier, v in steps:
@@ -476,6 +513,102 @@ def _value(mono, term):
     """The value of one compiled polynomial (coefficients, monomials)."""
     coeffs, monos = term
     return sum(map(operator.mul, coeffs, map(mono.__getitem__, monos)))
+
+
+# -- the jet-class signature ---------------------------------------------------
+
+
+def _tpart(m, keep, positions):
+    """The entries of a polynomial matrix m at ``positions``, with only the
+    terms whose degree in the last variable, t, passes ``keep``."""
+    out = {}
+    for pos in positions:
+        kept = {e: v for e, v in m.get(pos, {}).items() if keep(e[-1])}
+        if kept:
+            out[pos] = kept
+    return out
+
+
+class JetSignature:
+    """The normal-coordinate jet Y_1, ..., Y_order of the curve exp(t A2) P
+    of a ``PairSystem``, as integer polynomials in the p_+ grid coordinates
+    z.  exp(t A2) P is the admissible curve exp(Z) exp(tY) P, so the value
+    at a grid point is the jet class of its curve.
+
+    The build is the degree-by-degree solve of ``curves.normal_coord_jet``
+    on the system's polynomial matrices, with t as one more variable and
+    each power of Y truncated in t at ``order``.  With A2 = a2 / a2_den and
+    s = t / a2_den, exp(t A2) = exp(s a2), so the solve runs on a2 in s and
+    the s^j coefficient of Y is a2_den^j Y_j.  Y(s) is carried as y / y_den
+    with the gcd of its coefficients and y_den divided out: at degree j,
+    q! y_den^q exp(-Y) (``_pexp``) times q! exp(s a2) has the s^j
+    coefficient q!^2 y_den^q Y_j on the negative-grade positions.
+
+    Y_j = ``polys[j - 1]`` / ``dens[j - 1]``, a polynomial matrix over a
+    positive integer.  A matrix Y_j matches its basis coordinates one to
+    one, so two grid points have the same jet exactly when ``evaluate``
+    gives them the same integer tuple.  ``read_coords`` are the
+    coordinates that any monomial reads: ``evaluate`` depends on no other
+    coordinate of ``vals``.
+    """
+
+    def __init__(self, alg, system, order):
+        self.alg = alg
+        nv = len(alg.pplus_indices)
+        q = len(alg.block_sizes) - 1
+        qf = factorial(q)
+        ident = {(i, i): {(0,) * (nv + 1): 1} for i in range(alg.matrix_dim)}
+
+        def mul(a, b):
+            product = _mmul(a, b)
+            return _tpart(product, lambda deg: deg <= order, product)
+
+        s_a2 = {pos: {e + (1,): v for e, v in p.items()} for pos, p in system.a2.items()}
+        m = _pexp(_ppowers(s_a2, q, ident))
+        y, y_den = {}, 1
+        for j in range(1, order + 1):
+            step = _mmul(_pexp(_ppowers(y, q, ident, mul), -1, y_den), m)
+            # y_den divides the new denominator, q >= 1
+            den = qf * qf * y_den**q
+            yj = _tpart(step, j.__eq__, alg.forbidden_positions)
+            y, y_den = _mreduced(_mcombine(((den // y_den, y), (1, yj))), den)
+        self.polys, self.dens = [], []
+        for j in range(1, order + 1):
+            yj = {pos: {e[:-1]: v for e, v in p.items()} for pos, p in _tpart(y, j.__eq__, y).items()}
+            yj, den = _mreduced(yj, y_den * system.a2_den**j)
+            self.polys.append(yj)
+            self.dens.append(den)
+        monos = _Monomials()
+        self._stage = monos.stage(p for yj in self.polys for p in yj.values())
+        self.read_coords = monos.read_coords()
+
+    def evaluate(self, vals):
+        """The integer values at the grid point ``vals`` of every nonzero
+        entry of every y_j, in order: the jet class of the point."""
+        mono = [1]
+        steps, terms = self._stage
+        _extend(mono, steps, vals)
+        return tuple(_value(mono, term) for term in terms)
+
+    def coords(self, key):
+        """The Fraction coordinates of Y_1, ..., Y_order from the value
+        ``key`` of ``evaluate``, read by ``GradedAlgebra.express``."""
+        d = self.alg.matrix_dim
+        values = iter(key)
+        out = []
+        for yj, den in zip(self.polys, self.dens):
+            rows = [[0] * d for _ in range(d)]
+            for (i, j), v in zip(yj, values):
+                rows[i][j] = v
+            out.append(self.alg.express(IntPolyMat(d, [rows], den)))
+        return tuple(out)
+
+
+def _mreduced(m, den):
+    """(m / g, den / g) for the gcd g of den and every coefficient of the
+    polynomial matrix m."""
+    g = gcd(den, *(v for p in m.values() for v in p.values()))
+    return {pos: {e: v // g for e, v in p.items()} for pos, p in m.items()}, den // g
 
 
 # -- polynomial matrices -------------------------------------------------------

@@ -64,8 +64,9 @@ class ExperimentConfig:
 
     def to_jsonable(self):
         """The command and the options its subparser declares, but the
-        output path: a report's bytes do not depend on where it goes."""
-        keep = _declared_options(self.command) - {"output"}
+        output path: a report's bytes do not depend on where it goes.  The
+        catalog reads no input, so its config is the command alone."""
+        keep = _declared_options(self.command) - {"output"} if self.command != "catalog" else ()
         return {k: v for k, v in asdict(self).items() if k == "command" or k in keep}
 
 
@@ -288,10 +289,9 @@ def build_parser():
     # ExperimentConfig field's
     add_parser = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    add_parser("catalog", help="list the algebra families")
-
-    def add_common(sp, with_type=True, with_grid=True):
-        sp.add_argument("--algebra", required=True, help="catalog id, e.g. conf(1,2)")
+    def add_common(sp, with_algebra=True, with_type=True, with_grid=True):
+        if with_algebra:
+            sp.add_argument("--algebra", required=True, help="catalog id, e.g. conf(1,2)")
         if with_type:
             sp.add_argument("--type", dest="type_spec",
                             help="full_n | grade(-j) | rank(r) | null_cone | a lagr3 or "
@@ -300,6 +300,9 @@ def build_parser():
             sp.add_argument("--grid", type=int, help="integer grid radius (default 2)")
         sp.add_argument("--output", help="write the report to this path")
         sp.add_argument("--format", choices=("json", "md"))
+
+    sp = add_parser("catalog", help="list the algebra families")
+    add_common(sp, with_algebra=False, with_type=False, with_grid=False)
 
     sp = add_parser("verify", help="run identity suites")
     add_common(sp, with_type=False, with_grid=False)

@@ -25,9 +25,9 @@ The pair stream ``_iter_pair_stats`` yields one item per fiber of the
 grid coordinates that the pair system reads, and stays in integers: Z is
 its grid tuple, Y an integer matrix and denominator, and the type test
 of full_n and grade(-j) reads the matrix positions.  Fraction coordinates
-are built (by ``pair_coords``) only for what a report keeps: the
-witnesses of a jets search, and the admissible pairs whose jet classes a
-family counts.
+are built (by ``pair_coords``) only for what a report keeps or an oracle
+re-solves: the witnesses of a jets search, and the first pair of each jet
+class that a family counts on its compiled ``JetSignature``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .errors import (
     OracleDisagreement,
     ParageoError,
 )
-from ._fastgrid import IntPolyMat, PairSystem, grid_kernel
+from ._fastgrid import IntPolyMat, JetSignature, PairSystem, grid_kernel
 from .matrices import echelon, rank, remainder
 
 
@@ -407,11 +407,12 @@ def _kernel_pair(kern, member, r_max, vals):
     return y, jord, jord == r_max and kern.curves_equal(a2)
 
 
-def _iter_pair_stats(ts, x, grid, r_max):
+def _iter_pair_stats(ts, x, grid, r_max, system=None):
     """Stream (vals, (y_num, y_den), jet order, equal, free) over the p_+
     grid, one item per fiber.
 
-    The pair route is the ``PairSystem`` of ``_fastgrid``, built once here.
+    The pair route is the ``PairSystem`` of ``_fastgrid``, built once here
+    unless the caller passes the search's ``system``.
     It reads only the coordinates ``read_coords``, so the grid points that
     agree on them, a fiber, share Y, jet order and equality.  ``free``
     holds the other coordinate indices; a fiber has (2 grid + 1)^len(free)
@@ -437,7 +438,7 @@ def _iter_pair_stats(ts, x, grid, r_max):
     kern = grid_kernel(alg, x)
     n = len(alg.pplus_indices)
     check_grid((grid, n))
-    system = PairSystem(alg, x, r_max)
+    system = system or PairSystem(alg, x, r_max)
     read = system.read_coords
     free = tuple(i for i in range(n) if i not in read)
     member = _member_test(ts, kern, system.y)
@@ -748,13 +749,18 @@ def family_dimension(ts, x, grid=2):
     linearity check the claim is downgraded to a range.  The Z rows are the
     integer grid tuples of the admissible pairs, each admissible item of
     the stream expanded over its fiber (the curve depends on the full Z)
-    and sorted into grid order; Fraction coordinates of Z and Y are read
-    only when the jet classes are counted (at most 512 admissible pairs).
+    and sorted into grid order.  The jet classes (counted when at most 512
+    pairs are admissible) are the values of the search's ``JetSignature``,
+    read once per fiber of its own read coordinates; see
+    ``_jet_class_count``.
     """
     alg = ts.algebra
     check_direction(ts, x)
+    order = alg.k + 2
+    check_grid((grid, len(alg.pplus_indices)))
+    system = PairSystem(alg, x, order)
     admissible = []  # (vals, Y, equal) of every admissible pair
-    for vals, y, jord, equal, free in _iter_pair_stats(ts, x, grid, alg.k + 2):
+    for vals, y, jord, equal, free in _iter_pair_stats(ts, x, grid, order, system):
         if jord is not None:
             admissible += ((point, y, equal) for point in _grid_points(vals, free, grid))
     admissible.sort(key=operator.itemgetter(0))
@@ -770,13 +776,7 @@ def family_dimension(ts, x, grid=2):
     fam_range = (fam, adm_dim) if not linear else (fam, fam)
     classes = None  # counted only when at most 512 pairs are admissible
     if len(admissible) <= 512:
-        signatures = set()
-        order = alg.k + 2
-        for vals, y, _ in admissible:
-            zc, yc = pair_coords(alg, vals, y)
-            c2 = CurveSpec.from_Z(alg, AlgElem(alg, zc), AlgElem(alg, yc))
-            signatures.add(normal_coord_jet(c2, order).coeffs_prefix(order))
-        classes = len(signatures)
+        classes = _jet_class_count(JetSignature(alg, system, order), admissible)
     return FamilyReport(
         algebra=alg.name,
         type_label=ts.label,
@@ -791,6 +791,33 @@ def family_dimension(ts, x, grid=2):
         family_dimension_range=fam_range,
         jet_class_count=classes,
     )
+
+
+def _jet_class_count(signature, admissible):
+    """The number of distinct (k+2)-jets among the admissible pairs
+    (vals, Y, equal), in grid order: the distinct values of ``signature``.
+
+    The signature is read once per fiber of its own read coordinates, the
+    admissible points that agree on them.  ``normal_coord_jet`` is its
+    oracle: the first pair of each new class is solved again at the full
+    Z, and a Y coordinate that differs from the signature's raises
+    OracleDisagreement.
+    """
+    alg, order = signature.alg, len(signature.dens)
+    fibers, classes = set(), set()
+    for vals, y, _ in admissible:
+        fiber = tuple(vals[i] for i in signature.read_coords)
+        if fiber in fibers:
+            continue
+        fibers.add(fiber)
+        key = signature.evaluate(vals)
+        if key not in classes:
+            classes.add(key)
+            zc, yc = pair_coords(alg, vals, y)
+            jet = normal_coord_jet(CurveSpec.from_Z(alg, AlgElem(alg, zc), AlgElem(alg, yc)), order)
+            if jet.coeffs_prefix(order)[1:] != signature.coords(key):
+                raise OracleDisagreement("jet signature and normal-coordinate jet differ at Z = %s" % (vals,))
+    return len(classes)
 
 
 # -- orbit hulls -----------------------------------------------------------------

@@ -130,43 +130,42 @@ def lemma_suite(alg):
         n_checks += 1
     counts["delta_leibniz"] = n_checks
 
-    # iterated-adjoint derivative formula, and the Ad_{u^{-1}}Y derivative
-    n_checks = 0
-    eq_checks = 0
-    for i in range(_PER_FAMILY):
-        x = n_samples[i % len(n_samples)]
-        y = n_samples[(i + 3) % len(n_samples)]
-        z = p_samples[i % len(p_samples)]
-        cc = comparison(CurveSpec.base(alg, x), CurveSpec.from_Z(alg, z, y))
-        if not verify_lemma_2_4(cc, alg.k + 2):
-            violations.append("delta-derivative sample %d failed on %s" % (i, alg.name))
-        n_checks += 1
-        if i % 2 == 0:
-            path = [zero, n_samples[(i + 5) % len(n_samples)]]
-            if not verify_eq_2_4_1(cc.u, cc.u_inv, path):
-                violations.append("Ad-derivative sample %d failed on %s" % (i, alg.name))
-            eq_checks += 1
-    counts["delta_derivatives"] = n_checks
-    counts["ad_inverse_derivative"] = eq_checks
-
-    # reparametrized derivative formula with two sample reparametrizations
-    n_checks = 0
+    # the comparison curves of samples i = 0.._PER_FAMILY, each built once
+    # and dropped after use: the iterated-adjoint and Ad_{u^{-1}}Y
+    # derivative checks read samples 0.._PER_FAMILY-1, the reparametrized
+    # derivative checks with two sample reparametrizations samples
+    # 1.._PER_FAMILY, each as its sample i - 1
+    n_checks = eq_checks = reparam_checks = 0
+    reparam_violations = []
     phis = (Poly((0, 1, 1)), Poly((0, 2, 0, 1)))
     # one table of the Lemma 3.2 scalars per phi, read from the live
     # partition coefficients on each suite run
     tables = [_lemma_3_2_scalars(phi, _I_MAX) for phi in phis]
-    for i in range(_PER_FAMILY):
-        x = n_samples[(i + 1) % len(n_samples)]
-        y = n_samples[(i + 4) % len(n_samples)]
-        z = p_samples[(i + 1) % len(p_samples)]
+    for i in range(_PER_FAMILY + 1):
+        x = n_samples[i % len(n_samples)]
+        y = n_samples[(i + 3) % len(n_samples)]
+        z = p_samples[i % len(p_samples)]
         cc = comparison(CurveSpec.base(alg, x), CurveSpec.from_Z(alg, z, y))
-        for phi, table in zip(phis, tables):
-            if not verify_lemma_3_2(cc, phi, _I_MAX, table):
-                violations.append(
-                    "reparam-derivative sample %d (phi=%s) failed on %s" % (i, phi, alg.name)
-                )
+        if i < _PER_FAMILY:
+            if not verify_lemma_2_4(cc, alg.k + 2):
+                violations.append("delta-derivative sample %d failed on %s" % (i, alg.name))
             n_checks += 1
-    counts["reparam_derivatives"] = n_checks
+            if i % 2 == 0:
+                path = [zero, n_samples[(i + 5) % len(n_samples)]]
+                if not verify_eq_2_4_1(cc.u, cc.u_inv, path):
+                    violations.append("Ad-derivative sample %d failed on %s" % (i, alg.name))
+                eq_checks += 1
+        if i:
+            for phi, table in zip(phis, tables):
+                if not verify_lemma_3_2(cc, phi, _I_MAX, table):
+                    reparam_violations.append(
+                        "reparam-derivative sample %d (phi=%s) failed on %s" % (i - 1, phi, alg.name)
+                    )
+                reparam_checks += 1
+    counts["delta_derivatives"] = n_checks
+    counts["ad_inverse_derivative"] = eq_checks
+    counts["reparam_derivatives"] = reparam_checks
+    violations.extend(reparam_violations)
 
     total = sum(counts.values())
     return SuiteReport(alg.name, total, counts, tuple(violations))

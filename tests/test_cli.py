@@ -222,6 +222,19 @@ def test_main_writes_output(tmp_path):
     assert data["schema"] == "parageo/2"
 
 
+def test_catalog_takes_format_and_output(tmp_path, capsysbinary):
+    # the catalog config stays the command alone, so the JSON bytes do not
+    # depend on the options, and the Markdown is rendered from them
+    report, _ = run(ExperimentConfig(command="catalog"))
+    out = tmp_path / "catalog.md"
+    assert main(["catalog", "--format", "md", "--output", str(out)]) == 0
+    assert out.read_bytes() == emit(report, "md")
+    assert main(["catalog", "--format", "json"]) == 0
+    assert capsysbinary.readouterr().out == emit(report)
+    assert main(["catalog", "--algebra", "proj(1)"]) == 2
+    assert main(["catalog", "--grid", "1"]) == 2
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     # ``python -m parageo`` is the console script, from any directory
     src = str(pathlib.Path(parageo.__file__).resolve().parents[1])

@@ -5,12 +5,12 @@ from itertools import islice
 import pytest
 
 from parageo import _fastgrid
-from parageo._fastgrid import GridKernel, IntPolyMat, PairSystem, _jet_duals, grid_kernel
+from parageo._fastgrid import GridKernel, IntPolyMat, JetSignature, PairSystem, _jet_duals, grid_kernel
 from parageo.algebra import Ad, AlgElem, bracket, group_exp, truncated_Ad
 from parageo.catalog import MAX_GRID_POINTS, make_algebra
-from parageo.cli import ExperimentConfig, run
+from parageo.cli import ExperimentConfig, parse_direction, run
 from parageo.curves import CurveSpec, curves_equal, jet_equal, normal_coord_jet
-from parageo.errors import EmptyGrid, GridTooLarge, NotAMember, NotOneGraded
+from parageo.errors import EmptyGrid, GridTooLarge, NotAMember, NotOneGraded, OracleDisagreement
 from parageo.lab import (
     check_grid,
     family_dimension,
@@ -767,6 +767,81 @@ def test_stabilizer_members_reverify(lagr3):
         z = pplus_elem(lagr3, flat)
         y = solve_direction(group_exp(z), x)
         assert curves_equal(base, CurveSpec.from_Z(lagr3, z, y))
+
+
+def _assert_signature_partition_is_the_jet_partition(ts, x, grid):
+    # the compiled (k+2)-jet of every admissible pair has the Y coordinates
+    # of its normal_coord_jet solve, so the two partitions of the pairs agree
+    alg = ts.algebra
+    order = alg.k + 2
+    signature = JetSignature(alg, PairSystem(alg, x, order), order)
+    compiled, solved = {}, {}
+    pairs = admissible_pairs(ts, x, grid)
+    assert pairs
+    for n, (z, y) in enumerate(pairs):
+        key = signature.evaluate(tuple(int(z.coords[i]) for i in alg.pplus_indices))
+        jet = normal_coord_jet(CurveSpec.from_Z(alg, z, y), order).coeffs_prefix(order)
+        assert signature.coords(key) == jet[1:]
+        compiled.setdefault(key, set()).add(n)
+        solved.setdefault(jet, set()).add(n)
+    assert sorted(map(sorted, compiled.values())) == sorted(map(sorted, solved.values()))
+
+
+@pytest.mark.parametrize("cid", ALL_IDS)
+def test_jet_signature_partition_on_every_catalog_type(cid):
+    for ts in _named_types(make_algebra(cid)):
+        try:
+            x = ts.default_direction()
+        except NotAMember:
+            continue
+        _assert_signature_partition_is_the_jet_partition(ts, x, 1)
+
+
+def test_jet_signature_partition_rational_direction(xxdot):
+    x = parse_direction(xxdot, "0,0,1/2,1,0")
+    _assert_signature_partition_is_the_jet_partition(type_grade(xxdot, -1), x, 1)
+
+
+def test_jet_signature_partition_depth_3():
+    alg = full_flag_sl4()
+    ts = type_full(alg)
+    _assert_signature_partition_is_the_jet_partition(ts, ts.default_direction(), 1)
+
+
+def test_family_counts_classes_once_per_signature_fiber(monkeypatch, lagr3):
+    # lagr3 grade(-1) at grid 2: 125 admissible pairs, whose signature reads
+    # one of the three p_+ coordinates, so 5 evaluations and one jet solve
+    # per class
+    evaluations, solves = [], []
+    evaluate = JetSignature.evaluate
+
+    def counting_evaluate(self, vals):
+        evaluations.append(vals)
+        return evaluate(self, vals)
+
+    def counting_solve(c, order):
+        solves.append(order)
+        return normal_coord_jet(c, order)
+
+    monkeypatch.setattr(JetSignature, "evaluate", counting_evaluate)
+    monkeypatch.setattr("parageo.lab.normal_coord_jet", counting_solve)
+    ts = type_grade(lagr3, -1)
+    fr = family_dimension(ts, ts.default_direction(), grid=2)
+    assert fr.n_admissible == 125 and fr.jet_class_count == 5
+    assert len(evaluations) == 5 and len(solves) <= 5
+
+
+def test_wrong_signature_value_raises(monkeypatch, lagr3):
+    evaluate = JetSignature.evaluate
+
+    def off_by_one(self, vals):
+        key = evaluate(self, vals)
+        return (key[0] + 1,) + key[1:]
+
+    monkeypatch.setattr(JetSignature, "evaluate", off_by_one)
+    ts = type_grade(lagr3, -1)
+    with pytest.raises(OracleDisagreement):
+        family_dimension(ts, ts.default_direction(), grid=2)
 
 
 def test_chain_equivalence_of_strata(lagr3, xxdot):
