@@ -22,7 +22,10 @@ element's matrix (summed on the basis entries), a ``GroupElem``'s matrix
 and inverse, and the Ad and normal-form products.  One integer reader
 with its span check always on gives the coordinates of ``express`` (a
 constant matrix), ``express_poly`` (each coefficient of a curve) and of
-every commutator in the bracket table.
+every commutator in the structure constants: ``bracket_table[i][j]`` is
+the nonzero ``(m, C)``, m ascending, of [b_i, b_j] = sum_m C b_m /
+extract_scale, built at construction (a bracket off the span raises
+``ValueError``); ``bracket_table[j][i]`` is its negation.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from ._fastgrid import IntPolyMat, _imul, _isub, _reduced, nilpotent_powers
+from ._fastgrid import IntPolyMat, _reduced, nilpotent_powers
 from .errors import (
     AlgebraMismatch,
     NotInNilpotentPart,
@@ -42,7 +45,6 @@ from .matrices import rref
 from .poly import Poly
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class GradedAlgebra:
@@ -50,7 +52,9 @@ class GradedAlgebra:
 
     ``n_indices`` and ``pplus_indices`` are the basis indices of n = g_-
     and of p_+ = g_+, grades ascending: the coordinate order of a direction
-    X in n and of a grid point Z in p_+.
+    X in n and of a grid point Z in p_+.  ``bracket_table[i][j]`` is the
+    tuple of (m, C), C a nonzero int and m ascending, with [b_i, b_j] =
+    sum_m (C / ``extract_scale``) b_m; ``bracket_table[j][i]`` negates it.
     """
 
     def __init__(self, name, family, params, k, block_sizes, basis_by_grade, meta=None):
@@ -131,27 +135,29 @@ class GradedAlgebra:
         )
 
     def _build_bracket_table(self):
-        # [b_i, b_j] on the integer basis, for i <= j only: the (j, i) entry
-        # is the exact negative, since the coordinates are linear in the
-        # matrix; most coordinates are 0, so they share one zero
+        # [b_i, b_j] for i < j on the sparse entries, the right factor's
+        # entries indexed by row as _polymul does, so a pair costs only its
+        # nonzero products; the (j, i) entry is the negation
         d, n = self.matrix_dim, self.dim
-        mats = [[[0] * d for _ in range(d)] for _ in range(n)]
-        for rows, entries in zip(mats, self.basis_entries):
+        by_row = [{} for _ in range(n)]
+        for rows, entries in zip(by_row, self.basis_entries):
             for r, v in entries:
-                rows[r // d][r % d] = v
-        zeros = (_ZERO,) * n
-        table = [[zeros] * n for _ in range(n)]
+                rows.setdefault(r // d, []).append((r % d, v))
+        table = [[()] * n for _ in range(n)]
         for i in range(n):
-            for j in range(i, n):
-                comm = _isub(_imul(mats[i], mats[j]), _imul(mats[j], mats[i]))
-                if not any(map(any, comm)):
-                    continue
-                nums = self._read([v for row in comm for v in row])
+            for j in range(i + 1, n):
+                flat = [0] * (d * d)
+                for a, b, sign in ((i, j, 1), (j, i, -1)):
+                    for r, v in self.basis_entries[a]:
+                        k = r % d
+                        for col, w in by_row[b].get(k, ()):
+                            flat[r - k + col] += sign * v * w
+                nums = self._read(flat) if any(flat) else ()
                 if nums is None:
                     raise ValueError("%s: bracket of basis pair leaves the span" % self.name)
-                table[i][j] = tuple(Fraction(c, self.extract_scale) if c else _ZERO for c in nums)
-                table[j][i] = tuple(-c if c else _ZERO for c in table[i][j])
-        self.bracket_table = tuple(tuple(row) for row in table)
+                table[i][j] = tuple((m, c) for m, c in enumerate(nums) if c)
+                table[j][i] = tuple((m, -c) for m, c in table[i][j])
+        self.bracket_table = tuple(map(tuple, table))
 
     # -- coordinates ---------------------------------------------------------
 
@@ -213,7 +219,7 @@ class GradedAlgebra:
         return AlgElem(self, tuple(coords))
 
     def basis_elem(self, idx):
-        return self.elem_at((idx,), (_ONE,))
+        return self.elem_at((idx,), (1,))
 
     def grade_basis(self, grade):
         return [self.basis_elem(i) for i in self.grade_slices[grade]]
@@ -242,19 +248,14 @@ class GradedAlgebra:
     # -- bracket through the structure table ---------------------------------
 
     def bracket_coords(self, cx, cy):
-        out = [_ZERO] * self.dim
-        table = self.bracket_table
-        for i, a in enumerate(cx):
-            if not a:
-                continue
-            for j, b in enumerate(cy):
-                if not b:
-                    continue
-                ab = a * b
-                for m, c in enumerate(table[i][j]):
-                    if c:
-                        out[m] += ab * c
-        return tuple(out)
+        out = [0] * self.dim
+        ys = [(j, b) for j, b in enumerate(cy) if b]
+        for row, a in zip(self.bracket_table, cx):
+            if a:
+                for j, b in ys:
+                    for m, c in row[j]:
+                        out[m] += a * b * c
+        return tuple(Fraction(v, self.extract_scale) if v else _ZERO for v in out)
 
     def position_part(self, pm, keep):
         """The IntPolyMat ``pm`` with every entry whose position grade
@@ -275,49 +276,44 @@ class GradedAlgebra:
         """Grading, Jacobi and nilpotency checks over the basis.
 
         Jacobi is checked as "ad is a representation": [ad b_i, ad b_j] =
-        sum_m c_ij^m ad b_m for i < j, column by column on the sparse
-        structure constants c of ``bracket_table``.  Returns a list of
+        sum_m c_ij^m ad b_m for i < j, column by column on the integer
+        constants of ``bracket_table`` (both sides are of degree 2 in the
+        constants, so ``extract_scale`` cancels).  Returns a list of
         human-readable violation strings (empty = pass); a Jacobi failure
         names its pair (i, j) once.
         """
         bad = []
-        n = self.dim
+        n, grades, table = self.dim, self.basis_grades, self.bracket_table
         for i in range(n):
-            gi_ = self.basis_grades[i]
+            gi_ = grades[i]
             if abs(gi_) >= 1:
                 try:
                     nilpotent_powers(self.basis_elem(i).matrix.coeffs)
                 except NotNilpotent:
                     bad.append("basis[%d] of grade %d is not nilpotent" % (i, gi_))
-            for j in range(n):
-                gj = self.basis_grades[j]
-                target = gi_ + gj
-                for m, c in enumerate(self.bracket_table[i][j]):
-                    if c and self.basis_grades[m] != target:
-                        bad.append(
-                            "[g_%d, g_%d] leaks into grade %d (basis %d,%d)"
-                            % (gi_, gj, self.basis_grades[m], i, j)
-                        )
-        # sparse[i][l] = nonzero (m, c) of [b_i, b_l], the column l of ad b_i
-        sparse = [[[(m, c) for m, c in enumerate(col) if c] for col in row] for row in self.bracket_table]
+            bad.extend(
+                "[g_%d, g_%d] leaks into grade %d (basis %d,%d)" % (gi_, grades[j], grades[m], i, j)
+                for j in range(n)
+                for m, _ in table[i][j]
+                if grades[m] != gi_ + grades[j]
+            )
 
         def apply(i, col):
             # ad b_i applied to the vector with nonzero entries ``col``
             out = {}
             for a, c in col:
-                for m, e in sparse[i][a]:
+                for m, e in table[i][a]:
                     out[m] = out.get(m, 0) + c * e
             return out
 
         for i in range(n):
             for j in range(i + 1, n):
-                cij = sparse[i][j]
                 for col in range(n):
-                    lhs = apply(i, sparse[j][col])
-                    for m, c in apply(j, sparse[i][col]).items():
+                    lhs = apply(i, table[j][col])
+                    for m, c in apply(j, table[i][col]).items():
                         lhs[m] = lhs.get(m, 0) - c
-                    for m, c in cij:
-                        for a, e in sparse[m][col]:
+                    for m, c in table[i][j]:
+                        for a, e in table[m][col]:
                             lhs[a] = lhs.get(a, 0) - c * e
                     if any(lhs.values()):
                         bad.append("Jacobi fails on basis pair (%d,%d)" % (i, j))

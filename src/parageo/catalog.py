@@ -169,11 +169,11 @@ _ID_RE = re.compile(r"^\s*([a-z0-9]+)\s*(?:\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\))
 
 # Largest matrix dimension the catalog builds; an id past it fails fast
 # with BadParams.  Measured at this limit (Python 3.11, shared 2-core x86
-# host, in process, 3-5 runs each): `verify --suite all` takes 1.9-3.6 s
-# on proj(10) and 1.9-2.2 s on grass(5,6) (dim g = 120), and `jets --grid
-# 1` 0.9-1.6 s on proj(10) (59,049 pairs); each peaks at 20-21 MB, a bare
-# interpreter at 13.1 MB.  proj(11), past the limit, builds in 0.9-1.1 s
-# at a 20.9 MB peak, so the limit is no longer set by builds but by
+# host, one process per run, 3 runs each): `verify --suite all` takes
+# 0.7-0.9 s on proj(10) and 0.7 s on grass(5,6) (dim g = 120), and `jets
+# --grid 1` 0.3 s on proj(10) (59,049 pairs); each peaks at 19-20 MB, a
+# bare interpreter at 13.6 MB.  proj(11), past the limit, builds in 0.3 s
+# at a 19.3 MB peak, so the limit is no longer set by builds but by
 # grids: a grid search costs about (2R+1)^dim(p_+) pairs, which this
 # limit does not bound (dim p_+ of grass(n,m) is nm, and proj(11) at
 # --grid 1 has 177,147 pairs).

@@ -462,10 +462,13 @@ def _grid_points(vals, spread, grid):
 
 
 def pair_coords(alg, vals, y):
-    """(Z coords, Y coords): the Fraction coordinates of a stream item's
-    grid point ``vals`` and direction ``y = (y_num, y_den)``."""
+    """(Z coords, Y coords): the Fraction coordinates of a stream item's grid
+    point ``vals`` and direction ``y = (y_num, y_den)``, which must be in g."""
     y_num, y_den = y
-    return pplus_elem(alg, vals).coords, alg.express(IntPolyMat(alg.matrix_dim, [y_num], y_den))
+    yc = alg.express(IntPolyMat(alg.matrix_dim, [y_num], y_den))
+    if yc is None:
+        raise OracleDisagreement("a solved direction left the span of the basis")
+    return pplus_elem(alg, vals).coords, yc
 
 
 def min_jet_order_search(ts, x, grid=2, r_max=None, claimed_bound=None):

@@ -75,3 +75,20 @@ def frame_extractor(alg):
         by_row = {r: c for c, r in terms}
         rows.append(tuple(Fraction(by_row.get(r, 0), alg.extract_scale) for r in pivots))
     return pivots, tuple(rows)
+
+
+def dense_bracket_table(alg):
+    """``bracket_table`` as dim x dim tuples of dim ``Fraction``s: entry
+    [i][j][m] is the coefficient of b_m in [b_i, b_j], each sparse integer
+    constant divided by ``extract_scale`` and every other slot 0."""
+    n, zero = alg.dim, Fraction(0)
+    table = []
+    for row in alg.bracket_table:
+        dense_row = []
+        for entry in row:
+            coords = [zero] * n
+            for m, c in entry:
+                coords[m] = Fraction(c, alg.extract_scale)
+            dense_row.append(tuple(coords))
+        table.append(tuple(dense_row))
+    return tuple(table)

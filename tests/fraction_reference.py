@@ -25,11 +25,15 @@ with the build or with ``Mat.inverse``), and ``Fraction`` commutators of
 ``basis_mats`` read by its ``express`` with a dense span check.  The Y of
 ``solve_direction`` and the orbit points are read by the same reader.
 
-The Jacobi identity on every basis triple through dense ``bracket_coords``
-calls, the n^3 loop that ``GradedAlgebra.structure_violations`` replaced
-by its sparse "ad is a representation" check.
+The Jacobi identity on every basis triple on a dense ``Fraction`` copy of
+``bracket_table`` (``conftest.dense_bracket_table``) with a bracket of its
+own, the n^3 loop that ``GradedAlgebra.structure_violations`` replaced by
+its sparse "ad is a representation" check on the integer constants.
 """
 
+from fractions import Fraction
+
+from conftest import dense_bracket_table
 from parageo.algebra import AlgElem
 from parageo.lab import iter_pplus_coords, pplus_elem
 from parageo.poly import P_T
@@ -116,18 +120,30 @@ def reference_build(alg):
 
 
 def exhaustive_jacobi_violations(alg):
-    """Jacobi on every basis triple through dense ``bracket_coords`` calls,
-    one violation string per failing triple (i, j, m)."""
-    br = alg.bracket_coords
-    basis = [alg.basis_elem(i).coords for i in range(alg.dim)]
+    """Jacobi on every basis triple through a dense bracket on the
+    ``Fraction`` view of ``bracket_table``, one violation string per
+    failing triple (i, j, m)."""
+    table = dense_bracket_table(alg)
+    n = alg.dim
+
+    def br(x, y):
+        out = [Fraction(0)] * n
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                if a and b:
+                    for m, c in enumerate(table[i][j]):
+                        out[m] += a * b * c
+        return out
+
+    basis = [[Fraction(int(m == i)) for m in range(n)] for i in range(n)]
     bad = []
     for i, ei in enumerate(basis):
         for j, ej in enumerate(basis):
-            bij = br(ei, ej)
+            bij = table[i][j]
             for m, em in enumerate(basis):
                 lhs = br(bij, em)
-                t1 = br(br(ei, em), ej)
-                t2 = br(ei, br(ej, em))
+                t1 = br(table[i][m], ej)
+                t2 = br(ei, table[j][m])
                 if any(a - b - c for a, b, c in zip(lhs, t1, t2)):
                     bad.append("Jacobi fails on basis triple (%d,%d,%d)" % (i, j, m))
     return bad

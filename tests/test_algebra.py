@@ -30,7 +30,7 @@ from parageo.errors import (
 from parageo.matrices import Mat, rank
 from parageo.poly import P_T, Poly
 
-from conftest import ALL_IDS, block_flag_sl, diag_group_elem, frame_extractor, full_flag_sl4
+from conftest import ALL_IDS, block_flag_sl, dense_bracket_table, diag_group_elem, frame_extractor, full_flag_sl4
 from fraction_reference import exhaustive_jacobi_violations, reference_build
 from paper_checks import SU21_FORM, g0_samples, group_elem, realified, validate_group_matrix
 from poly_reference import (
@@ -80,30 +80,54 @@ def test_sparse_and_exhaustive_jacobi_pass(cid):
     assert exhaustive_jacobi_violations(alg) == []
 
 
+def _mutated_constant_violations(monkeypatch, cid, which, mutate):
+    """Both Jacobi checks on the catalog algebra ``cid`` with the first or
+    last nonzero constant c_ij^m (i < j) replaced by ``mutate(c)``, or
+    dropped when that is 0, and c_ji^m set to its negative (on the cached
+    algebra, so monkeypatch puts the table back)."""
+    alg = make_algebra(cid)
+    table = [list(row) for row in alg.bracket_table]
+    nonzero = [(i, j, m) for i in range(alg.dim) for j in range(i + 1, alg.dim) for m, _ in table[i][j]]
+    i, j, m = nonzero[which]
+    entry = {mm: c for mm, c in table[i][j]}
+    entry[m] = mutate(entry[m])
+    table[i][j] = tuple((mm, c) for mm, c in sorted(entry.items()) if c)
+    table[j][i] = tuple((mm, -c) for mm, c in table[i][j])
+    monkeypatch.setattr(alg, "bracket_table", tuple(tuple(row) for row in table))
+    return _jacobi_violations(alg), exhaustive_jacobi_violations(alg)
+
+
 @pytest.mark.parametrize("cid", ["xxdot", "conf(1,2)", "lagr3"])
 @pytest.mark.parametrize("which", [0, -1])
 def test_doubled_structure_constant_breaks_both_jacobi_checks(cid, which, monkeypatch):
-    # double c_ij^m and its antisymmetric partner c_ji^m, for the first
-    # or the last nonzero constant with i < j (on the cached catalog
-    # algebra, so monkeypatch puts the table back)
-    alg = make_algebra(cid)
-    table = [list(row) for row in alg.bracket_table]
-    nonzero = [
-        (i, j, m)
-        for i in range(alg.dim)
-        for j in range(i + 1, alg.dim)
-        for m, c in enumerate(table[i][j])
-        if c
-    ]
-    i, j, m = nonzero[which]
-    doubled = list(table[i][j])
-    doubled[m] *= 2
-    table[i][j] = tuple(doubled)
-    table[j][i] = tuple(-c for c in doubled)
-    monkeypatch.setattr(alg, "bracket_table", tuple(tuple(row) for row in table))
-    sparse = _jacobi_violations(alg)
+    sparse, exhaustive = _mutated_constant_violations(monkeypatch, cid, which, lambda c: 2 * c)
     assert sparse and len(set(sparse)) == len(sparse)
-    assert exhaustive_jacobi_violations(alg)
+    assert exhaustive
+
+
+@pytest.mark.parametrize("cid", ["xxdot", "conf(1,2)", "lagr3"])
+@pytest.mark.parametrize("which", [0, -1])
+def test_dropped_structure_constant_breaks_both_jacobi_checks(cid, which, monkeypatch):
+    # one sparse (m, C) entry removed from [b_i, b_j] and from [b_j, b_i]
+    sparse, exhaustive = _mutated_constant_violations(monkeypatch, cid, which, lambda c: 0)
+    assert sparse and len(set(sparse)) == len(sparse)
+    assert exhaustive
+
+
+@pytest.mark.parametrize("cid", ALL_IDS + ["full_flag_sl4"])
+def test_bracket_table_is_sparse_and_antisymmetric(cid):
+    # each entry holds only (m, C) with C a nonzero int, m ascending; the
+    # (j, i) entry negates the (i, j) one, and [b_i, b_i] is empty
+    alg = full_flag_sl4() if cid == "full_flag_sl4" else make_algebra(cid)
+    table = alg.bracket_table
+    assert len(table) == alg.dim and all(len(row) == alg.dim for row in table)
+    for i, row in enumerate(table):
+        assert row[i] == ()
+        for j, entry in enumerate(row):
+            assert all(type(c) is int and c for _, c in entry)
+            ms = [m for m, _ in entry]
+            assert ms == sorted(set(ms)) and all(0 <= m < alg.dim for m in ms)
+            assert table[j][i] == tuple((m, -c) for m, c in entry)
 
 
 def test_catalog_errors():
@@ -459,7 +483,7 @@ def test_su21_bracket_table_matches_complex_basis():
         tuple(_su21_coords(_ccomb([(1, _cmul(a, b)), (-1, _cmul(b, a))])) for b in _SU21_COMPLEX)
         for a in _SU21_COMPLEX
     )
-    assert alg.bracket_table == table
+    assert dense_bracket_table(alg) == table
     # E_10 is not in su(2,1): the span check rejects it
     assert _su21_coords({(1, 0): (1, 0)}) is None
 
@@ -587,7 +611,7 @@ def test_build_agrees_with_dense_reference(cid):
         assert positions == sorted(set(positions))
         assert all(type(v) is int and v for _, v in entries)
     # repr compares the entry types as well as the values
-    assert repr(alg.bracket_table) == repr(table)
+    assert repr(dense_bracket_table(alg)) == repr(table)
     grades = alg.basis_grades
     assert (alg.n_indices, alg.pplus_indices) == (
         tuple(i for i, g in enumerate(grades) if g < 0),
@@ -598,6 +622,59 @@ def test_build_agrees_with_dense_reference(cid):
 @pytest.mark.parametrize("cid", ["sl(1,2,1)", "sl(2,1,1)"])
 def test_block_flag_sl_structure(cid):
     assert block_flag_sl(*SL_BLOCKS[cid]).structure_violations() == []
+
+
+def _sl_units(alg):
+    """Each basis element of an sl algebra as {(i, j): coefficient} over
+    the unit matrices E_ij: an off-diagonal unit, or a g_0 generator
+    E_aa - E_(a+1)(a+1).  Fails on any other basis element."""
+    d = alg.matrix_dim
+    units = []
+    for entries in alg.basis_entries:
+        unit = {divmod(r, d): v for r, v in entries}
+        p, q = min(unit)
+        assert (p != q and unit == {(p, q): 1}) or unit == {(p, p): 1, (p + 1, p + 1): -1}, unit
+        units.append(unit)
+    return units
+
+
+def _sl_coords(alg, units, combo):
+    """Coordinates of a traceless {(i, j): c} over the basis ``units``: an
+    off-diagonal E_ij is one basis element, and the diagonal part
+    sum_a c_a E_aa is sum_a (c_0 + ... + c_a) (E_aa - E_(a+1)(a+1))."""
+    coords = [0] * alg.dim
+    index = {min(unit): m for m, unit in enumerate(units)}
+    partial = 0
+    for a in range(alg.matrix_dim):
+        partial += combo.get((a, a), 0)
+        if a + 1 < alg.matrix_dim:
+            coords[index[(a, a)]] += partial
+    assert partial == 0, "trace %d" % partial
+    for (i, j), c in combo.items():
+        if i != j:
+            coords[index[(i, j)]] += c
+    return coords
+
+
+@pytest.mark.parametrize("cid", ["proj(2)", "grass(2,2)", "lagr3", "xxdot", "sl(1,1,1,1)"])
+def test_sl_bracket_table_matches_unit_matrix_brackets(cid):
+    # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj on the unit-matrix
+    # expansion of each basis element, read back by the telescoping
+    # coordinate map above; no frame or reader of the algebra is used
+    alg = block_flag_sl(*SL_BLOCKS[cid]) if cid in SL_BLOCKS else make_algebra(cid)
+    units = _sl_units(alg)
+    for i, x in enumerate(units):
+        for j, y in enumerate(units):
+            combo = {}
+            for (p, q), a in x.items():
+                for (r, s), b in y.items():
+                    if q == r:
+                        combo[(p, s)] = combo.get((p, s), 0) + a * b
+                    if s == p:
+                        combo[(r, q)] = combo.get((r, q), 0) - a * b
+            coords = _sl_coords(alg, units, combo)
+            expected = tuple((m, c * alg.extract_scale) for m, c in enumerate(coords) if c)
+            assert alg.bracket_table[i][j] == expected, (cid, i, j)
 
 
 def test_non_integral_basis_fails_at_construction():
@@ -620,15 +697,18 @@ def test_non_integral_basis_fails_at_construction():
 
 
 def test_bracket_table_memory_is_one_slot_per_coordinate():
-    # the table holds dim^3 coordinates, almost all 0: a shared zero costs
-    # a tuple slot (8 bytes), a fresh Fraction per zero about 40 bytes more
+    # the table keeps only the nonzero constants (490 of 35^3 coordinates),
+    # so the whole build, frame included, takes less than a dense table
+    # would in its tuple slots alone, with every zero shared (8 bytes per
+    # coordinate)
     tracemalloc.start()
     try:
         alg = block_flag_sl(1, 5)  # a new build, not the cached catalog one
         live, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert alg.dim == 35 and live < 24 * alg.dim**3
+    nonzero = sum(len(entry) for row in alg.bracket_table for entry in row)
+    assert alg.dim == 35 and nonzero == 490 and live < 8 * alg.dim**3
 
 
 _RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)

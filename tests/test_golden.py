@@ -31,7 +31,9 @@ coordinate extractor and bracket table as first computed by the dense
 build (greedy rank tests, Laplace cofactor inverse, dense commutators).
 The repr pins the entry types as well as the values; the extractor rows
 are read off the integer frame as ``Fraction``s (``frame_extractor``),
-now that the build keeps no ``Fraction`` extractor.  su21's build and
+now that the build keeps no ``Fraction`` extractor, and the bracket table
+is read through the dense ``Fraction`` view ``dense_bracket_table`` of the
+sparse integer one (as is su21's bracket-table digest).  su21's build and
 curve-layer digests were re-pinned when su21 was realified into 6x6
 rational matrices: they hold matrix reprs, which realification changes.
 
@@ -84,7 +86,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import frame_extractor, full_flag_sl4
+from conftest import dense_bracket_table, frame_extractor, full_flag_sl4
 from parageo.algebra import exp_nilpotent
 from parageo.catalog import make_algebra
 from parageo.cli import ExperimentConfig, emit, run
@@ -214,7 +216,7 @@ BUILD_GOLDEN = [
 @pytest.mark.parametrize("cid,digest", BUILD_GOLDEN, ids=[c for c, _ in BUILD_GOLDEN])
 def test_build_digest(cid, digest):
     alg = make_algebra(cid)
-    built = repr((*frame_extractor(alg), alg.bracket_table))
+    built = repr((*frame_extractor(alg), dense_bracket_table(alg)))
     assert hashlib.sha256(built.encode()).hexdigest() == digest
 
 
@@ -425,7 +427,7 @@ SU21_COORD_GOLDEN = {
 def test_su21_coordinate_digest(part):
     alg = make_algebra("su21")
     if part == "bracket_table":
-        value = alg.bracket_table
+        value = dense_bracket_table(alg)
     else:
         jet, delta, _, _ = curve_layer_parts(alg)
         value = jet if part == "jet" else delta

@@ -522,6 +522,16 @@ def test_position_type_test_agrees_with_contains(cid):
     assert alg.k == 1 or {(lowest, True), (lowest, False)} <= outcomes
 
 
+def test_pair_coords_rejects_a_direction_off_the_span(lagr3):
+    # a lone diagonal unit is not traceless, so no basis combination is it;
+    # a None coordinate tuple would surface later as a TypeError
+    d = lagr3.matrix_dim
+    unit = [[int(i == j == 0) for j in range(d)] for i in range(d)]
+    vals = (0,) * len(lagr3.pplus_indices)
+    with pytest.raises(OracleDisagreement, match="left the span"):
+        pair_coords(lagr3, vals, (unit, 1))
+
+
 def test_grid_kernel_is_built_in_the_first_step(monkeypatch, lagr3):
     # the benchmark tracer tags a pair loop by the grid_kernel call of its
     # first step: none when the stream is created, one per jets or family run
