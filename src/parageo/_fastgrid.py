@@ -18,8 +18,9 @@ form of P, comparison curves, the lemma identity checkers and the
 normal-coordinate jet of ``curves``, the reparametrization check, the
 grid kernel, and the orbit points, orbit probes and Prop. 4.1
 conjugations of ``lab`` run on it.  Coordinates are read through the
-algebra's one integer frame, built with the algebra
-(``GradedAlgebra.express`` for a constant, ``express_poly`` for a curve).
+algebra's one integer frame, built with the algebra:
+``GradedAlgebra.express_poly`` gives one ``Fraction`` coordinate tuple per
+coefficient of a curve, t^0 first, and ``express`` is its constant case.
 Its product ``_polymul`` sparsifies each coefficient of the right factor
 once and adds every product of two nonzero entries straight into its
 output coefficient; ``IntPolyMat.scale`` convolves a scalar polynomial's
@@ -414,7 +415,7 @@ class PairSystem:
                 break
             y, y_den = _mcombine(((s2, y), (1, resid))), a2_den
         else:
-            raise ArithmeticError("direction constraint failed to converge")
+            raise OracleDisagreement("direction constraint failed to converge")
         self.y, self.y_den = y, y_den
         self.a2, self.a2_den = a2, a2_den
         self.jets = [
@@ -646,8 +647,9 @@ class IntPolyMat:
     ``scale`` convolves the scalar's integer coefficients with the matrix
     coefficients.  Products, sums and equality (which cross-multiplies the
     denominators) raise ``ValueError`` on operands of another size.
-    ``GradedAlgebra.express`` and ``express_poly`` read coordinates.  The
-    repr is the constructor call: d, the integer coefficients and den.
+    ``GradedAlgebra.express_poly`` reads one coordinate tuple per C_p /
+    den, and ``express`` those of a constant.  The repr is the constructor
+    call: d, the integer coefficients and den.
     """
 
     __slots__ = ("d", "coeffs", "den")

@@ -15,17 +15,18 @@ so the coordinates of a matrix are read off its entries directly.
 The catalog gives each basis matrix as its nonzero integer entries
 {(row, col): int}, read at construction into ``basis_entries`` (a
 non-integer entry or one off the matrix's grade raises ``ValueError``).
-Two ``rref`` calls on the integer entries (the only ``Fraction`` arithmetic
-of the build) give one integer frame: the extractor terms over one scale.
-Past that every constant matrix is an integer ``IntPolyMat``: an
-element's matrix (summed on the basis entries), a ``GroupElem``'s matrix
-and inverse, and the Ad and normal-form products.  One integer reader
-with its span check always on gives the coordinates of ``express`` (a
-constant matrix), ``express_poly`` (each coefficient of a curve) and of
-every commutator in the structure constants: ``bracket_table[i][j]`` is
-the nonzero ``(m, C)``, m ascending, of [b_i, b_j] = sum_m C b_m /
-extract_scale, built at construction (a bracket off the span raises
-``ValueError``); ``bracket_table[j][i]`` is its negation.
+One ``rref`` (the only ``Fraction`` arithmetic of the build) gives one
+integer frame: the extractor terms over one scale.  Past that every
+constant matrix is an integer ``IntPolyMat``: an element's matrix (summed
+on the basis entries), a ``GroupElem``'s matrix and inverse, and the Ad
+and normal-form products.  One integer reader with its span check always
+on gives the coordinates of every commutator in the structure constants
+and of every matrix polynomial in one shape: ``express_poly`` returns one
+``Fraction`` coordinate tuple per power of t, t^0 first, and ``express``
+is the constant case.  ``bracket_table[i][j]`` is the nonzero ``(m, C)``,
+m ascending, of [b_i, b_j] = sum_m C b_m / extract_scale, built at
+construction (a bracket off the span raises ``ValueError``);
+``bracket_table[j][i]`` is its negation.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .errors import (
     NotNilpotent,
 )
 from .matrices import rref
-from .poly import Poly
 
 _ZERO = Fraction(0)
 
@@ -109,29 +109,27 @@ class GradedAlgebra:
 
     def _build_frame(self):
         # Let B have one column per basis matrix, flattened row-major (entry
-        # (i, j) at r = i*d + j).  The rows R of B taken greedily while they
-        # stay independent are the pivot columns of rref(B^T); coords of v
-        # in span(B) are inv(B[R]) @ v[R], and inv(B[R]) is the right half
-        # of rref([B[R] | I])
-        n = self.dim
-        vecs = [[0] * self.matrix_dim**2 for _ in range(n)]
-        for vec, entries in zip(vecs, self.basis_entries):
+        # (i, j) at r = i*d + j), and rref [B^T | I] once.  Its pivots R all
+        # fall left for an independent basis: the rows of B taken greedily
+        # while independent.  Its right block E has sum_m E[i][m] b_m = 1 at
+        # r_i and 0 at the other pivots, so E^T = inv(B[R]): coordinate m
+        # of v in span(B) is sum_i E[i][m] v[r_i]
+        n, size = self.dim, self.matrix_dim**2
+        rows = [[0] * size + [int(c == m) for c in range(n)] for m in range(n)]
+        for row, entries in zip(rows, self.basis_entries):
             for r, v in entries:
-                vec[r] = v
-        chosen = rref(vecs)[1]
-        if len(chosen) != n:
+                row[r] = v
+        reduced, chosen = rref(rows)
+        if sum(c < size for c in chosen) != n:
             raise ValueError("%s: basis matrices are linearly dependent" % self.name)
-        augmented = [
-            [vec[r] for vec in vecs] + [int(c == i) for c in range(n)] for i, r in enumerate(chosen)
-        ]
-        inverse = [row[n:] for row in rref(augmented)[0]]
         # the integer frame: coordinate m of a matrix with row-major entries
         # v is sum(c * v[r] for c, r in extract_terms[m]) / extract_scale;
         # catalog bases are almost all unit matrices, so the terms are short
+        inverse = [row[size:] for row in reduced]
         scale = lcm(*(e.denominator for row in inverse for e in row))
         self.extract_scale = scale
         self.extract_terms = tuple(
-            tuple((int(e * scale), r) for r, e in zip(chosen, row) if e) for row in inverse
+            tuple((int(row[m] * scale), r) for r, row in zip(chosen, inverse) if row[m]) for m in range(n)
         )
 
     def _build_bracket_table(self):
@@ -174,31 +172,28 @@ class GradedAlgebra:
         scale = self.extract_scale
         return nums if all(a == scale * v for a, v in zip(acc, flat)) else None
 
+    def _coords(self, pm):
+        """One Fraction coordinate tuple per coefficient of the IntPolyMat
+        ``pm``, t^0 first, or None when some coefficient leaves the span."""
+        nums = [self._read([v for row in c for v in row]) for c in pm.coeffs]
+        if None in nums:
+            return None
+        den = self.extract_scale * pm.den
+        return tuple(tuple(Fraction(v, den) if v else _ZERO for v in cn) for cn in nums)
+
     def express(self, pm):
         """Coordinates of a constant IntPolyMat ``pm`` over the basis, or
         None when pm leaves the span of the basis."""
         if len(pm.coeffs) > 1:
             raise ValueError("express reads a constant matrix; use express_poly for a curve")
-        flat = [v for c in pm.coeffs for row in c for v in row] or [0] * pm.d**2
-        nums = self._read(flat)
-        den = self.extract_scale * pm.den
-        return None if nums is None else tuple(Fraction(c, den) if c else _ZERO for c in nums)
+        coords = self._coords(pm) if pm.coeffs else ((_ZERO,) * self.dim,)
+        return None if coords is None else coords[0]
 
     def express_poly(self, pm):
-        """Poly coordinates of an IntPolyMat curve ``pm`` in g, or None
+        """Coordinates of an IntPolyMat curve sum_p t^p M_p in g: the tuple
+        of ``express(M_p)``, t^0 first (so () for the zero curve), or None
         when some coefficient leaves the span of the basis."""
-        nums = []
-        for c in pm.coeffs:
-            cn = self._read([v for row in c for v in row])
-            if cn is None:
-                return None
-            nums.append(cn)
-        # a zero coefficient is the int 0, as Poly arithmetic leaves it (P_T
-        # is Poly((0, 1))), so these Polys repr like the Poly-entry ones
-        den = self.extract_scale * pm.den
-        return tuple(
-            Poly(tuple(Fraction(cn[m], den) if cn[m] else 0 for cn in nums)) for m in range(self.dim)
-        )
+        return self._coords(pm)
 
     # -- element constructors ------------------------------------------------
 

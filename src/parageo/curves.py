@@ -26,9 +26,10 @@ Ad_b X = b X b^-1, the comparison curve, the five identity checkers and
 the normal-coordinate jet, solved one degree at a time.  Every
 exponential is ``IntPolyMat.exp``, the one nilpotent series of
 ``_fastgrid``, and curve equality is its one pattern test
-``product_in_p_pattern`` on the two factors of u.  Coordinates of a
-polynomial matrix (``delta_coords``, the jet's Y) are tuples of ``Poly``
-read by ``GradedAlgebra.express_poly``.
+``product_in_p_pattern`` on the two factors of u.  The coordinates of a
+polynomial matrix (``delta_coords``, the jet's Y) are read by
+``GradedAlgebra.express_poly``: one ``Fraction`` coordinate tuple per power
+of t, t^0 first, so row i holds the i-th derivative at 0 over i!.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from ._fastgrid import IntPolyMat, _int_coeffs, product_in_p_pattern
+from ._fastgrid import IntPolyMat, product_in_p_pattern
 from .algebra import AlgElem, GradedAlgebra, GroupElem, _same_algebra, group_exp
 from .errors import (
     BadReparam,
@@ -91,8 +92,9 @@ class CurveSpec:
 class ComparisonCurve:
     """u(t) with rep_1(t) = rep_2(t) u(t), plus delta_u in coordinates.
 
-    ``u``, ``u_inv`` and ``delta_u`` are IntPolyMats; ``delta_coords`` is a
-    tuple of Poly, one per basis coordinate.
+    ``u``, ``u_inv`` and ``delta_u`` are IntPolyMats; ``delta_coords`` is
+    ``express_poly(delta_u)``: one coordinate tuple per power of t, t^0
+    first, and () when delta_u vanishes.
     """
 
     c1: CurveSpec
@@ -128,14 +130,10 @@ def curves_equal(c1, c2):
 
 
 def jet_orders_equal(cc, ell):
-    """(delta_u)^(i)(0) in p for all i <= ell-1, by coordinate vanishing."""
-    for idx in cc.algebra.n_indices:
-        coeffs = cc.delta_coords[idx].coeffs
-        # i-th derivative at 0 is i! * coeffs[i]
-        for i in range(min(ell, len(coeffs))):
-            if coeffs[i]:
-                return False
-    return True
+    """(delta_u)^(i)(0) in p for all i <= ell-1, by coordinate vanishing:
+    the i-th derivative at 0 is i! times row i of ``delta_coords``."""
+    n_indices = cc.algebra.n_indices
+    return not any(row[m] for row in cc.delta_coords[:ell] for m in n_indices)
 
 
 def jet_equal(c1, c2, ell):
@@ -202,8 +200,10 @@ def normal_coord_jet(c, order):
     coords = alg.express_poly(ymat)
     if coords is None:
         raise OracleDisagreement("normal-coordinate factor left the algebra span")
-    # ymat has degree <= order, so these coefficients are all of Y
-    ycoeffs = [AlgElem(alg, tuple(p[i] for p in coords)) for i in range(order + 1)]
+    # ymat has degree <= order, so these rows are all of Y, padded with
+    # zero coefficients up to order + 1
+    ycoeffs = [AlgElem(alg, row) for row in coords]
+    ycoeffs += [alg.zero_elem()] * (order + 1 - len(coords))
     if not all(e.in_n() for e in ycoeffs):
         raise OracleDisagreement("normal-coordinate factor is not n-valued")
     if not upper.in_p_pattern(alg):
@@ -289,9 +289,7 @@ def verify_eq_2_4_1(u, u_inv, coeff_elems):
 
 def _partitions(total):
     """Integer partitions of ``total`` as descending tuples."""
-    if total == 0:
-        yield ()
-        return
+
     def rec(rest, maxpart):
         if rest == 0:
             yield ()
@@ -331,13 +329,8 @@ def _lemma_3_2_scalars(phi, i_max):
     per phi: for i = 1..i_max, phi^(i+1) and, by part count k, the signed
     partition sum (-1)^k sum_parts partition_coefficient(i, parts)
     prod_{p in parts} phi^(p) over the partitions of i into k parts.
-
-    The derivative products run on the integer coefficients of den * phi
-    (den the least common denominator of phi), so a product of k of them
-    takes (-1)^k / den^k into its partition coefficient.
     """
-    nums, den = _int_coeffs(phi)
-    derivs = [Poly(nums)]
+    derivs = [phi]
     for _ in range(i_max + 1):
         derivs.append(derivs[-1].derivative())
     table = []
@@ -348,9 +341,9 @@ def _lemma_3_2_scalars(phi, i_max):
             for p in parts[1:]:
                 term = term * derivs[p]
             k = len(parts)
-            c = partition_coefficient(i, parts) * Fraction((-1) ** k, den**k)
+            c = partition_coefficient(i, parts) * (-1) ** k
             signed[k] = signed.get(k, Poly()) + term * c
-        table.append((derivs[i + 1] * Fraction(1, den), signed))
+        table.append((derivs[i + 1], signed))
     return table
 
 

@@ -6,6 +6,7 @@ import pytest
 from parageo._fastgrid import IntPolyMat
 from parageo.algebra import GroupElem
 from parageo.catalog import _build_sl, make_algebra
+from parageo.poly import Poly
 
 ALL_IDS = [
     "proj(1)",
@@ -92,3 +93,10 @@ def dense_bracket_table(alg):
             dense_row.append(tuple(coords))
         table.append(tuple(dense_row))
     return tuple(table)
+
+
+def poly_coords(alg, per_degree):
+    """One ``Poly`` per basis coordinate of an ``express_poly`` result (one
+    coordinate tuple per power of t), an interior zero coefficient as the
+    int 0: the shape in which the curve-layer digests were pinned."""
+    return tuple(Poly(tuple(row[m] or 0 for row in per_degree)) for m in range(alg.dim))

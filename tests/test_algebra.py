@@ -30,7 +30,15 @@ from parageo.errors import (
 from parageo.matrices import Mat, rank
 from parageo.poly import P_T, Poly
 
-from conftest import ALL_IDS, block_flag_sl, dense_bracket_table, diag_group_elem, frame_extractor, full_flag_sl4
+from conftest import (
+    ALL_IDS,
+    block_flag_sl,
+    dense_bracket_table,
+    diag_group_elem,
+    frame_extractor,
+    full_flag_sl4,
+    poly_coords,
+)
 from fraction_reference import exhaustive_jacobi_violations, reference_build
 from paper_checks import SU21_FORM, g0_samples, group_elem, realified, validate_group_matrix
 from poly_reference import (
@@ -619,6 +627,17 @@ def test_build_agrees_with_dense_reference(cid):
     )
 
 
+@pytest.mark.parametrize("cid", ["proj(10)", "grass(5,6)", "conf(4,5)"])
+def test_frame_on_ids_too_large_for_the_cofactor_reference(cid):
+    # each basis matrix reads back as its unit coordinate vector, and the
+    # identity (not in sl, nor in the conformal so) leaves the span
+    alg = make_algebra(cid)
+    for i in range(alg.dim):
+        unit = alg.basis_elem(i)
+        assert alg.express(unit.matrix) == unit.coords
+    assert alg.express(IntPolyMat.identity(alg.matrix_dim)) is None
+
+
 @pytest.mark.parametrize("cid", ["sl(1,2,1)", "sl(2,1,1)"])
 def test_block_flag_sl_structure(cid):
     assert block_flag_sl(*SL_BLOCKS[cid]).structure_violations() == []
@@ -763,8 +782,29 @@ def test_express_rejects_a_curve(lagr3):
     line = lagr3.grade_basis(-1)[0].matrix.scale(P_T)
     with pytest.raises(ValueError, match="constant matrix"):
         lagr3.express(line)
-    assert lagr3.express_poly(line)[lagr3.grade_slices[-1][0]] == P_T
+    # one coordinate tuple per power of t: zero at t^0, the basis vector at t^1
+    unit = lagr3.grade_basis(-1)[0].coords
+    assert lagr3.express_poly(line) == (lagr3.zero_elem().coords, unit)
+    assert lagr3.express_poly(IntPolyMat(3, [])) == ()
     assert lagr3.express(IntPolyMat(3, [])) == lagr3.zero_elem().coords
+
+
+@settings(max_examples=40, deadline=None)
+@given(cid=st.sampled_from(list(_EXPRESS_ALGEBRAS)), data=st.data())
+def test_express_poly_reads_each_coefficient_with_express(cid, data):
+    # a curve sum_p t^p M_p of degree <= 2, any M_p possibly zero: one
+    # coordinate tuple per coefficient kept, each that of express(M_p)
+    alg = _EXPRESS_ALGEBRAS[cid]
+    d, zero = alg.matrix_dim, alg.zero_elem()
+    coords = st.lists(_RATIONALS, min_size=alg.dim, max_size=alg.dim).map(tuple) | st.just(zero.coords)
+    elems = [AlgElem(alg, c) for c in data.draw(st.lists(coords, min_size=3, max_size=3))]
+    curve = IntPolyMat(d, [])
+    for p, e in enumerate(elems):
+        curve = curve + e.matrix.scale(Poly((0,) * p + (1,)))
+    rows = alg.express_poly(curve)
+    assert rows == tuple(alg.express(IntPolyMat(d, [c], curve.den)) for c in curve.coeffs)
+    assert rows == tuple(e.coords for e in elems)[: len(curve.coeffs)]
+    assert alg.express_poly(IntPolyMat(d, [])) == ()
 
 
 @settings(max_examples=40, deadline=None)
@@ -777,7 +817,7 @@ def test_express_poly_round_trip_and_off_span(cid, data):
     mat = Mat.zero(alg.matrix_dim)
     for c, b in zip(coords, basis_mats(alg)):
         mat = mat + b.scale(c)
-    assert alg.express_poly(to_int(mat)) == express_poly(alg, mat) == coords
+    assert poly_coords(alg, alg.express_poly(to_int(mat))) == express_poly(alg, mat) == coords
     r = data.draw(st.sampled_from(_off_span_positions(alg)))
     eps = data.draw(quadratic.filter(bool))
     off = _perturb(alg, mat, r, eps)

@@ -59,6 +59,29 @@ def test_integer_modules_use_no_fraction_matrix(module):
     assert bad == []
 
 
+# The modules that still read a name from ``poly``; the deletion of
+# ``Poly`` (ROADMAP item 19) can only shorten this list.
+POLY_READERS = ["_fastgrid.py", "curves.py", "reparam.py", "suite.py"]
+
+
+def _imported_modules(tree):
+    """The package modules that ``tree`` imports from, by their last name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in (None, "parageo"):
+                yield from (a.name for a in node.names)
+            else:
+                yield node.module.rpartition(".")[2]
+        elif isinstance(node, ast.Import):
+            yield from (a.name.rpartition(".")[2] for a in node.names)
+
+
+def test_only_the_listed_modules_read_poly():
+    paths = sorted(SRC.glob("*.py"))
+    readers = [p.name for p in paths if "poly" in _imported_modules(ast.parse(p.read_text()))]
+    assert readers == POLY_READERS
+
+
 # Every command of the command line, with Mat.__init__ patched to raise: each
 # config runs through cli.run and both formats of cli.emit.  A fresh process,
 # so that no algebra cached by another test was built before the patch.

@@ -57,7 +57,10 @@ pinned on the Poly-entry block-LU series and passes unchanged on the
 integer degree-by-degree solve; the exponentials are ``IntPolyMat``s now,
 sampled through ``poly_reference.to_mat``, whose repr is that of the old
 Poly-entry ``Mat``; the constant-matrix exponential and logarithm now live
-in ``poly_reference``.
+in ``poly_reference``.  ``express_poly`` returns one coordinate tuple per
+power of t, so the jet and delta_u coordinates are read through
+``conftest.poly_coords``, one ``Poly`` per basis coordinate as they were
+pinned, and the jet is read off those Polys one coefficient per degree.
 
 The ``scripts/reproduce_tables.py`` digest is the SHA-256 of its
 ``--grid 1`` stdout (sharp jet orders, family and stabilizer dimensions,
@@ -86,7 +89,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense_bracket_table, frame_extractor, full_flag_sl4
+from conftest import dense_bracket_table, frame_extractor, full_flag_sl4, poly_coords
 from parageo.algebra import exp_nilpotent
 from parageo.catalog import make_algebra
 from parageo.cli import ExperimentConfig, emit, run
@@ -248,8 +251,9 @@ def curve_layer_parts(alg):
         z = z + b * Fraction((-1) ** i, i + 1)
     c = CurveSpec.from_Z(alg, z, x)
     order = alg.k + 2
-    jet = normal_coord_jet(c, order).coeffs_prefix(order)
-    delta = comparison(CurveSpec.base(alg, x), c).delta_coords
+    ys = poly_coords(alg, normal_coord_jet(c, order).coeffs_prefix(order))
+    jet = tuple(tuple(p[i] for p in ys) for i in range(order + 1))
+    delta = poly_coords(alg, comparison(CurveSpec.base(alg, x), c).delta_coords)
     exps = tuple(to_mat(exp_nilpotent(b, P_T)) for b in n_basis + [x])
     exps += (to_mat(exp_nilpotent(z, -P_T)),)
     logs = (log_unipotent(exp_mat(frac_matrix(x))), log_unipotent(exp_mat(frac_matrix(z))))

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from parageo._fastgrid import IntPolyMat, PairSystem, grid_kernel
 from parageo.algebra import AlgElem
 from parageo.catalog import make_algebra
-from parageo.cli import parse_direction
+from parageo.cli import main, parse_direction
 from parageo.errors import OracleDisagreement
 from parageo.lab import (
     STRATUM_TYPES,
@@ -191,6 +191,19 @@ def test_a_dropped_curve_identity_fails_the_kernel_recheck(monkeypatch):
     stream = _lagr3_stream_corrupted(monkeypatch, lambda system: system.identity.clear(), 1)
     with pytest.raises(OracleDisagreement, match="pair system and kernel disagree"):
         list(stream)
+
+
+def test_a_stalled_residual_iteration_is_an_oracle_disagreement(monkeypatch, capsys):
+    # a conjugation that returns Y unchanged never clears the residual: the
+    # build raises OracleDisagreement, and the console command exits 2 with
+    # one error line instead of a traceback (exit 1 is a paper violation)
+    monkeypatch.setattr("parageo._fastgrid._pconj", lambda e, y, einv: y)
+    alg = make_algebra("lagr3")
+    with pytest.raises(OracleDisagreement, match="failed to converge"):
+        PairSystem(alg, parse_direction(alg, "1,1,1"), 2)
+    assert main(["jets", "--algebra", "lagr3", "--grid", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: direction constraint failed to converge\n"
 
 
 # -- fibers of the read coordinates ---------------------------------------------
